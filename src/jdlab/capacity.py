@@ -63,21 +63,26 @@ def _solve_spd(a: sp.csr_matrix, b: np.ndarray) -> tuple[np.ndarray, float]:
     return x, res
 
 
-def _dead_components(a_ff: sp.csr_matrix, coupled: np.ndarray) -> np.ndarray:
-    """Flag free nodes in components with no coupling to clamped data."""
+def _dead_components(a_ff: sp.csr_matrix, g_rows: sp.csr_matrix, clamped: np.ndarray) -> np.ndarray:
+    """Flag free nodes in components with no coupling to clamped data.
+
+    g_rows are the free rows of the form matrix; a free node couples when
+    its row has a nonzero entry in a clamped column.
+    """
     n = a_ff.shape[0]
     if n == 0:
         return np.zeros(0, dtype=bool)
+    hits = clamped[g_rows.indices] & (g_rows.data != 0)
+    nonempty = np.flatnonzero(np.diff(g_rows.indptr))
+    coupled = np.zeros(n, dtype=bool)
+    coupled[nonempty] = np.logical_or.reduceat(hits, g_rows.indptr[nonempty])
     off = a_ff.copy()
     off.setdiag(0.0)
     off.eliminate_zeros()
     n_comp, labels = connected_components(abs(off) > 0, directed=False)
-    dead = np.zeros(n, dtype=bool)
-    for c in range(n_comp):
-        members = labels == c
-        if not coupled[members].any():
-            dead[members] = True
-    return dead
+    touches = np.zeros(n_comp, dtype=bool)
+    touches[labels[coupled]] = True
+    return ~touches[labels]
 
 
 def equilibrium_potential(
@@ -92,6 +97,11 @@ def equilibrium_potential(
     Equivalent to the discrete Dirichlet problem on B \\ K; the minimum is
     cap(K, B), evaluated independently through the energy form.
     """
+    return _potential(space, kernel, local, form_matrix(space, kernel, local), inner, ball_mask)
+
+
+def _potential(space, kernel, local, g, inner, ball_mask) -> PotentialSolve:
+    """`equilibrium_potential` with the form matrix g already assembled."""
     inner = np.asarray(inner, dtype=np.int64)
     ball_mask = np.asarray(ball_mask, dtype=bool)
     if inner.size == 0:
@@ -110,20 +120,12 @@ def equilibrium_potential(
         e = form_energy(space, kernel, local, u)
         return PotentialSolve(inner, ball_mask, u, e, 0.0, warnings)
 
-    g = form_matrix(space, kernel, local)
-    a_ff = g[free_idx][:, free_idx].tocsr()
-    b = -np.asarray(g[free_idx][:, inner].sum(axis=1)).reshape(-1)
+    g_rows = g[free_idx].tocsr()
+    a_ff = g_rows[:, free_idx].tocsr()
+    b = -np.asarray(g_rows[:, inner].sum(axis=1)).reshape(-1)
 
-    # nodes whose row couples to any clamped value (K or the grounded exterior)
-    clamped = ~free
-    coupled = np.zeros(free_idx.size, dtype=bool)
-    g_free_rows = g[free_idx].tocsr()
-    for k in range(free_idx.size):
-        lo, hi = g_free_rows.indptr[k], g_free_rows.indptr[k + 1]
-        cols = g_free_rows.indices[lo:hi]
-        vals = g_free_rows.data[lo:hi]
-        coupled[k] = bool(np.any(clamped[cols] & (vals != 0)))
-    dead = _dead_components(a_ff, coupled)
+    # clamped values: K and the grounded exterior
+    dead = _dead_components(a_ff, g_rows, ~free)
     if dead.any():
         warnings.append(
             f"{int(dead.sum())} free points lie in components touching neither K nor the "
@@ -179,12 +181,13 @@ def capacity_scan(
     if center is None:
         center = int(inner[0])
     dist = space.distances_from(center)
+    g = form_matrix(space, kernel, local)
     caps, residuals, warnings = [], [], []
     for r in radii:
         mask = dist < r
         if not mask[inner].all():
             raise ValueError(f"K is not inside the open ball of radius {r}")
-        solve = equilibrium_potential(space, kernel, local, inner, mask)
+        solve = _potential(space, kernel, local, g, inner, mask)
         caps.append(solve.energy)
         residuals.append(solve.residual)
         warnings.extend(solve.warnings)

@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .forms import JumpKernel, LocalPart, energy as form_energy
-from .space import DiscreteMMSpace, UnsupportedOperation, metric_ball
+from .forms import JumpKernel, LocalPart, energy as form_energy, max_row_sum
+from .space import DiscreteMMSpace, UnsupportedOperation, metric_ball, support_sets
 
 DEFAULT_THRESHOLD = 10.0
 TOP_WINDOW_FRACTION = 0.5
@@ -123,27 +123,10 @@ def _omega_values(
     """omega(r) = max over X^(j) of sum_y (d(x,y) ^ r)^2 j(x,y) m(y), per r."""
     if kernel is None or kernel.matrix.nnz == 0:
         return np.zeros(len(radii))
-    from .space import split_supports
-
-    if space.jump_support is None:
-        split_supports(space, kernel, None)
-    x_j = space.jump_support
-    if len(x_j) == 0:
-        return np.zeros(len(radii))
-    mat = kernel.weighted
     dist = kernel.pair_distances()
-    out = np.full(len(radii), -np.inf)
-    for x in x_j:
-        lo, hi = mat.indptr[x], mat.indptr[x + 1]
-        if hi == lo:
-            continue
-        d_seg = dist[lo:hi]
-        w_seg = mat.data[lo:hi]
-        for k, r in enumerate(radii):
-            val = float(np.sum(np.minimum(d_seg, r) ** 2 * w_seg))
-            if val > out[k]:
-                out[k] = val
-    return np.where(np.isfinite(out), out, 0.0)
+    return np.array(
+        [max_row_sum(kernel.weighted, lambda lo, hi: np.minimum(dist[lo:hi], r) ** 2)[0] for r in radii]
+    )
 
 
 def omega(space: DiscreteMMSpace, kernel: Optional[JumpKernel], r: float) -> float:
@@ -166,18 +149,15 @@ def recurrence_report(
     if radii.size == 0 or radii[0] <= 0:
         raise ValueError("radii must be positive and increasing")
     notes = _check_radii(space, x0, radii)
-    from .space import split_supports
-
-    if space.jump_support is None or space.local_support is None:
-        split_supports(space, kernel, local)
-    if len(space.jump_support) == 0:
+    x_c, x_j = support_sets(kernel, local)
+    if len(x_j) == 0:
         notes.append("jump support is empty: omega is identically 0")
     dist = space.distances_from(x0)
     om = _omega_values(space, kernel, radii)
     c_mask = np.zeros(space.n_points, dtype=bool)
-    c_mask[space.local_support] = True
+    c_mask[x_c] = True
     j_mask = np.zeros(space.n_points, dtype=bool)
-    j_mask[space.jump_support] = True
+    j_mask[x_j] = True
     values = []
     for k, r in enumerate(radii):
         ball = dist <= r

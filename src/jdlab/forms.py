@@ -15,14 +15,42 @@ q(x, y) = 2 j(x,y) m(y); only the rate table applies the factor 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .space import DiscreteMMSpace
+from .space import DiscreteMMSpace, support_sets
 
-_PAIR_CHUNK = 256  # rows per block when pairing kernel entries with distances
+_PAIR_CHUNK = 256  # graph-metric distance rows per Dijkstra call
+_BLOCK_NNZ = 1 << 18  # stored entries per run of whole rows (bounds temporaries)
+
+
+def row_blocks(indptr: np.ndarray) -> Iterator[tuple[np.ndarray, int, int]]:
+    """Runs of whole non-empty CSR rows with at most _BLOCK_NNZ entries (or one longer row).
+
+    Yields (rows, lo, hi): the run's ascending row ids and its entry range
+    [lo, hi), contiguous because the rows skipped between them are empty.
+    """
+    rows = np.flatnonzero(np.diff(indptr))
+    ends = indptr[rows + 1]
+    k = 0
+    while k < len(rows):
+        lo = int(indptr[rows[k]])
+        stop = max(int(np.searchsorted(ends, lo + _BLOCK_NNZ, side="right")), k + 1)
+        yield rows[k:stop], lo, int(ends[stop - 1])
+        k = stop
+
+
+def max_row_sum(mat: sp.csr_matrix, factor: Callable[[int, int], np.ndarray]) -> tuple[float, Optional[int]]:
+    """Largest row sum of factor(lo, hi) * mat.data[lo:hi] and its first row; (-inf, None) if none."""
+    best, arg = -np.inf, None
+    for rows, lo, hi in row_blocks(mat.indptr):
+        sums = np.add.reduceat(factor(lo, hi) * mat.data[lo:hi], mat.indptr[rows] - lo)
+        k = int(np.argmax(sums))
+        if sums[k] > best:
+            best, arg = float(sums[k]), int(rows[k])
+    return best, arg
 
 
 class JumpKernel:
@@ -77,12 +105,17 @@ class JumpKernel:
         """d(x, y) aligned with self.matrix.data (CSR order)."""
         if self._pair_d is None:
             m = self.matrix
+            counts = np.diff(m.indptr)
             out = np.empty(m.nnz)
-            rows_with = np.flatnonzero(np.diff(m.indptr) > 0)
-            for idx, dist_rows in self.space.distances_chunked(rows_with, chunk=_PAIR_CHUNK):
-                for k, x in enumerate(idx):
-                    lo, hi = m.indptr[x], m.indptr[x + 1]
-                    out[lo:hi] = dist_rows[k][m.indices[lo:hi]]
+            if self.space.metric_kind == "graph":
+                chunks = self.space.distances_chunked(np.flatnonzero(counts), chunk=_PAIR_CHUNK)
+                for idx, dist_rows in chunks:
+                    lo, hi = m.indptr[idx[0]], m.indptr[idx[-1] + 1]
+                    local_rows = np.repeat(np.arange(len(idx)), counts[idx])
+                    out[lo:hi] = dist_rows[local_rows, m.indices[lo:hi]]
+            else:
+                for rows, lo, hi in row_blocks(m.indptr):
+                    out[lo:hi] = self.space.pair_distances(np.repeat(rows, counts[rows]), m.indices[lo:hi])
             self._pair_d = out
         return self._pair_d
 
@@ -227,19 +260,11 @@ class MConstants:
         return iter((self.m_c, self.m_j))
 
 
-def _support_sets(space, kernel, local):
-    from .space import split_supports
-
-    if space.jump_support is None or space.local_support is None:
-        split_supports(space, kernel, local)
-    return space.local_support, space.jump_support
-
-
 def _near_boundary(space: DiscreteMMSpace, x: int) -> bool:
     reach = space.max_distance_from(space.origin)
     if not np.isfinite(reach) or reach == 0:
         return False
-    return space.distances_from(space.origin)[x] >= 0.9 * reach
+    return bool(space.distances_from(space.origin)[x] >= 0.9 * reach)
 
 
 def m_constants(space: DiscreteMMSpace, kernel: Optional[JumpKernel], local: Optional[LocalPart]) -> MConstants:
@@ -251,7 +276,7 @@ def m_constants(space: DiscreteMMSpace, kernel: Optional[JumpKernel], local: Opt
     boundary flags mark arg-max points sitting near the truncation edge
     (evidence that the true supremum may be larger).
     """
-    x_c, x_j = _support_sets(space, kernel, local)
+    x_c, _ = support_sets(kernel, local)
     m_c, arg_c = 0.0, None
     if local is not None and len(x_c):
         d_row = space.distances_from(space.origin)
@@ -259,15 +284,9 @@ def m_constants(space: DiscreteMMSpace, kernel: Optional[JumpKernel], local: Opt
         k = int(np.argmax(g[x_c]))
         m_c, arg_c = float(g[x_c][k]), int(x_c[k])
     m_j, arg_j = 0.0, None
-    if kernel is not None and len(x_j):
-        best = -1.0
-        mat = kernel.weighted
+    if kernel is not None and kernel.matrix.nnz:
         dist = kernel.pair_distances()
-        for x in x_j:
-            lo, hi = mat.indptr[x], mat.indptr[x + 1]
-            val = float(np.sum(np.minimum(1.0, dist[lo:hi] ** 2) * mat.data[lo:hi]))
-            if val > best:
-                best, arg_j = val, int(x)
+        best, arg_j = max_row_sum(kernel.weighted, lambda lo, hi: np.minimum(1.0, dist[lo:hi] ** 2))
         m_j = max(best, 0.0)
     return MConstants(
         m_c,

@@ -81,20 +81,13 @@ def _lattice_space(dim, truncation_radius, spacing, measure_per_point) -> Discre
     )
 
 
-def _neighbor_entries(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j), i<j, at lattice step distance 1."""
-    index = {tuple(s): k for k, s in enumerate(steps)}
-    rows, cols = [], []
-    dim = steps.shape[1]
-    for k, s in enumerate(steps):
-        for axis in range(dim):
-            t = list(s)
-            t[axis] += 1
-            other = index.get(tuple(t))
-            if other is not None:
-                rows.append(k)
-                cols.append(other)
-    return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+def _neighbor_entries(dim: int, side: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (i, j), i<j, one step apart in the row-major box of side^dim points; by i, then axis."""
+    k = np.arange(side**dim, dtype=np.int64)
+    strides = side ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    has_next = (k[:, None] // strides) % side < side - 1
+    rows = np.broadcast_to(k[:, None], has_next.shape)[has_next]
+    return rows, (k[:, None] + strides)[has_next]
 
 
 def lattice_nn(
@@ -107,7 +100,7 @@ def lattice_nn(
     """Nearest-neighbor lattice kernel j = density * 1_{|x-y| = spacing} on hZ^n."""
     per_point = 1.0 if measure == "counting" else spacing**dim
     space = _lattice_space(dim, truncation_radius, spacing, per_point)
-    rows, cols = _neighbor_entries(space.steps)
+    rows, cols = _neighbor_entries(dim, 2 * int(space.steps.max()) + 1)
     kernel = JumpKernel.from_entries(space, rows, cols, np.full(len(rows), float(density)))
     return BuiltInstance(space, kernel)
 
@@ -540,19 +533,11 @@ def mixed_graph(
 
 def lattice2d_graph(extent: int) -> GraphData:
     """Z^2 box |k|_inf <= extent with unit edge weights and counting measure."""
-    axis = np.arange(-extent, extent + 1)
-    gx, gy = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.column_stack([gx.reshape(-1), gy.reshape(-1)])
-    index = {tuple(p): k for k, p in enumerate(pts)}
-    rows, cols = [], []
-    for kidx, p in enumerate(pts):
-        for dxy in ((1, 0), (0, 1)):
-            q = (p[0] + dxy[0], p[1] + dxy[1])
-            if q in index:
-                rows.append(kidx)
-                cols.append(index[q])
-    edges = np.column_stack([rows, cols])
-    return GraphData(len(pts), edges, np.ones(len(edges)), np.ones(len(pts)))
+    if extent < 0:
+        raise ValueError("extent must be nonnegative")
+    side = 2 * extent + 1
+    edges = np.column_stack(_neighbor_entries(2, side))
+    return GraphData(side**2, edges, np.ones(len(edges)), np.ones(side**2))
 
 
 def mixed_graph_from_params(

@@ -124,15 +124,21 @@ class DiscreteMMSpace:
 
     # -- metric ---------------------------------------------------------
 
-    def _coord_rows(self, indices: np.ndarray) -> np.ndarray:
-        diff = self.coords[indices][:, None, :] - self.coords[None, :, :]
+    def _norm(self, diff: np.ndarray) -> np.ndarray:
+        """Coordinate-metric length along the last axis; rows and pairs share it bit for bit."""
         if self.metric_kind == "euclidean":
-            return np.sqrt((diff**2).sum(axis=2))
+            return np.sqrt((diff**2).sum(axis=-1))
         if self.metric_kind == "l1":
-            return np.abs(diff).sum(axis=2)
+            return np.abs(diff).sum(axis=-1)
         # stack: euclidean over all but the last column, absolute layer gap
-        p = np.sqrt((diff[:, :, :-1] ** 2).sum(axis=2))
-        return p + np.abs(diff[:, :, -1])
+        p = np.sqrt((diff[..., :-1] ** 2).sum(axis=-1))
+        return p + np.abs(diff[..., -1])
+
+    def pair_distances(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """d(rows[k], cols[k]) for each k on a coordinate metric, in O(len(rows))."""
+        if self.metric_kind == "graph":
+            raise UnsupportedOperation("graph metrics have no per-pair distance; use distance rows")
+        return self._norm(self.coords[rows] - self.coords[cols])
 
     def distances_from(self, x0: int) -> np.ndarray:
         """All distances d(x0, .) as a vector; rows are cached."""
@@ -142,7 +148,7 @@ class DiscreteMMSpace:
             if self.metric_kind == "graph":
                 row = dijkstra(self.metric_graph, directed=False, indices=x0)
             else:
-                row = self._coord_rows(np.array([x0]))[0]
+                row = self._norm(self.coords[x0] - self.coords)
             if len(self._row_cache) < ROW_CACHE_LIMIT:
                 self._row_cache[x0] = row
         return row
@@ -155,7 +161,7 @@ class DiscreteMMSpace:
             if self.metric_kind == "graph":
                 rows = dijkstra(self.metric_graph, directed=False, indices=idx)
             else:
-                rows = self._coord_rows(idx)
+                rows = self._norm(self.coords[idx][:, None, :] - self.coords)
             yield idx, rows
 
     def d(self, x: int, y: int) -> float:
@@ -262,8 +268,8 @@ def shell_volume(space: DiscreteMMSpace, x0: int, n: int) -> float:
     return float(space.measure[mask].sum())
 
 
-def split_supports(space: DiscreteMMSpace, kernel, local) -> tuple[np.ndarray, np.ndarray]:
-    """Compute and store X^(c) (local support) and X^(j) (jump support).
+def support_sets(kernel, local) -> tuple[np.ndarray, np.ndarray]:
+    """X^(c) (local support) and X^(j) (jump support) of the given parts.
 
     X^(j) is every point with at least one positive kernel entry; X^(c) is
     the local part's declared support (grid spaces: all points on a
@@ -271,16 +277,18 @@ def split_supports(space: DiscreteMMSpace, kernel, local) -> tuple[np.ndarray, n
     interiors only, since vertex atoms carry no absolutely continuous local
     energy density).
     """
-    n = space.n_points
     if kernel is None:
         x_j = np.array([], dtype=np.int64)
     else:
-        counts = kernel.matrix.getnnz(axis=1)
-        x_j = np.flatnonzero(counts > 0).astype(np.int64)
+        x_j = np.flatnonzero(np.diff(kernel.matrix.indptr)).astype(np.int64)
     if local is None:
         x_c = np.array([], dtype=np.int64)
     else:
         x_c = np.asarray(local.support, dtype=np.int64)
-    space.local_support = x_c
-    space.jump_support = x_j
     return x_c, x_j
+
+
+def split_supports(space: DiscreteMMSpace, kernel, local) -> tuple[np.ndarray, np.ndarray]:
+    """Compute X^(c) and X^(j) (see `support_sets`) and store them on the space."""
+    space.local_support, space.jump_support = support_sets(kernel, local)
+    return space.local_support, space.jump_support

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -26,7 +25,7 @@ from .criteria import (
     volume_growth_report,
 )
 from .forms import jump_rates
-from .simulate import SimConfig, explosion_diagnostic, return_probability, survival_estimate
+from .simulate import RNG_CONTRACT, SimConfig, explosion_diagnostic, return_probability, survival_estimate
 from .space import metric_ball, split_supports
 from .specio import SpecError, load_spec_or_built, round_floats, save_built, sha256_of, write_json
 
@@ -55,16 +54,6 @@ def _parse_target(text: str, built) -> list[int]:
         except ValueError as exc:
             raise SpecError(f"cannot parse target spec {text!r}: {exc}") from exc
     raise SpecError("targets are written ball:x0:radius or ids:1,2,3")
-
-
-def _resolve_threads(args) -> int:
-    env = os.environ.get("JDLAB_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise SpecError(f"JDLAB_THREADS must be an integer, got {env!r}") from exc
-    return max(1, args.threads)
 
 
 def _default_radii(built, x0: int) -> list[float]:
@@ -158,9 +147,10 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
         policy=args.policy,
         outer_radius=args.outer,
-        workers=_resolve_threads(args),
     )
+    started = time.perf_counter()
     survival, batch = survival_estimate(rates, x0, config)
+    batches = [batch]
     summary = {
         "x0": int(x0),
         "seed": int(args.seed),
@@ -173,13 +163,22 @@ def cmd_simulate(args) -> int:
     }
     if args.target:
         targets = _parse_target(args.target, built)
-        est, _ = return_probability(rates, x0, targets, args.outer, config)
+        est, ret_batch = return_probability(rates, x0, targets, args.outer, config)
+        batches.append(ret_batch)
         summary["return"] = est.to_dict()
         summary["return_target"] = targets
+    sampling_s = time.perf_counter() - started
     out_dir = _out_dir(args)
     stem = args.prefix or (Path(args.spec).stem + ".simulate")
     summary["manifest"] = f"{stem}.manifest.json"
     manifest = _Manifest("simulate", args)
+    jumps = sum(int(b.n_jumps.sum()) for b in batches)
+    manifest.data.update(
+        rng_contract=RNG_CONTRACT,
+        trials=sum(len(b.status) for b in batches),
+        jumps=jumps,
+        jumps_per_s=jumps / sampling_s,
+    )
     jpath = out_dir / f"{stem}.json"
     write_json(jpath, summary)
     manifest.add_output(jpath)
@@ -256,14 +255,11 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, spec: bool = True) -> None:
-    if spec:
-        parser.add_argument("--spec", "--space", dest="spec", required=True, help="JSON spec or built .pkl")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1, help="JDLAB_THREADS overrides")
+def _add_common(parser: argparse.ArgumentParser, prefix: bool = True) -> None:
+    parser.add_argument("--spec", "--space", dest="spec", required=True, help="JSON spec or built .pkl")
     parser.add_argument("--out-dir", default=".", help="directory for outputs")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--prefix", default=None, help="output filename stem")
+    if prefix:
+        parser.add_argument("--prefix", default=None, help="output filename stem")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="build a space/kernel instance and serialize it")
-    _add_common(p)
+    _add_common(p, prefix=False)
     p.add_argument("--out", default=None, help="output pickle path")
     p.set_defaults(func=cmd_build)
 
@@ -285,6 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte-Carlo survival / return probabilities")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="keys the (seed, trial, jump) Philox streams")
     p.add_argument("--x0", type=int, default=None)
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--trials", type=int, default=1000)
@@ -304,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("report", help="pretty-print or convert a JSON report")
-    _add_common(p, spec=False)
     p.add_argument("--input", required=True)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_report)
     return parser

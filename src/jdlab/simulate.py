@@ -1,16 +1,20 @@
 """Monte-Carlo simulation of the pure-jump process defined by a rate table.
 
-Each trial draws from its own counter-based Philox stream keyed by
-(seed, trial_index), so batches are reproducible bit-for-bit regardless of
-execution order or worker count. Explosion cannot be observed directly on a
-finite truncation: it is inferred from jump-cap hits with stalled elapsed
-time, and separated from plain truncation artifacts (boundary absorption).
+Trials advance in lockstep: one numpy step moves every live trial by one
+jump, and trials that stop are compacted out of the live set. Randomness
+comes from a counter-based Philox4x32-10 generator (Salmon et al., SC'11,
+"Parallel random numbers: as easy as 1, 2, 3"): jump k of trial i under
+seed s uses the block philox(key=s, counter=(k, i)), so every draw is a
+pure function of (seed, trial, jump) and a batch is reproducible bit for
+bit however its trials are grouped. Explosion cannot be observed directly
+on a finite truncation: it is inferred from jump-cap hits with stalled
+elapsed time, and separated from plain truncation artifacts (boundary
+absorption).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -23,7 +27,17 @@ STATUS_ALIVE = "alive-at-T"
 STATUS_ABSORBED = "absorbed-at-boundary"
 STATUS_CAPPED = "jump-cap-hit"
 _STATUS_BY_CODE = (STATUS_ALIVE, STATUS_ABSORBED, STATUS_CAPPED)
-_BLOCK = 256  # random numbers drawn per refill
+RNG_CONTRACT = "philox4x32-10/1"  # bump whenever (seed, trial, jump) -> draws changes
+_TRIAL_CHUNK = 4096  # consecutive trials advanced together
+_DRAW_BLOCKS = 1 << 12  # Philox blocks generated per refill (bounds temporaries)
+
+# Philox4x32 multipliers and Weyl key increments (Random123)
+_PHILOX_M = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))
+_PHILOX_W = (np.uint64(0x9E3779B9), np.uint64(0xBB67AE85))
+_MASK32 = np.uint64(0xFFFFFFFF)
+
+# per-state stop codes; the assignment order in _stop_codes is the check order
+_GO, _HIT, _ABSORB, _DEAD = 0, 1, 2, 3
 
 
 @dataclass
@@ -36,7 +50,6 @@ class SimConfig:
     seed: int = 0
     policy: str = "absorb"  # "absorb" | "reflect": handling of the outer radius
     outer_radius: float = float("inf")
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.horizon <= 0:
@@ -63,95 +76,6 @@ class Trajectory:
     elapsed: float
 
 
-class _Stream:
-    """Blocked draws from a per-trial Philox generator."""
-
-    def __init__(self, seed: int, trial: int):
-        self.gen = np.random.Generator(np.random.Philox(key=[int(seed) % 2**64, int(trial) % 2**64]))
-        self._exp = np.empty(0)
-        self._uni = np.empty(0)
-        self._i = 0
-
-    def draw(self) -> tuple[float, float]:
-        if self._i >= len(self._exp):
-            self._exp = self.gen.exponential(size=_BLOCK)
-            self._uni = self.gen.random(size=_BLOCK)
-            self._i = 0
-        e, u = self._exp[self._i], self._uni[self._i]
-        self._i += 1
-        return e, u
-
-
-def _run_trial(
-    rates: RateTable,
-    x0: int,
-    config: SimConfig,
-    trial: int,
-    outside: Optional[np.ndarray],
-    target: Optional[np.ndarray],
-    keep_path: bool,
-):
-    """One CTMC path. Returns (status_code, elapsed, n_jumps, final, hit, path).
-
-    status codes: 0 alive-at-T, 1 absorbed-at-boundary, 2 jump-cap-hit.
-    `hit` marks arrival in the target set before any other stopping event.
-    """
-    lam = rates.lam
-    indptr = rates.q.indptr
-    indices = rates.q.indices
-    cum = rates.cumulative_rows()
-    stream = _Stream(config.seed, trial)
-    horizon = config.horizon
-    reflect = config.policy == "reflect"
-
-    state = int(x0)
-    t = 0.0
-    jumps = 0
-    states = [state] if keep_path else None
-    holds = [] if keep_path else None
-
-    while True:
-        if target is not None and target[state]:
-            return 0, t, jumps, state, True, states, holds
-        if outside is not None and outside[state] and not reflect:
-            return 1, t, jumps, state, False, states, holds
-        rate = lam[state]
-        if rate <= 0.0:
-            if keep_path:
-                holds.append(horizon - t)
-            return 0, horizon, jumps, state, False, states, holds
-        e, u = stream.draw()
-        hold = e / rate
-        if t + hold >= horizon:
-            if keep_path:
-                holds.append(horizon - t)
-            return 0, horizon, jumps, state, False, states, holds
-        t += hold
-        if keep_path:
-            holds.append(hold)
-        lo, hi = indptr[state], indptr[state + 1]
-        pos = int(np.searchsorted(cum[lo:hi], u * rate, side="right"))
-        pos = min(pos, hi - lo - 1)
-        nxt = int(indices[lo + pos])
-        jumps += 1
-        if reflect and outside is not None and outside[nxt]:
-            nxt = state  # censored jump: the walker stays put
-        state = nxt
-        if keep_path:
-            states.append(state)
-        if jumps >= config.max_jumps:
-            return 2, t, jumps, state, False, states, holds
-
-
-def gillespie_path(rates: RateTable, x0: int, config: SimConfig, trial_index: int = 0) -> Trajectory:
-    """Sample one path; deterministic given (seed, trial_index)."""
-    outside = _outside_mask(rates.space, x0, config)
-    code, elapsed, _, _, _, states, holds = _run_trial(
-        rates, x0, config, trial_index, outside, None, keep_path=True
-    )
-    return Trajectory(np.asarray(states), np.asarray(holds), _STATUS_BY_CODE[code], elapsed)
-
-
 @dataclass
 class BatchResult:
     """Per-trial outcome arrays (order-independent aggregation)."""
@@ -166,6 +90,172 @@ class BatchResult:
     def status_fraction(self, status: str) -> float:
         code = _STATUS_BY_CODE.index(status)
         return float(np.mean(self.status == code))
+
+
+def philox4x32(key, ctr) -> tuple[np.ndarray, ...]:
+    """Philox4x32-10 on 32-bit words held in uint64 arrays.
+
+    key is two words, ctr four words; the words broadcast against each other
+    and the four output words come back with the broadcast shape.
+    """
+    k0, k1 = (np.uint64(k) for k in key)
+    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in ctr)
+    for r in range(10):
+        if r:
+            k0, k1 = (k0 + _PHILOX_W[0]) & _MASK32, (k1 + _PHILOX_W[1]) & _MASK32
+        p0, p1 = c0 * _PHILOX_M[0], c2 * _PHILOX_M[1]
+        c0, c1, c2, c3 = (p1 >> 32) ^ c1 ^ k0, p1 & _MASK32, (p0 >> 32) ^ c3 ^ k1, p0 & _MASK32
+    return c0, c1, c2, c3
+
+
+def _unit(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """53-bit uniforms on [0, 1) from two 32-bit words."""
+    return (((a >> 5) << 26) | (b >> 6)).astype(np.float64) * 2.0**-53
+
+
+def uniform_pairs(seed: int, trials: np.ndarray, first_jump: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uniforms (u1, u2) of shape (count, len(trials)) for jumps first_jump.. of each trial.
+
+    Key = seed as two words, counter = (jump lo, jump hi, trial lo, trial hi);
+    u1 comes from output words 0-1 and u2 from words 2-3.
+    """
+    s = int(seed) % 2**64
+    jump = np.arange(first_jump, first_jump + count, dtype=np.uint64)[:, None]
+    trial = np.asarray(trials, dtype=np.uint64)[None, :]
+    a, b, c, d = philox4x32((s & 0xFFFFFFFF, s >> 32), (jump & _MASK32, jump >> 32, trial & _MASK32, trial >> 32))
+    return _unit(a, b), _unit(c, d)
+
+
+def _row_search(cum: np.ndarray, lo: np.ndarray, last: np.ndarray, v: np.ndarray, steps: int) -> np.ndarray:
+    """Row-clamped searchsorted: the first entry of cum[lo..last] above v, else last.
+
+    Equals lo + min(searchsorted(cum[lo:last+1], v, "right"), last - lo) on
+    nondecreasing rows, by binary lifting; steps >= bit_length(longest row - 1).
+    """
+    pos = lo
+    for k in reversed(range(steps)):
+        cand = pos + (1 << k)
+        ok = (cand <= last) & (np.take(cum, cand - 1, mode="clip") <= v)
+        pos = np.where(ok, cand, pos)
+    return pos
+
+
+def _stop_codes(lam: np.ndarray, outside: Optional[np.ndarray], target: Optional[np.ndarray], reflect: bool) -> np.ndarray:
+    """Stop code per state: target hit, then absorbing outside, then zero total rate."""
+    code = np.where(lam <= 0.0, _DEAD, _GO).astype(np.int8)
+    if outside is not None and not reflect:
+        code[outside] = _ABSORB
+    if target is not None:
+        code[target] = _HIT
+    return code
+
+
+def _empty_batch(n: int, horizon: float) -> BatchResult:
+    return BatchResult(
+        np.empty(n, dtype=np.int8),
+        np.empty(n),
+        np.empty(n, dtype=np.int64),
+        np.empty(n, dtype=np.int64),
+        np.zeros(n, dtype=bool),
+        horizon,
+    )
+
+
+def _record(out: BatchResult, rows, state, jumps: int, status, elapsed, hit=False) -> None:
+    out.status[rows] = status
+    out.elapsed[rows] = elapsed
+    out.n_jumps[rows] = jumps
+    out.final_state[rows] = state
+    out.hit[rows] = hit
+
+
+def _lockstep(
+    rates: RateTable,
+    x0: int,
+    config: SimConfig,
+    stop: np.ndarray,
+    outside: Optional[np.ndarray],
+    out: BatchResult,
+    slots: np.ndarray,
+    offset: int = 0,
+    path: Optional[tuple[list, list]] = None,
+) -> None:
+    """Run trials slots + offset to their stopping events; row slots[i] of `out` gets trial slots[i] + offset.
+
+    Every live trial sits at jump index `step`, and each numpy step checks,
+    in order: stop code (target hit, absorbing outside, zero rate), horizon,
+    jump, jump cap. Status codes: 0 alive-at-T (also on a target hit),
+    1 absorbed-at-boundary, 2 jump-cap-hit. With `path` (one trial only)
+    the visited states and holding times are appended to (states, holds).
+    """
+    lam, indices, indptr = rates.lam, rates.q.indices, rates.q.indptr
+    cum = rates.cumulative_rows()
+    starts, lasts = indptr[:-1], indptr[1:] - 1
+    steps = int(np.diff(indptr).max(initial=1) - 1).bit_length()
+    reflect = outside if config.policy == "reflect" else None
+    horizon, max_jumps = config.horizon, config.max_jumps
+
+    state = np.full(len(slots), x0, dtype=np.int64)
+    t = np.zeros(len(slots))
+    exp_draws = unit_draws = np.empty((0, len(slots)))
+    j = 0  # next row of the draw buffers
+    step = 0
+    while True:
+        code = stop[state]
+        if code.any():
+            done = code != _GO
+            c = code[done]
+            if path is not None and c[0] == _DEAD:
+                path[1].append(horizon - t[0])
+            _record(out, slots[done], state[done], step, np.where(c == _ABSORB, 1, 0),
+                    np.where(c == _DEAD, horizon, t[done]), c == _HIT)
+            keep = ~done
+            if not keep.any():
+                return
+            slots, state, t = slots[keep], state[keep], t[keep]
+            exp_draws, unit_draws, j = exp_draws[j:, keep], unit_draws[j:, keep], 0
+        if j == len(exp_draws):
+            count = min(max(1, _DRAW_BLOCKS // len(slots)), max_jumps - step)
+            u1, unit_draws = uniform_pairs(config.seed, slots + offset, step, count)
+            exp_draws, j = -np.log1p(-u1), 0
+        rate = lam[state]
+        hold = exp_draws[j] / rate
+        u = unit_draws[j]
+        j += 1
+        t_next = t + hold
+        over = t_next >= horizon
+        if over.any():
+            if path is not None:
+                path[1].append(horizon - t[0])
+            _record(out, slots[over], state[over], step, 0, horizon)
+            keep = ~over
+            if not keep.any():
+                return
+            slots, state, t_next, hold, rate, u = (a[keep] for a in (slots, state, t_next, hold, rate, u))
+            exp_draws, unit_draws, j = exp_draws[j:, keep], unit_draws[j:, keep], 0
+        nxt = indices[_row_search(cum, starts[state], lasts[state], u * rate, steps)]
+        if reflect is not None:
+            nxt = np.where(reflect[nxt], state, nxt)  # censored jump: the walker stays put
+        if path is not None:
+            path[0].append(int(nxt[0]))
+            path[1].append(float(hold[0]))
+        state, t = nxt, t_next
+        step += 1
+        if step >= max_jumps:
+            _record(out, slots, state, step, 2, t)
+            return
+
+
+def gillespie_path(rates: RateTable, x0: int, config: SimConfig, trial_index: int = 0) -> Trajectory:
+    """Sample one path; it is trial `trial_index` of run_batch with the same config."""
+    outside = _outside_mask(rates.space, x0, config)
+    stop = _stop_codes(rates.lam, outside, None, config.policy == "reflect")
+    out = _empty_batch(1, config.horizon)
+    states, holds = [int(x0)], []
+    _lockstep(rates, x0, config, stop, outside, out, np.zeros(1, dtype=np.int64), trial_index, (states, holds))
+    return Trajectory(
+        np.asarray(states), np.asarray(holds, dtype=float), _STATUS_BY_CODE[out.status[0]], float(out.elapsed[0])
+    )
 
 
 def _outside_mask(space: DiscreteMMSpace, x0: int, config: SimConfig) -> Optional[np.ndarray]:
@@ -184,34 +274,12 @@ def run_batch(
     """Run config.trials independent paths and collect light per-trial records."""
     if outside is None:
         outside = _outside_mask(rates.space, x0, config)
+    stop = _stop_codes(rates.lam, outside, target, config.policy == "reflect")
     n = config.trials
-    status = np.empty(n, dtype=np.int8)
-    elapsed = np.empty(n)
-    n_jumps = np.empty(n, dtype=np.int64)
-    final_state = np.empty(n, dtype=np.int64)
-    hit = np.zeros(n, dtype=bool)
-
-    def work(lo: int, hi: int) -> None:
-        for trial in range(lo, hi):
-            code, t, jumps, final, h, _, _ = _run_trial(
-                rates, x0, config, trial, outside, target, keep_path=False
-            )
-            status[trial] = code
-            elapsed[trial] = t
-            n_jumps[trial] = jumps
-            final_state[trial] = final
-            hit[trial] = h
-
-    workers = max(1, int(config.workers))
-    if workers == 1:
-        work(0, n)
-    else:
-        chunk = math.ceil(n / workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(work, lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-            for f in futures:
-                f.result()
-    return BatchResult(status, elapsed, n_jumps, final_state, hit, config.horizon)
+    out = _empty_batch(n, config.horizon)
+    for first in range(0, n, _TRIAL_CHUNK):
+        _lockstep(rates, x0, config, stop, outside, out, np.arange(first, min(first + _TRIAL_CHUNK, n)))
+    return out
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
@@ -270,9 +338,9 @@ def return_probability(
         raise ValueError("x0 must lie outside the target set")
     target_mask = np.zeros(space.n_points, dtype=bool)
     target_mask[target] = True
-    dist_to_k = np.min(
-        np.stack([space.distances_from(int(k)) for k in target]), axis=0
-    )
+    dist_to_k = np.full(space.n_points, np.inf)
+    for _, rows in space.distances_chunked(target, chunk=16):
+        np.minimum(dist_to_k, rows.min(axis=0), out=dist_to_k)
     outside = dist_to_k >= outer_radius
     notes = []
     reachable = rates.lam[x0] > 0

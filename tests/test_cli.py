@@ -139,14 +139,43 @@ def test_numerical_failure_exits_3(tmp_path, z_spec, monkeypatch):
     assert code == 3
 
 
-def test_threads_env_override(monkeypatch):
-    import argparse
+def test_simulate_manifest_records_rng_contract_and_work(tmp_path, z_spec):
+    args = [
+        "simulate", "--spec", z_spec, "--x0", "61", "--horizon", "1e9", "--trials", "300",
+        "--seed", "5", "--outer", "6", "--target", "ids:60", "--prefix", "w", "--out-dir", str(tmp_path),
+    ]
+    assert cli.main(args) == 0
+    manifest = json.loads((tmp_path / "w.manifest.json").read_text())
+    assert manifest["rng_contract"] == "philox4x32-10/1"
+    assert manifest["trials"] == 600  # survival and return batches
+    assert manifest["jumps"] >= 600
+    assert manifest["jumps_per_s"] > 0
+    summary = json.loads((tmp_path / "w.json").read_text())
+    assert "rng_contract" not in summary and "jumps_per_s" not in summary
 
-    monkeypatch.setenv("JDLAB_THREADS", "5")
-    ns = argparse.Namespace(threads=2)
-    assert cli._resolve_threads(ns) == 5
-    monkeypatch.delenv("JDLAB_THREADS")
-    assert cli._resolve_threads(ns) == 2
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["criteria", "--seed", "3"],
+        ["criteria", "--threads", "2"],
+        ["capacity", "--K", "ids:60", "--radii", "10", "--format", "csv"],
+        ["simulate", "--horizon", "1", "--threads", "2"],
+        ["simulate", "--horizon", "1", "--format", "csv"],
+        ["build", "--prefix", "p"],
+    ],
+)
+def test_ignored_flags_are_rejected(tmp_path, z_spec, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--spec", z_spec, "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--out-dir", "--prefix"])
+def test_report_rejects_ignored_flags(tmp_path, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", "--input", str(tmp_path / "r.json"), flag, "x"])
+    assert exc.value.code == 2
 
 
 def test_floats_rounded_to_12_digits(tmp_path, z_spec):

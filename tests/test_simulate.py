@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from jdlab import (
@@ -12,10 +13,12 @@ from jdlab import (
     run_batch,
     survival_estimate,
 )
+from jdlab import simulate
 from jdlab.forms import jump_rates
 from jdlab.kernels import explicit_kernel
 from jdlab.simulate import occupation_measure, wilson_interval
-from jdlab.space import open_ball_mask
+from jdlab.space import metric_ball, open_ball_mask
+from conftest import random_symmetric_kernel
 
 
 def birth_chain(length=400, scale=1.0):
@@ -147,18 +150,114 @@ def test_z3_return_plateaus_below_one(z3_cube):
     assert values[8.0] - values[4.0] < 0.15
 
 
-def test_deterministic_batches_and_worker_independence(z_rates, z_line):
+def assert_same_batch(a, b):
+    for name in ("status", "elapsed", "n_jumps", "final_state", "hit"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_batch_splitting_invariance(z_rates, z_line, monkeypatch):
+    # draws are keyed by (seed, trial, jump), so neither reruns nor the
+    # trial-chunk size may change any result
     o = z_line.space.origin
-    cfg1 = SimConfig(horizon=5.0, trials=200, seed=99, outer_radius=30.0, workers=1)
-    cfg3 = SimConfig(horizon=5.0, trials=200, seed=99, outer_radius=30.0, workers=3)
-    b1 = run_batch(z_rates, o, cfg1)
-    b2 = run_batch(z_rates, o, cfg1)
-    b3 = run_batch(z_rates, o, cfg3)
-    for a, b in ((b1, b2), (b1, b3)):
-        assert np.array_equal(a.status, b.status)
-        assert np.array_equal(a.elapsed, b.elapsed)
-        assert np.array_equal(a.n_jumps, b.n_jumps)
-        assert np.array_equal(a.final_state, b.final_state)
+    target = np.zeros(z_line.space.n_points, dtype=bool)
+    target[o + 3] = True
+    cfg = SimConfig(horizon=2.0, trials=200, seed=99, outer_radius=5.0)
+    b1 = run_batch(z_rates, o, cfg, target=target)
+    b2 = run_batch(z_rates, o, cfg, target=target)
+    monkeypatch.setattr(simulate, "_TRIAL_CHUNK", 7)
+    b3 = run_batch(z_rates, o, cfg, target=target)
+    assert_same_batch(b1, b2)
+    assert_same_batch(b1, b3)
+    assert b1.hit.any() and (b1.status == 1).any() and (b1.elapsed == 2.0).any()
+
+
+@pytest.mark.parametrize("policy", ["absorb", "reflect"])
+def test_path_is_the_batch_trial(z_rates, z_line, policy):
+    o = z_line.space.origin
+    cfg = SimConfig(horizon=3.0, trials=40, seed=8, outer_radius=4.0, max_jumps=12, policy=policy)
+    batch = run_batch(z_rates, o, cfg)
+    assert set(batch.status) >= ({0, 2} if policy == "reflect" else {0, 1, 2})
+    for i in range(cfg.trials):
+        traj = gillespie_path(z_rates, o, cfg, trial_index=i)
+        assert traj.elapsed == batch.elapsed[i]
+        assert traj.states[-1] == batch.final_state[i]
+        assert len(traj.states) - 1 == batch.n_jumps[i]
+        assert traj.status == simulate._STATUS_BY_CODE[batch.status[i]]
+
+
+@pytest.mark.parametrize(
+    "key, ctr, expected",
+    [
+        ((0, 0), (0, 0, 0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+        ((0xFFFFFFFF,) * 2, (0xFFFFFFFF,) * 4, (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
+        (
+            (0xA4093822, 0x299F31D0),
+            (0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344),
+            (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1),
+        ),
+    ],
+)
+def test_philox_known_answers(key, ctr, expected):
+    # Random123 known-answer vectors for philox4x32-10
+    assert tuple(int(w) for w in simulate.philox4x32(key, ctr)) == expected
+
+
+def test_draws_are_a_function_of_seed_trial_jump():
+    trials = np.array([0, 1, 5, 2**32 + 3])
+    u1, u2 = simulate.uniform_pairs(2**40 + 17, trials, 0, 40)
+    v1, v2 = simulate.uniform_pairs(2**40 + 17, trials, 13, 27)
+    assert np.array_equal(u1[13:], v1) and np.array_equal(u2[13:], v2)
+    w1, w2 = simulate.uniform_pairs(2**40 + 17, trials[[2, 0]], 13, 1)
+    assert np.array_equal(w1[0], u1[13, [2, 0]]) and np.array_equal(w2[0], u2[13, [2, 0]])
+    for u in (u1, u2):
+        assert u.min() >= 0.0 and u.max() < 1.0
+    assert not np.array_equal(u1, simulate.uniform_pairs(2**40 + 18, trials, 0, 40)[0])
+
+
+def oracle_next_entry(cum, indptr, state, v):
+    """The scalar rule the lockstep search replaces: row searchsorted, clamped to the row."""
+    out = np.empty(len(state), dtype=np.int64)
+    for k, (x, val) in enumerate(zip(state, v)):
+        lo, hi = indptr[x], indptr[x + 1]
+        pos = int(np.searchsorted(cum[lo:hi], val, side="right"))
+        out[k] = lo + min(pos, hi - lo - 1)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 24),
+    density=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**31),
+    scale=st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-12, 2.0]),
+)
+def test_row_search_matches_searchsorted(n, density, seed, scale):
+    rng = np.random.default_rng(seed)
+    rates = jump_rates(random_symmetric_kernel(rng, n, density).kernel)
+    indptr, cum = rates.q.indptr, rates.cumulative_rows()
+    state = np.repeat(np.flatnonzero(np.diff(indptr) > 0), 6)
+    last = cum[indptr[state + 1] - 1]
+    # fractions of the row's last cumulative value, its exact breakpoints, and values at or above it
+    v = np.concatenate([rng.random(len(state)) * scale * last, cum[rng.integers(indptr[state], indptr[state + 1])]])
+    v = np.concatenate([v, last, np.nextafter(last, np.inf), rates.lam[state] * scale])
+    state = np.tile(state, len(v) // len(state))
+    steps = int(np.diff(indptr).max() - 1).bit_length()
+    got = simulate._row_search(cum, indptr[state], indptr[state + 1] - 1, v, steps)
+    assert np.array_equal(got, oracle_next_entry(cum, indptr, state, v))
+
+
+def test_ball_target_exit_mask_matches_stacked_rows(z3_cube):
+    # the running minimum over chunked rows gives the stacked-rows exit ball bit for bit
+    sp = z3_cube.space
+    rates = jump_rates(z3_cube.kernel)
+    members, _ = metric_ball(sp, sp.origin, 1.0)
+    dist_to_k = np.min(np.stack([sp.distances_from(int(k)) for k in members]), axis=0)
+    target = np.zeros(sp.n_points, dtype=bool)
+    target[members] = True
+    cfg = SimConfig(horizon=1e12, trials=300, seed=3)
+    _, batch = return_probability(rates, sp.origin + 2, members, 4.0, cfg)
+    assert_same_batch(batch, run_batch(rates, sp.origin + 2, cfg, target=target, outside=dist_to_k >= 4.0))
+    assert batch.hit.any() and (batch.status == 1).any()
 
 
 def test_occupation_converges_to_symmetrizing_measure():

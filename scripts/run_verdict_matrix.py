@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from jdlab import recurrence_report, split_supports, stable_like, volume_growth_report
+from jdlab import recurrence_report, stable_like, volume_growth_report
 
 
 def main() -> None:
@@ -28,7 +28,6 @@ def main() -> None:
                 case=case, alpha=alpha, beta=beta if beta is not None else 1.0,
                 tempering=1.0, dim=1, truncation_radius=args.truncation,
             )
-            split_supports(built.space, built.kernel, None)
             vol = volume_growth_report(built.space, built.space.origin, radii, threshold=args.tau)
             rec = recurrence_report(built.space, built.kernel, None, built.space.origin, radii, threshold=args.tau)
             print(

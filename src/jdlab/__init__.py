@@ -15,7 +15,7 @@ from .space import (
     build_graph_space,
     metric_ball,
     shell_volume,
-    split_supports,
+    support_sets,
 )
 from .forms import (
     JumpKernel,

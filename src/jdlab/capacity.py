@@ -5,6 +5,12 @@ and 0 outside the open ball B; its decay along an exhausting sequence of
 balls is the computable recurrence certificate. Systems are graph-Laplacian
 like: solved directly below DIRECT_LIMIT unknowns, otherwise by
 Jacobi-preconditioned conjugate gradients.
+
+Both the potentials and the Green functions go through one free-set solve,
+`_solve_free`. The state space may be disconnected, so part of a ball can
+have no coupling (jump or local edge) to the clamped points: such a dead
+component gets potential 0 in a capacity, and Green potential inf where f
+has mass on it and 0 elsewhere.
 """
 
 from __future__ import annotations
@@ -63,26 +69,45 @@ def _solve_spd(a: sp.csr_matrix, b: np.ndarray) -> tuple[np.ndarray, float]:
     return x, res
 
 
-def _dead_components(a_ff: sp.csr_matrix, g_rows: sp.csr_matrix, clamped: np.ndarray) -> np.ndarray:
-    """Flag free nodes in components with no coupling to clamped data.
+def _dead_components(a_ff: sp.csr_matrix, g_rows: sp.csr_matrix, clamped: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Component labels of the free nodes and, per component, whether it has no coupling to clamped data.
 
     g_rows are the free rows of the form matrix; a free node couples when
-    its row has a nonzero entry in a clamped column.
+    its row has a nonzero entry in a clamped column. a_ff must store no
+    zeros, since connected_components takes every stored entry for an edge
+    (its diagonal only adds self-loops).
     """
-    n = a_ff.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=bool)
     hits = clamped[g_rows.indices] & (g_rows.data != 0)
     nonempty = np.flatnonzero(np.diff(g_rows.indptr))
-    coupled = np.zeros(n, dtype=bool)
+    coupled = np.zeros(a_ff.shape[0], dtype=bool)
     coupled[nonempty] = np.logical_or.reduceat(hits, g_rows.indptr[nonempty])
-    off = a_ff.copy()
-    off.setdiag(0.0)
-    off.eliminate_zeros()
-    n_comp, labels = connected_components(abs(off) > 0, directed=False)
-    touches = np.zeros(n_comp, dtype=bool)
-    touches[labels[coupled]] = True
-    return ~touches[labels]
+    n_comp, labels = connected_components(a_ff, directed=False)
+    dead = np.ones(n_comp, dtype=bool)
+    dead[labels[coupled]] = False
+    return labels, dead
+
+
+def _solve_free(g_rows: sp.csr_matrix, free: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """Solve g[free, free] x = b, where g_rows = g[free] and b already holds the clamped data.
+
+    A dead component (free points with no coupling to a clamped point) has
+    a singular block, since nothing drains it: x is 0 there, or +inf where
+    b carries positive mass on it. Returns x, the residual of the live
+    solve, and the number of dead points.
+    """
+    free_idx = np.flatnonzero(free)
+    a_ff = g_rows[:, free_idx].tocsr()
+    a_ff.eliminate_zeros()
+    labels, dead_comp = _dead_components(a_ff, g_rows, ~free)
+    dead = dead_comp[labels]
+    live = ~dead
+    if dead.any():
+        a_ff = a_ff[live][:, live].tocsr()
+    x = np.zeros(free_idx.size)
+    x[live], res = _solve_spd(a_ff, b[live])
+    mass = np.bincount(labels[dead], weights=b[dead], minlength=dead_comp.size)
+    x[dead & (mass[labels] > 0)] = np.inf
+    return x, res, int(dead.sum())
 
 
 def equilibrium_potential(
@@ -121,23 +146,13 @@ def _potential(space, kernel, local, g, inner, ball_mask) -> PotentialSolve:
         return PotentialSolve(inner, ball_mask, u, e, 0.0, warnings)
 
     g_rows = g[free_idx].tocsr()
-    a_ff = g_rows[:, free_idx].tocsr()
     b = -np.asarray(g_rows[:, inner].sum(axis=1)).reshape(-1)
-
-    # clamped values: K and the grounded exterior
-    dead = _dead_components(a_ff, g_rows, ~free)
-    if dead.any():
+    x, res, n_dead = _solve_free(g_rows, free, b)
+    if n_dead:
         warnings.append(
-            f"{int(dead.sum())} free points lie in components touching neither K nor the "
+            f"{n_dead} free points lie in components touching neither K nor the "
             "ball boundary; their potential is set to 0"
         )
-        live = ~dead
-        a_live = a_ff[live][:, live].tocsr()
-        x_live, res = _solve_spd(a_live, b[live])
-        x = np.zeros(free_idx.size)
-        x[live] = x_live
-    else:
-        x, res = _solve_spd(a_ff, b)
     u[free_idx] = x
     e = form_energy(space, kernel, local, u)
     return PotentialSolve(inner, ball_mask, u, e, res, warnings)
@@ -211,7 +226,9 @@ def green_growth(
     """Truncated Green potentials u_R(x0) with L u = -f on B(center, R), u = 0 outside.
 
     Divergence of the sequence is evidence of recurrence, boundedness of
-    transience.
+    transience. u_R(x0) is inf when x0 lies in a dead component of the ball
+    (no jump or local edge leads from it to the outside) on which f > 0
+    somewhere, since the process then never leaves the ball.
     """
     f = np.asarray(f, dtype=float)
     if np.any(f < 0) or not np.any(f > 0):
@@ -220,23 +237,11 @@ def green_growth(
         center = int(x0)
     g = form_matrix(space, kernel, local)
     dist = space.distances_from(center)
-    rhs_full = f * space.measure
+    rhs = f * space.measure
     out = []
     for r in sorted(float(r) for r in radii):
-        free_idx = np.flatnonzero(dist < r)
-        if free_idx.size == 0:
-            out.append(0.0)
-            continue
-        a_ff = g[free_idx][:, free_idx].tocsr()
-        zero_rows = np.asarray(abs(a_ff).sum(axis=1)).reshape(-1) == 0
+        free = dist < r
         u = np.zeros(space.n_points)
-        if zero_rows.any():
-            live = ~zero_rows
-            x, _ = _solve_spd(a_ff[live][:, live].tocsr(), rhs_full[free_idx][live])
-            vals = np.zeros(free_idx.size)
-            vals[live] = x
-        else:
-            vals, _ = _solve_spd(a_ff, rhs_full[free_idx])
-        u[free_idx] = vals
+        u[free], _, _ = _solve_free(g[free].tocsr(), free, rhs[free])
         out.append(float(u[x0]))
     return np.asarray(out)

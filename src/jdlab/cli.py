@@ -26,7 +26,7 @@ from .criteria import (
 )
 from .forms import jump_rates
 from .simulate import RNG_CONTRACT, SimConfig, explosion_diagnostic, return_probability, survival_estimate
-from .space import metric_ball, split_supports
+from .space import metric_ball
 from .specio import SpecError, load_spec_or_built, round_floats, save_built, sha256_of, write_json
 
 
@@ -109,7 +109,6 @@ def cmd_build(args) -> int:
 def cmd_criteria(args) -> int:
     built = load_spec_or_built(args.spec)
     x0 = built.space.origin if args.x0 is None else args.x0
-    split_supports(built.space, built.kernel, built.local)
     radii = _parse_radii(args.radii) if args.radii else _default_radii(built, x0)
     vol = volume_growth_report(built.space, x0, radii, threshold=args.tau)
     vol.extras["davies_a"] = davies_constant(max(vol.liminf_estimate, 0.0))

@@ -348,7 +348,7 @@ def form_matrix(
     n = space.n_points
     parts = []
     if kernel is not None:
-        k = kernel.matrix.multiply(space.measure[None, :]).multiply(space.measure[:, None]).tocsr()
+        k = kernel.weighted.multiply(space.measure[:, None]).tocsr()
         d = sp.diags(np.asarray(k.sum(axis=1)).reshape(-1))
         parts.append(2.0 * (d - k))
     if local is not None:

@@ -90,6 +90,14 @@ def _neighbor_entries(dim: int, side: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, (k[:, None] + strides)[has_next]
 
 
+def _band_entries(n: int, band: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (i, i + k) of points 0..n-1 with 1 <= k <= band; by k, then i."""
+    i = np.arange(n, dtype=np.int64)
+    cols = i + np.arange(1, band + 1, dtype=np.int64)[:, None]
+    inside = cols < n
+    return np.broadcast_to(i, cols.shape)[inside], cols[inside]
+
+
 def lattice_nn(
     dim: int = 1,
     spacing: float = 1.0,
@@ -127,18 +135,14 @@ def _gasket_graph(level: int) -> tuple[np.ndarray, set[tuple[int, int]]]:
     return coords, pair_idx
 
 
-def _dense_pairwise_kernel(space: DiscreteMMSpace, value_of_distance) -> JumpKernel:
-    """Kernel j(x,y) = f(d(x,y)) on every off-diagonal pair (chunked build)."""
-    n = space.n_points
-    dense = np.zeros((n, n))
-    all_idx = np.arange(n)
-    for idx, rows in space.distances_chunked(all_idx, chunk=512):
-        vals = value_of_distance(rows)
-        dense[idx, :] = vals
-    np.fill_diagonal(dense, 0.0)
-    mat = sp.csr_matrix(dense)
-    del dense
-    return JumpKernel(space, mat)
+def _pairwise_kernel(space: DiscreteMMSpace, value) -> JumpKernel:
+    """Kernel j(x, y) = value(rows, d(rows, .)) on every pair, built one CSR chunk of rows at a time.
+
+    JumpKernel clears the diagonal, so value need not zero it.
+    """
+    chunks = space.distances_chunked(np.arange(space.n_points), chunk=512)
+    # the chunk list dies with the vstack call, before the kernel's own checks allocate
+    return JumpKernel(space, sp.vstack([sp.csr_matrix(value(idx, d)) for idx, d in chunks], format="csr"))
 
 
 def stable_like(
@@ -195,7 +199,7 @@ def stable_like(
                 raise ValueError(f"unknown case {case!r}")
         return short + tail
 
-    kernel = _dense_pairwise_kernel(space, f)
+    kernel = _pairwise_kernel(space, lambda idx, d: f(d))
     space.meta.update({"family": "stable_like", "kappa": kappa, "case": case})
     return BuiltInstance(space, kernel)
 
@@ -257,14 +261,7 @@ def stack_space(
             num = np.where(d <= range_cutoff, num, 0.0)
         return num / (psi_all[idx][:, None] + psi_all[None, :])
 
-    n = space.n_points
-    dense = np.zeros((n, n))
-    for idx, rows in space.distances_chunked(np.arange(n), chunk=512):
-        dense[idx, :] = f_rows(idx, rows)
-    np.fill_diagonal(dense, 0.0)
-    kernel = JumpKernel(space, sp.csr_matrix(dense))
-    del dense
-
+    kernel = _pairwise_kernel(space, f_rows)
     space.meta["stack_flags"] = _stack_flags(
         kernel, sheet_coords, psi_vals, spacing, dim, alpha, range_cutoff, truncation_radius
     )
@@ -336,16 +333,8 @@ def weighted_line(lam: float = 1.0, spacing: float = 0.1, truncation_radius: flo
         truncation_radius=truncation_radius,
         meta={"kind": "weighted_line", "lam": lam, "spacing": spacing},
     )
-    band = int(math.floor(1.0 / spacing + 1e-9))
-    rows, cols, vals = [], [], []
-    n = len(xs)
-    for offset in range(1, band + 1):
-        i = np.arange(0, n - offset)
-        j = i + offset
-        rows.append(i)
-        cols.append(j)
-        vals.append(np.exp(-lam * (np.abs(xs[i]) + np.abs(xs[j]))))
-    kernel = JumpKernel.from_entries(space, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+    rows, cols = _band_entries(len(xs), int(math.floor(1.0 / spacing + 1e-9)))
+    kernel = JumpKernel.from_entries(space, rows, cols, np.exp(-lam * (np.abs(xs[rows]) + np.abs(xs[cols]))))
     return BuiltInstance(space, kernel)
 
 
@@ -416,25 +405,11 @@ def model_manifold(
         truncation_radius=truncation_radius,
         meta={"kind": "model_manifold", "dim": dim, "spacing": spacing},
     )
-    band = int(math.ceil(1.0 / spacing)) - 1  # |r_x - r_y| < 1 strictly
-    rows, cols, vals = [], [], []
-    n = len(radii)
+    # the largest k with k h < 1 (|r_x - r_y| < 1 strictly): k < fl(1/h) forces fl(k h) < 1
+    rows, cols = _band_entries(k_max, int(math.ceil(1.0 / spacing)) - 1)
     sig_n = sig**dim
-    for offset in range(1, band + 1):
-        if offset * spacing >= 1.0:
-            break
-        i = np.arange(0, n - offset)
-        j = i + offset
-        rows.append(i)
-        cols.append(j)
-        vals.append(1.0 / (sig_n[i] * sig_n[j]))
-    if rows:
-        kernel = JumpKernel.from_entries(
-            space, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-        )
-    else:
-        kernel = JumpKernel(space, sp.csr_matrix((n, n)))
-    local = local_chain(np.arange(n), measure, spacing)
+    kernel = JumpKernel.from_entries(space, rows, cols, 1.0 / (sig_n[rows] * sig_n[cols]))
+    local = local_chain(np.arange(k_max), measure, spacing)
     return BuiltInstance(space, kernel, local)
 
 

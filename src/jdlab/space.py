@@ -110,8 +110,6 @@ class DiscreteMMSpace:
         self.origin = int(origin)
         self.truncation_radius = float(truncation_radius)
         self.meta = dict(meta or {})
-        self.local_support: Optional[np.ndarray] = None
-        self.jump_support: Optional[np.ndarray] = None
         self._row_cache: dict[int, np.ndarray] = {}
         self._rho_cache: dict[int, np.ndarray] = {}
         if metric_kind == "graph":
@@ -286,9 +284,3 @@ def support_sets(kernel, local) -> tuple[np.ndarray, np.ndarray]:
     else:
         x_c = np.asarray(local.support, dtype=np.int64)
     return x_c, x_j
-
-
-def split_supports(space: DiscreteMMSpace, kernel, local) -> tuple[np.ndarray, np.ndarray]:
-    """Compute X^(c) and X^(j) (see `support_sets`) and store them on the space."""
-    space.local_support, space.jump_support = support_sets(kernel, local)
-    return space.local_support, space.jump_support

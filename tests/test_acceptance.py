@@ -27,7 +27,6 @@ from jdlab import (
     recurrence_report,
     return_probability,
     run_batch,
-    split_supports,
     stable_like,
     theta_test_function,
     volume_growth_report,
@@ -72,7 +71,6 @@ def test_criterion_02_example_verdict_matrix():
                 case=case, alpha=alpha, beta=beta if beta is not None else 1.0,
                 tempering=1.0, dim=1, truncation_radius=400,
             )
-            split_supports(built.space, built.kernel, None)
             vol = volume_growth_report(built.space, built.space.origin, radii)
             rec = recurrence_report(built.space, built.kernel, None, built.space.origin, radii)
             assert vol.verdict == "satisfied"
@@ -134,7 +132,6 @@ def test_criterion_05_capacity_closed_form():
 def test_criterion_06_omega_and_statistic_closed_forms():
     started = time.perf_counter()
     z1 = lattice_nn(dim=1, truncation_radius=120)
-    split_supports(z1.space, z1.kernel, None)
     for r in (1.0, 2.0, 5.0, 50.0):
         assert abs(omega(z1.space, z1.kernel, r) - 2.0) <= 1e-12
     radii = np.arange(5.0, 56.0, 5.0)
@@ -144,7 +141,6 @@ def test_criterion_06_omega_and_statistic_closed_forms():
     assert rep.verdict == "satisfied"
 
     z3 = lattice_nn(dim=3, truncation_radius=10)
-    split_supports(z3.space, z3.kernel, None)
     radii3 = np.arange(2.0, 9.0)
     rep3 = recurrence_report(z3.space, z3.kernel, None, z3.space.origin, radii3)
     assert rep3.verdict == "inconclusive"
@@ -161,7 +157,6 @@ def test_criterion_07_quadratic_shell_pipeline_and_explosion_control():
         phi_kind="shell_power", phi_constant=1.0, phi_power=2.0,
     )
     sp = built.space
-    split_supports(sp, built.kernel, built.local)
     shells = quadratic_shell_report(sp, sp.origin, range(2, 21))
     assert shells.extras["C_fit"] <= 4.0
     assert shells.verdict == "satisfied"

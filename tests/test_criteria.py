@@ -17,7 +17,6 @@ from jdlab import (
     omega,
     quadratic_shell_report,
     recurrence_report,
-    split_supports,
     theta_energy,
     theta_test_function,
     volume_growth_report,
@@ -63,7 +62,6 @@ def test_verdict_stable_under_truncation_growth():
     reports = []
     for trunc in (60, 120):
         b = lattice_nn(dim=1, truncation_radius=trunc)
-        split_supports(b.space, b.kernel, None)
         reports.append(recurrence_report(b.space, b.kernel, None, b.space.origin, radii))
     assert reports[0].values == pytest.approx(reports[1].values, rel=1e-14)
     assert reports[0].verdict == reports[1].verdict
@@ -116,7 +114,6 @@ def test_omega_layered_kernel_against_brute_sum():
 def test_omega_monotone_and_bounded():
     rng = np.random.default_rng(5)
     built = random_symmetric_kernel(rng, 30)
-    split_supports(built.space, built.kernel, None)
     values = [omega(built.space, built.kernel, r) for r in (0.5, 1.0, 2.0, 4.0, 8.0)]
     assert all(a <= b + 1e-14 for a, b in zip(values, values[1:]))
     cap = built.kernel.max_row_mass()

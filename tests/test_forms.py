@@ -10,7 +10,6 @@ from jdlab import (
     lattice_nn,
     local_chain,
     m_constants,
-    split_supports,
     truncate_kernel,
 )
 from jdlab.criteria import theta_test_function

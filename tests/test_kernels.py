@@ -14,9 +14,9 @@ from jdlab import (
     model_manifold,
     quadratic_shell_report,
     shell_volume,
-    split_supports,
     stable_like,
     stack_space,
+    support_sets,
     weighted_line,
 )
 from jdlab.kernels import (
@@ -144,7 +144,6 @@ def test_weighted_line_rejects_bad_params():
 def test_weighted_line_mj_below_analytic_bound():
     lam = 1.0
     b = weighted_line(lam=lam, spacing=0.05, truncation_radius=15)
-    split_supports(b.space, b.kernel, None)
     mc = m_constants(b.space, b.kernel, None)
     bound, _ = quad(lambda z: z**2 * math.exp(lam * abs(z)), -1, 1)
     assert mc.m_j <= bound * 1.1
@@ -171,7 +170,6 @@ def test_model_manifold_linear_profile_value():
 
 def test_model_manifold_local_part_mc():
     b = model_manifold(dim=1, spacing=0.02, profile="constant", truncation_radius=3)
-    split_supports(b.space, b.kernel, b.local)
     mc = m_constants(b.space, b.kernel, b.local)
     assert mc.m_c == pytest.approx(1.0, abs=0.1)
 
@@ -195,7 +193,7 @@ def test_mixed_graph_pure_jump_two_vertices():
 def test_mixed_graph_zero_weights_pure_quantum():
     g = GraphData(3, [[0, 1], [1, 2]], [0.0, 0.0], np.ones(3))
     b = mixed_graph(g, phi=1.0, subdivisions=2)
-    x_c, x_j = split_supports(b.space, b.kernel, b.local)
+    x_c, x_j = support_sets(b.kernel, b.local)
     assert len(x_j) == 0
     assert len(x_c) == 4
 

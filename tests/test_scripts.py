@@ -1,0 +1,42 @@
+"""Smoke tests: each experiment script's main() runs end to end on tiny arguments."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, args, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    module.main()
+    return capsys.readouterr().out
+
+
+def test_verdict_matrix(monkeypatch, capsys):
+    out = run_script("run_verdict_matrix", ["--truncation", "60", "--rmax", "30"], monkeypatch, capsys)
+    rows = out.strip().splitlines()
+    assert rows[0].split() == ["alpha", "case", "beta", "conservative", "recurrent", "t-liminf"]
+    assert len(rows) == 1 + 3 * 5
+    assert all(row.split()[3] == "satisfied" for row in rows[1:])
+
+
+def test_capacity_scan(monkeypatch, capsys):
+    out = run_script(
+        "run_capacity_scan", ["--truncation", "100", "--radii", "5,10,20,40"], monkeypatch, capsys
+    )
+    rows = out.strip().splitlines()
+    assert [row.split(":")[0] for row in rows] == ["alpha=0.5", "alpha=1.0", "alpha=1.5"]
+    assert all("certificate=" in row for row in rows)
+
+
+def test_explosion_demo(monkeypatch, capsys):
+    out = run_script("run_explosion_demo", ["--trials", "50"], monkeypatch, capsys)
+    assert "summable -> explosive" in out
+    assert "explosion_suspected=True" in out.splitlines()[1]
+    assert "explosion_suspected=False" in out.splitlines()[2]

@@ -11,7 +11,7 @@ from jdlab import (
     lattice_nn,
     metric_ball,
     shell_volume,
-    split_supports,
+    support_sets,
 )
 from jdlab.kernels import mixed_graph, lattice2d_graph
 
@@ -138,26 +138,26 @@ def test_adapted_distance_below_graph_distance():
     assert np.all(d <= rho + 1e-12)
 
 
-def test_split_supports_pure_jump(z_line):
-    x_c, x_j = split_supports(z_line.space, z_line.kernel, None)
+def test_support_sets_pure_jump(z_line):
+    x_c, x_j = support_sets(z_line.kernel, None)
     assert len(x_c) == 0
     assert len(x_j) == z_line.space.n_points  # every lattice point has a neighbor
 
 
-def test_split_supports_pure_local():
+def test_support_sets_pure_local():
     from jdlab import local_chain
 
     sp = DiscreteMMSpace(np.full(5, 0.1), coords=np.arange(5)[:, None] * 0.1)
     local = local_chain(np.arange(5), sp.measure, 0.1)
-    x_c, x_j = split_supports(sp, None, local)
+    x_c, x_j = support_sets(None, local)
     assert len(x_j) == 0
     assert list(x_c) == list(range(5))
 
 
-def test_split_supports_mixed_graph():
+def test_support_sets_mixed_graph():
     g = lattice2d_graph(2)
     b = mixed_graph(g, phi=1.0, subdivisions=2, origin=12, truncation_radius=2.0)
-    x_c, x_j = split_supports(b.space, b.kernel, b.local)
+    x_c, x_j = support_sets(b.kernel, b.local)
     nv = g.n_vertices
     assert set(x_j) == set(range(nv))  # vertices carry the jumps
     assert np.all(x_c >= nv)  # edge interiors carry the local part

@@ -125,8 +125,8 @@ def equilibrium_potential(
     return _potential(space, kernel, local, form_matrix(space, kernel, local), inner, ball_mask)
 
 
-def _potential(space, kernel, local, g, inner, ball_mask) -> PotentialSolve:
-    """`equilibrium_potential` with the form matrix g already assembled."""
+def _potential(space, kernel, local, g, inner, ball_mask, radius: Optional[float] = None) -> PotentialSolve:
+    """`equilibrium_potential` with the form matrix g already assembled; radius names the ball in warnings."""
     inner = np.asarray(inner, dtype=np.int64)
     ball_mask = np.asarray(ball_mask, dtype=bool)
     if inner.size == 0:
@@ -155,6 +155,12 @@ def _potential(space, kernel, local, g, inner, ball_mask) -> PotentialSolve:
         )
     u[free_idx] = x
     e = form_energy(space, kernel, local, u)
+    if not (np.isfinite(e) and np.isfinite(res)):
+        ball = "the ball" if radius is None else f"the ball of radius {radius:.6g}"
+        warnings.append(
+            f"capacity {e} with residual {res} on {ball}: the solve over {free_idx.size} free "
+            "unknowns gave no finite answer (singular or overflowing system)"
+        )
     return PotentialSolve(inner, ball_mask, u, e, res, warnings)
 
 
@@ -202,7 +208,7 @@ def capacity_scan(
         mask = dist < r
         if not mask[inner].all():
             raise ValueError(f"K is not inside the open ball of radius {r}")
-        solve = _potential(space, kernel, local, g, inner, mask)
+        solve = _potential(space, kernel, local, g, inner, mask, radius=r)
         caps.append(solve.energy)
         residuals.append(solve.residual)
         warnings.extend(solve.warnings)

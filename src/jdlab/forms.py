@@ -22,7 +22,6 @@ import scipy.sparse as sp
 
 from .space import DiscreteMMSpace, support_sets
 
-_PAIR_CHUNK = 256  # graph-metric distance rows per Dijkstra call
 _BLOCK_NNZ = 1 << 18  # stored entries per run of whole rows (bounds temporaries)
 
 
@@ -66,7 +65,11 @@ class JumpKernel:
         m = sp.csr_matrix(matrix, dtype=float, shape=(space.n_points, space.n_points))
         m.setdiag(0.0)
         m.eliminate_zeros()
-        if (abs(m - m.T)).nnz != 0:
+        m.sum_duplicates()  # canonical, so m == m.T exactly when their arrays match
+        mt = m.T.tocsr()
+        same = np.array_equal(m.indptr, mt.indptr) and np.array_equal(m.indices, mt.indices)
+        # entries must be finite too: inf - inf is nan, so an infinite pair is not exactly symmetric
+        if not (same and np.array_equal(m.data, mt.data) and np.isfinite(m.data).all()):
             raise ValueError("jump density must be exactly symmetric")
         if m.nnz and m.data.min() < 0:
             raise ValueError("jump density must be nonnegative")
@@ -107,15 +110,8 @@ class JumpKernel:
             m = self.matrix
             counts = np.diff(m.indptr)
             out = np.empty(m.nnz)
-            if self.space.metric_kind == "graph":
-                chunks = self.space.distances_chunked(np.flatnonzero(counts), chunk=_PAIR_CHUNK)
-                for idx, dist_rows in chunks:
-                    lo, hi = m.indptr[idx[0]], m.indptr[idx[-1] + 1]
-                    local_rows = np.repeat(np.arange(len(idx)), counts[idx])
-                    out[lo:hi] = dist_rows[local_rows, m.indices[lo:hi]]
-            else:
-                for rows, lo, hi in row_blocks(m.indptr):
-                    out[lo:hi] = self.space.pair_distances(np.repeat(rows, counts[rows]), m.indices[lo:hi])
+            for rows, lo, hi in row_blocks(m.indptr):
+                out[lo:hi] = self.space.pair_distances(np.repeat(rows, counts[rows]), m.indices[lo:hi])
             self._pair_d = out
         return self._pair_d
 

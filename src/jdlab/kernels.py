@@ -448,37 +448,25 @@ def mixed_graph(
     if np.any(phi_e <= 0):
         raise ValueError("edge density phi must be positive")
 
-    n_total = nv + k * len(edges)
+    n_e = len(edges)
+    n_total = nv + k * n_e
     measure = np.empty(n_total)
     measure[:nv] = graph.vertex_measure
-    d_rows, d_cols, d_len = [], [], []
-    r_len = []
-    local_edges = []
-    interior = []
-    for e, (u, v) in enumerate(edges):
-        chain = [u] + [nv + e * k + t for t in range(k)] + [v]
-        interior.extend(chain[1:-1])
-        for t in range(k):
-            measure[chain[1 + t]] = phi_e[e] * h
-        for a, b in zip(chain[:-1], chain[1:]):
-            d_rows.append(a)
-            d_cols.append(b)
-            d_len.append(sigma[e] * h)
-            r_len.append(h)
-            local_edges.append((a, b))
+    measure[nv:] = np.repeat(phi_e * h, k)
+    # edge e is the chain u, nv + e k, ..., nv + e k + k - 1, v of k + 1 segments
+    chains = np.empty((n_e, k + 2), dtype=np.int64)
+    chains[:, 0], chains[:, -1] = edges[:, 0], edges[:, 1]
+    chains[:, 1:-1] = nv + k * np.arange(n_e)[:, None] + np.arange(k)
+    d_rows, d_cols = chains[:, :-1].reshape(-1), chains[:, 1:].reshape(-1)
     # conductance per segment so the bilinear-form weight c (m_a + m_b)/2
     # comes out as phi/(2h): half the quantum Dirichlet integral, matching
     # the global 1/2 convention on the local part
-    local_cond = [
-        phi_e[s // (k + 1)] / (h * (measure[a] + measure[b]))
-        for s, (a, b) in enumerate(local_edges)
-    ]
+    local_cond = np.repeat(phi_e, k + 1) / (h * (measure[d_rows] + measure[d_cols]))
 
-    d_rows = np.array(d_rows, dtype=np.int64)
-    d_cols = np.array(d_cols, dtype=np.int64)
-    metric_graph = sp.csr_matrix((np.array(d_len), (d_rows, d_cols)), shape=(n_total, n_total))
+    d_len = np.repeat(sigma * h, k + 1)
+    metric_graph = sp.csr_matrix((d_len, (d_rows, d_cols)), shape=(n_total, n_total))
     metric_graph = metric_graph + metric_graph.T
-    rho_graph = sp.csr_matrix((np.array(r_len), (d_rows, d_cols)), shape=(n_total, n_total))
+    rho_graph = sp.csr_matrix((np.full(len(d_rows), h), (d_rows, d_cols)), shape=(n_total, n_total))
     rho_graph = rho_graph + rho_graph.T
     space = DiscreteMMSpace(
         measure,
@@ -497,12 +485,7 @@ def mixed_graph(
 
     local = None
     if k > 0:
-        local = LocalPart(
-            np.array(local_edges, dtype=np.int64),
-            np.array(local_cond),
-            h,
-            np.array(sorted(set(interior)), dtype=np.int64),
-        )
+        local = LocalPart(np.column_stack([d_rows, d_cols]), local_cond, h, np.arange(nv, n_total, dtype=np.int64))
     return BuiltInstance(space, kernel, local)
 
 

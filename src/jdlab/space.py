@@ -24,6 +24,7 @@ from scipy.sparse.csgraph import dijkstra
 _COORD_METRICS = ("euclidean", "l1", "stack")
 
 ROW_CACHE_LIMIT = 64  # cached single-source distance rows per space
+_SEARCH_CHUNK = 64  # sources per bounded Dijkstra call (bounds the dense output)
 
 
 class UnsupportedOperation(RuntimeError):
@@ -133,13 +134,48 @@ class DiscreteMMSpace:
         return p + np.abs(diff[..., -1])
 
     def pair_distances(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """d(rows[k], cols[k]) for each k on a coordinate metric, in O(len(rows))."""
-        if self.metric_kind == "graph":
-            raise UnsupportedOperation("graph metrics have no per-pair distance; use distance rows")
-        return self._norm(self.coords[rows] - self.coords[cols])
+        """d(rows[k], cols[k]) for each k.
+
+        Coordinate metrics evaluate the norm per pair, in O(len(rows)). Graph
+        metrics run Dijkstra from each distinct row with a limit that starts
+        at the longest edge and doubles until the row reaches all its
+        columns, so the work is proportional to the points within the pairs'
+        reach. A point within the limit is settled by the same relaxations as
+        in a full search, so the distances equal `distances_from` bit for
+        bit. Once the limit exceeds twice the origin's reach, one unbounded
+        round settles the rest (inf across components).
+        """
+        if self.metric_kind != "graph":
+            return self._norm(self.coords[rows] - self.coords[cols])
+        cols = np.asarray(cols)
+        sources, slot, n_cols = np.unique(rows, return_inverse=True, return_counts=True)
+        order = np.argsort(slot, kind="stable")  # entries grouped by source
+        starts = np.cumsum(n_cols) - n_cols
+        out = np.full(len(rows), np.inf)
+        pending = np.arange(len(sources))
+        reach = 2.0 * self.max_distance_from(self.origin)
+        limit = float(self.metric_graph.data.max(initial=0.0))
+        while pending.size:
+            final = not 0.0 < limit <= reach
+            missed = []
+            for lo in range(0, len(pending), _SEARCH_CHUNK):
+                chunk = pending[lo : lo + _SEARCH_CHUNK]
+                counts = n_cols[chunk]
+                local = np.repeat(np.arange(len(chunk)), counts)
+                idx = order[np.arange(len(local)) + np.repeat(starts[chunk] - np.cumsum(counts) + counts, counts)]
+                dist = dijkstra(
+                    self.metric_graph, directed=False, indices=sources[chunk], limit=np.inf if final else limit
+                )
+                out[idx] = dist[local, cols[idx]]
+                missed.append(chunk[np.unique(local[np.isinf(out[idx])])])
+            if final:
+                break
+            pending = np.concatenate(missed)
+            limit *= 2.0
+        return out
 
     def distances_from(self, x0: int) -> np.ndarray:
-        """All distances d(x0, .) as a vector; rows are cached."""
+        """All distances d(x0, .) as a read-only vector; rows are cached."""
         x0 = int(x0)
         row = self._row_cache.get(x0)
         if row is None:
@@ -147,6 +183,7 @@ class DiscreteMMSpace:
                 row = dijkstra(self.metric_graph, directed=False, indices=x0)
             else:
                 row = self._norm(self.coords[x0] - self.coords)
+            row.flags.writeable = False  # shared with the cache
             if len(self._row_cache) < ROW_CACHE_LIMIT:
                 self._row_cache[x0] = row
         return row
@@ -172,6 +209,7 @@ class DiscreteMMSpace:
         return self.rho_graph is not None or self.steps is not None
 
     def rho_from(self, x0: int) -> np.ndarray:
+        """All rho(x0, .) as a read-only vector; rows are cached."""
         if not self.has_graph_distance:
             raise UnsupportedOperation("space carries no graph distance rho")
         x0 = int(x0)
@@ -181,6 +219,7 @@ class DiscreteMMSpace:
                 row = dijkstra(self.rho_graph, directed=False, indices=x0)
             else:
                 row = np.abs(self.steps - self.steps[x0]).sum(axis=1).astype(float)
+            row.flags.writeable = False
             if len(self._rho_cache) < ROW_CACHE_LIMIT:
                 self._rho_cache[x0] = row
         return row

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from jdlab import (
     equilibrium_potential,
     green_growth,
     lattice_nn,
+    model_manifold,
     theta_test_function,
 )
 from jdlab.forms import form_matrix
@@ -100,6 +103,27 @@ def test_disconnected_component_zeroed_with_warning():
     solve = equilibrium_potential(b.space, b.kernel, None, [0], mask)
     assert any("components" in w for w in solve.warnings)
     assert solve.u[3] == 0.0 and solve.u[4] == 0.0
+
+
+def test_non_finite_capacity_is_reported():
+    # m spans 0.05 to 1e95 on this profile: the free block over the whole truncation is singular
+    b = model_manifold(dim=1, spacing=0.05, profile="sandwich", truncation_radius=55)
+    sp, o = b.space, b.space.origin
+    big_r = 1.01 * sp.max_distance_from(o)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy's own MatrixRankWarning from the direct solve
+        rep = capacity_scan(sp, b.kernel, b.local, [o], [0.5 * big_r, big_r])
+        solve = equilibrium_potential(sp, b.kernel, b.local, [o], sp.distances_from(o) < big_r)
+    assert np.isfinite(rep.capacities[0]) and np.isnan(rep.capacities[1])
+    n_free = sp.n_points - 1
+    assert rep.warnings == [
+        f"capacity nan with residual nan on the ball of radius {big_r:.6g}: the solve over {n_free} free "
+        "unknowns gave no finite answer (singular or overflowing system)"
+    ]
+    assert np.isnan(solve.energy) and solve.warnings == [
+        f"capacity nan with residual nan on the ball: the solve over {n_free} free "
+        "unknowns gave no finite answer (singular or overflowing system)"
+    ]
 
 
 def test_capacity_scan_z3_transient_no_certificate(z3_cube):

@@ -12,13 +12,32 @@ from jdlab import (
     m_constants,
     truncate_kernel,
 )
+import scipy.sparse as sp
+
 from jdlab.criteria import theta_test_function
+from jdlab.forms import JumpKernel
 from jdlab.kernels import explicit_kernel, stable_like
 from conftest import random_symmetric_kernel
 
 
 def two_point(c=1.0):
     return explicit_kernel(2, [[0, 1, c]])
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [(0, 1, 1.0), (1, 0, float(np.nextafter(1.0, 2.0)))],  # one ulp apart
+        [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)],  # (1, 0) missing
+        [(0, 1, np.nan), (1, 0, np.nan)],  # NaN is never equal to itself
+    ],
+    ids=["one-ulp", "missing-mirror", "nan"],
+)
+def test_asymmetric_kernel_rejected(entries):
+    space = explicit_kernel(3, []).space
+    rows, cols, vals = zip(*entries)
+    with pytest.raises(ValueError, match="exactly symmetric"):
+        JumpKernel(space, sp.csr_matrix((vals, (rows, cols)), shape=(3, 3)))
 
 
 def test_gamma_jump_constant_is_zero(z_line):

@@ -3,11 +3,13 @@
 The oracles below are the earlier implementations, kept verbatim in spirit:
 dense distance rows per point, per-row Python reductions, tuple-dict
 lattice neighbours, the dense n x n kernel builders, the per-offset band
-loops, the form matrix built from the raw kernel, and the capacity and
+loops, the per-edge chain loop of the mixed graph, the m - m.T symmetry
+check, the form matrix built from the raw kernel, and the capacity and
 Green-function solves before they shared one free-set solve. Pair
-distances, kernels, form matrices, capacities and the lattice arrays must
-match bit for bit; row sums are accumulated in another order, so omega and
-M_j must agree within 1e-12 relative.
+distances (full Dijkstra rows on graph metrics), kernels, form matrices,
+capacities and the lattice and mixed-graph arrays must match bit for bit;
+row sums are accumulated in another order, so omega and M_j must agree
+within 1e-12 relative.
 """
 
 import math
@@ -46,8 +48,10 @@ from jdlab.kernels import (
     _neighbor_entries,
     explicit_kernel,
     lattice2d_graph,
+    mixed_graph,
     sandwich_profile,
 )
+from jdlab.space import support_sets
 from conftest import random_symmetric_kernel
 
 REL = 1e-12
@@ -182,6 +186,48 @@ def oracle_band_entries(n, band):
     if not rows:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     return np.concatenate(rows), np.concatenate(cols)
+
+
+def oracle_mixed_graph_parts(graph, phi, k):
+    """measure, metric and rho graphs, local edges, conductances and support of `mixed_graph` from its per-edge loop."""
+    sigma = build_graph_space(graph).meta["sigma"]
+    edges, nv, h = graph.edges, graph.n_vertices, 1.0 / (k + 1)
+    phi_e = np.full(len(edges), float(phi)) if np.isscalar(phi) else np.asarray(phi, dtype=float)
+    measure = np.empty(nv + k * len(edges))
+    measure[:nv] = graph.vertex_measure
+    d_rows, d_cols, d_len, r_len, local_edges, interior = [], [], [], [], [], []
+    for e, (u, v) in enumerate(edges):
+        chain = [u] + [nv + e * k + t for t in range(k)] + [v]
+        interior.extend(chain[1:-1])
+        for t in range(k):
+            measure[chain[1 + t]] = phi_e[e] * h
+        for a, b in zip(chain[:-1], chain[1:]):
+            d_rows.append(a)
+            d_cols.append(b)
+            d_len.append(sigma[e] * h)
+            r_len.append(h)
+            local_edges.append((a, b))
+    local_cond = [phi_e[s // (k + 1)] / (h * (measure[a] + measure[b])) for s, (a, b) in enumerate(local_edges)]
+    n = len(measure)
+    ij = (np.array(d_rows, dtype=np.int64), np.array(d_cols, dtype=np.int64))
+    metric_graph = sp.csr_matrix((np.array(d_len), ij), shape=(n, n))
+    rho_graph = sp.csr_matrix((np.array(r_len), ij), shape=(n, n))
+    return (
+        measure,
+        metric_graph + metric_graph.T,
+        rho_graph + rho_graph.T,
+        np.array(local_edges, dtype=np.int64).reshape(-1, 2),
+        np.array(local_cond),
+        np.array(sorted(set(interior)), dtype=np.int64),
+    )
+
+
+def oracle_is_symmetric(matrix):
+    """The check `JumpKernel` made before comparing m with m.T array by array."""
+    m = sp.csr_matrix(matrix, dtype=float)
+    m.setdiag(0.0)
+    m.eliminate_zeros()
+    return (abs(m - m.T)).nnz == 0
 
 
 def oracle_form_matrix(space, kernel, local):
@@ -345,18 +391,106 @@ def test_row_blocks_cover_nonempty_rows_in_bounded_runs(monkeypatch):
 @pytest.mark.parametrize("metric_kind", ["euclidean", "graph"])
 def test_small_blocks_give_the_same_results(monkeypatch, metric_kind):
     import jdlab.forms
+    import jdlab.space
 
     space, kernel = _instance(3, metric_kind)
     want_d = kernel.pair_distances().copy()
     want_om = _omega_values(space, kernel, np.array([0.5, 3.0]))
     want_mc = m_constants(space, kernel, None)
     monkeypatch.setattr(jdlab.forms, "_BLOCK_NNZ", 3)
-    monkeypatch.setattr(jdlab.forms, "_PAIR_CHUNK", 2)
+    monkeypatch.setattr(jdlab.space, "_SEARCH_CHUNK", 2)
     fresh = JumpKernel(space, kernel.matrix)
     assert np.array_equal(fresh.pair_distances(), want_d)
     assert np.array_equal(_omega_values(space, fresh, np.array([0.5, 3.0])), want_om)
     mc = m_constants(space, fresh, None)
     assert (mc.m_j, mc.argmax_j) == (want_mc.m_j, want_mc.argmax_j)
+
+
+# -- bounded Dijkstra on graph metrics against full distance rows ---------------------
+
+
+def _recording_dijkstra(monkeypatch):
+    """Patch the search in jdlab.space to record the limit of every call."""
+    import jdlab.space
+
+    limits = []
+    full = jdlab.space.dijkstra
+
+    def record(*args, limit=np.inf, **kwargs):
+        limits.append(limit)
+        return full(*args, limit=limit, **kwargs)
+
+    monkeypatch.setattr(jdlab.space, "dijkstra", record)
+    return limits
+
+
+def _graph_space(n, edges, lengths, rng, origin=0):
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    w = sp.csr_matrix((lengths, (edges[:, 0], edges[:, 1])), shape=(n, n))
+    return DiscreteMMSpace(rng.uniform(0.5, 2.0, size=n), metric_kind="graph", metric_graph=w + w.T, origin=origin)
+
+
+def _long_graph_instance(rng):
+    """A weighted random path with few chords and a kernel on random pairs, most of them many edges apart."""
+    n = int(rng.integers(8, 60))
+    order = rng.permutation(n)
+    edges = [(order[k], order[k + 1]) for k in range(n - 1)]
+    for _ in range(int(rng.integers(0, n // 4 + 1))):
+        i, j = rng.integers(0, n, size=2)
+        if i != j:
+            edges.append((i, j))
+    edges = np.unique(np.sort(np.array(edges), axis=1), axis=0)
+    space = _graph_space(n, edges, rng.uniform(0.1, 1.0, size=len(edges)), rng, origin=int(rng.integers(n)))
+    base = random_symmetric_kernel(rng, n, density=float(rng.uniform(0.02, 0.5)))
+    return space, JumpKernel(space, base.kernel.matrix)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_bounded_search_matches_full_rows_over_doubling_rounds(seed):
+    space, kernel = _long_graph_instance(np.random.default_rng(seed))
+    assert np.array_equal(kernel.pair_distances(), oracle_pair_distances(kernel))
+
+
+def test_bounded_search_runs_several_rounds_on_a_long_path(monkeypatch):
+    rng = np.random.default_rng(5)
+    n = 40
+    space = _graph_space(n, [(k, k + 1) for k in range(n - 1)], rng.uniform(0.5, 1.0, size=n - 1), rng, origin=n // 2)
+    kernel = JumpKernel.from_entries(space, [0, 3, 10, 20], [1, 9, 30, 39], [1.0, 2.0, 0.5, 1.5])
+    want = oracle_pair_distances(kernel)
+    space.max_distance_from(space.origin)  # the origin row is a full search of its own
+    limits = _recording_dijkstra(monkeypatch)
+    assert np.array_equal(kernel.pair_distances(), want)
+    longest = space.metric_graph.data.max()
+    bounded = sorted(set(limits) - {np.inf})
+    assert bounded[:3] == [longest, 2 * longest, 4 * longest]
+    assert np.inf not in limits  # all pairs lie within twice the origin's reach
+
+
+def test_bounded_search_is_exact_across_components(monkeypatch):
+    """Origin on a 3-point component; a long 27-point path beside it; kernel pairs inside and across both."""
+    rng = np.random.default_rng(11)
+    small = [(0, 1), (1, 2)]
+    large = [(k, k + 1) for k in range(3, 29)]
+    space = _graph_space(30, small + large, np.ones(len(small) + len(large)), rng, origin=0)
+    assert space.max_distance_from(0) == 2.0
+    rows, cols = [0, 3, 3, 1, 0, 2], [1, 4, 29, 10, 29, 3]  # 3 - 29 is 26 apart, beyond 2 x reach
+    kernel = JumpKernel.from_entries(space, rows, cols, rng.uniform(0.5, 2.0, size=len(rows)))
+    want = oracle_pair_distances(kernel)
+    limits = _recording_dijkstra(monkeypatch)
+    got = kernel.pair_distances()
+    assert np.array_equal(got, want)
+    assert np.isinf(got).sum() == 2 * 3  # three cross pairs, both orientations
+    assert limits[-1] == np.inf and all(lim <= 4.0 for lim in limits[:-1])
+    assert space.pair_distances([3, 29, 3], [29, 3, 3]).tolist() == [26.0, 26.0, 0.0]
+
+
+def test_bounded_search_on_an_empty_kernel():
+    space, _ = _long_graph_instance(np.random.default_rng(2))
+    kernel = JumpKernel(space, sp.csr_matrix((space.n_points, space.n_points)))
+    assert kernel.pair_distances().shape == (0,)
+    assert np.array_equal(kernel.pair_distances(), oracle_pair_distances(kernel))
+    assert space.pair_distances([], []).shape == (0,)
 
 
 @settings(max_examples=30, deadline=None)
@@ -492,6 +626,64 @@ def test_band_entries_match_offset_loop(n, band):
     want_rows, want_cols = oracle_band_entries(n, band)
     assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
     assert rows.dtype == cols.dtype == np.int64
+
+
+def _irregular_graph(rng, n):
+    """Random connected graph (spanning path plus chords) with random weights and measure."""
+    order = rng.permutation(n)
+    edges = [(order[k], order[k + 1]) for k in range(n - 1)] + [tuple(rng.choice(n, 2, replace=False)) for _ in range(n)]
+    edges = np.unique(np.sort(np.array(edges), axis=1), axis=0)
+    return GraphData(n, edges, rng.uniform(0.0, 3.0, size=len(edges)), rng.uniform(0.5, 2.0, size=n))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5])
+@pytest.mark.parametrize("which", ["lattice", "lattice-array-phi", "irregular"])
+def test_mixed_graph_matches_chain_loop(k, which):
+    rng = np.random.default_rng(k)
+    graph = _irregular_graph(rng, 12) if which == "irregular" else lattice2d_graph(3)
+    phi = rng.uniform(0.2, 2.0, size=len(graph.edges)) if which != "lattice" else 0.7
+    built = mixed_graph(graph, phi=phi, subdivisions=k)
+    measure, metric_graph, rho_graph, local_edges, cond, support = oracle_mixed_graph_parts(graph, phi, k)
+    assert measure.tobytes() == built.space.measure.tobytes()
+    assert_bit_identical(built.space.metric_graph, metric_graph)
+    assert_bit_identical(built.space.rho_graph, rho_graph)
+    if k == 0:
+        assert built.local is None
+        return
+    assert np.array_equal(built.local.edges, local_edges)
+    assert cond.tobytes() == built.local.conductance.tobytes()
+    assert np.array_equal(built.local.support, support) and built.local.support.dtype == np.int64
+    assert np.array_equal(support_sets(built.kernel, built.local)[0], support)
+
+
+# -- the kernel symmetry check against m - m.T ---------------------------------------
+
+_SPECIAL = [1.0, 2.0, np.nextafter(1.0, 2.0), 5e-324, 1e-323, -0.0, 0.0, np.inf, -np.inf, np.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_symmetry_check_accepts_what_m_minus_mt_accepted(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    k = int(rng.integers(0, 8))
+    rows, cols = rng.integers(0, n, size=k), rng.integers(0, n, size=k)
+    vals = rng.choice(_SPECIAL, size=k) if rng.random() < 0.5 else rng.uniform(0.0, 2.0, size=k)
+    if rng.random() < 0.6:  # mirror every entry, then maybe spoil one
+        rows, cols, vals = np.concatenate([rows, cols]), np.concatenate([cols, rows]), np.concatenate([vals, vals])
+        if k and rng.random() < 0.3:
+            vals[rng.integers(2 * k)] = rng.choice(_SPECIAL)
+    # unsorted indices with duplicates, as a caller may hand them in
+    perm = np.argsort(rows, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    matrix = sp.csr_matrix((vals[perm], cols[perm], indptr), shape=(n, n))
+    space = DiscreteMMSpace(np.ones(n), coords=np.arange(n, dtype=float)[:, None])
+    try:
+        JumpKernel(space, matrix.copy())
+        accepted = True
+    except ValueError as exc:
+        accepted = "symmetric" not in str(exc)  # a negative entry passes the symmetry check first
+    assert accepted == oracle_is_symmetric(matrix.copy())
 
 
 # -- form matrix and the free-set solve on islands --------------------------------

@@ -130,6 +130,21 @@ def test_metric_axioms_random_triples(builder, z_line, path_graph_space):
         assert dxy <= sp.d(x, z) + sp.d(z, y) + 1e-12
 
 
+@pytest.mark.parametrize("graph", [False, True])
+def test_cached_rows_are_read_only(graph):
+    if graph:
+        sp = mixed_graph(lattice2d_graph(2), phi=1.0, subdivisions=1, origin=12).space
+    else:
+        sp = lattice_nn(dim=2, truncation_radius=3).space
+    d, rho = sp.distances_from(sp.origin), sp.rho_from(sp.origin)
+    want_d, want_rho = d.copy(), rho.copy()
+    for row in (d, rho):
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 7.0
+    assert np.array_equal(sp.distances_from(sp.origin), want_d)
+    assert np.array_equal(sp.rho_from(sp.origin), want_rho)
+
+
 def test_adapted_distance_below_graph_distance():
     b = mixed_graph(lattice2d_graph(4), phi=1.0, subdivisions=1, origin=40, truncation_radius=4.0)
     sp = b.space

@@ -12,7 +12,6 @@ from .space import (
     DiscreteMMSpace,
     GraphData,
     UnsupportedOperation,
-    build_graph_space,
     metric_ball,
     shell_volume,
     support_sets,
@@ -45,7 +44,7 @@ from .criteria import (
 )
 from .kernels import (
     BuiltInstance,
-    KernelSpec,
+    build_graph_space,
     lattice_nn,
     mixed_graph,
     model_manifold,

@@ -15,7 +15,7 @@ has mass on it and 0 elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .forms import JumpKernel, LocalPart, energy as form_energy, form_matrix
-from .space import DiscreteMMSpace
+from .space import DiscreteMMSpace, boundary_notes
 
 DIRECT_LIMIT = 2000
 CG_TOL = 1e-10
@@ -174,14 +174,7 @@ class CapacityReport:
     warnings: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "radii": self.radii,
-            "capacities": self.capacities,
-            "certificate": self.certificate,
-            "decay_ratio": self.decay_ratio,
-            "residuals": self.residuals,
-            "warnings": self.warnings,
-        }
+        return asdict(self)
 
 
 def capacity_scan(
@@ -196,6 +189,11 @@ def capacity_scan(
     """cap(K, B(center, R)) over increasing R; raises the recurrence
     certificate when the tail has decayed below ``decay_ratio`` times the
     first value and is still decreasing.
+
+    Truncation drops the jumps out of each ball to points beyond the
+    truncation, so near its edge the capacities under-count; the report
+    then carries the criteria's boundary note (radii beyond the reach are
+    allowed here).
     """
     inner = np.asarray(inner, dtype=np.int64)
     radii = sorted(float(r) for r in radii)
@@ -212,6 +210,8 @@ def capacity_scan(
         caps.append(solve.energy)
         residuals.append(solve.residual)
         warnings.extend(solve.warnings)
+    if radii:
+        warnings.extend(boundary_notes(space.max_distance_from(center), radii[-1]))
     certificate = False
     if len(caps) >= 2 and caps[0] > 0:
         decayed = caps[-1] <= decay_ratio * caps[0]

@@ -11,7 +11,6 @@ sequences so asymptotics can be judged directly.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field, asdict
 from typing import Optional, Sequence
@@ -19,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .forms import JumpKernel, LocalPart, energy as form_energy, max_row_sum
-from .space import DiscreteMMSpace, UnsupportedOperation, metric_ball, support_sets
+from .space import DiscreteMMSpace, UnsupportedOperation, boundary_notes, metric_ball, support_sets
 
 DEFAULT_THRESHOLD = 10.0
 TOP_WINDOW_FRACTION = 0.5
@@ -42,9 +41,6 @@ class CriterionReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
-
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -60,18 +56,12 @@ def _top_window_min(values: np.ndarray, fraction: float = TOP_WINDOW_FRACTION) -
 
 
 def _check_radii(space: DiscreteMMSpace, x0: int, radii: np.ndarray) -> list[str]:
-    notes = []
     reach = space.max_distance_from(x0)
     if np.any(radii > reach):
         raise ValueError(
             f"radius grid exceeds the truncation: max usable radius from point {x0} is {reach:.6g}"
         )
-    if radii.max() >= 0.95 * reach:
-        notes.append(
-            "boundary contamination: largest balls touch the truncation edge; "
-            "statistics there under-count the intended infinite space"
-        )
-    return notes
+    return boundary_notes(reach, radii.max())
 
 
 def volume_growth_report(

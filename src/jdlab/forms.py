@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .space import DiscreteMMSpace, support_sets
+from .space import DiscreteMMSpace, exactly_symmetric, support_sets
 
 _BLOCK_NNZ = 1 << 18  # stored entries per run of whole rows (bounds temporaries)
 
@@ -60,21 +60,19 @@ class JumpKernel:
     metric when an operation needs d(x, y) on the kernel support.
     """
 
-    def __init__(self, space: DiscreteMMSpace, matrix, pair_distances: Optional[np.ndarray] = None):
+    def __init__(self, space: DiscreteMMSpace, matrix):
         self.space = space
         m = sp.csr_matrix(matrix, dtype=float, shape=(space.n_points, space.n_points))
         m.setdiag(0.0)
         m.eliminate_zeros()
         m.sum_duplicates()  # canonical, so m == m.T exactly when their arrays match
-        mt = m.T.tocsr()
-        same = np.array_equal(m.indptr, mt.indptr) and np.array_equal(m.indices, mt.indices)
         # entries must be finite too: inf - inf is nan, so an infinite pair is not exactly symmetric
-        if not (same and np.array_equal(m.data, mt.data) and np.isfinite(m.data).all()):
+        if not (exactly_symmetric(m) and np.isfinite(m.data).all()):
             raise ValueError("jump density must be exactly symmetric")
         if m.nnz and m.data.min() < 0:
             raise ValueError("jump density must be nonnegative")
         self.matrix = m
-        self._pair_d = pair_distances
+        self._pair_d: Optional[np.ndarray] = None  # d(x, y) aligned with matrix.data
         self._weighted: Optional[sp.csr_matrix] = None  # W = j(x,y) m(y)
         self._row_mass: Optional[np.ndarray] = None  # sum_y j(x,y) m(y)
 
@@ -117,13 +115,6 @@ class JumpKernel:
 
     def density(self, x: int, y: int) -> float:
         return float(self.matrix[x, y])
-
-    def total_rate(self, x: int) -> float:
-        """lambda(x) = 2 sum_y j(x,y) m(y)."""
-        return 2.0 * float(self.row_mass[x])
-
-    def max_row_mass(self) -> float:
-        return float(self.row_mass.max()) if self.space.n_points else 0.0
 
 
 @dataclass
@@ -251,9 +242,6 @@ class MConstants:
     argmax_j: Optional[int]
     argmax_c_on_boundary: bool = False
     argmax_j_on_boundary: bool = False
-
-    def __iter__(self):
-        return iter((self.m_c, self.m_j))
 
 
 def _near_boundary(space: DiscreteMMSpace, x: int) -> bool:

@@ -10,14 +10,15 @@ under such constants).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .forms import JumpKernel, LocalPart, local_chain
-from .space import DiscreteMMSpace, GraphData, build_graph_space
+from .space import DiscreteMMSpace, GraphData
 
 KAPPA_GASKET = math.log(3) / math.log(2)
 
@@ -29,29 +30,6 @@ class BuiltInstance:
     space: DiscreteMMSpace
     kernel: Optional[JumpKernel]
     local: Optional[LocalPart] = None
-
-
-@dataclass
-class KernelSpec:
-    """Family tag + parameters + truncation radius; dispatches to a builder."""
-
-    family: str
-    truncation_radius: float
-    params: dict = field(default_factory=dict)
-
-    def build(self) -> BuiltInstance:
-        builders: dict[str, Callable[..., BuiltInstance]] = {
-            "lattice_nn": lattice_nn,
-            "stable_like": stable_like,
-            "stack": stack_space,
-            "weighted_line": weighted_line,
-            "model_manifold": model_manifold,
-            "mixed_graph": mixed_graph_from_params,
-            "explicit": explicit_kernel,
-        }
-        if self.family not in builders:
-            raise ValueError(f"unknown kernel family {self.family!r}")
-        return builders[self.family](truncation_radius=self.truncation_radius, **self.params)
 
 
 # -- lattice scaffolding ---------------------------------------------------
@@ -66,7 +44,7 @@ def _lattice_points(dim: int, truncation_radius: float, spacing: float) -> np.nd
     return np.stack([g.reshape(-1) for g in grids], axis=1)
 
 
-def _lattice_space(dim, truncation_radius, spacing, measure_per_point) -> DiscreteMMSpace:
+def _lattice_space(dim, truncation_radius, spacing, measure_per_point, **meta) -> DiscreteMMSpace:
     steps = _lattice_points(dim, truncation_radius, spacing)
     coords = steps * spacing
     origin = int(np.flatnonzero((steps == 0).all(axis=1))[0])
@@ -77,7 +55,7 @@ def _lattice_space(dim, truncation_radius, spacing, measure_per_point) -> Discre
         steps=steps,
         origin=origin,
         truncation_radius=truncation_radius,
-        meta={"kind": "lattice", "dim": dim, "spacing": spacing},
+        meta={"kind": "lattice", "dim": dim, "spacing": spacing, **meta},
     )
 
 
@@ -116,23 +94,16 @@ def lattice_nn(
 # -- Example family: stable-like kernels on kappa-sets ----------------------
 
 
-def _gasket_graph(level: int) -> tuple[np.ndarray, set[tuple[int, int]]]:
-    """Sierpinski-gasket graph in integer triangular-lattice coordinates."""
+def _gasket_points(level: int) -> np.ndarray:
+    """Vertices of the level-L Sierpinski-gasket graph, from integer triangular-lattice coordinates."""
     verts = {(0, 0), (1, 0), (0, 1)}
-    edges = {((0, 0), (1, 0)), ((0, 0), (0, 1)), ((1, 0), (0, 1))}
     for l in range(level):
         s = 2**l
         new_verts = set(verts)
-        new_edges = set(edges)
         for da, db in ((s, 0), (0, s)):
             new_verts |= {(a + da, b + db) for a, b in verts}
-            new_edges |= {((a1 + da, b1 + db), (a2 + da, b2 + db)) for (a1, b1), (a2, b2) in edges}
-        verts, edges = new_verts, new_edges
-    order = sorted(verts)
-    idx = {v: k for k, v in enumerate(order)}
-    coords = np.array([(a + b / 2.0, b * math.sqrt(3) / 2.0) for a, b in order])
-    pair_idx = {(idx[u], idx[v]) for u, v in edges}
-    return coords, pair_idx
+        verts = new_verts
+    return np.array([(a + b / 2.0, b * math.sqrt(3) / 2.0) for a, b in sorted(verts)])
 
 
 def _pairwise_kernel(space: DiscreteMMSpace, value) -> JumpKernel:
@@ -169,22 +140,22 @@ def stable_like(
         raise ValueError("beta must be positive")
     if case == "ii" and tempering <= 0:
         raise ValueError("tempering constant must be positive")
+    if support not in ("lattice", "gasket"):
+        raise ValueError(f"unknown support {support!r}")
+    kappa = float(dim) if support == "lattice" else KAPPA_GASKET
+    family = {"family": "stable_like", "kappa": kappa, "case": case}
     if support == "lattice":
-        kappa = float(dim)
-        space = _lattice_space(dim, truncation_radius, spacing, spacing**dim)
-    elif support == "gasket":
-        kappa = KAPPA_GASKET
-        coords, _ = _gasket_graph(gasket_level)
+        space = _lattice_space(dim, truncation_radius, spacing, spacing**dim, **family)
+    else:
+        coords = _gasket_points(gasket_level)
         space = DiscreteMMSpace(
             np.ones(len(coords)),
             coords=coords,
             metric_kind="euclidean",
             origin=0,
             truncation_radius=float(2**gasket_level),
-            meta={"kind": "gasket", "level": gasket_level},
+            meta={"kind": "gasket", "level": gasket_level, **family},
         )
-    else:
-        raise ValueError(f"unknown support {support!r}")
 
     short_exp = kappa + alpha
 
@@ -199,9 +170,7 @@ def stable_like(
                 raise ValueError(f"unknown case {case!r}")
         return short + tail
 
-    kernel = _pairwise_kernel(space, lambda idx, d: f(d))
-    space.meta.update({"family": "stable_like", "kappa": kappa, "case": case})
-    return BuiltInstance(space, kernel)
+    return BuiltInstance(space, _pairwise_kernel(space, lambda idx, d: f(d)))
 
 
 # -- Example family: disconnected stack of lattice sheets --------------------
@@ -432,8 +401,7 @@ def mixed_graph(
     """
     if subdivisions < 0:
         raise ValueError("subdivisions must be >= 0")
-    base = build_graph_space(graph, origin=origin, truncation_radius=truncation_radius)
-    sigma = base.meta["sigma"]
+    sigma = graph.adapted_lengths()
     edges = graph.edges
     nv = graph.n_vertices
     k = int(subdivisions)
@@ -468,6 +436,8 @@ def mixed_graph(
     metric_graph = metric_graph + metric_graph.T
     rho_graph = sp.csr_matrix((np.full(len(d_rows), h), (d_rows, d_cols)), shape=(n_total, n_total))
     rho_graph = rho_graph + rho_graph.T
+    if connected_components(metric_graph, directed=False)[0] > 1:
+        raise ValueError("graph is disconnected: some points are unreachable from the origin")
     space = DiscreteMMSpace(
         measure,
         metric_kind="graph",
@@ -487,6 +457,14 @@ def mixed_graph(
     if k > 0:
         local = LocalPart(np.column_stack([d_rows, d_cols]), local_cond, h, np.arange(nv, n_total, dtype=np.int64))
     return BuiltInstance(space, kernel, local)
+
+
+def build_graph_space(g: GraphData, origin: int = 0, truncation_radius: float = float("inf")) -> DiscreteMMSpace:
+    """Adapted-distance space of a weighted graph: the mixed graph with no edge interior.
+
+    Edge length sigma (`GraphData.adapted_lengths`); rho uses unit edge lengths.
+    """
+    return mixed_graph(g, subdivisions=0, origin=origin, truncation_radius=truncation_radius).space
 
 
 def lattice2d_graph(extent: int) -> GraphData:
@@ -560,9 +538,7 @@ def explicit_kernel(
         truncation_radius=truncation_radius,
         meta={"kind": "explicit"},
     )
-    entries = np.asarray(entries, dtype=float)
-    if entries.size == 0:
-        return BuiltInstance(space, JumpKernel(space, sp.csr_matrix((n, n))))
+    entries = np.asarray(entries, dtype=float).reshape(-1, 3)
     kernel = JumpKernel.from_entries(
         space, entries[:, 0].astype(np.int64), entries[:, 1].astype(np.int64), entries[:, 2]
     )

@@ -15,7 +15,7 @@ absorption).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -86,10 +86,6 @@ class BatchResult:
     final_state: np.ndarray
     hit: np.ndarray
     horizon: float
-
-    def status_fraction(self, status: str) -> float:
-        code = _STATUS_BY_CODE.index(status)
-        return float(np.mean(self.status == code))
 
 
 def philox4x32(key, ctr) -> tuple[np.ndarray, ...]:
@@ -366,15 +362,7 @@ class ExplosionSummary:
     truncation_too_small: bool
 
     def to_dict(self) -> dict:
-        return {
-            "capped_fraction": self.capped_fraction,
-            "absorbed_fraction": self.absorbed_fraction,
-            "alive_fraction": self.alive_fraction,
-            "median_elapsed_capped": self.median_elapsed_capped,
-            "elapsed_quantiles": self.elapsed_quantiles,
-            "explosion_suspected": self.explosion_suspected,
-            "truncation_too_small": self.truncation_too_small,
-        }
+        return asdict(self)
 
 
 def explosion_diagnostic(batch: BatchResult) -> ExplosionSummary:

@@ -12,7 +12,7 @@ standard adapted distance with edge length
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -72,6 +72,40 @@ class GraphData:
         np.add.at(deg, self.edges[:, 1], self.weights)
         return deg / self.vertex_measure
 
+    def adapted_lengths(self) -> np.ndarray:
+        """Adapted edge lengths sigma(x,y) = min(deg(x)^{-1/2}, deg(y)^{-1/2}, 1), one per edge.
+
+        Vertices with zero adapted degree still get sigma = 1 through the
+        cap, but structurally isolated vertices (no incident edge at all)
+        have no finite distance to the rest and are rejected.
+        """
+        n = self.n_vertices
+        if n == 0:
+            raise ValueError("empty graph")
+        incident = np.zeros(n, dtype=bool)
+        incident[self.edges.reshape(-1)] = True
+        if n > 1 and not incident.all():
+            bad = int(np.flatnonzero(~incident)[0])
+            raise ValueError(
+                f"vertex {bad} has no incident edge: sigma is undefined there "
+                "(adapted distance cannot reach it)"
+            )
+        deg = self.degree()
+        with np.errstate(divide="ignore"):
+            inv_sqrt = 1.0 / np.sqrt(deg)  # +inf where deg == 0, removed by the cap
+        i, j = self.edges[:, 0], self.edges[:, 1]
+        return np.minimum(np.minimum(inv_sqrt[i], inv_sqrt[j]), 1.0)
+
+
+def exactly_symmetric(m: sp.csr_matrix) -> bool:
+    """m equals its transpose entry for entry; m must be canonical (sorted indices, no duplicates)."""
+    mt = m.T.tocsr()
+    return (
+        np.array_equal(m.indptr, mt.indptr)
+        and np.array_equal(m.indices, mt.indices)
+        and np.array_equal(m.data, mt.data)
+    )
+
 
 class DiscreteMMSpace:
     """Finite metric measure space with positive measure and cached metric rows.
@@ -80,6 +114,8 @@ class DiscreteMMSpace:
     {"euclidean", "l1", "stack"}) or shortest-path over positive edge
     lengths (`metric_kind == "graph"`). rho, when present, is an auxiliary
     graph distance (integer on vertices, interpolated on subdivision points).
+    Metric and rho graphs are canonical CSR matrices (sorted indices, no
+    duplicates) and must be exactly symmetric.
     """
 
     def __init__(
@@ -98,6 +134,8 @@ class DiscreteMMSpace:
         self.measure = np.asarray(measure, dtype=float).reshape(-1)
         if np.any(self.measure <= 0):
             raise ValueError("measure must be strictly positive at every point")
+        if not np.isfinite(self.measure).all():
+            raise ValueError("measure must be finite at every point")
         self.n_points = len(self.measure)
         self.coords = None if coords is None else np.atleast_2d(np.asarray(coords, dtype=float))
         if self.coords is not None and self.coords.shape[0] != self.n_points:
@@ -113,6 +151,10 @@ class DiscreteMMSpace:
         self.meta = dict(meta or {})
         self._row_cache: dict[int, np.ndarray] = {}
         self._rho_cache: dict[int, np.ndarray] = {}
+        for name, graph in (("metric", metric_graph), ("rho", rho_graph)):
+            # the searches pass directed=True, which is exact only on a symmetric graph
+            if graph is not None and not exactly_symmetric(graph):
+                raise ValueError(f"{name} graph must be exactly symmetric")
         if metric_kind == "graph":
             if metric_graph is None:
                 raise ValueError("graph metric requires an edge-length matrix")
@@ -164,7 +206,7 @@ class DiscreteMMSpace:
                 local = np.repeat(np.arange(len(chunk)), counts)
                 idx = order[np.arange(len(local)) + np.repeat(starts[chunk] - np.cumsum(counts) + counts, counts)]
                 dist = dijkstra(
-                    self.metric_graph, directed=False, indices=sources[chunk], limit=np.inf if final else limit
+                    self.metric_graph, directed=True, indices=sources[chunk], limit=np.inf if final else limit
                 )
                 out[idx] = dist[local, cols[idx]]
                 missed.append(chunk[np.unique(local[np.isinf(out[idx])])])
@@ -180,7 +222,7 @@ class DiscreteMMSpace:
         row = self._row_cache.get(x0)
         if row is None:
             if self.metric_kind == "graph":
-                row = dijkstra(self.metric_graph, directed=False, indices=x0)
+                row = dijkstra(self.metric_graph, directed=True, indices=x0)
             else:
                 row = self._norm(self.coords[x0] - self.coords)
             row.flags.writeable = False  # shared with the cache
@@ -194,7 +236,7 @@ class DiscreteMMSpace:
         for lo in range(0, len(indices), chunk):
             idx = indices[lo : lo + chunk]
             if self.metric_kind == "graph":
-                rows = dijkstra(self.metric_graph, directed=False, indices=idx)
+                rows = dijkstra(self.metric_graph, directed=True, indices=idx)
             else:
                 rows = self._norm(self.coords[idx][:, None, :] - self.coords)
             yield idx, rows
@@ -216,16 +258,13 @@ class DiscreteMMSpace:
         row = self._rho_cache.get(x0)
         if row is None:
             if self.rho_graph is not None:
-                row = dijkstra(self.rho_graph, directed=False, indices=x0)
+                row = dijkstra(self.rho_graph, directed=True, indices=x0)
             else:
                 row = np.abs(self.steps - self.steps[x0]).sum(axis=1).astype(float)
             row.flags.writeable = False
             if len(self._rho_cache) < ROW_CACHE_LIMIT:
                 self._rho_cache[x0] = row
         return row
-
-    def rho(self, x: int, y: int) -> float:
-        return float(self.rho_from(x)[y])
 
     # -- volume queries ---------------------------------------------------
 
@@ -234,52 +273,15 @@ class DiscreteMMSpace:
         finite = row[np.isfinite(row)]
         return float(finite.max()) if len(finite) else 0.0
 
-    def total_mass(self) -> float:
-        return float(self.measure.sum())
 
-
-def build_graph_space(g: GraphData, origin: int = 0, truncation_radius: float = float("inf")) -> DiscreteMMSpace:
-    """Adapted-distance space of a weighted graph.
-
-    Edge length sigma(x,y) = min(deg(x)^{-1/2}, deg(y)^{-1/2}, 1); rho uses
-    unit edge lengths. Vertices with zero adapted degree still get
-    sigma = 1 through the cap, but structurally isolated vertices (no
-    incident edge at all) have no finite distance to the rest and are
-    rejected.
-    """
-    n = g.n_vertices
-    if n == 0:
-        raise ValueError("empty graph")
-    incident = np.zeros(n, dtype=bool)
-    incident[g.edges.reshape(-1)] = True
-    if n > 1 and not incident.all():
-        bad = int(np.flatnonzero(~incident)[0])
-        raise ValueError(
-            f"vertex {bad} has no incident edge: sigma is undefined there "
-            "(adapted distance cannot reach it)"
-        )
-    deg = g.degree()
-    with np.errstate(divide="ignore"):
-        inv_sqrt = 1.0 / np.sqrt(deg)  # +inf where deg == 0, removed by the cap
-    i, j = g.edges[:, 0], g.edges[:, 1]
-    sigma = np.minimum(np.minimum(inv_sqrt[i], inv_sqrt[j]), 1.0)
-    metric_graph = sp.csr_matrix((sigma, (i, j)), shape=(n, n))
-    metric_graph = metric_graph + metric_graph.T
-    rho_graph = sp.csr_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
-    rho_graph = rho_graph + rho_graph.T
-    space = DiscreteMMSpace(
-        g.vertex_measure,
-        metric_kind="graph",
-        metric_graph=metric_graph,
-        rho_graph=rho_graph,
-        origin=origin,
-        truncation_radius=truncation_radius,
-        meta={"kind": "graph", "sigma": sigma, "edges": g.edges},
-    )
-    row = space.distances_from(space.origin)
-    if not np.all(np.isfinite(row)):
-        raise ValueError("graph is disconnected: some points are unreachable from the origin")
-    return space
+def boundary_notes(reach: float, r_max: float) -> list[str]:
+    """Truncation note for balls of radius up to r_max about a point whose farthest point lies at reach."""
+    if r_max < 0.95 * reach:
+        return []
+    return [
+        "boundary contamination: largest balls touch the truncation edge; "
+        "statistics there under-count the intended infinite space"
+    ]
 
 
 def metric_ball(space: DiscreteMMSpace, x0: int, r: float) -> tuple[np.ndarray, float]:

@@ -11,6 +11,7 @@ from jdlab import (
     lattice_nn,
     model_manifold,
     theta_test_function,
+    volume_growth_report,
 )
 from jdlab.forms import form_matrix
 from jdlab.kernels import explicit_kernel
@@ -118,12 +119,24 @@ def test_non_finite_capacity_is_reported():
     n_free = sp.n_points - 1
     assert rep.warnings == [
         f"capacity nan with residual nan on the ball of radius {big_r:.6g}: the solve over {n_free} free "
-        "unknowns gave no finite answer (singular or overflowing system)"
+        "unknowns gave no finite answer (singular or overflowing system)",
+        "boundary contamination: largest balls touch the truncation edge; "
+        "statistics there under-count the intended infinite space",
     ]
     assert np.isnan(solve.energy) and solve.warnings == [
         f"capacity nan with residual nan on the ball: the solve over {n_free} free "
         "unknowns gave no finite answer (singular or overflowing system)"
     ]
+
+
+def test_boundary_note_when_the_largest_ball_nears_the_truncation(z_line):
+    sp, o = z_line.space, z_line.space.origin  # reach 120: the note starts at 0.95 * 120 = 114
+    note = volume_growth_report(sp, o, [2.0, 114.0]).notes
+    assert len(note) == 1 and note[0].startswith("boundary contamination")
+    assert capacity_scan(sp, z_line.kernel, None, [o], [10.0, 113.0]).warnings == []
+    assert capacity_scan(sp, z_line.kernel, None, [o], [10.0, 114.0]).warnings == note
+    # unlike the criteria, a scan may go past the reach: its last ball is the whole truncation
+    assert capacity_scan(sp, z_line.kernel, None, [o], [10.0, 130.0]).warnings == note
 
 
 def test_capacity_scan_z3_transient_no_certificate(z3_cube):

@@ -116,7 +116,7 @@ def test_omega_monotone_and_bounded():
     built = random_symmetric_kernel(rng, 30)
     values = [omega(built.space, built.kernel, r) for r in (0.5, 1.0, 2.0, 4.0, 8.0)]
     assert all(a <= b + 1e-14 for a, b in zip(values, values[1:]))
-    cap = built.kernel.max_row_mass()
+    cap = built.kernel.row_mass.max()
     for r, v in zip((0.5, 1.0, 2.0, 4.0, 8.0), values):
         assert v <= r**2 * cap + 1e-12
 

@@ -19,8 +19,8 @@ from jdlab import (
     support_sets,
     weighted_line,
 )
+from jdlab.specio import build_from_spec
 from jdlab.kernels import (
-    KernelSpec,
     lattice2d_graph,
     mixed_graph,
     mixed_graph_from_params,
@@ -231,7 +231,7 @@ def test_mixed_graph_rejects_asymmetric_weight_matrix():
 # -- spec dispatch ---------------------------------------------------------------
 
 def test_kernel_spec_dispatch():
-    built = KernelSpec("lattice_nn", 30.0, {"dim": 1}).build()
+    built = build_from_spec({"type": "lattice", "truncation_radius": 30.0, "params": {"dim": 1}})
     assert built.space.n_points == 61
     with pytest.raises(ValueError, match="family"):
-        KernelSpec("no_such", 10.0).build()
+        build_from_spec({"type": "lattice", "truncation_radius": 10.0, "params": {"kernel": {"family": "no_such"}}})

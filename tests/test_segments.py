@@ -3,9 +3,10 @@
 The oracles below are the earlier implementations, kept verbatim in spirit:
 dense distance rows per point, per-row Python reductions, tuple-dict
 lattice neighbours, the dense n x n kernel builders, the per-offset band
-loops, the per-edge chain loop of the mixed graph, the m - m.T symmetry
-check, the form matrix built from the raw kernel, and the capacity and
-Green-function solves before they shared one free-set solve. Pair
+loops, the per-edge chain loop of the mixed graph, the stand-alone
+adapted-distance graph space, the m - m.T symmetry check, the form matrix
+built from the raw kernel, and the capacity and Green-function solves
+before they shared one free-set solve. Pair
 distances (full Dijkstra rows on graph metrics), kernels, form matrices,
 capacities and the lattice and mixed-graph arrays must match bit for bit;
 row sums are accumulated in another order, so omega and M_j must agree
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from jdlab import (
     DiscreteMMSpace,
@@ -51,7 +52,7 @@ from jdlab.kernels import (
     mixed_graph,
     sandwich_profile,
 )
-from jdlab.space import support_sets
+from jdlab.space import boundary_notes, support_sets
 from conftest import random_symmetric_kernel
 
 REL = 1e-12
@@ -188,9 +189,22 @@ def oracle_band_entries(n, band):
     return np.concatenate(rows), np.concatenate(cols)
 
 
+def oracle_graph_space_parts(g):
+    """sigma and the metric and rho graphs of the adapted-distance space, as `build_graph_space` built them on its own."""
+    deg = g.degree()
+    with np.errstate(divide="ignore"):
+        inv_sqrt = 1.0 / np.sqrt(deg)
+    i, j = g.edges[:, 0], g.edges[:, 1]
+    sigma = np.minimum(np.minimum(inv_sqrt[i], inv_sqrt[j]), 1.0)
+    n = g.n_vertices
+    metric_graph = sp.csr_matrix((sigma, (i, j)), shape=(n, n))
+    rho_graph = sp.csr_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
+    return sigma, metric_graph + metric_graph.T, rho_graph + rho_graph.T
+
+
 def oracle_mixed_graph_parts(graph, phi, k):
     """measure, metric and rho graphs, local edges, conductances and support of `mixed_graph` from its per-edge loop."""
-    sigma = build_graph_space(graph).meta["sigma"]
+    sigma = oracle_graph_space_parts(graph)[0]
     edges, nv, h = graph.edges, graph.n_vertices, 1.0 / (k + 1)
     phi_e = np.full(len(edges), float(phi)) if np.isscalar(phi) else np.asarray(phi, dtype=float)
     measure = np.empty(nv + k * len(edges))
@@ -524,7 +538,7 @@ def test_capacity_scan_matches_per_radius_potentials(seed):
         warnings.extend(solve.warnings)
     assert scan.capacities == caps
     assert scan.residuals == residuals
-    assert scan.warnings == warnings
+    assert scan.warnings == warnings + boundary_notes(space.max_distance_from(0), radii[-1])
 
 
 @pytest.mark.parametrize("dim,radius", [(1, 5), (2, 4), (3, 3), (4, 2)])
@@ -596,11 +610,16 @@ def test_stack_kernel_and_flags_match_dense_build(monkeypatch, kwargs):
 @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
 @pytest.mark.parametrize("lam,spacing,radius", [(1.0, 0.1, 20.0), (0.3, 0.3, 12.0), (50.0, 0.05, 15.0)])
 def test_weighted_line_kernel_matches_offset_loop(lam, spacing, radius):
+    if 2 * lam * radius > 709.78:  # exp overflows: the measure is inf far out
+        with pytest.raises(ValueError, match="finite"):
+            weighted_line(lam=lam, spacing=spacing, truncation_radius=radius)
+        return
     built = weighted_line(lam=lam, spacing=spacing, truncation_radius=radius)
     want = oracle_weighted_line_kernel(built.space, lam, spacing)
     assert_bit_identical(built.kernel.matrix, want.matrix)
+    # with a finite measure, 2 lam R < 745 and no entry e^{-lam(|x|+|y|)} underflows to 0
     pairs = oracle_band_entries(built.space.n_points, int(math.floor(1.0 / spacing + 1e-9)))[0].size
-    assert (built.kernel.matrix.nnz < 2 * pairs) == (lam == 50.0)  # far entries underflow to 0
+    assert built.kernel.matrix.nnz == 2 * pairs
 
 
 @pytest.mark.parametrize(
@@ -654,6 +673,24 @@ def test_mixed_graph_matches_chain_loop(k, which):
     assert cond.tobytes() == built.local.conductance.tobytes()
     assert np.array_equal(built.local.support, support) and built.local.support.dtype == np.int64
     assert np.array_equal(support_sets(built.kernel, built.local)[0], support)
+
+
+@pytest.mark.parametrize("which", ["lattice", "weighted-cycle"])
+def test_build_graph_space_matches_its_own_build(which):
+    if which == "lattice":
+        g, origin = lattice2d_graph(6), 84
+    else:  # a zero-weight edge: both its ends still have positive degree
+        edges = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]])
+        g, origin = GraphData(5, edges, np.array([1.0, 2.5, 0.0, 0.7, 3.0]), np.array([1.0, 2.0, 0.5, 1.5, 1.0])), 3
+    space = build_graph_space(g, origin=origin, truncation_radius=4.0)
+    _, metric_graph, rho_graph = oracle_graph_space_parts(g)
+    assert space.measure.tobytes() == g.vertex_measure.tobytes()
+    assert_bit_identical(space.metric_graph, metric_graph)
+    assert_bit_identical(space.rho_graph, rho_graph)
+    assert (space.origin, space.truncation_radius) == (origin, 4.0)
+    full = dijkstra(metric_graph, directed=False)
+    for x in range(g.n_vertices):
+        assert space.distances_from(x).tobytes() == full[x].tobytes()
 
 
 # -- the kernel symmetry check against m - m.T ---------------------------------------
@@ -717,7 +754,7 @@ def test_islands_form_matrix_dead_masks_and_scan_match_oracles(seed):
     caps, residuals, warns = oracle_capacities(space, kernel, local, np.array([0]), radii)
     assert scan.capacities == caps
     assert scan.residuals == residuals
-    assert scan.warnings == warns
+    assert scan.warnings == warns + boundary_notes(space.max_distance_from(0), radii[-1])
 
 
 def test_zero_conductance_edge_does_not_join_components():

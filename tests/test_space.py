@@ -52,6 +52,16 @@ def test_isolated_vertex_rejected():
         build_graph_space(g)
 
 
+def test_disconnected_and_empty_graphs_rejected():
+    g = GraphData(4, [[0, 1], [2, 3]], [1.0, 1.0], np.ones(4))
+    with pytest.raises(ValueError, match="disconnected"):
+        build_graph_space(g)
+    with pytest.raises(ValueError, match="disconnected"):
+        mixed_graph(g, subdivisions=2)
+    with pytest.raises(ValueError, match="empty graph"):
+        build_graph_space(GraphData(0, np.zeros((0, 2)), [], []))
+
+
 def test_zero_weight_edges_get_unit_sigma():
     # deg == 0 on both endpoints: the cap at 1 defines sigma = 1
     g = GraphData(2, [[0, 1]], [0.0], np.ones(2))
@@ -62,6 +72,28 @@ def test_zero_weight_edges_get_unit_sigma():
 def test_nonpositive_measure_rejected():
     with pytest.raises(ValueError, match="positive"):
         DiscreteMMSpace([1.0, 0.0], coords=[[0.0], [1.0]])
+
+
+def test_non_finite_measure_rejected():
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteMMSpace([1.0, bad], coords=[[0.0], [1.0]])
+
+
+def test_one_sided_graph_rejected():
+    import scipy.sparse as sp_
+
+    one_sided = sp_.csr_matrix(([1.0], ([0], [1])), shape=(3, 3))
+    with pytest.raises(ValueError, match="metric graph must be exactly symmetric"):
+        DiscreteMMSpace(np.ones(3), metric_kind="graph", metric_graph=one_sided)
+    path = sp_.csr_matrix(([1.0, 1.0], ([0, 1], [1, 2])), shape=(3, 3))
+    path = path + path.T
+    with pytest.raises(ValueError, match="rho graph must be exactly symmetric"):
+        DiscreteMMSpace(np.ones(3), metric_kind="graph", metric_graph=path, rho_graph=path + one_sided)
+    uneven = path.copy()
+    uneven.data[0] = np.nextafter(1.0, 2.0)  # (0, 1) one ulp longer than (1, 0)
+    with pytest.raises(ValueError, match="symmetric"):
+        DiscreteMMSpace(np.ones(3), metric_kind="graph", metric_graph=uneven)
 
 
 def test_metric_ball_trivial_and_lattice(z_line):

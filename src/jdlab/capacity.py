@@ -200,12 +200,12 @@ def capacity_scan(
     if center is None:
         center = int(inner[0])
     dist = space.distances_from(center)
+    if radii and not (dist[inner] < radii[0]).all():  # then K lies inside every ball
+        raise ValueError(f"K is not inside the open ball of radius {radii[0]}")
     g = form_matrix(space, kernel, local)
     caps, residuals, warnings = [], [], []
     for r in radii:
         mask = dist < r
-        if not mask[inner].all():
-            raise ValueError(f"K is not inside the open ball of radius {r}")
         solve = _potential(space, kernel, local, g, inner, mask, radius=r)
         caps.append(solve.energy)
         residuals.append(solve.residual)

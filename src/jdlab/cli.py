@@ -202,9 +202,6 @@ def cmd_capacity(args) -> int:
     if not inner:
         raise SpecError("K is empty")
     radii = _parse_radii(args.radii)
-    dist = built.space.distances_from(args.center if args.center is not None else inner[0])
-    if np.any(dist[inner] >= min(radii)):
-        raise SpecError("K does not fit inside the smallest scan radius")
     report = capacity_scan(
         built.space,
         built.kernel,
@@ -312,10 +309,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:  # SpecError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverFailure as exc:

@@ -62,10 +62,12 @@ class JumpKernel:
 
     def __init__(self, space: DiscreteMMSpace, matrix):
         self.space = space
-        m = sp.csr_matrix(matrix, dtype=float, shape=(space.n_points, space.n_points))
-        m.setdiag(0.0)
-        m.eliminate_zeros()
+        n = space.n_points
+        m = sp.csr_matrix(matrix, dtype=float, shape=(n, n))
         m.sum_duplicates()  # canonical, so m == m.T exactly when their arrays match
+        # clear the stored diagonal in place; setdiag would first insert the missing ones
+        m.data[m.indices == np.repeat(np.arange(n, dtype=m.indices.dtype), np.diff(m.indptr))] = 0.0
+        m.eliminate_zeros()
         # entries must be finite too: inf - inf is nan, so an infinite pair is not exactly symmetric
         if not (exactly_symmetric(m) and np.isfinite(m.data).all()):
             raise ValueError("jump density must be exactly symmetric")
@@ -78,17 +80,23 @@ class JumpKernel:
 
     @classmethod
     def from_entries(cls, space: DiscreteMMSpace, rows, cols, values) -> "JumpKernel":
-        """Symmetrized kernel from (i, j, value) triples; both orientations set."""
+        """Kernel with j(i, j) = j(j, i) = value per (i, j, value) triple; a pair repeats only with an equal value."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         values = np.asarray(values, dtype=float)
         if np.any(rows == cols):
-            raise ValueError("diagonal kernel entries are not allowed")
+            raise ValueError("kernel entries must be off-diagonal")
         n = space.n_points
-        m = sp.csr_matrix((values, (rows, cols)), shape=(n, n))
-        mt = sp.csr_matrix((values, (cols, rows)), shape=(n, n))
-        sym = m.maximum(mt)
-        return cls(space, sym)
+        both = (np.concatenate([rows, cols]), np.concatenate([cols, rows]))
+        m = sp.csr_matrix((np.concatenate([values, values]), both), shape=(n, n))
+        if m.nnz < 2 * len(rows):  # a pair is repeated, so the csr summed its values
+            pairs = np.minimum(rows, cols) * n + np.maximum(rows, cols)
+            _, first, group = np.unique(pairs, return_index=True, return_inverse=True)
+            bad = np.flatnonzero(values != values[first][group])
+            if bad.size:
+                raise ValueError(f"conflicting values for symmetric pair {divmod(int(pairs[bad[0]]), n)}")
+            return cls.from_entries(space, rows[first], cols[first], values[first])
+        return cls(space, m)
 
     @property
     def weighted(self) -> sp.csr_matrix:
@@ -227,9 +235,7 @@ def truncate_kernel(kernel: JumpKernel, a: float) -> JumpKernel:
     out = sp.csr_matrix((data, m.indices.copy(), m.indptr.copy()), shape=m.shape)
     # graph-metric distances can differ by an ulp across orientations; zero
     # both entries whenever either side crossed the cut
-    out = out.minimum(out.T).tocsr()
-    out.eliminate_zeros()
-    return JumpKernel(kernel.space, out)
+    return JumpKernel(kernel.space, out.minimum(out.T))
 
 
 @dataclass

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .forms import JumpKernel, LocalPart, local_chain
 from .space import DiscreteMMSpace, GraphData
@@ -84,6 +84,7 @@ def lattice_nn(
     truncation_radius: float = 100.0,
 ) -> BuiltInstance:
     """Nearest-neighbor lattice kernel j = density * 1_{|x-y| = spacing} on hZ^n."""
+    dim, spacing = int(dim), float(spacing)
     per_point = 1.0 if measure == "counting" else spacing**dim
     space = _lattice_space(dim, truncation_radius, spacing, per_point)
     rows, cols = _neighbor_entries(dim, 2 * int(space.steps.max()) + 1)
@@ -134,6 +135,7 @@ def stable_like(
     j = d^-(kappa+alpha) for d <= 1, d^-(kappa+beta) beyond; case (ii)
     replaces the long tail with exp(-c d) d^-(kappa+alpha).
     """
+    dim, spacing, gasket_level = int(dim), float(spacing), int(gasket_level)
     if not 0 < alpha < 2:
         raise ValueError("alpha must lie in (0, 2)")
     if case == "i" and beta <= 0:
@@ -407,30 +409,13 @@ def mixed_graph(
     k = int(subdivisions)
     h = 1.0 / (k + 1)
 
-    if np.isscalar(phi):
-        phi_e = np.full(len(edges), float(phi))
-    else:
-        phi_e = np.asarray(phi, dtype=float).reshape(-1)
-        if len(phi_e) != len(edges):
-            raise ValueError("phi must give one value per edge")
-    if np.any(phi_e <= 0):
-        raise ValueError("edge density phi must be positive")
-
     n_e = len(edges)
     n_total = nv + k * n_e
-    measure = np.empty(n_total)
-    measure[:nv] = graph.vertex_measure
-    measure[nv:] = np.repeat(phi_e * h, k)
     # edge e is the chain u, nv + e k, ..., nv + e k + k - 1, v of k + 1 segments
     chains = np.empty((n_e, k + 2), dtype=np.int64)
     chains[:, 0], chains[:, -1] = edges[:, 0], edges[:, 1]
     chains[:, 1:-1] = nv + k * np.arange(n_e)[:, None] + np.arange(k)
     d_rows, d_cols = chains[:, :-1].reshape(-1), chains[:, 1:].reshape(-1)
-    # conductance per segment so the bilinear-form weight c (m_a + m_b)/2
-    # comes out as phi/(2h): half the quantum Dirichlet integral, matching
-    # the global 1/2 convention on the local part
-    local_cond = np.repeat(phi_e, k + 1) / (h * (measure[d_rows] + measure[d_cols]))
-
     d_len = np.repeat(sigma * h, k + 1)
     metric_graph = sp.csr_matrix((d_len, (d_rows, d_cols)), shape=(n_total, n_total))
     metric_graph = metric_graph + metric_graph.T
@@ -438,6 +423,21 @@ def mixed_graph(
     rho_graph = rho_graph + rho_graph.T
     if connected_components(metric_graph, directed=False)[0] > 1:
         raise ValueError("graph is disconnected: some points are unreachable from the origin")
+    if np.isscalar(phi):
+        phi_e = np.full(n_e, float(phi))
+    else:
+        phi_e = np.asarray(phi, dtype=float).reshape(-1)
+        if len(phi_e) != n_e:
+            raise ValueError("phi must give one value per edge")
+    if np.any(phi_e <= 0):
+        raise ValueError("edge density phi must be positive")
+    measure = np.empty(n_total)
+    measure[:nv] = graph.vertex_measure
+    measure[nv:] = np.repeat(phi_e * h, k)
+    # conductance per segment so the bilinear-form weight c (m_a + m_b)/2
+    # comes out as phi/(2h): half the quantum Dirichlet integral, matching
+    # the global 1/2 convention on the local part
+    local_cond = np.repeat(phi_e, k + 1) / (h * (measure[d_rows] + measure[d_cols]))
     space = DiscreteMMSpace(
         measure,
         metric_kind="graph",
@@ -508,11 +508,11 @@ def mixed_graph_from_params(
     if phi_kind == "constant":
         phi = float(phi_constant)
     elif phi_kind == "shell_power":
-        # phi(edge) = c * max(1, mean endpoint rho)^-p, the quadratic-shell regime
-        base = build_graph_space(g, origin=origin)
-        rho = base.rho_from(origin)
-        mid = 0.5 * (rho[g.edges[:, 0]] + rho[g.edges[:, 1]])
-        phi = phi_constant * np.maximum(1.0, mid) ** (-phi_power)
+        # phi(edge) = c * max(1, mean endpoint rho)^-p, the quadratic-shell regime; rho counts edges
+        i, j = g.edges.T
+        hops = sp.csr_matrix((np.ones(len(i)), (i, j)), shape=(g.n_vertices,) * 2)
+        rho = dijkstra(hops, directed=False, indices=origin)
+        phi = phi_constant * np.maximum(1.0, 0.5 * (rho[i] + rho[j])) ** (-phi_power)
     else:
         raise ValueError(f"unknown phi kind {phi_kind!r}")
     return mixed_graph(g, phi=phi, subdivisions=subdivisions, origin=origin, truncation_radius=truncation_radius)
@@ -520,13 +520,13 @@ def mixed_graph_from_params(
 
 def explicit_kernel(
     n_points: int,
-    entries,
+    entries=(),
     measure=None,
     coords=None,
     metric_kind: str = "euclidean",
     truncation_radius: float = float("inf"),
 ) -> BuiltInstance:
-    """Space + kernel from explicit (i, j, value) entries; symmetry enforced."""
+    """Space + kernel from (i, j, value) entries, each unordered pair once or repeated with an equal value."""
     n = int(n_points)
     m = np.ones(n) if measure is None else np.asarray(measure, dtype=float)
     c = np.arange(n, dtype=float)[:, None] if coords is None else np.asarray(coords, dtype=float)
@@ -538,8 +538,8 @@ def explicit_kernel(
         truncation_radius=truncation_radius,
         meta={"kind": "explicit"},
     )
-    entries = np.asarray(entries, dtype=float).reshape(-1, 3)
-    kernel = JumpKernel.from_entries(
-        space, entries[:, 0].astype(np.int64), entries[:, 1].astype(np.int64), entries[:, 2]
-    )
+    entries = np.asarray(entries, dtype=float)
+    if entries.size and entries.shape[1:] != (3,):
+        raise ValueError("kernel entries must be [i, j, value] triples")
+    kernel = JumpKernel.from_entries(space, *entries.reshape(-1, 3).T)  # it casts the indices to int
     return BuiltInstance(space, kernel)

@@ -54,6 +54,12 @@ class GraphData:
             raise ValueError("vertex measure must be strictly positive")
         if np.any(self.edges[:, 0] == self.edges[:, 1]):
             raise ValueError("self loops are not allowed (omega(x,x)=0)")
+        # the CSR metric and rho graphs would sum a repeated edge's lengths into one edge
+        pairs = np.sort(self.edges, axis=1)
+        pairs = pairs[np.lexsort(pairs.T[::-1])]
+        repeat = pairs[1:][(pairs[1:] == pairs[:-1]).all(axis=1)]
+        if len(repeat):
+            raise ValueError(f"edge {tuple(repeat[0].tolist())} is listed more than once (in either orientation)")
 
     @classmethod
     def from_weight_matrix(cls, w, vertex_measure) -> "GraphData":

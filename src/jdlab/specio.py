@@ -7,14 +7,15 @@ Top-level spec schema:
      "params": {...}}
 
 Lattice specs carry a kernel subdict {"family": "nn" | "stable_i" |
-"stable_ii" | "explicit", ...}; explicit kernels list [i, j, value] entries
-with symmetry enforced at load. All floats in written reports are rounded
-to 12 significant digits so reruns diff cleanly.
+"stable_ii" | "explicit", ...} whose keys join the params, which bind to
+the builder's signature (see BUILDERS). All floats in written reports are
+rounded to 12 significant digits so reruns diff cleanly.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 import pickle
@@ -26,7 +27,19 @@ import numpy as np
 from . import kernels as kmod
 from .kernels import BuiltInstance
 
-SPEC_TYPES = ("lattice", "graph", "stack", "weighted_line", "model_manifold")
+# Each spec type, and each lattice kernel family, names its `jdlab.kernels` builder (looked up
+# at call time) and the arguments it fixes; params bind to the builder's own signature.
+BUILDERS = {
+    ("lattice", "nn"): ("lattice_nn", {}),
+    ("lattice", "stable_i"): ("stable_like", {"case": "i"}),
+    ("lattice", "stable_ii"): ("stable_like", {"case": "ii"}),
+    ("lattice", "explicit"): ("explicit_kernel", {}),
+    ("graph", None): ("mixed_graph_from_params", {}),
+    ("stack", None): ("stack_space", {}),
+    ("weighted_line", None): ("weighted_line", {}),
+    ("model_manifold", None): ("model_manifold", {}),
+}
+SPEC_TYPES = tuple(dict.fromkeys(kind for kind, _ in BUILDERS))
 
 
 class SpecError(ValueError):
@@ -89,78 +102,58 @@ def validate_spec(raw: dict) -> None:
         raise SpecError("field 'params' must be an object")
 
 
-def _check_symmetric_entries(entries) -> None:
-    seen: dict[tuple[int, int], float] = {}
-    for row in entries:
-        if len(row) != 3:
-            raise SpecError("explicit kernel entries must be [i, j, value] triples")
-        i, j, v = int(row[0]), int(row[1]), float(row[2])
-        if i == j:
-            raise SpecError("explicit kernel entries must be off-diagonal")
-        key = (min(i, j), max(i, j))
-        if key in seen and seen[key] != v:
-            raise SpecError(f"conflicting values for symmetric pair {key}: {seen[key]} vs {v}")
-        seen[key] = v
+def _call(label: str, fn, params: dict, fixed: dict):
+    """fn(**params, **fixed); a SpecError names a key fn does not take or fixed sets, or carries fn's ValueError."""
+    sig = inspect.signature(fn)
+    try:
+        bound = sig.bind(**params, **fixed)
+    except TypeError as exc:
+        names = ", ".join(k for k in sig.parameters if k not in fixed)
+        raise SpecError(f"{label}: {exc} (it takes {names})") from None
+    try:
+        return fn(*bound.args, **bound.kwargs)
+    except ValueError as exc:
+        raise SpecError(f"{label}: {exc}") from exc
+
+
+# A stack's psi object {"kind": ..., **keys}: the keys bind to its kind's function, which returns Psi.
+PSI_KINDS = {
+    "constant": lambda value=1.0: value,
+    "power": lambda a=1.0, p=0.0: lambda pts: (a + np.sqrt((pts**2).sum(axis=1))) ** p,
+}
 
 
 def build_from_spec(raw: dict) -> BuiltInstance:
     """Construct the described space/kernel/local triple."""
     validate_spec(raw)
     kind = raw["type"]
-    radius = float(raw["truncation_radius"])
+    radius = raw["truncation_radius"]
     params = dict(raw.get("params", {}))
+    family = None
     if kind == "lattice":
-        kspec = dict(params.pop("kernel", {"family": "nn"}))
-        family = kspec.pop("family", "nn")
-        common = {
-            "dim": int(params.get("dim", 1)),
-            "spacing": float(params.get("spacing", 1.0)),
-            "truncation_radius": radius,
-        }
-        if family == "nn":
-            return kmod.lattice_nn(
-                measure=params.get("measure", "counting"),
-                density=float(kspec.get("density", 1.0)),
-                **common,
-            )
-        if family in ("stable_i", "stable_ii"):
-            return kmod.stable_like(
-                case="i" if family == "stable_i" else "ii",
-                alpha=float(kspec.get("alpha", 1.0)),
-                beta=float(kspec.get("beta", 1.0)),
-                tempering=float(kspec.get("tempering", 1.0)),
-                support=params.get("support", "lattice"),
-                gasket_level=int(params.get("gasket_level", 5)),
-                **common,
-            )
-        if family == "explicit":
-            entries = kspec.get("entries", [])
-            _check_symmetric_entries(entries)
-            n_points = int(
-                kspec.get("n_points", (2 * math.floor(radius / common["spacing"]) + 1) ** common["dim"])
-            )
-            return kmod.explicit_kernel(n_points, entries, truncation_radius=radius)
-        raise SpecError(f"unknown kernel family {family!r}")
-    if kind == "graph":
-        return kmod.mixed_graph_from_params(truncation_radius=radius, **params)
-    if kind == "stack":
-        psi = params.pop("psi", 1.0)
-        if isinstance(psi, dict):
-            if psi.get("kind") == "constant":
-                psi_arg = float(psi.get("value", 1.0))
-            elif psi.get("kind") == "power":
-                a, p = float(psi.get("a", 1.0)), float(psi.get("p", 0.0))
-                psi_arg = lambda pts: (a + np.sqrt((pts**2).sum(axis=1))) ** p
-            else:
-                raise SpecError(f"unknown psi kind {psi.get('kind')!r}")
-        else:
-            psi_arg = float(psi)
-        return kmod.stack_space(psi=psi_arg, truncation_radius=radius, **params)
-    if kind == "weighted_line":
-        return kmod.weighted_line(truncation_radius=radius, **params)
-    if kind == "model_manifold":
-        return kmod.model_manifold(truncation_radius=radius, **params)
-    raise SpecError(f"unhandled spec type {kind!r}")
+        kspec = params.pop("kernel", {})
+        if not isinstance(kspec, dict):
+            raise SpecError("field 'kernel' must be an object")
+        family = kspec.get("family", "nn")
+        if (kind, family) not in BUILDERS:
+            raise SpecError(f"unknown kernel family {family!r}")
+        both = sorted(params.keys() & kspec.keys())
+        if both:
+            raise SpecError(f"parameter {both[0]!r} is given both in params and in the kernel")
+        params.update((k, v) for k, v in kspec.items() if k != "family")
+    label = f"spec type {kind!r}" if family is None else f"kernel family {family!r}"
+    if family == "explicit":
+        # dim and spacing only size the default point set, the lattice box of the truncation
+        dim, spacing = params.pop("dim", 1), params.pop("spacing", 1.0)
+        params.setdefault("n_points", (2 * math.floor(radius / spacing) + 1) ** dim)
+    if kind == "stack" and isinstance(params.get("psi"), dict):
+        psi = dict(params["psi"])
+        psi_kind = psi.pop("kind", None)
+        if psi_kind not in PSI_KINDS:
+            raise SpecError(f"unknown psi kind {psi_kind!r}")
+        params["psi"] = _call(f"psi kind {psi_kind!r}", PSI_KINDS[psi_kind], psi, {})
+    name, fixed = BUILDERS[kind, family]
+    return _call(label, getattr(kmod, name), params, {**fixed, "truncation_radius": radius})
 
 
 def save_built(path, built: BuiltInstance) -> None:

@@ -153,6 +153,17 @@ def test_k_not_inside_ball_raises(z_line):
         capacity_scan(sp, z_line.kernel, None, [sp.origin, sp.origin + 8], [5.0, 10.0])
 
 
+def test_k_checked_once_against_the_smallest_radius(z_line, monkeypatch):
+    import jdlab.capacity
+
+    sp = z_line.space
+    calls = []
+    monkeypatch.setattr(jdlab.capacity, "form_matrix", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match="K is not inside the open ball of radius 5.0"):
+        capacity_scan(sp, z_line.kernel, None, [sp.origin, sp.origin + 8], [20.0, 5.0, 10.0])
+    assert calls == []  # rejected before the form matrix is assembled
+
+
 def test_green_growth_z_matches_tridiagonal_oracle(z_line):
     sp = z_line.space
     f = np.zeros(sp.n_points)

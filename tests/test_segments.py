@@ -5,16 +5,22 @@ dense distance rows per point, per-row Python reductions, tuple-dict
 lattice neighbours, the dense n x n kernel builders, the per-offset band
 loops, the per-edge chain loop of the mixed graph, the stand-alone
 adapted-distance graph space, the m - m.T symmetry check, the form matrix
-built from the raw kernel, and the capacity and Green-function solves
-before they shared one free-set solve. Pair
+built from the raw kernel, the capacity and Green-function solves before
+they shared one free-set solve, the spec dispatch with its own copy of the
+builders' parameters, the entry check it made, the max(m, m.T)
+symmetrization of kernel entries and the setdiag clearing of the
+diagonal. Pair
 distances (full Dijkstra rows on graph metrics), kernels, form matrices,
-capacities and the lattice and mixed-graph arrays must match bit for bit;
+capacities, spec builds and the lattice and mixed-graph arrays must match bit for bit;
 row sums are accumulated in another order, so omega and M_j must agree
 within 1e-12 relative.
 """
 
+import json
 import math
 import warnings
+
+import jdlab.kernels as kmod
 
 import numpy as np
 import pytest
@@ -53,6 +59,7 @@ from jdlab.kernels import (
     sandwich_profile,
 )
 from jdlab.space import boundary_notes, support_sets
+from jdlab.specio import SpecError, build_from_spec
 from conftest import random_symmetric_kernel
 
 REL = 1e-12
@@ -242,6 +249,102 @@ def oracle_is_symmetric(matrix):
     m.setdiag(0.0)
     m.eliminate_zeros()
     return (abs(m - m.T)).nnz == 0
+
+
+def oracle_canonical(matrix, n):
+    """The matrix `JumpKernel` stored: setdiag(0), eliminate_zeros, then sum_duplicates."""
+    m = sp.csr_matrix(matrix, dtype=float, shape=(n, n))
+    m.setdiag(0.0)
+    m.eliminate_zeros()
+    m.sum_duplicates()
+    return m
+
+
+def oracle_from_entries(cls, space, rows, cols, values):
+    """`JumpKernel.from_entries` by max(m, m.T) of the one-orientation matrices."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    values = np.asarray(values, dtype=float)
+    if np.any(rows == cols):
+        raise ValueError("diagonal kernel entries are not allowed")
+    n = space.n_points
+    m = sp.csr_matrix((values, (rows, cols)), shape=(n, n))
+    mt = sp.csr_matrix((values, (cols, rows)), shape=(n, n))
+    return cls(space, m.maximum(mt))
+
+
+def oracle_check_symmetric_entries(entries):
+    seen = {}
+    for row in entries:
+        if len(row) != 3:
+            raise SpecError("explicit kernel entries must be [i, j, value] triples")
+        i, j, v = int(row[0]), int(row[1]), float(row[2])
+        if i == j:
+            raise SpecError("explicit kernel entries must be off-diagonal")
+        key = (min(i, j), max(i, j))
+        if key in seen and seen[key] != v:
+            raise SpecError(f"conflicting values for symmetric pair {key}: {seen[key]} vs {v}")
+        seen[key] = v
+
+
+def oracle_build_from_spec(raw):
+    """The spec dispatch with its own parameter names, defaults and casts."""
+    radius = float(raw["truncation_radius"])
+    params = dict(raw.get("params", {}))
+    kind = raw["type"]
+    if kind == "lattice":
+        kspec = dict(params.pop("kernel", {"family": "nn"}))
+        family = kspec.pop("family", "nn")
+        common = {
+            "dim": int(params.get("dim", 1)),
+            "spacing": float(params.get("spacing", 1.0)),
+            "truncation_radius": radius,
+        }
+        if family == "nn":
+            return kmod.lattice_nn(
+                measure=params.get("measure", "counting"),
+                density=float(kspec.get("density", 1.0)),
+                **common,
+            )
+        if family in ("stable_i", "stable_ii"):
+            return kmod.stable_like(
+                case="i" if family == "stable_i" else "ii",
+                alpha=float(kspec.get("alpha", 1.0)),
+                beta=float(kspec.get("beta", 1.0)),
+                tempering=float(kspec.get("tempering", 1.0)),
+                support=params.get("support", "lattice"),
+                gasket_level=int(params.get("gasket_level", 5)),
+                **common,
+            )
+        assert family == "explicit"
+        entries = kspec.get("entries", [])
+        oracle_check_symmetric_entries(entries)
+        n_points = int(kspec.get("n_points", (2 * math.floor(radius / common["spacing"]) + 1) ** common["dim"]))
+        return kmod.explicit_kernel(n_points, entries, truncation_radius=radius)
+    if kind == "graph":
+        return kmod.mixed_graph_from_params(truncation_radius=radius, **params)
+    if kind == "stack":
+        psi = params.pop("psi", 1.0)
+        if isinstance(psi, dict):
+            if psi.get("kind") == "constant":
+                psi_arg = float(psi.get("value", 1.0))
+            else:
+                assert psi.get("kind") == "power"
+                a, p = float(psi.get("a", 1.0)), float(psi.get("p", 0.0))
+                psi_arg = lambda pts: (a + np.sqrt((pts**2).sum(axis=1))) ** p
+        else:
+            psi_arg = float(psi)
+        return kmod.stack_space(psi=psi_arg, truncation_radius=radius, **params)
+    if kind == "weighted_line":
+        return kmod.weighted_line(truncation_radius=radius, **params)
+    assert kind == "model_manifold"
+    return kmod.model_manifold(truncation_radius=radius, **params)
+
+
+def oracle_shell_power_phi(g, origin, c, p):
+    """phi of a shell_power graph from the rho row of a whole adapted-distance space."""
+    rho = build_graph_space(g, origin=origin).rho_from(origin)
+    return c * np.maximum(1.0, 0.5 * (rho[g.edges[:, 0]] + rho[g.edges[:, 1]])) ** (-p)
 
 
 def oracle_form_matrix(space, kernel, local):
@@ -845,3 +948,184 @@ def test_criteria_use_the_supports_of_the_kernel_they_are_given():
     rep = recurrence_report(space, empty, None, space.origin, [2.0, 4.0, 8.0])
     assert "jump support is empty: omega is identically 0" in rep.notes
     assert rep.values == [0.0, 0.0, 0.0]
+
+
+# -- spec builds against the hand-copied dispatch, kernel entries against max(m, m.T) ---------
+
+_E = [[k, k + 1, (k + 1) ** 3] for k in range(12)]
+_EDGES = [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0], [1, 3]]
+_SPECS = {
+    "nn": ("lattice", 10, {"dim": 1, "spacing": 1, "kernel": {"family": "nn", "density": 2}}),
+    "nn-cell": ("lattice", 3, {"dim": 2, "spacing": 1, "measure": "cell"}),
+    "nn-default": ("lattice", 7, {}),
+    "stable_i": ("lattice", 60, {"dim": 1, "kernel": {"family": "stable_i", "alpha": 1, "beta": 1}}),
+    "stable_i-2d": ("lattice", 3, {"dim": 2, "spacing": 1, "kernel": {"family": "stable_i", "alpha": 1, "beta": 2}}),
+    "stable_ii": ("lattice", 40, {"dim": 1, "spacing": 2, "kernel": {"family": "stable_ii", "alpha": 1, "tempering": 2}}),
+    "gasket": ("lattice", 5, {"support": "gasket", "gasket_level": 3, "kernel": {"family": "stable_i", "alpha": 1}}),
+    "explicit": ("lattice", 3, {"dim": 1, "kernel": {"family": "explicit", "n_points": 4, "entries": [[0, 1, 2], [2, 1, 5]]}}),
+    "explicit-mirrored": (
+        "lattice", 3, {"dim": 1, "kernel": {"family": "explicit", "n_points": 4, "entries": [[0, 1, 2], [1, 0, 2], [2, 1, 5]]}}
+    ),
+    "explicit-default-n": ("lattice", 6, {"dim": 2, "spacing": 1, "kernel": {"family": "explicit", "entries": _E}}),
+    "explicit-empty": ("lattice", 3, {"kernel": {"family": "explicit", "n_points": 3}}),
+    "graph": ("graph", 3, {"graph_kind": "lattice2d", "extent": 3, "subdivisions": 1, "phi_constant": 2}),
+    "graph-shell_power": ("graph", 6, {"graph_kind": "lattice2d", "extent": 6, "subdivisions": 2, "phi_kind": "shell_power"}),
+    "graph-explicit-shell_power": ("graph", 4, {
+        "graph_kind": "explicit", "n_vertices": 5, "edges": _EDGES, "weights": [1, 2, 0, 3, 3, 1],
+        "vertex_measure": [1, 2, 1, 3, 1], "subdivisions": 2, "phi_kind": "shell_power", "phi_constant": 2, "phi_power": 3,
+    }),
+    "stack-constant": ("stack", 3, {"dim": 1, "spacing": 1, "layers": 2, "psi": {"kind": "constant", "value": 2}}),
+    "stack-power": ("stack", 4, {"dim": 1, "layers": 3, "alpha": 1, "beta": 1, "psi": {"kind": "power", "a": 1, "p": -1}}),
+    "stack-scalar": ("stack", 2, {"dim": 2, "psi": 3, "range_cutoff": 2}),
+    "weighted_line": ("weighted_line", 5, {"lam": 1}),
+    "model_manifold-sandwich": ("model_manifold", 4, {"dim": 1, "profile": "sandwich"}),
+    "model_manifold-constant": ("model_manifold", 4, {"dim": 2, "profile": "constant", "profile_constant": 2}),
+    "model_manifold-linear": ("model_manifold", 4, {"dim": 1, "profile": "linear", "profile_constant": 3}),
+}
+# counts, indices and sizes; every other number is written once as an int, once as a float
+_INTEGER_KEYS = {"dim", "layers", "extent", "subdivisions", "n_vertices", "n_points", "edges", "gasket_level"}
+
+
+def _as_floats(obj, key=None):
+    if key in _INTEGER_KEYS:
+        return obj
+    if isinstance(obj, dict):
+        return {k: _as_floats(v, k) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_as_floats(v, key) for v in obj]
+    return float(obj) if isinstance(obj, int) and not isinstance(obj, bool) else obj
+
+
+def _spec(name, floats):
+    kind, radius, params = _SPECS[name]
+    spec = {"type": kind, "truncation_radius": radius, "params": params}
+    return _as_floats(spec) if floats else spec
+
+
+def _oracle_build(monkeypatch, spec):
+    with monkeypatch.context() as patch:
+        patch.setattr(JumpKernel, "from_entries", classmethod(oracle_from_entries))
+        return oracle_build_from_spec(spec)
+
+
+def _array_equal(a, b):
+    return (a is None and b is None) or (
+        a is not None and b is not None and a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    )
+
+
+def assert_same_instance(a, b):
+    for name in ("measure", "coords", "steps"):
+        assert _array_equal(getattr(a.space, name), getattr(b.space, name)), name
+    for name in ("origin", "truncation_radius", "metric_kind"):
+        assert getattr(a.space, name) == getattr(b.space, name), name
+    assert repr(a.space.meta) == repr(b.space.meta)  # int and float values told apart
+    for name in ("metric_graph", "rho_graph"):
+        x, y = getattr(a.space, name), getattr(b.space, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert_bit_identical(x, y)
+    assert_bit_identical(a.kernel.matrix, b.kernel.matrix)
+    assert (a.local is None) == (b.local is None)
+    if a.local is not None:
+        for name in ("edges", "conductance", "support"):
+            assert _array_equal(getattr(a.local, name), getattr(b.local, name)), name
+        assert a.local.spacing == b.local.spacing
+
+
+@pytest.mark.parametrize("floats", [False, True], ids=["ints", "floats"])
+@pytest.mark.parametrize("name", sorted(_SPECS))
+def test_spec_builds_match_the_hand_copied_dispatch(monkeypatch, name, floats):
+    spec = _spec(name, floats)
+    built = build_from_spec(spec)
+    assert_same_instance(built, _oracle_build(monkeypatch, spec))
+    if spec["type"] == "lattice":  # the builders own the casts, meta included
+        assert_same_instance(built, build_from_spec(_spec(name, not floats)))
+
+
+@pytest.mark.parametrize("dim,gasket_level", [(2.0, 5), (1, 3.0)])
+def test_integer_lattice_params_written_as_floats(monkeypatch, dim, gasket_level):
+    kernel = {"family": "stable_i", "alpha": 1.5}
+    for params in ({"dim": dim, "kernel": kernel}, {"support": "gasket", "gasket_level": gasket_level, "kernel": kernel}):
+        spec = {"type": "lattice", "truncation_radius": 4, "params": params}
+        assert_same_instance(build_from_spec(spec), _oracle_build(monkeypatch, spec))
+
+
+def test_repeated_equal_entries_collapse_where_the_old_build_doubled(monkeypatch):
+    once = {"type": "lattice", "truncation_radius": 3,
+            "params": {"kernel": {"family": "explicit", "n_points": 4, "entries": [[0, 1, 2.0], [2, 1, 0.5]]}}}
+    repeated = json.loads(json.dumps(once))
+    repeated["params"]["kernel"]["entries"] += [[0, 1, 2.0], [1, 0, 2.0], [1, 2, 0.5]]
+    assert_same_instance(build_from_spec(repeated), _oracle_build(monkeypatch, once))
+    # each orientation summed its copies first: (0, 1) twice gave 4, then max(m, m.T)
+    assert _oracle_build(monkeypatch, repeated).kernel.density(0, 1) == 4.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_from_entries_matches_max_of_both_orientations(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 12))
+    i, j = np.triu_indices(n, k=1)
+    pick = rng.random(len(i)) < 0.5
+    i, j = i[pick], j[pick]
+    vals = rng.uniform(0.0, 2.0, size=len(i))
+    vals[rng.random(len(i)) < 0.2] = 0.0
+    flip = rng.random(len(i)) < 0.5  # either orientation
+    rows, cols = np.where(flip, j, i), np.where(flip, i, j)
+    space = DiscreteMMSpace(np.ones(n), coords=np.arange(n, dtype=float)[:, None])
+    want = oracle_from_entries(JumpKernel, space, rows, cols, vals).matrix
+    assert_bit_identical(JumpKernel.from_entries(space, rows, cols, vals).matrix, want)
+    # the same pairs with repeats in both orientations collapse to the same kernel
+    again = rng.integers(0, len(i), size=len(i)) if len(i) else np.zeros(0, dtype=np.int64)
+    rep_rows, rep_cols = np.concatenate([rows, cols[again]]), np.concatenate([cols, rows[again]])
+    rep_vals = np.concatenate([vals, vals[again]])
+    assert_bit_identical(JumpKernel.from_entries(space, rep_rows, rep_cols, rep_vals).matrix, want)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_kernel_init_clears_the_diagonal_as_setdiag_did(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 30))
+    rows, cols = np.triu_indices(n, k=1)
+    pick = rng.random(len(rows)) < 0.3
+    pick[0] = True
+    rows, cols = rows[pick], cols[pick]
+    k = len(rows)
+    vals = rng.uniform(0.0, 2.0, size=k)
+    vals[rng.random(k) < 0.2] = 0.0
+    dup = rng.integers(0, k, size=k // 2 + 1)
+    diag = rng.integers(0, n, size=3)
+    # mirrored entries, some of them twice (a sum of two is the same in either order), plus stored diagonal entries
+    rows, cols, vals = (
+        np.concatenate([rows, cols, rows[dup], cols[dup], diag]),
+        np.concatenate([cols, rows, cols[dup], rows[dup], diag]),
+        np.concatenate([vals, vals, vals[dup], vals[dup], rng.uniform(0.5, 1.0, size=3)]),
+    )
+    perm = rng.permutation(len(rows))  # unsorted indices within each row
+    perm = perm[np.argsort(rows[perm], kind="stable")]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    matrix = sp.csr_matrix((vals[perm], cols[perm], indptr), shape=(n, n))
+    assert not matrix.has_canonical_format and matrix.diagonal().any()
+    space = DiscreteMMSpace(np.ones(n), coords=np.arange(n, dtype=float)[:, None])
+    got = JumpKernel(space, matrix.copy()).matrix
+    assert_bit_identical(got, oracle_canonical(matrix.copy(), n))
+    assert got.has_canonical_format and not got.diagonal().any() and got.data.all()
+
+
+@pytest.mark.parametrize("which", ["lattice", "explicit"])
+def test_shell_power_phi_matches_the_rho_row_of_a_whole_space(which):
+    if which == "lattice":
+        g, origin = lattice2d_graph(25), 1300
+        built = kmod.mixed_graph_from_params(graph_kind="lattice2d", extent=25, subdivisions=1, phi_kind="shell_power")
+        phi = oracle_shell_power_phi(g, origin, 1.0, 2.0)
+    else:
+        w, mu = [1.0, 2.5, 0.0, 0.7, 3.0, 1.0], [1.0, 2.0, 0.5, 1.5, 1.0]
+        g, origin = GraphData(5, _EDGES, w, mu), 0
+        built = kmod.mixed_graph_from_params(
+            graph_kind="explicit", n_vertices=5, edges=_EDGES, weights=w, vertex_measure=mu,
+            subdivisions=1, phi_kind="shell_power", phi_constant=0.5, phi_power=1.5,
+        )
+        phi = oracle_shell_power_phi(g, origin, 0.5, 1.5)
+    want = mixed_graph(g, phi=phi, subdivisions=1, origin=origin, truncation_radius=built.space.truncation_radius)
+    assert_same_instance(built, want)

@@ -46,6 +46,13 @@ def test_asymmetric_weight_matrix_rejected():
         GraphData.from_weight_matrix(w, np.ones(2))
 
 
+@pytest.mark.parametrize("edges", [[[0, 1], [0, 1], [1, 2]], [[0, 1], [1, 2], [1, 0]], [[2, 1], [0, 1], [1, 2]]])
+def test_repeated_edge_rejected(edges):
+    # the CSR graphs would sum the copies: rho(0, 1) = 2 and d(0, 1) = 2 sigma
+    with pytest.raises(ValueError, match=r"edge \([01], [12]\) is listed more than once"):
+        GraphData(3, edges, np.ones(3), np.ones(3))
+
+
 def test_isolated_vertex_rejected():
     g = GraphData(3, [[0, 1]], [1.0], np.ones(3))
     with pytest.raises(ValueError, match="no incident edge"):

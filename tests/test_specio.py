@@ -1,8 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jdlab.cli as cli
 from jdlab.specio import (
     SpecError,
     build_from_spec,
@@ -113,3 +116,76 @@ def test_round_sig_and_floats():
     nested = round_floats({"a": [np.float64(1 / 7), {"b": np.int64(3)}]})
     assert isinstance(nested["a"][1]["b"], int)
     assert json.dumps(nested)  # json-serializable after conversion
+
+
+def _lattice(params, radius=3):
+    return {"type": "lattice", "truncation_radius": radius, "params": params}
+
+
+def _explicit(entries, n_points=3):
+    return _lattice({"kernel": {"family": "explicit", "n_points": n_points, "entries": entries}})
+
+
+# (spec, text the error must contain): each names the key or the entry at fault
+BAD_SPECS = {
+    # the hand-copied dispatch read only "dim" and built Z, whose recurrence verdict is wrong for Z^3
+    "dimension-on-lattice": (_lattice({"dimension": 3}, radius=5), "'dimension' (it takes dim, spacing, density, measure)"),
+    "lamda-on-weighted_line": (
+        {"type": "weighted_line", "truncation_radius": 5, "params": {"lamda": 1.0, "spacing": 0.5}}, "'lamda'"
+    ),
+    "measure-on-stable_i": (_lattice({"measure": "cell", "kernel": {"family": "stable_i"}}), "'measure'"),
+    "support-on-nn": (_lattice({"support": "gasket", "kernel": {"family": "nn"}}), "'support'"),
+    "truncation_radius-in-params": (
+        {"type": "graph", "truncation_radius": 3, "params": {"extent": 2, "truncation_radius": 3}}, "'truncation_radius'"
+    ),
+    "case-on-stable_ii": (_lattice({"kernel": {"family": "stable_ii", "case": "i"}}), "'case'"),
+    "conflicting-mirrored-entry": (_explicit([[0, 1, 2.0], [1, 0, 3.0]]), "conflicting values for symmetric pair (0, 1)"),
+    "negative-entry": (_explicit([[0, 1, -2.0]]), "nonnegative"),
+    "diagonal-entry": (_explicit([[1, 1, 2.0]]), "off-diagonal"),
+    "entry-not-a-triple": (_explicit([[0, 1]]), "triples"),
+    "repeated-graph-edge": (
+        {"type": "graph", "truncation_radius": 3,
+         "params": {"graph_kind": "explicit", "n_vertices": 3, "edges": [[0, 1], [1, 2], [1, 0]]}},
+        "edge (0, 1) is listed more than once",
+    ),
+    "unknown-psi-key": (
+        {"type": "stack", "truncation_radius": 3, "params": {"psi": {"kind": "power", "q": 2.0}}}, "'q'"
+    ),
+    "alpha-out-of-range": (_lattice({"kernel": {"family": "stable_i", "alpha": 2.5}}), "kernel family 'stable_i': alpha"),
+    "key-in-params-and-kernel": (
+        _lattice({"alpha": 1.0, "kernel": {"family": "stable_i", "alpha": 1.5}}), "'alpha' is given both"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SPECS))
+def test_bad_spec_raises_spec_error_naming_the_fault(name):
+    spec, text = BAD_SPECS[name]
+    with pytest.raises(SpecError) as exc:
+        build_from_spec(spec)
+    assert text in str(exc.value)
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SPECS))
+def test_bad_spec_exits_2_through_the_cli(tmp_path, capsys, name):
+    spec, text = BAD_SPECS[name]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["criteria", "--spec", str(path), "--radii", "1.5", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and text in err and "Traceback" not in err
+
+
+def test_repeated_equal_entries_give_one_entry():
+    built = build_from_spec(_explicit([[0, 1, 2.0], [0, 1, 2.0], [1, 0, 2.0]]))
+    assert built.kernel.density(0, 1) == built.kernel.density(1, 0) == 2.0
+    assert built.kernel.matrix.nnz == 2
+
+
+def test_every_json_block_in_the_readme_builds():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert blocks
+    for block in blocks:
+        built = build_from_spec(json.loads(block))
+        assert built.space.n_points > 0

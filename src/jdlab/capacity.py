@@ -51,6 +51,7 @@ def _solve_spd(a: sp.csr_matrix, b: np.ndarray) -> tuple[np.ndarray, float]:
     n = a.shape[0]
     if n == 0:
         return np.zeros(0), 0.0
+    info = 0  # only CG reports a failure code
     if n < DIRECT_LIMIT:
         dense_frac = a.nnz / max(n * n, 1)
         if dense_frac > 0.25:
@@ -62,10 +63,14 @@ def _solve_spd(a: sp.csr_matrix, b: np.ndarray) -> tuple[np.ndarray, float]:
         inv = np.where(diag > 0, 1.0 / diag, 1.0)
         precond = spla.LinearOperator(a.shape, matvec=lambda v: inv * v)
         maxiter = int(50 * np.sqrt(n) + 1000)
-        x, info = spla.cg(a, b, rtol=CG_TOL, atol=0.0, maxiter=maxiter, M=precond)
-        if info != 0:
-            raise SolverFailure(f"conjugate gradients stopped with info={info} at size {n}")
+        steps = []
+        x, info = spla.cg(a, b, rtol=CG_TOL, atol=0.0, maxiter=maxiter, M=precond, callback=lambda _: steps.append(1))
     res = float(np.linalg.norm(a @ x - b) / (np.linalg.norm(b) + 1e-300))
+    if info != 0:
+        raise SolverFailure(
+            f"conjugate gradients stopped with info={info} on {n} unknowns after {len(steps)} iterations,"
+            f" final relative residual {res:.3g}"
+        )
     return x, res
 
 

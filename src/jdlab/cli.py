@@ -64,76 +64,65 @@ def _default_radii(built, x0: int) -> list[float]:
     return list(np.unique(np.geomspace(2.0, hi, 10)))
 
 
-class _Manifest:
-    def __init__(self, command: str, args: argparse.Namespace):
-        self.started = time.perf_counter()
-        self.data = {
-            "tool_version": __version__,
-            "command": command,
-            "parameters": {
-                k: v for k, v in sorted(vars(args).items()) if k not in ("func",) and v is not None
-            },
-            "outputs": [],
-        }
-        spec = getattr(args, "spec", None)
-        if spec and Path(spec).exists():
-            self.data["spec_sha256"] = sha256_of(spec)
-
-    def add_output(self, path: Path) -> None:
-        self.data["outputs"].append(path.name)
-
-    def write(self, directory: Path, stem: str) -> Path:
-        self.data["wall_time_s"] = time.perf_counter() - self.started
-        path = directory / f"{stem}.manifest.json"
-        write_json(path, self.data)
-        return path
+def _stem(args) -> str:
+    return args.prefix or f"{Path(args.spec).stem}.{args.command}"
 
 
-def _out_dir(args) -> Path:
-    d = Path(args.out_dir)
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+def _write_run(args, started: float, stem: str, outputs, directory=None, **extras) -> None:
+    """Write each (name, payload) into the output directory, then `<stem>.manifest.json`.
+
+    A dict payload is written as JSON with a "manifest" back-reference, any
+    other payload is called with its path. `main` reads `started` before
+    dispatch, so the manifest's wall_time_s covers load, compute and write.
+    """
+    directory = Path(args.out_dir if directory is None else directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    manifest_name = f"{stem}.manifest.json"
+    for name, payload in outputs:
+        if callable(payload):
+            payload(directory / name)
+        else:
+            write_json(directory / name, {**payload, "manifest": manifest_name})
+    manifest = {
+        "tool_version": __version__,
+        "command": args.command,
+        "parameters": {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None},
+        "outputs": [name for name, _ in outputs],
+        **extras,
+    }
+    if Path(args.spec).exists():
+        manifest["spec_sha256"] = sha256_of(args.spec)
+    manifest["wall_time_s"] = time.perf_counter() - started
+    write_json(directory / manifest_name, manifest)
 
 
-def cmd_build(args) -> int:
+def cmd_build(args, started: float) -> int:
     built = load_spec_or_built(args.spec)
-    out = Path(args.out) if args.out else _out_dir(args) / (Path(args.spec).stem + ".pkl")
-    manifest = _Manifest("build", args)
-    save_built(out, built)
-    manifest.add_output(out)
-    manifest.write(out.parent, out.stem)
+    out = Path(args.out) if args.out else Path(args.out_dir) / (Path(args.spec).stem + ".pkl")
+    _write_run(args, started, out.stem, [(out.name, lambda path: save_built(path, built))], out.parent)
     print(f"built {built.space.n_points} points -> {out}")
     return 0
 
 
-def cmd_criteria(args) -> int:
+def cmd_criteria(args, started: float) -> int:
     built = load_spec_or_built(args.spec)
     x0 = built.space.origin if args.x0 is None else args.x0
     radii = _parse_radii(args.radii) if args.radii else _default_radii(built, x0)
     vol = volume_growth_report(built.space, x0, radii, threshold=args.tau)
     vol.extras["davies_a"] = davies_constant(max(vol.liminf_estimate, 0.0))
     rec = recurrence_report(built.space, built.kernel, built.local, x0, radii, threshold=args.tau)
-    out_dir = _out_dir(args)
-    stem = args.prefix or (Path(args.spec).stem + ".criteria")
-    manifest = _Manifest("criteria", args)
+    stem = _stem(args)
+    reports = (("conservativeness", vol), ("recurrence", rec))
     outputs = []
-    for name, report in (("conservativeness", vol), ("recurrence", rec)):
-        jpath = out_dir / f"{stem}.{name}.json"
-        payload = report.to_dict()
-        payload["manifest"] = f"{stem}.manifest.json"
-        write_json(jpath, payload)
-        cpath = out_dir / f"{stem}.{name}.csv"
-        report.write_csv(cpath)
-        outputs.extend([jpath, cpath])
-    for o in outputs:
-        manifest.add_output(o)
-    manifest.write(out_dir, stem)
-    print(f"conservativeness: criterion {vol.verdict}" + (" (sufficient condition)" if vol.verdict == "satisfied" else ""))
-    print(f"recurrence: criterion {rec.verdict}" + (" (sufficient condition)" if rec.verdict == "satisfied" else ""))
+    for name, report in reports:
+        outputs += [(f"{stem}.{name}.json", report.to_dict()), (f"{stem}.{name}.csv", report.write_csv)]
+    _write_run(args, started, stem, outputs)
+    for name, report in reports:
+        print(f"{name}: criterion {report.verdict}" + (" (sufficient condition)" if report.verdict == "satisfied" else ""))
     return 0
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, started: float) -> int:
     built = load_spec_or_built(args.spec)
     if built.kernel is None or built.kernel.matrix.nnz == 0:
         raise SpecError("simulation needs a nonzero jump kernel")
@@ -147,7 +136,7 @@ def cmd_simulate(args) -> int:
         policy=args.policy,
         outer_radius=args.outer,
     )
-    started = time.perf_counter()
+    sampling_started = time.perf_counter()
     survival, batch = survival_estimate(rates, x0, config)
     batches = [batch]
     summary = {
@@ -166,37 +155,27 @@ def cmd_simulate(args) -> int:
         batches.append(ret_batch)
         summary["return"] = est.to_dict()
         summary["return_target"] = targets
-    sampling_s = time.perf_counter() - started
-    out_dir = _out_dir(args)
-    stem = args.prefix or (Path(args.spec).stem + ".simulate")
-    summary["manifest"] = f"{stem}.manifest.json"
-    manifest = _Manifest("simulate", args)
+    sampling_s = time.perf_counter() - sampling_started
+    stem = _stem(args)
+    outputs = [(f"{stem}.json", summary)]
+    if args.trajectories:
+        columns = [np.arange(len(batch.status)), batch.status, batch.elapsed, batch.n_jumps, batch.final_state, batch.hit]
+        header = "trial,status,elapsed,n_jumps,final_state,hit"
+        outputs.append((args.trajectories, lambda path: np.savetxt(
+            path, np.column_stack(columns), "%d,%d,%.12g,%d,%d,%d", header=header, comments="")))
     jumps = sum(int(b.n_jumps.sum()) for b in batches)
-    manifest.data.update(
+    _write_run(
+        args, started, stem, outputs,
         rng_contract=RNG_CONTRACT,
         trials=sum(len(b.status) for b in batches),
         jumps=jumps,
         jumps_per_s=jumps / sampling_s,
     )
-    jpath = out_dir / f"{stem}.json"
-    write_json(jpath, summary)
-    manifest.add_output(jpath)
-    if args.trajectories:
-        tpath = out_dir / args.trajectories
-        with open(tpath, "w") as fh:
-            fh.write("trial,status,elapsed,n_jumps,final_state,hit\n")
-            for t in range(len(batch.status)):
-                fh.write(
-                    f"{t},{int(batch.status[t])},{batch.elapsed[t]:.12g},"
-                    f"{int(batch.n_jumps[t])},{int(batch.final_state[t])},{int(batch.hit[t])}\n"
-                )
-        manifest.add_output(tpath)
-    manifest.write(out_dir, stem)
-    print(f"survival {survival.value:.6g} ci [{survival.ci_low:.6g}, {survival.ci_high:.6g}] -> {jpath}")
+    print(f"survival {survival.value:.6g} ci [{survival.ci_low:.6g}, {survival.ci_high:.6g}] -> {Path(args.out_dir) / stem}.json")
     return 0
 
 
-def cmd_capacity(args) -> int:
+def cmd_capacity(args, started: float) -> int:
     built = load_spec_or_built(args.spec)
     inner = _parse_target(args.K, built)
     if not inner:
@@ -211,43 +190,32 @@ def cmd_capacity(args) -> int:
         center=args.center,
         decay_ratio=args.decay_ratio,
     )
-    out_dir = _out_dir(args)
-    stem = args.prefix or (Path(args.spec).stem + ".capacity")
-    payload = report.to_dict()
-    payload["manifest"] = f"{stem}.manifest.json"
-    manifest = _Manifest("capacity", args)
-    jpath = out_dir / f"{stem}.json"
-    write_json(jpath, payload)
-    manifest.add_output(jpath)
-    manifest.write(out_dir, stem)
+    stem = _stem(args)
+    _write_run(args, started, stem, [(f"{stem}.json", report.to_dict())])
     print(f"capacities {['%.6g' % c for c in report.capacities]} certificate={report.certificate}")
     return 0
 
 
-def cmd_report(args) -> int:
+def cmd_report(args, started: float) -> int:
     path = Path(args.input)
     if not path.exists():
         raise SpecError(f"no such report: {path}")
     data = json.loads(path.read_text())
+    radii = data.get("radii")
+    values = data.get("values", data.get("capacities"))
+    sequence = None if radii is None or values is None else list(zip(radii, values))
     if args.format == "csv":
-        radii = data.get("radii")
-        values = data.get("values", data.get("capacities"))
-        if radii is None or values is None:
+        if sequence is None:
             raise SpecError("report has no radius-indexed sequence to export")
         out = Path(args.out) if args.out else path.with_suffix(".csv")
-        with open(out, "w") as fh:
-            fh.write("radius,value\n")
-            for r, v in zip(radii, values):
-                fh.write(f"{r:.12g},{v:.12g}\n")
+        np.savetxt(out, np.reshape(sequence, (-1, 2)), fmt="%.12g", delimiter=",", header="radius,value", comments="")
         print(f"wrote {out}")
         return 0
     for key in ("statistic_name", "verdict", "liminf_estimate", "certificate", "survival"):
         if key in data:
             print(f"{key}: {json.dumps(round_floats(data[key]))}")
-    if "radii" in data:
-        seq = data.get("values", data.get("capacities"))
-        for r, v in zip(data["radii"], seq):
-            print(f"  r={r:.6g}  {v:.12g}")
+    for r, v in sequence or ():
+        print(f"  r={r:.6g}  {v:.12g}")
     return 0
 
 
@@ -305,10 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    started = time.perf_counter()
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, started)
     except (ValueError, FileNotFoundError) as exc:  # SpecError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

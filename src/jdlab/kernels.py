@@ -36,6 +36,8 @@ class BuiltInstance:
 
 
 def _lattice_points(dim: int, truncation_radius: float, spacing: float) -> np.ndarray:
+    if not spacing > 0:
+        raise ValueError("spacing must be positive")
     extent = int(math.floor(truncation_radius / spacing + 1e-9))
     if extent < 1:
         raise ValueError("truncation radius too small for the lattice spacing")
@@ -85,6 +87,8 @@ def lattice_nn(
 ) -> BuiltInstance:
     """Nearest-neighbor lattice kernel j = density * 1_{|x-y| = spacing} on hZ^n."""
     dim, spacing = int(dim), float(spacing)
+    if measure not in ("counting", "cell"):
+        raise ValueError(f"unknown measure {measure!r} (use 'counting' or 'cell')")
     per_point = 1.0 if measure == "counting" else spacing**dim
     space = _lattice_space(dim, truncation_radius, spacing, per_point)
     rows, cols = _neighbor_entries(dim, 2 * int(space.steps.max()) + 1)
@@ -360,6 +364,8 @@ def model_manifold(
             raise ValueError(f"unknown profile {profile!r}")
     else:
         sigma = profile
+    if not spacing > 0:
+        raise ValueError("spacing must be positive")
     k_max = int(math.floor(truncation_radius / spacing + 1e-9))
     radii = spacing * np.arange(1, k_max + 1)
     sig = np.asarray(sigma(radii), dtype=float)
@@ -493,6 +499,8 @@ def mixed_graph_from_params(
     if graph_kind == "lattice2d":
         g = lattice2d_graph(int(extent))
         origin = (2 * extent + 1) * extent + extent  # row-major index of (0, 0)
+        if math.isfinite(truncation_radius) and truncation_radius != extent:
+            raise ValueError(f"truncation_radius {truncation_radius:g} differs from the lattice2d extent {extent}")
         truncation_radius = float(extent)
     elif graph_kind == "explicit":
         if edges is None or n_vertices is None:

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -162,6 +163,19 @@ def test_k_checked_once_against_the_smallest_radius(z_line, monkeypatch):
     with pytest.raises(ValueError, match="K is not inside the open ball of radius 5.0"):
         capacity_scan(sp, z_line.kernel, None, [sp.origin, sp.origin + 8], [20.0, 5.0, 10.0])
     assert calls == []  # rejected before the form matrix is assembled
+
+
+def test_solver_failure_names_size_iterations_and_residual(monkeypatch):
+    import jdlab.capacity
+
+    # 2,098 unknowns take the CG path; a tolerance CG cannot reach runs it to maxiter = 50 sqrt(n) + 1000
+    built = lattice_nn(dim=1, truncation_radius=1100)
+    monkeypatch.setattr(jdlab.capacity, "CG_TOL", 1e-300)
+    with pytest.raises(jdlab.capacity.SolverFailure) as exc:
+        capacity_scan(built.space, built.kernel, None, [built.space.origin], [1050.0])
+    message = str(exc.value)
+    assert "on 2098 unknowns after 3290 iterations" in message
+    assert re.search(r"final relative residual \d", message)
 
 
 def test_green_growth_z_matches_tridiagonal_oracle(z_line):

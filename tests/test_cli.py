@@ -1,11 +1,15 @@
 import json
 import re
+import time
 
 import numpy as np
 import pytest
 
 import jdlab.cli as cli
 from jdlab.capacity import SolverFailure
+from jdlab.forms import jump_rates
+from jdlab.simulate import SimConfig, survival_estimate
+from jdlab.specio import load_spec_or_built
 
 
 def write_spec(path, payload):
@@ -101,6 +105,25 @@ def test_simulate_trajectory_csv(tmp_path, z_spec):
     assert len(lines) == 11
 
 
+def test_trajectory_csv_matches_per_trial_format(tmp_path, z_spec):
+    # alive, absorbed and jump-capped trials all appear at this horizon, jump cap and outer radius
+    args = [
+        "simulate", "--spec", z_spec, "--horizon", "10", "--trials", "200", "--seed", "3",
+        "--max-jumps", "40", "--outer", "8", "--trajectories", "paths.csv", "--out-dir", str(tmp_path),
+    ]
+    assert cli.main(args) == 0
+    built = load_spec_or_built(z_spec)
+    config = SimConfig(horizon=10.0, trials=200, max_jumps=40, seed=3, outer_radius=8.0)
+    _, batch = survival_estimate(jump_rates(built.kernel), built.space.origin, config)
+    assert set(batch.status.tolist()) == {0, 1, 2}
+    expected = "trial,status,elapsed,n_jumps,final_state,hit\n" + "".join(
+        f"{t},{int(batch.status[t])},{batch.elapsed[t]:.12g},"
+        f"{int(batch.n_jumps[t])},{int(batch.final_state[t])},{int(batch.hit[t])}\n"
+        for t in range(len(batch.status))
+    )
+    assert (tmp_path / "paths.csv").read_text() == expected
+
+
 def test_capacity_closed_form_and_infeasible_k(tmp_path, z_spec, capsys):
     assert cli.main([
         "capacity", "--spec", z_spec, "--K", "ball:60:0", "--radii", "10,20,40",
@@ -124,7 +147,9 @@ def test_report_pretty_and_csv(tmp_path, z_spec, capsys):
     out = capsys.readouterr().out
     assert "verdict" in out
     assert cli.main(["report", "--input", str(jpath), "--format", "csv", "--out", str(tmp_path / "r.csv")]) == 0
-    assert (tmp_path / "r.csv").read_text().startswith("radius,value")
+    report = json.loads(jpath.read_text())
+    expected = "radius,value\n" + "".join(f"{r:.12g},{v:.12g}\n" for r, v in zip(report["radii"], report["values"]))
+    assert (tmp_path / "r.csv").read_text() == expected
 
 
 def test_numerical_failure_exits_3(tmp_path, z_spec, monkeypatch):
@@ -194,3 +219,19 @@ def test_manifest_written_and_referenced(tmp_path, z_spec):
     assert "m.conservativeness.json" in manifest["outputs"]
     report = json.loads((tmp_path / "m.conservativeness.json").read_text())
     assert report["manifest"] == "m.manifest.json"
+
+
+def test_manifest_wall_time_covers_load_and_compute(tmp_path, z_spec, monkeypatch):
+    def slow(fn):
+        def wrapped(*args, **kwargs):
+            time.sleep(0.1)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cli, "load_spec_or_built", slow(cli.load_spec_or_built))
+    monkeypatch.setattr(cli, "capacity_scan", slow(cli.capacity_scan))
+    assert cli.main([
+        "capacity", "--spec", z_spec, "--K", "ball:60:0", "--radii", "10",
+        "--out-dir", str(tmp_path), "--prefix", "t",
+    ]) == 0
+    assert json.loads((tmp_path / "t.manifest.json").read_text())["wall_time_s"] >= 0.2

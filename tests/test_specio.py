@@ -54,9 +54,14 @@ def test_load_spec_reports_bad_json(tmp_path):
             14,
         ),
         (
-            {"type": "graph", "truncation_radius": 3,
+            {"type": "graph", "truncation_radius": 2,
              "params": {"graph_kind": "lattice2d", "extent": 2, "subdivisions": 1}},
             25 + 40,
+        ),
+        # the explicit family's default point set is the lattice box nn builds: floor(0.3 / 0.1) = 2 in floats
+        (
+            {"type": "lattice", "truncation_radius": 0.3, "params": {"spacing": 0.1, "kernel": {"family": "explicit"}}},
+            7,
         ),
     ],
 )
@@ -154,6 +159,27 @@ BAD_SPECS = {
     "alpha-out-of-range": (_lattice({"kernel": {"family": "stable_i", "alpha": 2.5}}), "kernel family 'stable_i': alpha"),
     "key-in-params-and-kernel": (
         _lattice({"alpha": 1.0, "kernel": {"family": "stable_i", "alpha": 1.5}}), "'alpha' is given both"
+    ),
+    # a zero spacing divided the truncation radius and ended in a ZeroDivisionError traceback
+    "zero-spacing-on-nn": (_lattice({"spacing": 0}), "kernel family 'nn': spacing must be positive"),
+    "zero-spacing-on-stable_i": (
+        _lattice({"spacing": 0, "kernel": {"family": "stable_i"}}), "kernel family 'stable_i': spacing must be positive"
+    ),
+    "zero-spacing-on-explicit": (
+        _lattice({"spacing": 0, "kernel": {"family": "explicit"}}), "kernel family 'explicit': spacing must be positive"
+    ),
+    "zero-spacing-on-stack": (
+        {"type": "stack", "truncation_radius": 3, "params": {"spacing": 0}}, "spec type 'stack': spacing must be positive"
+    ),
+    "zero-spacing-on-model_manifold": (
+        {"type": "model_manifold", "truncation_radius": 3, "params": {"spacing": 0}},
+        "spec type 'model_manifold': spacing must be positive",
+    ),
+    # any other string used to build the cell measure
+    "misspelt-measure": (_lattice({"measure": "countng", "spacing": 0.5}), "unknown measure 'countng'"),
+    "truncation-differs-from-extent": (
+        {"type": "graph", "truncation_radius": 2, "params": {"graph_kind": "lattice2d", "extent": 6}},
+        "truncation_radius 2 differs from the lattice2d extent 6",
     ),
 }
 

@@ -18,9 +18,11 @@ from .space import (
 )
 from .forms import (
     JumpKernel,
+    KernelOperator,
     LocalPart,
     MConstants,
     RateTable,
+    StencilKernel,
     derivation_residual,
     energy,
     gamma_jump,

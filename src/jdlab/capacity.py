@@ -4,7 +4,10 @@ cap(K, B) is the minimum of the energy form over functions that are 1 on K
 and 0 outside the open ball B; its decay along an exhausting sequence of
 balls is the computable recurrence certificate. Systems are graph-Laplacian
 like: solved directly below DIRECT_LIMIT unknowns, otherwise by
-Jacobi-preconditioned conjugate gradients.
+Jacobi-preconditioned conjugate gradients. The system is the assembled
+form matrix G, except for a stencil kernel with no local part: its jump
+form 2 (diag(m row_mass) - m W) is applied through FFT matvecs, and a
+direct solve gathers its dense block from the stencil.
 
 Both the potentials and the Green functions go through one free-set solve,
 `_solve_free`. The state space may be disconnected, so part of a ball can
@@ -23,7 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .forms import JumpKernel, LocalPart, energy as form_energy, form_matrix
+from .forms import KernelOperator, LocalPart, StencilKernel, energy as form_energy, form_matrix
 from .space import DiscreteMMSpace, boundary_notes
 
 DIRECT_LIMIT = 2000
@@ -45,16 +48,51 @@ class PotentialSolve:
     energy: float
     residual: float
     warnings: list[str] = field(default_factory=list)
+    unknowns: int = 0  # size of the linear system solved
+    iterations: int = 0  # CG iterations, 0 for a direct solve
 
 
-def _solve_spd(a: sp.csr_matrix, b: np.ndarray) -> tuple[np.ndarray, float]:
+class _FreeOperator(spla.LinearOperator):
+    """The jump form matrix 2 (diag(m row_mass) - m W) on the free points, applied through kernel.matvec.
+
+    `toarray` gathers the dense block from kernel.block for direct solves.
+    """
+
+    def __init__(self, kernel: KernelOperator, free_idx: np.ndarray):
+        super().__init__(float, (free_idx.size, free_idx.size))
+        self.kernel, self.free_idx = kernel, free_idx
+        self._measure = kernel.space.measure[free_idx]
+        self._diag = kernel.diag()[free_idx]
+
+    def _matvec(self, x: np.ndarray) -> np.ndarray:
+        x = np.reshape(x, -1)
+        v = np.zeros(self.kernel.space.n_points)
+        v[self.free_idx] = x
+        return self._diag * x - 2.0 * self._measure * self.kernel.matvec(v)[self.free_idx]
+
+    def diagonal(self) -> np.ndarray:
+        return self._diag
+
+    def toarray(self) -> np.ndarray:
+        mask = np.zeros(self.kernel.space.n_points, dtype=bool)
+        mask[self.free_idx] = True
+        w = self.kernel.block(mask)
+        a = -2.0 * ((w.toarray() if sp.issparse(w) else w) * self._measure[:, None])
+        a[np.diag_indices_from(a)] = self._diag
+        return a
+
+
+def _solve_spd(a, b: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """Solve a x = b for a symmetric positive definite sparse matrix or `_FreeOperator`.
+
+    Returns x, the relative residual and the number of CG iterations (0 for a direct solve).
+    """
     n = a.shape[0]
     if n == 0:
-        return np.zeros(0), 0.0
-    info = 0  # only CG reports a failure code
+        return np.zeros(0), 0.0, 0
+    info, steps = 0, []  # only CG reports a failure code and iterations
     if n < DIRECT_LIMIT:
-        dense_frac = a.nnz / max(n * n, 1)
-        if dense_frac > 0.25:
+        if not sp.issparse(a) or a.nnz / (n * n) > 0.25:
             x = np.linalg.solve(a.toarray(), b)
         else:
             x = spla.spsolve(a.tocsc(), b)
@@ -63,7 +101,6 @@ def _solve_spd(a: sp.csr_matrix, b: np.ndarray) -> tuple[np.ndarray, float]:
         inv = np.where(diag > 0, 1.0 / diag, 1.0)
         precond = spla.LinearOperator(a.shape, matvec=lambda v: inv * v)
         maxiter = int(50 * np.sqrt(n) + 1000)
-        steps = []
         x, info = spla.cg(a, b, rtol=CG_TOL, atol=0.0, maxiter=maxiter, M=precond, callback=lambda _: steps.append(1))
     res = float(np.linalg.norm(a @ x - b) / (np.linalg.norm(b) + 1e-300))
     if info != 0:
@@ -71,7 +108,7 @@ def _solve_spd(a: sp.csr_matrix, b: np.ndarray) -> tuple[np.ndarray, float]:
             f"conjugate gradients stopped with info={info} on {n} unknowns after {len(steps)} iterations,"
             f" final relative residual {res:.3g}"
         )
-    return x, res
+    return x, res, len(steps)
 
 
 def _dead_components(a_ff: sp.csr_matrix, g_rows: sp.csr_matrix, clamped: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -80,44 +117,66 @@ def _dead_components(a_ff: sp.csr_matrix, g_rows: sp.csr_matrix, clamped: np.nda
     g_rows are the free rows of the form matrix; a free node couples when
     its row has a nonzero entry in a clamped column. a_ff must store no
     zeros, since connected_components takes every stored entry for an edge
-    (its diagonal only adds self-loops).
+    (its diagonal only adds self-loops). When every free node couples, no
+    component can be dead and the components are not computed: all nodes
+    get label 0.
     """
     hits = clamped[g_rows.indices] & (g_rows.data != 0)
     nonempty = np.flatnonzero(np.diff(g_rows.indptr))
     coupled = np.zeros(a_ff.shape[0], dtype=bool)
     coupled[nonempty] = np.logical_or.reduceat(hits, g_rows.indptr[nonempty])
+    if coupled.all():
+        return np.zeros(a_ff.shape[0], dtype=np.int32), np.zeros(1, dtype=bool)
     n_comp, labels = connected_components(a_ff, directed=False)
     dead = np.ones(n_comp, dtype=bool)
     dead[labels[coupled]] = False
     return labels, dead
 
 
-def _solve_free(g_rows: sp.csr_matrix, free: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """Solve g[free, free] x = b, where g_rows = g[free] and b already holds the clamped data.
+def _solve_free(system, free: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, int, int]:
+    """Solve the form's free block, A[free, free] x = b, where b already holds the clamped data.
 
-    A dead component (free points with no coupling to a clamped point) has
-    a singular block, since nothing drains it: x is 0 there, or +inf where
-    b carries positive mass on it. Returns x, the residual of the live
-    solve, and the number of dead points.
+    system is either g[free] (the free rows of an assembled form matrix) or
+    a stencil kernel, whose jump form is applied matrix-free. A dead
+    component (free points with no coupling to a clamped point) has a
+    singular block, since nothing drains it: x is 0 there, or +inf where b
+    carries positive mass on it. A stencil kernel has positive entries at
+    every unit offset of a nearest-neighbour connected box, so its free set
+    has a dead component only when no point is clamped, and then it is one.
+    Returns x, the residual of the live solve, the number of dead points
+    and the number of CG iterations.
     """
     free_idx = np.flatnonzero(free)
-    a_ff = g_rows[:, free_idx].tocsr()
-    a_ff.eliminate_zeros()
-    labels, dead_comp = _dead_components(a_ff, g_rows, ~free)
+    if isinstance(system, StencilKernel):
+        a_ff = _FreeOperator(system, free_idx)
+        labels, dead_comp = np.zeros(free_idx.size, dtype=np.int32), np.array([free.all()])
+    else:
+        a_ff = system[:, free_idx].tocsr()
+        a_ff.eliminate_zeros()
+        labels, dead_comp = _dead_components(a_ff, system, ~free)
     dead = dead_comp[labels]
     live = ~dead
-    if dead.any():
-        a_ff = a_ff[live][:, live].tocsr()
     x = np.zeros(free_idx.size)
-    x[live], res = _solve_spd(a_ff, b[live])
+    res, iterations = 0.0, 0
+    if live.any():
+        if dead.any():  # only an assembled form gets here: the live block of a stencil is all or nothing
+            a_ff = a_ff[live][:, live].tocsr()
+        x[live], res, iterations = _solve_spd(a_ff, b[live])
     mass = np.bincount(labels[dead], weights=b[dead], minlength=dead_comp.size)
     x[dead & (mass[labels] > 0)] = np.inf
-    return x, res, int(dead.sum())
+    return x, res, int(dead.sum()), iterations
+
+
+def _form(space: DiscreteMMSpace, kernel: Optional[KernelOperator], local: Optional[LocalPart]):
+    """What the free-set solves read: a stencil kernel alone, else the assembled form matrix G."""
+    if isinstance(kernel, StencilKernel) and local is None:
+        return kernel
+    return form_matrix(space, kernel, local)
 
 
 def equilibrium_potential(
     space: DiscreteMMSpace,
-    kernel: Optional[JumpKernel],
+    kernel: Optional[KernelOperator],
     local: Optional[LocalPart],
     inner: Sequence[int],
     ball_mask: np.ndarray,
@@ -127,11 +186,11 @@ def equilibrium_potential(
     Equivalent to the discrete Dirichlet problem on B \\ K; the minimum is
     cap(K, B), evaluated independently through the energy form.
     """
-    return _potential(space, kernel, local, form_matrix(space, kernel, local), inner, ball_mask)
+    return _potential(space, kernel, local, _form(space, kernel, local), inner, ball_mask)
 
 
-def _potential(space, kernel, local, g, inner, ball_mask, radius: Optional[float] = None) -> PotentialSolve:
-    """`equilibrium_potential` with the form matrix g already assembled; radius names the ball in warnings."""
+def _potential(space, kernel, local, form, inner, ball_mask, radius: Optional[float] = None) -> PotentialSolve:
+    """`equilibrium_potential` with its `_form` already built; radius names the ball in warnings."""
     inner = np.asarray(inner, dtype=np.int64)
     ball_mask = np.asarray(ball_mask, dtype=bool)
     if inner.size == 0:
@@ -150,9 +209,13 @@ def _potential(space, kernel, local, g, inner, ball_mask, radius: Optional[float
         e = form_energy(space, kernel, local, u)
         return PotentialSolve(inner, ball_mask, u, e, 0.0, warnings)
 
-    g_rows = g[free_idx].tocsr()
-    b = -np.asarray(g_rows[:, inner].sum(axis=1)).reshape(-1)
-    x, res, n_dead = _solve_free(g_rows, free, b)
+    if isinstance(form, StencilKernel):  # b = -G[free, K] 1 = 2 m (W 1_K) on the free points
+        system = form
+        b = 2.0 * space.measure[free_idx] * form.matvec(u)[free_idx]
+    else:
+        system = form[free_idx].tocsr()
+        b = -np.asarray(system[:, inner].sum(axis=1)).reshape(-1)
+    x, res, n_dead, iterations = _solve_free(system, free, b)
     if n_dead:
         warnings.append(
             f"{n_dead} free points lie in components touching neither K nor the "
@@ -166,16 +229,20 @@ def _potential(space, kernel, local, g, inner, ball_mask, radius: Optional[float
             f"capacity {e} with residual {res} on {ball}: the solve over {free_idx.size} free "
             "unknowns gave no finite answer (singular or overflowing system)"
         )
-    return PotentialSolve(inner, ball_mask, u, e, res, warnings)
+    return PotentialSolve(inner, ball_mask, u, e, res, warnings, free_idx.size - n_dead, iterations)
 
 
 @dataclass
 class CapacityReport:
+    """Capacities per radius, with the size of each linear solve and its CG iterations (0 if direct)."""
+
     radii: list[float]
     capacities: list[float]
     certificate: bool
     decay_ratio: float
     residuals: list[float]
+    unknowns: list[int]
+    iterations: list[int]
     warnings: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -184,7 +251,7 @@ class CapacityReport:
 
 def capacity_scan(
     space: DiscreteMMSpace,
-    kernel: Optional[JumpKernel],
+    kernel: Optional[KernelOperator],
     local: Optional[LocalPart],
     inner: Sequence[int],
     radii: Sequence[float],
@@ -207,14 +274,10 @@ def capacity_scan(
     dist = space.distances_from(center)
     if radii and not (dist[inner] < radii[0]).all():  # then K lies inside every ball
         raise ValueError(f"K is not inside the open ball of radius {radii[0]}")
-    g = form_matrix(space, kernel, local)
-    caps, residuals, warnings = [], [], []
-    for r in radii:
-        mask = dist < r
-        solve = _potential(space, kernel, local, g, inner, mask, radius=r)
-        caps.append(solve.energy)
-        residuals.append(solve.residual)
-        warnings.extend(solve.warnings)
+    form = _form(space, kernel, local)
+    solves = [_potential(space, kernel, local, form, inner, dist < r, radius=r) for r in radii]
+    caps = [s.energy for s in solves]
+    warnings = [w for s in solves for w in s.warnings]
     if radii:
         warnings.extend(boundary_notes(space.max_distance_from(center), radii[-1]))
     certificate = False
@@ -222,12 +285,15 @@ def capacity_scan(
         decayed = caps[-1] <= decay_ratio * caps[0]
         decreasing = caps[-1] < caps[-2] * (1 - 1e-9) or caps[-1] == 0.0
         certificate = bool(decayed and decreasing)
-    return CapacityReport([float(r) for r in radii], caps, certificate, decay_ratio, residuals, warnings)
+    return CapacityReport(
+        [float(r) for r in radii], caps, certificate, decay_ratio,
+        [s.residual for s in solves], [s.unknowns for s in solves], [s.iterations for s in solves], warnings,
+    )
 
 
 def green_growth(
     space: DiscreteMMSpace,
-    kernel: Optional[JumpKernel],
+    kernel: Optional[KernelOperator],
     local: Optional[LocalPart],
     f: np.ndarray,
     x0: int,
@@ -246,13 +312,14 @@ def green_growth(
         raise ValueError("f must be nonnegative and not identically zero")
     if center is None:
         center = int(x0)
-    g = form_matrix(space, kernel, local)
+    form = _form(space, kernel, local)
     dist = space.distances_from(center)
     rhs = f * space.measure
     out = []
     for r in sorted(float(r) for r in radii):
         free = dist < r
         u = np.zeros(space.n_points)
-        u[free], _, _ = _solve_free(g[free].tocsr(), free, rhs[free])
+        system = form if isinstance(form, StencilKernel) else form[free].tocsr()
+        u[free] = _solve_free(system, free, rhs[free])[0]
         out.append(float(u[x0]))
     return np.asarray(out)

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .forms import JumpKernel, LocalPart, energy as form_energy, max_row_sum
+from .forms import KernelOperator, LocalPart, energy as form_energy, max_row_sum
 from .space import DiscreteMMSpace, UnsupportedOperation, boundary_notes, metric_ball, support_sets
 
 DEFAULT_THRESHOLD = 10.0
@@ -108,7 +108,7 @@ def davies_constant(liminf_estimate: float) -> float:
 
 
 def _omega_values(
-    space: DiscreteMMSpace, kernel: Optional[JumpKernel], radii: np.ndarray
+    space: DiscreteMMSpace, kernel: Optional[KernelOperator], radii: np.ndarray
 ) -> np.ndarray:
     """omega(r) = max over X^(j) of sum_y (d(x,y) ^ r)^2 j(x,y) m(y), per r."""
     if kernel is None or kernel.matrix.nnz == 0:
@@ -119,7 +119,7 @@ def _omega_values(
     )
 
 
-def omega(space: DiscreteMMSpace, kernel: Optional[JumpKernel], r: float) -> float:
+def omega(space: DiscreteMMSpace, kernel: Optional[KernelOperator], r: float) -> float:
     """Truncated second jump moment, sup over the jump support."""
     if r <= 0:
         raise ValueError("r must be positive")
@@ -128,7 +128,7 @@ def omega(space: DiscreteMMSpace, kernel: Optional[JumpKernel], r: float) -> flo
 
 def recurrence_report(
     space: DiscreteMMSpace,
-    kernel: Optional[JumpKernel],
+    kernel: Optional[KernelOperator],
     local: Optional[LocalPart],
     x0: int,
     radii: Sequence[float],
@@ -186,7 +186,7 @@ class ThetaEnergyReport:
 
 def theta_energy(
     space: DiscreteMMSpace,
-    kernel: Optional[JumpKernel],
+    kernel: Optional[KernelOperator],
     local: Optional[LocalPart],
     x0: int,
     r_grid: Sequence[float],

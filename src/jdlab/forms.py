@@ -52,7 +52,33 @@ def max_row_sum(mat: sp.csr_matrix, factor: Callable[[int, int], np.ndarray]) ->
     return best, arg
 
 
-class JumpKernel:
+class KernelOperator:
+    """A symmetric jump kernel seen through W = j(x, y) m(y), the interface energies and capacity solves read.
+
+    matvec(v) = W v; row_mass = W 1; diag() is the diagonal of the jump
+    form matrix, 2 m(x) row_mass(x), since j vanishes on the diagonal;
+    block(mask) is W on mask x mask, dense or CSR. Every implementation
+    also gives the CSR views `matrix`, `weighted` and `pair_distances()`
+    that criteria, rates and truncation read.
+    """
+
+    space: DiscreteMMSpace
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    @property
+    def row_mass(self) -> np.ndarray:
+        raise NotImplementedError
+
+    def diag(self) -> np.ndarray:
+        return 2.0 * self.space.measure * self.row_mass
+
+    def block(self, mask: np.ndarray):
+        raise NotImplementedError
+
+
+class JumpKernel(KernelOperator):
     """Symmetric off-diagonal jump density j(x, y) w.r.t. m (x) m.
 
     Stored as a sparse matrix over the truncation. `pair_distances` (same
@@ -110,6 +136,12 @@ class JumpKernel:
             self._row_mass = np.asarray(self.weighted.sum(axis=1)).reshape(-1)
         return self._row_mass
 
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        return self.weighted @ v
+
+    def block(self, mask: np.ndarray) -> sp.csr_matrix:
+        return self.weighted[mask][:, mask]
+
     def pair_distances(self) -> np.ndarray:
         """d(x, y) aligned with self.matrix.data (CSR order)."""
         if self._pair_d is None:
@@ -123,6 +155,78 @@ class JumpKernel:
 
     def density(self, x: int, y: int) -> float:
         return float(self.matrix[x, y])
+
+
+class StencilKernel(KernelOperator):
+    """Translation-invariant kernel j(x, y) = stencil[s(x) - s(y) + 2E] on a lattice box with uniform measure.
+
+    The space's steps s must be the full box {-E..E}^d in row-major order
+    (as `_lattice_points` lists it), and stencil holds j once over the
+    offsets [-2E, 2E]^d, so memory is O(n). W v is one real FFT product over
+    the circulant embedding of the weighted stencil, zero-padded to a fast
+    length >= 4E + 1 per axis, which no offset of the box wraps around;
+    row_mass is the same product applied to 1. The CSR kernel comes from
+    `build_csr()` on first use of `matrix`, `weighted`, `pair_distances` or
+    `density`, or of `csr()` itself.
+    """
+
+    def __init__(self, space: DiscreteMMSpace, stencil: np.ndarray, build_csr: Callable[[], JumpKernel]):
+        from scipy import fft as sp_fft  # here, not at module level: the import adds ~5 MB to every run
+
+        self.space = space
+        self.stencil = stencil
+        self._build_csr = build_csr
+        self._csr: Optional[JumpKernel] = None
+        self._side = (stencil.shape[0] + 1) // 2  # 2E + 1 points per axis
+        self._mass = float(space.measure[0])
+        shape = tuple(sp_fft.next_fast_len(n, real=True) for n in stencil.shape)
+        embedded = np.zeros(shape)
+        embedded[tuple(slice(0, n) for n in stencil.shape)] = stencil * self._mass
+        # offset k sits at index k mod shape, so the centre (offset 0) moves to index 0
+        embedded = np.roll(embedded, [-(self._side - 1)] * stencil.ndim, axis=tuple(range(stencil.ndim)))
+        self._fft_shape = shape
+        self._hat = sp_fft.rfftn(embedded)
+        self._row_mass: Optional[np.ndarray] = None
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        from scipy import fft as sp_fft
+
+        box = np.reshape(v, (self._side,) * self.stencil.ndim)
+        full = sp_fft.irfftn(sp_fft.rfftn(box, s=self._fft_shape) * self._hat, s=self._fft_shape)
+        return full[(slice(0, self._side),) * self.stencil.ndim].reshape(-1)
+
+    @property
+    def row_mass(self) -> np.ndarray:
+        if self._row_mass is None:
+            self._row_mass = self.matvec(np.ones(self.space.n_points))
+        return self._row_mass
+
+    def block(self, mask: np.ndarray) -> np.ndarray:
+        steps = self.space.steps[np.flatnonzero(mask)]
+        flat = 0
+        for axis in range(steps.shape[1]):
+            flat = flat * self.stencil.shape[axis] + (steps[:, None, axis] - steps[None, :, axis] + self._side - 1)
+        return self.stencil.reshape(-1)[flat] * self._mass
+
+    def csr(self) -> JumpKernel:
+        """The same kernel as a CSR JumpKernel, built on first call."""
+        if self._csr is None:
+            self._csr = self._build_csr()
+        return self._csr
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        return self.csr().matrix
+
+    @property
+    def weighted(self) -> sp.csr_matrix:
+        return self.csr().weighted
+
+    def pair_distances(self) -> np.ndarray:
+        return self.csr().pair_distances()
+
+    def density(self, x: int, y: int) -> float:
+        return self.csr().density(x, y)
 
 
 @dataclass
@@ -197,18 +301,17 @@ def local_chain(points: np.ndarray, measure: np.ndarray, spacing: float, support
     return LocalPart(edges, cond, spacing, np.asarray(support, dtype=np.int64))
 
 
-def gamma_jump(kernel: JumpKernel, u: np.ndarray, v: Optional[np.ndarray] = None) -> np.ndarray:
+def gamma_jump(kernel: KernelOperator, u: np.ndarray, v: Optional[np.ndarray] = None) -> np.ndarray:
     """Gamma_j(u, v)(x) = sum_{y != x} (u(x)-u(y))(v(x)-v(y)) j(x,y) m(y)."""
     u = np.asarray(u, dtype=float)
     v = u if v is None else np.asarray(v, dtype=float)
-    w = kernel.weighted
-    s = kernel.row_mass
-    return u * v * s - u * (w @ v) - v * (w @ u) + w @ (u * v)
+    w = kernel.matvec
+    return u * v * kernel.row_mass - u * w(v) - v * w(u) + w(u * v)
 
 
 def energy(
     space: DiscreteMMSpace,
-    kernel: Optional[JumpKernel],
+    kernel: Optional[KernelOperator],
     local: Optional[LocalPart],
     u: np.ndarray,
     v: Optional[np.ndarray] = None,
@@ -224,7 +327,7 @@ def energy(
     return total
 
 
-def truncate_kernel(kernel: JumpKernel, a: float) -> JumpKernel:
+def truncate_kernel(kernel: KernelOperator, a: float) -> JumpKernel:
     """Jump range cut at a: density zeroed where d(x, y) > a."""
     if a <= 0:
         raise ValueError("truncation range a must be positive")
@@ -257,7 +360,7 @@ def _near_boundary(space: DiscreteMMSpace, x: int) -> bool:
     return bool(space.distances_from(space.origin)[x] >= 0.9 * reach)
 
 
-def m_constants(space: DiscreteMMSpace, kernel: Optional[JumpKernel], local: Optional[LocalPart]) -> MConstants:
+def m_constants(space: DiscreteMMSpace, kernel: Optional[KernelOperator], local: Optional[LocalPart]) -> MConstants:
     """M_c = max Gamma_c(d,d) over X^(c); M_j = max int (1 ^ d^2) j over X^(j).
 
     The distance function is d(., origin); away from the origin its local
@@ -288,7 +391,7 @@ def m_constants(space: DiscreteMMSpace, kernel: Optional[JumpKernel], local: Opt
     )
 
 
-def derivation_residual(space: DiscreteMMSpace, kernel: JumpKernel, u: np.ndarray, phi: np.ndarray) -> float:
+def derivation_residual(space: DiscreteMMSpace, kernel: KernelOperator, u: np.ndarray, phi: np.ndarray) -> float:
     """E^(j)(u, u phi) - int u Gamma_j(u, phi) dm - int phi Gamma_j[u] dm.
 
     Identically zero for every symmetric kernel: this is the exact discrete
@@ -316,15 +419,25 @@ class RateTable:
         if self._cum is None:
             cum = self.q.data.copy()
             indptr = self.q.indptr
-            for x in range(self.q.shape[0]):
-                lo, hi = indptr[x], indptr[x + 1]
-                if hi > lo:
+            lengths = np.diff(indptr)
+            longest = int(lengths.max(initial=0))
+            # The row loop makes one numpy call per row; the column-wise running sum makes one per
+            # entry position, and each touches every row. A call costs about as much as touching 256
+            # entries, so columns win for many short rows (Z^3: 29,791 rows of at most 6 entries)
+            # and rows for dense tables. Both add left to right as np.cumsum does: bit for bit equal.
+            if longest * (len(lengths) + 256) < len(lengths) * 256:
+                for k in range(1, longest):
+                    pos = indptr[:-1][lengths > k] + k
+                    cum[pos] += cum[pos - 1]
+            else:
+                for x in np.flatnonzero(lengths):
+                    lo, hi = indptr[x], indptr[x + 1]
                     cum[lo:hi] = np.cumsum(cum[lo:hi])
             self._cum = cum
         return self._cum
 
 
-def jump_rates(kernel: JumpKernel) -> RateTable:
+def jump_rates(kernel: KernelOperator) -> RateTable:
     """Generator-consistent rate table: <-Lu, v>_m = E^(j)(u, v)."""
     q = (2.0 * kernel.weighted).tocsr()
     lam = np.asarray(q.sum(axis=1)).reshape(-1)
@@ -332,7 +445,7 @@ def jump_rates(kernel: JumpKernel) -> RateTable:
 
 
 def form_matrix(
-    space: DiscreteMMSpace, kernel: Optional[JumpKernel], local: Optional[LocalPart]
+    space: DiscreteMMSpace, kernel: Optional[KernelOperator], local: Optional[LocalPart]
 ) -> sp.csr_matrix:
     """Sparse symmetric G with u^T G v = energy(space, kernel, local, u, v)."""
     n = space.n_points

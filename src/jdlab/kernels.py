@@ -9,7 +9,9 @@ under such constants).
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -17,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .forms import JumpKernel, LocalPart, local_chain
+from .forms import JumpKernel, KernelOperator, LocalPart, StencilKernel, local_chain
 from .space import DiscreteMMSpace, GraphData
 
 KAPPA_GASKET = math.log(3) / math.log(2)
@@ -28,14 +30,22 @@ class BuiltInstance:
     """A constructed example: space, jump kernel, and optional local part."""
 
     space: DiscreteMMSpace
-    kernel: Optional[JumpKernel]
+    kernel: Optional[KernelOperator]
     local: Optional[LocalPart] = None
 
 
 # -- lattice scaffolding ---------------------------------------------------
 
 
+def _check_dim(dim) -> int:
+    """dim as an int; anything but a positive integer (an integral float passes) is rejected."""
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Real) or not (dim >= 1 and float(dim).is_integer()):
+        raise ValueError(f"dim must be a positive integer, got {dim!r}")
+    return int(dim)
+
+
 def _lattice_points(dim: int, truncation_radius: float, spacing: float) -> np.ndarray:
+    dim = _check_dim(dim)
     if not spacing > 0:
         raise ValueError("spacing must be positive")
     extent = int(math.floor(truncation_radius / spacing + 1e-9))
@@ -86,7 +96,7 @@ def lattice_nn(
     truncation_radius: float = 100.0,
 ) -> BuiltInstance:
     """Nearest-neighbor lattice kernel j = density * 1_{|x-y| = spacing} on hZ^n."""
-    dim, spacing = int(dim), float(spacing)
+    dim, spacing = _check_dim(dim), float(spacing)
     if measure not in ("counting", "cell"):
         raise ValueError(f"unknown measure {measure!r} (use 'counting' or 'cell')")
     per_point = 1.0 if measure == "counting" else spacing**dim
@@ -139,7 +149,7 @@ def stable_like(
     j = d^-(kappa+alpha) for d <= 1, d^-(kappa+beta) beyond; case (ii)
     replaces the long tail with exp(-c d) d^-(kappa+alpha).
     """
-    dim, spacing, gasket_level = int(dim), float(spacing), int(gasket_level)
+    dim, spacing, gasket_level = _check_dim(dim), float(spacing), int(gasket_level)
     if not 0 < alpha < 2:
         raise ValueError("alpha must lie in (0, 2)")
     if case == "i" and beta <= 0:
@@ -176,7 +186,24 @@ def stable_like(
                 raise ValueError(f"unknown case {case!r}")
         return short + tail
 
-    return BuiltInstance(space, _pairwise_kernel(space, lambda idx, d: f(d)))
+    # the CSR builder is bound here, not looked up when a stencil kernel first needs its CSR
+    build_csr = functools.partial(_pairwise_kernel, space, lambda idx, d: f(d))
+    if support == "gasket":
+        return BuiltInstance(space, build_csr())
+    extent = int(space.steps.max())
+    # The CSR takes d from rounded coordinates. Unless k * spacing is exact for every offset k
+    # of the box, a lattice distance near 1 then falls on either side of case ii's jump there,
+    # depending on the pair's position, and no stencil reproduces it.
+    if case == "ii" and spacing.as_integer_ratio()[0].bit_length() + (2 * extent).bit_length() > 53:
+        return BuiltInstance(space, build_csr())
+    # j over the lattice offsets [-2E, 2E]^d; a unit offset entry that underflows to 0 (or a
+    # non-finite entry) leaves the box without the connectivity the stencil solves rely on
+    axes = np.meshgrid(*[np.arange(-2 * extent, 2 * extent + 1)] * dim, indexing="ij")
+    stencil = f(np.sqrt(sum((a * spacing) ** 2 for a in axes)))
+    unit = stencil[(2 * extent + 1,) + (2 * extent,) * (dim - 1)]
+    if not (unit > 0 and np.isfinite(stencil).all()):
+        return BuiltInstance(space, build_csr())
+    return BuiltInstance(space, StencilKernel(space, stencil, build_csr))
 
 
 # -- Example family: disconnected stack of lattice sheets --------------------
@@ -200,6 +227,7 @@ def stack_space(
     Diagnostic flags for the Psi growth conditions are stored under
     space.meta["stack_flags"].
     """
+    dim = _check_dim(dim)
     if layers < 2:
         raise ValueError("need at least two layers")
     psi_fn = (lambda p, c=float(psi): np.full(p.shape[0], c)) if np.isscalar(psi) else psi

@@ -14,6 +14,7 @@ rounded to 12 significant digits so reruns diff cleanly.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -25,6 +26,7 @@ from typing import Any
 import numpy as np
 
 from . import kernels as kmod
+from .forms import StencilKernel
 from .kernels import BuiltInstance
 
 # Each spec type, and each lattice kernel family, names its `jdlab.kernels` builder (looked up
@@ -144,7 +146,7 @@ def build_from_spec(raw: dict) -> BuiltInstance:
     label = f"spec type {kind!r}" if family is None else f"kernel family {family!r}"
     if family == "explicit":
         # dim and spacing only size the default point set, the lattice box of the truncation
-        box = {"dim": int(params.pop("dim", 1)), "spacing": float(params.pop("spacing", 1.0))}
+        box = {"dim": params.pop("dim", 1), "spacing": float(params.pop("spacing", 1.0))}
         if "n_points" not in params:
             params["n_points"] = len(_call(label, kmod._lattice_points, box, {"truncation_radius": radius}))
     if kind == "stack" and isinstance(params.get("psi"), dict):
@@ -158,6 +160,9 @@ def build_from_spec(raw: dict) -> BuiltInstance:
 
 
 def save_built(path, built: BuiltInstance) -> None:
+    """Pickle the instance; a stencil kernel is stored as its CSR kernel, which loads without the stencil."""
+    if isinstance(built.kernel, StencilKernel):
+        built = dataclasses.replace(built, kernel=built.kernel.csr())
     with open(path, "wb") as fh:
         pickle.dump(built, fh, protocol=pickle.HIGHEST_PROTOCOL)
 

@@ -178,6 +178,17 @@ def test_solver_failure_names_size_iterations_and_residual(monkeypatch):
     assert re.search(r"final relative residual \d", message)
 
 
+def test_report_gives_unknowns_and_cg_iterations_per_radius():
+    built = lattice_nn(dim=1, truncation_radius=1100)
+    origin = built.space.origin
+    report = capacity_scan(built.space, built.kernel, None, [origin], [10.0, 1050.0])
+    assert report.unknowns == [18, 2098]  # the second ball takes the CG path
+    assert report.iterations[0] == 0 and report.iterations[1] > 0
+    assert report.to_dict()["iterations"] == report.iterations
+    again = capacity_scan(built.space, built.kernel, None, [origin], [10.0, 1050.0])
+    assert again.to_dict() == report.to_dict()
+
+
 def test_green_growth_z_matches_tridiagonal_oracle(z_line):
     sp = z_line.space
     f = np.zeros(sp.n_points)

@@ -139,6 +139,26 @@ def test_capacity_closed_form_and_infeasible_k(tmp_path, z_spec, capsys):
     assert "radius" in capsys.readouterr().err
 
 
+def test_stencil_capacity_repeats_and_criteria_read_the_same_csr_from_spec_and_pickle(tmp_path):
+    spec = tmp_path / "s.json"
+    spec.write_text(json.dumps(
+        {"type": "lattice", "truncation_radius": 100, "params": {"dim": 1, "kernel": {"family": "stable_i"}}}
+    ))
+    assert cli.main(["build", "--spec", str(spec), "--out", str(tmp_path / "s.pkl")]) == 0
+    runs = {}
+    for name, source in (("a", spec), ("b", spec), ("pickle", tmp_path / "s.pkl")):
+        out = tmp_path / name
+        assert cli.main(["criteria", "--spec", str(source), "--radii", "5,20,90", "--out-dir", str(out), "--prefix", "cr"]) == 0
+        if name != "pickle":  # a pickle holds the CSR kernel, so its capacity takes the G path
+            assert cli.main(["capacity", "--spec", str(source), "--K", "ids:100", "--radii", "5,20,90",
+                             "--out-dir", str(out), "--prefix", "cap"]) == 0
+        runs[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if "manifest" not in p.name}
+    assert runs["a"] == runs["b"]
+    assert runs["pickle"] == {k: v for k, v in runs["a"].items() if k.startswith("cr.")}
+    capacity = json.loads(runs["a"]["cap.json"])
+    assert capacity["unknowns"] == [8, 38, 178] and capacity["iterations"] == [0, 0, 0]
+
+
 def test_report_pretty_and_csv(tmp_path, z_spec, capsys):
     assert cli.main(["criteria", "--spec", z_spec, "--radii", "5,10,20", "--out-dir", str(tmp_path), "--prefix", "r"]) == 0
     capsys.readouterr()

@@ -181,6 +181,23 @@ BAD_SPECS = {
         {"type": "graph", "truncation_radius": 2, "params": {"graph_kind": "lattice2d", "extent": 6}},
         "truncation_radius 2 differs from the lattice2d extent 6",
     ),
+    # int() made dim 1.5 build Z silently; stack multiplied a list by it (TypeError); dim 0 stacked no arrays
+    "non-integer-dim-on-nn": (_lattice({"dim": 1.5}), "kernel family 'nn': dim must be a positive integer, got 1.5"),
+    "zero-dim-on-nn": (_lattice({"dim": 0}), "kernel family 'nn': dim must be a positive integer, got 0"),
+    "string-dim-on-nn": (_lattice({"dim": "2"}), "dim must be a positive integer, got '2'"),
+    "non-integer-dim-on-stable_i": (
+        _lattice({"dim": 2.5, "kernel": {"family": "stable_i"}}), "kernel family 'stable_i': dim must be a positive integer"
+    ),
+    "zero-dim-on-explicit": (
+        _lattice({"dim": 0, "kernel": {"family": "explicit"}}), "kernel family 'explicit': dim must be a positive integer"
+    ),
+    "non-integer-dim-on-stack": (
+        {"type": "stack", "truncation_radius": 3, "params": {"dim": 1.5}},
+        "spec type 'stack': dim must be a positive integer, got 1.5",
+    ),
+    "zero-dim-on-stack": (
+        {"type": "stack", "truncation_radius": 3, "params": {"dim": 0}}, "spec type 'stack': dim must be a positive integer"
+    ),
 }
 
 
@@ -200,6 +217,11 @@ def test_bad_spec_exits_2_through_the_cli(tmp_path, capsys, name):
     assert cli.main(["criteria", "--spec", str(path), "--radii", "1.5", "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and text in err and "Traceback" not in err
+
+
+def test_integral_float_dim_builds_that_lattice():
+    built = build_from_spec(_lattice({"dim": 2.0}, radius=2))
+    assert built.space.steps.shape == (25, 2) and built.space.meta["dim"] == 2
 
 
 def test_repeated_equal_entries_give_one_entry():

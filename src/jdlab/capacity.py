@@ -9,11 +9,11 @@ form matrix G, except for a stencil kernel with no local part: its jump
 form 2 (diag(m row_mass) - m W) is applied through FFT matvecs, and a
 direct solve gathers its dense block from the stencil.
 
-Both the potentials and the Green functions go through one free-set solve,
-`_solve_free`. The state space may be disconnected, so part of a ball can
-have no coupling (jump or local edge) to the clamped points: such a dead
-component gets potential 0 in a capacity, and Green potential inf where f
-has mass on it and 0 elsewhere.
+Both the potentials and the Green functions go through the one free-set
+solver that `_form` picks. The state space may be disconnected, so part of
+a ball can have no coupling (jump or local edge) to the clamped points:
+such a dead component gets potential 0 in a capacity, and Green potential
+inf where f has mass on it and 0 elsewhere.
 """
 
 from __future__ import annotations
@@ -53,12 +53,12 @@ class PotentialSolve:
 
 
 class _FreeOperator(spla.LinearOperator):
-    """The jump form matrix 2 (diag(m row_mass) - m W) on the free points, applied through kernel.matvec.
+    """The jump form matrix 2 (diag(m row_mass) - m W) of a stencil kernel on the free points, by FFT matvecs.
 
-    `toarray` gathers the dense block from kernel.block for direct solves.
+    `toarray` gathers the dense block from the stencil for direct solves.
     """
 
-    def __init__(self, kernel: KernelOperator, free_idx: np.ndarray):
+    def __init__(self, kernel: StencilKernel, free_idx: np.ndarray):
         super().__init__(float, (free_idx.size, free_idx.size))
         self.kernel, self.free_idx = kernel, free_idx
         self._measure = kernel.space.measure[free_idx]
@@ -76,8 +76,7 @@ class _FreeOperator(spla.LinearOperator):
     def toarray(self) -> np.ndarray:
         mask = np.zeros(self.kernel.space.n_points, dtype=bool)
         mask[self.free_idx] = True
-        w = self.kernel.block(mask)
-        a = -2.0 * ((w.toarray() if sp.issparse(w) else w) * self._measure[:, None])
+        a = -2.0 * (self.kernel.block(mask) * self._measure[:, None])
         a[np.diag_indices_from(a)] = self._diag
         return a
 
@@ -117,61 +116,81 @@ def _dead_components(a_ff: sp.csr_matrix, g_rows: sp.csr_matrix, clamped: np.nda
     g_rows are the free rows of the form matrix; a free node couples when
     its row has a nonzero entry in a clamped column. a_ff must store no
     zeros, since connected_components takes every stored entry for an edge
-    (its diagonal only adds self-loops). When every free node couples, no
-    component can be dead and the components are not computed: all nodes
-    get label 0.
+    (its diagonal only adds self-loops).
     """
     hits = clamped[g_rows.indices] & (g_rows.data != 0)
     nonempty = np.flatnonzero(np.diff(g_rows.indptr))
     coupled = np.zeros(a_ff.shape[0], dtype=bool)
     coupled[nonempty] = np.logical_or.reduceat(hits, g_rows.indptr[nonempty])
-    if coupled.all():
-        return np.zeros(a_ff.shape[0], dtype=np.int32), np.zeros(1, dtype=bool)
     n_comp, labels = connected_components(a_ff, directed=False)
     dead = np.ones(n_comp, dtype=bool)
     dead[labels[coupled]] = False
     return labels, dead
 
 
-def _solve_free(system, free: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, int, int]:
-    """Solve the form's free block, A[free, free] x = b, where b already holds the clamped data.
+class _AssembledForm:
+    """Free-set solves on the assembled form matrix G: CSR kernels and local parts.
 
-    system is either g[free] (the free rows of an assembled form matrix) or
-    a stencil kernel, whose jump form is applied matrix-free. A dead
-    component (free points with no coupling to a clamped point) has a
-    singular block, since nothing drains it: x is 0 there, or +inf where b
-    carries positive mass on it. A stencil kernel has positive entries at
-    every unit offset of a nearest-neighbour connected box, so its free set
-    has a dead component only when no point is clamped, and then it is one.
-    Returns x, the residual of the live solve, the number of dead points
-    and the number of CG iterations.
+    A dead component (free points with no coupling to a clamped point) has
+    a singular block, since nothing drains it: x is 0 there, or +inf where
+    b carries positive mass on it.
     """
-    free_idx = np.flatnonzero(free)
-    if isinstance(system, StencilKernel):
-        a_ff = _FreeOperator(system, free_idx)
-        labels, dead_comp = np.zeros(free_idx.size, dtype=np.int32), np.array([free.all()])
-    else:
-        a_ff = system[:, free_idx].tocsr()
+
+    def __init__(self, g: sp.csr_matrix):
+        self.g = g
+
+    def rhs(self, inner: np.ndarray, free_idx: np.ndarray) -> np.ndarray:
+        """-G[free, K] 1: the data of a potential clamped to 1 on K."""
+        return -np.asarray(self.g[:, inner][free_idx].sum(axis=1)).reshape(-1)
+
+    def solve(self, free: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, int, int]:
+        """x with G[free, free] x = b; the residual of the live solve, the number of dead points, CG iterations."""
+        free_idx = np.flatnonzero(free)
+        rows = self.g[free_idx].tocsr()
+        a_ff = rows[:, free_idx].tocsr()
         a_ff.eliminate_zeros()
-        labels, dead_comp = _dead_components(a_ff, system, ~free)
-    dead = dead_comp[labels]
-    live = ~dead
-    x = np.zeros(free_idx.size)
-    res, iterations = 0.0, 0
-    if live.any():
-        if dead.any():  # only an assembled form gets here: the live block of a stencil is all or nothing
+        labels, dead_comp = _dead_components(a_ff, rows, ~free)
+        dead = dead_comp[labels]
+        live = ~dead
+        if dead.any():
             a_ff = a_ff[live][:, live].tocsr()
+        x = np.zeros(free_idx.size)
         x[live], res, iterations = _solve_spd(a_ff, b[live])
-    mass = np.bincount(labels[dead], weights=b[dead], minlength=dead_comp.size)
-    x[dead & (mass[labels] > 0)] = np.inf
-    return x, res, int(dead.sum()), iterations
+        mass = np.bincount(labels[dead], weights=b[dead], minlength=dead_comp.size)
+        x[dead & (mass[labels] > 0)] = np.inf
+        return x, res, int(dead.sum()), iterations
+
+
+class _StencilForm:
+    """Free-set solves on the jump form 2 (diag(m row_mass) - m W) of a stencil kernel with no local part.
+
+    Every unit-offset entry of a stencil kernel is positive and its box is
+    nearest-neighbour connected, so the free set has a dead component only
+    when no point is clamped, and then it is the whole box.
+    """
+
+    def __init__(self, kernel: StencilKernel):
+        self.kernel = kernel
+
+    def rhs(self, inner: np.ndarray, free_idx: np.ndarray) -> np.ndarray:
+        """-A[free, K] 1 = 2 m (W 1_K) on the free points."""
+        u = np.zeros(self.kernel.space.n_points)
+        u[inner] = 1.0
+        return 2.0 * self.kernel.space.measure[free_idx] * self.kernel.matvec(u)[free_idx]
+
+    def solve(self, free: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, int, int]:
+        """As `_AssembledForm.solve`, through `_FreeOperator`."""
+        if free.all():
+            return np.full(b.size, np.inf if (b > 0).any() else 0.0), 0.0, b.size, 0
+        x, res, iterations = _solve_spd(_FreeOperator(self.kernel, np.flatnonzero(free)), b)
+        return x, res, 0, iterations
 
 
 def _form(space: DiscreteMMSpace, kernel: Optional[KernelOperator], local: Optional[LocalPart]):
-    """What the free-set solves read: a stencil kernel alone, else the assembled form matrix G."""
+    """The free-set solver: FFT matvecs for a stencil kernel alone, else the assembled form matrix G."""
     if isinstance(kernel, StencilKernel) and local is None:
-        return kernel
-    return form_matrix(space, kernel, local)
+        return _StencilForm(kernel)
+    return _AssembledForm(form_matrix(space, kernel, local))
 
 
 def equilibrium_potential(
@@ -209,13 +228,7 @@ def _potential(space, kernel, local, form, inner, ball_mask, radius: Optional[fl
         e = form_energy(space, kernel, local, u)
         return PotentialSolve(inner, ball_mask, u, e, 0.0, warnings)
 
-    if isinstance(form, StencilKernel):  # b = -G[free, K] 1 = 2 m (W 1_K) on the free points
-        system = form
-        b = 2.0 * space.measure[free_idx] * form.matvec(u)[free_idx]
-    else:
-        system = form[free_idx].tocsr()
-        b = -np.asarray(system[:, inner].sum(axis=1)).reshape(-1)
-    x, res, n_dead, iterations = _solve_free(system, free, b)
+    x, res, n_dead, iterations = form.solve(free, form.rhs(inner, free_idx))
     if n_dead:
         warnings.append(
             f"{n_dead} free points lie in components touching neither K nor the "
@@ -319,7 +332,6 @@ def green_growth(
     for r in sorted(float(r) for r in radii):
         free = dist < r
         u = np.zeros(space.n_points)
-        system = form if isinstance(form, StencilKernel) else form[free].tocsr()
-        u[free] = _solve_free(system, free, rhs[free])[0]
+        u[free] = form.solve(free, rhs[free])[0]
         out.append(float(u[x0]))
     return np.asarray(out)

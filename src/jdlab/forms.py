@@ -56,10 +56,9 @@ class KernelOperator:
     """A symmetric jump kernel seen through W = j(x, y) m(y), the interface energies and capacity solves read.
 
     matvec(v) = W v; row_mass = W 1; diag() is the diagonal of the jump
-    form matrix, 2 m(x) row_mass(x), since j vanishes on the diagonal;
-    block(mask) is W on mask x mask, dense or CSR. Every implementation
-    also gives the CSR views `matrix`, `weighted` and `pair_distances()`
-    that criteria, rates and truncation read.
+    form matrix, 2 m(x) row_mass(x), since j vanishes on the diagonal.
+    Every implementation also gives the CSR views `matrix`, `weighted` and
+    `pair_distances()` that criteria, rates and truncation read.
     """
 
     space: DiscreteMMSpace
@@ -73,9 +72,6 @@ class KernelOperator:
 
     def diag(self) -> np.ndarray:
         return 2.0 * self.space.measure * self.row_mass
-
-    def block(self, mask: np.ndarray):
-        raise NotImplementedError
 
 
 class JumpKernel(KernelOperator):
@@ -139,9 +135,6 @@ class JumpKernel(KernelOperator):
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.weighted @ v
 
-    def block(self, mask: np.ndarray) -> sp.csr_matrix:
-        return self.weighted[mask][:, mask]
-
     def pair_distances(self) -> np.ndarray:
         """d(x, y) aligned with self.matrix.data (CSR order)."""
         if self._pair_d is None:
@@ -202,6 +195,7 @@ class StencilKernel(KernelOperator):
         return self._row_mass
 
     def block(self, mask: np.ndarray) -> np.ndarray:
+        """W on mask x mask as a dense array, gathered from the stencil."""
         steps = self.space.steps[np.flatnonzero(mask)]
         flat = 0
         for axis in range(steps.shape[1]):
@@ -419,19 +413,9 @@ class RateTable:
         if self._cum is None:
             cum = self.q.data.copy()
             indptr = self.q.indptr
-            lengths = np.diff(indptr)
-            longest = int(lengths.max(initial=0))
-            # The row loop makes one numpy call per row; the column-wise running sum makes one per
-            # entry position, and each touches every row. A call costs about as much as touching 256
-            # entries, so columns win for many short rows (Z^3: 29,791 rows of at most 6 entries)
-            # and rows for dense tables. Both add left to right as np.cumsum does: bit for bit equal.
-            if longest * (len(lengths) + 256) < len(lengths) * 256:
-                for k in range(1, longest):
-                    pos = indptr[:-1][lengths > k] + k
-                    cum[pos] += cum[pos - 1]
-            else:
-                for x in np.flatnonzero(lengths):
-                    lo, hi = indptr[x], indptr[x + 1]
+            for x in range(self.q.shape[0]):
+                lo, hi = indptr[x], indptr[x + 1]
+                if hi > lo:
                     cum[lo:hi] = np.cumsum(cum[lo:hi])
             self._cum = cum
         return self._cum

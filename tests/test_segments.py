@@ -3,7 +3,7 @@
 The oracles below are the earlier implementations, kept verbatim in spirit:
 dense distance rows per point, per-row Python reductions, tuple-dict
 lattice neighbours, the dense n x n kernel builders, the per-offset band
-loops, the per-row cumulative rates, the per-edge chain loop of the mixed graph, the stand-alone
+loops, the per-edge chain loop of the mixed graph, the stand-alone
 adapted-distance graph space, the m - m.T symmetry check, the form matrix
 built from the raw kernel, the capacity and Green-function solves before
 they shared one free-set solve, the spec dispatch with its own copy of the
@@ -20,7 +20,6 @@ import json
 import math
 import warnings
 
-import jdlab.capacity
 import jdlab.kernels as kmod
 
 import numpy as np
@@ -36,7 +35,6 @@ from jdlab import (
     capacity_scan,
     equilibrium_potential,
     green_growth,
-    jump_rates,
     lattice_nn,
     local_chain,
     m_constants,
@@ -49,7 +47,7 @@ from jdlab import (
 )
 from jdlab.capacity import _dead_components, _solve_spd
 from jdlab.criteria import _omega_values
-from jdlab.forms import JumpKernel, LocalPart, RateTable, form_matrix, row_blocks
+from jdlab.forms import JumpKernel, LocalPart, form_matrix, row_blocks
 from jdlab.forms import energy as form_energy
 from jdlab.kernels import (
     _band_entries,
@@ -113,16 +111,6 @@ def oracle_dead_components(a_ff, g_rows, clamped):
         if not coupled[members].any():
             dead[members] = True
     return dead
-
-
-def oracle_cumulative_rows(q):
-    """The per-row np.cumsum loop `RateTable.cumulative_rows` ran on every table."""
-    cum = q.data.copy()
-    for x in range(q.shape[0]):
-        lo, hi = q.indptr[x], q.indptr[x + 1]
-        if hi > lo:
-            cum[lo:hi] = np.cumsum(cum[lo:hi])
-    return cum
 
 
 def oracle_neighbor_entries(steps):
@@ -634,49 +622,6 @@ def test_dead_components_match_loops(seed):
     want = oracle_dead_components(a_ff, g_rows, ~free)
     labels, dead = _dead_components(a_ff, g_rows, ~free)
     assert np.array_equal(dead[labels], want)
-
-
-def test_dead_components_skip_the_search_when_every_free_row_couples(monkeypatch):
-    # a chain clamped at both ends every other point: each free point touches a clamped one
-    built = lattice_nn(dim=1, truncation_radius=20)
-    g = form_matrix(built.space, built.kernel, None)
-    free = np.arange(built.space.n_points) % 2 == 1
-    g_rows = g[np.flatnonzero(free)].tocsr()
-    a_ff = g_rows[:, np.flatnonzero(free)].tocsr()
-    a_ff.eliminate_zeros()
-    want = oracle_dead_components(a_ff, g_rows, ~free)
-    monkeypatch.setattr(
-        jdlab.capacity, "connected_components", lambda *a, **k: pytest.fail("components searched although all rows couple")
-    )
-    labels, dead = _dead_components(a_ff, g_rows, ~free)
-    assert not want.any() and np.array_equal(dead[labels], want)
-    # balls of radius 2 and 3 about K = {0}: every free point neighbours 0 or the outside
-    scan = capacity_scan(built.space, built.kernel, None, [built.space.origin], [2.0, 3.0])
-    assert scan.capacities == pytest.approx([2.0, 4.0 / 3.0], rel=1e-12)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000), st.sampled_from(["sparse", "dense"]))
-def test_cumulative_rows_match_the_row_loop(seed, shape):
-    """Column-wise (rows > longest row) and row-wise (otherwise) sums, with empty and one-entry rows."""
-    rng = np.random.default_rng(seed)
-    n_rows = int(rng.integers(1, 60))
-    longest = int(rng.integers(1, 8)) if shape == "sparse" else int(rng.integers(n_rows, n_rows + 20))
-    lengths = rng.integers(0, longest + 1, size=n_rows)
-    lengths[rng.random(n_rows) < 0.2] = 0
-    lengths[rng.random(n_rows) < 0.2] = 1
-    indptr = np.concatenate([[0], np.cumsum(lengths)])
-    data = rng.uniform(0.0, 10.0, size=indptr[-1]) * 10.0 ** rng.integers(-8, 8, size=indptr[-1])
-    indices = np.concatenate([np.sort(rng.choice(longest + 1, size=k, replace=False)) for k in lengths] + [np.zeros(0, int)])
-    q = sp.csr_matrix((data, indices, indptr), shape=(n_rows, longest + 1))
-    got = RateTable(None, q, np.zeros(n_rows)).cumulative_rows()
-    assert got.tobytes() == oracle_cumulative_rows(q).tobytes()
-
-
-def test_cumulative_rows_of_seeded_tables_match_the_row_loop():
-    for built in (lattice_nn(dim=3, truncation_radius=4), kmod.stable_like(dim=1, truncation_radius=30)):
-        rates = jump_rates(built.kernel)
-        assert rates.cumulative_rows().tobytes() == oracle_cumulative_rows(rates.q).tobytes()
 
 
 @settings(max_examples=25, deadline=None)

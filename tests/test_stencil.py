@@ -3,10 +3,11 @@
 The oracle is the CSR kernel from `_pairwise_kernel` with the assembled
 form matrix G: `capacity_scan`, `green_growth` and `energy` run once on the
 stencil kernel and once on its CSR twin. Energies are compared within
-1e-12 relative, or within twice the rounding scale of `forms.energy`'s
-Gamma sum (eps times the sum of its terms' magnitudes) where that scale is
-larger: on tempered kernels near the truncation the sum cancels by 1e4 and
-both paths, each rounding differently, sit ~1e-12 from its exact value.
+1e-12 relative, except on the tempered case ii kernel: there they are
+compared within twice the rounding scale of `forms.energy`'s Gamma sum
+(eps times the sum of its terms' magnitudes), since near the truncation
+that sum cancels by 1e4 and both paths, each rounding differently, sit
+~1e-12 from its exact value.
 """
 
 import pickle
@@ -28,18 +29,18 @@ from jdlab import (
     recurrence_report,
     stable_like,
 )
-from jdlab.capacity import _FreeOperator, _potential
+from jdlab.capacity import _form, _potential
 from jdlab.criteria import theta_test_function
-from jdlab.forms import form_matrix
 from jdlab.specio import save_built
-from conftest import random_symmetric_kernel
 
 REL = 1e-12
 EPS = np.finfo(float).eps
 
 
-def energy_tol(space, csr, u, value):
-    """Allowed |difference| of two evaluations of energy(u): 1e-12 relative, or 2 eps sum |Gamma terms| m."""
+def energy_tol(name, space, csr, u, value):
+    """Allowed |difference| of two evaluations of energy(u): 1e-12 relative, or 2 eps sum |Gamma terms| m on case ii."""
+    if name != "case-ii":
+        return REL * abs(value)
     w, m = csr.weighted, space.measure
     terms = np.sum(m * (u * u * csr.row_mass + 2 * np.abs(u * (w @ u)) + w @ (u * u)))
     return max(REL * abs(value), 2 * EPS * terms)
@@ -81,9 +82,9 @@ def _scan_both(name):
     got = capacity_scan(space, stencil, None, inner, radii, center=center)
     assert stencil._csr is None  # the stencil path never built the CSR
     csr = stencil.csr()
-    g = form_matrix(space, csr, None)
+    form = _form(space, csr, None)
     dist = space.distances_from(inner[0] if center is None else center)
-    want = [_potential(space, csr, None, g, inner, dist < r, radius=r) for r in radii]
+    want = [_potential(space, csr, None, form, inner, dist < r, radius=r) for r in radii]
     return space, stencil, got, want
 
 
@@ -96,10 +97,10 @@ def test_stencil_capacities_match_the_csr_path(name):
     assert got.warnings[: len(solve_warnings)] == solve_warnings
     assert max(got.residuals) <= 1e-8
     for r, cap, solve in zip(got.radii, got.capacities, want):
-        assert abs(cap - solve.energy) <= energy_tol(space, csr, solve.u, solve.energy), r
+        assert abs(cap - solve.energy) <= energy_tol(name, space, csr, solve.u, solve.energy), r
         # one function's energy through the FFT and through the CSR
         e_fft = energy(space, stencil, None, solve.u)
-        assert abs(e_fft - solve.energy) <= energy_tol(space, csr, solve.u, solve.energy), r
+        assert abs(e_fft - solve.energy) <= energy_tol(name, space, csr, solve.u, solve.energy), r
     if name == "stable-1d":  # the last ball is a CG solve, with the CSR path's iteration count
         assert got.unknowns == [18, 78, 318, 1278, 2198]
         assert got.iterations[:4] == [0, 0, 0, 0] and got.iterations[4] > 0
@@ -194,21 +195,9 @@ def test_operator_parts_match_the_csr_kernel(kwargs):
     mask = space.distances_from(space.origin) < 0.6 * space.truncation_radius
     block = stencil.block(mask)
     if kwargs.get("spacing", 1.0) in (1.0, 0.5):  # exact offsets, so the same distances bit for bit
-        assert np.array_equal(block, csr.block(mask).toarray())
+        assert np.array_equal(block, csr.weighted[mask][:, mask].toarray())
     else:
-        np.testing.assert_allclose(block, csr.block(mask).toarray(), rtol=1e-14, atol=0)
-
-
-def test_free_operator_on_a_csr_kernel_is_the_form_block():
-    rng = np.random.default_rng(11)
-    built = random_symmetric_kernel(rng, 40, density=0.3)
-    g = form_matrix(built.space, built.kernel, None)
-    free_idx = np.flatnonzero(rng.random(40) < 0.6)
-    op = _FreeOperator(built.kernel, free_idx)
-    want = g[free_idx][:, free_idx].toarray()
-    np.testing.assert_allclose(op.toarray(), want, rtol=1e-14, atol=1e-14)
-    x = rng.normal(size=free_idx.size)
-    np.testing.assert_allclose(op @ x, want @ x, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(block, csr.weighted[mask][:, mask].toarray(), rtol=1e-14, atol=0)
 
 
 def test_scans_potentials_and_energies_leave_the_csr_unbuilt():

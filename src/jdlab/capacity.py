@@ -3,11 +3,11 @@
 cap(K, B) is the minimum of the energy form over functions that are 1 on K
 and 0 outside the open ball B; its decay along an exhausting sequence of
 balls is the computable recurrence certificate. Systems are graph-Laplacian
-like: solved directly below DIRECT_LIMIT unknowns, otherwise by
-Jacobi-preconditioned conjugate gradients. The system is the assembled
-form matrix G, except for a stencil kernel with no local part: its jump
-form 2 (diag(m row_mass) - m W) is applied through FFT matvecs, and a
-direct solve gathers its dense block from the stencil.
+like. The assembled form matrix G is solved directly below DIRECT_LIMIT
+unknowns, otherwise by Jacobi-preconditioned conjugate gradients. A
+stencil kernel with no local part is never assembled: every solve is
+Jacobi-CG on its jump form 2 (diag(m row_mass) - m W), applied through
+FFT matvecs.
 
 Both the potentials and the Green functions go through the one free-set
 solver that `_form` picks. The state space may be disconnected, so part of
@@ -53,10 +53,7 @@ class PotentialSolve:
 
 
 class _FreeOperator(spla.LinearOperator):
-    """The jump form matrix 2 (diag(m row_mass) - m W) of a stencil kernel on the free points, by FFT matvecs.
-
-    `toarray` gathers the dense block from the stencil for direct solves.
-    """
+    """The jump form matrix 2 (diag(m row_mass) - m W) of a stencil kernel on the free points, by FFT matvecs."""
 
     def __init__(self, kernel: StencilKernel, free_idx: np.ndarray):
         super().__init__(float, (free_idx.size, free_idx.size))
@@ -73,25 +70,19 @@ class _FreeOperator(spla.LinearOperator):
     def diagonal(self) -> np.ndarray:
         return self._diag
 
-    def toarray(self) -> np.ndarray:
-        mask = np.zeros(self.kernel.space.n_points, dtype=bool)
-        mask[self.free_idx] = True
-        a = -2.0 * (self.kernel.block(mask) * self._measure[:, None])
-        a[np.diag_indices_from(a)] = self._diag
-        return a
-
 
 def _solve_spd(a, b: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Solve a x = b for a symmetric positive definite sparse matrix or `_FreeOperator`.
 
+    A sparse matrix below DIRECT_LIMIT unknowns is solved directly, an operator always by CG.
     Returns x, the relative residual and the number of CG iterations (0 for a direct solve).
     """
     n = a.shape[0]
     if n == 0:
         return np.zeros(0), 0.0, 0
     info, steps = 0, []  # only CG reports a failure code and iterations
-    if n < DIRECT_LIMIT:
-        if not sp.issparse(a) or a.nnz / (n * n) > 0.25:
+    if sp.issparse(a) and n < DIRECT_LIMIT:
+        if a.nnz / (n * n) > 0.25:
             x = np.linalg.solve(a.toarray(), b)
         else:
             x = spla.spsolve(a.tocsc(), b)

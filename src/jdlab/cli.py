@@ -43,16 +43,25 @@ def _parse_radii(text: str) -> list[float]:
     return [float(p) for p in text.split(",") if p]
 
 
-def _parse_target(text: str, built) -> list[int]:
+def _point(x: int, built, flag: str) -> int:
+    """x, checked to be a point id of the built space; a SpecError names the flag that gave it."""
+    n = built.space.n_points
+    if not 0 <= x < n:
+        raise SpecError(f"{flag}: point id {x} is not in [0, {n})")
+    return x
+
+
+def _parse_target(text: str, built, flag: str) -> list[int]:
     if text.startswith("ids:"):
-        return [int(p) for p in text[4:].split(",") if p]
+        return [_point(int(p), built, flag) for p in text[4:].split(",") if p]
     if text.startswith("ball:"):
         try:
             _, x0, r = text.split(":")
-            members, _ = metric_ball(built.space, int(x0), float(r))
-            return [int(i) for i in members]
+            x0, r = int(x0), float(r)
         except ValueError as exc:
             raise SpecError(f"cannot parse target spec {text!r}: {exc}") from exc
+        members, _ = metric_ball(built.space, _point(x0, built, flag), r)
+        return [int(i) for i in members]
     raise SpecError("targets are written ball:x0:radius or ids:1,2,3")
 
 
@@ -106,7 +115,7 @@ def cmd_build(args, started: float) -> int:
 
 def cmd_criteria(args, started: float) -> int:
     built = load_spec_or_built(args.spec)
-    x0 = built.space.origin if args.x0 is None else args.x0
+    x0 = built.space.origin if args.x0 is None else _point(args.x0, built, "--x0")
     radii = _parse_radii(args.radii) if args.radii else _default_radii(built, x0)
     vol = volume_growth_report(built.space, x0, radii, threshold=args.tau)
     vol.extras["davies_a"] = davies_constant(max(vol.liminf_estimate, 0.0))
@@ -126,7 +135,8 @@ def cmd_simulate(args, started: float) -> int:
     built = load_spec_or_built(args.spec)
     if built.kernel is None or built.kernel.matrix.nnz == 0:
         raise SpecError("simulation needs a nonzero jump kernel")
-    x0 = built.space.origin if args.x0 is None else args.x0
+    x0 = built.space.origin if args.x0 is None else _point(args.x0, built, "--x0")
+    targets = _parse_target(args.target, built, "--target") if args.target else None
     rates = jump_rates(built.kernel)
     config = SimConfig(
         horizon=args.horizon,
@@ -149,8 +159,7 @@ def cmd_simulate(args, started: float) -> int:
         "survival": survival.to_dict(),
         "explosion": explosion_diagnostic(batch).to_dict(),
     }
-    if args.target:
-        targets = _parse_target(args.target, built)
+    if targets is not None:
         est, ret_batch = return_probability(rates, x0, targets, args.outer, config)
         batches.append(ret_batch)
         summary["return"] = est.to_dict()
@@ -177,7 +186,7 @@ def cmd_simulate(args, started: float) -> int:
 
 def cmd_capacity(args, started: float) -> int:
     built = load_spec_or_built(args.spec)
-    inner = _parse_target(args.K, built)
+    inner = _parse_target(args.K, built, "--K")
     if not inner:
         raise SpecError("K is empty")
     radii = _parse_radii(args.radii)
@@ -187,7 +196,7 @@ def cmd_capacity(args, started: float) -> int:
         built.local,
         inner,
         radii,
-        center=args.center,
+        center=None if args.center is None else _point(args.center, built, "--center"),
         decay_ratio=args.decay_ratio,
     )
     stem = _stem(args)

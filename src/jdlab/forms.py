@@ -158,17 +158,16 @@ class StencilKernel(KernelOperator):
     offsets [-2E, 2E]^d, so memory is O(n). W v is one real FFT product over
     the circulant embedding of the weighted stencil, zero-padded to a fast
     length >= 4E + 1 per axis, which no offset of the box wraps around;
-    row_mass is the same product applied to 1. The CSR kernel comes from
-    `build_csr()` on first use of `matrix`, `weighted`, `pair_distances` or
-    `density`, or of `csr()` itself.
+    row_mass is the same product applied to 1. The CSR kernel is gathered
+    from the stencil on first use of `matrix`, `weighted`, `pair_distances`
+    or `density`, or of `csr()` itself.
     """
 
-    def __init__(self, space: DiscreteMMSpace, stencil: np.ndarray, build_csr: Callable[[], JumpKernel]):
+    def __init__(self, space: DiscreteMMSpace, stencil: np.ndarray):
         from scipy import fft as sp_fft  # here, not at module level: the import adds ~5 MB to every run
 
         self.space = space
         self.stencil = stencil
-        self._build_csr = build_csr
         self._csr: Optional[JumpKernel] = None
         self._side = (stencil.shape[0] + 1) // 2  # 2E + 1 points per axis
         self._mass = float(space.measure[0])
@@ -194,19 +193,23 @@ class StencilKernel(KernelOperator):
             self._row_mass = self.matvec(np.ones(self.space.n_points))
         return self._row_mass
 
-    def block(self, mask: np.ndarray) -> np.ndarray:
-        """W on mask x mask as a dense array, gathered from the stencil."""
-        steps = self.space.steps[np.flatnonzero(mask)]
-        flat = 0
-        for axis in range(steps.shape[1]):
-            flat = flat * self.stencil.shape[axis] + (steps[:, None, axis] - steps[None, :, axis] + self._side - 1)
-        return self.stencil.reshape(-1)[flat] * self._mass
-
     def csr(self) -> JumpKernel:
-        """The same kernel as a CSR JumpKernel, built on first call."""
+        """The same kernel as a CSR JumpKernel, gathered from the stencil 512 rows at a time on first call."""
         if self._csr is None:
-            self._csr = self._build_csr()
+            steps, centre = self.space.steps, self._side - 1
+
+            def rows(lo: int) -> sp.csr_matrix:  # j(x, y) = stencil[s(x) - s(y) + 2E] for x in the run, every y
+                x = slice(lo, lo + 512)
+                offsets = tuple(steps[x, None, a] - steps[None, :, a] + centre for a in range(steps.shape[1]))
+                return sp.csr_matrix(self.stencil[offsets])
+
+            # the chunk list dies with the vstack call, before the kernel's own checks allocate
+            chunks = range(0, len(steps), 512)
+            self._csr = JumpKernel(self.space, sp.vstack([rows(lo) for lo in chunks], format="csr"))
         return self._csr
+
+    def __getstate__(self) -> dict:
+        return {**vars(self), "_csr": None}  # a pickle keeps the stencil, not a CSR gathered from it
 
     @property
     def matrix(self) -> sp.csr_matrix:

@@ -9,7 +9,6 @@ under such constants).
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -186,24 +185,17 @@ def stable_like(
                 raise ValueError(f"unknown case {case!r}")
         return short + tail
 
-    # the CSR builder is bound here, not looked up when a stencil kernel first needs its CSR
-    build_csr = functools.partial(_pairwise_kernel, space, lambda idx, d: f(d))
-    if support == "gasket":
-        return BuiltInstance(space, build_csr())
-    extent = int(space.steps.max())
-    # The CSR takes d from rounded coordinates. Unless k * spacing is exact for every offset k
-    # of the box, a lattice distance near 1 then falls on either side of case ii's jump there,
-    # depending on the pair's position, and no stencil reproduces it.
-    if case == "ii" and spacing.as_integer_ratio()[0].bit_length() + (2 * extent).bit_length() > 53:
-        return BuiltInstance(space, build_csr())
-    # j over the lattice offsets [-2E, 2E]^d; a unit offset entry that underflows to 0 (or a
-    # non-finite entry) leaves the box without the connectivity the stencil solves rely on
-    axes = np.meshgrid(*[np.arange(-2 * extent, 2 * extent + 1)] * dim, indexing="ij")
-    stencil = f(np.sqrt(sum((a * spacing) ** 2 for a in axes)))
-    unit = stencil[(2 * extent + 1,) + (2 * extent,) * (dim - 1)]
-    if not (unit > 0 and np.isfinite(stencil).all()):
-        return BuiltInstance(space, build_csr())
-    return BuiltInstance(space, StencilKernel(space, stencil, build_csr))
+    if support == "lattice":
+        # j over the lattice offsets [-2E, 2E]^d, from integer offsets times the spacing; a unit
+        # offset entry that underflows to 0 (or a non-finite entry) leaves the box without the
+        # connectivity the stencil solves rely on, so the CSR build below takes over
+        extent = int(space.steps.max())
+        axes = np.meshgrid(*[np.arange(-2 * extent, 2 * extent + 1)] * dim, indexing="ij")
+        stencil = f(np.sqrt(sum((a * spacing) ** 2 for a in axes)))
+        unit = stencil[(2 * extent + 1,) + (2 * extent,) * (dim - 1)]
+        if unit > 0 and np.isfinite(stencil).all():
+            return BuiltInstance(space, StencilKernel(space, stencil))
+    return BuiltInstance(space, _pairwise_kernel(space, lambda idx, d: f(d)))
 
 
 # -- Example family: disconnected stack of lattice sheets --------------------

@@ -14,19 +14,18 @@ rounded to 12 significant digits so reruns diff cleanly.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import inspect
 import json
 import math
 import pickle
+import sys
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from . import kernels as kmod
-from .forms import StencilKernel
 from .kernels import BuiltInstance
 
 # Each spec type, and each lattice kernel family, names its `jdlab.kernels` builder (looked up
@@ -98,8 +97,9 @@ def validate_spec(raw: dict) -> None:
     if "truncation_radius" not in raw:
         raise SpecError("missing required field 'truncation_radius'")
     tr = raw["truncation_radius"]
-    if not isinstance(tr, (int, float)) or tr <= 0:
-        raise SpecError("field 'truncation_radius' must be a positive number")
+    # JSON true is an int, NaN fails every comparison, and an int past the largest float overflows later
+    if isinstance(tr, bool) or not isinstance(tr, (int, float)) or not 0 < tr <= sys.float_info.max:
+        raise SpecError(f"field 'truncation_radius' must be a finite positive number, got {tr!r}")
     if "params" in raw and not isinstance(raw["params"], dict):
         raise SpecError("field 'params' must be an object")
 
@@ -160,9 +160,7 @@ def build_from_spec(raw: dict) -> BuiltInstance:
 
 
 def save_built(path, built: BuiltInstance) -> None:
-    """Pickle the instance; a stencil kernel is stored as its CSR kernel, which loads without the stencil."""
-    if isinstance(built.kernel, StencilKernel):
-        built = dataclasses.replace(built, kernel=built.kernel.csr())
+    """Pickle the instance as it is; a stencil kernel keeps its stencil."""
     with open(path, "wb") as fh:
         pickle.dump(built, fh, protocol=pickle.HIGHEST_PROTOCOL)
 

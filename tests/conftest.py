@@ -41,3 +41,18 @@ def random_symmetric_kernel(rng, n, density=0.3):
         entries.append([int(i), int(j), float(rng.uniform(0.1, 2.0))])
     built = explicit_kernel(n, entries, measure=rng.uniform(0.5, 2.0, size=n))
     return built
+
+
+def stable_like_density(case="i", alpha=1.0, beta=1.0, tempering=1.0, kappa=1.0):
+    """d -> j(d) of `stable_like`, written out again: an oracle that owes nothing to the builder's stencil."""
+
+    def density(d):
+        with np.errstate(divide="ignore", over="ignore"):
+            near = np.where((d > 0) & (d <= 1), d ** (-(kappa + alpha)), 0.0)
+            if case == "i":
+                far = np.where(d > 1, d ** (-(kappa + beta)), 0.0)
+            else:
+                far = np.where(d > 1, np.exp(-tempering * d) * d ** (-(kappa + alpha)), 0.0)
+        return near + far
+
+    return density

@@ -149,14 +149,37 @@ def test_stencil_capacity_repeats_and_criteria_read_the_same_csr_from_spec_and_p
     for name, source in (("a", spec), ("b", spec), ("pickle", tmp_path / "s.pkl")):
         out = tmp_path / name
         assert cli.main(["criteria", "--spec", str(source), "--radii", "5,20,90", "--out-dir", str(out), "--prefix", "cr"]) == 0
-        if name != "pickle":  # a pickle holds the CSR kernel, so its capacity takes the G path
-            assert cli.main(["capacity", "--spec", str(source), "--K", "ids:100", "--radii", "5,20,90",
-                             "--out-dir", str(out), "--prefix", "cap"]) == 0
+        assert cli.main(["capacity", "--spec", str(source), "--K", "ids:100", "--radii", "5,20,90",
+                         "--out-dir", str(out), "--prefix", "cap"]) == 0
         runs[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if "manifest" not in p.name}
-    assert runs["a"] == runs["b"]
-    assert runs["pickle"] == {k: v for k, v in runs["a"].items() if k.startswith("cr.")}
+    assert runs["a"] == runs["b"] == runs["pickle"]  # the pickle keeps the stencil, so the same solves
     capacity = json.loads(runs["a"]["cap.json"])
-    assert capacity["unknowns"] == [8, 38, 178] and capacity["iterations"] == [0, 0, 0]
+    assert capacity["unknowns"] == [8, 38, 178] and min(capacity["iterations"]) > 0
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["capacity", "--K", "ids:99", "--radii", "5"], "--K"),
+        (["capacity", "--K", "ids:-1", "--radii", "5"], "--K"),
+        (["capacity", "--K", "ball:99:1", "--radii", "5"], "--K"),
+        (["capacity", "--K", "ids:10", "--radii", "5", "--center", "50"], "--center"),
+        (["capacity", "--K", "ids:10", "--radii", "5", "--center", "-1"], "--center"),
+        (["criteria", "--x0", "99", "--radii", "2,4"], "--x0"),
+        (["criteria", "--x0", "-3", "--radii", "2,4"], "--x0"),
+        (["simulate", "--x0", "99", "--horizon", "1"], "--x0"),
+        (["simulate", "--x0", "-3", "--horizon", "1"], "--x0"),
+        (["simulate", "--horizon", "1", "--target", "ids:50"], "--target"),
+        (["simulate", "--horizon", "1", "--target", "ball:-2:1"], "--target"),
+    ],
+)
+def test_point_ids_outside_the_space_exit_2_naming_the_flag(tmp_path, capsys, argv, flag):
+    # a 21-point Z: ids past the end raised IndexError, negative ids wrapped around to the other end
+    spec = write_spec(tmp_path / "z.json", {"type": "lattice", "truncation_radius": 10, "params": {"dim": 1}})
+    assert cli.main(argv + ["--spec", spec, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: point id ") and "not in [0, 21)" in err
+    assert not list(tmp_path.glob("*.manifest.json"))
 
 
 def test_report_pretty_and_csv(tmp_path, z_spec, capsys):

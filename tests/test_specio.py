@@ -198,6 +198,21 @@ BAD_SPECS = {
     "zero-dim-on-stack": (
         {"type": "stack", "truncation_radius": 3, "params": {"dim": 0}}, "spec type 'stack': dim must be a positive integer"
     ),
+    # JSON true passed as 1 and NaN passed validation; an infinite radius overflowed in the lattice box
+    "bool-truncation_radius": (
+        _lattice({}, radius=True), "field 'truncation_radius' must be a finite positive number, got True"
+    ),
+    "nan-truncation_radius": (
+        _lattice({}, radius=float("nan")), "field 'truncation_radius' must be a finite positive number, got nan"
+    ),
+    "infinite-truncation_radius-on-stable_i": (
+        _lattice({"kernel": {"family": "stable_i"}}, radius=float("inf")),
+        "field 'truncation_radius' must be a finite positive number, got inf",
+    ),
+    "infinite-truncation_radius-on-graph": (
+        {"type": "graph", "truncation_radius": float("inf"), "params": {"extent": 2}},
+        "field 'truncation_radius' must be a finite positive number, got inf",
+    ),
 }
 
 
@@ -217,6 +232,16 @@ def test_bad_spec_exits_2_through_the_cli(tmp_path, capsys, name):
     assert cli.main(["criteria", "--spec", str(path), "--radii", "1.5", "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and text in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("radius", ["1e400", "1" + "0" * 400])
+def test_truncation_radius_past_the_largest_float_exits_2(tmp_path, capsys, radius):
+    # json reads 1e400 as inf and a 401-digit integer as an int that no float holds: both overflowed
+    path = tmp_path / "big.json"
+    path.write_text('{"type": "lattice", "truncation_radius": ' + radius + ', "params": {"kernel": {"family": "stable_i"}}}')
+    assert cli.main(["criteria", "--spec", str(path), "--radii", "1.5", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "field 'truncation_radius' must be a finite positive number" in err and "Traceback" not in err
 
 
 def test_integral_float_dim_builds_that_lattice():

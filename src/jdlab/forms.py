@@ -150,6 +150,28 @@ class JumpKernel(KernelOperator):
         return float(self.matrix[x, y])
 
 
+def circulant_embedding(centred: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A stencil over the offsets |k_a| <= c_a (offset k at index c + k) placed at index k mod shape.
+
+    Every shape_a must be at least 2 c_a + 1, so that no two offsets share an index.
+    """
+    out = np.zeros(shape)
+    out[tuple(slice(0, n) for n in centred.shape)] = centred
+    # offset k sits at index k mod shape, so the centre (offset 0) moves to index 0
+    return np.roll(out, [-(n // 2) for n in centred.shape], axis=tuple(range(centred.ndim)))
+
+
+def box_convolution(box: np.ndarray, hat: np.ndarray, fft_shape: tuple[int, ...]) -> np.ndarray:
+    """sum_k w(k) box[. - k] on the box, where hat is the rfftn of w's `circulant_embedding` in fft_shape.
+
+    No offset wraps around when fft_shape_a >= box_a + c_a, c_a being w's largest offset.
+    """
+    from scipy import fft as sp_fft
+
+    full = sp_fft.irfftn(sp_fft.rfftn(box, s=fft_shape) * hat, s=fft_shape)
+    return full[tuple(slice(0, n) for n in box.shape)]
+
+
 class StencilKernel(KernelOperator):
     """Translation-invariant kernel j(x, y) = stencil[s(x) - s(y) + 2E] on a lattice box with uniform measure.
 
@@ -171,21 +193,13 @@ class StencilKernel(KernelOperator):
         self._csr: Optional[JumpKernel] = None
         self._side = (stencil.shape[0] + 1) // 2  # 2E + 1 points per axis
         self._mass = float(space.measure[0])
-        shape = tuple(sp_fft.next_fast_len(n, real=True) for n in stencil.shape)
-        embedded = np.zeros(shape)
-        embedded[tuple(slice(0, n) for n in stencil.shape)] = stencil * self._mass
-        # offset k sits at index k mod shape, so the centre (offset 0) moves to index 0
-        embedded = np.roll(embedded, [-(self._side - 1)] * stencil.ndim, axis=tuple(range(stencil.ndim)))
-        self._fft_shape = shape
-        self._hat = sp_fft.rfftn(embedded)
+        self._fft_shape = tuple(sp_fft.next_fast_len(n, real=True) for n in stencil.shape)
+        self._hat = sp_fft.rfftn(circulant_embedding(stencil * self._mass, self._fft_shape))
         self._row_mass: Optional[np.ndarray] = None
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        from scipy import fft as sp_fft
-
         box = np.reshape(v, (self._side,) * self.stencil.ndim)
-        full = sp_fft.irfftn(sp_fft.rfftn(box, s=self._fft_shape) * self._hat, s=self._fft_shape)
-        return full[(slice(0, self._side),) * self.stencil.ndim].reshape(-1)
+        return box_convolution(box, self._hat, self._fft_shape).reshape(-1)
 
     @property
     def row_mass(self) -> np.ndarray:
@@ -299,11 +313,13 @@ def local_chain(points: np.ndarray, measure: np.ndarray, spacing: float, support
 
 
 def gamma_jump(kernel: KernelOperator, u: np.ndarray, v: Optional[np.ndarray] = None) -> np.ndarray:
-    """Gamma_j(u, v)(x) = sum_{y != x} (u(x)-u(y))(v(x)-v(y)) j(x,y) m(y)."""
+    """Gamma_j(u, v)(x) = sum_{y != x} (u(x)-u(y))(v(x)-v(y)) j(x,y) m(y); W u is applied once when v is u."""
     u = np.asarray(u, dtype=float)
     v = u if v is None else np.asarray(v, dtype=float)
     w = kernel.matvec
-    return u * v * kernel.row_mass - u * w(v) - v * w(u) + w(u * v)
+    wu = w(u)
+    wv = wu if v is u else w(v)
+    return u * v * kernel.row_mass - u * wv - v * wu + w(u * v)
 
 
 def energy(

@@ -1,8 +1,12 @@
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 from jdlab import (
     capacity_scan,
@@ -113,7 +117,7 @@ def test_non_finite_capacity_is_reported():
     sp, o = b.space, b.space.origin
     big_r = 1.01 * sp.max_distance_from(o)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # scipy's own MatrixRankWarning from the direct solve
+        warnings.simplefilter("ignore")  # a singular direct solve may warn, as SuperLU's MatrixRankWarning does
         rep = capacity_scan(sp, b.kernel, b.local, [o], [0.5 * big_r, big_r])
         solve = equilibrium_potential(sp, b.kernel, b.local, [o], sp.distances_from(o) < big_r)
     assert np.isfinite(rep.capacities[0]) and np.isnan(rep.capacities[1])
@@ -168,25 +172,57 @@ def test_k_checked_once_against_the_smallest_radius(z_line, monkeypatch):
 def test_solver_failure_names_size_iterations_and_residual(monkeypatch):
     import jdlab.capacity
 
-    # 2,098 unknowns take the CG path; a tolerance CG cannot reach runs it to maxiter = 50 sqrt(n) + 1000
-    built = lattice_nn(dim=1, truncation_radius=1100)
+    # 3,404 unknowns of a 2-D lattice take the CG path (their band is far wider than their rows);
+    # a tolerance CG cannot reach runs it to maxiter = 50 sqrt(n) + 1000
+    built = lattice_nn(dim=2, truncation_radius=40)
     monkeypatch.setattr(jdlab.capacity, "CG_TOL", 1e-300)
     with pytest.raises(jdlab.capacity.SolverFailure) as exc:
-        capacity_scan(built.space, built.kernel, None, [built.space.origin], [1050.0])
+        capacity_scan(built.space, built.kernel, None, [built.space.origin], [33.0])
     message = str(exc.value)
-    assert "on 2098 unknowns after 3290 iterations" in message
+    assert "on 3404 unknowns after 3917 iterations" in message
     assert re.search(r"final relative residual \d", message)
 
 
 def test_report_gives_unknowns_and_cg_iterations_per_radius():
-    built = lattice_nn(dim=1, truncation_radius=1100)
+    built = lattice_nn(dim=2, truncation_radius=40)
     origin = built.space.origin
-    report = capacity_scan(built.space, built.kernel, None, [origin], [10.0, 1050.0])
-    assert report.unknowns == [18, 2098]  # the second ball takes the CG path
+    report = capacity_scan(built.space, built.kernel, None, [origin], [5.0, 33.0])
+    assert report.unknowns == [68, 3404]  # the second ball takes the CG path
     assert report.iterations[0] == 0 and report.iterations[1] > 0
     assert report.to_dict()["iterations"] == report.iterations
-    again = capacity_scan(built.space, built.kernel, None, [origin], [10.0, 1050.0])
+    again = capacity_scan(built.space, built.kernel, None, [origin], [5.0, 33.0])
     assert again.to_dict() == report.to_dict()
+
+
+def test_full_band_chains_above_the_limit_solve_directly():
+    # the oracle's tridiagonal ball: 2,998 unknowns above DIRECT_LIMIT, yet n (bandwidth + 1) <= nnz
+    built = lattice_nn(dim=1, truncation_radius=1600)
+    report = capacity_scan(built.space, built.kernel, None, [built.space.origin], [100.0, 1500.0])
+    assert report.unknowns == [198, 2998] and report.iterations == [0, 0]
+    assert report.capacities == pytest.approx([4.0 / 100.0, 4.0 / 1500.0], rel=1e-9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=400))
+def test_direct_route_on_full_band_systems_matches_cg(seed, extra):
+    # a 1-D chain with conductances c and a killing rate k per point, both in [0.1, 10]: diagonally
+    # dominant by at least 0.1, so CG to 1e-13 pins x to within 1e-10
+    import jdlab.capacity
+
+    rng = np.random.default_rng(seed)
+    n = jdlab.capacity.DIRECT_LIMIT + extra
+    c = rng.uniform(0.1, 10.0, n - 1)
+    diag = rng.uniform(0.1, 10.0, n) + np.concatenate([c, [0.0]]) + np.concatenate([[0.0], c])
+    a = sp.diags([-c, diag, -c], [-1, 0, 1], format="csr")
+    b = rng.normal(size=n)
+    x, res, iterations = jdlab.capacity._solve_spd(a, b)
+    assert iterations == 0 and res <= 1e-12
+    operator = spla.aslinearoperator(a)  # the same matrix behind an operator takes the CG route
+    operator.precond = spla.LinearOperator(a.shape, matvec=lambda v: v / diag)
+    with mock.patch.object(jdlab.capacity, "CG_TOL", 1e-13):
+        x_cg, _, cg_iterations = jdlab.capacity._solve_spd(operator, b)
+    assert cg_iterations > 0
+    assert np.linalg.norm(x - x_cg) <= 1e-10 * np.linalg.norm(x)
 
 
 def test_green_growth_z_matches_tridiagonal_oracle(z_line):

@@ -60,6 +60,22 @@ def test_gamma_jump_linear_on_z(z_line):
     assert np.allclose(g[interior], 2.0)
 
 
+def test_gamma_jump_applies_w_to_u_once_when_v_is_u():
+    built = stable_like(alpha=1.2, beta=0.8, dim=2, spacing=0.5, truncation_radius=6)
+    kernel, calls = built.kernel, []
+    u = np.random.default_rng(5).normal(size=built.space.n_points)
+    w = kernel.matvec
+    kernel.row_mass  # cached before counting
+    kernel.matvec = lambda x: calls.append(1) or w(x)
+    got = gamma_jump(kernel, u)
+    assert len(calls) == 2  # W u and W (u u)
+    want = u * u * kernel.row_mass - u * w(u) - u * w(u) + w(u * u)  # the formula with v = u written out
+    assert got.tobytes() == want.tobytes()
+    calls.clear()
+    gamma_jump(kernel, u, u.copy())
+    assert len(calls) == 3
+
+
 def test_energy_constant_zero(z_line):
     u = np.ones(z_line.space.n_points)
     assert energy(z_line.space, z_line.kernel, None, u) == 0.0

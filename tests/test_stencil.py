@@ -1,21 +1,24 @@
-"""Stencil kernels (FFT matvecs, CSR gathered from the stencil) against the CSR path they replace.
+"""Stencil kernels (FFT matvecs, CSR gathered from the stencil) against the code paths they replace.
 
 `capacity_scan`, `green_growth` and `energy` run once on the stencil
-kernel (Jacobi-CG on FFT matvecs) and once on its CSR twin with the
-assembled form matrix G. The CSR itself is checked against
-`_pairwise_kernel`, which builds it from distances and the model's
-density written out in the tests. Energies are compared within
-1e-12 relative, except on the tempered case ii kernel: there they are
-compared within twice the rounding scale of `forms.energy`'s Gamma sum
-(eps times the sum of its terms' magnitudes), since near the truncation
-that sum cancels by 1e4 and both paths, each rounding differently, sit
-~1e-12 from its exact value.
+kernel (circulant-preconditioned CG on ball-sized FFT matvecs) and once
+on its CSR twin with the assembled form matrix G, which is full-band and
+so solved directly. They also run against `JacobiFullBox`, the stencil
+solve that circulant preconditioning replaced: Jacobi-CG on FFT matvecs
+over the whole box. The CSR itself is checked against `_pairwise_kernel`,
+which builds it from distances and the model's density written out in
+the tests. Energies are compared within 1e-12 relative, except on the
+tempered case ii kernel: there they are compared within twice the
+rounding scale of `forms.energy`'s Gamma sum (eps times the sum of its
+terms' magnitudes), since near the truncation that sum cancels by 1e4 and
+both paths, each rounding differently, sit ~1e-12 from its exact value.
 """
 
 import pickle
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from conftest import stable_like_density
 
 import jdlab.capacity
@@ -31,7 +34,7 @@ from jdlab import (
     recurrence_report,
     stable_like,
 )
-from jdlab.capacity import _form, _potential
+from jdlab.capacity import _form, _FreeOperator, _potential
 from jdlab.criteria import theta_test_function
 from jdlab.kernels import _pairwise_kernel
 from jdlab.specio import load_built, save_built
@@ -40,13 +43,29 @@ REL = 1e-12
 EPS = np.finfo(float).eps
 
 
-def energy_tol(name, space, csr, u, value):
+def energy_tol(name, space, kernel, u, value):
     """Allowed |difference| of two evaluations of energy(u): 1e-12 relative, or 2 eps sum |Gamma terms| m on case ii."""
     if name != "case-ii":
         return REL * abs(value)
-    w, m = csr.weighted, space.measure
-    terms = np.sum(m * (u * u * csr.row_mass + 2 * np.abs(u * (w @ u)) + w @ (u * u)))
+    w, m = kernel.matvec, space.measure  # W >= 0, so |W| u = W u
+    terms = np.sum(m * (u * u * kernel.row_mass + 2 * np.abs(u * w(u)) + w(u * u)))
     return max(REL * abs(value), 2 * EPS * terms)
+
+
+def solve_tol(name, stencil, free):
+    """Allowed relative difference of two solves on the free points: 1e-12, or on case ii 2 eps cond(A_ff) (infinity norm).
+
+    Two backward-stable solves of A_ff x = b, each exact for A_ff perturbed by
+    about eps |A_ff|, differ by up to about that much; near case ii's
+    truncation cond(A_ff) reaches 3e4, so FFT matvecs that round differently
+    move the solution by more than 1e-12 there (either side is as far from a
+    direct solve on the CSR twin).
+    """
+    if name != "case-ii":
+        return REL
+    a_ff = _FreeOperator(stencil, free) @ np.eye(free.size)
+    cond = np.abs(a_ff).sum(axis=1).max() * np.abs(np.linalg.inv(a_ff)).sum(axis=1).max()
+    return max(REL, 2 * EPS * cond)
 
 
 def pairwise_oracle(space, case="i", alpha=1.0, beta=1.0, tempering=1.0, **_):
@@ -86,19 +105,25 @@ CASES = {
 }
 
 
-def _scan_both(name):
-    """The stencil kernel's capacity scan, and the CSR twin's potentials from one assembled G."""
+def _case(name):
+    """The stencil instance of a case, its K, radii and ball centre."""
     kwargs, k_steps, radii, center_steps = CASES[name]
     built = stable_like(**kwargs)
-    space, stencil = built.space, built.kernel
-    assert isinstance(stencil, StencilKernel)
+    space = built.space
+    assert isinstance(built.kernel, StencilKernel)
     inner = [space.origin] if k_steps is None else [_offsets(space, p) for p in k_steps]
-    center = None if center_steps is None else _offsets(space, center_steps)
+    center = inner[0] if center_steps is None else _offsets(space, center_steps)
+    return space, built.kernel, inner, radii, center
+
+
+def _scan_both(name):
+    """The stencil kernel's capacity scan, and the CSR twin's potentials from one assembled G."""
+    space, stencil, inner, radii, center = _case(name)
     got = capacity_scan(space, stencil, None, inner, radii, center=center)
     assert stencil._csr is None  # the stencil path never built the CSR
     csr = stencil.csr()
     form = _form(space, csr, None)
-    dist = space.distances_from(inner[0] if center is None else center)
+    dist = space.distances_from(center)
     want = [_potential(space, csr, None, form, inner, dist < r, radius=r) for r in radii]
     return space, stencil, got, want
 
@@ -117,33 +142,138 @@ def test_stencil_capacities_match_the_csr_path(name):
         # one function's energy through the FFT and through the CSR
         e_fft = energy(space, stencil, None, solve.u)
         assert abs(e_fft - solve.energy) <= energy_tol(name, space, csr, solve.u, solve.energy), r
-    if name == "stable-1d":  # the last ball is CG on the CSR path too, in as many iterations
+    if name == "stable-1d":  # the last ball is above DIRECT_LIMIT, but the dense CSR twin is full-band
         assert got.unknowns == [18, 78, 318, 1278, 2198]
-        assert np.abs(np.subtract(got.iterations, [9, 29, 60, 122, 164])).max() <= 2
-        assert want[4].iterations > 0 and abs(got.iterations[4] - want[4].iterations) <= 2
+        assert np.abs(np.subtract(got.iterations, [8, 10, 11, 13, 13])).max() <= 2
+        assert [w.iterations for w in want] == [0] * 5
 
 
 @pytest.mark.parametrize("name", ["dim-2-spacing-0.5", "dim-3", "spacing-0.1", "dim-2-spacing-0.1-several-K-off-centre"])
 def test_cg_on_fft_matvecs_matches_the_csr_path(monkeypatch, name):
-    # the stencil side is CG at any size; DIRECT_LIMIT = 40 puts the CSR twin's larger balls on CG too
+    # the stencil side is CG at any size; above DIRECT_LIMIT = 40 the dense CSR twin is full-band, so still direct
     monkeypatch.setattr(jdlab.capacity, "DIRECT_LIMIT", 40)
     space, stencil, got, want = _scan_both(name)
-    assert all(it > 0 for it in got.iterations) and any(solve.iterations > 0 for solve in want)
+    assert all(it > 0 for it in got.iterations) and all(solve.iterations == 0 for solve in want)
+    assert any(solve.unknowns >= 40 for solve in want)
     assert max(got.residuals) <= 1e-8
     for cap, solve in zip(got.capacities, want):
         assert cap == pytest.approx(solve.energy, rel=REL)
 
 
+class JacobiFullBox(spla.LinearOperator):
+    """The stencil solve that circulant preconditioning replaced: FFT matvecs over the whole box, Jacobi preconditioner."""
+
+    def __init__(self, kernel, free_idx):
+        super().__init__(float, (free_idx.size, free_idx.size))
+        self.kernel, self.free_idx = kernel, free_idx
+        self._measure = kernel.space.measure[free_idx]
+        self._diag = kernel.diag()[free_idx]
+        self.precond = spla.LinearOperator(self.shape, matvec=lambda v: np.reshape(v, -1) / self._diag, dtype=float)
+
+    def _matvec(self, x):
+        x = np.reshape(x, -1)
+        v = np.zeros(self.kernel.space.n_points)
+        v[self.free_idx] = x
+        return self._diag * x - 2.0 * self._measure * self.kernel.matvec(v)[self.free_idx]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_circulant_cg_matches_jacobi_cg_on_the_whole_box(monkeypatch, name):
+    space, stencil, inner, radii, center = _case(name)
+    dist = space.distances_from(center)
+    f = np.zeros(space.n_points)
+    f[inner[0]] = 1.0
+
+    def solves():
+        """The capacity scan at the shipped CG_TOL; potentials and Green growth at 1e-13, to compare them to 1e-12."""
+        scan = capacity_scan(space, stencil, None, inner, radii, center=center)
+        with monkeypatch.context() as tight:
+            tight.setattr(jdlab.capacity, "CG_TOL", 1e-13)
+            form = _form(space, stencil, None)
+            potentials = [_potential(space, stencil, None, form, inner, dist < r).u for r in radii]
+            green = green_growth(space, stencil, None, f, inner[0], radii, center=center)
+        return scan, potentials, green
+
+    got, got_u, got_green = solves()
+    with monkeypatch.context() as oracle:
+        oracle.setattr(jdlab.capacity, "_FreeOperator", JacobiFullBox)
+        want, want_u, want_green = solves()
+    assert got.unknowns == want.unknowns and got.warnings == want.warnings
+    assert all(it > 0 for it in got.iterations) and max(got.residuals) <= 1e-8
+    for r, cap, expected, u in zip(radii, got.capacities, want.capacities, want_u):
+        assert abs(cap - expected) <= energy_tol(name, space, stencil, u, expected), r
+    for r, u, expected, green, expected_green in zip(radii, got_u, want_u, got_green, want_green):
+        ball = np.flatnonzero(dist < r)
+        assert np.abs(u - expected).max() <= solve_tol(name, stencil, np.setdiff1d(ball, inner)), r  # max u = 1
+        assert abs(green - expected_green) <= solve_tol(name, stencil, ball) * abs(expected_green), r
+    assert stencil._csr is None
+
+
+def _box_edge_and_point_sets(space, inner, center):
+    """Free sets for the preconditioner: the ball reaching the box's faces, the ball holding the whole box, one point."""
+    reach = float(np.abs(space.coords - space.coords[center]).max())
+    dist = space.distances_from(center)
+    for ball in (dist < 1.0001 * reach, np.ones(space.n_points, dtype=bool)):
+        free = ball.copy()
+        free[inner] = False
+        yield np.flatnonzero(free)
+    for x in (0, space.origin, space.n_points - 1):
+        yield np.array([x])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_circulant_eigenvalues_are_positive(name):
+    space, stencil, inner, radii, center = _case(name)
+    dist = space.distances_from(center)
+    free_sets = [np.setdiff1d(np.flatnonzero(dist < r), inner) for r in radii]
+    for free_idx in free_sets + list(_box_edge_and_point_sets(space, inner, center)):
+        op = _FreeOperator(stencil, free_idx)
+        assert op.eigenvalues.min() > 0, free_idx.size
+        if free_idx.size == 1:  # the circulant of one point is its diagonal entry
+            assert op.eigenvalues.ravel().tolist() == [stencil.diag()[free_idx[0]]]
+            assert op.precond @ np.array([3.0]) == pytest.approx(3.0 / stencil.diag()[free_idx])
+
+
+@pytest.mark.parametrize(
+    "name,radius", [("stable-1d", 10.0), ("dim-2-spacing-0.5", 2.0), ("dim-3", 2.0), ("several-K-off-centre", 20.0)]
+)
+def test_circulant_eigenvalues_are_rayleigh_quotients_of_the_extended_matrix(name, radius):
+    # lambda(theta) = f* A_ext f for the box's Fourier vector f(x) = exp(i theta.x) / sqrt(N), A_ext = A_ff + mean(diag) I
+    space, stencil, inner, _, center = _case(name)
+    free_idx = np.setdiff1d(np.flatnonzero(space.distances_from(center) < radius), inner)
+    op = _FreeOperator(stencil, free_idx)
+    a_ff = op @ np.eye(free_idx.size)
+    box = op._box
+    at = np.ravel_multi_index(op._at, box)
+    n = int(np.prod(box))
+    a_ext = np.diag(np.full(n, stencil.diag()[free_idx].mean()))
+    a_ext[np.ix_(at, at)] = a_ff
+    x = np.stack(np.unravel_index(np.arange(n), box), axis=1)  # box points, row-major
+    theta = 2 * np.pi * x / np.asarray(box)  # the frequencies, in the same order
+    fourier = np.exp(1j * theta @ x.T).T / np.sqrt(n)  # column j is f_j
+    rayleigh = np.einsum("xj,xy,yj->j", fourier.conj(), a_ext, fourier).real.reshape(box)
+    want = rayleigh[..., : box[-1] // 2 + 1]  # the rfftn half
+    np.testing.assert_allclose(op.eigenvalues, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def test_stable_1d_scan_takes_at_most_15_iterations_per_radius():
+    space, stencil, inner, radii, _ = _case("stable-1d")
+    first = capacity_scan(space, stencil, None, inner, radii)
+    assert max(first.iterations) <= 15
+    assert capacity_scan(space, stencil, None, inner, radii).iterations == first.iterations
+
+
 @pytest.mark.parametrize(
     "kwargs,radii",
     [
-        (dict(alpha=1.0, beta=1.0, dim=1, truncation_radius=300), [10.0, 100.0, 250.0]),
-        (dict(alpha=1.2, beta=0.7, dim=2, spacing=0.5, truncation_radius=8), [2.0, 5.0, 7.5]),
+        (dict(alpha=1.0, beta=1.0, dim=1, truncation_radius=300), [0.0, 10.0, 100.0, 250.0]),
+        (dict(alpha=1.2, beta=0.7, dim=2, spacing=0.5, truncation_radius=8), [0.0, 2.0, 5.0, 7.5]),
     ],
 )
 @pytest.mark.parametrize("direct_limit", [2000, 40])
 def test_green_growth_matches_the_csr_path(monkeypatch, kwargs, radii, direct_limit):
-    # the stencil side is CG either way; the limit puts the CSR twin on a direct solve or on CG too
+    # the stencil side is CG either way; the dense CSR twin is full-band, so direct at either limit;
+    # radius 0 gives an empty ball, so u_R(x0) = 0
     monkeypatch.setattr(jdlab.capacity, "DIRECT_LIMIT", direct_limit)
     built = stable_like(**kwargs)
     space, stencil = built.space, built.kernel

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .forms import KernelOperator, LocalPart, energy as form_energy, max_row_sum
+from .forms import KernelOperator, LocalPart, energy as form_energy
 from .space import DiscreteMMSpace, UnsupportedOperation, boundary_notes, metric_ball, support_sets
 
 DEFAULT_THRESHOLD = 10.0
@@ -111,12 +111,10 @@ def _omega_values(
     space: DiscreteMMSpace, kernel: Optional[KernelOperator], radii: np.ndarray
 ) -> np.ndarray:
     """omega(r) = max over X^(j) of sum_y (d(x,y) ^ r)^2 j(x,y) m(y), per r."""
-    if kernel is None or kernel.matrix.nnz == 0:
+    _, x_j = support_sets(kernel, None)
+    if len(x_j) == 0:
         return np.zeros(len(radii))
-    dist = kernel.pair_distances()
-    return np.array(
-        [max_row_sum(kernel.weighted, lambda lo, hi: np.minimum(dist[lo:hi], r) ** 2)[0] for r in radii]
-    )
+    return np.array([kernel.weighted_row_sums(lambda d: np.minimum(d, r) ** 2)[x_j].max() for r in radii])
 
 
 def omega(space: DiscreteMMSpace, kernel: Optional[KernelOperator], r: float) -> float:

@@ -41,24 +41,19 @@ def row_blocks(indptr: np.ndarray) -> Iterator[tuple[np.ndarray, int, int]]:
         k = stop
 
 
-def max_row_sum(mat: sp.csr_matrix, factor: Callable[[int, int], np.ndarray]) -> tuple[float, Optional[int]]:
-    """Largest row sum of factor(lo, hi) * mat.data[lo:hi] and its first row; (-inf, None) if none."""
-    best, arg = -np.inf, None
-    for rows, lo, hi in row_blocks(mat.indptr):
-        sums = np.add.reduceat(factor(lo, hi) * mat.data[lo:hi], mat.indptr[rows] - lo)
-        k = int(np.argmax(sums))
-        if sums[k] > best:
-            best, arg = float(sums[k]), int(rows[k])
-    return best, arg
-
-
 class KernelOperator:
-    """A symmetric jump kernel seen through W = j(x, y) m(y), the interface energies and capacity solves read.
+    """A symmetric jump kernel j over a truncation, the interface every caller reads.
 
-    matvec(v) = W v; row_mass = W 1; diag() is the diagonal of the jump
-    form matrix, 2 m(x) row_mass(x), since j vanishes on the diagonal.
-    Every implementation also gives the CSR views `matrix`, `weighted` and
-    `pair_distances()` that criteria, rates and truncation read.
+    With W = j(x, y) m(y):
+    - matvec(v) = W v, and row_mass = W 1;
+    - diag() is the diagonal of the jump form matrix, 2 m(x) row_mass(x),
+      since j vanishes on the diagonal;
+    - weighted_row_sums(g) = sum_y j(x, y) g(d(x, y)) m(y) for each x, from
+      which criteria take omega(r) and M_j;
+    - jump_support() is X^(j), the points with a positive kernel entry;
+    - jump_energy(u, v) is the jump form E^(j)(u, v);
+    - csr() is the kernel as a CSR `JumpKernel`, which only the rate table,
+      range truncation and the assembled form matrix gather.
     """
 
     space: DiscreteMMSpace
@@ -72,6 +67,19 @@ class KernelOperator:
 
     def diag(self) -> np.ndarray:
         return 2.0 * self.space.measure * self.row_mass
+
+    def weighted_row_sums(self, g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        raise NotImplementedError
+
+    def jump_support(self) -> np.ndarray:
+        raise NotImplementedError
+
+    def jump_energy(self, u: np.ndarray, v: np.ndarray) -> float:
+        """E^(j)(u, v) = sum_x Gamma_j(u, v)(x) m(x)."""
+        return float(np.dot(gamma_jump(self, u, v), self.space.measure))
+
+    def csr(self) -> "JumpKernel":
+        raise NotImplementedError
 
 
 class JumpKernel(KernelOperator):
@@ -149,6 +157,42 @@ class JumpKernel(KernelOperator):
     def density(self, x: int, y: int) -> float:
         return float(self.matrix[x, y])
 
+    def weighted_row_sums(self, g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """sum_y j(x, y) g(d(x, y)) m(y) per x, as segment sums over runs of whole rows (0 off X^(j))."""
+        dist, w = self.pair_distances(), self.weighted  # distances first: their temporaries peak before W exists
+        out = np.zeros(self.space.n_points)
+        for rows, lo, hi in row_blocks(w.indptr):
+            out[rows] = np.add.reduceat(g(dist[lo:hi]) * w.data[lo:hi], w.indptr[rows] - lo)
+        return out
+
+    def jump_support(self) -> np.ndarray:
+        return np.flatnonzero(np.diff(self.matrix.indptr)).astype(np.int64)
+
+    def jump_energy(self, u: np.ndarray, v: np.ndarray) -> float:
+        """sum of j(x, y) m(y) m(x) (u(x)-u(y))(v(x)-v(y)) over the stored entries, one run of rows at a time.
+
+        The Gamma formula u v W1 - u Wv - v Wu + W(u v) cancels where u is
+        nearly constant over a row's reach; these terms do not.
+        """
+        w, m = self.weighted, self.space.measure
+        counts = np.diff(w.indptr)
+        total = 0.0
+        for rows, lo, hi in row_blocks(w.indptr):
+            x, y = np.repeat(rows, counts[rows]), w.indices[lo:hi]
+            du = u[x] - u[y]
+            dv = du if v is u else v[x] - v[y]
+            total += float(np.sum(w.data[lo:hi] * m[x] * du * dv))
+        return total
+
+    def csr(self) -> "JumpKernel":
+        return self
+
+
+def offset_distances(extent: int, dim: int, spacing: float) -> np.ndarray:
+    """|k| spacing over the lattice offsets k in [-2E, 2E]^dim, from integer offsets times the spacing."""
+    axes = np.meshgrid(*[np.arange(-2 * extent, 2 * extent + 1)] * dim, indexing="ij")
+    return np.sqrt(sum((a * spacing) ** 2 for a in axes))
+
 
 def circulant_embedding(centred: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """A stencil over the offsets |k_a| <= c_a (offset k at index c + k) placed at index k mod shape.
@@ -176,13 +220,15 @@ class StencilKernel(KernelOperator):
     """Translation-invariant kernel j(x, y) = stencil[s(x) - s(y) + 2E] on a lattice box with uniform measure.
 
     The space's steps s must be the full box {-E..E}^d in row-major order
-    (as `_lattice_points` lists it), and stencil holds j once over the
-    offsets [-2E, 2E]^d, so memory is O(n). W v is one real FFT product over
-    the circulant embedding of the weighted stencil, zero-padded to a fast
-    length >= 4E + 1 per axis, which no offset of the box wraps around;
-    row_mass is the same product applied to 1. The CSR kernel is gathered
-    from the stencil on first use of `matrix`, `weighted`, `pair_distances`
-    or `density`, or of `csr()` itself.
+    (as `_lattice_points` lists it, with the spacing h in meta["spacing"]),
+    and stencil holds j once over the offsets [-2E, 2E]^d, so memory is
+    O(n). Its unit-offset entries are positive, so every point jumps and
+    X^(j) is the whole box. W v is one real FFT product over the circulant
+    embedding of the weighted stencil, zero-padded to a fast length >= 4E + 1
+    per axis, which no offset of the box wraps around; row_mass is the same
+    product applied to 1, and weighted_row_sums(g) the product of the
+    stencil times g(|k| h) applied to 1. The CSR kernel is gathered from the
+    stencil only by `csr()`.
     """
 
     def __init__(self, space: DiscreteMMSpace, stencil: np.ndarray):
@@ -207,6 +253,16 @@ class StencilKernel(KernelOperator):
             self._row_mass = self.matvec(np.ones(self.space.n_points))
         return self._row_mass
 
+    def weighted_row_sums(self, g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        from scipy import fft as sp_fft
+
+        d = offset_distances(self._side // 2, self.stencil.ndim, self.space.meta["spacing"])
+        hat = sp_fft.rfftn(circulant_embedding(self.stencil * g(d) * self._mass, self._fft_shape))
+        return box_convolution(np.ones((self._side,) * self.stencil.ndim), hat, self._fft_shape).reshape(-1)
+
+    def jump_support(self) -> np.ndarray:
+        return np.arange(self.space.n_points, dtype=np.int64)
+
     def csr(self) -> JumpKernel:
         """The same kernel as a CSR JumpKernel, gathered from the stencil 512 rows at a time on first call."""
         if self._csr is None:
@@ -227,17 +283,8 @@ class StencilKernel(KernelOperator):
 
     @property
     def matrix(self) -> sp.csr_matrix:
+        # no module of jdlab reads this; benchmark/spans.py's `_on_load` counts a loaded kernel's entries through it
         return self.csr().matrix
-
-    @property
-    def weighted(self) -> sp.csr_matrix:
-        return self.csr().weighted
-
-    def pair_distances(self) -> np.ndarray:
-        return self.csr().pair_distances()
-
-    def density(self, x: int, y: int) -> float:
-        return self.csr().density(x, y)
 
 
 @dataclass
@@ -336,7 +383,7 @@ def energy(
     if local is not None:
         total += local.energy(space.measure, u, v)
     if kernel is not None:
-        total += float(np.dot(gamma_jump(kernel, u, v), space.measure))
+        total += kernel.jump_energy(u, v)
     return total
 
 
@@ -344,8 +391,9 @@ def truncate_kernel(kernel: KernelOperator, a: float) -> JumpKernel:
     """Jump range cut at a: density zeroed where d(x, y) > a."""
     if a <= 0:
         raise ValueError("truncation range a must be positive")
-    m = kernel.matrix
-    dist = kernel.pair_distances()
+    csr = kernel.csr()
+    m = csr.matrix
+    dist = csr.pair_distances()
     keep = dist <= a
     data = np.where(keep, m.data, 0.0)
     out = sp.csr_matrix((data, m.indices.copy(), m.indptr.copy()), shape=m.shape)
@@ -382,7 +430,7 @@ def m_constants(space: DiscreteMMSpace, kernel: Optional[KernelOperator], local:
     boundary flags mark arg-max points sitting near the truncation edge
     (evidence that the true supremum may be larger).
     """
-    x_c, _ = support_sets(kernel, local)
+    x_c, x_j = support_sets(kernel, local)
     m_c, arg_c = 0.0, None
     if local is not None and len(x_c):
         d_row = space.distances_from(space.origin)
@@ -390,10 +438,10 @@ def m_constants(space: DiscreteMMSpace, kernel: Optional[KernelOperator], local:
         k = int(np.argmax(g[x_c]))
         m_c, arg_c = float(g[x_c][k]), int(x_c[k])
     m_j, arg_j = 0.0, None
-    if kernel is not None and kernel.matrix.nnz:
-        dist = kernel.pair_distances()
-        best, arg_j = max_row_sum(kernel.weighted, lambda lo, hi: np.minimum(1.0, dist[lo:hi] ** 2))
-        m_j = max(best, 0.0)
+    if len(x_j):
+        sums = kernel.weighted_row_sums(lambda d: np.minimum(1.0, d**2))[x_j]
+        k = int(np.argmax(sums))
+        m_j, arg_j = max(float(sums[k]), 0.0), int(x_j[k])
     return MConstants(
         m_c,
         m_j,
@@ -442,7 +490,7 @@ class RateTable:
 
 def jump_rates(kernel: KernelOperator) -> RateTable:
     """Generator-consistent rate table: <-Lu, v>_m = E^(j)(u, v)."""
-    q = (2.0 * kernel.weighted).tocsr()
+    q = (2.0 * kernel.csr().weighted).tocsr()
     lam = np.asarray(q.sum(axis=1)).reshape(-1)
     return RateTable(kernel.space, q, lam)
 
@@ -454,7 +502,7 @@ def form_matrix(
     n = space.n_points
     parts = []
     if kernel is not None:
-        k = kernel.weighted.multiply(space.measure[:, None]).tocsr()
+        k = kernel.csr().weighted.multiply(space.measure[:, None]).tocsr()
         d = sp.diags(np.asarray(k.sum(axis=1)).reshape(-1))
         parts.append(2.0 * (d - k))
     if local is not None:

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .forms import JumpKernel, KernelOperator, LocalPart, StencilKernel, local_chain
+from .forms import JumpKernel, KernelOperator, LocalPart, StencilKernel, local_chain, offset_distances
 from .space import DiscreteMMSpace, GraphData
 
 KAPPA_GASKET = math.log(3) / math.log(2)
@@ -190,8 +190,7 @@ def stable_like(
         # offset entry that underflows to 0 (or a non-finite entry) leaves the box without the
         # connectivity the stencil solves rely on, so the CSR build below takes over
         extent = int(space.steps.max())
-        axes = np.meshgrid(*[np.arange(-2 * extent, 2 * extent + 1)] * dim, indexing="ij")
-        stencil = f(np.sqrt(sum((a * spacing) ** 2 for a in axes)))
+        stencil = f(offset_distances(extent, dim, spacing))
         unit = stencil[(2 * extent + 1,) + (2 * extent,) * (dim - 1)]
         if unit > 0 and np.isfinite(stencil).all():
             return BuiltInstance(space, StencilKernel(space, stencil))

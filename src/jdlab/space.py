@@ -325,7 +325,7 @@ def support_sets(kernel, local) -> tuple[np.ndarray, np.ndarray]:
     if kernel is None:
         x_j = np.array([], dtype=np.int64)
     else:
-        x_j = np.flatnonzero(np.diff(kernel.matrix.indptr)).astype(np.int64)
+        x_j = kernel.jump_support()
     if local is None:
         x_c = np.array([], dtype=np.int64)
     else:

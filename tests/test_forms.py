@@ -113,7 +113,7 @@ def test_truncate_layered_kernel_drops_tail():
     assert np.all(d <= 1.0)
     # short-range part intact
     o = b.space.origin
-    assert trimmed.density(o, o + 1) == b.kernel.density(o, o + 1)
+    assert trimmed.density(o, o + 1) == b.kernel.csr().density(o, o + 1)
 
 
 def test_m_constants_z_nn(z_line):

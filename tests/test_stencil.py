@@ -1,4 +1,4 @@
-"""Stencil kernels (FFT matvecs, CSR gathered from the stencil) against the code paths they replace.
+"""Stencil kernels (FFT matvecs and row sums, CSR gathered from the stencil) against the code paths they replace.
 
 `capacity_scan`, `green_growth` and `energy` run once on the stencil
 kernel (circulant-preconditioned CG on ball-sized FFT matvecs) and once
@@ -9,9 +9,13 @@ over the whole box. The CSR itself is checked against `_pairwise_kernel`,
 which builds it from distances and the model's density written out in
 the tests. Energies are compared within 1e-12 relative, except on the
 tempered case ii kernel: there they are compared within twice the
-rounding scale of `forms.energy`'s Gamma sum (eps times the sum of its
+rounding scale of the stencil energy's Gamma sum (eps times the sum of its
 terms' magnitudes), since near the truncation that sum cancels by 1e4 and
-both paths, each rounding differently, sit ~1e-12 from its exact value.
+sits ~1e-12 from the exact value (the CSR sums per entry, which does not
+cancel).
+Criteria (weighted row sums, omega, M_j, recurrence reports) are compared
+with the gathered CSR within 1e-12 relative, the CSR's per-entry jump
+energy with a long-double sum within 1e-14.
 """
 
 import pickle
@@ -31,8 +35,10 @@ from jdlab import (
     equilibrium_potential,
     green_growth,
     jump_rates,
+    m_constants,
     recurrence_report,
     stable_like,
+    support_sets,
 )
 from jdlab.capacity import _form, _FreeOperator, _potential
 from jdlab.criteria import theta_test_function
@@ -78,6 +84,14 @@ def assert_bit_identical(a, b):
     for name in ("indptr", "indices", "data"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def assert_reports_match(got, want):
+    """Recurrence reports agree: radii, verdict and notes equal, the statistic and omega within 1e-12 relative."""
+    assert (got.radii, got.verdict, got.notes) == (want.radii, want.verdict, want.notes)
+    np.testing.assert_allclose(got.values, want.values, rtol=REL, atol=0)
+    assert got.liminf_estimate == pytest.approx(want.liminf_estimate, rel=REL, abs=0)
+    np.testing.assert_allclose(got.extras["omega"], want.extras["omega"], rtol=REL, atol=0)
 
 
 def _offsets(space, point):
@@ -146,6 +160,41 @@ def test_stencil_capacities_match_the_csr_path(name):
         assert got.unknowns == [18, 78, 318, 1278, 2198]
         assert np.abs(np.subtract(got.iterations, [8, 10, 11, 13, 13])).max() <= 2
         assert [w.iterations for w in want] == [0] * 5
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_row_sums_omega_and_m_j_match_the_gathered_csr(name):
+    space, stencil, _, radii, center = _case(name)
+    got_report = recurrence_report(space, stencil, None, center, radii)
+    got_mc = m_constants(space, stencil, None)
+    assert stencil._csr is None  # criteria read the operator, never the CSR
+    csr = stencil.csr()
+    assert np.array_equal(stencil.jump_support(), csr.jump_support())
+    truncated = [lambda d, r=r: np.minimum(d, r) ** 2 for r in radii]
+    for g in truncated + [lambda d: np.minimum(1.0, d**2)]:
+        np.testing.assert_allclose(stencil.weighted_row_sums(g), csr.weighted_row_sums(g), rtol=REL, atol=0)
+    assert_reports_match(got_report, recurrence_report(space, csr, None, center, radii))
+    want_mc = m_constants(space, csr, None)
+    assert got_mc.m_j == pytest.approx(want_mc.m_j, rel=REL, abs=0)
+    # equal up to ties: case ii's rows tie at rounding level, so the stencil may pick another row attaining the maximum
+    sums = csr.weighted_row_sums(lambda d: np.minimum(1.0, d**2))
+    assert got_mc.argmax_j == want_mc.argmax_j or sums[got_mc.argmax_j] == pytest.approx(want_mc.m_j, rel=REL, abs=0)
+
+
+@pytest.mark.parametrize("tempering", [0.3, 0.8])
+def test_csr_jump_energy_is_the_per_entry_sum_to_rounding(tempering):
+    # the potentials of case ii near the truncation, where the Gamma formula cancels ~1e4-fold
+    built = stable_like(case="ii", alpha=1.0, tempering=tempering, dim=1, truncation_radius=300)
+    space, csr = built.space, built.kernel.csr()
+    m = csr.matrix
+    x, y = np.repeat(np.arange(space.n_points), np.diff(m.indptr)), m.indices
+    mass = space.measure.astype(np.longdouble)
+    dist = space.distances_from(space.origin)
+    for r in (200.0, 230.0, 260.0, 290.0):
+        u = equilibrium_potential(space, csr, None, [space.origin], dist < r).u
+        du = u.astype(np.longdouble)[x] - u.astype(np.longdouble)[y]
+        want = float(np.sum(m.data.astype(np.longdouble) * mass[x] * mass[y] * du * du))
+        assert abs(energy(space, csr, None, u) - want) <= 1e-14 * want, r
 
 
 @pytest.mark.parametrize("name", ["dim-2-spacing-0.5", "dim-3", "spacing-0.1", "dim-2-spacing-0.1-several-K-off-centre"])
@@ -374,6 +423,9 @@ def test_scans_potentials_and_energies_leave_the_csr_unbuilt():
     capacity_scan(space, kernel, None, [space.origin], [10.0, 150.0])
     equilibrium_potential(space, kernel, None, [space.origin], space.distances_from(space.origin) < 50)
     energy(space, kernel, None, theta_test_function(space, space.origin, 50.0))
+    recurrence_report(space, kernel, None, space.origin, [10.0, 150.0])
+    m_constants(space, kernel, None)
+    support_sets(kernel, None)
     assert kernel._csr is None
     assert kernel.matrix.nnz == space.n_points * (space.n_points - 1)
     assert isinstance(kernel._csr, JumpKernel)
@@ -385,12 +437,13 @@ def test_reports_rates_and_pickles_see_the_pairwise_csr(tmp_path):
     fresh = pairwise_oracle(space, alpha=1.0, beta=1.0)
     assert_bit_identical(stencil.matrix, fresh.matrix)
     radii = [2.0, 10.0, 50.0, 100.0]
-    assert recurrence_report(space, stencil, None, space.origin, radii) == recurrence_report(
-        space, fresh, None, space.origin, radii
+    assert_reports_match(
+        recurrence_report(space, stencil, None, space.origin, radii),
+        recurrence_report(space, fresh, None, space.origin, radii),
     )
     got_q, want_q = jump_rates(stencil).q, jump_rates(fresh).q
     assert got_q.data.tobytes() == want_q.data.tobytes() and got_q.indices.tobytes() == want_q.indices.tobytes()
-    save_built(tmp_path / "s.pkl", built)  # after the reports and rates above built the CSR
+    save_built(tmp_path / "s.pkl", built)  # after the rates above built the CSR
     loaded = load_built(tmp_path / "s.pkl").kernel
     assert type(loaded) is StencilKernel and loaded._csr is None  # the pickle kept the stencil, not the CSR
     assert_bit_identical(loaded.matrix, fresh.matrix)

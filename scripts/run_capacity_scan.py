@@ -2,8 +2,8 @@
 """Capacity decay cap({0}, B(0,R)) for stable-like kernels with beta = alpha.
 
 The certificate should fire exactly for alpha >= 1 (one-dimensional stable
-recurrence threshold). Larger truncations sharpen the separation at the cost
-of dense-kernel memory ~ O(points^2).
+recurrence threshold). Larger truncations sharpen the separation; the
+kernel is an FFT stencil, so memory grows only as O(points).
 """
 
 import argparse

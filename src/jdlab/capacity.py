@@ -7,9 +7,9 @@ like. The assembled form matrix G is solved directly below DIRECT_LIMIT
 unknowns, and at any size when its band is no larger than its stored
 entries (a chain, say); otherwise by Jacobi-preconditioned conjugate
 gradients. A stencil kernel with no local part is never assembled: every
-solve is CG on its jump form 2 (diag(m row_mass) - m W), with FFT matvecs
-sized to the ball's bounding box and T. Chan's optimal circulant
-preconditioner on that box.
+solve is CG on its `free_operator`, the jump form on the free points,
+which brings its own FFT matvecs and circulant preconditioner; this
+module knows nothing of the stencil's layout.
 
 Both the potentials and the Green functions go through the one free-set
 solver that `_form` picks. The state space may be disconnected, so part of
@@ -28,15 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .forms import (
-    KernelOperator,
-    LocalPart,
-    StencilKernel,
-    box_convolution,
-    circulant_embedding,
-    energy as form_energy,
-    form_matrix,
-)
+from .forms import KernelOperator, LocalPart, StencilKernel, energy as form_energy, form_matrix
 from .space import DiscreteMMSpace, boundary_notes
 
 DIRECT_LIMIT = 2000
@@ -60,63 +52,6 @@ class PotentialSolve:
     warnings: list[str] = field(default_factory=list)
     unknowns: int = 0  # size of the linear system solved
     iterations: int = 0  # CG iterations, 0 for a direct solve
-
-
-class _FreeOperator(spla.LinearOperator):
-    """The jump form matrix A = 2 (diag(m row_mass) - m W) of a stencil kernel on the free points.
-
-    Everything runs on the free set's bounding box, of side L_a per axis.
-    A matvec needs only the stencil's offsets |k_a| < L_a, so its FFTs run
-    over that cut stencil's (2L - 1)^d circulant embedding. `precond`
-    applies the inverse of T. Chan's optimal circulant C on the box for
-    A_ext = A (+) mean(diag) I, which extends A by its mean diagonal to the
-    box's other points. C's eigenvalue at each Fourier vector f of the box
-    is f* A_ext f, positive since A_ext is positive definite; over the box's
-    N points they are mean(diag) - (2m / N) FFT(fold_L(w a)), where w is
-    the weighted stencil, a(k) counts the free pairs at offset k (the
-    mask's autocorrelation) and fold_L sums offsets modulo L.
-    """
-
-    def __init__(self, kernel: StencilKernel, free_idx: np.ndarray):
-        from scipy import fft as sp_fft
-
-        super().__init__(float, (free_idx.size, free_idx.size))
-        steps = kernel.space.steps[free_idx] - kernel.space.steps[free_idx].min(axis=0)
-        box = tuple(int(n) + 1 for n in steps.max(axis=0))
-        self._box, self._at = box, tuple(steps.T)  # the free points' places in their bounding box
-        mass = kernel.space.measure[0]
-        self._scale = 2.0 * mass
-        self._diag = kernel.diag()[free_idx]
-        centre = kernel.stencil.shape[0] // 2
-        cut = kernel.stencil[tuple(slice(centre - n + 1, centre + n) for n in box)] * mass
-        self._fft_shape = tuple(sp_fft.next_fast_len(2 * n - 1, real=True) for n in box)
-        w = circulant_embedding(cut, self._fft_shape)
-        self._hat = sp_fft.rfftn(w)
-        mask = sp_fft.rfftn(self._scatter(np.ones(free_idx.size)), s=self._fft_shape)
-        autocorrelation = np.rint(sp_fft.irfftn(mask * mask.conj(), s=self._fft_shape))
-        folded = w * autocorrelation
-        for axis, n in enumerate(box):  # offset k sits at index k mod fft_shape; sum it into k mod L
-            folded = np.moveaxis(folded, axis, 0)
-            head = folded[:n].copy()
-            head[1:] += folded[folded.shape[0] - n + 1 :]
-            folded = np.moveaxis(head, 0, axis)
-        self.eigenvalues = self._diag.mean() - self._scale / folded.size * sp_fft.rfftn(folded).real
-        self.precond = spla.LinearOperator(self.shape, matvec=self._precond_solve, dtype=float)
-
-    def _scatter(self, x: np.ndarray) -> np.ndarray:
-        """x on the free points, 0 elsewhere in the bounding box."""
-        grid = np.zeros(self._box)
-        grid[self._at] = np.reshape(x, -1)
-        return grid
-
-    def _matvec(self, x: np.ndarray) -> np.ndarray:
-        wx = box_convolution(self._scatter(x), self._hat, self._fft_shape)[self._at]
-        return self._diag * np.reshape(x, -1) - self._scale * wx
-
-    def _precond_solve(self, r: np.ndarray) -> np.ndarray:
-        from scipy import fft as sp_fft
-
-        return sp_fft.irfftn(sp_fft.rfftn(self._scatter(r)) / self.eigenvalues, s=self._box)[self._at]
 
 
 def _solve_direct(a: sp.csr_matrix, b: np.ndarray) -> Optional[np.ndarray]:
@@ -151,7 +86,7 @@ def _solve_direct(a: sp.csr_matrix, b: np.ndarray) -> Optional[np.ndarray]:
 
 
 def _solve_spd(a, b: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """Solve a x = b for a symmetric positive definite sparse matrix or `_FreeOperator`.
+    """Solve a x = b for a symmetric positive definite sparse matrix or `StencilKernel.free_operator`.
 
     A sparse matrix is solved directly where `_solve_direct` takes it, else
     by Jacobi-preconditioned CG; an operator always by CG with its own
@@ -250,12 +185,12 @@ class _StencilForm:
         return 2.0 * self.kernel.space.measure[free_idx] * self.kernel.matvec(u)[free_idx]
 
     def solve(self, free: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, int, int]:
-        """As `_AssembledForm.solve`, through `_FreeOperator`."""
+        """As `_AssembledForm.solve`, through the kernel's `free_operator`."""
         if free.all():
             return np.full(b.size, np.inf if (b > 0).any() else 0.0), 0.0, b.size, 0
         if not free.any():  # a ball of radius 0: no bounding box to build the operator on
             return np.zeros(0), 0.0, 0, 0
-        x, res, iterations = _solve_spd(_FreeOperator(self.kernel, np.flatnonzero(free)), b)
+        x, res, iterations = _solve_spd(self.kernel.free_operator(np.flatnonzero(free)), b)
         return x, res, 0, iterations
 
 

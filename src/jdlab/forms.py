@@ -19,6 +19,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .space import DiscreteMMSpace, exactly_symmetric, support_sets
 
@@ -188,64 +189,79 @@ class JumpKernel(KernelOperator):
         return self
 
 
-def offset_distances(extent: int, dim: int, spacing: float) -> np.ndarray:
-    """|k| spacing over the lattice offsets k in [-2E, 2E]^dim, from integer offsets times the spacing."""
-    axes = np.meshgrid(*[np.arange(-2 * extent, 2 * extent + 1)] * dim, indexing="ij")
-    return np.sqrt(sum((a * spacing) ** 2 for a in axes))
+class _Convolution:
+    """x -> sum_k w(k) x[. - k] on a box, for a centred stencil w over offsets |k_a| <= c_a (offset k at index c + k).
 
-
-def circulant_embedding(centred: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """A stencil over the offsets |k_a| <= c_a (offset k at index c + k) placed at index k mod shape.
-
-    Every shape_a must be at least 2 c_a + 1, so that no two offsets share an index.
+    w is cut to the offsets |k_a| < box_a, the only ones between two points
+    of the box, and placed at index k mod fft_shape in its circulant
+    embedding, zero-padded to a fast length >= 2 box_a - 1 per axis, so no
+    offset of the box wraps around: a convolution is one real FFT product.
     """
-    out = np.zeros(shape)
-    out[tuple(slice(0, n) for n in centred.shape)] = centred
-    # offset k sits at index k mod shape, so the centre (offset 0) moves to index 0
-    return np.roll(out, [-(n // 2) for n in centred.shape], axis=tuple(range(centred.ndim)))
 
+    def __init__(self, weights: np.ndarray, box: tuple[int, ...]):
+        from scipy import fft as sp_fft  # here, not at module level: the import adds ~5 MB to every run
 
-def box_convolution(box: np.ndarray, hat: np.ndarray, fft_shape: tuple[int, ...]) -> np.ndarray:
-    """sum_k w(k) box[. - k] on the box, where hat is the rfftn of w's `circulant_embedding` in fft_shape.
+        self.box = box
+        self.fft_shape = tuple(sp_fft.next_fast_len(2 * n - 1, real=True) for n in box)
+        cut = weights[tuple(slice(c // 2 - n + 1, c // 2 + n) for c, n in zip(weights.shape, box))]
+        padded = np.zeros(self.fft_shape)
+        padded[tuple(slice(0, c) for c in cut.shape)] = cut
+        # offset k sits at index k mod fft_shape, so the centre (offset 0) moves to index 0
+        self.embedded = np.roll(padded, [1 - n for n in box], axis=tuple(range(len(box))))
+        self.hat = sp_fft.rfftn(self.embedded)
 
-    No offset wraps around when fft_shape_a >= box_a + c_a, c_a being w's largest offset.
-    """
-    from scipy import fft as sp_fft
+    def __call__(self, grid: np.ndarray) -> np.ndarray:
+        from scipy import fft as sp_fft
 
-    full = sp_fft.irfftn(sp_fft.rfftn(box, s=fft_shape) * hat, s=fft_shape)
-    return full[tuple(slice(0, n) for n in box.shape)]
+        full = sp_fft.irfftn(sp_fft.rfftn(grid, s=self.fft_shape) * self.hat, s=self.fft_shape)
+        return full[tuple(slice(0, n) for n in self.box)]
 
 
 class StencilKernel(KernelOperator):
-    """Translation-invariant kernel j(x, y) = stencil[s(x) - s(y) + 2E] on a lattice box with uniform measure.
+    """Translation-invariant kernel j(x, y) = f(|x - y|) on a lattice box with uniform measure.
 
-    The space's steps s must be the full box {-E..E}^d in row-major order
-    (as `_lattice_points` lists it, with the spacing h in meta["spacing"]),
-    and stencil holds j once over the offsets [-2E, 2E]^d, so memory is
-    O(n). Its unit-offset entries are positive, so every point jumps and
-    X^(j) is the whole box. W v is one real FFT product over the circulant
-    embedding of the weighted stencil, zero-padded to a fast length >= 4E + 1
-    per axis, which no offset of the box wraps around; row_mass is the same
-    product applied to 1, and weighted_row_sums(g) the product of the
-    stencil times g(|k| h) applied to 1. The CSR kernel is gathered from the
-    stencil only by `csr()`.
+    The space's steps s must be the full box {-E..E}^d in row-major order,
+    its Euclidean coordinates exactly s h, and its measure one cell mass m.
+    f is evaluated once, as the stencil j over the offsets k in [-2E, 2E]^d
+    at distance |k| h (0 at k = 0), so memory is O(n); its unit-offset entry
+    must be positive, so X^(j) is the whole box. W v is one `_Convolution`
+    by m j, and weighted_row_sums(g) the convolution of 1 by m j g(|k| h).
+    The CSR kernel is gathered from the stencil only by `csr()`.
     """
 
-    def __init__(self, space: DiscreteMMSpace, stencil: np.ndarray):
-        from scipy import fft as sp_fft  # here, not at module level: the import adds ~5 MB to every run
-
-        self.space = space
-        self.stencil = stencil
-        self._csr: Optional[JumpKernel] = None
-        self._side = (stencil.shape[0] + 1) // 2  # 2E + 1 points per axis
+    def __init__(self, space: DiscreteMMSpace, f: Callable[[np.ndarray], np.ndarray]):
+        steps, n = space.steps, space.n_points
+        dim, extent = (0, 0) if steps is None else (steps.shape[1], int(steps.max()))
+        box = (2 * extent + 1,) * dim
+        if not (extent and n == np.prod(box) and np.array_equal(steps, np.indices(box).reshape(dim, -1).T - extent)):
+            raise ValueError("a stencil kernel needs steps that are the full row-major lattice box {-E..E}^d, E >= 1")
+        # h is the coordinate of the point one step along the last axis from the centre
+        h = float(space.coords[n // 2 + 1, -1]) if space.metric_kind == "euclidean" else None
+        if h is None or not np.array_equal(space.coords, steps * h):
+            raise ValueError("a stencil kernel needs Euclidean coordinates equal to the steps times one spacing")
+        if not np.all(space.measure == space.measure[0]):
+            raise ValueError("a stencil kernel needs a uniform measure")
+        self.space, self._h, self._box = space, h, box
+        d = self._offset_distances()
+        self.stencil = np.array(np.broadcast_to(f(d), d.shape), dtype=float)  # a stencil of the wrong shape raises ValueError
+        self.stencil[(2 * extent,) * dim] = 0.0  # j vanishes on the diagonal
+        if not np.isfinite(self.stencil).all():
+            raise ValueError("stencil kernel entries must be finite")
+        if not self.stencil[(2 * extent + 1,) + (2 * extent,) * (dim - 1)] > 0:
+            raise ValueError("the stencil's unit-offset entry must be positive, so that the box is connected")
         self._mass = float(space.measure[0])
-        self._fft_shape = tuple(sp_fft.next_fast_len(n, real=True) for n in stencil.shape)
-        self._hat = sp_fft.rfftn(circulant_embedding(stencil * self._mass, self._fft_shape))
+        self._conv = _Convolution(self.stencil * self._mass, self._box)
+        self._csr: Optional[JumpKernel] = None
         self._row_mass: Optional[np.ndarray] = None
 
+    def _offset_distances(self) -> np.ndarray:
+        """|k| h over the offsets k in [-2E, 2E]^d, from integer offsets times h."""
+        reach = self._box[0] - 1
+        axes = np.meshgrid(*[np.arange(-reach, reach + 1)] * len(self._box), indexing="ij")
+        return np.sqrt(sum((a * self._h) ** 2 for a in axes))
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        box = np.reshape(v, (self._side,) * self.stencil.ndim)
-        return box_convolution(box, self._hat, self._fft_shape).reshape(-1)
+        return self._conv(np.reshape(v, self._box)).reshape(-1)
 
     @property
     def row_mass(self) -> np.ndarray:
@@ -254,19 +270,19 @@ class StencilKernel(KernelOperator):
         return self._row_mass
 
     def weighted_row_sums(self, g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        from scipy import fft as sp_fft
-
-        d = offset_distances(self._side // 2, self.stencil.ndim, self.space.meta["spacing"])
-        hat = sp_fft.rfftn(circulant_embedding(self.stencil * g(d) * self._mass, self._fft_shape))
-        return box_convolution(np.ones((self._side,) * self.stencil.ndim), hat, self._fft_shape).reshape(-1)
+        conv = _Convolution(self.stencil * g(self._offset_distances()) * self._mass, self._box)
+        return conv(np.ones(self._box)).reshape(-1)
 
     def jump_support(self) -> np.ndarray:
         return np.arange(self.space.n_points, dtype=np.int64)
 
+    def free_operator(self, free_idx: np.ndarray) -> "_FreeOperator":
+        return _FreeOperator(self, free_idx)  # the jump form on the points free_idx, with a circulant preconditioner
+
     def csr(self) -> JumpKernel:
         """The same kernel as a CSR JumpKernel, gathered from the stencil 512 rows at a time on first call."""
         if self._csr is None:
-            steps, centre = self.space.steps, self._side - 1
+            steps, centre = self.space.steps, self._box[0] - 1
 
             def rows(lo: int) -> sp.csr_matrix:  # j(x, y) = stencil[s(x) - s(y) + 2E] for x in the run, every y
                 x = slice(lo, lo + 512)
@@ -279,12 +295,64 @@ class StencilKernel(KernelOperator):
         return self._csr
 
     def __getstate__(self) -> dict:
-        return {**vars(self), "_csr": None}  # a pickle keeps the stencil, not a CSR gathered from it
+        return {"space": self.space, "stencil": self.stencil}  # the rest, and any gathered CSR, derives from these
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(state["space"], lambda d: state["stencil"])  # so a loaded kernel is checked like a built one
 
     @property
     def matrix(self) -> sp.csr_matrix:
         # no module of jdlab reads this; benchmark/spans.py's `_on_load` counts a loaded kernel's entries through it
         return self.csr().matrix
+
+
+class _FreeOperator(spla.LinearOperator):
+    """The jump form matrix A = 2 (diag(m row_mass) - m W) of a stencil kernel on the free points.
+
+    A matvec is one `_Convolution` by the weighted stencil w over the free
+    set's bounding box, of side L_a per axis. `precond` applies the inverse
+    of T. Chan's optimal circulant C on the box for A_ext = A (+) mean(diag) I,
+    which extends A by its mean diagonal to the box's other points. C's
+    eigenvalue at each Fourier vector f of the box is f* A_ext f, positive
+    since A_ext is positive definite; over the box's N points they are
+    mean(diag) - (2m / N) FFT(fold_L(w a)), where a(k) counts the free pairs
+    at offset k (the mask's autocorrelation) and fold_L sums offsets mod L.
+    """
+
+    def __init__(self, kernel: StencilKernel, free_idx: np.ndarray):
+        from scipy import fft as sp_fft
+
+        super().__init__(float, (free_idx.size, free_idx.size))
+        steps = kernel.space.steps[free_idx] - kernel.space.steps[free_idx].min(axis=0)
+        box = tuple(int(n) + 1 for n in steps.max(axis=0))
+        self._box, self._at = box, tuple(steps.T)  # the free points' places in their bounding box
+        self._scale = 2.0 * kernel._mass
+        self._diag = kernel.diag()[free_idx]
+        self._conv = _Convolution(kernel.stencil * kernel._mass, box)
+        mask = sp_fft.rfftn(self._scatter(np.ones(free_idx.size)), s=self._conv.fft_shape)
+        autocorrelation = np.rint(sp_fft.irfftn(mask * mask.conj(), s=self._conv.fft_shape))
+        folded = self._conv.embedded * autocorrelation
+        for axis, n in enumerate(box):  # offset k sits at index k mod fft_shape; sum it into k mod L
+            folded = np.moveaxis(folded, axis, 0)
+            head = folded[:n].copy()
+            head[1:] += folded[folded.shape[0] - n + 1 :]
+            folded = np.moveaxis(head, 0, axis)
+        self.eigenvalues = self._diag.mean() - self._scale / folded.size * sp_fft.rfftn(folded).real
+        self.precond = spla.LinearOperator(self.shape, matvec=self._precond_solve, dtype=float)
+
+    def _scatter(self, x: np.ndarray) -> np.ndarray:
+        """x on the free points, 0 elsewhere in the bounding box."""
+        grid = np.zeros(self._box)
+        grid[self._at] = np.reshape(x, -1)
+        return grid
+
+    def _matvec(self, x: np.ndarray) -> np.ndarray:
+        return self._diag * np.reshape(x, -1) - self._scale * self._conv(self._scatter(x))[self._at]
+
+    def _precond_solve(self, r: np.ndarray) -> np.ndarray:
+        from scipy import fft as sp_fft
+
+        return sp_fft.irfftn(sp_fft.rfftn(self._scatter(r)) / self.eigenvalues, s=self._box)[self._at]
 
 
 @dataclass
@@ -300,7 +368,6 @@ class LocalPart:
 
     edges: np.ndarray  # (m, 2) endpoint indices
     conductance: np.ndarray  # (m,) symmetric c values
-    spacing: float
     support: np.ndarray  # declared X^(c) point indices
 
     def __post_init__(self) -> None:
@@ -310,12 +377,11 @@ class LocalPart:
         if np.any(self.conductance < 0):
             raise ValueError("conductances must be nonnegative")
 
-    def gamma(self, u: np.ndarray, v: Optional[np.ndarray] = None, n_points: Optional[int] = None) -> np.ndarray:
-        """Pointwise Gamma_c(u, v) over all points (zero off local edges)."""
+    def gamma(self, u: np.ndarray, n_points: int, v: Optional[np.ndarray] = None) -> np.ndarray:
+        """Pointwise Gamma_c(u, v) over all n_points points (zero off local edges)."""
         if v is None:
             v = u
-        n = n_points if n_points is not None else int(self.edges.max(initial=-1)) + 1
-        out = np.zeros(n)
+        out = np.zeros(n_points)
         i, j = self.edges[:, 0], self.edges[:, 1]
         term = self.conductance * (u[i] - u[j]) * (v[i] - v[j])
         np.add.at(out, i, term)
@@ -340,7 +406,7 @@ class LocalPart:
         return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def local_chain(points: np.ndarray, measure: np.ndarray, spacing: float, support=None) -> LocalPart:
+def local_chain(points: np.ndarray, spacing: float) -> LocalPart:
     """Finite-difference local part along an ordered 1-D chain of point indices.
 
     Conductance c = 1/(h^2 * max(deg_i, deg_j)) per consecutive pair, which
@@ -348,15 +414,13 @@ def local_chain(points: np.ndarray, measure: np.ndarray, spacing: float, support
     """
     points = np.asarray(points, dtype=np.int64)
     if len(points) < 2:
-        return LocalPart(np.empty((0, 2), dtype=np.int64), np.empty(0), spacing, points)
+        return LocalPart(np.empty((0, 2), dtype=np.int64), np.empty(0), points)
     edges = np.column_stack([points[:-1], points[1:]])
     deg = np.full(len(points), 2.0)
     deg[0] = deg[-1] = 1.0
     cap = np.maximum(deg[:-1], deg[1:])
     cond = 1.0 / (spacing**2 * cap)
-    if support is None:
-        support = points
-    return LocalPart(edges, cond, spacing, np.asarray(support, dtype=np.int64))
+    return LocalPart(edges, cond, points)
 
 
 def gamma_jump(kernel: KernelOperator, u: np.ndarray, v: Optional[np.ndarray] = None) -> np.ndarray:
@@ -434,7 +498,7 @@ def m_constants(space: DiscreteMMSpace, kernel: Optional[KernelOperator], local:
     m_c, arg_c = 0.0, None
     if local is not None and len(x_c):
         d_row = space.distances_from(space.origin)
-        g = local.gamma(d_row, n_points=space.n_points)
+        g = local.gamma(d_row, space.n_points)
         k = int(np.argmax(g[x_c]))
         m_c, arg_c = float(g[x_c][k]), int(x_c[k])
     m_j, arg_j = 0.0, None
@@ -503,8 +567,9 @@ def form_matrix(
     parts = []
     if kernel is not None:
         k = kernel.csr().weighted.multiply(space.measure[:, None]).tocsr()
-        d = sp.diags(np.asarray(k.sum(axis=1)).reshape(-1))
-        parts.append(2.0 * (d - k))
+        g = sp.diags(np.asarray(k.sum(axis=1)).reshape(-1)) - k
+        g.data *= 2.0  # in place: 2.0 * g would copy G
+        parts.append(g)
     if local is not None:
         parts.append(local.form_matrix(space.measure, n))
     if not parts:

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .forms import JumpKernel, KernelOperator, LocalPart, StencilKernel, local_chain, offset_distances
+from .forms import JumpKernel, KernelOperator, LocalPart, StencilKernel, local_chain
 from .space import DiscreteMMSpace, GraphData
 
 KAPPA_GASKET = math.log(3) / math.log(2)
@@ -159,19 +159,6 @@ def stable_like(
         raise ValueError(f"unknown support {support!r}")
     kappa = float(dim) if support == "lattice" else KAPPA_GASKET
     family = {"family": "stable_like", "kappa": kappa, "case": case}
-    if support == "lattice":
-        space = _lattice_space(dim, truncation_radius, spacing, spacing**dim, **family)
-    else:
-        coords = _gasket_points(gasket_level)
-        space = DiscreteMMSpace(
-            np.ones(len(coords)),
-            coords=coords,
-            metric_kind="euclidean",
-            origin=0,
-            truncation_radius=float(2**gasket_level),
-            meta={"kind": "gasket", "level": gasket_level, **family},
-        )
-
     short_exp = kappa + alpha
 
     def f(d: np.ndarray) -> np.ndarray:
@@ -185,16 +172,26 @@ def stable_like(
                 raise ValueError(f"unknown case {case!r}")
         return short + tail
 
-    if support == "lattice":
-        # j over the lattice offsets [-2E, 2E]^d, from integer offsets times the spacing; a unit
-        # offset entry that underflows to 0 (or a non-finite entry) leaves the box without the
-        # connectivity the stencil solves rely on, so the CSR build below takes over
-        extent = int(space.steps.max())
-        stencil = f(offset_distances(extent, dim, spacing))
-        unit = stencil[(2 * extent + 1,) + (2 * extent,) * (dim - 1)]
-        if unit > 0 and np.isfinite(stencil).all():
-            return BuiltInstance(space, StencilKernel(space, stencil))
-    return BuiltInstance(space, _pairwise_kernel(space, lambda idx, d: f(d)))
+    if support == "gasket":
+        coords = _gasket_points(gasket_level)
+        space = DiscreteMMSpace(
+            np.ones(len(coords)),
+            coords=coords,
+            metric_kind="euclidean",
+            origin=0,
+            truncation_radius=float(2**gasket_level),
+            meta={"kind": "gasket", "level": gasket_level, **family},
+        )
+        return BuiltInstance(space, _pairwise_kernel(space, lambda idx, d: f(d)))
+    space = _lattice_space(dim, truncation_radius, spacing, spacing**dim, **family)
+    # f is non-increasing and h is the shortest lattice distance: where f(h) underflows every entry
+    # is 0, and where it overflows the kernel is infinite between neighbours
+    nearest = float(f(np.array(spacing)))
+    if nearest == 0.0:
+        return BuiltInstance(space, JumpKernel(space, sp.csr_matrix((space.n_points,) * 2)))
+    if not math.isfinite(nearest):
+        raise ValueError(f"the kernel overflows at d = h = {spacing:g}, the lattice spacing")
+    return BuiltInstance(space, StencilKernel(space, f))
 
 
 # -- Example family: disconnected stack of lattice sheets --------------------
@@ -405,7 +402,7 @@ def model_manifold(
     rows, cols = _band_entries(k_max, int(math.ceil(1.0 / spacing)) - 1)
     sig_n = sig**dim
     kernel = JumpKernel.from_entries(space, rows, cols, 1.0 / (sig_n[rows] * sig_n[cols]))
-    local = local_chain(np.arange(k_max), measure, spacing)
+    local = local_chain(np.arange(k_max), spacing)
     return BuiltInstance(space, kernel, local)
 
 
@@ -480,7 +477,7 @@ def mixed_graph(
 
     local = None
     if k > 0:
-        local = LocalPart(np.column_stack([d_rows, d_cols]), local_cond, h, np.arange(nv, n_total, dtype=np.int64))
+        local = LocalPart(np.column_stack([d_rows, d_cols]), local_cond, np.arange(nv, n_total, dtype=np.int64))
     return BuiltInstance(space, kernel, local)
 
 

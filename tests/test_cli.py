@@ -71,6 +71,14 @@ def test_missing_truncation_radius_exits_2(tmp_path, capsys):
     assert "truncation_radius" in err
 
 
+def test_kernel_overflowing_at_the_spacing_exits_2_naming_it(tmp_path, capsys):
+    kernel = {"family": "stable_i", "alpha": 1.9}
+    spec = {"type": "lattice", "truncation_radius": 3e-160, "params": {"dim": 1, "spacing": 1e-160, "kernel": kernel}}
+    bad = write_spec(tmp_path / "overflow.json", spec)
+    assert cli.main(["criteria", "--spec", bad, "--out-dir", str(tmp_path)]) == 2
+    assert "the kernel overflows at d = h = 1e-160" in capsys.readouterr().err
+
+
 def test_unknown_type_exits_2(tmp_path, capsys):
     bad = write_spec(tmp_path / "bad2.json", {"type": "torus", "truncation_radius": 5})
     assert cli.main(["criteria", "--spec", bad, "--out-dir", str(tmp_path)]) == 2

@@ -134,7 +134,7 @@ def test_m_constants_grid_local_part():
     h = 0.01
     n = 401
     sp = DiscreteMMSpace(np.full(n, h), coords=(np.arange(n) - n // 2)[:, None] * h, origin=n // 2)
-    local = local_chain(np.arange(n), sp.measure, h)
+    local = local_chain(np.arange(n), h)
     mc = m_constants(sp, None, local)
     assert mc.m_c == pytest.approx(1.0, abs=5 * h)
 

@@ -836,7 +836,7 @@ def _island_instance(seed):
     space, local = built.space, None
     if rng.random() < 0.5:
         points = rng.choice(space.n_points, size=int(rng.integers(2, space.n_points // 2 + 2)), replace=False)
-        local = local_chain(points, space.measure, float(rng.uniform(0.5, 2.0)))
+        local = local_chain(points, float(rng.uniform(0.5, 2.0)))
     return rng, space, built.kernel, local
 
 
@@ -863,7 +863,7 @@ def test_islands_form_matrix_dead_masks_and_scan_match_oracles(seed):
 def test_zero_conductance_edge_does_not_join_components():
     """A local edge of conductance 0 is stored as explicit zeros in G; it must not couple 2 to 1."""
     space = DiscreteMMSpace(np.ones(6), coords=np.arange(6.0)[:, None])
-    local = LocalPart(np.array([[0, 1], [1, 2], [2, 3]]), np.array([1.0, 0.0, 1.0]), 1.0, np.arange(4))
+    local = LocalPart(np.array([[0, 1], [1, 2], [2, 3]]), np.array([1.0, 0.0, 1.0]), np.arange(4))
     assert np.any(form_matrix(space, None, local).data == 0.0)
     solve = equilibrium_potential(space, None, local, [0], space.distances_from(0) < 3.5)
     assert solve.warnings == [
@@ -1030,7 +1030,6 @@ def assert_same_instance(a, b):
     if a.local is not None:
         for name in ("edges", "conductance", "support"):
             assert _array_equal(getattr(a.local, name), getattr(b.local, name)), name
-        assert a.local.spacing == b.local.spacing
 
 
 @pytest.mark.parametrize("floats", [False, True], ids=["ints", "floats"])

@@ -202,7 +202,7 @@ def test_support_sets_pure_local():
     from jdlab import local_chain
 
     sp = DiscreteMMSpace(np.full(5, 0.1), coords=np.arange(5)[:, None] * 0.1)
-    local = local_chain(np.arange(5), sp.measure, 0.1)
+    local = local_chain(np.arange(5), 0.1)
     x_c, x_j = support_sets(None, local)
     assert len(x_j) == 0
     assert list(x_c) == list(range(5))

@@ -26,7 +26,9 @@ import scipy.sparse.linalg as spla
 from conftest import stable_like_density
 
 import jdlab.capacity
+import jdlab.forms
 from jdlab import (
+    DiscreteMMSpace,
     JumpKernel,
     StencilKernel,
     capacity_scan,
@@ -39,9 +41,11 @@ from jdlab import (
     recurrence_report,
     stable_like,
     support_sets,
+    weighted_line,
 )
-from jdlab.capacity import _form, _FreeOperator, _potential
+from jdlab.capacity import _form, _potential
 from jdlab.criteria import theta_test_function
+from jdlab.forms import _FreeOperator
 from jdlab.kernels import _pairwise_kernel
 from jdlab.specio import load_built, save_built
 
@@ -245,7 +249,7 @@ def test_circulant_cg_matches_jacobi_cg_on_the_whole_box(monkeypatch, name):
 
     got, got_u, got_green = solves()
     with monkeypatch.context() as oracle:
-        oracle.setattr(jdlab.capacity, "_FreeOperator", JacobiFullBox)
+        oracle.setattr(jdlab.forms, "_FreeOperator", JacobiFullBox)
         want, want_u, want_green = solves()
     assert got.unknowns == want.unknowns and got.warnings == want.warnings
     assert all(it > 0 for it in got.iterations) and max(got.residuals) <= 1e-8
@@ -468,6 +472,55 @@ def test_csr_kept_where_a_unit_offset_underflows_and_on_the_gasket():
     assert type(built.kernel) is JumpKernel and built.kernel.matrix.nnz == 0
     assert type(stable_like(support="gasket", gasket_level=3).kernel) is JumpKernel
     assert type(stable_like(case="ii", tempering=1.0, spacing=2.0, dim=1, truncation_radius=20).kernel) is StencilKernel
+
+
+def test_an_underflowing_kernel_is_empty_without_a_pairwise_build():
+    # f(h) = exp(-800) / 8 underflows, so every entry of the 14,641-point box is 0
+    built = stable_like(case="ii", tempering=400.0, spacing=2.0, dim=2, truncation_radius=120)
+    assert type(built.kernel) is JumpKernel and built.space.n_points == 14_641 and built.kernel.matrix.nnz == 0
+
+
+def test_a_kernel_overflowing_at_the_spacing_is_named():
+    # f(h) = h^-2.9 = 1e464 overflows; the pairwise build failed on inf - inf as an asymmetric density
+    with pytest.raises(ValueError, match=r"the kernel overflows at d = h = 1e-160"):
+        stable_like(alpha=1.9, spacing=1e-160, truncation_radius=3e-160)
+
+
+def _box_space(steps, coords, measure=None):
+    return DiscreteMMSpace(np.ones(len(steps)) if measure is None else measure, coords=coords, steps=steps)
+
+
+_BOX = np.indices((5, 5)).reshape(2, -1).T - 2  # the row-major box {-2..2}^2
+_POWER = stable_like_density("i", 1.0, 1.0, 1.0, kappa=2.0)
+
+
+@pytest.mark.parametrize(
+    "space,f,message",
+    [
+        (_box_space(np.arange(5)[:, None], np.arange(5.0)[:, None]), _POWER, "full row-major lattice box"),
+        (_box_space(_BOX[::-1], _BOX[::-1] * 0.5), _POWER, "full row-major lattice box"),
+        (_box_space(_BOX[:-1], _BOX[:-1] * 0.5), _POWER, "full row-major lattice box"),
+        (DiscreteMMSpace(np.ones(3), coords=np.arange(3.0)[:, None]), _POWER, "full row-major lattice box"),
+        (_box_space(_BOX, _BOX**3 * 0.5), _POWER, "steps times one spacing"),
+        (_box_space(_BOX, _BOX * 0.5 + 1e-9), _POWER, "steps times one spacing"),
+        (_box_space(_BOX, _BOX * 0.5, np.linspace(1.0, 2.0, 25)), _POWER, "uniform measure"),
+        (weighted_line(lam=0.5, spacing=0.5, truncation_radius=5).space, _POWER, "uniform measure"),
+        (_box_space(_BOX, _BOX * 0.5), lambda d: np.where(d > 0.6, d, 0.0), "unit-offset entry must be positive"),
+        (_box_space(_BOX, _BOX * 0.5), lambda d: np.where(d > 2.5, np.inf, 1.0), "must be finite"),
+    ],
+)
+def test_stencil_kernel_rejects_a_space_or_density_outside_its_contract(space, f, message):
+    # unchecked, a weighted line's stencil matvec weighted every point by measure[0], so it disagreed with its own CSR
+    with pytest.raises(ValueError, match=message):
+        StencilKernel(space, f)
+
+
+def test_stencil_kernel_reads_h_off_the_coordinates_and_clears_the_diagonal():
+    space = _box_space(_BOX, _BOX * 0.5)
+    kernel = StencilKernel(space, lambda d: np.ones_like(d))  # f(0) = 1 is not a jump
+    assert kernel._h == 0.5 and kernel.stencil[4, 4] == 0.0
+    assert np.array_equal(kernel.row_mass, kernel.csr().row_mass)
+    assert np.array_equal(kernel.csr().matrix.toarray(), 1.0 - np.eye(25))
 
 
 def test_case_ii_at_spacing_0_1_is_a_translation_invariant_stencil():

@@ -243,11 +243,14 @@ class StencilKernel(KernelOperator):
             raise ValueError("a stencil kernel needs a uniform measure")
         self.space, self._h, self._box = space, h, box
         d = self._offset_distances()
+        unit = (2 * extent + 1,) + (2 * extent,) * (dim - 1)
+        if d[unit] != h:  # (k h)^2 underflows below h ~ 1e-154 (and overflows above ~ 1e154)
+            raise ValueError(f"the offset distances |k| h lose digits at the lattice spacing h = {h:g}: (k h)^2 under- or overflows")
         self.stencil = np.array(np.broadcast_to(f(d), d.shape), dtype=float)  # a stencil of the wrong shape raises ValueError
         self.stencil[(2 * extent,) * dim] = 0.0  # j vanishes on the diagonal
         if not np.isfinite(self.stencil).all():
             raise ValueError("stencil kernel entries must be finite")
-        if not self.stencil[(2 * extent + 1,) + (2 * extent,) * (dim - 1)] > 0:
+        if not self.stencil[unit] > 0:
             raise ValueError("the stencil's unit-offset entry must be positive, so that the box is connected")
         self._mass = float(space.measure[0])
         self._conv = _Convolution(self.stencil * self._mass, self._box)

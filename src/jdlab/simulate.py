@@ -36,8 +36,8 @@ _PHILOX_M = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))
 _PHILOX_W = (np.uint64(0x9E3779B9), np.uint64(0xBB67AE85))
 _MASK32 = np.uint64(0xFFFFFFFF)
 
-# per-state stop codes; the assignment order in _stop_codes is the check order
-_GO, _HIT, _ABSORB, _DEAD = 0, 1, 2, 3
+# per-state stop codes; a target takes precedence over the absorbing outside set
+_GO, _HIT, _ABSORB = 0, 1, 2
 
 
 @dataclass
@@ -52,8 +52,10 @@ class SimConfig:
     outer_radius: float = float("inf")
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        if not self.outer_radius > 0:
+            raise ValueError(f"outer radius must be positive (inf for none), got {self.outer_radius}")
         if self.trials < 1 or self.max_jumps < 1:
             raise ValueError("trials and max_jumps must be at least 1")
         if self.policy not in ("absorb", "reflect"):
@@ -136,9 +138,9 @@ def _row_search(cum: np.ndarray, lo: np.ndarray, last: np.ndarray, v: np.ndarray
     return pos
 
 
-def _stop_codes(lam: np.ndarray, outside: Optional[np.ndarray], target: Optional[np.ndarray], reflect: bool) -> np.ndarray:
-    """Stop code per state: target hit, then absorbing outside, then zero total rate."""
-    code = np.where(lam <= 0.0, _DEAD, _GO).astype(np.int8)
+def _stop_codes(n: int, outside: Optional[np.ndarray], target: Optional[np.ndarray], reflect: bool) -> np.ndarray:
+    """Stop code per state: target hit over absorbing outside."""
+    code = np.full(n, _GO, dtype=np.int8)
     if outside is not None and not reflect:
         code[outside] = _ABSORB
     if target is not None:
@@ -178,11 +180,13 @@ def _lockstep(
 ) -> None:
     """Run trials slots + offset to their stopping events; row slots[i] of `out` gets trial slots[i] + offset.
 
-    Every live trial sits at jump index `step`, and each numpy step checks,
-    in order: stop code (target hit, absorbing outside, zero rate), horizon,
-    jump, jump cap. Status codes: 0 alive-at-T (also on a target hit),
-    1 absorbed-at-boundary, 2 jump-cap-hit. With `path` (one trial only)
-    the visited states and holding times are appended to (states, holds).
+    Each numpy step draws every live trial's hold Exp(1) / rate (inf on a
+    zero rate, nan on a zero draw too) and applies one stop rule: the trial
+    goes on unless its state is a target (status 0, hit) or absorbing
+    outside (status 1), or t + hold < T fails (status 0, elapsed T). Then
+    it jumps. max_jumps bounds the loop; the trials left are capped
+    (status 2). With `path` (one trial only) the visited states and holding
+    times are appended to (states, holds).
     """
     lam, indices, indptr = rates.lam, rates.q.indices, rates.q.indptr
     cum = rates.cumulative_rows()
@@ -196,56 +200,45 @@ def _lockstep(
     exp_draws = unit_draws = np.empty((0, len(slots)))
     j = 0  # next row of the draw buffers
     step = 0
-    while True:
-        code = stop[state]
-        if code.any():
-            done = code != _GO
-            c = code[done]
-            if path is not None and c[0] == _DEAD:
-                path[1].append(horizon - t[0])
-            _record(out, slots[done], state[done], step, np.where(c == _ABSORB, 1, 0),
-                    np.where(c == _DEAD, horizon, t[done]), c == _HIT)
-            keep = ~done
-            if not keep.any():
-                return
-            slots, state, t = slots[keep], state[keep], t[keep]
-            exp_draws, unit_draws, j = exp_draws[j:, keep], unit_draws[j:, keep], 0
-        if j == len(exp_draws):
-            count = min(max(1, _DRAW_BLOCKS // len(slots)), max_jumps - step)
-            u1, unit_draws = uniform_pairs(config.seed, slots + offset, step, count)
-            exp_draws, j = -np.log1p(-u1), 0
-        rate = lam[state]
-        hold = exp_draws[j] / rate
-        u = unit_draws[j]
-        j += 1
-        t_next = t + hold
-        over = t_next >= horizon
-        if over.any():
+    with np.errstate(divide="ignore", invalid="ignore"):  # entered once, not per step: it is not free
+        while step < max_jumps:
+            if j == len(exp_draws):
+                count = min(max(1, _DRAW_BLOCKS // len(slots)), max_jumps - step)
+                u1, unit_draws = uniform_pairs(config.seed, slots + offset, step, count)
+                exp_draws, j = -np.log1p(-u1), 0
+            rate = lam[state]
+            hold = exp_draws[j] / rate  # a division: a product with 1 / rate rounds differently
+            u = unit_draws[j]
+            j += 1
+            t_next = t + hold
+            code = stop[state]
+            go = (code == _GO) & (t_next < horizon)
+            if not go.all():
+                done = ~go
+                c = code[done]
+                if path is not None and c[0] == _GO:
+                    path[1].append(horizon - t[0])
+                _record(out, slots[done], state[done], step, np.where(c == _ABSORB, 1, 0),
+                        np.where(c == _GO, horizon, t[done]), c == _HIT)
+                if not go.any():
+                    return
+                slots, state, t_next, hold, rate, u = (a[go] for a in (slots, state, t_next, hold, rate, u))
+                exp_draws, unit_draws, j = exp_draws[j:, go], unit_draws[j:, go], 0
+            nxt = indices[_row_search(cum, starts[state], lasts[state], u * rate, steps)]
+            if reflect is not None:
+                nxt = np.where(reflect[nxt], state, nxt)  # censored jump: the walker stays put
             if path is not None:
-                path[1].append(horizon - t[0])
-            _record(out, slots[over], state[over], step, 0, horizon)
-            keep = ~over
-            if not keep.any():
-                return
-            slots, state, t_next, hold, rate, u = (a[keep] for a in (slots, state, t_next, hold, rate, u))
-            exp_draws, unit_draws, j = exp_draws[j:, keep], unit_draws[j:, keep], 0
-        nxt = indices[_row_search(cum, starts[state], lasts[state], u * rate, steps)]
-        if reflect is not None:
-            nxt = np.where(reflect[nxt], state, nxt)  # censored jump: the walker stays put
-        if path is not None:
-            path[0].append(int(nxt[0]))
-            path[1].append(float(hold[0]))
-        state, t = nxt, t_next
-        step += 1
-        if step >= max_jumps:
-            _record(out, slots, state, step, 2, t)
-            return
+                path[0].append(int(nxt[0]))
+                path[1].append(float(hold[0]))
+            state, t = nxt, t_next
+            step += 1
+    _record(out, slots, state, step, 2, t)
 
 
 def gillespie_path(rates: RateTable, x0: int, config: SimConfig, trial_index: int = 0) -> Trajectory:
     """Sample one path; it is trial `trial_index` of run_batch with the same config."""
     outside = _outside_mask(rates.space, x0, config)
-    stop = _stop_codes(rates.lam, outside, None, config.policy == "reflect")
+    stop = _stop_codes(len(rates.lam), outside, None, config.policy == "reflect")
     out = _empty_batch(1, config.horizon)
     states, holds = [int(x0)], []
     _lockstep(rates, x0, config, stop, outside, out, np.zeros(1, dtype=np.int64), trial_index, (states, holds))
@@ -270,7 +263,7 @@ def run_batch(
     """Run config.trials independent paths and collect light per-trial records."""
     if outside is None:
         outside = _outside_mask(rates.space, x0, config)
-    stop = _stop_codes(rates.lam, outside, target, config.policy == "reflect")
+    stop = _stop_codes(len(rates.lam), outside, target, config.policy == "reflect")
     n = config.trials
     out = _empty_batch(n, config.horizon)
     for first in range(0, n, _TRIAL_CHUNK):
@@ -279,14 +272,14 @@ def run_batch(
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    """95% binomial score interval."""
+    """95% binomial score interval; exactly 0 at 0 successes and exactly 1 at n."""
     if n == 0:
         return 0.0, 1.0
     p = successes / n
     denom = 1 + z**2 / n
     center = (p + z**2 / (2 * n)) / denom
     half = z * math.sqrt(p * (1 - p) / n + z**2 / (4 * n**2)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    return (max(0.0, center - half) if successes else 0.0), (min(1.0, center + half) if successes < n else 1.0)
 
 
 @dataclass
@@ -328,6 +321,8 @@ def return_probability(
     in R in expectation; censored trials (horizon or jump cap first) count
     as misses and are flagged.
     """
+    if not outer_radius > 0:
+        raise ValueError(f"outer radius must be positive (inf for none), got {outer_radius}")
     space = rates.space
     target = np.asarray(target, dtype=np.int64)
     if np.isin(x0, target):

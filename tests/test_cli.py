@@ -79,6 +79,24 @@ def test_kernel_overflowing_at_the_spacing_exits_2_naming_it(tmp_path, capsys):
     assert "the kernel overflows at d = h = 1e-160" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--horizon", "nan"], "horizon"),
+        (["--horizon", "inf", "--max-jumps", "100"], "horizon"),
+        (["--horizon", "1", "--outer", "nan"], "outer radius"),
+        (["--horizon", "1", "--outer", "-1"], "outer radius"),
+    ],
+)
+def test_simulate_horizons_and_radii_that_answer_wrongly_exit_2(tmp_path, capsys, flags, message):
+    # on z-200 these ran to the jump cap, flagged explosion on a bounded walk, or absorbed at step 0, all exit 0
+    spec = write_spec(tmp_path / "z.json", {"type": "lattice", "truncation_radius": 200, "params": {"dim": 1}})
+    argv = ["simulate", "--spec", spec, "--x0", "200", "--trials", "5", "--seed", "1", "--out-dir", str(tmp_path)]
+    assert cli.main(argv + flags) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.manifest.json"))
+
+
 def test_unknown_type_exits_2(tmp_path, capsys):
     bad = write_spec(tmp_path / "bad2.json", {"type": "torus", "truncation_radius": 5})
     assert cli.main(["criteria", "--spec", bad, "--out-dir", str(tmp_path)]) == 2

@@ -1,0 +1,206 @@
+"""The lockstep simulator against the two-site loop it replaced, kept verbatim as an oracle.
+
+The oracle checks its stop codes (target, absorbing outside, zero rate),
+then the horizon, then the jump cap, with a record-and-compact block for
+each. The simulator applies one stop rule per step; every output must
+match the oracle's bit for bit.
+"""
+
+from typing import Optional
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from jdlab import simulate
+from jdlab.forms import RateTable, jump_rates
+from jdlab.kernels import explicit_kernel
+from jdlab.simulate import (
+    _ABSORB,
+    _DRAW_BLOCKS,
+    _GO,
+    _HIT,
+    BatchResult,
+    SimConfig,
+    _record,
+    _row_search,
+    gillespie_path,
+    run_batch,
+    uniform_pairs,
+)
+
+_DEAD = 3
+
+
+def _stop_codes(lam: np.ndarray, outside: Optional[np.ndarray], target: Optional[np.ndarray], reflect: bool) -> np.ndarray:
+    """Stop code per state: target hit, then absorbing outside, then zero total rate."""
+    code = np.where(lam <= 0.0, _DEAD, _GO).astype(np.int8)
+    if outside is not None and not reflect:
+        code[outside] = _ABSORB
+    if target is not None:
+        code[target] = _HIT
+    return code
+
+
+def _lockstep(
+    rates: RateTable,
+    x0: int,
+    config: SimConfig,
+    stop: np.ndarray,
+    outside: Optional[np.ndarray],
+    out: BatchResult,
+    slots: np.ndarray,
+    offset: int = 0,
+    path: Optional[tuple[list, list]] = None,
+) -> None:
+    """Run trials slots + offset to their stopping events; row slots[i] of `out` gets trial slots[i] + offset.
+
+    Every live trial sits at jump index `step`, and each numpy step checks,
+    in order: stop code (target hit, absorbing outside, zero rate), horizon,
+    jump, jump cap. Status codes: 0 alive-at-T (also on a target hit),
+    1 absorbed-at-boundary, 2 jump-cap-hit. With `path` (one trial only)
+    the visited states and holding times are appended to (states, holds).
+    """
+    lam, indices, indptr = rates.lam, rates.q.indices, rates.q.indptr
+    cum = rates.cumulative_rows()
+    starts, lasts = indptr[:-1], indptr[1:] - 1
+    steps = int(np.diff(indptr).max(initial=1) - 1).bit_length()
+    reflect = outside if config.policy == "reflect" else None
+    horizon, max_jumps = config.horizon, config.max_jumps
+
+    state = np.full(len(slots), x0, dtype=np.int64)
+    t = np.zeros(len(slots))
+    exp_draws = unit_draws = np.empty((0, len(slots)))
+    j = 0  # next row of the draw buffers
+    step = 0
+    while True:
+        code = stop[state]
+        if code.any():
+            done = code != _GO
+            c = code[done]
+            if path is not None and c[0] == _DEAD:
+                path[1].append(horizon - t[0])
+            _record(out, slots[done], state[done], step, np.where(c == _ABSORB, 1, 0),
+                    np.where(c == _DEAD, horizon, t[done]), c == _HIT)
+            keep = ~done
+            if not keep.any():
+                return
+            slots, state, t = slots[keep], state[keep], t[keep]
+            exp_draws, unit_draws, j = exp_draws[j:, keep], unit_draws[j:, keep], 0
+        if j == len(exp_draws):
+            count = min(max(1, _DRAW_BLOCKS // len(slots)), max_jumps - step)
+            u1, unit_draws = uniform_pairs(config.seed, slots + offset, step, count)
+            exp_draws, j = -np.log1p(-u1), 0
+        rate = lam[state]
+        hold = exp_draws[j] / rate
+        u = unit_draws[j]
+        j += 1
+        t_next = t + hold
+        over = t_next >= horizon
+        if over.any():
+            if path is not None:
+                path[1].append(horizon - t[0])
+            _record(out, slots[over], state[over], step, 0, horizon)
+            keep = ~over
+            if not keep.any():
+                return
+            slots, state, t_next, hold, rate, u = (a[keep] for a in (slots, state, t_next, hold, rate, u))
+            exp_draws, unit_draws, j = exp_draws[j:, keep], unit_draws[j:, keep], 0
+        nxt = indices[_row_search(cum, starts[state], lasts[state], u * rate, steps)]
+        if reflect is not None:
+            nxt = np.where(reflect[nxt], state, nxt)  # censored jump: the walker stays put
+        if path is not None:
+            path[0].append(int(nxt[0]))
+            path[1].append(float(hold[0]))
+        state, t = nxt, t_next
+        step += 1
+        if step >= max_jumps:
+            _record(out, slots, state, step, 2, t)
+            return
+
+
+def oracle_batch(rates, x0, config, target=None, outside=None):
+    if outside is None:
+        outside = simulate._outside_mask(rates.space, x0, config)
+    stop = _stop_codes(rates.lam, outside, target, config.policy == "reflect")
+    n = config.trials
+    out = simulate._empty_batch(n, config.horizon)
+    for first in range(0, n, simulate._TRIAL_CHUNK):
+        _lockstep(rates, x0, config, stop, outside, out, np.arange(first, min(first + simulate._TRIAL_CHUNK, n)))
+    return out
+
+
+def oracle_path(rates, x0, config, trial_index):
+    outside = simulate._outside_mask(rates.space, x0, config)
+    stop = _stop_codes(rates.lam, outside, None, config.policy == "reflect")
+    out = simulate._empty_batch(1, config.horizon)
+    states, holds = [int(x0)], []
+    _lockstep(rates, x0, config, stop, outside, out, np.zeros(1, dtype=np.int64), trial_index, (states, holds))
+    return np.asarray(states), np.asarray(holds, dtype=float), simulate._STATUS_BY_CODE[out.status[0]], float(out.elapsed[0])
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def random_rates(rng, n, density, dead_fraction):
+    """A random symmetric rate table on the line 0..n-1 whose `dead` states have zero total rate."""
+    dead = rng.random(n) < dead_fraction
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if not (dead[i] or dead[j]) and rng.random() < density]
+    entries = [[i, j, float(rng.uniform(0.1, 3.0))] for i, j in pairs]
+    return jump_rates(explicit_kernel(n, entries, measure=rng.uniform(0.5, 2.0, size=n)).kernel)
+
+
+horizons = st.one_of(st.floats(1e-3, 0.5), st.floats(1e3, 1e12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 14),
+    density=st.floats(0.05, 1.0),
+    dead_fraction=st.sampled_from([0.0, 0.2, 0.6, 1.0]),
+    table_seed=st.integers(0, 2**32 - 1),
+    x0_frac=st.floats(0.0, 1.0, exclude_max=True),
+    trials=st.integers(1, 40),
+    max_jumps=st.integers(1, 60),
+    horizon=horizons,
+    seed=st.integers(0, 2**64 - 1),
+    policy=st.sampled_from(["absorb", "reflect"]),
+    outer=st.sampled_from([float("inf"), 0.5, 1.0, 2.5, 6.0]),
+    target_fraction=st.sampled_from([None, 0.1, 0.3]),
+)
+def test_lockstep_matches_the_two_site_oracle(
+    n, density, dead_fraction, table_seed, x0_frac, trials, max_jumps, horizon, seed, policy, outer, target_fraction
+):
+    rng = np.random.default_rng(table_seed)
+    rates = random_rates(rng, n, density, dead_fraction)
+    x0 = int(x0_frac * n)
+    config = SimConfig(horizon=horizon, trials=trials, max_jumps=max_jumps, seed=seed, policy=policy, outer_radius=outer)
+    target = None if target_fraction is None else rng.random(n) < target_fraction
+    got, want = run_batch(rates, x0, config, target=target), oracle_batch(rates, x0, config, target=target)
+    for name in ("status", "elapsed", "n_jumps", "final_state", "hit"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+    assert got.horizon == want.horizon
+    for trial in sorted({0, trials - 1, trials // 2, 7}):
+        path = gillespie_path(rates, x0, config, trial_index=trial)
+        states, holds, status, elapsed = oracle_path(rates, x0, config, trial)
+        assert same_bits(path.states, states) and same_bits(path.holding_times, holds)
+        assert path.status == status and path.elapsed == elapsed
+
+
+def test_the_oracle_covers_every_stop_rule():
+    # zero-rate starts and islands, targets, absorbing outside, horizon and cap on one table
+    rng = np.random.default_rng(4)
+    rates = random_rates(rng, 12, 0.4, 0.2)
+    assert (rates.lam == 0).any() and (rates.lam > 0).any()
+    target = np.zeros(12, dtype=bool)
+    target[[3, 9]] = True
+    seen = set()
+    for x0 in range(12):
+        for max_jumps in (1, 3, 40):
+            config = SimConfig(horizon=1.5, trials=60, max_jumps=max_jumps, seed=x0, outer_radius=4.0)
+            got, want = run_batch(rates, x0, config, target=target), oracle_batch(rates, x0, config, target=target)
+            for name in ("status", "elapsed", "n_jumps", "final_state", "hit"):
+                assert same_bits(getattr(got, name), getattr(want, name)), name
+            seen |= {(int(s), bool(h)) for s, h in zip(got.status, got.hit)}
+            seen |= {"horizon"} if (got.elapsed == 1.5).any() else set()
+    assert seen >= {(0, False), (0, True), (1, False), (2, False), "horizon"}

@@ -82,6 +82,42 @@ def test_single_trial_interval_is_wide():
     assert hi - lo > 0.5
 
 
+@pytest.mark.parametrize("n", [1, 150, 20000])
+def test_wilson_endpoints_are_exact_at_0_and_n_successes(n):
+    # the score formula left 1.73e-18 at 0 of 150 and 0.9999999999999999 at 20000 of 20000
+    assert wilson_interval(0, n)[0] == 0.0 and wilson_interval(0, n)[1] < 1.0
+    assert wilson_interval(n, n)[1] == 1.0 and wilson_interval(n, n)[0] > 0.0
+    if n > 1:
+        lo, hi = wilson_interval(1, n)
+        assert 0.0 < lo < 1 / n < hi < 1.0
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(horizon=float("nan")), "horizon"),
+        (dict(horizon=float("inf")), "horizon"),
+        (dict(horizon=0.0), "horizon"),
+        (dict(horizon=-1.0), "horizon"),
+        (dict(horizon=1.0, outer_radius=float("nan")), "outer radius"),
+        (dict(horizon=1.0, outer_radius=-1.0), "outer radius"),
+        (dict(horizon=1.0, outer_radius=0.0), "outer radius"),
+    ],
+)
+def test_config_rejects_horizons_and_radii_that_answer_wrongly(kwargs, message):
+    # a nan horizon ran every trial to the jump cap, an inf one flagged explosion on a bounded walk,
+    # a nan radius was dropped and a negative one absorbed every trial at step 0
+    with pytest.raises(ValueError, match=message):
+        SimConfig(**kwargs)
+
+
+@pytest.mark.parametrize("radius", [float("nan"), -1.0, 0.0])
+def test_return_probability_rejects_its_own_outer_radius(z_rates, z_line, radius):
+    o = z_line.space.origin
+    with pytest.raises(ValueError, match="outer radius"):
+        return_probability(z_rates, o + 1, [o], radius, SimConfig(horizon=1.0, trials=5, seed=1))
+
+
 def test_explosive_birth_chain_flag():
     b = birth_chain(length=800)
     rates = jump_rates(b.kernel)

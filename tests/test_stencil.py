@@ -486,6 +486,21 @@ def test_a_kernel_overflowing_at_the_spacing_is_named():
         stable_like(alpha=1.9, spacing=1e-160, truncation_radius=3e-160)
 
 
+@pytest.mark.parametrize("spacing", [1e-160, 1e-170])
+def test_a_spacing_whose_square_underflows_is_named(spacing):
+    # (k h)^2 underflows: at 1e-160 the unit-offset distance was 9.99994e-161, so j(0, 1) sat 6.1e-6
+    # off f(h) silently; at 1e-170 it rounded to 0 and the build blamed the unit-offset entry
+    with pytest.raises(ValueError, match=rf"lattice spacing h = {spacing:g}"):
+        stable_like(alpha=0.1, spacing=spacing, truncation_radius=3 * spacing)
+
+
+def test_a_spacing_whose_square_is_normal_builds_exact_distances():
+    h = 1e-154
+    built = stable_like(alpha=0.1, spacing=h, truncation_radius=3 * h)
+    assert type(built.kernel) is StencilKernel
+    assert built.kernel.stencil[7] == stable_like_density("i", 0.1, 1.0)(np.array(h))  # offset +1 of [-6, 6]
+
+
 def _box_space(steps, coords, measure=None):
     return DiscreteMMSpace(np.ones(len(steps)) if measure is None else measure, coords=coords, steps=steps)
 

@@ -244,7 +244,7 @@ class StencilKernel(KernelOperator):
         self.space, self._h, self._box = space, h, box
         d = self._offset_distances()
         unit = (2 * extent + 1,) + (2 * extent,) * (dim - 1)
-        if d[unit] != h:  # (k h)^2 underflows below h ~ 1e-154 (and overflows above ~ 1e154)
+        if d[unit] != h or not np.isfinite(d).all():  # (k h)^2 underflows below h ~ 1e-154, overflows above ~ 1e154 / |k|
             raise ValueError(f"the offset distances |k| h lose digits at the lattice spacing h = {h:g}: (k h)^2 under- or overflows")
         self.stencil = np.array(np.broadcast_to(f(d), d.shape), dtype=float)  # a stencil of the wrong shape raises ValueError
         self.stencil[(2 * extent,) * dim] = 0.0  # j vanishes on the diagonal
@@ -261,7 +261,8 @@ class StencilKernel(KernelOperator):
         """|k| h over the offsets k in [-2E, 2E]^d, from integer offsets times h."""
         reach = self._box[0] - 1
         axes = np.meshgrid(*[np.arange(-reach, reach + 1)] * len(self._box), indexing="ij")
-        return np.sqrt(sum((a * self._h) ** 2 for a in axes))
+        with np.errstate(over="ignore", under="ignore"):  # the constructor's check names the lost digits
+            return np.sqrt(sum((a * self._h) ** 2 for a in axes))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self._conv(np.reshape(v, self._box)).reshape(-1)

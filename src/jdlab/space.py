@@ -185,42 +185,60 @@ class DiscreteMMSpace:
         """d(rows[k], cols[k]) for each k.
 
         Coordinate metrics evaluate the norm per pair, in O(len(rows)). Graph
-        metrics run Dijkstra from each distinct row with a limit that starts
-        at the longest edge and doubles until the row reaches all its
-        columns, so the work is proportional to the points within the pairs'
-        reach. A point within the limit is settled by the same relaxations as
-        in a full search, so the distances equal `distances_from` bit for
-        bit. Once the limit exceeds twice the origin's reach, one unbounded
-        round settles the rest (inf across components).
+        metrics run Dijkstra from each distinct row with a limit on a ladder
+        that starts at the longest edge and doubles; a row that misses one of
+        its columns moves up a rung. The origin's row gives every pair the
+        landmark lower bound |d(o,x) - d(o,y)| <= d(x,y), and each row starts
+        at the first rung at or above its largest bound, so rows whose pairs
+        lie far apart skip the searches they would miss. A search with any
+        limit at or above d settles d by the same relaxations as a full
+        search, so the bound decides only the work, never a value.
+
+        A bounded round first marks the union of its rows' balls in one
+        multi-source search, then searches from each row on the subgraph that
+        union induces: a path no longer than the limit stays inside its row's
+        ball, because edge lengths are positive. The distances equal
+        `distances_from` bit for bit. Rows whose bound, or whose misses, climb
+        past twice the origin's reach get one unbounded round on the whole
+        graph (inf across components).
         """
         if self.metric_kind != "graph":
             return self._norm(self.coords[rows] - self.coords[cols])
-        cols = np.asarray(cols)
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
         sources, slot, n_cols = np.unique(rows, return_inverse=True, return_counts=True)
         order = np.argsort(slot, kind="stable")  # entries grouped by source
         starts = np.cumsum(n_cols) - n_cols
-        out = np.full(len(rows), np.inf)
-        pending = np.arange(len(sources))
         reach = 2.0 * self.max_distance_from(self.origin)
+        ladder = []
         limit = float(self.metric_graph.data.max(initial=0.0))
-        while pending.size:
-            final = not 0.0 < limit <= reach
-            missed = []
+        while 0.0 < limit <= reach:
+            ladder.append(limit)
+            limit *= 2.0
+        from_origin = self.distances_from(self.origin)
+        with np.errstate(invalid="ignore"):
+            bound = np.abs(from_origin[rows] - from_origin[cols])
+        bound[np.isnan(bound)] = 0.0  # both points off the origin's component
+        rung = np.searchsorted(ladder, np.maximum.reduceat(bound[order], starts))
+        out = np.full(len(rows), np.inf)
+        for k, limit in enumerate(ladder + [np.inf]):
+            pending = np.flatnonzero(rung == k)
             for lo in range(0, len(pending), _SEARCH_CHUNK):
                 chunk = pending[lo : lo + _SEARCH_CHUNK]
-                counts = n_cols[chunk]
-                local = np.repeat(np.arange(len(chunk)), counts)
-                idx = order[np.arange(len(local)) + np.repeat(starts[chunk] - np.cumsum(counts) + counts, counts)]
-                dist = dijkstra(
-                    self.metric_graph, directed=True, indices=sources[chunk], limit=np.inf if final else limit
-                )
-                out[idx] = dist[local, cols[idx]]
-                missed.append(chunk[np.unique(local[np.isinf(out[idx])])])
-            if final:
-                break
-            pending = np.concatenate(missed)
-            limit *= 2.0
+                local = np.repeat(np.arange(len(chunk)), n_cols[chunk])
+                idx = order[_ranges(starts[chunk], n_cols[chunk])]
+                out[idx] = self._search(sources[chunk], local, cols[idx], limit)
+                rung[chunk[np.unique(local[np.isinf(out[idx])])]] += 1
         return out
+
+    def _search(self, sources: np.ndarray, local: np.ndarray, targets: np.ndarray, limit: float) -> np.ndarray:
+        """d(sources[local[k]], targets[k]) where it is at most limit, inf elsewhere."""
+        graph = self.metric_graph
+        if limit == np.inf:
+            return dijkstra(graph, directed=True, indices=sources)[local, targets]
+        ball = np.isfinite(dijkstra(graph, directed=True, indices=sources, limit=limit, min_only=True))
+        label = np.cumsum(ball) - 1  # index of each point of the union within it
+        dist = dijkstra(_induced(graph, ball, label), directed=True, indices=label[sources], limit=limit)
+        return np.where(ball[targets], dist[local, label[targets]], np.inf)  # off the union, label names another point
 
     def distances_from(self, x0: int) -> np.ndarray:
         """All distances d(x0, .) as a read-only vector; rows are cached."""
@@ -278,6 +296,23 @@ class DiscreteMMSpace:
         row = self.distances_from(x0)
         finite = row[np.isfinite(row)]
         return float(finite.max()) if len(finite) else 0.0
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The index ranges [starts[i], starts[i] + counts[i]) concatenated."""
+    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+
+
+def _induced(graph: sp.csr_matrix, member: np.ndarray, label: np.ndarray) -> sp.csr_matrix:
+    """The subgraph of a CSR graph induced on the points where member holds, point p renumbered label[p]."""
+    points = np.flatnonzero(member)
+    lo = graph.indptr[points]
+    counts = graph.indptr[points + 1] - lo
+    entries = _ranges(lo, counts)
+    kept = member[graph.indices[entries]]
+    indptr = np.concatenate([[0], np.cumsum(kept)])[np.concatenate([[0], np.cumsum(counts)])]
+    entries = entries[kept]
+    return sp.csr_matrix((graph.data[entries], label[graph.indices[entries]], indptr), shape=(len(points),) * 2)
 
 
 def boundary_notes(reach: float, r_max: float) -> list[str]:

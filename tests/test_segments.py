@@ -526,16 +526,21 @@ def test_small_blocks_give_the_same_results(monkeypatch, metric_kind):
 # -- bounded Dijkstra on graph metrics against full distance rows ---------------------
 
 
-def _recording_dijkstra(monkeypatch):
-    """Patch the search in jdlab.space to record the limit of every call."""
+def _recording_dijkstra(monkeypatch, searches=None):
+    """Patch the search in jdlab.space to record the limit of every call.
+
+    `searches`, if given, also gets each call's (vertex count, sources, limit, min_only).
+    """
     import jdlab.space
 
     limits = []
     full = jdlab.space.dijkstra
 
-    def record(*args, limit=np.inf, **kwargs):
+    def record(graph, *args, limit=np.inf, **kwargs):
         limits.append(limit)
-        return full(*args, limit=limit, **kwargs)
+        if searches is not None:
+            searches.append((graph.shape[0], np.atleast_1d(kwargs["indices"]), limit, kwargs.get("min_only", False)))
+        return full(graph, *args, limit=limit, **kwargs)
 
     monkeypatch.setattr(jdlab.space, "dijkstra", record)
     return limits
@@ -600,6 +605,65 @@ def test_bounded_search_is_exact_across_components(monkeypatch):
     assert np.isinf(got).sum() == 2 * 3  # three cross pairs, both orientations
     assert limits[-1] == np.inf and all(lim <= 4.0 for lim in limits[:-1])
     assert space.pair_distances([3, 29, 3], [29, 3, 3]).tolist() == [26.0, 26.0, 0.0]
+
+
+def _components_instance(rng):
+    """2 to 4 weighted components (paths plus chords, log-uniform lengths), the origin on part 0, and a
+    kernel on random pairs plus a pair inside part 1 and one from the origin to part 1."""
+    n_parts = int(rng.integers(2, 5))
+    n = int(rng.integers(2 * n_parts, 40))
+    part = np.concatenate([np.repeat(np.arange(n_parts), 2), rng.integers(n_parts, size=n - 2 * n_parts)])
+    part = part[rng.permutation(n)]
+    edges = []
+    for p in range(n_parts):
+        members = rng.permutation(np.flatnonzero(part == p))
+        edges += list(zip(members[:-1], members[1:]))
+        for _ in range(int(rng.integers(0, len(members)))):
+            i, j = rng.choice(members, size=2)
+            if i != j:
+                edges.append((i, j))
+    edges = np.unique(np.sort(np.array(edges), axis=1), axis=0)
+    origin = int(rng.choice(np.flatnonzero(part == 0)))
+    space = _graph_space(n, edges, 10.0 ** rng.uniform(-2, 0.5, size=len(edges)), rng, origin=origin)
+    second = np.flatnonzero(part == 1)
+    pairs = {tuple(sorted(rng.choice(n, size=2, replace=False))) for _ in range(int(rng.integers(1, 3 * n)))}
+    pairs |= {tuple(sorted(rng.choice(second, size=2, replace=False))), tuple(sorted((origin, rng.choice(second))))}
+    rows, cols = np.array(sorted(pairs)).T
+    return space, JumpKernel.from_entries(space, rows, cols, rng.uniform(0.5, 2.0, size=len(rows)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_bounded_search_matches_full_rows_across_components_in_small_chunks(seed):
+    import jdlab.space
+
+    space, kernel = _components_instance(np.random.default_rng(seed))
+    want = oracle_pair_distances(kernel)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(jdlab.space, "_SEARCH_CHUNK", 2)
+        assert np.array_equal(kernel.pair_distances(), want)
+
+
+def test_a_mixed_graph_searches_each_source_once_on_its_balls(monkeypatch):
+    built = kmod.mixed_graph_from_params(
+        graph_kind="lattice2d", extent=6, subdivisions=2, phi_kind="shell_power", truncation_radius=6
+    )
+    space, kernel = built.space, built.kernel
+    want = oracle_pair_distances(kernel)
+    space.max_distance_from(space.origin)  # the origin row is a full search of its own
+    searches = []
+    _recording_dijkstra(monkeypatch, searches)
+    assert np.array_equal(kernel.pair_distances(), want)
+    balls, per_source = searches[0::2], searches[1::2]
+    assert len(balls) == len(per_source)
+    assert all(ball[3] and not search[3] for ball, search in zip(balls, per_source))
+    # one bounded round: every source appears in exactly one ball pass, and no search is unbounded
+    sources = np.concatenate([ball[1] for ball in balls])
+    assert np.array_equal(np.sort(sources), np.flatnonzero(np.diff(kernel.matrix.indptr)))
+    assert all(lim < np.inf for _, _, lim, _ in searches)
+    # each per-source search runs on the union of its sources' balls, not on the whole graph
+    assert all(len(search[1]) == len(ball[1]) for ball, search in zip(balls, per_source))
+    assert all(search[0] < space.n_points for search in per_source)
 
 
 def test_bounded_search_on_an_empty_kernel():

@@ -19,6 +19,8 @@ energy with a long-double sum within 1e-14.
 """
 
 import pickle
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -484,6 +486,16 @@ def test_a_kernel_overflowing_at_the_spacing_is_named():
     # f(h) = h^-2.9 = 1e464 overflows; the pairwise build failed on inf - inf as an asymmetric density
     with pytest.raises(ValueError, match=r"the kernel overflows at d = h = 1e-160"):
         stable_like(alpha=1.9, spacing=1e-160, truncation_radius=3e-160)
+
+
+@pytest.mark.parametrize("spacing, radius", [(1e160, 3e160), (1e153, 4e154)])
+def test_a_spacing_whose_square_overflows_is_named_without_a_warning(spacing, radius):
+    # at 1e160 the unit offset overflows; at 1e153 only the offsets |k| >= 14 do, which built a stencil
+    # silently cut to 0 beyond them; either way the square printed a RuntimeWarning before the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"lattice spacing h = {spacing:g}")):
+            stable_like(alpha=0.1, beta=0.01, spacing=spacing, truncation_radius=radius)
 
 
 @pytest.mark.parametrize("spacing", [1e-160, 1e-170])

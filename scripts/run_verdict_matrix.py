@@ -2,8 +2,9 @@
 """Verdict matrix for the layered/tempered stable-like kernels on Z.
 
 Evaluates the volume (conservativeness) and omega (recurrence) sufficient
-tests for each (alpha, tail) cell and prints the verdicts next to the
-known sharp condition kappa <= beta ^ 2.
+tests for each (alpha, tail) cell, and prints one row per cell: alpha, the
+tail case and its beta, both verdicts and the recurrence test's liminf
+estimate.
 """
 
 import argparse

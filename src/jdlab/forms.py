@@ -548,10 +548,13 @@ class RateTable:
         if self._cum is None:
             cum = self.q.data.copy()
             indptr = self.q.indptr
-            for x in range(self.q.shape[0]):
-                lo, hi = indptr[x], indptr[x + 1]
-                if hi > lo:
-                    cum[lo:hi] = np.cumsum(cum[lo:hi])
+            lens = np.diff(indptr)
+            # one in-place cumsum per run of consecutive rows of equal length, on a view of cum
+            bounds = np.concatenate(([0], np.flatnonzero(np.diff(lens)) + 1, [len(lens)]))
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                if b > a and lens[a] > 1:
+                    block = cum[indptr[a] : indptr[b]].reshape(b - a, lens[a])
+                    np.cumsum(block, axis=1, out=block)
             self._cum = cum
         return self._cum
 

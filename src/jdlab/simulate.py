@@ -1,7 +1,10 @@
 """Monte-Carlo simulation of the pure-jump process defined by a rate table.
 
-Trials advance in lockstep: one numpy step moves every live trial by one
-jump, and trials that stop are compacted out of the live set. Randomness
+Trials advance in lockstep, one draw block at a time. Within a block only
+the jump chain is sequential: one numpy step moves every live trial by one
+jump. The holding times, elapsed times and stop tests of the whole block
+are then computed from the visited states at once, and trials that stopped
+are recorded and compacted out of the live set. Randomness
 comes from a counter-based Philox4x32-10 generator (Salmon et al., SC'11,
 "Parallel random numbers: as easy as 1, 2, 3"): jump k of trial i under
 seed s uses the block philox(key=s, counter=(k, i)), so every draw is a
@@ -180,58 +183,77 @@ def _lockstep(
 ) -> None:
     """Run trials slots + offset to their stopping events; row slots[i] of `out` gets trial slots[i] + offset.
 
-    Each numpy step draws every live trial's hold Exp(1) / rate (inf on a
-    zero rate, nan on a zero draw too) and applies one stop rule: the trial
-    goes on unless its state is a target (status 0, hit) or absorbing
-    outside (status 1), or t + hold < T fails (status 0, elapsed T). Then
-    it jumps. max_jumps bounds the loop; the trials left are capped
-    (status 2). With `path` (one trial only) the visited states and holding
-    times are appended to (states, holds).
+    Trials advance in draw blocks of `count` jumps. Only the next state
+    depends on the previous step, so one numpy step per jump moves every
+    live trial's jump chain and stores the visited states. Once per block,
+    the visited states give the holds Exp(1) / rate (inf on a zero rate,
+    nan on a zero draw too) and the stop rule for all rows at once, with
+    one add per row for the running time: a trial goes on unless its state
+    is a target (status 0, hit) or absorbing outside (status 1), or
+    t + hold < T fails (status 0, elapsed T). A stopped trial is recorded
+    at its first stopping row; its chain steps on to the block's end and
+    is ignored. max_jumps bounds the jumps; the trials left are capped
+    (status 2). With `path` (one trial only) arrays of visited states and
+    holding times are appended to (states, holds).
     """
-    lam, indices, indptr = rates.lam, rates.q.indices, rates.q.indptr
+    lam, indptr = rates.lam, rates.q.indptr
     cum = rates.cumulative_rows()
+    # the state each stored entry jumps to, plus one pad entry: a stopped trial may sit
+    # on an empty row, whose search ends at indptr[-1]
+    dest = np.append(rates.q.indices, 0).astype(np.intp)
     starts, lasts = indptr[:-1], indptr[1:] - 1
     steps = int(np.diff(indptr).max(initial=1) - 1).bit_length()
     reflect = outside if config.policy == "reflect" else None
     horizon, max_jumps = config.horizon, config.max_jumps
+    limit = np.where(stop == _GO, horizon, -np.inf)  # a trial goes on while its next time is below limit[state]
 
-    state = np.full(len(slots), x0, dtype=np.int64)
+    state = np.full(len(slots), x0, dtype=np.intp)
     t = np.zeros(len(slots))
-    exp_draws = unit_draws = np.empty((0, len(slots)))
-    j = 0  # next row of the draw buffers
     step = 0
-    with np.errstate(divide="ignore", invalid="ignore"):  # entered once, not per step: it is not free
+    with np.errstate(divide="ignore", invalid="ignore"):  # entered once, not per block: it is not free
         while step < max_jumps:
-            if j == len(exp_draws):
-                count = min(max(1, _DRAW_BLOCKS // len(slots)), max_jumps - step)
-                u1, unit_draws = uniform_pairs(config.seed, slots + offset, step, count)
-                exp_draws, j = -np.log1p(-u1), 0
-            rate = lam[state]
-            hold = exp_draws[j] / rate  # a division: a product with 1 / rate rounds differently
-            u = unit_draws[j]
-            j += 1
-            t_next = t + hold
-            code = stop[state]
-            go = (code == _GO) & (t_next < horizon)
-            if not go.all():
-                done = ~go
-                c = code[done]
-                if path is not None and c[0] == _GO:
-                    path[1].append(horizon - t[0])
-                _record(out, slots[done], state[done], step, np.where(c == _ABSORB, 1, 0),
-                        np.where(c == _GO, horizon, t[done]), c == _HIT)
-                if not go.any():
-                    return
-                slots, state, t_next, hold, rate, u = (a[go] for a in (slots, state, t_next, hold, rate, u))
-                exp_draws, unit_draws, j = exp_draws[j:, go], unit_draws[j:, go], 0
-            nxt = indices[_row_search(cum, starts[state], lasts[state], u * rate, steps)]
-            if reflect is not None:
-                nxt = np.where(reflect[nxt], state, nxt)  # censored jump: the walker stays put
+            width = len(slots)
+            # blocks grow with the trials' age, so short trials do not step long blocks
+            count = min(max(1, _DRAW_BLOCKS // width), max_jumps - step, max(1, step))
+            u1, u2 = uniform_pairs(config.seed, slots + offset, step, count)
+            chain = np.empty((count + 1, width), dtype=np.intp)
+            chain[0] = state
+            for k in range(count):
+                x = chain[k]
+                nxt = dest.take(_row_search(cum, starts[x], lasts[x], u2[k] * lam[x], steps), out=chain[k + 1])
+                if reflect is not None:
+                    np.copyto(nxt, x, where=reflect[nxt])  # censored jump: the walker stays put
+            visited = chain[:-1]
+            times = np.empty((count + 1, width))
+            times[0] = t
+            # a division: a product with 1 / rate rounds differently
+            holds = np.divide(-np.log1p(-u1), lam[visited], out=times[1:])
             if path is not None:
-                path[0].append(int(nxt[0]))
-                path[1].append(float(hold[0]))
-            state, t = nxt, t_next
-            step += 1
+                holds = holds[:, 0].copy()  # the running sum below overwrites them
+            for k in range(count):  # t + hold summed in jump order; row adds beat an axis-0 cumsum
+                np.add(times[k], times[k + 1], out=times[k + 1])
+            go = times[1:] < limit[visited]
+            if path is not None:  # one trial: its states and holds up to its stopping row
+                ran = count if go.all() else int(go[:, 0].argmin())
+                path[0].append(chain[1 : ran + 1, 0])
+                path[1].append(holds[:ran])
+                if ran < count and stop[chain[ran, 0]] == _GO:
+                    path[1].append(horizon - times[ran : ran + 1, 0])
+            if go.all():
+                state, t = chain[-1], times[-1]
+            else:
+                done = ~go.all(axis=0)
+                cols = np.flatnonzero(done)
+                k = go[:, cols].argmin(axis=0)  # first stopping row
+                last = chain[k, cols]
+                c = stop[last]
+                _record(out, slots[cols], last, step + k, np.where(c == _ABSORB, 1, 0),
+                        np.where(c == _GO, horizon, times[k, cols]), c == _HIT)
+                keep = ~done
+                if not keep.any():
+                    return
+                slots, state, t = slots[keep], chain[-1, keep], times[-1, keep]
+            step += count
     _record(out, slots, state, step, 2, t)
 
 
@@ -240,10 +262,10 @@ def gillespie_path(rates: RateTable, x0: int, config: SimConfig, trial_index: in
     outside = _outside_mask(rates.space, x0, config)
     stop = _stop_codes(len(rates.lam), outside, None, config.policy == "reflect")
     out = _empty_batch(1, config.horizon)
-    states, holds = [int(x0)], []
+    states, holds = [np.full(1, x0, dtype=np.intp)], [np.empty(0)]
     _lockstep(rates, x0, config, stop, outside, out, np.zeros(1, dtype=np.int64), trial_index, (states, holds))
     return Trajectory(
-        np.asarray(states), np.asarray(holds, dtype=float), _STATUS_BY_CODE[out.status[0]], float(out.elapsed[0])
+        np.concatenate(states), np.concatenate(holds), _STATUS_BY_CODE[out.status[0]], float(out.elapsed[0])
     )
 
 

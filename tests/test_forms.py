@@ -15,7 +15,7 @@ from jdlab import (
 import scipy.sparse as sp
 
 from jdlab.criteria import theta_test_function
-from jdlab.forms import JumpKernel
+from jdlab.forms import JumpKernel, RateTable
 from jdlab.kernels import explicit_kernel, stable_like
 from conftest import random_symmetric_kernel
 
@@ -228,3 +228,40 @@ def test_derivation_residual_random_graphs():
         res = derivation_residual(built.space, built.kernel, u, phi)
         scale = abs(energy(built.space, built.kernel, None, u, u * phi)) + 1.0
         assert abs(res) <= 1e-10 * scale
+
+
+def cumulative_rows_loop(q: sp.csr_matrix) -> np.ndarray:
+    """The per-row loop that RateTable.cumulative_rows replaced, kept as its oracle."""
+    cum = q.data.copy()
+    for x in range(q.shape[0]):
+        lo, hi = q.indptr[x], q.indptr[x + 1]
+        if hi > lo:
+            cum[lo:hi] = np.cumsum(cum[lo:hi])
+    return cum
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    lengths=st.one_of(
+        st.lists(st.integers(0, 6), max_size=25),  # empty rows, length-1 rows and short runs
+        st.tuples(st.integers(0, 20), st.integers(0, 9)).map(lambda nl: [nl[1]] * nl[0]),  # one run over every row
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cumulative_rows_match_the_row_loop_bit_for_bit(lengths, seed):
+    rng = np.random.default_rng(seed)
+    width = max(lengths, default=0) + 1
+    indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))).astype(np.int32)
+    indices = np.concatenate([np.sort(rng.choice(width, m, replace=False)) for m in lengths] or [[]]).astype(np.int32)
+    data = rng.uniform(0.0, 1.0, len(indices)) * 10.0 ** rng.integers(-8, 9, len(indices))
+    q = sp.csr_matrix((data, indices, indptr), shape=(len(lengths), width))
+    rates = RateTable(None, q, np.asarray(q.sum(axis=1)).reshape(-1))
+    got = rates.cumulative_rows()
+    assert got.view(np.uint64).tolist() == cumulative_rows_loop(q).view(np.uint64).tolist()
+    assert np.array_equal(q.data, data)  # the table's own rates are left alone
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (4, 4)])
+def test_cumulative_rows_of_a_table_without_entries(shape):
+    rates = RateTable(None, sp.csr_matrix(shape), np.zeros(shape[0]))
+    assert rates.cumulative_rows().shape == (0,)

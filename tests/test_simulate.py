@@ -19,6 +19,7 @@ from jdlab.kernels import explicit_kernel
 from jdlab.simulate import occupation_measure, wilson_interval
 from jdlab.space import metric_ball, open_ball_mask
 from conftest import random_symmetric_kernel
+from test_lockstep import oracle_batch, same_bits
 
 
 def birth_chain(length=400, scale=1.0):
@@ -188,7 +189,7 @@ def test_z3_return_plateaus_below_one(z3_cube):
 
 def assert_same_batch(a, b):
     for name in ("status", "elapsed", "n_jumps", "final_state", "hit"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert same_bits(getattr(a, name), getattr(b, name)), name
 
 
 def test_batch_splitting_invariance(z_rates, z_line, monkeypatch):
@@ -351,3 +352,68 @@ def test_reflect_policy_keeps_paths_inside(z_rates, z_line):
     assert np.all(batch.status == 0)  # nothing absorbed under reflection
     d = sp.distances_from(o)
     assert np.all(d[batch.final_state] < 4.0)
+
+
+def test_draw_block_invariance(z_rates, z_line, monkeypatch):
+    # every draw is keyed by (seed, trial, jump), so block boundaries, including
+    # length-1 blocks and boundaries in the middle of trials, change no bit
+    o = z_line.space.origin
+    target = np.zeros(z_line.space.n_points, dtype=bool)
+    target[o + 3] = True
+    cases = [
+        (SimConfig(horizon=2.0, trials=200, seed=99, outer_radius=5.0, max_jumps=9), target),
+        (SimConfig(horizon=6.0, trials=120, seed=5, outer_radius=4.0, max_jumps=40, policy="reflect"), None),
+    ]
+    want = [(run_batch(z_rates, o, cfg, target=t), [gillespie_path(z_rates, o, cfg, i) for i in (0, 1, 17)])
+            for cfg, t in cases]
+    statuses = {(cfg.policy, int(s), bool(h)) for (cfg, _), (b, _) in zip(cases, want) for s, h in zip(b.status, b.hit)}
+    assert {("absorb", 0, True), ("absorb", 1, False), ("absorb", 2, False), ("reflect", 0, False)} <= statuses
+    for blocks in (1, 3, 64):
+        monkeypatch.setattr(simulate, "_DRAW_BLOCKS", blocks)
+        for (cfg, t), (batch, paths) in zip(cases, want):
+            assert_same_batch(run_batch(z_rates, o, cfg, target=t), batch)
+            for i, path in zip((0, 1, 17), paths):
+                got = gillespie_path(z_rates, o, cfg, i)
+                assert same_bits(got.states, path.states) and same_bits(got.holding_times, path.holding_times)
+                assert (got.status, got.elapsed) == (path.status, path.elapsed)
+
+
+@pytest.mark.parametrize(
+    "n, entries, x0",
+    [
+        (2, [], 0),  # no stored entries at all: the chain searches an empty q
+        (2, [], 1),
+        (4, [[0, 1, 1.0]], 3),  # the trailing state has zero rate: its row starts at the end of q
+        (4, [[0, 1, 1.0]], 2),
+    ],
+)
+@pytest.mark.parametrize("max_jumps", [1, 5])
+def test_a_trial_stopped_on_an_empty_row_steps_its_chain_safely(n, entries, x0, max_jumps):
+    # a stopped trial's chain steps on to the end of its block, here on a row with
+    # no entries that ends past the last stored entry of q
+    rates = jump_rates(explicit_kernel(n, entries).kernel)
+    assert rates.lam[x0] == 0
+    for trials in (1, 3):
+        cfg = SimConfig(horizon=2.0, trials=trials, max_jumps=max_jumps, seed=11)
+        batch = run_batch(rates, x0, cfg)
+        assert_same_batch(batch, oracle_batch(rates, x0, cfg))
+        assert np.all(batch.status == 0) and np.all(batch.elapsed == 2.0) and np.all(batch.n_jumps == 0)
+    path = gillespie_path(rates, x0, SimConfig(horizon=2.0, trials=1, max_jumps=max_jumps, seed=11))
+    assert list(path.states) == [x0] and list(path.holding_times) == [2.0]
+
+
+def test_trials_stopped_mid_block_match_the_oracle():
+    # blocks start at jumps 0, 1, 2, 4, 8, ...: trials that hit the target, leave the
+    # ball or pass the horizon in between are recorded at their own jump while their
+    # chains run on
+    rates = jump_rates(explicit_kernel(9, [[k, k + 1, 1.0 + k] for k in range(7)]).kernel)
+    assert rates.lam[8] == 0  # a zero-rate trailing state, its row at the end of q
+    target = np.zeros(9, dtype=bool)
+    target[6] = True
+    stopped = set()
+    for policy, max_jumps in (("absorb", 200), ("reflect", 200), ("absorb", 7)):
+        cfg = SimConfig(horizon=5.0, trials=300, max_jumps=max_jumps, seed=2, outer_radius=3.0, policy=policy)
+        got = run_batch(rates, 3, cfg, target=target)
+        assert_same_batch(got, oracle_batch(rates, 3, cfg, target=target))
+        stopped |= set(got.n_jumps[got.status != 2].tolist())
+    assert {3, 5, 7, 9, 11, 13} <= stopped and max(stopped) > 16

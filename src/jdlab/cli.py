@@ -18,12 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .capacity import SolverFailure, capacity_scan
-from .criteria import (
-    davies_constant,
-    recurrence_report,
-    volume_growth_report,
-)
+from .capacity import DEFAULT_DECAY_RATIO, SolverFailure, capacity_scan
+from .criteria import DEFAULT_THRESHOLD, davies_constant, recurrence_report, volume_growth_report
 from .forms import jump_rates
 from .simulate import RNG_CONTRACT, SimConfig, explosion_diagnostic, return_probability, survival_estimate
 from .space import metric_ball
@@ -249,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--x0", type=int, default=None, help="reference point id (default: origin)")
     p.add_argument("--radii", default=None, help="comma list or start:stop:step")
-    p.add_argument("--tau", type=float, default=10.0, help="finiteness threshold")
+    p.add_argument("--tau", type=float, default=DEFAULT_THRESHOLD, help="finiteness threshold")
     p.set_defaults(func=cmd_criteria)
 
     p = sub.add_parser("simulate", help="Monte-Carlo survival / return probabilities")
@@ -270,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", required=True, help="inner set: ball:x0:r or ids:..")
     p.add_argument("--radii", required=True, help="comma list or start:stop:step")
     p.add_argument("--center", type=int, default=None, help="ball center (default: first K point)")
-    p.add_argument("--decay-ratio", type=float, default=0.05)
+    p.add_argument("--decay-ratio", type=float, default=DEFAULT_DECAY_RATIO)
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("report", help="pretty-print or convert a JSON report")

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .forms import KernelOperator, LocalPart, energy as form_energy
-from .space import DiscreteMMSpace, UnsupportedOperation, boundary_notes, metric_ball, support_sets
+from .space import DiscreteMMSpace, UnsupportedOperation, boundary_notes, metric_ball, shell_volume, support_sets
 
 DEFAULT_THRESHOLD = 10.0
 TOP_WINDOW_FRACTION = 0.5
@@ -255,12 +255,7 @@ def quadratic_shell_report(space: DiscreteMMSpace, x0: int, n_grid: Sequence[int
     n_grid = sorted(int(n) for n in n_grid)
     if not n_grid or n_grid[0] < 1:
         raise ValueError("shell indices must be positive integers")
-    rho = space.rho_from(x0)
-    ratios = []
-    for n in n_grid:
-        mass = float(space.measure[(rho > n - 1) & (rho <= n)].sum())
-        ratios.append(mass / n**2)
-    ratios = np.asarray(ratios)
+    ratios = np.asarray([shell_volume(space, x0, n) / n**2 for n in n_grid])
     c_fit = float(ratios.max())
     half = max(len(ratios) // 2, 1)
     stable = bool(np.max(ratios[-half:]) <= np.max(ratios[:half]) * 1.05 + 1e-30)

@@ -24,6 +24,7 @@ import scipy.sparse.linalg as spla
 from .space import DiscreteMMSpace, exactly_symmetric, support_sets
 
 _BLOCK_NNZ = 1 << 18  # stored entries per run of whole rows (bounds temporaries)
+_GATHER_ROWS = 512  # dense rows per block of a gathered CSR kernel (bounds the dense block)
 
 
 def row_blocks(indptr: np.ndarray) -> Iterator[tuple[np.ndarray, int, int]]:
@@ -54,7 +55,8 @@ class KernelOperator:
     - jump_support() is X^(j), the points with a positive kernel entry;
     - jump_energy(u, v) is the jump form E^(j)(u, v);
     - csr() is the kernel as a CSR `JumpKernel`, which only the rate table,
-      range truncation and the assembled form matrix gather.
+      range truncation and the assembled form matrix ask for; a kernel that
+      is not stored as a CSR gathers it afresh on each call and keeps none.
     """
 
     space: DiscreteMMSpace
@@ -128,6 +130,17 @@ class JumpKernel(KernelOperator):
                 raise ValueError(f"conflicting values for symmetric pair {divmod(int(pairs[bad[0]]), n)}")
             return cls.from_entries(space, rows[first], cols[first], values[first])
         return cls(space, m)
+
+    @classmethod
+    def from_dense_rows(cls, space: DiscreteMMSpace, rows: Callable[[np.ndarray], np.ndarray]) -> "JumpKernel":
+        """Kernel whose rows idx are the dense block rows(idx) = j(idx, every y), asked for _GATHER_ROWS rows at a time.
+
+        The constructor clears the diagonal, so rows need not zero it.
+        """
+        idx = np.arange(space.n_points)
+        blocks = range(0, space.n_points, _GATHER_ROWS)
+        # the block list dies with the vstack call, before the kernel's own checks allocate
+        return cls(space, sp.vstack([sp.csr_matrix(rows(idx[lo : lo + _GATHER_ROWS])) for lo in blocks], format="csr"))
 
     @property
     def weighted(self) -> sp.csr_matrix:
@@ -226,7 +239,8 @@ class StencilKernel(KernelOperator):
     at distance |k| h (0 at k = 0), so memory is O(n); its unit-offset entry
     must be positive, so X^(j) is the whole box. W v is one `_Convolution`
     by m j, and weighted_row_sums(g) the convolution of 1 by m j g(|k| h).
-    The CSR kernel is gathered from the stencil only by `csr()`.
+    The kernel holds only its space, its stencil and its FFT state: `csr()`
+    gathers an O(n^2) CSR kernel afresh on each call, and nothing keeps it.
     """
 
     def __init__(self, space: DiscreteMMSpace, f: Callable[[np.ndarray], np.ndarray]):
@@ -254,7 +268,6 @@ class StencilKernel(KernelOperator):
             raise ValueError("the stencil's unit-offset entry must be positive, so that the box is connected")
         self._mass = float(space.measure[0])
         self._conv = _Convolution(self.stencil * self._mass, self._box)
-        self._csr: Optional[JumpKernel] = None
         self._row_mass: Optional[np.ndarray] = None
 
     def _offset_distances(self) -> np.ndarray:
@@ -284,30 +297,19 @@ class StencilKernel(KernelOperator):
         return _FreeOperator(self, free_idx)  # the jump form on the points free_idx, with a circulant preconditioner
 
     def csr(self) -> JumpKernel:
-        """The same kernel as a CSR JumpKernel, gathered from the stencil 512 rows at a time on first call."""
-        if self._csr is None:
-            steps, centre = self.space.steps, self._box[0] - 1
+        """The same kernel as a CSR JumpKernel, gathered afresh from the stencil on each call."""
+        steps, centre = self.space.steps, self._box[0] - 1
 
-            def rows(lo: int) -> sp.csr_matrix:  # j(x, y) = stencil[s(x) - s(y) + 2E] for x in the run, every y
-                x = slice(lo, lo + 512)
-                offsets = tuple(steps[x, None, a] - steps[None, :, a] + centre for a in range(steps.shape[1]))
-                return sp.csr_matrix(self.stencil[offsets])
+        def rows(x: np.ndarray) -> np.ndarray:  # j(x, y) = stencil[s(x) - s(y) + 2E] for every y
+            return self.stencil[tuple(steps[x, a, None] - steps[:, a] + centre for a in range(steps.shape[1]))]
 
-            # the chunk list dies with the vstack call, before the kernel's own checks allocate
-            chunks = range(0, len(steps), 512)
-            self._csr = JumpKernel(self.space, sp.vstack([rows(lo) for lo in chunks], format="csr"))
-        return self._csr
+        return JumpKernel.from_dense_rows(self.space, rows)
 
     def __getstate__(self) -> dict:
-        return {"space": self.space, "stencil": self.stencil}  # the rest, and any gathered CSR, derives from these
+        return {"space": self.space, "stencil": self.stencil}  # the rest derives from these
 
     def __setstate__(self, state: dict) -> None:
         self.__init__(state["space"], lambda d: state["stencil"])  # so a loaded kernel is checked like a built one
-
-    @property
-    def matrix(self) -> sp.csr_matrix:
-        # no module of jdlab reads this; benchmark/spans.py's `_on_load` counts a loaded kernel's entries through it
-        return self.csr().matrix
 
 
 class _FreeOperator(spla.LinearOperator):

@@ -121,13 +121,8 @@ def _gasket_points(level: int) -> np.ndarray:
 
 
 def _pairwise_kernel(space: DiscreteMMSpace, value) -> JumpKernel:
-    """Kernel j(x, y) = value(rows, d(rows, .)) on every pair, built one CSR chunk of rows at a time.
-
-    JumpKernel clears the diagonal, so value need not zero it.
-    """
-    chunks = space.distances_chunked(np.arange(space.n_points), chunk=512)
-    # the chunk list dies with the vstack call, before the kernel's own checks allocate
-    return JumpKernel(space, sp.vstack([sp.csr_matrix(value(idx, d)) for idx, d in chunks], format="csr"))
+    """Kernel j(x, y) = value(rows, d(rows, .)) on every pair, gathered from dense rows of distances."""
+    return JumpKernel.from_dense_rows(space, lambda idx: value(idx, space.distance_rows(idx)))
 
 
 def stable_like(

@@ -136,7 +136,7 @@ def _row_search(cum: np.ndarray, lo: np.ndarray, last: np.ndarray, v: np.ndarray
     pos = lo
     for k in reversed(range(steps)):
         cand = pos + (1 << k)
-        ok = (cand <= last) & (np.take(cum, cand - 1, mode="clip") <= v)
+        ok = (cand <= last) & (cum.take(cand - 1, mode="clip") <= v)
         pos = np.where(ok, cand, pos)
     return pos
 

@@ -143,6 +143,8 @@ class DiscreteMMSpace:
         if not np.isfinite(self.measure).all():
             raise ValueError("measure must be finite at every point")
         self.n_points = len(self.measure)
+        if self.n_points < 1:
+            raise ValueError("a space needs at least one point")
         self.coords = None if coords is None else np.atleast_2d(np.asarray(coords, dtype=float))
         if self.coords is not None and self.coords.shape[0] != self.n_points:
             self.coords = self.coords.T
@@ -153,6 +155,8 @@ class DiscreteMMSpace:
             self.steps = self.steps.T
         self.rho_graph = rho_graph
         self.origin = int(origin)
+        if not 0 <= self.origin < self.n_points:
+            raise ValueError(f"origin {self.origin} is not a point id in [0, {self.n_points})")
         self.truncation_radius = float(truncation_radius)
         self.meta = dict(meta or {})
         self._row_cache: dict[int, np.ndarray] = {}
@@ -254,16 +258,18 @@ class DiscreteMMSpace:
                 self._row_cache[x0] = row
         return row
 
+    def distance_rows(self, idx: np.ndarray) -> np.ndarray:
+        """The dense rows d(idx[i], .), without polluting the row cache."""
+        if self.metric_kind == "graph":
+            return dijkstra(self.metric_graph, directed=True, indices=idx)
+        return self._norm(self.coords[idx][:, None, :] - self.coords)
+
     def distances_chunked(self, indices, chunk: int = 128) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Yield (index chunk, distance rows) without polluting the row cache."""
         indices = np.asarray(indices, dtype=np.int64)
         for lo in range(0, len(indices), chunk):
             idx = indices[lo : lo + chunk]
-            if self.metric_kind == "graph":
-                rows = dijkstra(self.metric_graph, directed=True, indices=idx)
-            else:
-                rows = self._norm(self.coords[idx][:, None, :] - self.coords)
-            yield idx, rows
+            yield idx, self.distance_rows(idx)
 
     def d(self, x: int, y: int) -> float:
         return float(self.distances_from(x)[y])
@@ -335,7 +341,7 @@ def metric_ball(space: DiscreteMMSpace, x0: int, r: float) -> tuple[np.ndarray, 
 
 
 def open_ball_mask(space: DiscreteMMSpace, x0: int, r: float) -> np.ndarray:
-    """Boolean mask of {y : d(x0,y) < r} (used by capacity / exit events)."""
+    """Boolean mask of the open ball {y : d(x0,y) < r}."""
     return space.distances_from(x0) < r
 
 

@@ -97,6 +97,15 @@ def test_simulate_horizons_and_radii_that_answer_wrongly_exit_2(tmp_path, capsys
     assert not list(tmp_path.glob("*.manifest.json"))
 
 
+def test_an_empty_explicit_space_exits_2(tmp_path, capsys):
+    # zero points died with an IndexError traceback, exit 1
+    kernel = {"family": "explicit", "n_points": 0}
+    bad = write_spec(tmp_path / "empty.json", {"type": "lattice", "truncation_radius": 1, "params": {"kernel": kernel}})
+    assert cli.main(["criteria", "--spec", bad, "--radii", "2", "--out-dir", str(tmp_path)]) == 2
+    assert "at least one point" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.manifest.json"))
+
+
 def test_unknown_type_exits_2(tmp_path, capsys):
     bad = write_spec(tmp_path / "bad2.json", {"type": "torus", "truncation_radius": 5})
     assert cli.main(["criteria", "--spec", bad, "--out-dir", str(tmp_path)]) == 2

@@ -29,8 +29,9 @@ from jdlab.kernels import (
 
 
 def assert_symmetric(kernel):
-    assert (abs(kernel.matrix - kernel.matrix.T)).nnz == 0
-    assert np.all(kernel.matrix.diagonal() == 0.0)
+    matrix = kernel.csr().matrix
+    assert (abs(matrix - matrix.T)).nnz == 0
+    assert np.all(matrix.diagonal() == 0.0)
 
 
 # -- stable-like -------------------------------------------------------------

@@ -750,7 +750,7 @@ def test_stable_like_kernel_matches_dense_build(case, dim, radius):
     built = stable_like(dim=dim, spacing=0.5, truncation_radius=radius, **kwargs)
     assert built.space.n_points > 512  # more than one row chunk
     density = stable_like_density(kappa=float(dim), **kwargs)
-    assert_bit_identical(built.kernel.matrix, oracle_dense_kernel(built.space, lambda idx, d: density(d)).matrix)
+    assert_bit_identical(built.kernel.csr().matrix, oracle_dense_kernel(built.space, lambda idx, d: density(d)).matrix)
 
 
 @pytest.mark.parametrize("case", ["i", "ii"])
@@ -1089,7 +1089,7 @@ def assert_same_instance(a, b):
         assert (x is None) == (y is None), name
         if x is not None:
             assert_bit_identical(x, y)
-    assert_bit_identical(a.kernel.matrix, b.kernel.matrix)
+    assert_bit_identical(a.kernel.csr().matrix, b.kernel.csr().matrix)
     assert (a.local is None) == (b.local is None)
     if a.local is not None:
         for name in ("edges", "conductance", "support"):

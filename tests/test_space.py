@@ -87,6 +87,19 @@ def test_non_finite_measure_rejected():
             DiscreteMMSpace([1.0, bad], coords=[[0.0], [1.0]])
 
 
+def test_empty_space_rejected():
+    with pytest.raises(ValueError, match="at least one point"):
+        DiscreteMMSpace(np.ones(0), coords=np.zeros((0, 1)))
+
+
+@pytest.mark.parametrize("origin", [-1, 3, 4])
+def test_origin_outside_the_points_rejected(origin):
+    # origin -1 was accepted, and the space then read the last point's row as the origin's
+    with pytest.raises(ValueError, match=rf"origin {origin} is not a point id in \[0, 3\)"):
+        DiscreteMMSpace(np.ones(3), coords=np.arange(3.0)[:, None], origin=origin)
+    assert DiscreteMMSpace(np.ones(3), coords=np.arange(3.0)[:, None], origin=2).origin == 2
+
+
 def test_one_sided_graph_rejected():
     import scipy.sparse as sp_
 

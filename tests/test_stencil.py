@@ -18,12 +18,14 @@ with the gathered CSR within 1e-12 relative, the CSR's per-entry jump
 energy with a long-double sum within 1e-14.
 """
 
+import contextlib
 import pickle
 import re
 import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from conftest import stable_like_density
 
@@ -47,7 +49,7 @@ from jdlab import (
 )
 from jdlab.capacity import _form, _potential
 from jdlab.criteria import theta_test_function
-from jdlab.forms import _FreeOperator
+from jdlab.forms import _FreeOperator, form_matrix, local_chain, truncate_kernel
 from jdlab.kernels import _pairwise_kernel
 from jdlab.specio import load_built, save_built
 
@@ -84,6 +86,22 @@ def pairwise_oracle(space, case="i", alpha=1.0, beta=1.0, tempering=1.0, **_):
     """The CSR `_pairwise_kernel` builds on space from distances, for `stable_like` with these parameters."""
     density = stable_like_density(case, alpha, beta, tempering, kappa=space.meta["kappa"])
     return _pairwise_kernel(space, lambda idx, d: density(d))
+
+
+@contextlib.contextmanager
+def no_gather():
+    """Fails the test if `StencilKernel.csr` is called inside the block, whatever the caller does with the result."""
+    calls = []
+    gather = StencilKernel.csr
+
+    def spy(self):
+        calls.append(self)
+        return gather(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(StencilKernel, "csr", spy)
+        yield
+    assert not calls, f"StencilKernel.csr was called {len(calls)} times"
 
 
 def assert_bit_identical(a, b):
@@ -139,8 +157,8 @@ def _case(name):
 def _scan_both(name):
     """The stencil kernel's capacity scan, and the CSR twin's potentials from one assembled G."""
     space, stencil, inner, radii, center = _case(name)
-    got = capacity_scan(space, stencil, None, inner, radii, center=center)
-    assert stencil._csr is None  # the stencil path never built the CSR
+    with no_gather():  # the stencil path never gathers the CSR
+        got = capacity_scan(space, stencil, None, inner, radii, center=center)
     csr = stencil.csr()
     form = _form(space, csr, None)
     dist = space.distances_from(center)
@@ -171,9 +189,9 @@ def test_stencil_capacities_match_the_csr_path(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_row_sums_omega_and_m_j_match_the_gathered_csr(name):
     space, stencil, _, radii, center = _case(name)
-    got_report = recurrence_report(space, stencil, None, center, radii)
-    got_mc = m_constants(space, stencil, None)
-    assert stencil._csr is None  # criteria read the operator, never the CSR
+    with no_gather():  # criteria read the operator, never the CSR
+        got_report = recurrence_report(space, stencil, None, center, radii)
+        got_mc = m_constants(space, stencil, None)
     csr = stencil.csr()
     assert np.array_equal(stencil.jump_support(), csr.jump_support())
     truncated = [lambda d, r=r: np.minimum(d, r) ** 2 for r in radii]
@@ -249,10 +267,11 @@ def test_circulant_cg_matches_jacobi_cg_on_the_whole_box(monkeypatch, name):
             green = green_growth(space, stencil, None, f, inner[0], radii, center=center)
         return scan, potentials, green
 
-    got, got_u, got_green = solves()
-    with monkeypatch.context() as oracle:
-        oracle.setattr(jdlab.forms, "_FreeOperator", JacobiFullBox)
-        want, want_u, want_green = solves()
+    with no_gather():
+        got, got_u, got_green = solves()
+        with monkeypatch.context() as oracle:
+            oracle.setattr(jdlab.forms, "_FreeOperator", JacobiFullBox)
+            want, want_u, want_green = solves()
     assert got.unknowns == want.unknowns and got.warnings == want.warnings
     assert all(it > 0 for it in got.iterations) and max(got.residuals) <= 1e-8
     for r, cap, expected, u in zip(radii, got.capacities, want.capacities, want_u):
@@ -261,7 +280,6 @@ def test_circulant_cg_matches_jacobi_cg_on_the_whole_box(monkeypatch, name):
         ball = np.flatnonzero(dist < r)
         assert np.abs(u - expected).max() <= solve_tol(name, stencil, np.setdiff1d(ball, inner)), r  # max u = 1
         assert abs(green - expected_green) <= solve_tol(name, stencil, ball) * abs(expected_green), r
-    assert stencil._csr is None
 
 
 def _box_edge_and_point_sets(space, inner, center):
@@ -334,8 +352,8 @@ def test_green_growth_matches_the_csr_path(monkeypatch, kwargs, radii, direct_li
     space, stencil = built.space, built.kernel
     f = np.zeros(space.n_points)
     f[space.origin] = 1.0
-    got = green_growth(space, stencil, None, f, space.origin, radii)
-    assert stencil._csr is None
+    with no_gather():
+        got = green_growth(space, stencil, None, f, space.origin, radii)
     want = green_growth(space, stencil.csr(), None, f, space.origin, radii)
     np.testing.assert_allclose(got, want, rtol=REL, atol=0)
 
@@ -373,10 +391,10 @@ def test_derivation_residual_vanishes_on_stencil_kernels(kwargs):
     for _ in range(5):
         u = rng.normal(size=built.space.n_points)
         phi = rng.normal(size=built.space.n_points)
-        res = derivation_residual(built.space, built.kernel, u, phi)
-        scale = abs(energy(built.space, built.kernel, None, u, u * phi)) + 1.0
+        with no_gather():
+            res = derivation_residual(built.space, built.kernel, u, phi)
+            scale = abs(energy(built.space, built.kernel, None, u, u * phi)) + 1.0
         assert abs(res) <= 1e-10 * scale
-    assert built.kernel._csr is None
 
 
 @pytest.mark.parametrize(
@@ -407,7 +425,7 @@ def test_gathered_csr_is_the_pairwise_build_where_offsets_are_exact(case, dim, e
     kwargs = dict(case=case, alpha=1.2, beta=0.7, tempering=0.8)
     built = stable_like(dim=dim, spacing=spacing, truncation_radius=extent * spacing, **kwargs)
     assert isinstance(built.kernel, StencilKernel) and built.space.n_points > 512  # more than one run of rows
-    assert_bit_identical(built.kernel.matrix, pairwise_oracle(built.space, **kwargs).matrix)
+    assert_bit_identical(built.kernel.csr().matrix, pairwise_oracle(built.space, **kwargs).matrix)
 
 
 @pytest.mark.parametrize(
@@ -417,7 +435,7 @@ def test_gathered_csr_is_the_pairwise_build_where_offsets_are_exact(case, dim, e
 def test_gathered_csr_is_the_pairwise_build_to_rounding_at_spacing_0_1(kwargs):
     # the pairwise build takes d from coordinates k * 0.1, each rounded, so it carries the rounding
     built = stable_like(**kwargs)
-    got, want = built.kernel.matrix, pairwise_oracle(built.space, **kwargs).matrix
+    got, want = built.kernel.csr().matrix, pairwise_oracle(built.space, **kwargs).matrix
     assert built.space.n_points > 512
     assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
     np.testing.assert_allclose(got.data, want.data, rtol=1e-13, atol=0)
@@ -426,22 +444,35 @@ def test_gathered_csr_is_the_pairwise_build_to_rounding_at_spacing_0_1(kwargs):
 def test_scans_potentials_and_energies_leave_the_csr_unbuilt():
     built = stable_like(alpha=1.0, dim=1, truncation_radius=200)
     space, kernel = built.space, built.kernel
-    capacity_scan(space, kernel, None, [space.origin], [10.0, 150.0])
-    equilibrium_potential(space, kernel, None, [space.origin], space.distances_from(space.origin) < 50)
-    energy(space, kernel, None, theta_test_function(space, space.origin, 50.0))
-    recurrence_report(space, kernel, None, space.origin, [10.0, 150.0])
-    m_constants(space, kernel, None)
-    support_sets(kernel, None)
-    assert kernel._csr is None
-    assert kernel.matrix.nnz == space.n_points * (space.n_points - 1)
-    assert isinstance(kernel._csr, JumpKernel)
+    with no_gather():
+        capacity_scan(space, kernel, None, [space.origin], [10.0, 150.0])
+        equilibrium_potential(space, kernel, None, [space.origin], space.distances_from(space.origin) < 50)
+        energy(space, kernel, None, theta_test_function(space, space.origin, 50.0))
+        recurrence_report(space, kernel, None, space.origin, [10.0, 150.0])
+        m_constants(space, kernel, None)
+        support_sets(kernel, None)
+    assert kernel.csr().matrix.nnz == space.n_points * (space.n_points - 1)
+
+
+def test_the_stencil_keeps_no_gathered_csr():
+    built = stable_like(alpha=1.0, dim=1, truncation_radius=200)
+    space, kernel = built.space, built.kernel
+    before = dict(vars(kernel))
+    gathered = kernel.csr()
+    assert kernel.csr() is not gathered  # each call gathers afresh
+    jump_rates(kernel)
+    truncate_kernel(kernel, 50.0)
+    form_matrix(space, kernel, local_chain(np.arange(space.n_points), space.meta["spacing"]))
+    held = vars(kernel)
+    assert held.keys() == before.keys() and all(held[k] is before[k] for k in held)
+    assert not any(sp.issparse(v) or isinstance(v, JumpKernel) for v in held.values())
 
 
 def test_reports_rates_and_pickles_see_the_pairwise_csr(tmp_path):
     built = stable_like(alpha=1.0, beta=1.0, dim=1, truncation_radius=150)
     space, stencil = built.space, built.kernel
     fresh = pairwise_oracle(space, alpha=1.0, beta=1.0)
-    assert_bit_identical(stencil.matrix, fresh.matrix)
+    assert_bit_identical(stencil.csr().matrix, fresh.matrix)
     radii = [2.0, 10.0, 50.0, 100.0]
     assert_reports_match(
         recurrence_report(space, stencil, None, space.origin, radii),
@@ -449,23 +480,25 @@ def test_reports_rates_and_pickles_see_the_pairwise_csr(tmp_path):
     )
     got_q, want_q = jump_rates(stencil).q, jump_rates(fresh).q
     assert got_q.data.tobytes() == want_q.data.tobytes() and got_q.indices.tobytes() == want_q.indices.tobytes()
-    save_built(tmp_path / "s.pkl", built)  # after the rates above built the CSR
-    loaded = load_built(tmp_path / "s.pkl").kernel
-    assert type(loaded) is StencilKernel and loaded._csr is None  # the pickle kept the stencil, not the CSR
-    assert_bit_identical(loaded.matrix, fresh.matrix)
+    with no_gather():  # the pickle keeps the stencil, and loading it gathers no CSR
+        save_built(tmp_path / "s.pkl", built)
+        loaded = load_built(tmp_path / "s.pkl").kernel
+    assert type(loaded) is StencilKernel
+    assert_bit_identical(loaded.csr().matrix, fresh.matrix)
 
 
 def test_a_pickle_keeps_the_stencil(tmp_path):
     built = stable_like(alpha=1.0, beta=1.0, dim=1, truncation_radius=1200)
-    save_built(tmp_path / "s.pkl", built)
-    assert (tmp_path / "s.pkl").stat().st_size < 200_000  # the stencil, not the 5.76 M-entry CSR
-    loaded = load_built(tmp_path / "s.pkl")
-    assert type(loaded.kernel) is StencilKernel and loaded.kernel._csr is None
-    assert loaded.kernel.stencil.tobytes() == built.kernel.stencil.tobytes()
     space = built.space
     radii = [10.0, 160.0, 1100.0]
-    want = capacity_scan(space, built.kernel, None, [space.origin], radii)
-    assert capacity_scan(loaded.space, loaded.kernel, None, [space.origin], radii) == want
+    with no_gather():
+        save_built(tmp_path / "s.pkl", built)
+        assert (tmp_path / "s.pkl").stat().st_size < 200_000  # the stencil, not the 5.76 M-entry CSR
+        loaded = load_built(tmp_path / "s.pkl")
+        assert type(loaded.kernel) is StencilKernel
+        assert loaded.kernel.stencil.tobytes() == built.kernel.stencil.tobytes()
+        want = capacity_scan(space, built.kernel, None, [space.origin], radii)
+        assert capacity_scan(loaded.space, loaded.kernel, None, [space.origin], radii) == want
 
 
 def test_csr_kept_where_a_unit_offset_underflows_and_on_the_gasket():
@@ -554,7 +587,7 @@ def test_case_ii_at_spacing_0_1_is_a_translation_invariant_stencil():
     """j(x, x + 10) is one value for every x, although 10 * 0.1 sits on case ii's jump from 1 to exp(-2)."""
     built = stable_like(case="ii", tempering=2.0, dim=1, spacing=0.1, truncation_radius=30)
     assert type(built.kernel) is StencilKernel
-    m = built.kernel.matrix
+    m = built.kernel.csr().matrix
     rows = np.arange(built.space.n_points - 10)
     at_ten = np.asarray(m[rows, rows + 10]).reshape(-1)
     assert np.all(at_ten == at_ten[0]) and at_ten[0] == built.kernel.stencil[2 * 300 + 10] == 1.0  # d = 10 * 0.1 = 1 exactly

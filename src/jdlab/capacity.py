@@ -29,7 +29,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .forms import KernelOperator, LocalPart, StencilKernel, energy as form_energy, form_matrix
-from .space import DiscreteMMSpace, boundary_notes
+from .space import DiscreteMMSpace, boundary_notes, open_ball_mask
 
 DIRECT_LIMIT = 2000
 CG_TOL = 1e-10
@@ -292,11 +292,10 @@ def capacity_scan(
     radii = sorted(float(r) for r in radii)
     if center is None:
         center = int(inner[0])
-    dist = space.distances_from(center)
-    if radii and not (dist[inner] < radii[0]).all():  # then K lies inside every ball
+    if radii and not open_ball_mask(space, center, radii[0])[inner].all():  # then K lies inside every ball
         raise ValueError(f"K is not inside the open ball of radius {radii[0]}")
     form = _form(space, kernel, local)
-    solves = [_potential(space, kernel, local, form, inner, dist < r, radius=r) for r in radii]
+    solves = [_potential(space, kernel, local, form, inner, open_ball_mask(space, center, r), radius=r) for r in radii]
     caps = [s.energy for s in solves]
     warnings = [w for s in solves for w in s.warnings]
     if radii:
@@ -334,11 +333,10 @@ def green_growth(
     if center is None:
         center = int(x0)
     form = _form(space, kernel, local)
-    dist = space.distances_from(center)
     rhs = f * space.measure
     out = []
     for r in sorted(float(r) for r in radii):
-        free = dist < r
+        free = open_ball_mask(space, center, r)
         u = np.zeros(space.n_points)
         u[free] = form.solve(free, rhs[free])[0]
         out.append(float(u[x0]))

@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from .criteria import DEFAULT_THRESHOLD, davies_constant, recurrence_report, vol
 from .forms import jump_rates
 from .simulate import RNG_CONTRACT, SimConfig, explosion_diagnostic, return_probability, survival_estimate
 from .space import metric_ball
-from .specio import SpecError, load_spec_or_built, round_floats, save_built, sha256_of, write_json
+from .specio import SpecError, load_spec_or_built, round_floats, save_built, sha256_of, write_csv, write_json
 
 
 def _parse_radii(text: str) -> list[float]:
@@ -120,7 +121,8 @@ def cmd_criteria(args, started: float) -> int:
     reports = (("conservativeness", vol), ("recurrence", rec))
     outputs = []
     for name, report in reports:
-        outputs += [(f"{stem}.{name}.json", report.to_dict()), (f"{stem}.{name}.csv", report.write_csv)]
+        csv = partial(write_csv, header=f"radius,{report.statistic_name}", rows=list(zip(report.radii, report.values)))
+        outputs += [(f"{stem}.{name}.json", report.to_dict()), (f"{stem}.{name}.csv", csv)]
     _write_run(args, started, stem, outputs)
     for name, report in reports:
         print(f"{name}: criterion {report.verdict}" + (" (sufficient condition)" if report.verdict == "satisfied" else ""))
@@ -213,7 +215,7 @@ def cmd_report(args, started: float) -> int:
         if sequence is None:
             raise SpecError("report has no radius-indexed sequence to export")
         out = Path(args.out) if args.out else path.with_suffix(".csv")
-        np.savetxt(out, np.reshape(sequence, (-1, 2)), fmt="%.12g", delimiter=",", header="radius,value", comments="")
+        write_csv(out, "radius,value", sequence)
         print(f"wrote {out}")
         return 0
     for key in ("statistic_name", "verdict", "liminf_estimate", "certificate", "survival"):
@@ -225,7 +227,7 @@ def cmd_report(args, started: float) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser, prefix: bool = True) -> None:
-    parser.add_argument("--spec", "--space", dest="spec", required=True, help="JSON spec or built .pkl")
+    parser.add_argument("--spec", required=True, help="JSON spec or built .pkl")
     parser.add_argument("--out-dir", default=".", help="directory for outputs")
     if prefix:
         parser.add_argument("--prefix", default=None, help="output filename stem")

@@ -10,7 +10,6 @@ sequences so asymptotics can be judged directly.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, asdict
 from typing import Optional, Sequence
@@ -40,13 +39,6 @@ class CriterionReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["radius", self.statistic_name])
-            for r, v in zip(self.radii, self.values):
-                writer.writerow([r, v])
 
 
 def _top_window_min(values: np.ndarray, fraction: float = TOP_WINDOW_FRACTION) -> float:
@@ -81,12 +73,7 @@ def volume_growth_report(
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     notes = _check_radii(space, x0, radii)
-    dist = space.distances_from(x0)
-    values = []
-    for r in radii:
-        vol = float(space.measure[dist <= r].sum())
-        values.append(math.log(vol) / (r * math.log(r)))
-    values = np.asarray(values)
+    values = np.asarray([math.log(metric_ball(space, x0, r)[1]) / (r * math.log(r)) for r in radii])
     liminf = _top_window_min(values)
     return CriterionReport(
         statistic_name="log-volume over r log r",
@@ -220,9 +207,8 @@ def doubling_report(space: DiscreteMMSpace, x0: int, radii: Sequence[float], rat
         raise ValueError(
             f"2 * max radius exceeds the truncation radius {space.truncation_radius:.6g}"
         )
-    dist = space.distances_from(x0)
-    vols = np.array([space.measure[dist <= r].sum() for r in radii])
-    vols2 = np.array([space.measure[dist <= 2 * r].sum() for r in radii])
+    vols = np.array([metric_ball(space, x0, r)[1] for r in radii])
+    vols2 = np.array([metric_ball(space, x0, 2 * r)[1] for r in radii])
     ratios = vols2 / vols
     doubling = bool(ratios.max() <= ratio_bound)
     extras: dict = {"doubling": doubling, "ratio_bound": ratio_bound}

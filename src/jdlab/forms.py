@@ -236,9 +236,12 @@ class StencilKernel(KernelOperator):
     The space's steps s must be the full box {-E..E}^d in row-major order,
     its Euclidean coordinates exactly s h, and its measure one cell mass m.
     f is evaluated once, as the stencil j over the offsets k in [-2E, 2E]^d
-    at distance |k| h (0 at k = 0), so memory is O(n); its unit-offset entry
-    must be positive, so X^(j) is the whole box. W v is one `_Convolution`
-    by m j, and weighted_row_sums(g) the convolution of 1 by m j g(|k| h).
+    at distance |k| h (0 at k = 0), so memory is O(n). |k| h is the space's
+    `norm` of k h, the formula of its pair distances, so where the offsets
+    k h are exact coordinate differences `csr()` equals the pairwise build
+    bit for bit. The stencil's unit-offset entry must be positive, so X^(j)
+    is the whole box. W v is one `_Convolution` by m j, and
+    weighted_row_sums(g) the convolution of 1 by m j g(|k| h).
     The kernel holds only its space, its stencil and its FFT state: `csr()`
     gathers an O(n^2) CSR kernel afresh on each call, and nothing keeps it.
     """
@@ -271,11 +274,11 @@ class StencilKernel(KernelOperator):
         self._row_mass: Optional[np.ndarray] = None
 
     def _offset_distances(self) -> np.ndarray:
-        """|k| h over the offsets k in [-2E, 2E]^d, from integer offsets times h."""
+        """|k h| over the offsets k in [-2E, 2E]^d: the space's norm of the integer offsets times h."""
         reach = self._box[0] - 1
-        axes = np.meshgrid(*[np.arange(-reach, reach + 1)] * len(self._box), indexing="ij")
+        offsets = np.moveaxis(np.indices((2 * reach + 1,) * len(self._box)), 0, -1) - reach
         with np.errstate(over="ignore", under="ignore"):  # the constructor's check names the lost digits
-            return np.sqrt(sum((a * self._h) ** 2 for a in axes))
+            return self.space.norm(offsets * self._h)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self._conv(np.reshape(v, self._box)).reshape(-1)

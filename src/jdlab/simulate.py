@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .forms import RateTable
-from .space import DiscreteMMSpace
+from .space import DiscreteMMSpace, open_ball_mask
 
 STATUS_ALIVE = "alive-at-T"
 STATUS_ABSORBED = "absorbed-at-boundary"
@@ -272,7 +272,7 @@ def gillespie_path(rates: RateTable, x0: int, config: SimConfig, trial_index: in
 def _outside_mask(space: DiscreteMMSpace, x0: int, config: SimConfig) -> Optional[np.ndarray]:
     if not np.isfinite(config.outer_radius):
         return None
-    return space.distances_from(x0) >= config.outer_radius
+    return ~open_ball_mask(space, x0, config.outer_radius)
 
 
 def run_batch(

@@ -145,14 +145,10 @@ class DiscreteMMSpace:
         self.n_points = len(self.measure)
         if self.n_points < 1:
             raise ValueError("a space needs at least one point")
-        self.coords = None if coords is None else np.atleast_2d(np.asarray(coords, dtype=float))
-        if self.coords is not None and self.coords.shape[0] != self.n_points:
-            self.coords = self.coords.T
+        self.coords = None if coords is None else _per_point("coords", np.asarray(coords, dtype=float), self.n_points)
         self.metric_kind = metric_kind
         self.metric_graph = metric_graph
-        self.steps = None if steps is None else np.atleast_2d(np.asarray(steps))
-        if self.steps is not None and self.steps.shape[0] != self.n_points:
-            self.steps = self.steps.T
+        self.steps = None if steps is None else _per_point("steps", np.asarray(steps), self.n_points)
         self.rho_graph = rho_graph
         self.origin = int(origin)
         if not 0 <= self.origin < self.n_points:
@@ -175,8 +171,12 @@ class DiscreteMMSpace:
 
     # -- metric ---------------------------------------------------------
 
-    def _norm(self, diff: np.ndarray) -> np.ndarray:
-        """Coordinate-metric length along the last axis; rows and pairs share it bit for bit."""
+    def norm(self, diff: np.ndarray) -> np.ndarray:
+        """Coordinate-metric length of the vectors along the last axis of diff.
+
+        The one formula for coordinate distances: rows, pairs and a stencil
+        kernel's offset distances all evaluate it, so they agree bit for bit.
+        """
         if self.metric_kind == "euclidean":
             return np.sqrt((diff**2).sum(axis=-1))
         if self.metric_kind == "l1":
@@ -207,7 +207,7 @@ class DiscreteMMSpace:
         graph (inf across components).
         """
         if self.metric_kind != "graph":
-            return self._norm(self.coords[rows] - self.coords[cols])
+            return self.norm(self.coords[rows] - self.coords[cols])
         rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
         sources, slot, n_cols = np.unique(rows, return_inverse=True, return_counts=True)
         order = np.argsort(slot, kind="stable")  # entries grouped by source
@@ -244,25 +244,26 @@ class DiscreteMMSpace:
         dist = dijkstra(_induced(graph, ball, label), directed=True, indices=label[sources], limit=limit)
         return np.where(ball[targets], dist[local, label[targets]], np.inf)  # off the union, label names another point
 
-    def distances_from(self, x0: int) -> np.ndarray:
-        """All distances d(x0, .) as a read-only vector; rows are cached."""
+    def _cached(self, cache: dict, x0: int, row_of) -> np.ndarray:
+        """Row x0 of a bounded cache, read-only, computed by row_of(x0) on a miss."""
         x0 = int(x0)
-        row = self._row_cache.get(x0)
+        row = cache.get(x0)
         if row is None:
-            if self.metric_kind == "graph":
-                row = dijkstra(self.metric_graph, directed=True, indices=x0)
-            else:
-                row = self._norm(self.coords[x0] - self.coords)
+            row = row_of(x0)
             row.flags.writeable = False  # shared with the cache
-            if len(self._row_cache) < ROW_CACHE_LIMIT:
-                self._row_cache[x0] = row
+            if len(cache) < ROW_CACHE_LIMIT:
+                cache[x0] = row
         return row
+
+    def distances_from(self, x0: int) -> np.ndarray:
+        """All distances d(x0, .) as a read-only vector: row x0 of `distance_rows`, cached."""
+        return self._cached(self._row_cache, x0, lambda x: self.distance_rows([x])[0])
 
     def distance_rows(self, idx: np.ndarray) -> np.ndarray:
         """The dense rows d(idx[i], .), without polluting the row cache."""
         if self.metric_kind == "graph":
             return dijkstra(self.metric_graph, directed=True, indices=idx)
-        return self._norm(self.coords[idx][:, None, :] - self.coords)
+        return self.norm(self.coords[idx][:, None, :] - self.coords)
 
     def distances_chunked(self, indices, chunk: int = 128) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Yield (index chunk, distance rows) without polluting the row cache."""
@@ -281,20 +282,12 @@ class DiscreteMMSpace:
         return self.rho_graph is not None or self.steps is not None
 
     def rho_from(self, x0: int) -> np.ndarray:
-        """All rho(x0, .) as a read-only vector; rows are cached."""
+        """All rho(x0, .) as a read-only vector, cached like `distances_from`."""
         if not self.has_graph_distance:
             raise UnsupportedOperation("space carries no graph distance rho")
-        x0 = int(x0)
-        row = self._rho_cache.get(x0)
-        if row is None:
-            if self.rho_graph is not None:
-                row = dijkstra(self.rho_graph, directed=True, indices=x0)
-            else:
-                row = np.abs(self.steps - self.steps[x0]).sum(axis=1).astype(float)
-            row.flags.writeable = False
-            if len(self._rho_cache) < ROW_CACHE_LIMIT:
-                self._rho_cache[x0] = row
-        return row
+        if self.rho_graph is not None:
+            return self._cached(self._rho_cache, x0, lambda x: dijkstra(self.rho_graph, directed=True, indices=x))
+        return self._cached(self._rho_cache, x0, lambda x: np.abs(self.steps - self.steps[x]).sum(axis=1).astype(float))
 
     # -- volume queries ---------------------------------------------------
 
@@ -302,6 +295,14 @@ class DiscreteMMSpace:
         row = self.distances_from(x0)
         finite = row[np.isfinite(row)]
         return float(finite.max()) if len(finite) else 0.0
+
+
+def _per_point(name: str, values: np.ndarray, n: int) -> np.ndarray:
+    """values with one row per point: an (n, d) array as it is, a flat (n,) vector as one axis."""
+    rows = values[:, None] if values.ndim == 1 else values
+    if rows.ndim != 2 or rows.shape[0] != n:
+        raise ValueError(f"{name} must have one row per point: shape {values.shape} for {n} points")
+    return rows
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

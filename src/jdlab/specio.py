@@ -74,6 +74,12 @@ def write_json(path, obj: Any) -> None:
     Path(path).write_text(payload)
 
 
+def write_csv(path, header: str, rows) -> None:
+    """Rows of numbers under a header line, comma separated, each number to 12 significant digits as in `write_json`."""
+    lines = [header, *(",".join(f"{v:.12g}" for v in row) for row in rows)]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def sha256_of(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -81,7 +87,7 @@ def sha256_of(path) -> str:
 def load_spec(path) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SpecError(f"spec is not valid JSON: {exc}") from exc
     validate_spec(raw)
     return raw
@@ -178,6 +184,6 @@ def load_spec_or_built(path) -> BuiltInstance:
     p = Path(path)
     if not p.exists():
         raise SpecError(f"no such spec file: {path}")
-    if p.suffix in (".pkl", ".bin"):
+    if p.suffix == ".pkl":
         return load_built(p)
     return build_from_spec(load_spec(p))

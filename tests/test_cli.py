@@ -106,6 +106,46 @@ def test_an_empty_explicit_space_exits_2(tmp_path, capsys):
     assert not list(tmp_path.glob("*.manifest.json"))
 
 
+def test_coords_with_a_row_too_many_exit_2(tmp_path, capsys):
+    # 4 coordinate rows for 3 points died with an IndexError traceback, exit 1
+    kernel = {"family": "explicit", "n_points": 3, "coords": [[0, 0], [1, 0], [2, 0], [3, 0]]}
+    bad = write_spec(tmp_path / "rows.json", {"type": "lattice", "truncation_radius": 1, "params": {"kernel": kernel}})
+    assert cli.main(["criteria", "--spec", bad, "--radii", "2", "--out-dir", str(tmp_path)]) == 2
+    assert "coords must have one row per point: shape (4, 2) for 3 points" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.manifest.json"))
+
+
+def test_the_space_alias_is_gone(tmp_path, z_spec, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["criteria", "--space", z_spec, "--radii", "5", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--spec" in capsys.readouterr().err
+
+
+def test_a_bin_path_is_read_as_a_json_spec(tmp_path, z_spec, capsys):
+    # .bin was handed to pickle.load like .pkl
+    assert cli.main(["build", "--spec", z_spec, "--out-dir", str(tmp_path)]) == 0
+    pickled = tmp_path / "znn.bin"
+    pickled.write_bytes((tmp_path / "znn.pkl").read_bytes())
+    assert cli.main(["criteria", "--spec", str(pickled), "--radii", "5", "--out-dir", str(tmp_path)]) == 2
+    assert "spec is not valid JSON" in capsys.readouterr().err
+    spec = tmp_path / "spec.bin"
+    spec.write_bytes(open(z_spec, "rb").read())
+    assert cli.main(["criteria", "--spec", str(spec), "--radii", "5", "--out-dir", str(tmp_path)]) == 0
+
+
+def test_criteria_csv_rows_are_the_json_sequence(tmp_path, capsys):
+    # the csv module wrote full repr floats (2.5221970596792267) where the JSON has 12 digits
+    spec = write_spec(tmp_path / "s.json", {"type": "lattice", "truncation_radius": 40, "params": {"dim": 1, "kernel": {"family": "stable_i"}}})
+    assert cli.main(["criteria", "--spec", spec, "--radii", "3,7.5,11,30", "--out-dir", str(tmp_path), "--prefix", "c"]) == 0
+    for name in ("conservativeness", "recurrence"):
+        report = json.loads((tmp_path / f"c.{name}.json").read_text())
+        header, *lines = (tmp_path / f"c.{name}.csv").read_text().splitlines()
+        assert header == f"radius,{report['statistic_name']}"
+        rows = [tuple(float(v) for v in line.split(",")) for line in lines]
+        assert rows == list(zip(report["radii"], report["values"]))
+
+
 def test_unknown_type_exits_2(tmp_path, capsys):
     bad = write_spec(tmp_path / "bad2.json", {"type": "torus", "truncation_radius": 5})
     assert cli.main(["criteria", "--spec", bad, "--out-dir", str(tmp_path)]) == 2

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -229,3 +230,95 @@ def test_support_sets_mixed_graph():
     assert set(x_j) == set(range(nv))  # vertices carry the jumps
     assert np.all(x_c >= nv)  # edge interiors carry the local part
     assert len(x_c) == b.space.n_points - nv
+
+
+def _disconnected_graph_space():
+    """Two path components 0-1-2 and 3-4-5: rows across them hold inf."""
+    import scipy.sparse as sp_
+
+    half = sp_.csr_matrix(([1.0, 2.0, 0.5, 1.5], ([0, 1, 3, 4], [1, 2, 4, 5])), shape=(6, 6))
+    graph = (half + half.T).tocsr()
+    return DiscreteMMSpace(np.ones(6), metric_kind="graph", metric_graph=graph, rho_graph=graph)
+
+
+def _row_formula(sp, x):
+    """d(x, .) written out per metric kind, as the rows were computed before they had one owner."""
+    from scipy.sparse.csgraph import dijkstra
+
+    diff = sp.coords[x] - sp.coords if sp.coords is not None else None
+    if sp.metric_kind == "euclidean":
+        return np.sqrt((diff**2).sum(axis=-1))
+    if sp.metric_kind == "l1":
+        return np.abs(diff).sum(axis=-1)
+    if sp.metric_kind == "stack":
+        return np.sqrt((diff[..., :-1] ** 2).sum(axis=-1)) + np.abs(diff[..., -1])
+    return dijkstra(sp.metric_graph, directed=True, indices=x)
+
+
+def _row_spaces():
+    from jdlab import stack_space
+
+    rng = np.random.default_rng(5)
+    coords = rng.standard_normal((40, 3))
+    return {
+        "euclidean": lattice_nn(dim=2, truncation_radius=4, spacing=0.3).space,
+        "l1": DiscreteMMSpace(np.ones(40), coords=coords, metric_kind="l1"),
+        "stack": stack_space(dim=2, truncation_radius=2).space,
+        "graph": mixed_graph(lattice2d_graph(3), phi=1.0, subdivisions=2, origin=24).space,
+        "disconnected graph": _disconnected_graph_space(),
+    }
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "l1", "stack", "graph", "disconnected graph"])
+def test_rows_equal_the_metric_formulas_bit_for_bit(kind):
+    sp = _row_spaces()[kind]
+    xs = sorted({0, 1, sp.origin, sp.n_points // 2, sp.n_points - 1})
+    for x in xs:
+        row, want = sp.distances_from(x), _row_formula(sp, x)
+        assert row.dtype == want.dtype and row.tobytes() == want.tobytes(), x
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 7.0
+        assert sp.distances_from(x) is row  # served from the cache
+    assert sp.distance_rows(np.array(xs)).tobytes() == np.stack([_row_formula(sp, x) for x in xs]).tobytes()
+    if kind == "disconnected graph":
+        assert np.isinf(sp.distances_from(0)[3:]).all() and np.isinf(sp.rho_from(5)[:3]).all()
+
+
+@pytest.mark.parametrize("graph", [False, True])
+def test_row_caches_hold_at_most_the_limit(graph):
+    from jdlab.space import ROW_CACHE_LIMIT
+
+    sp = mixed_graph(lattice2d_graph(5), phi=1.0, subdivisions=1).space if graph else lattice_nn(dim=2, truncation_radius=6).space
+    assert sp.n_points > ROW_CACHE_LIMIT + 10
+    for x in range(ROW_CACHE_LIMIT + 10):
+        d, rho = sp.distances_from(x), sp.rho_from(x)
+        assert d.tobytes() == _row_formula(sp, x).tobytes()
+        for row in (d, rho):
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 7.0
+    assert len(sp._row_cache) == len(sp._rho_cache) == ROW_CACHE_LIMIT
+    assert sp.distances_from(ROW_CACHE_LIMIT + 5) is not sp.distances_from(ROW_CACHE_LIMIT + 5)  # past the limit
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (5, 1), (5, 2), (3, 3)])
+def test_coords_and_steps_take_one_row_per_point(n, d):
+    coords = np.arange(n * d, dtype=float).reshape(n, d) / 4
+    steps = np.arange(n * d).reshape(n, d)
+    sp = DiscreteMMSpace(np.ones(n), coords=coords.tolist(), steps=steps)
+    assert sp.coords.dtype == np.float64 and np.array_equal(sp.coords, coords)
+    assert sp.steps.dtype == steps.dtype and np.array_equal(sp.steps, steps)
+    if d == 1:  # a flat vector is one axis
+        flat = DiscreteMMSpace(np.ones(n), coords=coords[:, 0], steps=steps[:, 0])
+        assert flat.coords.shape == flat.steps.shape == (n, 1)
+        assert np.array_equal(flat.coords, coords) and np.array_equal(flat.steps, steps)
+        assert flat.steps.dtype == steps.dtype
+
+
+@pytest.mark.parametrize("field", ["coords", "steps"])
+@pytest.mark.parametrize("shape", [(2, 3), (4, 2), (3, 2, 1), (1, 3), (4,)])
+def test_coords_and_steps_of_another_shape_rejected(field, shape):
+    # the transposed (2, 3) and (1, 3) were silently read as 3 points; (4, 2) for 3 points was an IndexError later
+    good = {"coords": np.zeros((3, 2)), "steps": np.zeros((3, 2), dtype=np.int64)}
+    good[field] = np.zeros(shape)
+    with pytest.raises(ValueError, match=re.escape(f"{field} must have one row per point: shape {shape} for 3 points")):
+        DiscreteMMSpace(np.ones(3), **good)

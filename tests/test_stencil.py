@@ -546,6 +546,18 @@ def test_a_spacing_whose_square_is_normal_builds_exact_distances():
     assert built.kernel.stencil[7] == stable_like_density("i", 0.1, 1.0)(np.array(h))  # offset +1 of [-6, 6]
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("spacing", [1.0, 0.5, 0.1, 3.0])
+def test_offset_distances_are_the_space_norm_of_k_h(dim, spacing):
+    # |k| h was written out as sqrt(sum((k_a h)^2)) over the axes; it is now the space's norm, to the bit
+    kernel = stable_like(alpha=0.5, dim=dim, spacing=spacing, truncation_radius=(3 if dim < 3 else 2) * spacing).kernel
+    reach = kernel._box[0] - 1
+    axes = np.meshgrid(*[np.arange(-reach, reach + 1)] * dim, indexing="ij")
+    want = np.sqrt(sum((a * spacing) ** 2 for a in axes))
+    got = kernel._offset_distances()
+    assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def _box_space(steps, coords, measure=None):
     return DiscreteMMSpace(np.ones(len(steps)) if measure is None else measure, coords=coords, steps=steps)
 

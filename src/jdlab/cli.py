@@ -22,7 +22,7 @@ from . import __version__
 from .capacity import DEFAULT_DECAY_RATIO, SolverFailure, capacity_scan
 from .criteria import DEFAULT_THRESHOLD, davies_constant, recurrence_report, volume_growth_report
 from .forms import jump_rates
-from .simulate import RNG_CONTRACT, SimConfig, explosion_diagnostic, return_probability, survival_estimate
+from .simulate import RNG_CONTRACT, SimConfig, explosion_diagnostic, sample_estimates
 from .space import metric_ball
 from .specio import SpecError, load_spec_or_built, round_floats, save_built, sha256_of, write_csv, write_json
 
@@ -145,8 +145,9 @@ def cmd_simulate(args, started: float) -> int:
         outer_radius=args.outer,
     )
     sampling_started = time.perf_counter()
-    survival, batch = survival_estimate(rates, x0, config)
-    batches = [batch]
+    estimates, draws = sample_estimates(rates, x0, config, targets)
+    sampling_s = time.perf_counter() - sampling_started
+    survival, batch = estimates[0]
     summary = {
         "x0": int(x0),
         "seed": int(args.seed),
@@ -158,11 +159,8 @@ def cmd_simulate(args, started: float) -> int:
         "explosion": explosion_diagnostic(batch).to_dict(),
     }
     if targets is not None:
-        est, ret_batch = return_probability(rates, x0, targets, args.outer, config)
-        batches.append(ret_batch)
-        summary["return"] = est.to_dict()
+        summary["return"] = estimates[1][0].to_dict()
         summary["return_target"] = targets
-    sampling_s = time.perf_counter() - sampling_started
     stem = _stem(args)
     outputs = [(f"{stem}.json", summary)]
     if args.trajectories:
@@ -170,12 +168,13 @@ def cmd_simulate(args, started: float) -> int:
         header = "trial,status,elapsed,n_jumps,final_state,hit"
         outputs.append((args.trajectories, lambda path: np.savetxt(
             path, np.column_stack(columns), "%d,%d,%.12g,%d,%d,%d", header=header, comments="")))
-    jumps = sum(int(b.n_jumps.sum()) for b in batches)
+    jumps = sum(int(b.n_jumps.sum()) for _, b in estimates)
     _write_run(
         args, started, stem, outputs,
         rng_contract=RNG_CONTRACT,
-        trials=sum(len(b.status) for b in batches),
+        trials=sum(len(b.status) for _, b in estimates),
         jumps=jumps,
+        draws=draws,
         jumps_per_s=jumps / sampling_s,
     )
     print(f"survival {survival.value:.6g} ci [{survival.ci_low:.6g}, {survival.ci_high:.6g}] -> {Path(args.out_dir) / stem}.json")

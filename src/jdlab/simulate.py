@@ -2,9 +2,13 @@
 
 Trials advance in lockstep, one draw block at a time. Within a block only
 the jump chain is sequential: one numpy step moves every live trial by one
-jump. The holding times, elapsed times and stop tests of the whole block
-are then computed from the visited states at once, and trials that stopped
-are recorded and compacted out of the live set. Randomness
+jump, with a row search whose first binary-lifting level is a lookup in
+per-state tables. The holding times, elapsed times and stop tests of the
+whole block are then computed from the visited states at once, and trials
+that stopped are recorded and compacted out of the live set. Stop rules
+never change a jump, so estimates whose walkers reflect off the same set
+(the survival and return estimates under absorb) share one sampling pass,
+each rule recording its own batch. Randomness
 comes from a counter-based Philox4x32-10 generator (Salmon et al., SC'11,
 "Parallel random numbers: as easy as 1, 2, 3"): jump k of trial i under
 seed s uses the block philox(key=s, counter=(k, i)), so every draw is a
@@ -127,18 +131,80 @@ def uniform_pairs(seed: int, trials: np.ndarray, first_jump: int, count: int) ->
     return _unit(a, b), _unit(c, d)
 
 
-def _row_search(cum: np.ndarray, lo: np.ndarray, last: np.ndarray, v: np.ndarray, steps: int) -> np.ndarray:
-    """Row-clamped searchsorted: the first entry of cum[lo..last] above v, else last.
+def _least_passing(thr: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Per state, the least double u in [0, 1] with thr <= u * lam, or 1 if no u < 1 passes.
 
-    Equals lo + min(searchsorted(cum[lo:last+1], v, "right"), last - lo) on
-    nondecreasing rows, by binary lifting; steps >= bit_length(longest row - 1).
+    A product rounds monotonically in u (an infinite lam gives nan at
+    u = 0, which fails), so for u in [0, 1) the test passes exactly when
+    u >= the result. Bisection on the bit patterns of [0, 1], which order
+    like the doubles, starting from a bracket of a few ulps about thr / lam
+    and widened to [0, 1] where that bracket misses.
     """
-    pos = lo
-    for k in reversed(range(steps)):
-        cand = pos + (1 << k)
-        ok = (cand <= last) & (cum.take(cand - 1, mode="clip") <= v)
-        pos = np.where(ok, cand, pos)
-    return pos
+    one = np.float64(1.0).view(np.int64)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+
+        def passes(bits: np.ndarray) -> np.ndarray:
+            return thr <= bits.view(np.float64) * lam
+
+        guess = np.clip(np.nan_to_num(thr / lam, nan=0.0, posinf=1.0), 0.0, 1.0).view(np.int64)
+        lo, hi = np.maximum(guess - 4, 0), np.minimum(guess + 4, one)
+        miss = ~((hi == one) | passes(hi)) | ((lo > 0) & passes(lo - 1))
+        lo[miss], hi[miss] = 0, one
+        while (active := lo < hi).any():
+            mid = (lo + hi) >> 1
+            ok = passes(mid)
+            hi = np.where(active & ok, mid, hi)
+            lo = np.where(active & ~ok, mid + 1, lo)
+    return hi.view(np.float64)
+
+
+class _RowSearch:
+    """Row-clamped searchsorted over a CSR table of cumulative rates, driven by uniforms.
+
+    search(x, u, out) writes values[p] for each row x and u in [0, 1), where
+    p = lo + min(searchsorted(cum[lo:last+1], u * lam[x], "right"), last - lo)
+    is the entry a walker at x jumps along for the uniform u (rows
+    nondecreasing; p = lo on an empty row) and `values` holds one value per
+    entry plus one for p = nnz. The search is binary lifting. Its first
+    level tests cum[top - 1] <= u * lam[x] with top = min(lo + 2^(levels-1),
+    end) and end = max(last, lo); the test holds exactly when
+    u >= ustar[x] (see _least_passing), and a table holds the level's two
+    outcomes side by side: positions, or values when the first level is the
+    only one. Each later level clamps its candidate to the row's end rather
+    than testing it. Positions are kept as q = p - 1, so a level reads cum
+    at its candidate directly.
+    """
+
+    def __init__(self, indptr: np.ndarray, cum: np.ndarray, lam: np.ndarray, values: np.ndarray) -> None:
+        lo = indptr[:-1]
+        end = np.maximum(indptr[1:] - 1, lo)
+        self.levels = int(np.diff(indptr).max(initial=1) - 1).bit_length()
+        top = np.minimum(lo + (1 << self.levels >> 1), end) - 1
+        # rows of at most one entry need no level; their answer is the value at lo
+        self.ustar = _least_passing(cum.take(top) if self.levels else np.zeros(len(lo)), lam)
+        self.values = np.roll(values, -1)  # values[q + 1] at q; q = -1 wraps to values[0]
+        self.first = np.concatenate((lo - 1, top))  # [x]: the first level fails at row x; [x + n]: it passes
+        if self.levels <= 1:
+            self.first = self.values.take(self.first)
+        self.n, self.lam, self.cum, self.end = len(lo), lam, cum, end - 1
+
+    def __call__(self, x: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        first = x + self.n * (u >= self.ustar.take(x))
+        if self.levels <= 1:
+            return self.first.take(first, out=out)
+        q = self.first.take(first)
+        v = u * self.lam.take(x)
+        end = self.end.take(x)
+        for k in reversed(range(self.levels - 1)):
+            cand = np.minimum(q + (1 << k), end)
+            q = np.where(self.cum.take(cand) <= v, cand, q)
+        return self.values.take(q, out=out)
+
+
+def _jumps(rates: RateTable) -> _RowSearch:
+    """The search from a uniform to the state a walker jumps to; a pad serves a trial on an empty trailing row."""
+    dest = np.append(rates.q.indices, 0).astype(np.intp)
+    return _RowSearch(rates.q.indptr, rates.cumulative_rows(), rates.lam, dest)
 
 
 def _stop_codes(n: int, outside: Optional[np.ndarray], target: Optional[np.ndarray], reflect: bool) -> np.ndarray:
@@ -171,56 +237,56 @@ def _record(out: BatchResult, rows, state, jumps: int, status, elapsed, hit=Fals
 
 
 def _lockstep(
-    rates: RateTable,
+    search: _RowSearch,
+    reflect: Optional[np.ndarray],
     x0: int,
     config: SimConfig,
-    stop: np.ndarray,
-    outside: Optional[np.ndarray],
-    out: BatchResult,
+    rules: Sequence[tuple[np.ndarray, BatchResult]],
     slots: np.ndarray,
     offset: int = 0,
     path: Optional[tuple[list, list]] = None,
-) -> None:
-    """Run trials slots + offset to their stopping events; row slots[i] of `out` gets trial slots[i] + offset.
+) -> int:
+    """Run trials slots + offset until every rule has stopped them; batch row slots[i] is trial slots[i] + offset.
 
+    The rules are (stop codes, batch) pairs that share one jump chain.
     Trials advance in draw blocks of `count` jumps. Only the next state
-    depends on the previous step, so one numpy step per jump moves every
-    live trial's jump chain and stores the visited states. Once per block,
-    the visited states give the holds Exp(1) / rate (inf on a zero rate,
-    nan on a zero draw too) and the stop rule for all rows at once, with
-    one add per row for the running time: a trial goes on unless its state
-    is a target (status 0, hit) or absorbing outside (status 1), or
-    t + hold < T fails (status 0, elapsed T). A stopped trial is recorded
-    at its first stopping row; its chain steps on to the block's end and
-    is ignored. max_jumps bounds the jumps; the trials left are capped
-    (status 2). With `path` (one trial only) arrays of visited states and
-    holding times are appended to (states, holds).
+    depends on the previous step, so one numpy step per jump (`search`,
+    then the reflection off `reflect`) moves every live trial's jump chain
+    and stores the visited states. Once per block, the visited states give
+    the holds Exp(1) / rate (inf on a zero rate, nan on a zero draw too)
+    and, for every rule, the stop test of all rows at once, with one add
+    per row for the running time: under a rule a trial goes on unless its
+    state is a target (status 0, hit) or absorbing outside (status 1), or
+    t + hold < T fails (status 0, elapsed T). Each rule records a trial at
+    its own first stopping row and is tested only on the trials it has not
+    stopped; a trial's chain steps on while any rule is pending and is
+    compacted out once none is. max_jumps bounds the jumps; the rules still
+    pending are capped (status 2). With `path` (one trial, one rule) arrays
+    of visited states and holding times are appended to (states, holds).
+    Returns the number of Philox blocks drawn.
     """
-    lam, indptr = rates.lam, rates.q.indptr
-    cum = rates.cumulative_rows()
-    # the state each stored entry jumps to, plus one pad entry: a stopped trial may sit
-    # on an empty row, whose search ends at indptr[-1]
-    dest = np.append(rates.q.indices, 0).astype(np.intp)
-    starts, lasts = indptr[:-1], indptr[1:] - 1
-    steps = int(np.diff(indptr).max(initial=1) - 1).bit_length()
-    reflect = outside if config.policy == "reflect" else None
-    horizon, max_jumps = config.horizon, config.max_jumps
-    limit = np.where(stop == _GO, horizon, -np.inf)  # a trial goes on while its next time is below limit[state]
-
+    lam, horizon, max_jumps = search.lam, config.horizon, config.max_jumps
+    # per rule, a trial goes on while its next time is below limit[state]
+    limits = [np.where(stop == _GO, horizon, -np.inf) for stop, _ in rules]
     state = np.full(len(slots), x0, dtype=np.intp)
     t = np.zeros(len(slots))
-    step = 0
+    # rule r is bit r: pend[i] holds the rules that have not stopped trial slots[i] yet,
+    # and left[r] counts the trials rule r has not stopped
+    pend = np.full(len(slots), (1 << len(rules)) - 1, dtype=np.int64)
+    left = [len(slots)] * len(rules)
+    step = draws = 0
     with np.errstate(divide="ignore", invalid="ignore"):  # entered once, not per block: it is not free
         while step < max_jumps:
             width = len(slots)
             # blocks grow with the trials' age, so short trials do not step long blocks
             count = min(max(1, _DRAW_BLOCKS // width), max_jumps - step, max(1, step))
             u1, u2 = uniform_pairs(config.seed, slots + offset, step, count)
+            draws += u1.size
             chain = np.empty((count + 1, width), dtype=np.intp)
             chain[0] = state
             for k in range(count):
                 x = chain[k]
-                nxt = dest.take(_row_search(cum, starts[x], lasts[x], u2[k] * lam[x], steps), out=chain[k + 1])
+                nxt = search(x, u2[k], chain[k + 1])
                 if reflect is not None:
                     np.copyto(nxt, x, where=reflect[nxt])  # censored jump: the walker stays put
             visited = chain[:-1]
@@ -232,38 +298,55 @@ def _lockstep(
                 holds = holds[:, 0].copy()  # the running sum below overwrites them
             for k in range(count):  # t + hold summed in jump order; row adds beat an axis-0 cumsum
                 np.add(times[k], times[k + 1], out=times[k + 1])
-            go = times[1:] < limit[visited]
-            if path is not None:  # one trial: its states and holds up to its stopping row
-                ran = count if go.all() else int(go[:, 0].argmin())
-                path[0].append(chain[1 : ran + 1, 0])
-                path[1].append(holds[:ran])
-                if ran < count and stop[chain[ran, 0]] == _GO:
-                    path[1].append(horizon - times[ran : ran + 1, 0])
-            if go.all():
-                state, t = chain[-1], times[-1]
-            else:
-                done = ~go.all(axis=0)
-                cols = np.flatnonzero(done)
-                k = go[:, cols].argmin(axis=0)  # first stopping row
-                last = chain[k, cols]
-                c = stop[last]
-                _record(out, slots[cols], last, step + k, np.where(c == _ABSORB, 1, 0),
-                        np.where(c == _GO, horizon, times[k, cols]), c == _HIT)
-                keep = ~done
+            ended = False
+            for r, ((stop, out), limit) in enumerate(zip(rules, limits)):
+                if left[r] == width:
+                    lanes, go = None, times[1:] < limit[visited]
+                elif left[r]:
+                    lanes = np.flatnonzero(pend & (1 << r))
+                    go = times[1:].take(lanes, axis=1) < limit[visited.take(lanes, axis=1)]
+                else:
+                    continue
+                if path is not None:  # one trial: its states and holds up to its stopping row
+                    ran = count if go.all() else int(go[:, 0].argmin())
+                    path[0].append(chain[1 : ran + 1, 0])
+                    path[1].append(holds[:ran])
+                    if ran < count and stop[chain[ran, 0]] == _GO:
+                        path[1].append(horizon - times[ran : ran + 1, 0])
+                stopped = np.flatnonzero(~go.all(axis=0))
+                if len(stopped):
+                    k = go.take(stopped, axis=1).argmin(axis=0)  # first stopping row
+                    cols = stopped if lanes is None else lanes[stopped]
+                    last = chain[k, cols]
+                    c = stop[last]
+                    _record(out, slots[cols], last, step + k, np.where(c == _ABSORB, 1, 0),
+                            np.where(c == _GO, horizon, times[k, cols]), c == _HIT)
+                    pend[cols] ^= 1 << r
+                    left[r] -= len(cols)
+                    ended = True
+            if ended:
+                keep = pend != 0
                 if not keep.any():
-                    return
-                slots, state, t = slots[keep], chain[-1, keep], times[-1, keep]
+                    return draws
+                # 1-D masks: a mask beside an integer index, as in chain[-1, keep], is several times slower
+                slots, pend, state, t = slots[keep], pend[keep], chain[-1][keep], times[-1][keep]
+            else:
+                state, t = chain[-1], times[-1]
             step += count
-    _record(out, slots, state, step, 2, t)
+    for r, (_, out) in enumerate(rules):
+        live = (pend & (1 << r)) != 0
+        _record(out, slots[live], state[live], step, 2, t[live])
+    return draws
 
 
 def gillespie_path(rates: RateTable, x0: int, config: SimConfig, trial_index: int = 0) -> Trajectory:
     """Sample one path; it is trial `trial_index` of run_batch with the same config."""
     outside = _outside_mask(rates.space, x0, config)
-    stop = _stop_codes(len(rates.lam), outside, None, config.policy == "reflect")
     out = _empty_batch(1, config.horizon)
+    stop = _stop_codes(len(rates.lam), outside, None, config.policy == "reflect")
     states, holds = [np.full(1, x0, dtype=np.intp)], [np.empty(0)]
-    _lockstep(rates, x0, config, stop, outside, out, np.zeros(1, dtype=np.int64), trial_index, (states, holds))
+    _lockstep(_jumps(rates), _walls(outside, config), x0, config, [(stop, out)], np.zeros(1, dtype=np.int64),
+              trial_index, (states, holds))
     return Trajectory(
         np.concatenate(states), np.concatenate(holds), _STATUS_BY_CODE[out.status[0]], float(out.elapsed[0])
     )
@@ -273,6 +356,37 @@ def _outside_mask(space: DiscreteMMSpace, x0: int, config: SimConfig) -> Optiona
     if not np.isfinite(config.outer_radius):
         return None
     return ~open_ball_mask(space, x0, config.outer_radius)
+
+
+def _walls(outside: Optional[np.ndarray], config: SimConfig) -> Optional[np.ndarray]:
+    """The states a walker reflects off: the outside set under reflect, if it holds any state."""
+    return outside if config.policy == "reflect" and outside is not None and outside.any() else None
+
+
+def _run(
+    rates: RateTable, x0: int, config: SimConfig, sets: Sequence[tuple[Optional[np.ndarray], Optional[np.ndarray]]]
+) -> tuple[list[BatchResult], int]:
+    """One batch per (target, outside) pair, and the Philox blocks drawn.
+
+    The outside set only stops trials unless the policy reflects off it, so
+    estimates whose walkers reflect off the same set follow the same chains
+    and share one sampling pass, one _lockstep call per trial chunk.
+    """
+    reflect = config.policy == "reflect"
+    batches = []
+    passes: dict[Optional[bytes], tuple[Optional[np.ndarray], list]] = {}
+    for target, outside in sets:
+        out = _empty_batch(config.trials, config.horizon)
+        batches.append(out)
+        walls = _walls(outside, config)
+        key = None if walls is None else walls.tobytes()
+        passes.setdefault(key, (walls, []))[1].append((_stop_codes(len(rates.lam), outside, target, reflect), out))
+    search, draws = _jumps(rates), 0
+    for walls, rules in passes.values():
+        for first in range(0, config.trials, _TRIAL_CHUNK):
+            slots = np.arange(first, min(first + _TRIAL_CHUNK, config.trials))
+            draws += _lockstep(search, walls, x0, config, rules, slots)
+    return batches, draws
 
 
 def run_batch(
@@ -285,12 +399,7 @@ def run_batch(
     """Run config.trials independent paths and collect light per-trial records."""
     if outside is None:
         outside = _outside_mask(rates.space, x0, config)
-    stop = _stop_codes(len(rates.lam), outside, target, config.policy == "reflect")
-    n = config.trials
-    out = _empty_batch(n, config.horizon)
-    for first in range(0, n, _TRIAL_CHUNK):
-        _lockstep(rates, x0, config, stop, outside, out, np.arange(first, min(first + _TRIAL_CHUNK, n)))
-    return out
+    return _run(rates, x0, config, [(target, outside)])[0][0]
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
@@ -321,12 +430,46 @@ class Estimate:
         }
 
 
+def _survival(batch: BatchResult, config: SimConfig) -> Estimate:
+    alive = int(np.sum(batch.status == 0))
+    lo, hi = wilson_interval(alive, config.trials)
+    return Estimate(alive / config.trials, lo, hi, config.trials)
+
+
 def survival_estimate(rates: RateTable, x0: int, config: SimConfig) -> tuple[Estimate, BatchResult]:
     """Fraction of paths alive at the horizon (conservativeness proxy)."""
     batch = run_batch(rates, x0, config)
-    alive = int(np.sum(batch.status == 0))
-    lo, hi = wilson_interval(alive, config.trials)
-    return Estimate(alive / config.trials, lo, hi, config.trials), batch
+    return _survival(batch, config), batch
+
+
+def _return_sets(
+    rates: RateTable, x0: int, target: Sequence[int], outer_radius: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Target mask and exit set d(., K) >= R of a return estimate."""
+    if not outer_radius > 0:
+        raise ValueError(f"outer radius must be positive (inf for none), got {outer_radius}")
+    space = rates.space
+    target = np.asarray(target, dtype=np.int64)
+    if np.isin(x0, target):
+        raise ValueError("x0 must lie outside the target set")
+    target_mask = np.zeros(space.n_points, dtype=bool)
+    target_mask[target] = True
+    dist_to_k = np.full(space.n_points, np.inf)
+    for _, rows in space.distances_chunked(target, chunk=16):
+        np.minimum(dist_to_k, rows.min(axis=0), out=dist_to_k)
+    return target_mask, dist_to_k >= outer_radius
+
+
+def _returned(batch: BatchResult, rates: RateTable, x0: int, config: SimConfig) -> Estimate:
+    notes = []
+    hits = int(np.sum(batch.hit))
+    censored = int(np.sum((~batch.hit) & (batch.status != 1)))
+    if censored:
+        notes.append(f"{censored} trials censored by horizon/jump cap before hitting or exiting")
+    if not rates.lam[x0] > 0 and hits == 0:
+        notes.append("target unreachable from x0 (zero total rate)")
+    lo, hi = wilson_interval(hits, config.trials)
+    return Estimate(hits / config.trials, lo, hi, config.trials, notes)
 
 
 def return_probability(
@@ -343,29 +486,29 @@ def return_probability(
     in R in expectation; censored trials (horizon or jump cap first) count
     as misses and are flagged.
     """
-    if not outer_radius > 0:
-        raise ValueError(f"outer radius must be positive (inf for none), got {outer_radius}")
-    space = rates.space
-    target = np.asarray(target, dtype=np.int64)
-    if np.isin(x0, target):
-        raise ValueError("x0 must lie outside the target set")
-    target_mask = np.zeros(space.n_points, dtype=bool)
-    target_mask[target] = True
-    dist_to_k = np.full(space.n_points, np.inf)
-    for _, rows in space.distances_chunked(target, chunk=16):
-        np.minimum(dist_to_k, rows.min(axis=0), out=dist_to_k)
-    outside = dist_to_k >= outer_radius
-    notes = []
-    reachable = rates.lam[x0] > 0
+    target_mask, outside = _return_sets(rates, x0, target, outer_radius)
     batch = run_batch(rates, x0, config, target=target_mask, outside=outside)
-    hits = int(np.sum(batch.hit))
-    censored = int(np.sum((~batch.hit) & (batch.status != 1)))
-    if censored:
-        notes.append(f"{censored} trials censored by horizon/jump cap before hitting or exiting")
-    if not reachable and hits == 0:
-        notes.append("target unreachable from x0 (zero total rate)")
-    lo, hi = wilson_interval(hits, config.trials)
-    return Estimate(hits / config.trials, lo, hi, config.trials, notes), batch
+    return _returned(batch, rates, x0, config), batch
+
+
+def sample_estimates(
+    rates: RateTable, x0: int, config: SimConfig, target: Optional[Sequence[int]] = None
+) -> tuple[list[tuple[Estimate, BatchResult]], int]:
+    """survival_estimate, then return_probability within config.outer_radius given a target; and the draws.
+
+    The estimates and batches equal those of the two functions bit for bit;
+    the draws are the Philox blocks generated. The two estimates share one
+    sampling pass whenever their walkers reflect off the same set, which is
+    always the case under absorb.
+    """
+    sets = [(None, _outside_mask(rates.space, x0, config))]
+    if target is not None:
+        sets.append(_return_sets(rates, x0, target, config.outer_radius))
+    batches, draws = _run(rates, x0, config, sets)
+    estimates = [(_survival(batches[0], config), batches[0])]
+    if target is not None:
+        estimates.append((_returned(batches[1], rates, x0, config), batches[1]))
+    return estimates, draws
 
 
 @dataclass

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import jdlab.cli as cli
+from jdlab import simulate
 from jdlab.capacity import SolverFailure
 from jdlab.forms import jump_rates
 from jdlab.simulate import SimConfig, survival_estimate
@@ -293,8 +294,38 @@ def test_simulate_manifest_records_rng_contract_and_work(tmp_path, z_spec):
     assert manifest["trials"] == 600  # survival and return batches
     assert manifest["jumps"] >= 600
     assert manifest["jumps_per_s"] > 0
+    assert manifest["draws"] > 0
     summary = json.loads((tmp_path / "w.json").read_text())
     assert "rng_contract" not in summary and "jumps_per_s" not in summary
+
+
+def test_simulate_manifest_counts_the_philox_blocks_drawn(tmp_path, z_spec):
+    # no target, outer radius or reachable horizon: every trial makes exactly --max-jumps jumps,
+    # each from one Philox block
+    args = [
+        "simulate", "--spec", z_spec, "--x0", "61", "--horizon", "1e9", "--trials", "50", "--max-jumps", "10",
+        "--seed", "5", "--prefix", "d", "--out-dir", str(tmp_path),
+    ]
+    assert cli.main(args) == 0
+    manifest = json.loads((tmp_path / "d.manifest.json").read_text())
+    assert manifest["trials"] == 50 and manifest["jumps"] == 500 and manifest["draws"] == 500
+
+
+@pytest.mark.parametrize("policy, passes", [("absorb", 1), ("reflect", 2)])
+def test_simulate_samples_each_trial_chunk_once_per_reflecting_set(tmp_path, z_spec, monkeypatch, policy, passes):
+    # under absorb the outer sets only stop trials, so survival and return share one pass; under
+    # reflect the walkers reflect off different balls (about x0 and about the target)
+    calls = []
+    lockstep = simulate._lockstep
+    monkeypatch.setattr(simulate, "_lockstep", lambda *args, **kw: calls.append(args[5]) or lockstep(*args, **kw))
+    monkeypatch.setattr(simulate, "_TRIAL_CHUNK", 100)
+    args = [
+        "simulate", "--spec", z_spec, "--x0", "61", "--target", "ids:60", "--outer", "6", "--horizon", "5",
+        "--trials", "150", "--seed", "5", "--policy", policy, "--out-dir", str(tmp_path),
+    ]
+    assert cli.main(args) == 0
+    assert len(calls) == 2 * passes  # two trial chunks per pass
+    assert sorted(len(slots) for slots in calls) == sorted([100, 50] * passes)
 
 
 @pytest.mark.parametrize(

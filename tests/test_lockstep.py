@@ -2,13 +2,16 @@
 
 The oracle checks its stop codes (target, absorbing outside, zero rate),
 then the horizon, then the jump cap, with a record-and-compact block for
-each. The simulator applies one stop rule per step; every output must
-match the oracle's bit for bit.
+each. It steps its chain with the binary-lifting row search the simulator
+used before its first level was tabulated, also kept verbatim. The
+simulator applies one stop rule per step; every output must match the
+oracle's bit for bit.
 """
 
 from typing import Optional
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from jdlab import simulate
@@ -22,13 +25,30 @@ from jdlab.simulate import (
     BatchResult,
     SimConfig,
     _record,
-    _row_search,
+    _RowSearch,
     gillespie_path,
+    return_probability,
     run_batch,
+    sample_estimates,
+    survival_estimate,
     uniform_pairs,
 )
 
 _DEAD = 3
+
+
+def _row_search(cum: np.ndarray, lo: np.ndarray, last: np.ndarray, v: np.ndarray, steps: int) -> np.ndarray:
+    """Row-clamped searchsorted: the first entry of cum[lo..last] above v, else last.
+
+    Equals lo + min(searchsorted(cum[lo:last+1], v, "right"), last - lo) on
+    nondecreasing rows, by binary lifting; steps >= bit_length(longest row - 1).
+    """
+    pos = lo
+    for k in reversed(range(steps)):
+        cand = pos + (1 << k)
+        ok = (cand <= last) & (cum.take(cand - 1, mode="clip") <= v)
+        pos = np.where(ok, cand, pos)
+    return pos
 
 
 def _stop_codes(lam: np.ndarray, outside: Optional[np.ndarray], target: Optional[np.ndarray], reflect: bool) -> np.ndarray:
@@ -204,3 +224,92 @@ def test_the_oracle_covers_every_stop_rule():
             seen |= {(int(s), bool(h)) for s, h in zip(got.status, got.hit)}
             seen |= {"horizon"} if (got.elapsed == 1.5).any() else set()
     assert seen >= {(0, False), (0, True), (1, False), (2, False), "horizon"}
+
+
+def breakpoint_uniforms(cum: np.ndarray, lam: float) -> list[float]:
+    """Uniforms at and within two ulps of the ratios cum / lam, where the answer may change, kept in [0, 1)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        at = cum / lam
+    below, above = np.nextafter(at, 0), np.nextafter(at, 2)
+    u = np.concatenate([np.nextafter(below, 0), below, at, above, np.nextafter(above, 2)])
+    return list(u[np.isfinite(u) & (u >= 0) & (u < 1)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lengths=st.lists(st.sampled_from([0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17]), min_size=1, max_size=10),
+    zero_fraction=st.sampled_from([0.0, 0.3, 1.0]),
+    lam_scale=st.sampled_from([1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-53, 0.5, 3.0, 0.0, float("inf")]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tabulated_row_search_matches_the_lifting_oracle(lengths, zero_fraction, lam_scale, seed):
+    # empty rows, one entry, 2^k and 2^k + 1 entries, zero entries and zero-rate rows; total rates at,
+    # just off, below and above the row sums, zero and infinite; uniforms at and next to every
+    # breakpoint cum / lam, where the tabulated first level and the product u * lam must agree
+    rng = np.random.default_rng(seed)
+    indptr = np.concatenate(([0], np.cumsum(lengths))).astype(np.int32)
+    rates = np.where(rng.random(indptr[-1]) < zero_fraction, 0.0, rng.uniform(0.1, 3.0, indptr[-1]))
+    cum = np.concatenate([np.cumsum(rates[a:b]) for a, b in zip(indptr[:-1], indptr[1:])])
+    lam = np.array([(cum[b - 1] if b > a else 0.0) for a, b in zip(indptr[:-1], indptr[1:])])
+    with np.errstate(invalid="ignore"):  # 0 * inf
+        lam = np.where(rng.random(len(lam)) < 0.5, lam * lam_scale, lam)
+    rows, u = [], []
+    for x, (a, b) in enumerate(zip(indptr[:-1], indptr[1:])):
+        values = [0.0, 0.5, 1 - 2.0**-53, *rng.random(3), *breakpoint_uniforms(cum[a:b], lam[x])]
+        rows += [x] * len(values)
+        u += values
+    rows, u = np.asarray(rows, dtype=np.intp), np.asarray(u)
+    steps = int(np.diff(indptr).max(initial=1) - 1).bit_length()
+    with np.errstate(invalid="ignore"):  # 0 * inf
+        want = _row_search(cum, indptr[rows], indptr[rows + 1] - 1, u * lam[rows], steps)
+        got = _RowSearch(indptr, cum, lam, np.arange(len(cum) + 1))(rows, u, np.empty(len(rows), dtype=np.int64))
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    thr=st.floats(min_value=0.0, allow_infinity=True) | st.sampled_from([0.0, 5e-324, 1e-310, float("nan")]),
+    lam=st.floats(min_value=0.0, allow_infinity=True) | st.sampled_from([0.0, 5e-324, 1e-310, float("nan")]),
+)
+def test_least_passing_is_the_threshold_of_the_product_test(thr, lam):
+    # with thr <= u * lam monotone in u, passing at u and failing one ulp below pins u down
+    u = simulate._least_passing(np.array([thr]), np.array([lam]))[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert 0.0 <= u <= 1.0
+        assert u == 1.0 or thr <= u * lam
+        assert u == 0.0 or not thr <= np.nextafter(u, 0.0) * lam
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(2, 14),
+    density=st.floats(0.05, 1.0),
+    dead_fraction=st.sampled_from([0.0, 0.2, 0.6]),
+    table_seed=st.integers(0, 2**32 - 1),
+    x0_frac=st.floats(0.0, 1.0, exclude_max=True),
+    trials=st.integers(1, 40),
+    max_jumps=st.integers(1, 60),
+    horizon=horizons,
+    seed=st.integers(0, 2**64 - 1),
+    policy=st.sampled_from(["absorb", "reflect"]),
+    outer=st.sampled_from([float("inf"), 0.5, 1.0, 2.5, 6.0]),
+    target_size=st.integers(1, 3),
+    chunk=st.sampled_from([simulate._TRIAL_CHUNK, 7]),
+)
+def test_one_sampling_pass_matches_a_batch_per_estimate(
+    n, density, dead_fraction, table_seed, x0_frac, trials, max_jumps, horizon, seed, policy, outer, target_size, chunk
+):
+    rng = np.random.default_rng(table_seed)
+    rates = random_rates(rng, n, density, dead_fraction)
+    x0 = int(x0_frac * n)
+    target = [int(k) for k in rng.permutation(n) if k != x0][:target_size]
+    config = SimConfig(horizon=horizon, trials=trials, max_jumps=max_jumps, seed=seed, policy=policy, outer_radius=outer)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_TRIAL_CHUNK", chunk)  # 7: several trial chunks
+        estimates, draws = sample_estimates(rates, x0, config, target)
+        want = [survival_estimate(rates, x0, config), return_probability(rates, x0, target, outer, config)]
+    assert len(estimates) == 2 and draws >= trials
+    for (got_est, got), (want_est, batch) in zip(estimates, want):
+        for name in ("status", "elapsed", "n_jumps", "final_state", "hit"):
+            assert same_bits(getattr(got, name), getattr(batch, name)), name
+        assert got.horizon == batch.horizon and got_est.to_dict() == want_est.to_dict()

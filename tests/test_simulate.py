@@ -266,21 +266,22 @@ def oracle_next_entry(cum, indptr, state, v):
     n=st.integers(2, 24),
     density=st.floats(0.05, 1.0),
     seed=st.integers(0, 2**31),
-    scale=st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-12, 2.0]),
+    lam_scale=st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-12, 2.0]),
 )
-def test_row_search_matches_searchsorted(n, density, seed, scale):
+def test_row_search_matches_searchsorted(n, density, seed, lam_scale):
     rng = np.random.default_rng(seed)
     rates = jump_rates(random_symmetric_kernel(rng, n, density).kernel)
     indptr, cum = rates.q.indptr, rates.cumulative_rows()
     state = np.repeat(np.flatnonzero(np.diff(indptr) > 0), 6)
-    last = cum[indptr[state + 1] - 1]
-    # fractions of the row's last cumulative value, its exact breakpoints, and values at or above it
-    v = np.concatenate([rng.random(len(state)) * scale * last, cum[rng.integers(indptr[state], indptr[state + 1])]])
-    v = np.concatenate([v, last, np.nextafter(last, np.inf), rates.lam[state] * scale])
-    state = np.tile(state, len(v) // len(state))
-    steps = int(np.diff(indptr).max() - 1).bit_length()
-    got = simulate._row_search(cum, indptr[state], indptr[state + 1] - 1, v, steps)
-    assert np.array_equal(got, oracle_next_entry(cum, indptr, state, v))
+    lam = rates.lam * lam_scale  # scaled total rates put u * lam below, at and above the row's last value
+    # random uniforms, the ratios of the row's exact breakpoints to lam, and uniforms next to 0 and 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = cum[rng.integers(indptr[state], indptr[state + 1])] / lam[state]
+    u = np.concatenate([rng.random(len(state)), np.nan_to_num(ratio, nan=0.5, posinf=0.5) % 1.0])
+    u = np.concatenate([u, np.zeros(len(state)), np.full(len(state), 1 - 2.0**-53)])
+    state = np.tile(state, len(u) // len(state))
+    got = simulate._RowSearch(indptr, cum, lam, np.arange(len(cum) + 1))(state, u, np.empty(len(state), dtype=np.int64))
+    assert np.array_equal(got, oracle_next_entry(cum, indptr, state, u * lam[state]))
 
 
 def test_ball_target_exit_mask_matches_stacked_rows(z3_cube):

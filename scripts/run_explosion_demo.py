@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from jdlab import SimConfig, lattice_nn, run_batch
+from jdlab import SimConfig, lattice_nn, sample_estimates
 from jdlab.forms import jump_rates
 from jdlab.kernels import explicit_kernel
 from jdlab.simulate import explosion_diagnostic
@@ -27,7 +27,8 @@ def main() -> None:
     rates = jump_rates(chain.kernel)
     print(f"cubic chain: sum 1/lambda = {np.sum(1.0 / rates.lam[1:]):.4f} (summable -> explosive)")
     cfg = SimConfig(horizon=args.horizon, trials=args.trials, seed=args.seed, max_jumps=4000)
-    diag = explosion_diagnostic(run_batch(rates, 5, cfg))
+    [(_, batch)], _ = sample_estimates(rates, 5, cfg)
+    diag = explosion_diagnostic(batch)
     print(
         f"  capped {diag.capped_fraction:.1%}, median elapsed at cap "
         f"{diag.median_elapsed_capped:.4f}, explosion_suspected={diag.explosion_suspected}"
@@ -36,7 +37,8 @@ def main() -> None:
     walk = lattice_nn(dim=1, truncation_radius=300)
     wrates = jump_rates(walk.kernel)
     cfg = SimConfig(horizon=args.horizon, trials=args.trials, seed=args.seed, outer_radius=250.0)
-    diag = explosion_diagnostic(run_batch(wrates, walk.space.origin, cfg))
+    [(_, batch)], _ = sample_estimates(wrates, walk.space.origin, cfg)
+    diag = explosion_diagnostic(batch)
     print(
         f"bounded walk: capped {diag.capped_fraction:.1%}, absorbed {diag.absorbed_fraction:.1%}, "
         f"explosion_suspected={diag.explosion_suspected}"

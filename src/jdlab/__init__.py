@@ -60,7 +60,5 @@ from .simulate import (
     Trajectory,
     explosion_diagnostic,
     gillespie_path,
-    return_probability,
-    run_batch,
-    survival_estimate,
+    sample_estimates,
 )

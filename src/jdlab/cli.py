@@ -206,9 +206,16 @@ def cmd_report(args, started: float) -> int:
     path = Path(args.input)
     if not path.exists():
         raise SpecError(f"no such report: {path}")
+    if path.is_dir():
+        raise SpecError(f"report path is a directory: {path}")
     data = json.loads(path.read_text())
+    if not isinstance(data, dict):
+        raise SpecError(f"a report is a JSON object, not a {type(data).__name__}")
     radii = data.get("radii")
     values = data.get("values", data.get("capacities"))
+    for name, seq in (("radii", radii), ("values", values)):
+        if seq is not None and not (isinstance(seq, list) and all(isinstance(v, (int, float)) for v in seq)):
+            raise SpecError(f"report {name} must be a list of numbers")
     sequence = None if radii is None or values is None else list(zip(radii, values))
     if args.format == "csv":
         if sequence is None:

@@ -1,22 +1,25 @@
 """Monte-Carlo simulation of the pure-jump process defined by a rate table.
 
-Trials advance in lockstep, one draw block at a time. Within a block only
-the jump chain is sequential: one numpy step moves every live trial by one
-jump, with a row search whose first binary-lifting level is a lookup in
-per-state tables. The holding times, elapsed times and stop tests of the
-whole block are then computed from the visited states at once, and trials
-that stopped are recorded and compacted out of the live set. Stop rules
-never change a jump, so estimates whose walkers reflect off the same set
-(the survival and return estimates under absorb) share one sampling pass,
-each rule recording its own batch. Randomness
-comes from a counter-based Philox4x32-10 generator (Salmon et al., SC'11,
-"Parallel random numbers: as easy as 1, 2, 3"): jump k of trial i under
-seed s uses the block philox(key=s, counter=(k, i)), so every draw is a
-pure function of (seed, trial, jump) and a batch is reproducible bit for
-bit however its trials are grouped. Explosion cannot be observed directly
-on a finite truncation: it is inferred from jump-cap hits with stalled
-elapsed time, and separated from plain truncation artifacts (boundary
-absorption).
+`sample_estimates` samples the batches and estimates: survival to the
+horizon (the conservativeness proxy) and, given a target set, return to it
+before leaving a ball about it (the recurrence proxy). `gillespie_path`
+samples the path of one of its trials. Trials advance in lockstep, one
+draw block at a time. Within a block only the jump chain is sequential:
+one numpy step moves every live trial by one jump, with a row search whose
+first binary-lifting level is a lookup in per-state tables. The holding
+times, elapsed times and stop tests of the whole block are then computed
+from the visited states at once, and trials that stopped are recorded and
+compacted out of the live set. Stop rules never change a jump, so
+estimates whose walkers reflect off the same set (the survival and return
+estimates under absorb) share one sampling pass, each rule recording its
+own batch. Randomness comes from a counter-based Philox4x32-10 generator
+(Salmon et al., SC'11, "Parallel random numbers: as easy as 1, 2, 3"):
+jump k of trial i under seed s uses the block philox(key=s,
+counter=(k, i)), so every draw is a pure function of (seed, trial, jump)
+and a batch is reproducible bit for bit however its trials are grouped.
+Explosion cannot be observed directly on a finite truncation: it is
+inferred from jump-cap hits with stalled elapsed time, and separated from
+plain truncation artifacts (boundary absorption).
 """
 
 from __future__ import annotations
@@ -340,7 +343,10 @@ def _lockstep(
 
 
 def gillespie_path(rates: RateTable, x0: int, config: SimConfig, trial_index: int = 0) -> Trajectory:
-    """Sample one path; it is trial `trial_index` of run_batch with the same config."""
+    """Sample one path: trial `trial_index` (nonnegative) of sample_estimates' survival batch with the same config."""
+    _check_points("x0", [x0], len(rates.lam))
+    if trial_index < 0:
+        raise ValueError(f"trial_index must be nonnegative, got {trial_index}")
     outside = _outside_mask(rates.space, x0, config)
     out = _empty_batch(1, config.horizon)
     stop = _stop_codes(len(rates.lam), outside, None, config.policy == "reflect")
@@ -350,6 +356,14 @@ def gillespie_path(rates: RateTable, x0: int, config: SimConfig, trial_index: in
     return Trajectory(
         np.concatenate(states), np.concatenate(holds), _STATUS_BY_CODE[out.status[0]], float(out.elapsed[0])
     )
+
+
+def _check_points(name: str, ids, n: int) -> None:
+    """A ValueError naming the first of `ids` that is not a point id in [0, n)."""
+    ids = np.asarray(ids)
+    bad = ids[(ids < 0) | (ids >= n)]
+    if len(bad):
+        raise ValueError(f"{name}: point id {bad[0]} is not in [0, {n})")
 
 
 def _outside_mask(space: DiscreteMMSpace, x0: int, config: SimConfig) -> Optional[np.ndarray]:
@@ -389,19 +403,6 @@ def _run(
     return batches, draws
 
 
-def run_batch(
-    rates: RateTable,
-    x0: int,
-    config: SimConfig,
-    target: Optional[np.ndarray] = None,
-    outside: Optional[np.ndarray] = None,
-) -> BatchResult:
-    """Run config.trials independent paths and collect light per-trial records."""
-    if outside is None:
-        outside = _outside_mask(rates.space, x0, config)
-    return _run(rates, x0, config, [(target, outside)])[0][0]
-
-
 def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
     """95% binomial score interval; exactly 0 at 0 successes and exactly 1 at n."""
     if n == 0:
@@ -436,20 +437,13 @@ def _survival(batch: BatchResult, config: SimConfig) -> Estimate:
     return Estimate(alive / config.trials, lo, hi, config.trials)
 
 
-def survival_estimate(rates: RateTable, x0: int, config: SimConfig) -> tuple[Estimate, BatchResult]:
-    """Fraction of paths alive at the horizon (conservativeness proxy)."""
-    batch = run_batch(rates, x0, config)
-    return _survival(batch, config), batch
-
-
 def _return_sets(
     rates: RateTable, x0: int, target: Sequence[int], outer_radius: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Target mask and exit set d(., K) >= R of a return estimate."""
-    if not outer_radius > 0:
-        raise ValueError(f"outer radius must be positive (inf for none), got {outer_radius}")
     space = rates.space
     target = np.asarray(target, dtype=np.int64)
+    _check_points("target", target, space.n_points)
     if np.isin(x0, target):
         raise ValueError("x0 must lie outside the target set")
     target_mask = np.zeros(space.n_points, dtype=bool)
@@ -472,35 +466,23 @@ def _returned(batch: BatchResult, rates: RateTable, x0: int, config: SimConfig) 
     return Estimate(hits / config.trials, lo, hi, config.trials, notes)
 
 
-def return_probability(
-    rates: RateTable,
-    x0: int,
-    target: Sequence[int],
-    outer_radius: float,
-    config: SimConfig,
-) -> tuple[Estimate, BatchResult]:
-    """P[hit the target set before exiting the open ball B(target, R)].
-
-    The exit ball is centered on the target set (gambler's-ruin convention:
-    the trial fails once d(., K) >= R). Estimates are monotone nondecreasing
-    in R in expectation; censored trials (horizon or jump cap first) count
-    as misses and are flagged.
-    """
-    target_mask, outside = _return_sets(rates, x0, target, outer_radius)
-    batch = run_batch(rates, x0, config, target=target_mask, outside=outside)
-    return _returned(batch, rates, x0, config), batch
-
-
 def sample_estimates(
     rates: RateTable, x0: int, config: SimConfig, target: Optional[Sequence[int]] = None
 ) -> tuple[list[tuple[Estimate, BatchResult]], int]:
-    """survival_estimate, then return_probability within config.outer_radius given a target; and the draws.
+    """The survival estimate, then the return estimate given a target set K; and the Philox blocks drawn.
 
-    The estimates and batches equal those of the two functions bit for bit;
-    the draws are the Philox blocks generated. The two estimates share one
-    sampling pass whenever their walkers reflect off the same set, which is
-    always the case under absorb.
+    Survival is the fraction of trials alive at the horizon (the
+    conservativeness proxy); the outside set is d(., x0) >= R, with
+    R = config.outer_radius. The return estimate is P[hit K before exiting
+    the open ball B(K, R)]: the exit ball is centred on K (gambler's-ruin
+    convention: a trial fails once d(., K) >= R), the estimate is monotone
+    nondecreasing in R in expectation, and censored trials (horizon or jump
+    cap first) count as misses and are flagged in its notes. The two
+    estimates share one sampling pass whenever their walkers reflect off
+    the same set, which is always the case under absorb. x0 and the ids of
+    K are point ids in [0, n), and x0 lies outside K.
     """
+    _check_points("x0", [x0], len(rates.lam))
     sets = [(None, _outside_mask(rates.space, x0, config))]
     if target is not None:
         sets.append(_return_sets(rates, x0, target, config.outer_radius))

@@ -184,6 +184,8 @@ def load_spec_or_built(path) -> BuiltInstance:
     p = Path(path)
     if not p.exists():
         raise SpecError(f"no such spec file: {path}")
+    if p.is_dir():
+        raise SpecError(f"spec path is a directory: {path}")
     if p.suffix == ".pkl":
         return load_built(p)
     return build_from_spec(load_spec(p))

@@ -25,8 +25,7 @@ from jdlab import (
     omega,
     quadratic_shell_report,
     recurrence_report,
-    return_probability,
-    run_batch,
+    sample_estimates,
     stable_like,
     theta_test_function,
     volume_growth_report,
@@ -107,8 +106,8 @@ def test_criterion_04_gamblers_ruin_oracle():
     built = lattice_nn(dim=1, truncation_radius=200)
     rates = jump_rates(built.kernel)
     origin = built.space.origin
-    config = SimConfig(horizon=1e12, trials=10**4, seed=42, max_jumps=10**6)
-    est, _ = return_probability(rates, origin + 1, [origin], 10.0, config)
+    config = SimConfig(horizon=1e12, trials=10**4, seed=42, max_jumps=10**6, outer_radius=10.0)
+    _, (est, _) = sample_estimates(rates, origin + 1, config, [origin])[0]
     se = math.sqrt(0.9 * 0.1 / config.trials)
     assert abs(est.value - 0.9) <= 3 * se
     _report(4, f"gambler's ruin {est.value:.4f} within 3 SE of 0.9", started, 30.0)
@@ -170,7 +169,8 @@ def test_criterion_07_quadratic_shell_pipeline_and_explosion_control():
     rates = jump_rates(chain.kernel)
     assert np.sum(1.0 / rates.lam[1:]) < np.inf
     config = SimConfig(horizon=1.0, trials=10**3, seed=7, max_jumps=4000)
-    diag = explosion_diagnostic(run_batch(rates, 5, config))
+    [(_, batch)], _ = sample_estimates(rates, 5, config)
+    diag = explosion_diagnostic(batch)
     assert diag.explosion_suspected
     assert not diag.truncation_too_small
     _report(

@@ -9,7 +9,7 @@ import jdlab.cli as cli
 from jdlab import simulate
 from jdlab.capacity import SolverFailure
 from jdlab.forms import jump_rates
-from jdlab.simulate import SimConfig, survival_estimate
+from jdlab.simulate import SimConfig, sample_estimates
 from jdlab.specio import load_spec_or_built
 
 
@@ -190,7 +190,7 @@ def test_trajectory_csv_matches_per_trial_format(tmp_path, z_spec):
     assert cli.main(args) == 0
     built = load_spec_or_built(z_spec)
     config = SimConfig(horizon=10.0, trials=200, max_jumps=40, seed=3, outer_radius=8.0)
-    _, batch = survival_estimate(jump_rates(built.kernel), built.space.origin, config)
+    [(_, batch)], _ = sample_estimates(jump_rates(built.kernel), built.space.origin, config)
     assert set(batch.status.tolist()) == {0, 1, 2}
     expected = "trial,status,elapsed,n_jumps,final_state,hit\n" + "".join(
         f"{t},{int(batch.status[t])},{batch.elapsed[t]:.12g},"
@@ -269,6 +269,43 @@ def test_report_pretty_and_csv(tmp_path, z_spec, capsys):
     report = json.loads(jpath.read_text())
     expected = "radius,value\n" + "".join(f"{r:.12g},{v:.12g}\n" for r, v in zip(report["radii"], report["values"]))
     assert (tmp_path / "r.csv").read_text() == expected
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ([1.0, 2.0], "a report is a JSON object, not a list"),
+        ({"radii": [1.0, 2.0], "values": [1, None]}, "report values must be a list of numbers"),
+        ({"radii": 3.0, "values": [1.0]}, "report radii must be a list of numbers"),
+    ],
+)
+def test_malformed_reports_exit_2(tmp_path, capsys, payload, message, fmt):
+    # a JSON array raised AttributeError and a null value TypeError: exit 1 with a traceback
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main(["report", "--input", str(path), "--format", fmt, "--out", str(tmp_path / "r.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["d.json", "d.pkl"])
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["report", "--input", "{}"], "report"),
+        (["criteria", "--radii", "2", "--spec", "{}"], "spec"),
+        (["build", "--spec", "{}"], "spec"),
+        (["simulate", "--horizon", "1", "--spec", "{}"], "spec"),
+    ],
+)
+def test_a_directory_for_a_file_exits_2(tmp_path, capsys, name, argv, what):
+    # reading a directory raised IsADirectoryError: exit 1 with a traceback
+    directory = tmp_path / name
+    directory.mkdir()
+    argv = [a.format(directory) for a in argv] + ([] if argv[0] == "report" else ["--out-dir", str(tmp_path)])
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {what} path is a directory: {directory}\n"
 
 
 def test_numerical_failure_exits_3(tmp_path, z_spec, monkeypatch):

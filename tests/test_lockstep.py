@@ -27,10 +27,7 @@ from jdlab.simulate import (
     _record,
     _RowSearch,
     gillespie_path,
-    return_probability,
-    run_batch,
     sample_estimates,
-    survival_estimate,
     uniform_pairs,
 )
 
@@ -138,6 +135,11 @@ def _lockstep(
             return
 
 
+def one_batch(rates, x0, config, target=None):
+    """The simulator's batch for one target sampled alone, absorbing (or reflecting) at d(., x0) >= config.outer_radius."""
+    return simulate._run(rates, x0, config, [(target, simulate._outside_mask(rates.space, x0, config))])[0][0]
+
+
 def oracle_batch(rates, x0, config, target=None, outside=None):
     if outside is None:
         outside = simulate._outside_mask(rates.space, x0, config)
@@ -196,7 +198,7 @@ def test_lockstep_matches_the_two_site_oracle(
     x0 = int(x0_frac * n)
     config = SimConfig(horizon=horizon, trials=trials, max_jumps=max_jumps, seed=seed, policy=policy, outer_radius=outer)
     target = None if target_fraction is None else rng.random(n) < target_fraction
-    got, want = run_batch(rates, x0, config, target=target), oracle_batch(rates, x0, config, target=target)
+    got, want = one_batch(rates, x0, config, target), oracle_batch(rates, x0, config, target=target)
     for name in ("status", "elapsed", "n_jumps", "final_state", "hit"):
         assert same_bits(getattr(got, name), getattr(want, name)), name
     assert got.horizon == want.horizon
@@ -218,7 +220,7 @@ def test_the_oracle_covers_every_stop_rule():
     for x0 in range(12):
         for max_jumps in (1, 3, 40):
             config = SimConfig(horizon=1.5, trials=60, max_jumps=max_jumps, seed=x0, outer_radius=4.0)
-            got, want = run_batch(rates, x0, config, target=target), oracle_batch(rates, x0, config, target=target)
+            got, want = one_batch(rates, x0, config, target), oracle_batch(rates, x0, config, target=target)
             for name in ("status", "elapsed", "n_jumps", "final_state", "hit"):
                 assert same_bits(getattr(got, name), getattr(want, name)), name
             seen |= {(int(s), bool(h)) for s, h in zip(got.status, got.hit)}
@@ -307,7 +309,10 @@ def test_one_sampling_pass_matches_a_batch_per_estimate(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "_TRIAL_CHUNK", chunk)  # 7: several trial chunks
         estimates, draws = sample_estimates(rates, x0, config, target)
-        want = [survival_estimate(rates, x0, config), return_probability(rates, x0, target, outer, config)]
+        # one _run call per (target, outside) set: the survival set, then the return set
+        sets = [(None, simulate._outside_mask(rates.space, x0, config)), simulate._return_sets(rates, x0, target, outer)]
+        survival, returned = (simulate._run(rates, x0, config, [s])[0][0] for s in sets)
+    want = [(simulate._survival(survival, config), survival), (simulate._returned(returned, rates, x0, config), returned)]
     assert len(estimates) == 2 and draws >= trials
     for (got_est, got), (want_est, batch) in zip(estimates, want):
         for name in ("status", "elapsed", "n_jumps", "final_state", "hit"):

@@ -1,4 +1,4 @@
-"""Smoke tests: each experiment script's main() runs end to end on tiny arguments."""
+"""Smoke tests: each experiment script's main() runs end to end on tiny arguments, and so does the README's library tour."""
 
 import importlib.util
 import sys
@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def run_script(name, args, monkeypatch, capsys):
@@ -40,3 +41,14 @@ def test_explosion_demo(monkeypatch, capsys):
     assert "summable -> explosive" in out
     assert "explosion_suspected=True" in out.splitlines()[1]
     assert "explosion_suspected=False" in out.splitlines()[2]
+
+
+def test_readme_library_tour_runs(capsys):
+    # the first python block under "## Library tour", run as written, so the documented API follows the code
+    tour = (ROOT / "README.md").read_text().split("## Library tour", 1)[1]
+    block = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    survival, ret = (float(v) for v in lines[2].split()[:2])
+    assert 0.0 <= survival <= 1.0 and 0.0 < ret < 1.0

@@ -9,9 +9,7 @@ from jdlab import (
     explosion_diagnostic,
     gillespie_path,
     lattice_nn,
-    return_probability,
-    run_batch,
-    survival_estimate,
+    sample_estimates,
 )
 from jdlab import simulate
 from jdlab.forms import jump_rates
@@ -19,7 +17,7 @@ from jdlab.kernels import explicit_kernel
 from jdlab.simulate import occupation_measure, wilson_interval
 from jdlab.space import metric_ball, open_ball_mask
 from conftest import random_symmetric_kernel
-from test_lockstep import oracle_batch, same_bits
+from test_lockstep import one_batch, oracle_batch, same_bits
 
 
 def birth_chain(length=400, scale=1.0):
@@ -66,14 +64,14 @@ def test_absorption_matches_matrix_exponential_oracle(z_rates, z_line):
         gen[k, k] -= z_rates.lam[s]
     oracle = (expm(gen * 1.5) @ np.ones(len(interior)))[pos[o]]
     cfg = SimConfig(horizon=1.5, trials=3000, seed=5, outer_radius=5.0)
-    est, _ = survival_estimate(z_rates, o, cfg)
+    [(est, _)], _ = sample_estimates(z_rates, o, cfg)
     se = np.sqrt(oracle * (1 - oracle) / cfg.trials)
     assert abs(est.value - oracle) <= 3 * se
 
 
 def test_survival_one_for_bounded_rates(z_rates, z_line):
     cfg = SimConfig(horizon=10.0, trials=2000, seed=42, outer_radius=100.0)
-    est, batch = survival_estimate(z_rates, z_line.space.origin, cfg)
+    [(est, batch)], _ = sample_estimates(z_rates, z_line.space.origin, cfg)
     assert est.value == 1.0
     assert np.all(batch.status == 0)
 
@@ -112,18 +110,34 @@ def test_config_rejects_horizons_and_radii_that_answer_wrongly(kwargs, message):
         SimConfig(**kwargs)
 
 
-@pytest.mark.parametrize("radius", [float("nan"), -1.0, 0.0])
-def test_return_probability_rejects_its_own_outer_radius(z_rates, z_line, radius):
-    o = z_line.space.origin
-    with pytest.raises(ValueError, match="outer radius"):
-        return_probability(z_rates, o + 1, [o], radius, SimConfig(horizon=1.0, trials=5, seed=1))
+@pytest.mark.parametrize(
+    "x0, target, name, bad",
+    [(-1, None, "x0", -1), (3, None, "x0", 3), (1, [-1], "target", -1), (1, [0, 10**6], "target", 10**6)],
+)
+def test_sampler_rejects_point_ids_outside_the_space(x0, target, name, bad):
+    # x0 = -1 sampled from the last point and recorded final_state -1, target [-1] meant the last
+    # point, and target [10**6] raised a bare IndexError
+    rates = jump_rates(explicit_kernel(3, [[0, 1, 1.0], [1, 2, 1.0]]).kernel)
+    config = SimConfig(horizon=1.0, trials=5, seed=1)
+    with pytest.raises(ValueError, match=rf"^{name}: point id {bad} is not in \[0, 3\)$"):
+        sample_estimates(rates, x0, config, target)
+    if target is None:
+        with pytest.raises(ValueError, match=rf"^x0: point id {bad} is not in \[0, 3\)$"):
+            gillespie_path(rates, x0, config)
+
+
+def test_path_rejects_a_negative_trial_index():
+    # trial -1 was sampled as trial 2^64 - 1
+    rates = jump_rates(explicit_kernel(2, [[0, 1, 1.0]]).kernel)
+    with pytest.raises(ValueError, match="trial_index must be nonnegative, got -1"):
+        gillespie_path(rates, 0, SimConfig(horizon=1.0, trials=1, seed=1), trial_index=-1)
 
 
 def test_explosive_birth_chain_flag():
     b = birth_chain(length=800)
     rates = jump_rates(b.kernel)
     cfg = SimConfig(horizon=1.0, trials=300, seed=7, max_jumps=3000)
-    batch = run_batch(rates, 5, cfg)
+    [(_, batch)], _ = sample_estimates(rates, 5, cfg)
     diag = explosion_diagnostic(batch)
     assert diag.explosion_suspected
     assert not diag.truncation_too_small
@@ -133,20 +147,21 @@ def test_explosive_birth_chain_flag():
 def test_truncation_artifact_flagged_separately(z_rates, z_line):
     # bounded-rate walk absorbed by a tiny ball: truncation flag, not explosion
     cfg = SimConfig(horizon=50.0, trials=400, seed=11, outer_radius=3.0)
-    batch = run_batch(z_rates, z_line.space.origin, cfg)
+    [(_, batch)], _ = sample_estimates(z_rates, z_line.space.origin, cfg)
     diag = explosion_diagnostic(batch)
     assert diag.truncation_too_small
     assert not diag.explosion_suspected
     # enlarging the outer radius shrinks the absorbed fraction
     wide = SimConfig(horizon=50.0, trials=400, seed=11, outer_radius=40.0)
-    diag_wide = explosion_diagnostic(run_batch(z_rates, z_line.space.origin, wide))
+    [(_, wide_batch)], _ = sample_estimates(z_rates, z_line.space.origin, wide)
+    diag_wide = explosion_diagnostic(wide_batch)
     assert diag_wide.absorbed_fraction < diag.absorbed_fraction
 
 
 def test_gamblers_ruin_closed_form(z_rates, z_line):
     o = z_line.space.origin
-    cfg = SimConfig(horizon=1e12, trials=2000, seed=21, max_jumps=10**6)
-    est, _ = return_probability(z_rates, o + 1, [o], 10.0, cfg)
+    cfg = SimConfig(horizon=1e12, trials=2000, seed=21, max_jumps=10**6, outer_radius=10.0)
+    _, (est, _) = sample_estimates(z_rates, o + 1, cfg, [o])[0]
     se = np.sqrt(0.9 * 0.1 / cfg.trials)
     assert abs(est.value - 0.9) <= 3 * se
 
@@ -155,14 +170,16 @@ def test_adjacent_target_hits_immediately():
     # x0 adjacent to K with no other transitions: the only move is into K
     b = explicit_kernel(2, [[0, 1, 1.0]])
     rates = jump_rates(b.kernel)
-    est, _ = return_probability(rates, 1, [0], 50.0, SimConfig(horizon=1e12, trials=200, seed=3))
+    # the survival trials share the pass and hold no exit: the cap ends them (the hits stop at jump 1)
+    cfg = SimConfig(horizon=1e12, trials=200, seed=3, max_jumps=10, outer_radius=50.0)
+    _, (est, _) = sample_estimates(rates, 1, cfg, [0])[0]
     assert est.value == 1.0
 
 
 def test_unreachable_target_warns():
     b = explicit_kernel(3, [[0, 1, 1.0]])  # state 2 disconnected
     rates = jump_rates(b.kernel)
-    est, _ = return_probability(rates, 2, [0], 10.0, SimConfig(horizon=5.0, trials=50, seed=1))
+    _, (est, _) = sample_estimates(rates, 2, SimConfig(horizon=5.0, trials=50, seed=1, outer_radius=10.0), [0])[0]
     assert est.value == 0.0
     assert any("unreachable" in n for n in est.notes)
 
@@ -177,8 +194,8 @@ def test_z3_return_plateaus_below_one(z3_cube):
         mask = open_ball_mask(sp, o, r)
         solve = equilibrium_potential(sp, z3_cube.kernel, None, [o], mask)
         oracle = solve.u[start]
-        cfg = SimConfig(horizon=1e12, trials=1500, seed=17, max_jumps=10**6)
-        est, _ = return_probability(rates, start, [o], r, cfg)
+        cfg = SimConfig(horizon=1e12, trials=1500, seed=17, max_jumps=10**6, outer_radius=r)
+        _, (est, _) = sample_estimates(rates, start, cfg, [o])[0]
         se = max(np.sqrt(oracle * (1 - oracle) / cfg.trials), 1e-3)
         assert abs(est.value - oracle) <= 3 * se
         values[r] = oracle
@@ -199,10 +216,10 @@ def test_batch_splitting_invariance(z_rates, z_line, monkeypatch):
     target = np.zeros(z_line.space.n_points, dtype=bool)
     target[o + 3] = True
     cfg = SimConfig(horizon=2.0, trials=200, seed=99, outer_radius=5.0)
-    b1 = run_batch(z_rates, o, cfg, target=target)
-    b2 = run_batch(z_rates, o, cfg, target=target)
+    b1 = one_batch(z_rates, o, cfg, target)
+    b2 = one_batch(z_rates, o, cfg, target)
     monkeypatch.setattr(simulate, "_TRIAL_CHUNK", 7)
-    b3 = run_batch(z_rates, o, cfg, target=target)
+    b3 = one_batch(z_rates, o, cfg, target)
     assert_same_batch(b1, b2)
     assert_same_batch(b1, b3)
     assert b1.hit.any() and (b1.status == 1).any() and (b1.elapsed == 2.0).any()
@@ -212,7 +229,7 @@ def test_batch_splitting_invariance(z_rates, z_line, monkeypatch):
 def test_path_is_the_batch_trial(z_rates, z_line, policy):
     o = z_line.space.origin
     cfg = SimConfig(horizon=3.0, trials=40, seed=8, outer_radius=4.0, max_jumps=12, policy=policy)
-    batch = run_batch(z_rates, o, cfg)
+    [(_, batch)], _ = sample_estimates(z_rates, o, cfg)
     assert set(batch.status) >= ({0, 2} if policy == "reflect" else {0, 1, 2})
     for i in range(cfg.trials):
         traj = gillespie_path(z_rates, o, cfg, trial_index=i)
@@ -292,9 +309,9 @@ def test_ball_target_exit_mask_matches_stacked_rows(z3_cube):
     dist_to_k = np.min(np.stack([sp.distances_from(int(k)) for k in members]), axis=0)
     target = np.zeros(sp.n_points, dtype=bool)
     target[members] = True
-    cfg = SimConfig(horizon=1e12, trials=300, seed=3)
-    _, batch = return_probability(rates, sp.origin + 2, members, 4.0, cfg)
-    assert_same_batch(batch, run_batch(rates, sp.origin + 2, cfg, target=target, outside=dist_to_k >= 4.0))
+    cfg = SimConfig(horizon=1e12, trials=300, seed=3, outer_radius=4.0)
+    _, (_, batch) = sample_estimates(rates, sp.origin + 2, cfg, members)[0]
+    assert_same_batch(batch, simulate._run(rates, sp.origin + 2, cfg, [(target, dist_to_k >= 4.0)])[0][0])
     assert batch.hit.any() and (batch.status == 1).any()
 
 
@@ -320,7 +337,7 @@ def test_survival_monotone_in_horizon():
     estimates = {}
     for horizon in (0.05, 1.0):
         cfg = SimConfig(horizon=horizon, trials=400, seed=31, max_jumps=3000)
-        est, _ = survival_estimate(rates, 5, cfg)
+        [(est, _)], _ = sample_estimates(rates, 5, cfg)
         estimates[horizon] = est
     e_short, e_long = estimates[0.05], estimates[1.0]
     ci = e_long.ci_high - e_long.ci_low
@@ -349,7 +366,7 @@ def test_reflect_policy_keeps_paths_inside(z_rates, z_line):
     sp = z_line.space
     o = sp.origin
     cfg = SimConfig(horizon=5.0, trials=50, seed=4, outer_radius=4.0, policy="reflect")
-    batch = run_batch(z_rates, o, cfg)
+    [(_, batch)], _ = sample_estimates(z_rates, o, cfg)
     assert np.all(batch.status == 0)  # nothing absorbed under reflection
     d = sp.distances_from(o)
     assert np.all(d[batch.final_state] < 4.0)
@@ -365,14 +382,14 @@ def test_draw_block_invariance(z_rates, z_line, monkeypatch):
         (SimConfig(horizon=2.0, trials=200, seed=99, outer_radius=5.0, max_jumps=9), target),
         (SimConfig(horizon=6.0, trials=120, seed=5, outer_radius=4.0, max_jumps=40, policy="reflect"), None),
     ]
-    want = [(run_batch(z_rates, o, cfg, target=t), [gillespie_path(z_rates, o, cfg, i) for i in (0, 1, 17)])
+    want = [(one_batch(z_rates, o, cfg, t), [gillespie_path(z_rates, o, cfg, i) for i in (0, 1, 17)])
             for cfg, t in cases]
     statuses = {(cfg.policy, int(s), bool(h)) for (cfg, _), (b, _) in zip(cases, want) for s, h in zip(b.status, b.hit)}
     assert {("absorb", 0, True), ("absorb", 1, False), ("absorb", 2, False), ("reflect", 0, False)} <= statuses
     for blocks in (1, 3, 64):
         monkeypatch.setattr(simulate, "_DRAW_BLOCKS", blocks)
         for (cfg, t), (batch, paths) in zip(cases, want):
-            assert_same_batch(run_batch(z_rates, o, cfg, target=t), batch)
+            assert_same_batch(one_batch(z_rates, o, cfg, t), batch)
             for i, path in zip((0, 1, 17), paths):
                 got = gillespie_path(z_rates, o, cfg, i)
                 assert same_bits(got.states, path.states) and same_bits(got.holding_times, path.holding_times)
@@ -396,7 +413,7 @@ def test_a_trial_stopped_on_an_empty_row_steps_its_chain_safely(n, entries, x0, 
     assert rates.lam[x0] == 0
     for trials in (1, 3):
         cfg = SimConfig(horizon=2.0, trials=trials, max_jumps=max_jumps, seed=11)
-        batch = run_batch(rates, x0, cfg)
+        [(_, batch)], _ = sample_estimates(rates, x0, cfg)
         assert_same_batch(batch, oracle_batch(rates, x0, cfg))
         assert np.all(batch.status == 0) and np.all(batch.elapsed == 2.0) and np.all(batch.n_jumps == 0)
     path = gillespie_path(rates, x0, SimConfig(horizon=2.0, trials=1, max_jumps=max_jumps, seed=11))
@@ -414,7 +431,7 @@ def test_trials_stopped_mid_block_match_the_oracle():
     stopped = set()
     for policy, max_jumps in (("absorb", 200), ("reflect", 200), ("absorb", 7)):
         cfg = SimConfig(horizon=5.0, trials=300, max_jumps=max_jumps, seed=2, outer_radius=3.0, policy=policy)
-        got = run_batch(rates, 3, cfg, target=target)
+        got = one_batch(rates, 3, cfg, target)
         assert_same_batch(got, oracle_batch(rates, 3, cfg, target=target))
         stopped |= set(got.n_jumps[got.status != 2].tolist())
     assert {3, 5, 7, 9, 11, 13} <= stopped and max(stopped) > 16

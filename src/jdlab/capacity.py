@@ -170,9 +170,9 @@ class _AssembledForm:
 class _StencilForm:
     """Free-set solves on the jump form 2 (diag(m row_mass) - m W) of a stencil kernel with no local part.
 
-    Every unit-offset entry of a stencil kernel is positive and its box is
-    nearest-neighbour connected, so the free set has a dead component only
-    when no point is clamped, and then it is the whole box.
+    A stencil kernel's points are connected through its positive unit-offset
+    entries, so the free set has a dead component only when no point is
+    clamped, and then it is every point.
     """
 
     def __init__(self, kernel: StencilKernel):

@@ -50,7 +50,10 @@ def _point(x: int, built, flag: str) -> int:
 
 def _parse_target(text: str, built, flag: str) -> list[int]:
     if text.startswith("ids:"):
-        return [_point(int(p), built, flag) for p in text[4:].split(",") if p]
+        ids = [_point(int(p), built, flag) for p in text[4:].split(",") if p]
+        if not ids:
+            raise SpecError(f"{flag}: target set K is empty")
+        return ids
     if text.startswith("ball:"):
         try:
             _, x0, r = text.split(":")
@@ -184,8 +187,6 @@ def cmd_simulate(args, started: float) -> int:
 def cmd_capacity(args, started: float) -> int:
     built = load_spec_or_built(args.spec)
     inner = _parse_target(args.K, built, "--K")
-    if not inner:
-        raise SpecError("K is empty")
     radii = _parse_radii(args.radii)
     report = capacity_scan(
         built.space,
@@ -221,6 +222,8 @@ def cmd_report(args, started: float) -> int:
         if sequence is None:
             raise SpecError("report has no radius-indexed sequence to export")
         out = Path(args.out) if args.out else path.with_suffix(".csv")
+        if out.is_dir():
+            raise SpecError(f"--out names a directory: {out}")
         write_csv(out, "radius,value", sequence)
         print(f"wrote {out}")
         return 0

@@ -20,6 +20,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .space import DiscreteMMSpace, exactly_symmetric, support_sets
 
@@ -203,85 +204,110 @@ class JumpKernel(KernelOperator):
 
 
 class _Convolution:
-    """x -> sum_k w(k) x[. - k] on a box, for a centred stencil w over offsets |k_a| <= c_a (offset k at index c + k).
+    """x -> sum_y w(s(x) - s(y)) x(y) over points with integer steps s, for a centred stencil w (offset k at index c + k).
 
-    w is cut to the offsets |k_a| < box_a, the only ones between two points
-    of the box, and placed at index k mod fft_shape in its circulant
-    embedding, zero-padded to a fast length >= 2 box_a - 1 per axis, so no
-    offset of the box wraps around: a convolution is one real FFT product.
+    x is scattered into the points' bounding box, of side L_a per axis, and
+    gathered back after one real FFT product: w is cut to the offsets
+    |k_a| < L_a and placed at index k mod fft_shape in its circulant
+    embedding, zero-padded to a fast length >= 2 L_a - 1, so nothing wraps.
     """
 
-    def __init__(self, weights: np.ndarray, box: tuple[int, ...]):
+    def __init__(self, weights: np.ndarray, steps: np.ndarray):
         from scipy import fft as sp_fft  # here, not at module level: the import adds ~5 MB to every run
 
-        self.box = box
-        self.fft_shape = tuple(sp_fft.next_fast_len(2 * n - 1, real=True) for n in box)
-        cut = weights[tuple(slice(c // 2 - n + 1, c // 2 + n) for c, n in zip(weights.shape, box))]
+        corner = steps.min(axis=0)
+        self.at = tuple((steps - corner).T)  # the points' places in their bounding box
+        self.box = tuple(int(n) + 1 for n in steps.max(axis=0) - corner)
+        self.fft_shape = tuple(sp_fft.next_fast_len(2 * n - 1, real=True) for n in self.box)
+        cut = weights[tuple(slice(c // 2 - n + 1, c // 2 + n) for c, n in zip(weights.shape, self.box))]
         padded = np.zeros(self.fft_shape)
         padded[tuple(slice(0, c) for c in cut.shape)] = cut
         # offset k sits at index k mod fft_shape, so the centre (offset 0) moves to index 0
-        self.embedded = np.roll(padded, [1 - n for n in box], axis=tuple(range(len(box))))
+        self.embedded = np.roll(padded, [1 - n for n in self.box], axis=tuple(range(len(self.box))))
         self.hat = sp_fft.rfftn(self.embedded)
 
-    def __call__(self, grid: np.ndarray) -> np.ndarray:
+    def scatter(self, x: np.ndarray) -> np.ndarray:
+        """x on the points, 0 elsewhere in the bounding box."""
+        grid = np.zeros(self.box)
+        grid[self.at] = np.reshape(x, -1)
+        return grid
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
         from scipy import fft as sp_fft
 
-        full = sp_fft.irfftn(sp_fft.rfftn(grid, s=self.fft_shape) * self.hat, s=self.fft_shape)
-        return full[tuple(slice(0, n) for n in self.box)]
+        return sp_fft.irfftn(sp_fft.rfftn(self.scatter(x), s=self.fft_shape) * self.hat, s=self.fft_shape)[self.at]
 
 
 class StencilKernel(KernelOperator):
-    """Translation-invariant kernel j(x, y) = f(|x - y|) on a lattice box with uniform measure.
+    """Translation-invariant kernel j(x, y) = f(|x - y|) on points of a lattice, with uniform measure m.
 
-    The space's steps s must be the full box {-E..E}^d in row-major order,
-    its Euclidean coordinates exactly s h, and its measure one cell mass m.
-    f is evaluated once, as the stencil j over the offsets k in [-2E, 2E]^d
-    at distance |k| h (0 at k = 0), so memory is O(n). |k| h is the space's
-    `norm` of k h, the formula of its pair distances, so where the offsets
-    k h are exact coordinate differences `csr()` equals the pairwise build
-    bit for bit. The stencil's unit-offset entry must be positive, so X^(j)
-    is the whole box. W v is one `_Convolution` by m j, and
-    weighted_row_sums(g) the convolution of 1 by m j g(|k| h).
+    The space's steps s are two or more distinct integer points inside
+    their bounding box (side L_a per axis), in any order. Its coordinates
+    must be exactly s @ B, for the basis B read off the points at the unit
+    steps e_a: h I on hZ^d, the triangular basis on the gasket. f is
+    evaluated once, as the stencil j over the offsets |k_a| < L_a at the
+    distance |k @ B| (0 at k = 0), the space's `norm`, so memory is O(box)
+    and where k @ B are exact coordinate differences `csr()` is the
+    pairwise build bit for bit. The unit-offset entries must be positive
+    and the points connected through unit steps, so X^(j) is every point;
+    a full box is connected, a proper mask runs connected_components. W v is one
+    `_Convolution` by m j, and weighted_row_sums(g) the convolution of the
+    points' indicator by m j g(|k @ B|).
     The kernel holds only its space, its stencil and its FFT state: `csr()`
     gathers an O(n^2) CSR kernel afresh on each call, and nothing keeps it.
     """
 
     def __init__(self, space: DiscreteMMSpace, f: Callable[[np.ndarray], np.ndarray]):
         steps, n = space.steps, space.n_points
-        dim, extent = (0, 0) if steps is None else (steps.shape[1], int(steps.max()))
-        box = (2 * extent + 1,) * dim
-        if not (extent and n == np.prod(box) and np.array_equal(steps, np.indices(box).reshape(dim, -1).T - extent)):
-            raise ValueError("a stencil kernel needs steps that are the full row-major lattice box {-E..E}^d, E >= 1")
-        # h is the coordinate of the point one step along the last axis from the centre
-        h = float(space.coords[n // 2 + 1, -1]) if space.metric_kind == "euclidean" else None
-        if h is None or not np.array_equal(space.coords, steps * h):
-            raise ValueError("a stencil kernel needs Euclidean coordinates equal to the steps times one spacing")
+        if steps is None or steps.dtype.kind not in "iu" or n < 2:
+            raise ValueError("a stencil kernel needs integer steps for two or more points")
+        corner = steps.min(axis=0)
+        self._box = tuple(int(s) + 1 for s in steps.max(axis=0) - corner)
+        ids = np.full(self._box, -1)  # the point at each step of the box, -1 where there is none
+        ids[tuple((steps - corner).T)] = np.arange(n)
+        if np.count_nonzero(ids >= 0) < n:
+            raise ValueError("a stencil kernel needs distinct steps")
+        units = np.eye(len(self._box), dtype=np.int64)
+        unit_ids = np.concatenate([np.flatnonzero((steps == e).all(axis=1)) for e in units])
+        if len(unit_ids) < len(units):
+            raise ValueError("a stencil kernel needs the points at the unit steps e_a, whose coordinates are its basis B")
+        basis = None if space.metric_kind == "graph" or space.coords is None else space.coords[unit_ids]
+        if basis is None or not np.array_equal(space.coords, np.dot(steps, basis)):
+            raise ValueError("a stencil kernel needs a coordinate metric and coordinates equal to steps @ B")
         if not np.all(space.measure == space.measure[0]):
             raise ValueError("a stencil kernel needs a uniform measure")
-        self.space, self._h, self._box = space, h, box
+        self.space, self._basis = space, basis
         d = self._offset_distances()
-        unit = (2 * extent + 1,) + (2 * extent,) * (dim - 1)
-        if d[unit] != h or not np.isfinite(d).all():  # (k h)^2 underflows below h ~ 1e-154, overflows above ~ 1e154 / |k|
-            raise ValueError(f"the offset distances |k| h lose digits at the lattice spacing h = {h:g}: (k h)^2 under- or overflows")
+        at_units = tuple((np.subtract(self._box, 1) + units).T)
+        # the unit steps' lengths from B scaled by powers of two, which (k B)^2 cannot under- or overflow
+        scale = 2.0 ** np.frexp(np.abs(basis).max(axis=1))[1]
+        if not (np.array_equal(d[at_units], space.norm(basis / scale[:, None]) * scale) and np.isfinite(d).all()):
+            h = np.abs(basis).max()  # the spacing of the lattice hZ^d, where B = h I
+            raise ValueError(f"the offset distances |k B| lose digits at the lattice spacing h = {h:g}: (k B)^2 under- or overflows")
         self.stencil = np.array(np.broadcast_to(f(d), d.shape), dtype=float)  # a stencil of the wrong shape raises ValueError
-        self.stencil[(2 * extent,) * dim] = 0.0  # j vanishes on the diagonal
+        self.stencil[tuple(np.subtract(self._box, 1))] = 0.0  # j vanishes on the diagonal
         if not np.isfinite(self.stencil).all():
             raise ValueError("stencil kernel entries must be finite")
-        if not self.stencil[unit] > 0:
-            raise ValueError("the stencil's unit-offset entry must be positive, so that the box is connected")
+        if not (self.stencil[at_units] > 0).all():
+            raise ValueError("the stencil's unit-offset entry must be positive on every axis, so that the points are connected")
+        if n < ids.size:  # a proper mask: the components of its points one unit step apart
+            pairs = [(g[:-1], g[1:]) for g in (np.moveaxis(ids, a, 0) for a in range(ids.ndim))]
+            edges = np.concatenate([np.stack([p, q])[:, (p >= 0) & (q >= 0)] for p, q in pairs], axis=1)
+            if connected_components(sp.csr_matrix((np.ones(edges.shape[1]), tuple(edges)), (n, n)), directed=False)[0] > 1:
+                raise ValueError("a stencil kernel's points must be connected through unit steps")
         self._mass = float(space.measure[0])
-        self._conv = _Convolution(self.stencil * self._mass, self._box)
+        self._conv = _Convolution(self.stencil * self._mass, steps)
         self._row_mass: Optional[np.ndarray] = None
 
     def _offset_distances(self) -> np.ndarray:
-        """|k h| over the offsets k in [-2E, 2E]^d: the space's norm of the integer offsets times h."""
-        reach = self._box[0] - 1
-        offsets = np.moveaxis(np.indices((2 * reach + 1,) * len(self._box)), 0, -1) - reach
+        """|k B| over the offsets |k_a| < L_a: the space's norm of the integer offsets times B."""
+        reach = np.subtract(self._box, 1)
+        offsets = np.moveaxis(np.indices(2 * reach + 1), 0, -1) - reach
         with np.errstate(over="ignore", under="ignore"):  # the constructor's check names the lost digits
-            return self.space.norm(offsets * self._h)
+            return self.space.norm(np.dot(offsets, self._basis))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self._conv(np.reshape(v, self._box)).reshape(-1)
+        return self._conv(v)
 
     @property
     def row_mass(self) -> np.ndarray:
@@ -290,8 +316,8 @@ class StencilKernel(KernelOperator):
         return self._row_mass
 
     def weighted_row_sums(self, g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        conv = _Convolution(self.stencil * g(self._offset_distances()) * self._mass, self._box)
-        return conv(np.ones(self._box)).reshape(-1)
+        conv = _Convolution(self.stencil * g(self._offset_distances()) * self._mass, self.space.steps)
+        return conv(np.ones(self.space.n_points))
 
     def jump_support(self) -> np.ndarray:
         return np.arange(self.space.n_points, dtype=np.int64)
@@ -301,10 +327,10 @@ class StencilKernel(KernelOperator):
 
     def csr(self) -> JumpKernel:
         """The same kernel as a CSR JumpKernel, gathered afresh from the stencil on each call."""
-        steps, centre = self.space.steps, self._box[0] - 1
+        steps, centre = self.space.steps, np.subtract(self._box, 1)
 
-        def rows(x: np.ndarray) -> np.ndarray:  # j(x, y) = stencil[s(x) - s(y) + 2E] for every y
-            return self.stencil[tuple(steps[x, a, None] - steps[:, a] + centre for a in range(steps.shape[1]))]
+        def rows(x: np.ndarray) -> np.ndarray:  # j(x, y) = stencil[s(x) - s(y) + L - 1] for every y
+            return self.stencil[tuple(steps[x, a, None] - steps[:, a] + centre[a] for a in range(steps.shape[1]))]
 
         return JumpKernel.from_dense_rows(self.space, rows)
 
@@ -319,29 +345,27 @@ class _FreeOperator(spla.LinearOperator):
     """The jump form matrix A = 2 (diag(m row_mass) - m W) of a stencil kernel on the free points.
 
     A matvec is one `_Convolution` by the weighted stencil w over the free
-    set's bounding box, of side L_a per axis. `precond` applies the inverse
-    of T. Chan's optimal circulant C on the box for A_ext = A (+) mean(diag) I,
-    which extends A by its mean diagonal to the box's other points. C's
-    eigenvalue at each Fourier vector f of the box is f* A_ext f, positive
-    since A_ext is positive definite; over the box's N points they are
-    mean(diag) - (2m / N) FFT(fold_L(w a)), where a(k) counts the free pairs
-    at offset k (the mask's autocorrelation) and fold_L sums offsets mod L.
+    points, in their bounding box of side L_a per axis. `precond` applies
+    the inverse of T. Chan's optimal circulant C on the box for
+    A_ext = A (+) mean(diag) I, which extends A by its mean diagonal to the
+    box's other points. C's eigenvalue at each Fourier vector f of the box
+    is f* A_ext f, positive since A_ext is positive definite; over the box's
+    N points they are mean(diag) - (2m / N) FFT(fold_L(w a)), where a(k)
+    counts the free pairs at offset k (the mask's autocorrelation) and
+    fold_L sums offsets mod L.
     """
 
     def __init__(self, kernel: StencilKernel, free_idx: np.ndarray):
         from scipy import fft as sp_fft
 
         super().__init__(float, (free_idx.size, free_idx.size))
-        steps = kernel.space.steps[free_idx] - kernel.space.steps[free_idx].min(axis=0)
-        box = tuple(int(n) + 1 for n in steps.max(axis=0))
-        self._box, self._at = box, tuple(steps.T)  # the free points' places in their bounding box
         self._scale = 2.0 * kernel._mass
         self._diag = kernel.diag()[free_idx]
-        self._conv = _Convolution(kernel.stencil * kernel._mass, box)
-        mask = sp_fft.rfftn(self._scatter(np.ones(free_idx.size)), s=self._conv.fft_shape)
-        autocorrelation = np.rint(sp_fft.irfftn(mask * mask.conj(), s=self._conv.fft_shape))
-        folded = self._conv.embedded * autocorrelation
-        for axis, n in enumerate(box):  # offset k sits at index k mod fft_shape; sum it into k mod L
+        self._conv = conv = _Convolution(kernel.stencil * kernel._mass, kernel.space.steps[free_idx])
+        mask = sp_fft.rfftn(conv.scatter(np.ones(free_idx.size)), s=conv.fft_shape)
+        autocorrelation = np.rint(sp_fft.irfftn(mask * mask.conj(), s=conv.fft_shape))
+        folded = conv.embedded * autocorrelation
+        for axis, n in enumerate(conv.box):  # offset k sits at index k mod fft_shape; sum it into k mod L
             folded = np.moveaxis(folded, axis, 0)
             head = folded[:n].copy()
             head[1:] += folded[folded.shape[0] - n + 1 :]
@@ -349,19 +373,13 @@ class _FreeOperator(spla.LinearOperator):
         self.eigenvalues = self._diag.mean() - self._scale / folded.size * sp_fft.rfftn(folded).real
         self.precond = spla.LinearOperator(self.shape, matvec=self._precond_solve, dtype=float)
 
-    def _scatter(self, x: np.ndarray) -> np.ndarray:
-        """x on the free points, 0 elsewhere in the bounding box."""
-        grid = np.zeros(self._box)
-        grid[self._at] = np.reshape(x, -1)
-        return grid
-
     def _matvec(self, x: np.ndarray) -> np.ndarray:
-        return self._diag * np.reshape(x, -1) - self._scale * self._conv(self._scatter(x))[self._at]
+        return self._diag * np.reshape(x, -1) - self._scale * self._conv(x)
 
     def _precond_solve(self, r: np.ndarray) -> np.ndarray:
         from scipy import fft as sp_fft
 
-        return sp_fft.irfftn(sp_fft.rfftn(self._scatter(r)) / self.eigenvalues, s=self._box)[self._at]
+        return sp_fft.irfftn(sp_fft.rfftn(self._conv.scatter(r)) / self.eigenvalues, s=self._conv.box)[self._conv.at]
 
 
 @dataclass

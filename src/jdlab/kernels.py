@@ -108,16 +108,16 @@ def lattice_nn(
 # -- Example family: stable-like kernels on kappa-sets ----------------------
 
 
+_GASKET_BASIS = np.array([[1.0, 0.0], [0.5, math.sqrt(3) / 2]])  # step (a, b) sits at a (1, 0) + b (1/2, sqrt(3)/2)
+
+
 def _gasket_points(level: int) -> np.ndarray:
-    """Vertices of the level-L Sierpinski-gasket graph, from integer triangular-lattice coordinates."""
-    verts = {(0, 0), (1, 0), (0, 1)}
-    for l in range(level):
-        s = 2**l
-        new_verts = set(verts)
-        for da, db in ((s, 0), (0, s)):
-            new_verts |= {(a + da, b + db) for a, b in verts}
-        verts = new_verts
-    return np.array([(a + b / 2.0, b * math.sqrt(3) / 2.0) for a, b in sorted(verts)])
+    """Steps (a, b) of the level-L Sierpinski-gasket graph's vertices on the triangular lattice, sorted."""
+    side = 2**level + 1
+    flat = np.array([0, 1, side])  # (0, 0), (0, 1) and (1, 0), as a side + b
+    for l in range(level):  # three copies of level l, shifted by 2^l along each lattice axis
+        flat = np.unique(np.concatenate([flat, flat + 2**l * side, flat + 2**l]))
+    return np.stack(np.divmod(flat, side), axis=1)
 
 
 def _pairwise_kernel(space: DiscreteMMSpace, value) -> JumpKernel:
@@ -139,7 +139,8 @@ def stable_like(
     """Layered (case i) or tempered (case ii) stable-like kernel on a kappa-set.
 
     Supports: hZ^n lattice (kappa = n) or the level-L Sierpinski-gasket
-    graph (kappa = ln 3 / ln 2), both with Euclidean distance. Case (i):
+    graph (kappa = ln 3 / ln 2) on the unit triangular lattice, both with
+    Euclidean distance. Case (i):
     j = d^-(kappa+alpha) for d <= 1, d^-(kappa+beta) beyond; case (ii)
     replaces the long tail with exp(-c d) d^-(kappa+alpha).
     """
@@ -168,18 +169,17 @@ def stable_like(
         return short + tail
 
     if support == "gasket":
-        coords = _gasket_points(gasket_level)
+        steps, spacing = _gasket_points(gasket_level), 1.0  # the unit triangular lattice: no two points are nearer than 1
         space = DiscreteMMSpace(
-            np.ones(len(coords)),
-            coords=coords,
-            metric_kind="euclidean",
-            origin=0,
+            np.ones(len(steps)),
+            coords=np.dot(steps, _GASKET_BASIS),
+            steps=steps,
             truncation_radius=float(2**gasket_level),
             meta={"kind": "gasket", "level": gasket_level, **family},
         )
-        return BuiltInstance(space, _pairwise_kernel(space, lambda idx, d: f(d)))
-    space = _lattice_space(dim, truncation_radius, spacing, spacing**dim, **family)
-    # f is non-increasing and h is the shortest lattice distance: where f(h) underflows every entry
+    else:
+        space = _lattice_space(dim, truncation_radius, spacing, spacing**dim, **family)
+    # f is non-increasing and h is the shortest distance between points: where f(h) underflows every entry
     # is 0, and where it overflows the kernel is infinite between neighbours
     nearest = float(f(np.array(spacing)))
     if nearest == 0.0:

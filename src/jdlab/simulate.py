@@ -359,8 +359,11 @@ def gillespie_path(rates: RateTable, x0: int, config: SimConfig, trial_index: in
 
 
 def _check_points(name: str, ids, n: int) -> None:
-    """A ValueError naming the first of `ids` that is not a point id in [0, n)."""
+    """A ValueError naming the first of `ids` that is not an integer point id in [0, n)."""
     ids = np.asarray(ids)
+    fractional = ids[ids != np.round(ids)]  # a cast to int would truncate them
+    if len(fractional):
+        raise ValueError(f"{name}: point id {fractional[0]} is not an integer")
     bad = ids[(ids < 0) | (ids >= n)]
     if len(bad):
         raise ValueError(f"{name}: point id {bad[0]} is not in [0, {n})")
@@ -442,8 +445,10 @@ def _return_sets(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Target mask and exit set d(., K) >= R of a return estimate."""
     space = rates.space
-    target = np.asarray(target, dtype=np.int64)
+    if len(target) == 0:
+        raise ValueError("target set K is empty")
     _check_points("target", target, space.n_points)
+    target = np.asarray(target, dtype=np.int64)
     if np.isin(x0, target):
         raise ValueError("x0 must lie outside the target set")
     target_mask = np.zeros(space.n_points, dtype=bool)
@@ -480,7 +485,8 @@ def sample_estimates(
     cap first) count as misses and are flagged in its notes. The two
     estimates share one sampling pass whenever their walkers reflect off
     the same set, which is always the case under absorb. x0 and the ids of
-    K are point ids in [0, n), and x0 lies outside K.
+    K are integer point ids in [0, n), K is not empty, and x0 lies outside
+    K; anything else is a ValueError.
     """
     _check_points("x0", [x0], len(rates.lam))
     sets = [(None, _outside_mask(rates.space, x0, config))]

@@ -12,6 +12,7 @@ standard adapted distance with edge length
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -279,7 +280,9 @@ class DiscreteMMSpace:
 
     @property
     def has_graph_distance(self) -> bool:
-        return self.rho_graph is not None or self.steps is not None
+        """rho is the rho graph's, or the L1 distance of steps that fill their bounding box: its grid's graph distance."""
+        full_box = self.steps is not None and self.n_points == math.prod(int(n) + 1 for n in np.ptp(self.steps, axis=0))
+        return self.rho_graph is not None or full_box
 
     def rho_from(self, x0: int) -> np.ndarray:
         """All rho(x0, .) as a read-only vector, cached like `distances_from`."""

@@ -258,6 +258,31 @@ def test_point_ids_outside_the_space_exit_2_naming_the_flag(tmp_path, capsys, ar
     assert not list(tmp_path.glob("*.manifest.json"))
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["simulate", "--horizon", "1", "--target", "ids:"], "--target"),
+        (["simulate", "--horizon", "1", "--target", "ids:,"], "--target"),
+        (["capacity", "--K", "ids:", "--radii", "5"], "--K"),
+    ],
+)
+def test_an_empty_target_exits_2(tmp_path, capsys, argv, flag):
+    # simulate wrote a return estimate of 0.0 with no note: with K empty every trial left the ball at jump 0
+    spec = write_spec(tmp_path / "z.json", {"type": "lattice", "truncation_radius": 10, "params": {"dim": 1}})
+    assert cli.main(argv + ["--spec", spec, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {flag}: target set K is empty\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_csv_report_into_a_directory_exits_2(tmp_path, z_spec, capsys):
+    # write_csv on the directory ended in an IsADirectoryError traceback, exit 1
+    assert cli.main(["criteria", "--spec", z_spec, "--radii", "5,10,20", "--out-dir", str(tmp_path), "--prefix", "r"]) == 0
+    capsys.readouterr()
+    jpath = tmp_path / "r.conservativeness.json"
+    assert cli.main(["report", "--input", str(jpath), "--format", "csv", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: --out names a directory: {tmp_path}\n"
+
+
 def test_report_pretty_and_csv(tmp_path, z_spec, capsys):
     assert cli.main(["criteria", "--spec", z_spec, "--radii", "5,10,20", "--out-dir", str(tmp_path), "--prefix", "r"]) == 0
     capsys.readouterr()

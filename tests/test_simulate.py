@@ -126,6 +126,22 @@ def test_sampler_rejects_point_ids_outside_the_space(x0, target, name, bad):
             gillespie_path(rates, x0, config)
 
 
+def test_sampler_rejects_an_empty_target():
+    # with K empty, d(., K) is inf everywhere: every trial left the ball at jump 0 and the estimate read 0.0
+    rates = jump_rates(explicit_kernel(3, [[0, 1, 1.0], [1, 2, 1.0]]).kernel)
+    with pytest.raises(ValueError, match=r"^target set K is empty$"):
+        sample_estimates(rates, 1, SimConfig(horizon=1.0, trials=5, seed=1), [])
+
+
+@pytest.mark.parametrize("x0, target, name, bad", [(5, [6.7], "target", 6.7), (5, [4, 6.5], "target", 6.5), (5.5, None, "x0", 5.5)])
+def test_sampler_rejects_point_ids_that_are_not_integers(x0, target, name, bad):
+    # target [6.7] was cast to point 6 and sampled a return there
+    rates = jump_rates(lattice_nn(dim=1, truncation_radius=5).kernel)
+    with pytest.raises(ValueError, match=rf"^{name}: point id {bad} is not an integer$"):
+        sample_estimates(rates, x0, SimConfig(horizon=1.0, trials=5, seed=1), target)
+    assert sample_estimates(rates, 5, SimConfig(horizon=1.0, trials=5, seed=1), [6.0])[0][1][0].n_trials == 5  # an integral float is an id
+
+
 def test_path_rejects_a_negative_trial_index():
     # trial -1 was sampled as trial 2^64 - 1
     rates = jump_rates(explicit_kernel(2, [[0, 1, 1.0]]).kernel)

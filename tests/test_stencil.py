@@ -40,8 +40,11 @@ from jdlab import (
     energy,
     equilibrium_potential,
     green_growth,
+    UnsupportedOperation,
     jump_rates,
+    log_distance_check,
     m_constants,
+    quadratic_shell_report,
     recurrence_report,
     stable_like,
     support_sets,
@@ -84,7 +87,11 @@ def solve_tol(name, stencil, free):
 
 def pairwise_oracle(space, case="i", alpha=1.0, beta=1.0, tempering=1.0, **_):
     """The CSR `_pairwise_kernel` builds on space from distances, for `stable_like` with these parameters."""
-    density = stable_like_density(case, alpha, beta, tempering, kappa=space.meta["kappa"])
+    return pairwise_oracle_from(space, stable_like_density(case, alpha, beta, tempering, kappa=space.meta["kappa"]))
+
+
+def pairwise_oracle_from(space, density):
+    """The CSR `_pairwise_kernel` builds on space from distances, for the density d -> j(d)."""
     return _pairwise_kernel(space, lambda idx, d: density(d))
 
 
@@ -316,8 +323,8 @@ def test_circulant_eigenvalues_are_rayleigh_quotients_of_the_extended_matrix(nam
     free_idx = np.setdiff1d(np.flatnonzero(space.distances_from(center) < radius), inner)
     op = _FreeOperator(stencil, free_idx)
     a_ff = op @ np.eye(free_idx.size)
-    box = op._box
-    at = np.ravel_multi_index(op._at, box)
+    box = op._conv.box
+    at = np.ravel_multi_index(op._conv.at, box)
     n = int(np.prod(box))
     a_ext = np.diag(np.full(n, stencil.diag()[free_idx].mean()))
     a_ext[np.ix_(at, at)] = a_ff
@@ -505,7 +512,7 @@ def test_csr_kept_where_a_unit_offset_underflows_and_on_the_gasket():
     # exp(-400 * 2) underflows, so j vanishes at every offset and the box is not connected
     built = stable_like(case="ii", tempering=400.0, spacing=2.0, dim=1, truncation_radius=20)
     assert type(built.kernel) is JumpKernel and built.kernel.matrix.nnz == 0
-    assert type(stable_like(support="gasket", gasket_level=3).kernel) is JumpKernel
+    assert type(stable_like(support="gasket", gasket_level=3).kernel) is StencilKernel
     assert type(stable_like(case="ii", tempering=1.0, spacing=2.0, dim=1, truncation_radius=20).kernel) is StencilKernel
 
 
@@ -564,21 +571,24 @@ def _box_space(steps, coords, measure=None):
 
 _BOX = np.indices((5, 5)).reshape(2, -1).T - 2  # the row-major box {-2..2}^2
 _POWER = stable_like_density("i", 1.0, 1.0, 1.0, kappa=2.0)
+_SHORT = stable_like_density("ii", 1.0, tempering=800.0, kappa=2.0)  # positive up to d = 1; exp(-800 d) underflows beyond
+_TWO_CLUSTERS = np.array([[0, 0], [1, 0], [0, 1], [3, 3], [3, 2]])  # the clusters lie sqrt(2) apart at spacing 0.5
 
 
 @pytest.mark.parametrize(
     "space,f,message",
     [
-        (_box_space(np.arange(5)[:, None], np.arange(5.0)[:, None]), _POWER, "full row-major lattice box"),
-        (_box_space(_BOX[::-1], _BOX[::-1] * 0.5), _POWER, "full row-major lattice box"),
-        (_box_space(_BOX[:-1], _BOX[:-1] * 0.5), _POWER, "full row-major lattice box"),
-        (DiscreteMMSpace(np.ones(3), coords=np.arange(3.0)[:, None]), _POWER, "full row-major lattice box"),
-        (_box_space(_BOX, _BOX**3 * 0.5), _POWER, "steps times one spacing"),
-        (_box_space(_BOX, _BOX * 0.5 + 1e-9), _POWER, "steps times one spacing"),
+        (_box_space(np.array([[0], [1], [1], [2]]), np.array([[0.0], [1.0], [1.0], [2.0]])), _POWER, "distinct steps"),
+        (_box_space(_BOX, np.roll(_BOX, 1, axis=0) * 0.5), _POWER, "coordinates equal to steps @ B"),
+        (_box_space(_TWO_CLUSTERS, _TWO_CLUSTERS * 0.5), _SHORT, "connected through unit steps"),
+        (DiscreteMMSpace(np.ones(3), coords=np.arange(3.0)[:, None]), _POWER, "integer steps"),
+        (_box_space(_BOX, _BOX**3 * 0.5), _POWER, "coordinates equal to steps @ B"),
+        (_box_space(_BOX, _BOX * 0.5 + 1e-9), _POWER, "coordinates equal to steps @ B"),
         (_box_space(_BOX, _BOX * 0.5, np.linspace(1.0, 2.0, 25)), _POWER, "uniform measure"),
         (weighted_line(lam=0.5, spacing=0.5, truncation_radius=5).space, _POWER, "uniform measure"),
         (_box_space(_BOX, _BOX * 0.5), lambda d: np.where(d > 0.6, d, 0.0), "unit-offset entry must be positive"),
         (_box_space(_BOX, _BOX * 0.5), lambda d: np.where(d > 2.5, np.inf, 1.0), "must be finite"),
+        (_box_space(np.array([[0], [2], [3]]), np.array([[0.0], [2.0], [3.0]])), _POWER, "points at the unit steps"),
     ],
 )
 def test_stencil_kernel_rejects_a_space_or_density_outside_its_contract(space, f, message):
@@ -587,10 +597,28 @@ def test_stencil_kernel_rejects_a_space_or_density_outside_its_contract(space, f
         StencilKernel(space, f)
 
 
+@pytest.mark.parametrize(
+    "steps",
+    [_BOX[::-1], _BOX[:-1], np.arange(5)[:, None], _TWO_CLUSTERS[:3], np.delete(_BOX, [0, 6, 12, 18], axis=0)],
+    ids=["reversed-box", "box-missing-a-corner", "box-0-4", "one-triangle", "box-missing-a-diagonal"],
+)
+def test_stencil_kernel_takes_points_in_any_order_and_a_proper_mask(steps):
+    space = _box_space(steps, steps * 0.5)
+    kernel = StencilKernel(space, _POWER)
+    want = pairwise_oracle_from(space, _POWER)
+    assert_bit_identical(kernel.csr().matrix, want.matrix)  # k * 0.5 is exact, so the offsets are coordinate differences
+    v = np.random.default_rng(5).normal(size=space.n_points)
+    np.testing.assert_allclose(kernel.matvec(v), want.matvec(v), rtol=0, atol=1e-13 * (want.weighted @ np.abs(v)).max())
+    np.testing.assert_allclose(kernel.row_mass, want.row_mass, rtol=1e-14, atol=0)
+    g = lambda d: np.minimum(1.0, d**2)
+    np.testing.assert_allclose(kernel.weighted_row_sums(g), want.weighted_row_sums(g), rtol=1e-14, atol=0)
+    assert np.array_equal(kernel.jump_support(), np.arange(space.n_points))
+
+
 def test_stencil_kernel_reads_h_off_the_coordinates_and_clears_the_diagonal():
     space = _box_space(_BOX, _BOX * 0.5)
     kernel = StencilKernel(space, lambda d: np.ones_like(d))  # f(0) = 1 is not a jump
-    assert kernel._h == 0.5 and kernel.stencil[4, 4] == 0.0
+    assert np.array_equal(kernel._basis, 0.5 * np.eye(2)) and kernel.stencil[4, 4] == 0.0
     assert np.array_equal(kernel.row_mass, kernel.csr().row_mass)
     assert np.array_equal(kernel.csr().matrix.toarray(), 1.0 - np.eye(25))
 
@@ -603,3 +631,100 @@ def test_case_ii_at_spacing_0_1_is_a_translation_invariant_stencil():
     rows = np.arange(built.space.n_points - 10)
     at_ten = np.asarray(m[rows, rows + 10]).reshape(-1)
     assert np.all(at_ten == at_ten[0]) and at_ten[0] == built.kernel.stencil[2 * 300 + 10] == 1.0  # d = 10 * 0.1 = 1 exactly
+
+
+# -- the gasket: a masked stencil against the pairwise CSR -------------------------------------------------------
+
+
+def gasket_oracle(space, case, alpha):
+    """The CSR `_pairwise_kernel` builds on a gasket space, with d from the integer steps.
+
+    |a e1 + b e2|^2 = a^2 + a b + b^2 on the triangular lattice, so d is one
+    rounding of a square root. From float coordinate differences, pairs
+    exactly 1 apart land on either side of case ii's jump at d = 1.
+    """
+    density = stable_like_density(case, alpha, kappa=space.meta["kappa"])
+
+    def value(idx, _):
+        a, b = np.moveaxis(space.steps[idx][:, None, :] - space.steps[None, :, :], -1, 0)
+        return density(np.sqrt(a * a + a * b + b * b))
+
+    return _pairwise_kernel(space, value)
+
+
+def _old_gasket_coords(level):
+    """The gasket's vertex coordinates as a union of Python sets of (a, b) steps."""
+    verts = {(0, 0), (1, 0), (0, 1)}
+    for l in range(level):
+        s = 2**l
+        verts = verts | {(a + s, b) for a, b in verts} | {(a, b + s) for a, b in verts}
+    return np.array([(a + b / 2.0, b * np.sqrt(3) / 2.0) for a, b in sorted(verts)])
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_gasket_steps_are_the_set_construction(level):
+    space = stable_like(support="gasket", gasket_level=level).space
+    want = _old_gasket_coords(level)
+    assert space.coords.shape == want.shape and space.coords.tobytes() == want.tobytes()
+    assert space.steps.dtype.kind == "i" and len(np.unique(space.steps, axis=0)) == space.n_points
+
+
+@pytest.mark.parametrize("case", ["i", "ii"])
+@pytest.mark.parametrize("level", [3, 4, 5, 6])
+def test_gasket_stencil_matches_the_pairwise_csr(case, level):
+    built = stable_like(case=case, alpha=0.8, support="gasket", gasket_level=level)
+    space, stencil = built.space, built.kernel
+    assert type(stencil) is StencilKernel
+    csr = gasket_oracle(space, case, 0.8)
+    v = np.random.default_rng(level).normal(size=space.n_points)
+    assert np.all(np.abs(stencil.matvec(v) - csr.matvec(v)) <= REL * (csr.weighted @ np.abs(v)))
+    np.testing.assert_allclose(stencil.row_mass, csr.row_mass, rtol=REL, atol=0)
+    reach = 2.0**level
+    radii = [2.0, reach / 4, reach / 2, 0.9 * reach]
+    for g in [lambda d, r=r: np.minimum(d, r) ** 2 for r in radii] + [lambda d: np.minimum(1.0, d**2)]:
+        np.testing.assert_allclose(stencil.weighted_row_sums(g), csr.weighted_row_sums(g), rtol=REL, atol=0)
+    with no_gather():
+        got_report = recurrence_report(space, stencil, None, space.origin, radii)
+        got_mc = m_constants(space, stencil, None)
+        got = capacity_scan(space, stencil, None, [space.origin], radii)
+    assert_reports_match(got_report, recurrence_report(space, csr, None, space.origin, radii))
+    assert got_mc.m_j == pytest.approx(m_constants(space, csr, None).m_j, rel=REL, abs=0)
+    want = capacity_scan(space, csr, None, [space.origin], radii)
+    assert got.unknowns == want.unknowns and got.warnings == want.warnings
+    assert all(it > 0 for it in got.iterations) and max(got.residuals) <= 1e-8
+    np.testing.assert_allclose(got.capacities, want.capacities, rtol=REL, atol=0)
+
+
+def test_gasket_circulant_eigenvalues_are_positive_on_masked_free_sets():
+    built = stable_like(alpha=0.8, support="gasket", gasket_level=5)
+    space, stencil = built.space, built.kernel
+    dist = space.distances_from(space.origin)
+    for r in (2.0, 8.0, 16.0, 31.0, 100.0):
+        free_idx = np.setdiff1d(np.flatnonzero(dist < r), [space.origin])
+        assert _FreeOperator(stencil, free_idx).eigenvalues.min() > 0, r
+
+
+def test_a_gasket_pickle_keeps_the_stencil(tmp_path):
+    built = stable_like(case="ii", alpha=0.8, support="gasket", gasket_level=6)
+    space = built.space
+    radii = [4.0, 32.0, 60.0]
+    with no_gather():
+        save_built(tmp_path / "g.pkl", built)
+        loaded = load_built(tmp_path / "g.pkl")
+        assert type(loaded.kernel) is StencilKernel
+        assert loaded.kernel.stencil.tobytes() == built.kernel.stencil.tobytes()
+        want = capacity_scan(space, built.kernel, None, [space.origin], radii)
+        assert capacity_scan(loaded.space, loaded.kernel, None, [space.origin], radii) == want
+
+
+def test_the_gasket_has_no_graph_distance():
+    # its steps leave most of their box out, so their L1 distance is no graph distance on the gasket
+    space = stable_like(support="gasket", gasket_level=4).space
+    assert space.steps is not None and not space.has_graph_distance
+    with pytest.raises(UnsupportedOperation):
+        quadratic_shell_report(space, space.origin, [1, 2, 4])
+    with pytest.raises(UnsupportedOperation):
+        log_distance_check(space, space.origin)
+    with pytest.raises(UnsupportedOperation):
+        space.rho_from(space.origin)
+    assert stable_like(dim=2, truncation_radius=4).space.has_graph_distance  # a full box keeps its rho

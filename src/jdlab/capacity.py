@@ -281,13 +281,15 @@ def capacity_scan(
 ) -> CapacityReport:
     """cap(K, B(center, R)) over increasing R; raises the recurrence
     certificate when the tail has decayed below ``decay_ratio`` times the
-    first value and is still decreasing.
+    first value and is still decreasing; ``decay_ratio`` lies in (0, 1).
 
     Truncation drops the jumps out of each ball to points beyond the
     truncation, so near its edge the capacities under-count; the report
     then carries the criteria's boundary note (radii beyond the reach are
     allowed here).
     """
+    if not 0 < decay_ratio < 1:  # a ratio >= 1 certifies any decreasing scan; nan fails too
+        raise ValueError(f"decay_ratio must lie in (0, 1), got {decay_ratio}")
     inner = np.asarray(inner, dtype=np.int64)
     radii = sorted(float(r) for r in radii)
     if center is None:

@@ -51,18 +51,19 @@ def _point(x: int, built, flag: str) -> int:
 def _parse_target(text: str, built, flag: str) -> list[int]:
     if text.startswith("ids:"):
         ids = [_point(int(p), built, flag) for p in text[4:].split(",") if p]
-        if not ids:
-            raise SpecError(f"{flag}: target set K is empty")
-        return ids
-    if text.startswith("ball:"):
+    elif text.startswith("ball:"):
         try:
             _, x0, r = text.split(":")
             x0, r = int(x0), float(r)
         except ValueError as exc:
             raise SpecError(f"cannot parse target spec {text!r}: {exc}") from exc
         members, _ = metric_ball(built.space, _point(x0, built, flag), r)
-        return [int(i) for i in members]
-    raise SpecError("targets are written ball:x0:radius or ids:1,2,3")
+        ids = [int(i) for i in members]
+    else:
+        raise SpecError("targets are written ball:x0:radius or ids:1,2,3")
+    if not ids:  # a ball of nan radius holds no point
+        raise SpecError(f"{flag}: target set K is empty")
+    return ids
 
 
 def _default_radii(built, x0: int) -> list[float]:

@@ -47,6 +47,20 @@ def _top_window_min(values: np.ndarray, fraction: float = TOP_WINDOW_FRACTION) -
     return float(np.min(values[start:]))
 
 
+def _radius_grid(radii: Sequence[float]) -> np.ndarray:
+    """The radii, sorted; a ValueError names the first that is not a finite number."""
+    radii = np.asarray(radii, dtype=float)
+    bad = radii[~np.isfinite(radii)]
+    if len(bad):
+        raise ValueError(f"radius {bad[0]} is not a finite number")
+    return np.sort(radii)
+
+
+def _check_threshold(threshold: float) -> None:
+    if not 0 < threshold < math.inf:  # an infinite threshold satisfies every criterion; nan fails here
+        raise ValueError(f"threshold must be positive and finite, got {threshold}")
+
+
 def _check_radii(space: DiscreteMMSpace, x0: int, radii: np.ndarray) -> list[str]:
     reach = space.max_distance_from(x0)
     if np.any(radii > reach):
@@ -67,11 +81,10 @@ def volume_growth_report(
     A finite liminf is sufficient for conservativeness; the verdict is
     "satisfied" when the top-window minimum stays below the threshold.
     """
-    radii = np.asarray(sorted(radii), dtype=float)
+    radii = _radius_grid(radii)
     if radii.size == 0 or radii[0] <= 1.0:
         raise ValueError("radii must be an increasing grid inside (1, truncation]")
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    _check_threshold(threshold)
     notes = _check_radii(space, x0, radii)
     values = np.asarray([math.log(metric_ball(space, x0, r)[1]) / (r * math.log(r)) for r in radii])
     liminf = _top_window_min(values)
@@ -120,9 +133,10 @@ def recurrence_report(
     threshold: float = DEFAULT_THRESHOLD,
 ) -> CriterionReport:
     """Recurrence test statistic t(r) = [V_c(x0,r) + V_j(x0,r) omega(r)] / r^2."""
-    radii = np.asarray(sorted(radii), dtype=float)
+    radii = _radius_grid(radii)
     if radii.size == 0 or radii[0] <= 0:
         raise ValueError("radii must be positive and increasing")
+    _check_threshold(threshold)
     notes = _check_radii(space, x0, radii)
     x_c, x_j = support_sets(kernel, local)
     if len(x_j) == 0:
@@ -200,7 +214,7 @@ def cutoff_gn(space: DiscreteMMSpace, x0: int, n: int, a: float) -> np.ndarray:
 
 def doubling_report(space: DiscreteMMSpace, x0: int, radii: Sequence[float], ratio_bound: float = 16.0) -> CriterionReport:
     """Volume doubling ratios V(x0, 2r) / V(x0, r) with a power-law fit."""
-    radii = np.asarray(sorted(radii), dtype=float)
+    radii = _radius_grid(radii)
     if radii.size == 0 or radii[0] <= 0:
         raise ValueError("radii must be positive")
     if 2 * radii.max() > space.truncation_radius:

@@ -38,8 +38,10 @@ STATUS_ABSORBED = "absorbed-at-boundary"
 STATUS_CAPPED = "jump-cap-hit"
 _STATUS_BY_CODE = (STATUS_ALIVE, STATUS_ABSORBED, STATUS_CAPPED)
 RNG_CONTRACT = "philox4x32-10/1"  # bump whenever (seed, trial, jump) -> draws changes
-_TRIAL_CHUNK = 4096  # consecutive trials advanced together
-_DRAW_BLOCKS = 1 << 12  # Philox blocks generated per refill (bounds temporaries)
+# Philox blocks per refill (count x width) and trials per chunk, so that a chunk's
+# first, one-jump block fits too. A call costs ~90 us plus ~35 ns per block up to
+# this size and ~60 ns per block beyond it (2-core x86 VM): the per-call cost rules.
+_DRAW_BUDGET = 1 << 13
 
 # Philox4x32 multipliers and Weyl key increments (Random123)
 _PHILOX_M = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))
@@ -252,21 +254,22 @@ def _lockstep(
     """Run trials slots + offset until every rule has stopped them; batch row slots[i] is trial slots[i] + offset.
 
     The rules are (stop codes, batch) pairs that share one jump chain.
-    Trials advance in draw blocks of `count` jumps. Only the next state
-    depends on the previous step, so one numpy step per jump (`search`,
-    then the reflection off `reflect`) moves every live trial's jump chain
-    and stores the visited states. Once per block, the visited states give
-    the holds Exp(1) / rate (inf on a zero rate, nan on a zero draw too)
-    and, for every rule, the stop test of all rows at once, with one add
-    per row for the running time: under a rule a trial goes on unless its
-    state is a target (status 0, hit) or absorbing outside (status 1), or
-    t + hold < T fails (status 0, elapsed T). Each rule records a trial at
-    its own first stopping row and is tested only on the trials it has not
-    stopped; a trial's chain steps on while any rule is pending and is
-    compacted out once none is. max_jumps bounds the jumps; the rules still
-    pending are capped (status 2). With `path` (one trial, one rule) arrays
-    of visited states and holding times are appended to (states, holds).
-    Returns the number of Philox blocks drawn.
+    Trials advance in draw blocks of `count` >= 1 jumps, with count x width
+    within _DRAW_BUDGET. Only the next state depends on the previous step,
+    so one numpy step per jump (`search`, then the reflection off
+    `reflect`) moves every live trial's jump chain and stores the visited
+    states. Once per block, the visited states give the holds Exp(1) / rate
+    (inf on a zero rate, nan on a zero draw too) and, for every rule, the
+    stop test of all rows at once, with one add per row for the running
+    time: under a rule a trial goes on unless its state is a target (status
+    0, hit) or absorbing outside (status 1), or t + hold < T fails (status
+    0, elapsed T). Each rule records a trial at its own first stopping row
+    and is tested only on the trials it has not stopped; a trial's chain
+    steps on while any rule is pending and is compacted out once none is.
+    max_jumps bounds the jumps; the rules still pending are capped (status
+    2). With `path` (one trial, one rule) arrays of visited states and
+    holding times are appended to (states, holds). Returns the number of
+    Philox blocks drawn.
     """
     lam, horizon, max_jumps = search.lam, config.horizon, config.max_jumps
     # per rule, a trial goes on while its next time is below limit[state]
@@ -282,7 +285,7 @@ def _lockstep(
         while step < max_jumps:
             width = len(slots)
             # blocks grow with the trials' age, so short trials do not step long blocks
-            count = min(max(1, _DRAW_BLOCKS // width), max_jumps - step, max(1, step))
+            count = min(max(1, _DRAW_BUDGET // width), max_jumps - step, max(1, step))
             u1, u2 = uniform_pairs(config.seed, slots + offset, step, count)
             draws += u1.size
             chain = np.empty((count + 1, width), dtype=np.intp)
@@ -400,8 +403,8 @@ def _run(
         passes.setdefault(key, (walls, []))[1].append((_stop_codes(len(rates.lam), outside, target, reflect), out))
     search, draws = _jumps(rates), 0
     for walls, rules in passes.values():
-        for first in range(0, config.trials, _TRIAL_CHUNK):
-            slots = np.arange(first, min(first + _TRIAL_CHUNK, config.trials))
+        for first in range(0, config.trials, _DRAW_BUDGET):
+            slots = np.arange(first, min(first + _DRAW_BUDGET, config.trials))
             draws += _lockstep(search, walls, x0, config, rules, slots)
     return batches, draws
 

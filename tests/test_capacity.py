@@ -152,6 +152,18 @@ def test_capacity_scan_z3_transient_no_certificate(z3_cube):
     assert rep.capacities[-1] > 0.5 * rep.capacities[0]
 
 
+def test_a_decay_ratio_outside_the_unit_interval_is_rejected(z3_cube):
+    # at ratio 2 the transient Z^3 scan (capacities 9.27, 8.55, 8.33, 8.23) printed certificate=True
+    sp = z3_cube.space
+    radii = [2.0, 4.0, 6.0, 8.0]
+    rep = capacity_scan(sp, z3_cube.kernel, None, [sp.origin], radii)
+    assert np.allclose(rep.capacities, [9.27273, 8.54637, 8.33035, 8.22683], rtol=1e-5)
+    assert not rep.certificate
+    for ratio in (2.0, 1.0, 0.0, -0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=re.escape(f"decay_ratio must lie in (0, 1), got {ratio}")):
+            capacity_scan(sp, z3_cube.kernel, None, [sp.origin], radii, decay_ratio=ratio)
+
+
 def test_k_not_inside_ball_raises(z_line):
     sp = z_line.space
     with pytest.raises(ValueError, match="K"):

@@ -264,13 +264,38 @@ def test_point_ids_outside_the_space_exit_2_naming_the_flag(tmp_path, capsys, ar
         (["simulate", "--horizon", "1", "--target", "ids:"], "--target"),
         (["simulate", "--horizon", "1", "--target", "ids:,"], "--target"),
         (["capacity", "--K", "ids:", "--radii", "5"], "--K"),
+        (["simulate", "--horizon", "1", "--target", "ball:10:nan"], "--target"),
+        (["capacity", "--K", "ball:10:nan", "--radii", "5"], "--K"),
     ],
 )
 def test_an_empty_target_exits_2(tmp_path, capsys, argv, flag):
-    # simulate wrote a return estimate of 0.0 with no note: with K empty every trial left the ball at jump 0
+    # simulate wrote a return estimate of 0.0 with no note: with K empty every trial left the ball at jump 0;
+    # capacity on an empty ball: set ended in an IndexError traceback
     spec = write_spec(tmp_path / "z.json", {"type": "lattice", "truncation_radius": 10, "params": {"dim": 1}})
     assert cli.main(argv + ["--spec", spec, "--out-dir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {flag}: target set K is empty\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["criteria", "--radii", "2,4,8", "--tau", "inf"], "threshold must be positive and finite, got inf"),
+        (["criteria", "--radii", "2,4,8", "--tau", "nan"], "threshold must be positive and finite, got nan"),
+        (["criteria", "--radii", "2,4,8", "--tau", "-1"], "threshold must be positive and finite, got -1.0"),
+        (["criteria", "--radii", "nan"], "radius nan is not a finite number"),
+        (["capacity", "--K", "ids:4630", "--radii", "2,4,6,8", "--decay-ratio", "2"],
+         "decay_ratio must lie in (0, 1), got 2.0"),
+        (["capacity", "--K", "ids:4630", "--radii", "2,4,6,8", "--decay-ratio", "nan"],
+         "decay_ratio must lie in (0, 1), got nan"),
+    ],
+)
+def test_thresholds_and_radii_that_answer_wrongly_exit_2(tmp_path, capsys, argv, message):
+    # on transient Z^3, --tau inf printed "recurrence: criterion satisfied", --tau nan exited 0, --radii nan
+    # printed "math domain error" and --decay-ratio 2 printed certificate=True
+    spec = write_spec(tmp_path / "z3.json", {"type": "lattice", "truncation_radius": 10, "params": {"dim": 3}})
+    assert cli.main(argv + ["--spec", spec, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -380,7 +405,7 @@ def test_simulate_samples_each_trial_chunk_once_per_reflecting_set(tmp_path, z_s
     calls = []
     lockstep = simulate._lockstep
     monkeypatch.setattr(simulate, "_lockstep", lambda *args, **kw: calls.append(args[5]) or lockstep(*args, **kw))
-    monkeypatch.setattr(simulate, "_TRIAL_CHUNK", 100)
+    monkeypatch.setattr(simulate, "_DRAW_BUDGET", 100)
     args = [
         "simulate", "--spec", z_spec, "--x0", "61", "--target", "ids:60", "--outer", "6", "--horizon", "5",
         "--trials", "150", "--seed", "5", "--policy", policy, "--out-dir", str(tmp_path),

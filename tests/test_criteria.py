@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -139,6 +140,29 @@ def test_recurrence_z3_inconclusive(z3_cube):
     assert rep.verdict == "inconclusive"
     # t(r) grows roughly linearly
     assert rep.values[-1] > rep.values[0]
+
+
+@pytest.mark.parametrize("tau", [float("inf"), float("nan"), 0.0, -1.0])
+def test_a_threshold_that_is_not_positive_and_finite_is_rejected(z3_cube, tau):
+    # at tau = inf transient Z^3 read "recurrence: criterion satisfied"; at nan every verdict was inconclusive
+    sp = z3_cube.space
+    message = re.escape(f"threshold must be positive and finite, got {tau}")
+    with pytest.raises(ValueError, match=message):
+        volume_growth_report(sp, sp.origin, [2.0, 4.0, 8.0], threshold=tau)
+    with pytest.raises(ValueError, match=message):
+        recurrence_report(sp, z3_cube.kernel, None, sp.origin, [2.0, 4.0, 8.0], threshold=tau)
+
+
+@pytest.mark.parametrize("radii", [[float("nan")], [2.0, float("nan"), 8.0], [2.0, float("inf")]])
+def test_a_radius_that_is_not_finite_is_named(z3_cube, radii):
+    # a nan radius ended in "math domain error" (the log of an empty ball's volume)
+    sp = z3_cube.space
+    bad = next(r for r in radii if not math.isfinite(r))
+    for report in (volume_growth_report, doubling_report):
+        with pytest.raises(ValueError, match=f"radius {bad} is not a finite number"):
+            report(sp, sp.origin, radii)
+    with pytest.raises(ValueError, match=f"radius {bad} is not a finite number"):
+        recurrence_report(sp, z3_cube.kernel, None, sp.origin, radii)
 
 
 def test_statistic_times_r2_nondecreasing(z_line):

@@ -19,7 +19,7 @@ from jdlab.forms import RateTable, jump_rates
 from jdlab.kernels import explicit_kernel
 from jdlab.simulate import (
     _ABSORB,
-    _DRAW_BLOCKS,
+    _DRAW_BUDGET,
     _GO,
     _HIT,
     BatchResult,
@@ -104,7 +104,7 @@ def _lockstep(
             slots, state, t = slots[keep], state[keep], t[keep]
             exp_draws, unit_draws, j = exp_draws[j:, keep], unit_draws[j:, keep], 0
         if j == len(exp_draws):
-            count = min(max(1, _DRAW_BLOCKS // len(slots)), max_jumps - step)
+            count = min(max(1, _DRAW_BUDGET // len(slots)), max_jumps - step)
             u1, unit_draws = uniform_pairs(config.seed, slots + offset, step, count)
             exp_draws, j = -np.log1p(-u1), 0
         rate = lam[state]
@@ -146,8 +146,8 @@ def oracle_batch(rates, x0, config, target=None, outside=None):
     stop = _stop_codes(rates.lam, outside, target, config.policy == "reflect")
     n = config.trials
     out = simulate._empty_batch(n, config.horizon)
-    for first in range(0, n, simulate._TRIAL_CHUNK):
-        _lockstep(rates, x0, config, stop, outside, out, np.arange(first, min(first + simulate._TRIAL_CHUNK, n)))
+    for first in range(0, n, simulate._DRAW_BUDGET):
+        _lockstep(rates, x0, config, stop, outside, out, np.arange(first, min(first + simulate._DRAW_BUDGET, n)))
     return out
 
 
@@ -296,7 +296,7 @@ def test_least_passing_is_the_threshold_of_the_product_test(thr, lam):
     policy=st.sampled_from(["absorb", "reflect"]),
     outer=st.sampled_from([float("inf"), 0.5, 1.0, 2.5, 6.0]),
     target_size=st.integers(1, 3),
-    chunk=st.sampled_from([simulate._TRIAL_CHUNK, 7]),
+    chunk=st.sampled_from([simulate._DRAW_BUDGET, 7]),
 )
 def test_one_sampling_pass_matches_a_batch_per_estimate(
     n, density, dead_fraction, table_seed, x0_frac, trials, max_jumps, horizon, seed, policy, outer, target_size, chunk
@@ -307,7 +307,7 @@ def test_one_sampling_pass_matches_a_batch_per_estimate(
     target = [int(k) for k in rng.permutation(n) if k != x0][:target_size]
     config = SimConfig(horizon=horizon, trials=trials, max_jumps=max_jumps, seed=seed, policy=policy, outer_radius=outer)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "_TRIAL_CHUNK", chunk)  # 7: several trial chunks
+        mp.setattr(simulate, "_DRAW_BUDGET", chunk)  # 7: several trial chunks
         estimates, draws = sample_estimates(rates, x0, config, target)
         # one _run call per (target, outside) set: the survival set, then the return set
         sets = [(None, simulate._outside_mask(rates.space, x0, config)), simulate._return_sets(rates, x0, target, outer)]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,7 @@ from jdlab import (
     lattice_nn,
     sample_estimates,
 )
-from jdlab import simulate
+from jdlab import cli, simulate
 from jdlab.forms import jump_rates
 from jdlab.kernels import explicit_kernel
 from jdlab.simulate import occupation_measure, wilson_interval
@@ -234,7 +236,7 @@ def test_batch_splitting_invariance(z_rates, z_line, monkeypatch):
     cfg = SimConfig(horizon=2.0, trials=200, seed=99, outer_radius=5.0)
     b1 = one_batch(z_rates, o, cfg, target)
     b2 = one_batch(z_rates, o, cfg, target)
-    monkeypatch.setattr(simulate, "_TRIAL_CHUNK", 7)
+    monkeypatch.setattr(simulate, "_DRAW_BUDGET", 7)
     b3 = one_batch(z_rates, o, cfg, target)
     assert_same_batch(b1, b2)
     assert_same_batch(b1, b3)
@@ -403,13 +405,53 @@ def test_draw_block_invariance(z_rates, z_line, monkeypatch):
     statuses = {(cfg.policy, int(s), bool(h)) for (cfg, _), (b, _) in zip(cases, want) for s, h in zip(b.status, b.hit)}
     assert {("absorb", 0, True), ("absorb", 1, False), ("absorb", 2, False), ("reflect", 0, False)} <= statuses
     for blocks in (1, 3, 64):
-        monkeypatch.setattr(simulate, "_DRAW_BLOCKS", blocks)
+        monkeypatch.setattr(simulate, "_DRAW_BUDGET", blocks)
         for (cfg, t), (batch, paths) in zip(cases, want):
             assert_same_batch(one_batch(z_rates, o, cfg, t), batch)
             for i, path in zip((0, 1, 17), paths):
                 got = gillespie_path(z_rates, o, cfg, i)
                 assert same_bits(got.states, path.states) and same_bits(got.holding_times, path.holding_times)
                 assert (got.status, got.elapsed) == (path.status, path.elapsed)
+
+
+@pytest.mark.parametrize(
+    "spec, args",
+    [
+        # the explosive chain j(k, k + 1) = (k + 1)^3: 150 long trials in blocks of 54 jumps (27 at 4,096)
+        (
+            {"type": "lattice", "truncation_radius": 1500, "params": {"dim": 1, "kernel": {
+                "family": "explicit", "n_points": 1501, "entries": [[k, k + 1, float((k + 1) ** 3)] for k in range(1500)]}}},
+            ["--x0", "5", "--horizon", "1", "--trials", "150", "--max-jumps", "4000"],
+        ),
+        # gambler's ruin: 9,000 short trials in two chunks (three at 4,096); the first chunk's first
+        # block is one jump of 8,192 trials
+        (
+            {"type": "lattice", "truncation_radius": 200, "params": {"dim": 1}},
+            ["--x0", "201", "--target", "ids:200", "--outer", "4", "--horizon", "1e9", "--trials", "9000"],
+        ),
+    ],
+    ids=["cubic-chain", "ruin"],
+)
+def test_the_draw_budget_changes_no_output(tmp_path, monkeypatch, spec, args):
+    # the budget against 4,096, the size of both the trial chunks and the draw blocks it replaced
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    calls = []
+    philox = simulate.uniform_pairs
+    monkeypatch.setattr(simulate, "uniform_pairs", lambda *a: calls.append(a) or philox(*a))
+    runs = []
+    for budget in (4096, simulate._DRAW_BUDGET):
+        monkeypatch.setattr(simulate, "_DRAW_BUDGET", budget)
+        out = tmp_path / str(budget)
+        calls.clear()
+        argv = ["simulate", "--spec", str(path), *args, "--seed", "1", "--trajectories", "s.csv", "--prefix", "s"]
+        assert cli.main(argv + ["--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "s.manifest.json").read_text())
+        runs.append(((out / "s.json").read_bytes(), (out / "s.csv").read_bytes(), manifest, len(calls)))
+    (report, paths, manifest, blocks), (want_report, want_paths, want_manifest, want_blocks) = runs[1], runs[0]
+    assert report == want_report and paths == want_paths
+    assert (manifest["trials"], manifest["jumps"]) == (want_manifest["trials"], want_manifest["jumps"])
+    assert manifest["draws"] >= want_manifest["draws"] and blocks < 0.6 * want_blocks
 
 
 @pytest.mark.parametrize(

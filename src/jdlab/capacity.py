@@ -292,16 +292,17 @@ def capacity_scan(
         raise ValueError(f"decay_ratio must lie in (0, 1), got {decay_ratio}")
     inner = np.asarray(inner, dtype=np.int64)
     radii = sorted(float(r) for r in radii)
+    if not radii:  # an empty scan would read as a certificate that failed
+        raise ValueError("a capacity scan needs at least one radius")
     if center is None:
         center = int(inner[0])
-    if radii and not open_ball_mask(space, center, radii[0])[inner].all():  # then K lies inside every ball
+    if not open_ball_mask(space, center, radii[0])[inner].all():  # then K lies inside every ball
         raise ValueError(f"K is not inside the open ball of radius {radii[0]}")
     form = _form(space, kernel, local)
     solves = [_potential(space, kernel, local, form, inner, open_ball_mask(space, center, r), radius=r) for r in radii]
     caps = [s.energy for s in solves]
     warnings = [w for s in solves for w in s.warnings]
-    if radii:
-        warnings.extend(boundary_notes(space.max_distance_from(center), radii[-1]))
+    warnings.extend(boundary_notes(space.max_distance_from(center), radii[-1]))
     certificate = False
     if len(caps) >= 2 and caps[0] > 0:
         decayed = caps[-1] <= decay_ratio * caps[0]

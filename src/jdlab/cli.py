@@ -34,6 +34,9 @@ def _parse_radii(text: str) -> list[float]:
         if len(parts) != 3:
             raise SpecError("radius ranges use start:stop:step")
         start, stop, step = parts
+        for name, bound in (("start", start), ("stop", stop), ("step", step)):
+            if not np.isfinite(bound):
+                raise SpecError(f"radius range {name} {bound} is not a finite number")
         if step <= 0:
             raise SpecError("radius step must be positive")
         return list(np.arange(start, stop + 1e-9, step))

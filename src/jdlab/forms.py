@@ -246,7 +246,7 @@ class StencilKernel(KernelOperator):
     must be exactly s @ B, for the basis B read off the points at the unit
     steps e_a: h I on hZ^d, the triangular basis on the gasket. f is
     evaluated once, as the stencil j over the offsets |k_a| < L_a at the
-    distance |k @ B| (0 at k = 0), the space's `norm`, so memory is O(box)
+    distance |k @ B| (0 at k = 0), the space's `axis_norm`, so memory is O(box)
     and where k @ B are exact coordinate differences `csr()` is the
     pairwise build bit for bit. The unit-offset entries must be positive
     and the points connected through unit steps, so X^(j) is every point;
@@ -300,11 +300,22 @@ class StencilKernel(KernelOperator):
         self._row_mass: Optional[np.ndarray] = None
 
     def _offset_distances(self) -> np.ndarray:
-        """|k B| over the offsets |k_a| < L_a: the space's norm of the integer offsets times B."""
-        reach = np.subtract(self._box, 1)
-        offsets = np.moveaxis(np.indices(2 * reach + 1), 0, -1) - reach
+        """|k B| over the offsets |k_a| < L_a: the space's per-axis norm of the components of k B.
+
+        Component c of k B is the sum over a of the offsets k_a, one axis of
+        the box each, times B[a, c], with the zero entries of B left out, so
+        it spans only the axes it depends on, and the norm broadcasts the
+        components to the box one at a time.
+        """
+        basis = self._basis
+        axes = np.ix_(*(np.arange(1 - n, n) for n in self._box))  # the offsets k_a, each along its own axis
+
+        def component(c: int) -> np.ndarray:
+            terms = [k * basis[a, c] for a, k in enumerate(axes) if basis[a, c] != 0]
+            return sum(terms[1:], terms[0]) if terms else np.zeros(1)
+
         with np.errstate(over="ignore", under="ignore"):  # the constructor's check names the lost digits
-            return self.space.norm(np.dot(offsets, self._basis))
+            return np.broadcast_to(self.space.axis_norm(component, basis.shape[1]), [k.size for k in axes])
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self._conv(v)

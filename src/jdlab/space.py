@@ -14,14 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from functools import cached_property
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
 # Euclidean / l1 norms act on all coordinate columns; "stack" treats the last
-# column as a layer index: d = |p(x)-p(y)|_2 + |q(x)-q(y)|.
+# column as a layer index: d = |p(x)-p(y)|_2 + |q(x)-q(y)|. Each is summed
+# axis by axis, in axis order.
 _COORD_METRICS = ("euclidean", "l1", "stack")
 
 ROW_CACHE_LIMIT = 64  # cached single-source distance rows per space
@@ -146,7 +148,10 @@ class DiscreteMMSpace:
         self.n_points = len(self.measure)
         if self.n_points < 1:
             raise ValueError("a space needs at least one point")
-        self.coords = None if coords is None else _per_point("coords", np.asarray(coords, dtype=float), self.n_points)
+        # a private, read-only copy: the per-axis columns derived from it cannot go stale
+        self.coords = None if coords is None else _per_point("coords", np.array(coords, dtype=float), self.n_points)
+        if self.coords is not None:
+            self.coords.flags.writeable = False
         self.metric_kind = metric_kind
         self.metric_graph = metric_graph
         self.steps = None if steps is None else _per_point("steps", np.asarray(steps), self.n_points)
@@ -167,24 +172,53 @@ class DiscreteMMSpace:
                 raise ValueError("graph metric requires an edge-length matrix")
         elif metric_kind not in _COORD_METRICS:
             raise ValueError(f"unknown metric kind {metric_kind!r}")
-        elif self.coords is None:
-            raise ValueError("coordinate metric requires coords")
+        elif self.coords is None or self.coords.shape[1] == 0:
+            raise ValueError("coordinate metric requires coords with at least one column")
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_columns", None)  # derived from coords on first use
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if self.coords is not None:
+            self.coords.flags.writeable = False
 
     # -- metric ---------------------------------------------------------
 
-    def norm(self, diff: np.ndarray) -> np.ndarray:
-        """Coordinate-metric length of the vectors along the last axis of diff.
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        """The coordinate columns, each contiguous."""
+        return tuple(np.ascontiguousarray(c) for c in self.coords.T)
 
-        The one formula for coordinate distances: rows, pairs and a stencil
-        kernel's offset distances all evaluate it, so they agree bit for bit.
+    def axis_norm(self, diff_at: Callable[[int], np.ndarray], n_axes: int) -> np.ndarray:
+        """Coordinate-metric length from the per-axis differences diff_at(a), a < n_axes, broadcast together.
+
+        The one formula for coordinate distances: squares (euclidean) or
+        absolute values (l1) summed in axis order; the stack sums the squares
+        of all but the last axis, takes the root and adds the absolute layer
+        gap. Rows, pairs and a stencil kernel's offset distances all evaluate
+        it, so they agree bit for bit. No (..., n_axes) array is formed.
         """
-        if self.metric_kind == "euclidean":
-            return np.sqrt((diff**2).sum(axis=-1))
-        if self.metric_kind == "l1":
-            return np.abs(diff).sum(axis=-1)
-        # stack: euclidean over all but the last column, absolute layer gap
-        p = np.sqrt((diff[..., :-1] ** 2).sum(axis=-1))
-        return p + np.abs(diff[..., -1])
+        if n_axes < 1:
+            raise ValueError("a coordinate metric needs at least one axis")
+        kind = self.metric_kind
+        total = None
+        for a in range(n_axes - 1 if kind == "stack" else n_axes):
+            term = np.abs(diff_at(a)) if kind == "l1" else np.square(diff_at(a))
+            total = term if total is None else total + term
+        if kind == "l1":
+            return total
+        if kind == "euclidean":
+            return np.sqrt(total)
+        gap = np.abs(diff_at(n_axes - 1))
+        return gap if total is None else np.sqrt(total) + gap
+
+    def norm(self, diff: np.ndarray) -> np.ndarray:
+        """Coordinate-metric length of the vectors along the last axis of diff: `axis_norm` of its columns."""
+        diff = np.asarray(diff)
+        return self.axis_norm(lambda a: diff[..., a], diff.shape[-1])
 
     def pair_distances(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """d(rows[k], cols[k]) for each k.
@@ -207,9 +241,10 @@ class DiscreteMMSpace:
         past twice the origin's reach get one unbounded round on the whole
         graph (inf across components).
         """
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)  # once, not in every take
         if self.metric_kind != "graph":
-            return self.norm(self.coords[rows] - self.coords[cols])
-        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+            columns = self._columns
+            return self.axis_norm(lambda a: columns[a].take(rows) - columns[a].take(cols), len(columns))
         sources, slot, n_cols = np.unique(rows, return_inverse=True, return_counts=True)
         order = np.argsort(slot, kind="stable")  # entries grouped by source
         starts = np.cumsum(n_cols) - n_cols
@@ -264,7 +299,8 @@ class DiscreteMMSpace:
         """The dense rows d(idx[i], .), without polluting the row cache."""
         if self.metric_kind == "graph":
             return dijkstra(self.metric_graph, directed=True, indices=idx)
-        return self.norm(self.coords[idx][:, None, :] - self.coords)
+        columns, idx = self._columns, np.asarray(idx, dtype=np.int64)
+        return self.axis_norm(lambda a: columns[a].take(idx)[:, None] - columns[a], len(columns))
 
     def distances_chunked(self, indices, chunk: int = 128) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Yield (index chunk, distance rows) without polluting the row cache."""

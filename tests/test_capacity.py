@@ -170,6 +170,13 @@ def test_k_not_inside_ball_raises(z_line):
         capacity_scan(sp, z_line.kernel, None, [sp.origin, sp.origin + 8], [5.0, 10.0])
 
 
+def test_an_empty_radius_list_raises(z_line):
+    # it returned an empty scan with certificate False, as if a scan had run and failed
+    sp = z_line.space
+    with pytest.raises(ValueError, match="a capacity scan needs at least one radius"):
+        capacity_scan(sp, z_line.kernel, None, [sp.origin], [])
+
+
 def test_k_checked_once_against_the_smallest_radius(z_line, monkeypatch):
     import jdlab.capacity
 

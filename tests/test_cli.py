@@ -259,6 +259,24 @@ def test_point_ids_outside_the_space_exit_2_naming_the_flag(tmp_path, capsys, ar
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["criteria", "--radii", "2:nan:1"], "radius range stop nan is not a finite number"),
+        (["criteria", "--radii", "2:inf:1"], "radius range stop inf is not a finite number"),
+        (["criteria", "--radii", "nan:5:1"], "radius range start nan is not a finite number"),
+        (["capacity", "--K", "ids:10", "--radii", "2:5:nan"], "radius range step nan is not a finite number"),
+        (["capacity", "--K", "ids:10", "--radii", ","], "a capacity scan needs at least one radius"),
+    ],
+)
+def test_radius_lists_that_name_no_finite_radius_exit_2(tmp_path, capsys, argv, message):
+    # on the 21-point Z, nan and inf bounds failed inside np.arange and an empty capacity scan exited 0
+    spec = write_spec(tmp_path / "z.json", {"type": "lattice", "truncation_radius": 10, "params": {"dim": 1}})
+    assert cli.main(argv + ["--spec", spec, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.glob("*.manifest.json"))
+
+
+@pytest.mark.parametrize(
     "argv,flag",
     [
         (["simulate", "--horizon", "1", "--target", "ids:"], "--target"),

@@ -565,6 +565,24 @@ def test_offset_distances_are_the_space_norm_of_k_h(dim, spacing):
     assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        *({"dim": dim, "spacing": h, "truncation_radius": 4 * h} for dim in (1, 2, 3) for h in (0.1, 1 / 3, 1.0, 2.7)),
+        *({"support": "gasket", "gasket_level": level} for level in (2, 5, 7)),
+    ],
+)
+def test_offset_distances_per_axis_are_the_norm_of_the_offset_tensor(kwargs):
+    # the (box, d) integer offsets k times B, normed over their last axis: the construction the per-axis sum replaced
+    kernel = stable_like(alpha=0.5, **kwargs).kernel
+    reach = np.subtract(kernel._box, 1)
+    offsets = np.moveaxis(np.indices(2 * reach + 1), 0, -1) - reach
+    want = np.sqrt((np.dot(offsets, kernel._basis) ** 2).sum(axis=-1))
+    assert want.tobytes() == kernel.space.norm(np.dot(offsets, kernel._basis)).tobytes()
+    got = kernel._offset_distances()
+    assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def _box_space(steps, coords, measure=None):
     return DiscreteMMSpace(np.ones(len(steps)) if measure is None else measure, coords=coords, steps=steps)
 

@@ -27,6 +27,9 @@ from .space import metric_ball
 from .specio import SpecError, load_spec_or_built, round_floats, save_built, sha256_of, write_csv, write_json
 
 
+_MAX_RADII = 10_000
+
+
 def _parse_radii(text: str) -> list[float]:
     text = text.strip()
     if ":" in text:
@@ -39,6 +42,9 @@ def _parse_radii(text: str) -> list[float]:
                 raise SpecError(f"radius range {name} {bound} is not a finite number")
         if step <= 0:
             raise SpecError("radius step must be positive")
+        count = np.ceil((stop + 1e-9 - start) / step)  # the length np.arange would allocate
+        if count > _MAX_RADII:
+            raise SpecError(f"radius range {text} holds {count:.6g} radii, more than {_MAX_RADII:,}")
         return list(np.arange(start, stop + 1e-9, step))
     return [float(p) for p in text.split(",") if p]
 
@@ -152,7 +158,7 @@ def cmd_simulate(args, started: float) -> int:
         outer_radius=args.outer,
     )
     sampling_started = time.perf_counter()
-    estimates, draws = sample_estimates(rates, x0, config, targets)
+    estimates, work = sample_estimates(rates, x0, config, targets)
     sampling_s = time.perf_counter() - sampling_started
     survival, batch = estimates[0]
     summary = {
@@ -175,14 +181,13 @@ def cmd_simulate(args, started: float) -> int:
         header = "trial,status,elapsed,n_jumps,final_state,hit"
         outputs.append((args.trajectories, lambda path: np.savetxt(
             path, np.column_stack(columns), "%d,%d,%.12g,%d,%d,%d", header=header, comments="")))
-    jumps = sum(int(b.n_jumps.sum()) for _, b in estimates)
     _write_run(
         args, started, stem, outputs,
         rng_contract=RNG_CONTRACT,
         trials=sum(len(b.status) for _, b in estimates),
-        jumps=jumps,
-        draws=draws,
-        jumps_per_s=jumps / sampling_s,
+        jumps=work.jumps,
+        draws=work.draws,
+        jumps_per_s=work.jumps / sampling_s,
     )
     print(f"survival {survival.value:.6g} ci [{survival.ci_low:.6g}, {survival.ci_high:.6g}] -> {Path(args.out_dir) / stem}.json")
     return 0

@@ -9,14 +9,16 @@ one numpy step moves every live trial by one jump, with a row search whose
 first binary-lifting level is a lookup in per-state tables. The holding
 times, elapsed times and stop tests of the whole block are then computed
 from the visited states at once, and trials that stopped are recorded and
-compacted out of the live set. Stop rules never change a jump, so
-estimates whose walkers reflect off the same set (the survival and return
-estimates under absorb) share one sampling pass, each rule recording its
-own batch. Randomness comes from a counter-based Philox4x32-10 generator
-(Salmon et al., SC'11, "Parallel random numbers: as easy as 1, 2, 3"):
-jump k of trial i under seed s uses the block philox(key=s,
-counter=(k, i)), so every draw is a pure function of (seed, trial, jump)
-and a batch is reproducible bit for bit however its trials are grouped.
+compacted out of the live set. A reflecting outer set is part of the jump
+table: a jump onto it points back to its own row. Stop rules never change
+a jump, so estimates whose walkers reflect off the same set (the survival
+and return estimates under absorb) share one sampling pass, each rule
+recording its own batch. Randomness comes from a counter-based
+Philox4x32-10 generator (Salmon et al., SC'11, "Parallel random numbers:
+as easy as 1, 2, 3"): jump k of trial i under seed s uses the block
+philox(key=s, counter=(k, i)), so every draw is a pure function of (seed,
+trial, jump) and a batch is reproducible bit for bit however its trials
+are grouped.
 Explosion cannot be observed directly on a finite truncation: it is
 inferred from jump-cap hits with stalled elapsed time, and separated from
 plain truncation artifacts (boundary absorption).
@@ -26,11 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .forms import RateTable
+from .forms import RateTable, row_blocks
 from .space import DiscreteMMSpace, open_ball_mask
 
 STATUS_ALIVE = "alive-at-T"
@@ -88,6 +90,13 @@ class Trajectory:
     holding_times: np.ndarray
     status: str
     elapsed: float
+
+
+class Work(NamedTuple):
+    """The work of a sampling run: Philox blocks drawn and chain jumps, each shared chain counted once."""
+
+    draws: int
+    jumps: int
 
 
 @dataclass
@@ -206,9 +215,16 @@ class _RowSearch:
         return self.values.take(q, out=out)
 
 
-def _jumps(rates: RateTable) -> _RowSearch:
-    """The search from a uniform to the state a walker jumps to; a pad serves a trial on an empty trailing row."""
+def _jumps(rates: RateTable, walls: Optional[np.ndarray] = None) -> _RowSearch:
+    """The search from a uniform to the state a walker jumps to; a pad serves a trial on an empty trailing row.
+
+    A jump onto `walls` is censored: its entry points back to its own row.
+    """
     dest = np.append(rates.q.indices, 0).astype(np.intp)
+    if walls is not None:
+        counts = np.diff(rates.q.indptr)
+        for rows, lo, hi in row_blocks(rates.q.indptr):
+            dest[lo:hi] = np.where(walls[dest[lo:hi]], np.repeat(rows, counts[rows]), dest[lo:hi])
     return _RowSearch(rates.q.indptr, rates.cumulative_rows(), rates.lam, dest)
 
 
@@ -243,33 +259,29 @@ def _record(out: BatchResult, rows, state, jumps: int, status, elapsed, hit=Fals
 
 def _lockstep(
     search: _RowSearch,
-    reflect: Optional[np.ndarray],
     x0: int,
     config: SimConfig,
     rules: Sequence[tuple[np.ndarray, BatchResult]],
     slots: np.ndarray,
     offset: int = 0,
-    path: Optional[tuple[list, list]] = None,
 ) -> int:
     """Run trials slots + offset until every rule has stopped them; batch row slots[i] is trial slots[i] + offset.
 
     The rules are (stop codes, batch) pairs that share one jump chain.
     Trials advance in draw blocks of `count` >= 1 jumps, with count x width
     within _DRAW_BUDGET. Only the next state depends on the previous step,
-    so one numpy step per jump (`search`, then the reflection off
-    `reflect`) moves every live trial's jump chain and stores the visited
-    states. Once per block, the visited states give the holds Exp(1) / rate
-    (inf on a zero rate, nan on a zero draw too) and, for every rule, the
-    stop test of all rows at once, with one add per row for the running
-    time: under a rule a trial goes on unless its state is a target (status
-    0, hit) or absorbing outside (status 1), or t + hold < T fails (status
-    0, elapsed T). Each rule records a trial at its own first stopping row
-    and is tested only on the trials it has not stopped; a trial's chain
-    steps on while any rule is pending and is compacted out once none is.
-    max_jumps bounds the jumps; the rules still pending are capped (status
-    2). With `path` (one trial, one rule) arrays of visited states and
-    holding times are appended to (states, holds). Returns the number of
-    Philox blocks drawn.
+    so one `search` call per jump moves every live trial's jump chain and
+    stores the visited states. Once per block, the visited states give the
+    holds Exp(1) / rate (inf on a zero rate, nan on a zero draw too) and,
+    for every rule, the stop test of all rows at once, with one add per row
+    for the running time: under a rule a trial goes on unless its state is
+    a target (status 0, hit) or absorbing outside (status 1), or
+    t + hold < T fails (status 0, elapsed T). Each rule records a trial at
+    its own first stopping row and is tested only on the trials it has not
+    stopped; a trial's chain steps on while any rule is pending and is
+    compacted out once none is. max_jumps bounds the jumps; the rules still
+    pending are capped (status 2). Returns the number of Philox blocks
+    drawn.
     """
     lam, horizon, max_jumps = search.lam, config.horizon, config.max_jumps
     # per rule, a trial goes on while its next time is below limit[state]
@@ -291,17 +303,12 @@ def _lockstep(
             chain = np.empty((count + 1, width), dtype=np.intp)
             chain[0] = state
             for k in range(count):
-                x = chain[k]
-                nxt = search(x, u2[k], chain[k + 1])
-                if reflect is not None:
-                    np.copyto(nxt, x, where=reflect[nxt])  # censored jump: the walker stays put
+                search(chain[k], u2[k], chain[k + 1])
             visited = chain[:-1]
             times = np.empty((count + 1, width))
             times[0] = t
             # a division: a product with 1 / rate rounds differently
-            holds = np.divide(-np.log1p(-u1), lam[visited], out=times[1:])
-            if path is not None:
-                holds = holds[:, 0].copy()  # the running sum below overwrites them
+            np.divide(-np.log1p(-u1), lam[visited], out=times[1:])
             for k in range(count):  # t + hold summed in jump order; row adds beat an axis-0 cumsum
                 np.add(times[k], times[k + 1], out=times[k + 1])
             ended = False
@@ -313,12 +320,6 @@ def _lockstep(
                     go = times[1:].take(lanes, axis=1) < limit[visited.take(lanes, axis=1)]
                 else:
                     continue
-                if path is not None:  # one trial: its states and holds up to its stopping row
-                    ran = count if go.all() else int(go[:, 0].argmin())
-                    path[0].append(chain[1 : ran + 1, 0])
-                    path[1].append(holds[:ran])
-                    if ran < count and stop[chain[ran, 0]] == _GO:
-                        path[1].append(horizon - times[ran : ran + 1, 0])
                 stopped = np.flatnonzero(~go.all(axis=0))
                 if len(stopped):
                     k = go.take(stopped, axis=1).argmin(axis=0)  # first stopping row
@@ -346,30 +347,44 @@ def _lockstep(
 
 
 def gillespie_path(rates: RateTable, x0: int, config: SimConfig, trial_index: int = 0) -> Trajectory:
-    """Sample one path: trial `trial_index` (nonnegative) of sample_estimates' survival batch with the same config."""
+    """Sample one path: trial `trial_index` (an integer in [0, 2^63)) of sample_estimates' survival batch.
+
+    The trial runs as in the batch, for its status, elapsed time and jump
+    count n; its jumps 0..n-1 are then redrawn and walked again.
+    """
     _check_points("x0", [x0], len(rates.lam))
-    if trial_index < 0:
-        raise ValueError(f"trial_index must be nonnegative, got {trial_index}")
+    _check_points("trial_index", [trial_index], 2**63, "trial")
+    trial = int(trial_index)
     outside = _outside_mask(rates.space, x0, config)
     out = _empty_batch(1, config.horizon)
     stop = _stop_codes(len(rates.lam), outside, None, config.policy == "reflect")
-    states, holds = [np.full(1, x0, dtype=np.intp)], [np.empty(0)]
-    _lockstep(_jumps(rates), _walls(outside, config), x0, config, [(stop, out)], np.zeros(1, dtype=np.int64),
-              trial_index, (states, holds))
-    return Trajectory(
-        np.concatenate(states), np.concatenate(holds), _STATUS_BY_CODE[out.status[0]], float(out.elapsed[0])
-    )
+    search = _jumps(rates, _walls(outside, config))
+    _lockstep(search, x0, config, [(stop, out)], np.zeros(1, dtype=np.int64), trial)
+    n = int(out.n_jumps[0])
+    states = np.full(n + 1, x0, dtype=np.intp)
+    holds = np.empty(n)
+    for first in range(0, n, _DRAW_BUDGET):
+        block = slice(first, min(first + _DRAW_BUDGET, n))
+        u1, u2 = uniform_pairs(config.seed, [trial], first, block.stop - first)
+        for k, u in enumerate(u2, first):
+            search(states[k : k + 1], u, states[k + 1 : k + 2])
+        holds[block] = -np.log1p(-u1[:, 0]) / rates.lam[states[block]]
+    if out.status[0] == 0:  # alive at T: the last state is held until then; times are summed in jump order
+        holds = np.append(holds, config.horizon - (np.cumsum(holds)[-1] if n else 0.0))
+    return Trajectory(states, holds, _STATUS_BY_CODE[out.status[0]], float(out.elapsed[0]))
 
 
-def _check_points(name: str, ids, n: int) -> None:
-    """A ValueError naming the first of `ids` that is not an integer point id in [0, n)."""
+def _check_points(name: str, ids, n: int, noun: str = "point id") -> None:
+    """A ValueError naming the first of `ids` that is not an integer in [0, n)."""
     ids = np.asarray(ids)
-    fractional = ids[ids != np.round(ids)]  # a cast to int would truncate them
+    # Python ints past 64 bits are held as objects; as floats they stay far outside any range
+    values = ids.astype(np.float64) if ids.dtype == object else ids
+    fractional = ids[values != np.round(values)]  # a cast to int would truncate them
     if len(fractional):
-        raise ValueError(f"{name}: point id {fractional[0]} is not an integer")
-    bad = ids[(ids < 0) | (ids >= n)]
+        raise ValueError(f"{name}: {noun} {fractional[0]} is not an integer")
+    bad = ids[(values < 0) | (values >= n)]
     if len(bad):
-        raise ValueError(f"{name}: point id {bad[0]} is not in [0, {n})")
+        raise ValueError(f"{name}: {noun} {bad[0]} is not in [0, {n})")
 
 
 def _outside_mask(space: DiscreteMMSpace, x0: int, config: SimConfig) -> Optional[np.ndarray]:
@@ -385,12 +400,14 @@ def _walls(outside: Optional[np.ndarray], config: SimConfig) -> Optional[np.ndar
 
 def _run(
     rates: RateTable, x0: int, config: SimConfig, sets: Sequence[tuple[Optional[np.ndarray], Optional[np.ndarray]]]
-) -> tuple[list[BatchResult], int]:
-    """One batch per (target, outside) pair, and the Philox blocks drawn.
+) -> tuple[list[BatchResult], Work]:
+    """One batch per (target, outside) pair, and the sampling work.
 
     The outside set only stops trials unless the policy reflects off it, so
     estimates whose walkers reflect off the same set follow the same chains
-    and share one sampling pass, one _lockstep call per trial chunk.
+    and share one sampling pass: one search with those walls, and one
+    _lockstep call per trial chunk. A trial's chain in a pass is as long as
+    the most jumps any of the pass's batches records for it.
     """
     reflect = config.policy == "reflect"
     batches = []
@@ -401,12 +418,14 @@ def _run(
         walls = _walls(outside, config)
         key = None if walls is None else walls.tobytes()
         passes.setdefault(key, (walls, []))[1].append((_stop_codes(len(rates.lam), outside, target, reflect), out))
-    search, draws = _jumps(rates), 0
+    draws = jumps = 0
     for walls, rules in passes.values():
+        search = _jumps(rates, walls)
         for first in range(0, config.trials, _DRAW_BUDGET):
             slots = np.arange(first, min(first + _DRAW_BUDGET, config.trials))
-            draws += _lockstep(search, walls, x0, config, rules, slots)
-    return batches, draws
+            draws += _lockstep(search, x0, config, rules, slots)
+        jumps += int(np.max([out.n_jumps for _, out in rules], axis=0).sum())
+    return batches, Work(draws, jumps)
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
@@ -476,8 +495,8 @@ def _returned(batch: BatchResult, rates: RateTable, x0: int, config: SimConfig) 
 
 def sample_estimates(
     rates: RateTable, x0: int, config: SimConfig, target: Optional[Sequence[int]] = None
-) -> tuple[list[tuple[Estimate, BatchResult]], int]:
-    """The survival estimate, then the return estimate given a target set K; and the Philox blocks drawn.
+) -> tuple[list[tuple[Estimate, BatchResult]], Work]:
+    """The survival estimate, then the return estimate given a target set K; and the sampling work.
 
     Survival is the fraction of trials alive at the horizon (the
     conservativeness proxy); the outside set is d(., x0) >= R, with
@@ -495,11 +514,11 @@ def sample_estimates(
     sets = [(None, _outside_mask(rates.space, x0, config))]
     if target is not None:
         sets.append(_return_sets(rates, x0, target, config.outer_radius))
-    batches, draws = _run(rates, x0, config, sets)
+    batches, work = _run(rates, x0, config, sets)
     estimates = [(_survival(batches[0], config), batches[0])]
     if target is not None:
         estimates.append((_returned(batches[1], rates, x0, config), batches[1]))
-    return estimates, draws
+    return estimates, work
 
 
 @dataclass

@@ -277,6 +277,18 @@ def test_radius_lists_that_name_no_finite_radius_exit_2(tmp_path, capsys, argv, 
 
 
 @pytest.mark.parametrize(
+    "radii, count",
+    [("2:1e9:1e-9", "1e+18"), ("2:1e300:1", "1e+300"), ("0:1e308:1e-320", "inf"), ("1:10001:1", "10001")],
+)
+def test_a_radius_range_of_more_than_10000_radii_exits_2(tmp_path, capsys, radii, count):
+    # 2:1e9:1e-9 ended in a numpy _ArrayMemoryError traceback from np.arange
+    spec = write_spec(tmp_path / "z.json", {"type": "lattice", "truncation_radius": 10, "params": {"dim": 1}})
+    assert cli.main(["criteria", "--radii", radii, "--spec", spec, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: radius range {radii} holds {count} radii, more than 10,000\n"
+    assert len(cli._parse_radii("1:10000:1")) == 10_000
+
+
+@pytest.mark.parametrize(
     "argv,flag",
     [
         (["simulate", "--horizon", "1", "--target", "ids:"], "--target"),
@@ -397,11 +409,19 @@ def test_simulate_manifest_records_rng_contract_and_work(tmp_path, z_spec):
     manifest = json.loads((tmp_path / "w.manifest.json").read_text())
     assert manifest["rng_contract"] == "philox4x32-10/1"
     assert manifest["trials"] == 600  # survival and return batches
-    assert manifest["jumps"] >= 600
+    assert manifest["jumps"] == 11074  # the two batches share one chain per trial, counted once
     assert manifest["jumps_per_s"] > 0
     assert manifest["draws"] > 0
     summary = json.loads((tmp_path / "w.json").read_text())
     assert "rng_contract" not in summary and "jumps_per_s" not in summary
+    # gambler's ruin with 20,000 trials: counting each batch's jumps wrote 383,364 jumps from 381,436 draws
+    ruin = write_spec(tmp_path / "z200.json", {"type": "lattice", "truncation_radius": 200, "params": {"dim": 1}})
+    assert cli.main([
+        "simulate", "--spec", ruin, "--x0", "201", "--target", "ids:200", "--outer", "4", "--horizon", "1e9",
+        "--trials", "20000", "--seed", "1", "--prefix", "r", "--out-dir", str(tmp_path),
+    ]) == 0
+    manifest = json.loads((tmp_path / "r.manifest.json").read_text())
+    assert manifest["jumps"] <= manifest["draws"]
 
 
 def test_simulate_manifest_counts_the_philox_blocks_drawn(tmp_path, z_spec):
@@ -422,7 +442,7 @@ def test_simulate_samples_each_trial_chunk_once_per_reflecting_set(tmp_path, z_s
     # reflect the walkers reflect off different balls (about x0 and about the target)
     calls = []
     lockstep = simulate._lockstep
-    monkeypatch.setattr(simulate, "_lockstep", lambda *args, **kw: calls.append(args[5]) or lockstep(*args, **kw))
+    monkeypatch.setattr(simulate, "_lockstep", lambda *args, **kw: calls.append(args[4]) or lockstep(*args, **kw))
     monkeypatch.setattr(simulate, "_DRAW_BUDGET", 100)
     args = [
         "simulate", "--spec", z_spec, "--x0", "61", "--target", "ids:60", "--outer", "6", "--horizon", "5",

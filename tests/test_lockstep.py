@@ -12,9 +12,10 @@ from typing import Optional
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from jdlab import simulate
+from jdlab import forms, simulate
 from jdlab.forms import RateTable, jump_rates
 from jdlab.kernels import explicit_kernel
 from jdlab.simulate import (
@@ -268,6 +269,48 @@ def test_tabulated_row_search_matches_the_lifting_oracle(lengths, zero_fraction,
     assert np.array_equal(got, want)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    longest=st.sampled_from([1, 2, 3, 40]),
+    empty_fraction=st.sampled_from([0.0, 0.3]),
+    zero_fraction=st.sampled_from([0.0, 0.3, 1.0]),
+    wall_fraction=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    block=st.sampled_from([7, forms._BLOCK_NNZ]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_censored_table_is_the_plain_search_then_a_reflection(
+    n, longest, empty_fraction, zero_fraction, wall_fraction, block, seed
+):
+    # rows of up to 2 entries (the first level is the whole search) and of up to 40 (binary lifting), empty and
+    # zero-rate rows, entry runs cut into blocks of 7; uniforms at and next to each row's u* and breakpoints
+    rng = np.random.default_rng(seed)
+    lengths = np.where(rng.random(n) < empty_fraction, 0, rng.integers(1, min(longest, n) + 1, n))
+    indptr = np.concatenate(([0], np.cumsum(lengths))).astype(np.int32)
+    indices = np.concatenate([np.sort(rng.choice(n, size=k, replace=False)) for k in lengths]).astype(np.int32)
+    data = np.where(rng.random(len(indices)) < zero_fraction, 0.0, rng.uniform(0.1, 3.0, len(indices)))
+    q = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    rates = RateTable(None, q, np.asarray(q.sum(axis=1)).reshape(-1))
+    walls = rng.random(n) < wall_fraction
+    plain = simulate._jumps(rates)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forms, "_BLOCK_NNZ", block)
+        censored = simulate._jumps(rates, walls)
+    cum = rates.cumulative_rows()
+    rows, u = [], []
+    for x in np.flatnonzero(lengths):
+        star = plain.ustar[x]
+        values = [0.0, 0.5, 1 - 2.0**-53, *rng.random(3), np.nextafter(star, 0), star, np.nextafter(star, 1)]
+        values += breakpoint_uniforms(cum[indptr[x] : indptr[x + 1]], rates.lam[x])
+        values = [v for v in values if 0 <= v < 1]
+        rows += [x] * len(values)
+        u += values
+    rows, u = np.asarray(rows, dtype=np.intp), np.asarray(u)
+    nxt = plain(rows, u, np.empty(len(rows), dtype=np.intp))
+    got = censored(rows, u, np.empty(len(rows), dtype=np.intp))
+    assert same_bits(got, np.where(walls[nxt], rows, nxt))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     thr=st.floats(min_value=0.0, allow_infinity=True) | st.sampled_from([0.0, 5e-324, 1e-310, float("nan")]),
@@ -308,7 +351,7 @@ def test_one_sampling_pass_matches_a_batch_per_estimate(
     config = SimConfig(horizon=horizon, trials=trials, max_jumps=max_jumps, seed=seed, policy=policy, outer_radius=outer)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "_DRAW_BUDGET", chunk)  # 7: several trial chunks
-        estimates, draws = sample_estimates(rates, x0, config, target)
+        estimates, (draws, _) = sample_estimates(rates, x0, config, target)
         # one _run call per (target, outside) set: the survival set, then the return set
         sets = [(None, simulate._outside_mask(rates.space, x0, config)), simulate._return_sets(rates, x0, target, outer)]
         survival, returned = (simulate._run(rates, x0, config, [s])[0][0] for s in sets)

@@ -147,8 +147,28 @@ def test_sampler_rejects_point_ids_that_are_not_integers(x0, target, name, bad):
 def test_path_rejects_a_negative_trial_index():
     # trial -1 was sampled as trial 2^64 - 1
     rates = jump_rates(explicit_kernel(2, [[0, 1, 1.0]]).kernel)
-    with pytest.raises(ValueError, match="trial_index must be nonnegative, got -1"):
+    with pytest.raises(ValueError, match=r"^trial_index: trial -1 is not in \[0, 9223372036854775808\)$"):
         gillespie_path(rates, 0, SimConfig(horizon=1.0, trials=1, seed=1), trial_index=-1)
+
+
+@pytest.mark.parametrize(
+    "trial, message",
+    [
+        (2.5, "is not an integer"),
+        (float("nan"), "is not an integer"),
+        (2**64 + 3, r"is not in \[0, 9223372036854775808\)"),
+        (2**63, r"is not in \[0, 9223372036854775808\)"),
+    ],
+)
+def test_path_rejects_a_trial_index_that_is_not_an_integer_below_2_63(z_rates, z_line, trial, message):
+    # 2.5 returned trial 2's path, and 2^64 + 3 raised OverflowError
+    config = SimConfig(horizon=2.0, trials=1, seed=1)
+    with pytest.raises(ValueError, match=rf"^trial_index: trial {trial} {message}$"):
+        gillespie_path(z_rates, z_line.space.origin, config, trial_index=trial)
+    # an integral float is a trial index, and 2^63 - 1 is the last one
+    path = gillespie_path(z_rates, z_line.space.origin, config, trial_index=2.0)
+    assert same_bits(path.states, gillespie_path(z_rates, z_line.space.origin, config, trial_index=2).states)
+    assert gillespie_path(z_rates, z_line.space.origin, config, trial_index=2**63 - 1).elapsed > 0
 
 
 def test_explosive_birth_chain_flag():

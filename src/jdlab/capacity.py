@@ -286,7 +286,8 @@ def capacity_scan(
     Truncation drops the jumps out of each ball to points beyond the
     truncation, so near its edge the capacities under-count; the report
     then carries the criteria's boundary note (radii beyond the reach are
-    allowed here).
+    allowed here). A last ball that holds every point clamps nothing to 0,
+    so its capacity is 0 on any space: it raises no certificate.
     """
     if not 0 < decay_ratio < 1:  # a ratio >= 1 certifies any decreasing scan; nan fails too
         raise ValueError(f"decay_ratio must lie in (0, 1), got {decay_ratio}")
@@ -304,7 +305,9 @@ def capacity_scan(
     warnings = [w for s in solves for w in s.warnings]
     warnings.extend(boundary_notes(space.max_distance_from(center), radii[-1]))
     certificate = False
-    if len(caps) >= 2 and caps[0] > 0:
+    if solves[-1].ball.all():
+        warnings.append(f"the ball of radius {radii[-1]:.6g} holds every point, so its capacity is 0 on any space: no certificate")
+    elif len(caps) >= 2 and caps[0] > 0:
         decayed = caps[-1] <= decay_ratio * caps[0]
         decreasing = caps[-1] < caps[-2] * (1 - 1e-9) or caps[-1] == 0.0
         certificate = bool(decayed and decreasing)

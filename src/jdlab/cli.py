@@ -24,7 +24,7 @@ from .criteria import DEFAULT_THRESHOLD, davies_constant, recurrence_report, vol
 from .forms import jump_rates
 from .simulate import RNG_CONTRACT, SimConfig, explosion_diagnostic, sample_estimates
 from .space import metric_ball
-from .specio import SpecError, load_spec_or_built, round_floats, save_built, sha256_of, write_csv, write_json
+from .specio import SpecError, load_spec, load_spec_or_built, round_floats, sha256_of, write_csv, write_json
 
 
 _MAX_RADII = 10_000
@@ -84,7 +84,8 @@ def _default_radii(built, x0: int) -> list[float]:
 
 
 def _stem(args) -> str:
-    return args.prefix or f"{Path(args.spec).stem}.{args.command}"
+    """--prefix, or the spec's stem and the command; a built file `x.built.json` names its outputs as `x.json` does."""
+    return args.prefix or f"{Path(args.spec).stem.removesuffix('.built')}.{args.command}"
 
 
 def _write_run(args, started: float, stem: str, outputs, directory=None, **extras) -> None:
@@ -116,9 +117,12 @@ def _write_run(args, started: float, stem: str, outputs, directory=None, **extra
 
 
 def cmd_build(args, started: float) -> int:
-    built = load_spec_or_built(args.spec)
-    out = Path(args.out) if args.out else Path(args.out_dir) / (Path(args.spec).stem + ".pkl")
-    _write_run(args, started, out.stem, [(out.name, lambda path: save_built(path, built))], out.parent)
+    out = Path(args.out) if args.out else Path(args.out_dir) / (Path(args.spec).stem + ".built.json")
+    if out.suffix == ".pkl":
+        raise SpecError(f"--out {out}: a built file is its JSON spec, not a pickle")
+    built = load_spec_or_built(args.spec)  # building checks the spec
+    text = json.dumps(load_spec(args.spec), sort_keys=True, indent=2) + "\n"  # every digit kept, so it reads back as the spec
+    _write_run(args, started, out.stem, [(out.name, lambda path: path.write_text(text))], out.parent)
     print(f"built {built.space.n_points} points -> {out}")
     return 0
 
@@ -245,7 +249,7 @@ def cmd_report(args, started: float) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser, prefix: bool = True) -> None:
-    parser.add_argument("--spec", required=True, help="JSON spec or built .pkl")
+    parser.add_argument("--spec", required=True, help="JSON spec or built file")
     parser.add_argument("--out-dir", default=".", help="directory for outputs")
     if prefix:
         parser.add_argument("--prefix", default=None, help="output filename stem")
@@ -256,9 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build", help="build a space/kernel instance and serialize it")
+    p = sub.add_parser("build", help="build a spec to check it and write it back as the built file")
     _add_common(p, prefix=False)
-    p.add_argument("--out", default=None, help="output pickle path")
+    p.add_argument("--out", default=None, help="built file path (default: <out-dir>/<spec stem>.built.json)")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("criteria", help="evaluate conservativeness and recurrence tests")

@@ -345,12 +345,6 @@ class StencilKernel(KernelOperator):
 
         return JumpKernel.from_dense_rows(self.space, rows)
 
-    def __getstate__(self) -> dict:
-        return {"space": self.space, "stencil": self.stencil}  # the rest derives from these
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(state["space"], lambda d: state["stencil"])  # so a loaded kernel is checked like a built one
-
 
 class _FreeOperator(spla.LinearOperator):
     """The jump form matrix A = 2 (diag(m row_mass) - m W) of a stencil kernel on the free points.

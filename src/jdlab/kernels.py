@@ -10,7 +10,6 @@ under such constants).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -36,15 +35,21 @@ class BuiltInstance:
 # -- lattice scaffolding ---------------------------------------------------
 
 
-def _check_dim(dim) -> int:
-    """dim as an int; anything but a positive integer (an integral float passes) is rejected."""
-    if isinstance(dim, bool) or not isinstance(dim, numbers.Real) or not (dim >= 1 and float(dim).is_integer()):
-        raise ValueError(f"dim must be a positive integer, got {dim!r}")
-    return int(dim)
+def _check_int(name: str, value, minimum: int = 1):
+    """value as an int, or an array of them as int64; anything but integers >= minimum is rejected, naming the field.
+
+    An integral float passes; a bool, a string, nan and inf do not.
+    """
+    a = np.asarray(value)
+    ok = np.isfinite(a) & (a >= minimum) & (a == np.floor(a)) if a.dtype.kind in "iuf" else np.zeros(a.shape, bool)
+    if not ok.all():
+        what = "a positive integer" if minimum == 1 else f"an integer >= {minimum}"
+        raise ValueError(f"{name} must be {what}, got {value if a.ndim == 0 else a[~ok][0].item()!r}")
+    return int(a) if a.ndim == 0 else a.astype(np.int64)
 
 
 def _lattice_points(dim: int, truncation_radius: float, spacing: float) -> np.ndarray:
-    dim = _check_dim(dim)
+    dim = _check_int("dim", dim)
     if not spacing > 0:
         raise ValueError("spacing must be positive")
     extent = int(math.floor(truncation_radius / spacing + 1e-9))
@@ -95,7 +100,7 @@ def lattice_nn(
     truncation_radius: float = 100.0,
 ) -> BuiltInstance:
     """Nearest-neighbor lattice kernel j = density * 1_{|x-y| = spacing} on hZ^n."""
-    dim, spacing = _check_dim(dim), float(spacing)
+    dim, spacing = _check_int("dim", dim), float(spacing)
     if measure not in ("counting", "cell"):
         raise ValueError(f"unknown measure {measure!r} (use 'counting' or 'cell')")
     per_point = 1.0 if measure == "counting" else spacing**dim
@@ -134,7 +139,7 @@ def stable_like(
     spacing: float = 1.0,
     support: str = "lattice",
     gasket_level: int = 5,
-    truncation_radius: float = 100.0,
+    truncation_radius: Optional[float] = None,
 ) -> BuiltInstance:
     """Layered (case i) or tempered (case ii) stable-like kernel on a kappa-set.
 
@@ -142,9 +147,11 @@ def stable_like(
     graph (kappa = ln 3 / ln 2) on the unit triangular lattice, both with
     Euclidean distance. Case (i):
     j = d^-(kappa+alpha) for d <= 1, d^-(kappa+beta) beyond; case (ii)
-    replaces the long tail with exp(-c d) d^-(kappa+alpha).
+    replaces the long tail with exp(-c d) d^-(kappa+alpha). The lattice's
+    truncation radius defaults to 100; the gasket's is 2^L, and it takes
+    no dim, spacing or truncation radius but its own.
     """
-    dim, spacing, gasket_level = _check_dim(dim), float(spacing), int(gasket_level)
+    dim, spacing, gasket_level = _check_int("dim", dim), float(spacing), _check_int("gasket_level", gasket_level, 0)
     if not 0 < alpha < 2:
         raise ValueError("alpha must lie in (0, 2)")
     if case == "i" and beta <= 0:
@@ -169,16 +176,21 @@ def stable_like(
         return short + tail
 
     if support == "gasket":
-        steps, spacing = _gasket_points(gasket_level), 1.0  # the unit triangular lattice: no two points are nearer than 1
+        reach = float(2**gasket_level)
+        for name, value, own in (("dim", dim, 1), ("spacing", spacing, 1.0), ("truncation_radius", truncation_radius, reach)):
+            if value not in (None, own):
+                raise ValueError(f"{name} {value:g} differs from the level-{gasket_level} gasket's {own:g}")
+        steps = _gasket_points(gasket_level)  # on the unit triangular lattice: no two points are nearer than 1
         space = DiscreteMMSpace(
             np.ones(len(steps)),
             coords=np.dot(steps, _GASKET_BASIS),
             steps=steps,
-            truncation_radius=float(2**gasket_level),
+            truncation_radius=reach,
             meta={"kind": "gasket", "level": gasket_level, **family},
         )
     else:
-        space = _lattice_space(dim, truncation_radius, spacing, spacing**dim, **family)
+        radius = 100.0 if truncation_radius is None else truncation_radius
+        space = _lattice_space(dim, radius, spacing, spacing**dim, **family)
     # f is non-increasing and h is the shortest distance between points: where f(h) underflows every entry
     # is 0, and where it overflows the kernel is infinite between neighbours
     nearest = float(f(np.array(spacing)))
@@ -210,9 +222,7 @@ def stack_space(
     Diagnostic flags for the Psi growth conditions are stored under
     space.meta["stack_flags"].
     """
-    dim = _check_dim(dim)
-    if layers < 2:
-        raise ValueError("need at least two layers")
+    dim, layers = _check_int("dim", dim), _check_int("layers", layers, 2)
     psi_fn = (lambda p, c=float(psi): np.full(p.shape[0], c)) if np.isscalar(psi) else psi
     sheet_steps = _lattice_points(dim, truncation_radius, spacing)
     sheet_coords = sheet_steps * spacing
@@ -364,6 +374,7 @@ def model_manifold(
     radial test functions; the grid starts at r = h so sigma(0) = 0 never
     enters.
     """
+    dim = _check_int("dim", dim)
     if isinstance(profile, str):
         if profile == "sandwich":
             sigma = sandwich_profile(dim)
@@ -418,12 +429,10 @@ def mixed_graph(
     rho are interpolated linearly along edges. With subdivisions = 0 the
     result is the pure physical Laplacian (no local part).
     """
-    if subdivisions < 0:
-        raise ValueError("subdivisions must be >= 0")
+    k = _check_int("subdivisions", subdivisions, 0)
     sigma = graph.adapted_lengths()
     edges = graph.edges
     nv = graph.n_vertices
-    k = int(subdivisions)
     h = 1.0 / (k + 1)
 
     n_e = len(edges)
@@ -508,7 +517,8 @@ def mixed_graph_from_params(
 ) -> BuiltInstance:
     """JSON-facing wrapper assembling GraphData and per-edge phi values."""
     if graph_kind == "lattice2d":
-        g = lattice2d_graph(int(extent))
+        extent = _check_int("extent", extent, 0)
+        g = lattice2d_graph(extent)
         origin = (2 * extent + 1) * extent + extent  # row-major index of (0, 0)
         if math.isfinite(truncation_radius) and truncation_radius != extent:
             raise ValueError(f"truncation_radius {truncation_radius:g} differs from the lattice2d extent {extent}")
@@ -516,10 +526,11 @@ def mixed_graph_from_params(
     elif graph_kind == "explicit":
         if edges is None or n_vertices is None:
             raise ValueError("explicit graphs need n_vertices and edges")
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        n_vertices = _check_int("n_vertices", n_vertices, 0)
+        edges = np.reshape(_check_int("each point id of edges", edges, 0), (-1, 2))
         w = np.ones(len(edges)) if weights is None else np.asarray(weights, dtype=float)
-        mu = np.ones(int(n_vertices)) if vertex_measure is None else np.asarray(vertex_measure, dtype=float)
-        g = GraphData(int(n_vertices), edges, w, mu)
+        mu = np.ones(n_vertices) if vertex_measure is None else np.asarray(vertex_measure, dtype=float)
+        g = GraphData(n_vertices, edges, w, mu)
         origin = 0
     else:
         raise ValueError(f"unknown graph kind {graph_kind!r}")
@@ -546,7 +557,7 @@ def explicit_kernel(
     truncation_radius: float = float("inf"),
 ) -> BuiltInstance:
     """Space + kernel from (i, j, value) entries, each unordered pair once or repeated with an equal value."""
-    n = int(n_points)
+    n = _check_int("n_points", n_points, 0)
     m = np.ones(n) if measure is None else np.asarray(measure, dtype=float)
     c = np.arange(n, dtype=float)[:, None] if coords is None else np.asarray(coords, dtype=float)
     space = DiscreteMMSpace(
@@ -560,5 +571,6 @@ def explicit_kernel(
     entries = np.asarray(entries, dtype=float)
     if entries.size and entries.shape[1:] != (3,):
         raise ValueError("kernel entries must be [i, j, value] triples")
-    kernel = JumpKernel.from_entries(space, *entries.reshape(-1, 3).T)  # it casts the indices to int
+    rows, cols, vals = entries.reshape(-1, 3).T
+    kernel = JumpKernel.from_entries(space, *_check_int("each point id of entries", [rows, cols], 0), vals)
     return BuiltInstance(space, kernel)

@@ -27,6 +27,7 @@ plain truncation artifacts (boundary absorption).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -74,6 +75,9 @@ class SimConfig:
             raise ValueError("trials and max_jumps must be at least 1")
         if self.policy not in ("absorb", "reflect"):
             raise ValueError("policy must be 'absorb' or 'reflect'")
+        # the Philox key holds two 32-bit words: any other seed would sample the trials of another
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
 
 
 @dataclass
@@ -138,7 +142,7 @@ def uniform_pairs(seed: int, trials: np.ndarray, first_jump: int, count: int) ->
     Key = seed as two words, counter = (jump lo, jump hi, trial lo, trial hi);
     u1 comes from output words 0-1 and u2 from words 2-3.
     """
-    s = int(seed) % 2**64
+    s = int(seed)  # in [0, 2^64), as SimConfig checks
     jump = np.arange(first_jump, first_jump + count, dtype=np.uint64)[:, None]
     trial = np.asarray(trials, dtype=np.uint64)[None, :]
     a, b, c, d = philox4x32((s & 0xFFFFFFFF, s >> 32), (jump & _MASK32, jump >> 32, trial & _MASK32, trial >> 32))

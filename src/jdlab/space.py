@@ -175,16 +175,6 @@ class DiscreteMMSpace:
         elif self.coords is None or self.coords.shape[1] == 0:
             raise ValueError("coordinate metric requires coords with at least one column")
 
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_columns", None)  # derived from coords on first use
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        if self.coords is not None:
-            self.coords.flags.writeable = False
-
     # -- metric ---------------------------------------------------------
 
     @cached_property

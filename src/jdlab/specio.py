@@ -1,4 +1,4 @@
-"""JSON space/kernel specs, serialization of built instances, stable output.
+"""JSON space/kernel specs, the instances they build, stable output.
 
 Top-level spec schema:
 
@@ -9,7 +9,9 @@ Top-level spec schema:
 Lattice specs carry a kernel subdict {"family": "nn" | "stable_i" |
 "stable_ii" | "explicit", ...} whose keys join the params, which bind to
 the builder's signature (see BUILDERS). All floats in written reports are
-rounded to 12 significant digits so reruns diff cleanly.
+rounded to 12 significant digits so reruns diff cleanly. A built file
+(`jdlab build`) is its checked spec, written back as JSON: an instance is a
+deterministic function of its spec, so reading one builds it again.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import hashlib
 import inspect
 import json
 import math
-import pickle
 import sys
 from pathlib import Path
 from typing import Any
@@ -165,27 +166,13 @@ def build_from_spec(raw: dict) -> BuiltInstance:
     return _call(label, getattr(kmod, name), params, {**fixed, "truncation_radius": radius})
 
 
-def save_built(path, built: BuiltInstance) -> None:
-    """Pickle the instance as it is; a stencil kernel keeps its stencil."""
-    with open(path, "wb") as fh:
-        pickle.dump(built, fh, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def load_built(path) -> BuiltInstance:
-    with open(path, "rb") as fh:
-        built = pickle.load(fh)
-    if not isinstance(built, BuiltInstance):
-        raise SpecError("file does not contain a built instance")
-    return built
-
-
 def load_spec_or_built(path) -> BuiltInstance:
-    """Accept either a JSON spec or a previously serialized instance."""
+    """Build the instance of a JSON spec, or of a built file, which is a spec too; a .pkl is never opened."""
     p = Path(path)
     if not p.exists():
         raise SpecError(f"no such spec file: {path}")
     if p.is_dir():
         raise SpecError(f"spec path is a directory: {path}")
     if p.suffix == ".pkl":
-        return load_built(p)
+        raise SpecError(f"{path}: a pickle is never loaded; built files are JSON specs, and `jdlab build --spec <spec>` rewrites one")
     return build_from_spec(load_spec(p))

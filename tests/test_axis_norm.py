@@ -8,8 +8,6 @@ bit; from 8 axes on numpy sums pairwise, so there the oracle is within a few
 ulp and rows and pairs still agree with each other bit for bit.
 """
 
-import pickle
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,22 +85,6 @@ def test_coords_are_read_only_and_a_private_copy():
         space.coords[0, 0] = 5.0
     given_coords[0, 0] = 5.0  # the caller's array stays its own
     assert space.coords[0, 0] == 0.0 and space.d(0, 1) == np.sqrt(8.0)
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_a_space_unpickled_without_its_columns_gives_identical_distances(kind):
-    space, rng = random_space(7, kind, 3, 0.1)
-    want = space.distance_rows(np.arange(space.n_points))  # derives and caches the columns
-    loaded = pickle.loads(pickle.dumps(space))
-    assert "_columns" not in loaded.__dict__  # a pickle carries coords only, as it did before the columns existed
-    # an older pickle loads writeable coords; loading freezes them, so the columns derived later cannot go stale
-    older = DiscreteMMSpace.__new__(DiscreteMMSpace)
-    older.__setstate__({**loaded.__dict__, "coords": np.array(loaded.coords)})
-    rows, cols = rng.integers(0, space.n_points, size=(2, 50))
-    for unpickled in (loaded, older):
-        assert not unpickled.coords.flags.writeable
-        assert unpickled.distance_rows(np.arange(space.n_points)).tobytes() == want.tobytes()
-        assert unpickled.pair_distances(rows, cols).tobytes() == want[rows, cols].tobytes()
 
 
 def test_a_coordinate_metric_needs_a_column():

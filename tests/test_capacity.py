@@ -20,7 +20,8 @@ from jdlab import (
 )
 from jdlab.forms import form_matrix
 from jdlab.kernels import explicit_kernel
-from jdlab.space import open_ball_mask
+from jdlab.space import boundary_notes, open_ball_mask
+from jdlab.specio import round_floats
 from conftest import random_symmetric_kernel
 
 
@@ -127,6 +128,7 @@ def test_non_finite_capacity_is_reported():
         "unknowns gave no finite answer (singular or overflowing system)",
         "boundary contamination: largest balls touch the truncation edge; "
         "statistics there under-count the intended infinite space",
+        f"the ball of radius {big_r:.6g} holds every point, so its capacity is 0 on any space: no certificate",
     ]
     assert np.isnan(solve.energy) and solve.warnings == [
         f"capacity nan with residual nan on the ball: the solve over {n_free} free "
@@ -141,7 +143,8 @@ def test_boundary_note_when_the_largest_ball_nears_the_truncation(z_line):
     assert capacity_scan(sp, z_line.kernel, None, [o], [10.0, 113.0]).warnings == []
     assert capacity_scan(sp, z_line.kernel, None, [o], [10.0, 114.0]).warnings == note
     # unlike the criteria, a scan may go past the reach: its last ball is the whole truncation
-    assert capacity_scan(sp, z_line.kernel, None, [o], [10.0, 130.0]).warnings == note
+    whole = "the ball of radius 130 holds every point, so its capacity is 0 on any space: no certificate"
+    assert capacity_scan(sp, z_line.kernel, None, [o], [10.0, 130.0]).warnings == note + [whole]
 
 
 def test_capacity_scan_z3_transient_no_certificate(z3_cube):
@@ -150,6 +153,23 @@ def test_capacity_scan_z3_transient_no_certificate(z3_cube):
     assert not rep.certificate
     # transient walk: capacities settle toward a positive limit
     assert rep.capacities[-1] > 0.5 * rep.capacities[0]
+
+
+@pytest.mark.parametrize("last", [100.0, 17.33])  # the box's corners lie at sqrt(300) = 17.3205
+def test_no_certificate_from_a_ball_that_holds_every_point(z3_cube, last):
+    # its capacity, 1.3e-20, decays past any ratio: the transient Z^3 scan printed certificate=True
+    sp = z3_cube.space
+    rep = capacity_scan(sp, z3_cube.kernel, None, [sp.origin], [2.0, 4.0, last])
+    assert rep.capacities[-1] < 1e-15 and not rep.certificate
+    assert f"the ball of radius {last:g} holds every point, so its capacity is 0 on any space: no certificate" in rep.warnings
+
+
+def test_a_ball_short_of_the_corners_scans_as_before(z3_cube):
+    sp = z3_cube.space
+    rep = capacity_scan(sp, z3_cube.kernel, None, [sp.origin], [2.0, 4.0, 17.3])
+    assert round_floats(rep.capacities) == [9.27272727273, 8.54636837326, 6.10934493457]
+    assert (rep.unknowns, rep.iterations, rep.certificate) == ([26, 250, 9252], [0, 0, 80], False)
+    assert rep.warnings == boundary_notes(sp.max_distance_from(sp.origin), 17.3)
 
 
 def test_a_decay_ratio_outside_the_unit_interval_is_rejected(z3_cube):

@@ -1,4 +1,5 @@
 import json
+import pickle
 import re
 import time
 
@@ -8,9 +9,11 @@ import pytest
 import jdlab.cli as cli
 from jdlab import simulate
 from jdlab.capacity import SolverFailure
-from jdlab.forms import jump_rates
+from jdlab.forms import StencilKernel, jump_rates
 from jdlab.simulate import SimConfig, sample_estimates
 from jdlab.specio import load_spec_or_built
+from test_segments import _SPECS, _spec
+from test_stencil import no_gather
 
 
 def write_spec(path, payload):
@@ -24,16 +27,98 @@ def z_spec(tmp_path):
 
 
 def test_build_roundtrip_and_criteria_identical(tmp_path, z_spec):
-    out_pkl = tmp_path / "built.pkl"
-    assert cli.main(["build", "--spec", z_spec, "--out", str(out_pkl), "--out-dir", str(tmp_path)]) == 0
-    assert out_pkl.exists()
+    out = tmp_path / "built.json"
+    assert cli.main(["build", "--spec", z_spec, "--out", str(out), "--out-dir", str(tmp_path)]) == 0
+    assert json.loads(out.read_text()) == json.loads(open(z_spec).read())
 
     d1, d2 = tmp_path / "a", tmp_path / "b"
     args = ["criteria", "--radii", "5,10,20,40", "--prefix", "case"]
     assert cli.main(args + ["--spec", z_spec, "--out-dir", str(d1)]) == 0
-    assert cli.main(args + ["--spec", str(out_pkl), "--out-dir", str(d2)]) == 0
+    assert cli.main(args + ["--spec", str(out), "--out-dir", str(d2)]) == 0
     for name in ("case.conservativeness.json", "case.recurrence.json", "case.conservativeness.csv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+# 1/3 needs 16 digits: a built file written at the reports' 12 would be another spec
+_DIGITS = {"type": "weighted_line", "truncation_radius": 2.5, "params": {"lam": 1 / 3, "spacing": 0.1}}
+
+
+@pytest.mark.parametrize("name", [*sorted(_SPECS), "digits"])
+def test_a_built_file_is_its_spec_and_reports_as_it_does(tmp_path, name):
+    spec = _DIGITS if name == "digits" else _spec(name, floats=False)
+    source = write_spec(tmp_path / f"{name}.json", spec)
+    assert cli.main(["build", "--spec", source, "--out-dir", str(tmp_path)]) == 0
+    built = tmp_path / f"{name}.built.json"
+    assert json.loads(built.read_text()) == spec
+    space = load_spec_or_built(source).space
+    reach = space.max_distance_from(space.origin)
+    radii = ",".join(repr(r) for r in (1 + (reach - 1) / 3, 1 + (reach - 1) * 2 / 3, reach))  # criteria take (1, reach]
+    runs = {}
+    for path, out in ((source, "spec"), (built, "built")):
+        for argv in (["criteria", "--radii", radii], ["capacity", "--K", f"ids:{space.origin}", "--radii", radii]):
+            assert cli.main([*argv, "--spec", str(path), "--out-dir", str(tmp_path / out)]) == 0
+        runs[out] = {p.name: p.read_bytes() for p in (tmp_path / out).iterdir() if "manifest" not in p.name}
+    assert runs["spec"] == runs["built"]  # reports named for the spec, byte for byte
+    assert {f"{name}.criteria.recurrence.json", f"{name}.capacity.json"} <= runs["spec"].keys()
+
+
+@pytest.mark.parametrize(
+    "radius, params",
+    [(1200, {"dim": 1, "kernel": {"family": "stable_i"}}), (64, {"support": "gasket", "gasket_level": 6, "kernel": {"family": "stable_ii"}})],
+    ids=["stable-1d", "gasket"],
+)
+def test_loading_a_built_stencil_spec_gathers_no_csr(tmp_path, radius, params):
+    spec = write_spec(tmp_path / "s.json", {"type": "lattice", "truncation_radius": radius, "params": params})
+    assert cli.main(["build", "--spec", spec, "--out-dir", str(tmp_path)]) == 0
+    with no_gather():
+        built = load_spec_or_built(tmp_path / "s.built.json")
+    assert type(built.kernel) is StencilKernel
+
+
+def test_build_never_writes_over_its_spec(tmp_path):
+    source = write_spec(tmp_path / "z.built.json", {"type": "lattice", "truncation_radius": 3, "params": {}})
+    before = open(source, "rb").read()
+    assert cli.main(["build", "--spec", source, "--out-dir", str(tmp_path)]) == 0
+    assert open(source, "rb").read() == before
+    assert json.loads((tmp_path / "z.built.built.json").read_text()) == json.loads(before)
+
+
+class _Touch:
+    """Unpickling it creates the file at `path`: a payload that shows whether a loader ran it."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return open, (self.path, "w")
+
+
+def test_a_pkl_spec_exits_2_and_is_never_unpickled(tmp_path, capsys):
+    # load_built ran pickle.load on any .pkl and only then rejected what it held
+    marker, evil = tmp_path / "marker", tmp_path / "evil.pkl"
+    evil.write_bytes(pickle.dumps(_Touch(str(marker))))
+    for argv in (["build"], ["criteria", "--radii", "2"], ["capacity", "--K", "ids:0", "--radii", "2"], ["simulate", "--horizon", "1"]):
+        assert cli.main([*argv, "--spec", str(evil), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "built files are JSON specs" in capsys.readouterr().err
+    assert not marker.exists() and not (tmp_path / "out").exists()
+    pickle.loads(evil.read_bytes()).close()  # the payload is live
+    assert marker.exists()
+
+
+def test_build_writes_no_pickle(tmp_path, z_spec, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["build", "--spec", z_spec, "--out", str(out / "z.pkl"), "--out-dir", str(out)]) == 2
+    assert "not a pickle" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [str(2**70), "-1"])
+def test_a_seed_outside_the_philox_key_exits_2(tmp_path, z_spec, capsys, seed):
+    # 2^70 sampled seed 0's trials and -1 those of 2^64 - 1, each report recording the seed it was given
+    argv = ["simulate", "--spec", z_spec, "--horizon", "1", "--trials", "5", f"--seed={seed}", "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert f"seed must be an integer in [0, 2^64), got {seed}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.manifest.json"))
 
 
 def test_criteria_verdicts_z_and_z3(tmp_path, z_spec, capsys):
@@ -123,13 +208,8 @@ def test_the_space_alias_is_gone(tmp_path, z_spec, capsys):
     assert "--spec" in capsys.readouterr().err
 
 
-def test_a_bin_path_is_read_as_a_json_spec(tmp_path, z_spec, capsys):
+def test_a_bin_path_is_read_as_a_json_spec(tmp_path, z_spec):
     # .bin was handed to pickle.load like .pkl
-    assert cli.main(["build", "--spec", z_spec, "--out-dir", str(tmp_path)]) == 0
-    pickled = tmp_path / "znn.bin"
-    pickled.write_bytes((tmp_path / "znn.pkl").read_bytes())
-    assert cli.main(["criteria", "--spec", str(pickled), "--radii", "5", "--out-dir", str(tmp_path)]) == 2
-    assert "spec is not valid JSON" in capsys.readouterr().err
     spec = tmp_path / "spec.bin"
     spec.write_bytes(open(z_spec, "rb").read())
     assert cli.main(["criteria", "--spec", str(spec), "--radii", "5", "--out-dir", str(tmp_path)]) == 0
@@ -215,20 +295,20 @@ def test_capacity_closed_form_and_infeasible_k(tmp_path, z_spec, capsys):
     assert "radius" in capsys.readouterr().err
 
 
-def test_stencil_capacity_repeats_and_criteria_read_the_same_csr_from_spec_and_pickle(tmp_path):
+def test_stencil_capacity_repeats_and_criteria_read_the_same_csr_from_spec_and_built_file(tmp_path):
     spec = tmp_path / "s.json"
     spec.write_text(json.dumps(
         {"type": "lattice", "truncation_radius": 100, "params": {"dim": 1, "kernel": {"family": "stable_i"}}}
     ))
-    assert cli.main(["build", "--spec", str(spec), "--out", str(tmp_path / "s.pkl")]) == 0
+    assert cli.main(["build", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0
     runs = {}
-    for name, source in (("a", spec), ("b", spec), ("pickle", tmp_path / "s.pkl")):
+    for name, source in (("a", spec), ("b", spec), ("built", tmp_path / "s.built.json")):
         out = tmp_path / name
         assert cli.main(["criteria", "--spec", str(source), "--radii", "5,20,90", "--out-dir", str(out), "--prefix", "cr"]) == 0
         assert cli.main(["capacity", "--spec", str(source), "--K", "ids:100", "--radii", "5,20,90",
                          "--out-dir", str(out), "--prefix", "cap"]) == 0
         runs[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if "manifest" not in p.name}
-    assert runs["a"] == runs["b"] == runs["pickle"]  # the pickle keeps the stencil, so the same solves
+    assert runs["a"] == runs["b"] == runs["built"]  # the built file builds the same stencil, so the same solves
     capacity = json.loads(runs["a"]["cap.json"])
     assert capacity["unknowns"] == [8, 38, 178] and min(capacity["iterations"]) > 0
 

@@ -688,6 +688,13 @@ def test_dead_components_match_loops(seed):
     assert np.array_equal(dead[labels], want)
 
 
+def whole_ball_note(space, radius):
+    """The scan's note when its last ball, about point 0, holds every point and so can raise no certificate."""
+    if not (space.distances_from(0) < radius).all():
+        return []
+    return [f"the ball of radius {radius:.6g} holds every point, so its capacity is 0 on any space: no certificate"]
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_capacity_scan_matches_per_radius_potentials(seed):
@@ -705,7 +712,7 @@ def test_capacity_scan_matches_per_radius_potentials(seed):
         warnings.extend(solve.warnings)
     assert scan.capacities == caps
     assert scan.residuals == residuals
-    assert scan.warnings == warnings + boundary_notes(space.max_distance_from(0), radii[-1])
+    assert scan.warnings == warnings + boundary_notes(space.max_distance_from(0), radii[-1]) + whole_ball_note(space, radii[-1])
 
 
 @pytest.mark.parametrize("dim,radius", [(1, 5), (2, 4), (3, 3), (4, 2)])
@@ -931,7 +938,7 @@ def test_islands_form_matrix_dead_masks_and_scan_match_oracles(seed):
     caps, residuals, warns = oracle_capacities(space, kernel, local, np.array([0]), radii)
     assert scan.capacities == caps
     assert scan.residuals == residuals
-    assert scan.warnings == warns + boundary_notes(space.max_distance_from(0), radii[-1])
+    assert scan.warnings == warns + boundary_notes(space.max_distance_from(0), radii[-1]) + whole_ball_note(space, radii[-1])
 
 
 def test_zero_conductance_edge_does_not_join_components():
@@ -1035,7 +1042,7 @@ _SPECS = {
     "stable_i": ("lattice", 60, {"dim": 1, "kernel": {"family": "stable_i", "alpha": 1, "beta": 1}}),
     "stable_i-2d": ("lattice", 3, {"dim": 2, "spacing": 1, "kernel": {"family": "stable_i", "alpha": 1, "beta": 2}}),
     "stable_ii": ("lattice", 40, {"dim": 1, "spacing": 2, "kernel": {"family": "stable_ii", "alpha": 1, "tempering": 2}}),
-    "gasket": ("lattice", 5, {"support": "gasket", "gasket_level": 3, "kernel": {"family": "stable_i", "alpha": 1}}),
+    "gasket": ("lattice", 8, {"support": "gasket", "gasket_level": 3, "kernel": {"family": "stable_i", "alpha": 1}}),
     "explicit": ("lattice", 3, {"dim": 1, "kernel": {"family": "explicit", "n_points": 4, "entries": [[0, 1, 2], [2, 1, 5]]}}),
     "explicit-mirrored": (
         "lattice", 3, {"dim": 1, "kernel": {"family": "explicit", "n_points": 4, "entries": [[0, 1, 2], [1, 0, 2], [2, 1, 5]]}}
@@ -1119,8 +1126,9 @@ def test_spec_builds_match_the_hand_copied_dispatch(monkeypatch, name, floats):
 @pytest.mark.parametrize("dim,gasket_level", [(2.0, 5), (1, 3.0)])
 def test_integer_lattice_params_written_as_floats(monkeypatch, dim, gasket_level):
     kernel = {"family": "stable_i", "alpha": 1.5}
-    for params in ({"dim": dim, "kernel": kernel}, {"support": "gasket", "gasket_level": gasket_level, "kernel": kernel}):
-        spec = {"type": "lattice", "truncation_radius": 4, "params": params}
+    gasket = {"support": "gasket", "gasket_level": gasket_level, "kernel": kernel}
+    for radius, params in ((4, {"dim": dim, "kernel": kernel}), (2 ** int(gasket_level), gasket)):  # a gasket's is 2^L
+        spec = {"type": "lattice", "truncation_radius": radius, "params": params}
         assert_same_instance(build_from_spec(spec), _oracle_build(monkeypatch, spec))
 
 

@@ -9,11 +9,9 @@ import jdlab.cli as cli
 from jdlab.specio import (
     SpecError,
     build_from_spec,
-    load_built,
     load_spec,
     round_floats,
     round_sig,
-    save_built,
     validate_spec,
 )
 
@@ -106,15 +104,6 @@ def test_explicit_entries_diagonal_rejected():
         build_from_spec(payload)
 
 
-def test_save_and_load_built(tmp_path):
-    built = build_from_spec({"type": "lattice", "truncation_radius": 5, "params": {"dim": 1}})
-    path = tmp_path / "inst.pkl"
-    save_built(path, built)
-    again = load_built(path)
-    assert again.space.n_points == built.space.n_points
-    assert (again.kernel.matrix != built.kernel.matrix).nnz == 0
-
-
 def test_round_sig_and_floats():
     assert round_sig(1.0 / 3.0) == pytest.approx(0.333333333333, abs=1e-15)
     assert round_sig(0.0) == 0.0
@@ -197,6 +186,59 @@ BAD_SPECS = {
     ),
     "zero-dim-on-stack": (
         {"type": "stack", "truncation_radius": 3, "params": {"dim": 0}}, "spec type 'stack': dim must be a positive integer"
+    ),
+    # model_manifold divided by dim 0 (ZeroDivisionError) and raised TypeError on "2"; stack raised TypeError on
+    # layers 2.5 and "3"; int() truncated the rest, so an extent-2.5 graph had its origin at point 17 of 25
+    "zero-dim-on-model_manifold": (
+        {"type": "model_manifold", "truncation_radius": 3, "params": {"dim": 0}},
+        "spec type 'model_manifold': dim must be a positive integer, got 0",
+    ),
+    "string-dim-on-model_manifold": (
+        {"type": "model_manifold", "truncation_radius": 3, "params": {"dim": "2"}}, "dim must be a positive integer, got '2'"
+    ),
+    "non-integer-dim-on-model_manifold": (
+        {"type": "model_manifold", "truncation_radius": 3, "params": {"dim": 2.5}}, "dim must be a positive integer, got 2.5"
+    ),
+    "non-integer-layers-on-stack": (
+        {"type": "stack", "truncation_radius": 3, "params": {"layers": 2.5}},
+        "spec type 'stack': layers must be an integer >= 2, got 2.5",
+    ),
+    "string-layers-on-stack": (
+        {"type": "stack", "truncation_radius": 3, "params": {"layers": "3"}}, "layers must be an integer >= 2, got '3'"
+    ),
+    "non-integer-extent-on-graph": (
+        {"type": "graph", "truncation_radius": 2, "params": {"extent": 2.5}}, "extent must be an integer >= 0, got 2.5"
+    ),
+    "non-integer-subdivisions-on-graph": (
+        {"type": "graph", "truncation_radius": 2, "params": {"extent": 2, "subdivisions": 1.5}},
+        "subdivisions must be an integer >= 0, got 1.5",
+    ),
+    "non-integer-n_vertices-on-graph": (
+        {"type": "graph", "truncation_radius": 2, "params": {"graph_kind": "explicit", "n_vertices": 2.5, "edges": [[0, 1]]}},
+        "n_vertices must be an integer >= 0, got 2.5",
+    ),
+    "non-integer-edge-on-graph": (
+        {"type": "graph", "truncation_radius": 2, "params": {"graph_kind": "explicit", "n_vertices": 3, "edges": [[0, 1.5]]}},
+        "each point id of edges must be an integer >= 0, got 1.5",
+    ),
+    "non-integer-gasket_level": (
+        _lattice({"support": "gasket", "gasket_level": 2.5, "kernel": {"family": "stable_i"}}, radius=4),
+        "kernel family 'stable_i': gasket_level must be an integer >= 0, got 2.5",
+    ),
+    "non-integer-n_points-on-explicit": (_explicit([], n_points=2.5), "n_points must be an integer >= 0, got 2.5"),
+    "non-integer-entry-on-explicit": (_explicit([[0, 1.5, 1.0]]), "each point id of entries must be an integer >= 0, got 1.5"),
+    # the gasket built its own truncation 2^L, spacing 1 and plane whatever the spec said
+    "truncation-differs-from-gasket": (
+        _lattice({"support": "gasket", "gasket_level": 3, "kernel": {"family": "stable_i"}}),
+        "kernel family 'stable_i': truncation_radius 3 differs from the level-3 gasket's 8",
+    ),
+    "spacing-on-gasket": (
+        _lattice({"support": "gasket", "gasket_level": 3, "spacing": 0.5, "kernel": {"family": "stable_i"}}, radius=8),
+        "spacing 0.5 differs from the level-3 gasket's 1",
+    ),
+    "dim-on-gasket": (
+        _lattice({"support": "gasket", "gasket_level": 3, "dim": 3, "kernel": {"family": "stable_i"}}, radius=8),
+        "dim 3 differs from the level-3 gasket's 1",
     ),
     # JSON true passed as 1 and NaN passed validation; an infinite radius overflowed in the lattice box
     "bool-truncation_radius": (

@@ -19,7 +19,6 @@ energy with a long-double sum within 1e-14.
 """
 
 import contextlib
-import pickle
 import re
 import warnings
 
@@ -54,7 +53,6 @@ from jdlab.capacity import _form, _potential
 from jdlab.criteria import theta_test_function
 from jdlab.forms import _FreeOperator, form_matrix, local_chain, truncate_kernel
 from jdlab.kernels import _pairwise_kernel
-from jdlab.specio import load_built, save_built
 
 REL = 1e-12
 EPS = np.finfo(float).eps
@@ -475,7 +473,7 @@ def test_the_stencil_keeps_no_gathered_csr():
     assert not any(sp.issparse(v) or isinstance(v, JumpKernel) for v in held.values())
 
 
-def test_reports_rates_and_pickles_see_the_pairwise_csr(tmp_path):
+def test_reports_and_rates_see_the_pairwise_csr():
     built = stable_like(alpha=1.0, beta=1.0, dim=1, truncation_radius=150)
     space, stencil = built.space, built.kernel
     fresh = pairwise_oracle(space, alpha=1.0, beta=1.0)
@@ -487,25 +485,6 @@ def test_reports_rates_and_pickles_see_the_pairwise_csr(tmp_path):
     )
     got_q, want_q = jump_rates(stencil).q, jump_rates(fresh).q
     assert got_q.data.tobytes() == want_q.data.tobytes() and got_q.indices.tobytes() == want_q.indices.tobytes()
-    with no_gather():  # the pickle keeps the stencil, and loading it gathers no CSR
-        save_built(tmp_path / "s.pkl", built)
-        loaded = load_built(tmp_path / "s.pkl").kernel
-    assert type(loaded) is StencilKernel
-    assert_bit_identical(loaded.csr().matrix, fresh.matrix)
-
-
-def test_a_pickle_keeps_the_stencil(tmp_path):
-    built = stable_like(alpha=1.0, beta=1.0, dim=1, truncation_radius=1200)
-    space = built.space
-    radii = [10.0, 160.0, 1100.0]
-    with no_gather():
-        save_built(tmp_path / "s.pkl", built)
-        assert (tmp_path / "s.pkl").stat().st_size < 200_000  # the stencil, not the 5.76 M-entry CSR
-        loaded = load_built(tmp_path / "s.pkl")
-        assert type(loaded.kernel) is StencilKernel
-        assert loaded.kernel.stencil.tobytes() == built.kernel.stencil.tobytes()
-        want = capacity_scan(space, built.kernel, None, [space.origin], radii)
-        assert capacity_scan(loaded.space, loaded.kernel, None, [space.origin], radii) == want
 
 
 def test_csr_kept_where_a_unit_offset_underflows_and_on_the_gasket():
@@ -720,19 +699,6 @@ def test_gasket_circulant_eigenvalues_are_positive_on_masked_free_sets():
     for r in (2.0, 8.0, 16.0, 31.0, 100.0):
         free_idx = np.setdiff1d(np.flatnonzero(dist < r), [space.origin])
         assert _FreeOperator(stencil, free_idx).eigenvalues.min() > 0, r
-
-
-def test_a_gasket_pickle_keeps_the_stencil(tmp_path):
-    built = stable_like(case="ii", alpha=0.8, support="gasket", gasket_level=6)
-    space = built.space
-    radii = [4.0, 32.0, 60.0]
-    with no_gather():
-        save_built(tmp_path / "g.pkl", built)
-        loaded = load_built(tmp_path / "g.pkl")
-        assert type(loaded.kernel) is StencilKernel
-        assert loaded.kernel.stencil.tobytes() == built.kernel.stencil.tobytes()
-        want = capacity_scan(space, built.kernel, None, [space.origin], radii)
-        assert capacity_scan(loaded.space, loaded.kernel, None, [space.origin], radii) == want
 
 
 def test_the_gasket_has_no_graph_distance():

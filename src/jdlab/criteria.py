@@ -110,11 +110,18 @@ def davies_constant(liminf_estimate: float) -> float:
 def _omega_values(
     space: DiscreteMMSpace, kernel: Optional[KernelOperator], radii: np.ndarray
 ) -> np.ndarray:
-    """omega(r) = max over X^(j) of sum_y (d(x,y) ^ r)^2 j(x,y) m(y), per r."""
+    """omega(r) = max over X^(j) of sum_y (d(x,y) ^ r)^2 j(x,y) m(y), per r.
+
+    One pass per distinct min(r, longest pair distance): past it, d ^ r = d
+    on every stored pair, so those radii share one value bit for bit.
+    """
     _, x_j = support_sets(kernel, None)
     if len(x_j) == 0:
         return np.zeros(len(radii))
-    return np.array([kernel.weighted_row_sums(lambda d: np.minimum(d, r) ** 2)[x_j].max() for r in radii])
+    clipped = np.minimum(radii, kernel.longest_pair_distance())
+    keys, slot = np.unique(clipped, return_inverse=True)
+    values = [kernel.weighted_row_sums(lambda d: np.minimum(d, r) ** 2)[x_j].max() for r in keys]
+    return np.array(values)[slot]
 
 
 def omega(space: DiscreteMMSpace, kernel: Optional[KernelOperator], r: float) -> float:

@@ -53,6 +53,8 @@ class KernelOperator:
       since j vanishes on the diagonal;
     - weighted_row_sums(g) = sum_y j(x, y) g(d(x, y)) m(y) for each x, from
       which criteria take omega(r) and M_j;
+    - longest_pair_distance() is the largest d(x, y) over the stored pairs,
+      past which g(min(d, r)) stops changing in r; inf where none is kept;
     - jump_support() is X^(j), the points with a positive kernel entry;
     - jump_energy(u, v) is the jump form E^(j)(u, v);
     - csr() is the kernel as a CSR `JumpKernel`, which only the rate table,
@@ -74,6 +76,9 @@ class KernelOperator:
 
     def weighted_row_sums(self, g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         raise NotImplementedError
+
+    def longest_pair_distance(self) -> float:
+        return np.inf
 
     def jump_support(self) -> np.ndarray:
         raise NotImplementedError
@@ -146,7 +151,8 @@ class JumpKernel(KernelOperator):
     @property
     def weighted(self) -> sp.csr_matrix:
         if self._weighted is None:
-            self._weighted = self.matrix.multiply(self.space.measure[None, :]).tocsr()
+            m = self.matrix  # W shares the kernel's indptr and indices, so W.data stays aligned with pair_distances
+            self._weighted = sp.csr_matrix((m.data * self.space.measure[m.indices], m.indices, m.indptr), shape=m.shape)
         return self._weighted
 
     @property
@@ -168,6 +174,10 @@ class JumpKernel(KernelOperator):
                 out[lo:hi] = self.space.pair_distances(np.repeat(rows, counts[rows]), m.indices[lo:hi])
             self._pair_d = out
         return self._pair_d
+
+    def longest_pair_distance(self) -> float:
+        """max d(x, y) over the stored entries (0 for the empty kernel; inf across components)."""
+        return float(self.pair_distances().max(initial=0.0))
 
     def density(self, x: int, y: int) -> float:
         return float(self.matrix[x, y])

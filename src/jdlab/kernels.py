@@ -149,7 +149,9 @@ def stable_like(
     j = d^-(kappa+alpha) for d <= 1, d^-(kappa+beta) beyond; case (ii)
     replaces the long tail with exp(-c d) d^-(kappa+alpha). The lattice's
     truncation radius defaults to 100; the gasket's is 2^L, and it takes
-    no dim, spacing or truncation radius but its own.
+    no dim, spacing or truncation radius but its own. A level whose offset
+    box of (2^(L+1) + 1)^2 floats exceeds np.iinfo(np.intp).max bytes (L > 28
+    on a 64-bit build) cannot be addressed and is rejected unbuilt.
     """
     dim, spacing, gasket_level = _check_int("dim", dim), float(spacing), _check_int("gasket_level", gasket_level, 0)
     if not 0 < alpha < 2:
@@ -176,6 +178,8 @@ def stable_like(
         return short + tail
 
     if support == "gasket":
+        if (2 ** min(gasket_level + 1, 64) + 1) ** 2 * 8 > np.iinfo(np.intp).max:  # capped: 2^64 floats never fit
+            raise ValueError(f"gasket_level {gasket_level} is too deep: its offset box of (2^(L+1) + 1)^2 floats cannot be addressed")
         reach = float(2**gasket_level)
         for name, value, own in (("dim", dim, 1), ("spacing", spacing, 1.0), ("truncation_radius", truncation_radius, reach)):
             if value not in (None, own):

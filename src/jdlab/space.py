@@ -266,9 +266,9 @@ class DiscreteMMSpace:
         if limit == np.inf:
             return dijkstra(graph, directed=True, indices=sources)[local, targets]
         ball = np.isfinite(dijkstra(graph, directed=True, indices=sources, limit=limit, min_only=True))
-        label = np.cumsum(ball) - 1  # index of each point of the union within it
-        dist = dijkstra(_induced(graph, ball, label), directed=True, indices=label[sources], limit=limit)
-        return np.where(ball[targets], dist[local, label[targets]], np.inf)  # off the union, label names another point
+        sub, label = _induced(graph, ball)
+        dist = dijkstra(sub, directed=True, indices=label[sources], limit=limit)
+        return np.where(ball[targets], dist[local, label[targets]], np.inf)  # off the union, label is 0: read, then masked
 
     def _cached(self, cache: dict, x0: int, row_of) -> np.ndarray:
         """Row x0 of a bounded cache, read-only, computed by row_of(x0) on a miss."""
@@ -339,16 +339,18 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
 
 
-def _induced(graph: sp.csr_matrix, member: np.ndarray, label: np.ndarray) -> sp.csr_matrix:
-    """The subgraph of a CSR graph induced on the points where member holds, point p renumbered label[p]."""
+def _induced(graph: sp.csr_matrix, member: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The subgraph of a CSR graph induced on the points where member holds, and labels: members in order, others 0."""
     points = np.flatnonzero(member)
+    label = np.zeros(len(member), dtype=np.int64)
+    label[points] = np.arange(len(points))
     lo = graph.indptr[points]
     counts = graph.indptr[points + 1] - lo
     entries = _ranges(lo, counts)
     kept = member[graph.indices[entries]]
     indptr = np.concatenate([[0], np.cumsum(kept)])[np.concatenate([[0], np.cumsum(counts)])]
     entries = entries[kept]
-    return sp.csr_matrix((graph.data[entries], label[graph.indices[entries]], indptr), shape=(len(points),) * 2)
+    return sp.csr_matrix((graph.data[entries], label[graph.indices[entries]], indptr), shape=(len(points),) * 2), label
 
 
 def boundary_notes(reach: float, r_max: float) -> list[str]:

@@ -192,6 +192,16 @@ def test_an_empty_explicit_space_exits_2(tmp_path, capsys):
     assert not list(tmp_path.glob("*.manifest.json"))
 
 
+def test_a_gasket_level_too_deep_to_address_exits_2(tmp_path, capsys):
+    # level 2000 died with an OverflowError traceback at float(2**gasket_level), exit 1
+    kernel = {"family": "stable_i", "support": "gasket", "gasket_level": 2000}
+    bad = write_spec(tmp_path / "deep.json", {"type": "lattice", "truncation_radius": 8, "params": {"kernel": kernel}})
+    assert cli.main(["criteria", "--spec", bad, "--radii", "2", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "gasket_level 2000 is too deep" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("*.manifest.json"))
+
+
 def test_coords_with_a_row_too_many_exit_2(tmp_path, capsys):
     # 4 coordinate rows for 3 points died with an IndexError traceback, exit 1
     kernel = {"family": "explicit", "n_points": 3, "coords": [[0, 0], [1, 0], [2, 0], [3, 0]]}

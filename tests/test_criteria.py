@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
 
 from jdlab import (
     DiscreteMMSpace,
@@ -23,8 +24,12 @@ from jdlab import (
     volume_growth_report,
     weighted_line,
 )
+from jdlab.criteria import _omega_values
+from jdlab.forms import JumpKernel, StencilKernel
 from jdlab.kernels import explicit_kernel, stable_like
+from jdlab.specio import build_from_spec
 from conftest import random_symmetric_kernel
+from test_segments import _SPECS, _spec
 
 
 # -- volume growth -----------------------------------------------------------
@@ -120,6 +125,95 @@ def test_omega_monotone_and_bounded():
     cap = built.kernel.row_mass.max()
     for r, v in zip((0.5, 1.0, 2.0, 4.0, 8.0), values):
         assert v <= r**2 * cap + 1e-12
+
+
+def _omega_loop(kernel, radii):
+    """omega by one weighted_row_sums pass per radius, as criteria computed it before passes were shared."""
+    x_j = kernel.jump_support()
+    return np.array([kernel.weighted_row_sums(lambda d: np.minimum(d, r) ** 2)[x_j].max() for r in radii])
+
+
+def _radii_about(longest):
+    """Radii below, at and above the longest pair distance (a plain grid where there is none)."""
+    if not math.isfinite(longest):
+        return np.array([0.5, 1.0, 2.0, 8.0])
+    return np.array([longest / 3, longest / 2, longest, longest, 1.5 * longest, 4 * longest])
+
+
+def _two_component_kernel():
+    """Two separate edges of a graph metric, and a kernel pairing points across them: that pair is inf apart."""
+    edges = csr_matrix(([1.0, 2.0], ([0, 2], [1, 3])), shape=(4, 4))
+    space = DiscreteMMSpace(np.ones(4), metric_kind="graph", metric_graph=edges + edges.T)
+    return space, JumpKernel.from_entries(space, [0, 1, 0], [1, 3, 2], [1.0, 0.5, 2.0])
+
+
+@pytest.mark.parametrize("name", [*sorted(_SPECS), "two-components"])
+def test_omega_values_equal_the_per_radius_loop(name):
+    if name == "two-components":
+        space, kernel = _two_component_kernel()
+    else:
+        built = build_from_spec(_spec(name, floats=False))
+        space, kernel = built.space, built.kernel
+    if len(kernel.jump_support()) == 0:
+        assert np.array_equal(_omega_values(space, kernel, np.array([1.0, 2.0])), np.zeros(2))
+        return
+    longest = kernel.longest_pair_distance()
+    if isinstance(kernel, StencilKernel) or name == "two-components":
+        assert longest == math.inf  # no bound: one pass per radius
+    radii = _radii_about(longest)
+    assert np.array_equal(_omega_values(space, kernel, radii), _omega_loop(kernel, radii))
+
+
+def _count_passes(monkeypatch, cls):
+    calls = []
+    passes = cls.weighted_row_sums
+
+    def spy(self, g):
+        calls.append(g)
+        return passes(self, g)
+
+    monkeypatch.setattr(cls, "weighted_row_sums", spy)
+    return calls
+
+
+@pytest.mark.parametrize("radii,n_passes", [((2, 3, 4, 5, 6, 7, 8), 1), ((0.5, 0.7, 1, 2, 4), 3)])
+def test_omega_makes_one_pass_per_radius_clipped_to_the_longest_pair(monkeypatch, z3_cube, radii, n_passes):
+    kernel = z3_cube.kernel
+    assert kernel.longest_pair_distance() == 1.0
+    want = _omega_loop(kernel, radii)
+    calls = _count_passes(monkeypatch, JumpKernel)
+    got = _omega_values(z3_cube.space, kernel, np.array(radii, dtype=float))
+    assert len(calls) == n_passes
+    assert np.array_equal(got, want)
+
+
+def test_stencil_omega_makes_one_pass_per_radius(monkeypatch):
+    built = stable_like(dim=1, truncation_radius=30)
+    assert built.kernel.longest_pair_distance() == math.inf
+    calls = _count_passes(monkeypatch, StencilKernel)
+    _omega_values(built.space, built.kernel, np.array([0.5, 1.0, 2.0, 8.0, 29.0]))
+    assert len(calls) == 5
+
+
+def test_longest_pair_distance_of_an_empty_kernel_is_zero():
+    assert explicit_kernel(5, []).kernel.longest_pair_distance() == 0.0
+
+
+@pytest.mark.parametrize(
+    "name", ["nn", "nn-cell", "explicit", "graph-shell_power", "stack-power", "model_manifold-sandwich", "underflow"]
+)
+def test_scaled_w_equals_the_broadcast_multiply(name):
+    if name == "underflow":  # j m(y) = 1e-200 * 1e-200 underflows to an explicit 0 that stays stored
+        built = explicit_kernel(3, [(0, 1, 1e-200), (1, 2, 1.0)], measure=[1e-200, 1e-200, 1.0])
+    else:
+        built = build_from_spec(_spec(name, floats=False))
+    kernel = built.kernel.csr()
+    want = kernel.matrix.multiply(built.space.measure[None, :]).tocsr()
+    got = kernel.weighted
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+    if name == "underflow":
+        assert got.nnz == kernel.matrix.nnz and (got.data == 0).any()
 
 
 # -- recurrence statistic ------------------------------------------------------

@@ -692,6 +692,39 @@ def test_gasket_stencil_matches_the_pairwise_csr(case, level):
     np.testing.assert_allclose(got.capacities, want.capacities, rtol=REL, atol=0)
 
 
+@contextlib.contextmanager
+def no_allocation():
+    """Fails the test if the block builds gasket points or allocates 1 MB or more in Python or numpy."""
+    import tracemalloc
+
+    import jdlab.kernels
+
+    def fail(level):
+        raise AssertionError(f"gasket points of level {level} were built")
+
+    tracemalloc.start()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(jdlab.kernels, "_gasket_points", fail)
+            yield
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak allocation {peak} bytes"
+
+
+@pytest.mark.parametrize("level", [29, 2000])
+def test_a_gasket_level_whose_offset_box_cannot_be_addressed_is_rejected_unbuilt(level):
+    # (2^(L+1) + 1)^2 floats exceed np.iinfo(np.intp).max bytes from L = 29 on; L = 2000 overflowed float(2^L)
+    with no_allocation(), pytest.raises(ValueError, match=f"gasket_level {level} is too deep"):
+        stable_like(support="gasket", gasket_level=level)
+
+
+def test_the_deepest_addressable_gasket_level_goes_on_to_build_its_points():
+    with pytest.raises(AssertionError, match="gasket points of level 28 were built"), no_allocation():
+        stable_like(support="gasket", gasket_level=28)
+
+
 def test_gasket_circulant_eigenvalues_are_positive_on_masked_free_sets():
     built = stable_like(alpha=0.8, support="gasket", gasket_level=5)
     space, stencil = built.space, built.kernel

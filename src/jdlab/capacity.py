@@ -194,7 +194,7 @@ class _StencilForm:
         return x, res, 0, iterations
 
 
-def _form(space: DiscreteMMSpace, kernel: Optional[KernelOperator], local: Optional[LocalPart]):
+def _form(space: DiscreteMMSpace, kernel: KernelOperator, local: Optional[LocalPart]):
     """The free-set solver: FFT matvecs for a stencil kernel alone, else the assembled form matrix G."""
     if isinstance(kernel, StencilKernel) and local is None:
         return _StencilForm(kernel)
@@ -203,7 +203,7 @@ def _form(space: DiscreteMMSpace, kernel: Optional[KernelOperator], local: Optio
 
 def equilibrium_potential(
     space: DiscreteMMSpace,
-    kernel: Optional[KernelOperator],
+    kernel: KernelOperator,
     local: Optional[LocalPart],
     inner: Sequence[int],
     ball_mask: np.ndarray,
@@ -272,7 +272,7 @@ class CapacityReport:
 
 def capacity_scan(
     space: DiscreteMMSpace,
-    kernel: Optional[KernelOperator],
+    kernel: KernelOperator,
     local: Optional[LocalPart],
     inner: Sequence[int],
     radii: Sequence[float],
@@ -293,6 +293,8 @@ def capacity_scan(
         raise ValueError(f"decay_ratio must lie in (0, 1), got {decay_ratio}")
     inner = np.asarray(inner, dtype=np.int64)
     radii = sorted(float(r) for r in radii)
+    if np.isnan(radii).any():  # an infinite radius is allowed: its ball holds every point
+        raise ValueError("radius nan is not a number")
     if not radii:  # an empty scan would read as a certificate that failed
         raise ValueError("a capacity scan needs at least one radius")
     if center is None:
@@ -319,7 +321,7 @@ def capacity_scan(
 
 def green_growth(
     space: DiscreteMMSpace,
-    kernel: Optional[KernelOperator],
+    kernel: KernelOperator,
     local: Optional[LocalPart],
     f: np.ndarray,
     x0: int,

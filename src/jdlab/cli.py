@@ -148,7 +148,7 @@ def cmd_criteria(args, started: float) -> int:
 
 def cmd_simulate(args, started: float) -> int:
     built = load_spec_or_built(args.spec)
-    if built.kernel is None or len(built.kernel.jump_support()) == 0:
+    if len(built.kernel.jump_support()) == 0:
         raise SpecError("simulation needs a nonzero jump kernel")
     x0 = built.space.origin if args.x0 is None else _point(args.x0, built, "--x0")
     targets = _parse_target(args.target, built, "--target") if args.target else None

@@ -108,14 +108,14 @@ def davies_constant(liminf_estimate: float) -> float:
 
 
 def _omega_values(
-    space: DiscreteMMSpace, kernel: Optional[KernelOperator], radii: np.ndarray
+    space: DiscreteMMSpace, kernel: KernelOperator, radii: np.ndarray
 ) -> np.ndarray:
     """omega(r) = max over X^(j) of sum_y (d(x,y) ^ r)^2 j(x,y) m(y), per r.
 
     One pass per distinct min(r, longest pair distance): past it, d ^ r = d
     on every stored pair, so those radii share one value bit for bit.
     """
-    _, x_j = support_sets(kernel, None)
+    x_j = kernel.jump_support()
     if len(x_j) == 0:
         return np.zeros(len(radii))
     clipped = np.minimum(radii, kernel.longest_pair_distance())
@@ -124,7 +124,7 @@ def _omega_values(
     return np.array(values)[slot]
 
 
-def omega(space: DiscreteMMSpace, kernel: Optional[KernelOperator], r: float) -> float:
+def omega(space: DiscreteMMSpace, kernel: KernelOperator, r: float) -> float:
     """Truncated second jump moment, sup over the jump support."""
     if r <= 0:
         raise ValueError("r must be positive")
@@ -133,7 +133,7 @@ def omega(space: DiscreteMMSpace, kernel: Optional[KernelOperator], r: float) ->
 
 def recurrence_report(
     space: DiscreteMMSpace,
-    kernel: Optional[KernelOperator],
+    kernel: KernelOperator,
     local: Optional[LocalPart],
     x0: int,
     radii: Sequence[float],
@@ -192,7 +192,7 @@ class ThetaEnergyReport:
 
 def theta_energy(
     space: DiscreteMMSpace,
-    kernel: Optional[KernelOperator],
+    kernel: KernelOperator,
     local: Optional[LocalPart],
     x0: int,
     r_grid: Sequence[float],

@@ -107,8 +107,11 @@ class JumpKernel(KernelOperator):
         # clear the stored diagonal in place; setdiag would first insert the missing ones
         m.data[m.indices == np.repeat(np.arange(n, dtype=m.indices.dtype), np.diff(m.indptr))] = 0.0
         m.eliminate_zeros()
-        # entries must be finite too: inf - inf is nan, so an infinite pair is not exactly symmetric
-        if not (exactly_symmetric(m) and np.isfinite(m.data).all()):
+        bad = np.flatnonzero(~np.isfinite(m.data))
+        if bad.size:
+            x = int(np.searchsorted(m.indptr, bad[0], side="right")) - 1
+            raise ValueError(f"jump density must be finite: j({x}, {m.indices[bad[0]]}) = {m.data[bad[0]]}")
+        if not exactly_symmetric(m):
             raise ValueError("jump density must be exactly symmetric")
         if m.nnz and m.data.min() < 0:
             raise ValueError("jump density must be nonnegative")
@@ -477,7 +480,7 @@ def gamma_jump(kernel: KernelOperator, u: np.ndarray, v: Optional[np.ndarray] = 
 
 def energy(
     space: DiscreteMMSpace,
-    kernel: Optional[KernelOperator],
+    kernel: KernelOperator,
     local: Optional[LocalPart],
     u: np.ndarray,
     v: Optional[np.ndarray] = None,
@@ -488,9 +491,7 @@ def energy(
     total = 0.0
     if local is not None:
         total += local.energy(space.measure, u, v)
-    if kernel is not None:
-        total += kernel.jump_energy(u, v)
-    return total
+    return total + kernel.jump_energy(u, v)
 
 
 def truncate_kernel(kernel: KernelOperator, a: float) -> JumpKernel:
@@ -516,25 +517,17 @@ class MConstants:
     m_j: float
     argmax_c: Optional[int]
     argmax_j: Optional[int]
-    argmax_c_on_boundary: bool = False
-    argmax_j_on_boundary: bool = False
 
 
-def _near_boundary(space: DiscreteMMSpace, x: int) -> bool:
-    reach = space.max_distance_from(space.origin)
-    if not np.isfinite(reach) or reach == 0:
-        return False
-    return bool(space.distances_from(space.origin)[x] >= 0.9 * reach)
-
-
-def m_constants(space: DiscreteMMSpace, kernel: Optional[KernelOperator], local: Optional[LocalPart]) -> MConstants:
+def m_constants(space: DiscreteMMSpace, kernel: KernelOperator, local: Optional[LocalPart]) -> MConstants:
     """M_c = max Gamma_c(d,d) over X^(c); M_j = max int (1 ^ d^2) j over X^(j).
 
     The distance function is d(., origin); away from the origin its local
     increments are what Gamma_c sees, so the base point only perturbs the
-    maximum at O(h). Maxima over the truncation, not essential suprema; the
-    boundary flags mark arg-max points sitting near the truncation edge
-    (evidence that the true supremum may be larger).
+    maximum at O(h). Maxima over the truncation, not essential suprema, so
+    where an integrand grows toward the truncation edge the true supremum is
+    larger. Each arg-max is the first maximising point (np.argmax): under
+    ties its position says nothing about where the maximum sits.
     """
     x_c, x_j = support_sets(kernel, local)
     m_c, arg_c = 0.0, None
@@ -548,14 +541,7 @@ def m_constants(space: DiscreteMMSpace, kernel: Optional[KernelOperator], local:
         sums = kernel.weighted_row_sums(lambda d: np.minimum(1.0, d**2))[x_j]
         k = int(np.argmax(sums))
         m_j, arg_j = max(float(sums[k]), 0.0), int(x_j[k])
-    return MConstants(
-        m_c,
-        m_j,
-        arg_c,
-        arg_j,
-        argmax_c_on_boundary=arg_c is not None and _near_boundary(space, arg_c),
-        argmax_j_on_boundary=arg_j is not None and _near_boundary(space, arg_j),
-    )
+    return MConstants(m_c, m_j, arg_c, arg_j)
 
 
 def derivation_residual(space: DiscreteMMSpace, kernel: KernelOperator, u: np.ndarray, phi: np.ndarray) -> float:
@@ -605,21 +591,12 @@ def jump_rates(kernel: KernelOperator) -> RateTable:
 
 
 def form_matrix(
-    space: DiscreteMMSpace, kernel: Optional[KernelOperator], local: Optional[LocalPart]
+    space: DiscreteMMSpace, kernel: KernelOperator, local: Optional[LocalPart]
 ) -> sp.csr_matrix:
     """Sparse symmetric G with u^T G v = energy(space, kernel, local, u, v)."""
-    n = space.n_points
-    parts = []
-    if kernel is not None:
-        k = kernel.csr().weighted.multiply(space.measure[:, None]).tocsr()
-        g = sp.diags(np.asarray(k.sum(axis=1)).reshape(-1)) - k
-        g.data *= 2.0  # in place: 2.0 * g would copy G
-        parts.append(g)
+    k = kernel.csr().weighted.multiply(space.measure[:, None]).tocsr()
+    g = sp.diags(np.asarray(k.sum(axis=1)).reshape(-1)) - k
+    g.data *= 2.0  # in place: 2.0 * g would copy G
     if local is not None:
-        parts.append(local.form_matrix(space.measure, n))
-    if not parts:
-        return sp.csr_matrix((n, n))
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    return total.tocsr()
+        g = g + local.form_matrix(space.measure, space.n_points)
+    return g.tocsr()

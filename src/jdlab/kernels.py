@@ -28,7 +28,7 @@ class BuiltInstance:
     """A constructed example: space, jump kernel, and optional local part."""
 
     space: DiscreteMMSpace
-    kernel: Optional[KernelOperator]
+    kernel: KernelOperator
     local: Optional[LocalPart] = None
 
 
@@ -60,7 +60,7 @@ def _lattice_points(dim: int, truncation_radius: float, spacing: float) -> np.nd
     return np.stack([g.reshape(-1) for g in grids], axis=1)
 
 
-def _lattice_space(dim, truncation_radius, spacing, measure_per_point, **meta) -> DiscreteMMSpace:
+def _lattice_space(dim, truncation_radius, spacing, measure_per_point) -> DiscreteMMSpace:
     steps = _lattice_points(dim, truncation_radius, spacing)
     coords = steps * spacing
     origin = int(np.flatnonzero((steps == 0).all(axis=1))[0])
@@ -71,7 +71,6 @@ def _lattice_space(dim, truncation_radius, spacing, measure_per_point, **meta) -
         steps=steps,
         origin=origin,
         truncation_radius=truncation_radius,
-        meta={"kind": "lattice", "dim": dim, "spacing": spacing, **meta},
     )
 
 
@@ -163,7 +162,6 @@ def stable_like(
     if support not in ("lattice", "gasket"):
         raise ValueError(f"unknown support {support!r}")
     kappa = float(dim) if support == "lattice" else KAPPA_GASKET
-    family = {"family": "stable_like", "kappa": kappa, "case": case}
     short_exp = kappa + alpha
 
     def f(d: np.ndarray) -> np.ndarray:
@@ -190,11 +188,10 @@ def stable_like(
             coords=np.dot(steps, _GASKET_BASIS),
             steps=steps,
             truncation_radius=reach,
-            meta={"kind": "gasket", "level": gasket_level, **family},
         )
     else:
         radius = 100.0 if truncation_radius is None else truncation_radius
-        space = _lattice_space(dim, radius, spacing, spacing**dim, **family)
+        space = _lattice_space(dim, radius, spacing, spacing**dim)
     # f is non-increasing and h is the shortest distance between points: where f(h) underflows every entry
     # is 0, and where it overflows the kernel is infinite between neighbours
     nearest = float(f(np.array(spacing)))
@@ -221,12 +218,17 @@ def stack_space(
     """Stack of lattice sheets R^n x {i}, d = |p(x)-p(y)| + |q(x)-q(y)|.
 
     The measure weights each cell by Psi(p) h^n and the kernel is the layered
-    power law divided by Psi(p(x)) + Psi(p(y)). `range_cutoff` optionally
-    removes jumps longer than c0 (the compact-range recurrence variant).
-    Diagnostic flags for the Psi growth conditions are stored under
-    space.meta["stack_flags"].
+    power law divided by Psi(p(x)) + Psi(p(y)), with alpha in (0, 2) and
+    beta > 0. `range_cutoff` > 0 optionally removes jumps longer than c0 (the
+    compact-range recurrence variant).
     """
     dim, layers = _check_int("dim", dim), _check_int("layers", layers, 2)
+    if not 0 < alpha < 2:
+        raise ValueError("alpha must lie in (0, 2)")
+    if not beta > 0:
+        raise ValueError("beta must be positive")
+    if range_cutoff is not None and not range_cutoff > 0:
+        raise ValueError("range_cutoff must be positive")
     psi_fn = (lambda p, c=float(psi): np.full(p.shape[0], c)) if np.isscalar(psi) else psi
     sheet_steps = _lattice_points(dim, truncation_radius, spacing)
     sheet_coords = sheet_steps * spacing
@@ -248,7 +250,6 @@ def stack_space(
         metric_kind="stack",
         origin=origin,
         truncation_radius=truncation_radius,
-        meta={"kind": "stack", "dim": dim, "spacing": spacing, "layers": layers},
     )
 
     psi_all = np.tile(psi_vals, layers)
@@ -261,54 +262,7 @@ def stack_space(
             num = np.where(d <= range_cutoff, num, 0.0)
         return num / (psi_all[idx][:, None] + psi_all[None, :])
 
-    kernel = _pairwise_kernel(space, f_rows)
-    space.meta["stack_flags"] = _stack_flags(
-        kernel, sheet_coords, psi_vals, spacing, dim, alpha, range_cutoff, truncation_radius
-    )
-    return BuiltInstance(space, kernel)
-
-
-def _stack_flags(kernel, sheet_coords, psi_vals, spacing, dim, alpha, range_cutoff, radius):
-    flags: dict = {}
-    # compact-range domination j <= 1_{d <= c0} d^{-(1+alpha)}
-    if range_cutoff is None:
-        flags["compact_range"] = {"holds": False, "c0": None}
-    else:
-        d = kernel.pair_distances()
-        vals = kernel.matrix.data
-        with np.errstate(divide="ignore"):
-            bound = d ** (-(1.0 + alpha))
-        flags["compact_range"] = {
-            "holds": bool(np.all(vals <= bound * (1 + 1e-9))),
-            "c0": float(range_cutoff),
-        }
-    # Psi(x) <= c1 |x|^{1-n} for large |x|: compare outer fit against mid fit
-    r = np.sqrt((sheet_coords**2).sum(axis=1))
-    outer = r >= radius / 2
-    mid = (r >= radius / 4) & (r < radius / 2)
-    if outer.any() and mid.any():
-        fit_outer = float(np.max(psi_vals[outer] * r[outer] ** (dim - 1)))
-        fit_mid = float(np.max(psi_vals[mid] * r[mid] ** (dim - 1)))
-        flags["psi_decay"] = {"holds": fit_outer <= fit_mid * 1.1, "c1": fit_outer}
-    else:
-        flags["psi_decay"] = {"holds": False, "c1": None}
-    # layered volume bound S(r) <= r^{c r}
-    grid = np.linspace(2.0, radius, 8)
-    s_vals = []
-    for rv in grid:
-        top = int(math.ceil(rv))
-        total = 0.0
-        for k in range(top + 1):
-            mask = r <= top - k
-            total += float(np.sum(psi_vals[mask]) * spacing**dim)
-        s_vals.append(total)
-    s_vals = np.asarray(s_vals)
-    with np.errstate(divide="ignore"):
-        c_fit = np.where(s_vals > 0, np.log(np.maximum(s_vals, 1e-300)) / (grid * np.log(grid)), 0.0)
-    half = len(grid) // 2
-    stable = float(np.max(c_fit[half:])) <= max(float(np.max(c_fit[:half])), 0.0) * 1.25 + 0.1
-    flags["volume_bound"] = {"holds": bool(stable), "c": float(np.max(c_fit))}
-    return flags
+    return BuiltInstance(space, _pairwise_kernel(space, f_rows))
 
 
 # -- Example family: weighted line ------------------------------------------
@@ -331,7 +285,6 @@ def weighted_line(lam: float = 1.0, spacing: float = 0.1, truncation_radius: flo
         steps=steps,
         origin=origin,
         truncation_radius=truncation_radius,
-        meta={"kind": "weighted_line", "lam": lam, "spacing": spacing},
     )
     rows, cols = _band_entries(len(xs), int(math.floor(1.0 / spacing + 1e-9)))
     kernel = JumpKernel.from_entries(space, rows, cols, np.exp(-lam * (np.abs(xs[rows]) + np.abs(xs[cols]))))
@@ -406,7 +359,6 @@ def model_manifold(
         steps=np.arange(1, k_max + 1)[:, None],
         origin=0,
         truncation_radius=truncation_radius,
-        meta={"kind": "model_manifold", "dim": dim, "spacing": spacing},
     )
     # the largest k with k h < 1 (|r_x - r_y| < 1 strictly): k < fl(1/h) forces fl(k h) < 1
     rows, cols = _band_entries(k_max, int(math.ceil(1.0 / spacing)) - 1)
@@ -475,7 +427,6 @@ def mixed_graph(
         rho_graph=rho_graph,
         origin=origin,
         truncation_radius=truncation_radius,
-        meta={"kind": "mixed_graph", "n_vertices": nv, "subdivisions": k},
     )
 
     pos = graph.weights > 0
@@ -570,7 +521,6 @@ def explicit_kernel(
         metric_kind=metric_kind,
         origin=0,
         truncation_radius=truncation_radius,
-        meta={"kind": "explicit"},
     )
     entries = np.asarray(entries, dtype=float)
     if entries.size and entries.shape[1:] != (3,):

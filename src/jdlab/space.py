@@ -138,7 +138,6 @@ class DiscreteMMSpace:
         rho_graph: Optional[sp.csr_matrix] = None,
         origin: int = 0,
         truncation_radius: float = float("inf"),
-        meta: Optional[dict] = None,
     ):
         self.measure = np.asarray(measure, dtype=float).reshape(-1)
         if np.any(self.measure <= 0):
@@ -160,7 +159,6 @@ class DiscreteMMSpace:
         if not 0 <= self.origin < self.n_points:
             raise ValueError(f"origin {self.origin} is not a point id in [0, {self.n_points})")
         self.truncation_radius = float(truncation_radius)
-        self.meta = dict(meta or {})
         self._row_cache: dict[int, np.ndarray] = {}
         self._rho_cache: dict[int, np.ndarray] = {}
         for name, graph in (("metric", metric_graph), ("rho", rho_graph)):
@@ -395,12 +393,8 @@ def support_sets(kernel, local) -> tuple[np.ndarray, np.ndarray]:
     interiors only, since vertex atoms carry no absolutely continuous local
     energy density).
     """
-    if kernel is None:
-        x_j = np.array([], dtype=np.int64)
-    else:
-        x_j = kernel.jump_support()
     if local is None:
         x_c = np.array([], dtype=np.int64)
     else:
         x_c = np.asarray(local.support, dtype=np.int64)
-    return x_c, x_j
+    return x_c, kernel.jump_support()

@@ -155,7 +155,7 @@ def test_capacity_scan_z3_transient_no_certificate(z3_cube):
     assert rep.capacities[-1] > 0.5 * rep.capacities[0]
 
 
-@pytest.mark.parametrize("last", [100.0, 17.33])  # the box's corners lie at sqrt(300) = 17.3205
+@pytest.mark.parametrize("last", [100.0, 17.33, np.inf])  # the box's corners lie at sqrt(300) = 17.3205
 def test_no_certificate_from_a_ball_that_holds_every_point(z3_cube, last):
     # its capacity, 1.3e-20, decays past any ratio: the transient Z^3 scan printed certificate=True
     sp = z3_cube.space

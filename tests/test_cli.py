@@ -211,6 +211,26 @@ def test_coords_with_a_row_too_many_exit_2(tmp_path, capsys):
     assert not list(tmp_path.glob("*.manifest.json"))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+@pytest.mark.parametrize(
+    "kind, params, message",
+    [
+        ("lattice", {"kernel": {"family": "explicit", "n_points": 3, "entries": [[0, 1, 1.0], [2, 1, float("inf")]]}},
+         "kernel family 'explicit': jump density must be finite: j(1, 2) = inf"),
+        ("stack", {"dim": 1, "psi": 1e-310}, "spec type 'stack': jump density must be finite: j(0, 1) = inf"),
+        ("stack", {"dim": 1, "alpha": float("nan")}, "spec type 'stack': alpha must lie in (0, 2)"),
+        ("stack", {"dim": 1, "alpha": 1e308}, "spec type 'stack': alpha must lie in (0, 2)"),
+    ],
+    ids=["explicit-infinity", "stack-psi-underflow", "stack-alpha-nan", "stack-alpha-1e308"],
+)
+def test_non_finite_kernel_entries_exit_2_naming_them(tmp_path, capsys, kind, params, message):
+    # each exited 2 with "jump density must be exactly symmetric"; json writes inf and nan as Infinity and NaN
+    bad = write_spec(tmp_path / "bad.json", {"type": kind, "truncation_radius": 2, "params": params})
+    assert cli.main(["criteria", "--spec", bad, "--radii", "1.5", "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_the_space_alias_is_gone(tmp_path, z_spec, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["criteria", "--space", z_spec, "--radii", "5", "--out-dir", str(tmp_path)])
@@ -356,10 +376,13 @@ def test_point_ids_outside_the_space_exit_2_naming_the_flag(tmp_path, capsys, ar
         (["criteria", "--radii", "nan:5:1"], "radius range start nan is not a finite number"),
         (["capacity", "--K", "ids:10", "--radii", "2:5:nan"], "radius range step nan is not a finite number"),
         (["capacity", "--K", "ids:10", "--radii", ","], "a capacity scan needs at least one radius"),
+        (["capacity", "--K", "ids:10", "--radii", "2,nan"], "radius nan is not a number"),
+        (["capacity", "--K", "ids:10", "--radii", "nan,2"], "radius nan is not a number"),
     ],
 )
 def test_radius_lists_that_name_no_finite_radius_exit_2(tmp_path, capsys, argv, message):
-    # on the 21-point Z, nan and inf bounds failed inside np.arange and an empty capacity scan exited 0
+    # on the 21-point Z, nan and inf bounds failed inside np.arange, an empty capacity scan exited 0, and a nan
+    # capacity radius, sorted anywhere, exited with "K must be contained in B"
     spec = write_spec(tmp_path / "z.json", {"type": "lattice", "truncation_radius": 10, "params": {"dim": 1}})
     assert cli.main(argv + ["--spec", spec, "--out-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"

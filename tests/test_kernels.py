@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy.integrate import quad
 
 from jdlab import (
     GraphData,
+    JumpKernel,
     energy,
     jump_rates,
     lattice_nn,
@@ -21,6 +23,7 @@ from jdlab import (
 )
 from jdlab.specio import build_from_spec
 from jdlab.kernels import (
+    KAPPA_GASKET,
     lattice2d_graph,
     mixed_graph,
     mixed_graph_from_params,
@@ -66,7 +69,7 @@ def test_stable_lattice_kappa_set_property():
 
 def test_stable_gasket_kappa_set_property():
     b = stable_like(case="i", alpha=0.5, beta=1.0, support="gasket", gasket_level=5)
-    kappa = b.space.meta["kappa"]
+    kappa = KAPPA_GASKET
     assert kappa == pytest.approx(math.log(3) / math.log(2))
     for r in (2.0, 4.0, 8.0, 16.0, 24.0):
         _, v = metric_ball(b.space, b.space.origin, r)
@@ -95,24 +98,27 @@ def test_stack_kernel_value_and_measure():
     assert_symmetric(b.kernel)
 
 
-def test_stack_flat_psi_flags():
-    b = stack_space(dim=1, spacing=0.5, layers=2, alpha=1.0, beta=1.0, psi=1.0, truncation_radius=8)
-    flags = b.space.meta["stack_flags"]
-    assert flags["psi_decay"]["holds"]
-    assert flags["psi_decay"]["c1"] == pytest.approx(1.0)
-    assert flags["volume_bound"]["holds"]
-    assert not flags["compact_range"]["holds"]
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("alpha", -3.0, "alpha must lie in (0, 2)"),
+        ("alpha", 2.0, "alpha must lie in (0, 2)"),
+        ("alpha", np.nan, "alpha must lie in (0, 2)"),
+        ("beta", -5.0, "beta must be positive"),
+        ("beta", np.nan, "beta must be positive"),
+        ("range_cutoff", -1.0, "range_cutoff must be positive"),
+        ("range_cutoff", 0.0, "range_cutoff must be positive"),
+    ],
+)
+def test_stack_rejects_parameters_outside_their_range(field, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        stack_space(dim=1, truncation_radius=4, **{field: value})
 
 
-def test_stack_range_cutoff_flag():
-    b = stack_space(
-        dim=1, spacing=0.5, layers=2, alpha=1.0, beta=1.0, psi=1.0,
-        range_cutoff=2.0, truncation_radius=8,
-    )
-    flags = b.space.meta["stack_flags"]
-    assert flags["compact_range"]["holds"]
-    d = b.kernel.pair_distances()
-    assert np.all(d <= 2.0)
+def test_stack_range_cutoff_drops_the_longer_jumps():
+    kwargs = dict(dim=1, spacing=0.5, layers=2, alpha=1.0, beta=1.0, psi=1.0, truncation_radius=8)
+    assert stack_space(**kwargs).kernel.pair_distances().max() > 2.0
+    assert stack_space(range_cutoff=2.0, **kwargs).kernel.pair_distances().max() == 2.0
 
 
 def test_stack_rejects_nonpositive_psi():
@@ -206,7 +212,7 @@ def test_mixed_graph_quantum_energy_discretization():
     sp = b.space
     rho = sp.rho_from(0)
     u = 3.0 * rho  # linear along the edge, slope 3 in the edge parameter
-    got = energy(sp, None, b.local, u)
+    got = energy(sp, JumpKernel.from_entries(sp, [], [], []), b.local, u)
     assert got == pytest.approx(0.5 * 9.0, rel=1e-12)
 
 

@@ -7,6 +7,7 @@ import pytest
 from jdlab import (
     DiscreteMMSpace,
     GraphData,
+    JumpKernel,
     UnsupportedOperation,
     build_graph_space,
     lattice_nn,
@@ -217,7 +218,7 @@ def test_support_sets_pure_local():
 
     sp = DiscreteMMSpace(np.full(5, 0.1), coords=np.arange(5)[:, None] * 0.1)
     local = local_chain(np.arange(5), 0.1)
-    x_c, x_j = support_sets(None, local)
+    x_c, x_j = support_sets(JumpKernel.from_entries(sp, [], [], []), local)
     assert len(x_j) == 0
     assert list(x_c) == list(range(5))
 

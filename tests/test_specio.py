@@ -288,7 +288,7 @@ def test_truncation_radius_past_the_largest_float_exits_2(tmp_path, capsys, radi
 
 def test_integral_float_dim_builds_that_lattice():
     built = build_from_spec(_lattice({"dim": 2.0}, radius=2))
-    assert built.space.steps.shape == (25, 2) and built.space.meta["dim"] == 2
+    assert built.space.steps.shape == (25, 2) and built.space.steps.dtype.kind == "i"
 
 
 def test_repeated_equal_entries_give_one_entry():

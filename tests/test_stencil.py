@@ -52,7 +52,7 @@ from jdlab import (
 from jdlab.capacity import _form, _potential
 from jdlab.criteria import theta_test_function
 from jdlab.forms import _FreeOperator, form_matrix, local_chain, truncate_kernel
-from jdlab.kernels import _pairwise_kernel
+from jdlab.kernels import KAPPA_GASKET, _pairwise_kernel
 
 REL = 1e-12
 EPS = np.finfo(float).eps
@@ -83,9 +83,9 @@ def solve_tol(name, stencil, free):
     return max(REL, 2 * EPS * cond)
 
 
-def pairwise_oracle(space, case="i", alpha=1.0, beta=1.0, tempering=1.0, **_):
-    """The CSR `_pairwise_kernel` builds on space from distances, for `stable_like` with these parameters."""
-    return pairwise_oracle_from(space, stable_like_density(case, alpha, beta, tempering, kappa=space.meta["kappa"]))
+def pairwise_oracle(space, case="i", alpha=1.0, beta=1.0, tempering=1.0, dim=1, **_):
+    """The CSR `_pairwise_kernel` builds on space from distances, for `stable_like` on a lattice with these parameters."""
+    return pairwise_oracle_from(space, stable_like_density(case, alpha, beta, tempering, kappa=float(dim)))
 
 
 def pairwise_oracle_from(space, density):
@@ -430,7 +430,7 @@ def test_gathered_csr_is_the_pairwise_build_where_offsets_are_exact(case, dim, e
     kwargs = dict(case=case, alpha=1.2, beta=0.7, tempering=0.8)
     built = stable_like(dim=dim, spacing=spacing, truncation_radius=extent * spacing, **kwargs)
     assert isinstance(built.kernel, StencilKernel) and built.space.n_points > 512  # more than one run of rows
-    assert_bit_identical(built.kernel.csr().matrix, pairwise_oracle(built.space, **kwargs).matrix)
+    assert_bit_identical(built.kernel.csr().matrix, pairwise_oracle(built.space, dim=dim, **kwargs).matrix)
 
 
 @pytest.mark.parametrize(
@@ -467,7 +467,7 @@ def test_the_stencil_keeps_no_gathered_csr():
     assert kernel.csr() is not gathered  # each call gathers afresh
     jump_rates(kernel)
     truncate_kernel(kernel, 50.0)
-    form_matrix(space, kernel, local_chain(np.arange(space.n_points), space.meta["spacing"]))
+    form_matrix(space, kernel, local_chain(np.arange(space.n_points), 1.0))  # stable_like's default spacing
     held = vars(kernel)
     assert held.keys() == before.keys() and all(held[k] is before[k] for k in held)
     assert not any(sp.issparse(v) or isinstance(v, JumpKernel) for v in held.values())
@@ -640,7 +640,7 @@ def gasket_oracle(space, case, alpha):
     rounding of a square root. From float coordinate differences, pairs
     exactly 1 apart land on either side of case ii's jump at d = 1.
     """
-    density = stable_like_density(case, alpha, kappa=space.meta["kappa"])
+    density = stable_like_density(case, alpha, kappa=KAPPA_GASKET)
 
     def value(idx, _):
         a, b = np.moveaxis(space.steps[idx][:, None, :] - space.steps[None, :, :], -1, 0)

@@ -155,9 +155,9 @@ def stable_like(
     dim, spacing, gasket_level = _check_int("dim", dim), float(spacing), _check_int("gasket_level", gasket_level, 0)
     if not 0 < alpha < 2:
         raise ValueError("alpha must lie in (0, 2)")
-    if case == "i" and beta <= 0:
+    if case == "i" and not beta > 0:
         raise ValueError("beta must be positive")
-    if case == "ii" and tempering <= 0:
+    if case == "ii" and not tempering > 0:
         raise ValueError("tempering constant must be positive")
     if support not in ("lattice", "gasket"):
         raise ValueError(f"unknown support {support!r}")
@@ -233,7 +233,7 @@ def stack_space(
     sheet_steps = _lattice_points(dim, truncation_radius, spacing)
     sheet_coords = sheet_steps * spacing
     psi_vals = np.asarray(psi_fn(sheet_coords), dtype=float)
-    if np.any(psi_vals <= 0):
+    if not np.all(psi_vals > 0):
         raise ValueError("Psi must be strictly positive")
     half = layers // 2
     layer_ids = np.arange(layers) - half

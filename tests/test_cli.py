@@ -231,6 +231,25 @@ def test_non_finite_kernel_entries_exit_2_naming_them(tmp_path, capsys, kind, pa
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "kind, params, message",
+    [
+        ("lattice", {"dim": 1, "kernel": {"family": "stable_i", "beta": float("nan")}},
+         "kernel family 'stable_i': beta must be positive"),
+        ("lattice", {"dim": 1, "kernel": {"family": "stable_ii", "tempering": float("nan")}},
+         "kernel family 'stable_ii': tempering constant must be positive"),
+        ("stack", {"dim": 1, "psi": float("nan")}, "spec type 'stack': Psi must be strictly positive"),
+    ],
+    ids=["stable_i-beta", "stable_ii-tempering", "stack-psi"],
+)
+def test_nan_parameters_exit_2_naming_the_field(tmp_path, capsys, kind, params, message):
+    # each exited 2 with a finiteness message about kernel entries or the measure
+    bad = write_spec(tmp_path / "bad.json", {"type": kind, "truncation_radius": 4, "params": params})
+    assert cli.main(["criteria", "--spec", bad, "--radii", "1.5", "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_the_space_alias_is_gone(tmp_path, z_spec, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["criteria", "--space", z_spec, "--radii", "5", "--out-dir", str(tmp_path)])

@@ -60,6 +60,21 @@ def test_stable_alpha_range_rejected():
         stable_like(case="i", alpha=2.0, beta=1.0)
 
 
+@pytest.mark.parametrize(
+    "case, field, value, message",
+    [
+        ("i", "beta", -1.0, "beta must be positive"),
+        ("i", "beta", np.nan, "beta must be positive"),
+        ("ii", "tempering", 0.0, "tempering constant must be positive"),
+        ("ii", "tempering", np.nan, "tempering constant must be positive"),
+    ],
+)
+def test_stable_tail_parameters_outside_their_range_rejected(case, field, value, message):
+    # NaN passed "<= 0" and failed later as "stencil kernel entries must be finite"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        stable_like(case=case, alpha=1.0, dim=1, truncation_radius=4, **{field: value})
+
+
 def test_stable_lattice_kappa_set_property():
     b = stable_like(case="i", alpha=0.5, beta=1.0, dim=2, truncation_radius=20)
     for r in (2.0, 5.0, 10.0, 18.0):
@@ -122,8 +137,10 @@ def test_stack_range_cutoff_drops_the_longer_jumps():
 
 
 def test_stack_rejects_nonpositive_psi():
-    with pytest.raises(ValueError, match="Psi"):
-        stack_space(dim=1, spacing=0.5, layers=2, psi=lambda p: np.zeros(p.shape[0]), truncation_radius=4)
+    # NaN passed "<= 0" and failed later as "measure must be finite at every point"
+    for value in (0.0, np.nan):
+        with pytest.raises(ValueError, match="Psi must be strictly positive"):
+            stack_space(dim=1, spacing=0.5, layers=2, psi=lambda p: np.full(p.shape[0], value), truncation_radius=4)
 
 
 # -- weighted line ------------------------------------------------------------

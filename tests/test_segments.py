@@ -538,7 +538,7 @@ def test_small_blocks_give_the_same_results(monkeypatch, metric_kind):
 def _recording_dijkstra(monkeypatch, searches=None):
     """Patch the search in jdlab.space to record the limit of every call.
 
-    `searches`, if given, also gets each call's (vertex count, sources, limit, min_only).
+    `searches`, if given, also gets each call's (sources, limit, min_only, return_predecessors).
     """
     import jdlab.space
 
@@ -548,7 +548,14 @@ def _recording_dijkstra(monkeypatch, searches=None):
     def record(graph, *args, limit=np.inf, **kwargs):
         limits.append(limit)
         if searches is not None:
-            searches.append((graph.shape[0], np.atleast_1d(kwargs["indices"]), limit, kwargs.get("min_only", False)))
+            searches.append(
+                (
+                    np.atleast_1d(kwargs["indices"]),
+                    limit,
+                    kwargs.get("min_only", False),
+                    kwargs.get("return_predecessors", False),
+                )
+            )
         return full(graph, *args, limit=limit, **kwargs)
 
     monkeypatch.setattr(jdlab.space, "dijkstra", record)
@@ -608,11 +615,15 @@ def test_bounded_search_is_exact_across_components(monkeypatch):
     rows, cols = [0, 3, 3, 1, 0, 2], [1, 4, 29, 10, 29, 3]  # 3 - 29 is 26 apart, beyond 2 x reach
     kernel = JumpKernel.from_entries(space, rows, cols, rng.uniform(0.5, 2.0, size=len(rows)))
     want = oracle_pair_distances(kernel)
-    limits = _recording_dijkstra(monkeypatch)
+    searches = []
+    limits = _recording_dijkstra(monkeypatch, searches)
     got = kernel.pair_distances()
     assert np.array_equal(got, want)
     assert np.isinf(got).sum() == 2 * 3  # three cross pairs, both orientations
-    assert limits[-1] == np.inf and all(lim <= 4.0 for lim in limits[:-1])
+    assert all(min_only and predecessors for _, _, min_only, predecessors in searches)
+    # the unbounded round comes last, after bounded rounds within twice the origin's reach
+    first = limits.index(np.inf)
+    assert all(lim <= 4.0 for lim in limits[:first]) and all(lim == np.inf for lim in limits[first:])
     assert space.pair_distances([3, 29, 3], [29, 3, 3]).tolist() == [26.0, 26.0, 0.0]
 
 
@@ -653,26 +664,80 @@ def test_bounded_search_matches_full_rows_across_components_in_small_chunks(seed
         assert np.array_equal(kernel.pair_distances(), want)
 
 
-def test_a_mixed_graph_searches_each_source_once_on_its_balls(monkeypatch):
+def test_a_mixed_graph_settles_every_pair_in_one_bounded_pass(monkeypatch):
+    import jdlab.space
+
     built = kmod.mixed_graph_from_params(
         graph_kind="lattice2d", extent=6, subdivisions=2, phi_kind="shell_power", truncation_radius=6
     )
     space, kernel = built.space, built.kernel
+    assert space.n_points == 793
     want = oracle_pair_distances(kernel)
     space.max_distance_from(space.origin)  # the origin row is a full search of its own
+    sources = np.flatnonzero(np.diff(kernel.matrix.indptr))
     searches = []
     _recording_dijkstra(monkeypatch, searches)
-    assert np.array_equal(kernel.pair_distances(), want)
-    balls, per_source = searches[0::2], searches[1::2]
-    assert len(balls) == len(per_source)
-    assert all(ball[3] and not search[3] for ball, search in zip(balls, per_source))
-    # one bounded round: every source appears in exactly one ball pass, and no search is unbounded
-    sources = np.concatenate([ball[1] for ball in balls])
-    assert np.array_equal(np.sort(sources), np.flatnonzero(np.diff(kernel.matrix.indptr)))
-    assert all(lim < np.inf for _, _, lim, _ in searches)
-    # each per-source search runs on the union of its sources' balls, not on the whole graph
-    assert all(len(search[1]) == len(ball[1]) for ball, search in zip(balls, per_source))
-    assert all(search[0] < space.n_points for search in per_source)
+    for chunk in (jdlab.space._SEARCH_CHUNK, 8):  # at least _MIN_GROUPS groups, then ceil(169 / 8) = 22
+        monkeypatch.setattr(jdlab.space, "_SEARCH_CHUNK", chunk)
+        searches.clear()
+        assert np.array_equal(JumpKernel(space, kernel.matrix).pair_distances(), want)
+        assert all(min_only and predecessors for _, _, min_only, predecessors in searches)
+        # one bounded pass: the sources dealt round-robin into groups, one search each, nothing retried
+        n_groups = max(-(-len(sources) // chunk), min(len(sources), jdlab.space._MIN_GROUPS))
+        assert [group.tolist() for group, _, _, _ in searches] == [sources[g::n_groups].tolist() for g in range(n_groups)]
+        assert len({lim for _, lim, _, _ in searches}) == 1 and searches[0][1] < np.inf
+
+
+def test_a_column_equidistant_from_two_rows_of_a_group_settles_for_both(monkeypatch):
+    """Unit path 0 - 1 - 2: one search from {0, 2} gives point 1 to one owner; the other row is retried."""
+    import jdlab.space
+
+    space = _graph_space(3, [(0, 1), (1, 2)], np.ones(2), np.random.default_rng(0), origin=0)
+    space.max_distance_from(0)
+    monkeypatch.setattr(jdlab.space, "_MIN_GROUPS", 1)
+    searches = []
+    _recording_dijkstra(monkeypatch, searches)
+    assert space.pair_distances([0, 2], [1, 1]).tolist() == [1.0, 1.0]
+    assert searches[0][0].tolist() == [0, 2]
+    assert len(searches) == 2 and len(searches[1][0]) == 1  # the row that lost the tie, on its own
+
+
+def _tied_instance(rng):
+    """A random connected graph with edge lengths from a few values (unit lengths half the time), so columns
+    are often equidistant from several rows, and a kernel on random pairs: every column is a row as well."""
+    n = int(rng.integers(3, 40))
+    order = rng.permutation(n)
+    edges = [(order[k], order[k + 1]) for k in range(n - 1)]
+    for _ in range(int(rng.integers(0, n))):
+        i, j = rng.integers(0, n, size=2)
+        if i != j:
+            edges.append((i, j))
+    edges = np.unique(np.sort(np.array(edges), axis=1), axis=0)
+    lengths = rng.choice([1.0] if rng.random() < 0.5 else [0.5, 1.0, 1.5], size=len(edges))
+    space = _graph_space(n, edges, lengths, rng, origin=int(rng.integers(n)))
+    pairs = np.unique(np.sort(rng.integers(0, n, size=(int(rng.integers(1, 3 * n)), 2)), axis=1), axis=0)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    vals = rng.uniform(0.5, 2.0, size=len(pairs))
+    return space, JumpKernel.from_entries(space, pairs[:, 0], pairs[:, 1], vals) if len(pairs) else None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from([1, 2, 3, 256]))
+def test_shared_searches_match_full_rows_bit_for_bit(seed, chunk):
+    import jdlab.space
+
+    space, kernel = _tied_instance(np.random.default_rng(seed))
+    if kernel is None:
+        return
+    want = oracle_pair_distances(kernel)
+    searches = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(jdlab.space, "_SEARCH_CHUNK", chunk)
+        patch.setattr(jdlab.space, "_MIN_GROUPS", 1)  # let groups share even on these few rows
+        _recording_dijkstra(patch, searches)
+        assert np.array_equal(kernel.pair_distances(), want)
+    if chunk > 1 and np.count_nonzero(np.diff(kernel.matrix.indptr)) > 1:
+        assert max(len(group) for group, _, _, _ in searches) > 1
 
 
 def test_bounded_search_on_an_empty_kernel():

@@ -11,9 +11,7 @@ __version__ = "0.1.0"
 from .space import (
     DiscreteMMSpace,
     GraphData,
-    UnsupportedOperation,
     metric_ball,
-    shell_volume,
     support_sets,
 )
 from .forms import (
@@ -29,18 +27,12 @@ from .forms import (
     jump_rates,
     local_chain,
     m_constants,
-    truncate_kernel,
 )
 from .criteria import (
     CriterionReport,
-    cutoff_gn,
     davies_constant,
-    doubling_report,
-    log_distance_check,
     omega,
-    quadratic_shell_report,
     recurrence_report,
-    theta_energy,
     theta_test_function,
     volume_growth_report,
 )

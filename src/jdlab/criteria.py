@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .forms import KernelOperator, LocalPart, energy as form_energy
-from .space import DiscreteMMSpace, UnsupportedOperation, boundary_notes, metric_ball, shell_volume, support_sets
+from .forms import KernelOperator, LocalPart
+from .space import DiscreteMMSpace, boundary_notes, metric_ball, support_sets
 
 DEFAULT_THRESHOLD = 10.0
 TOP_WINDOW_FRACTION = 0.5
@@ -181,124 +181,3 @@ def theta_test_function(space: DiscreteMMSpace, x0: int, big_r: float) -> np.nda
         raise ValueError("R must exceed 2")
     d = space.distances_from(x0)
     return np.clip((big_r - d) / (big_r - 1.0), 0.0, 1.0)
-
-
-@dataclass
-class ThetaEnergyReport:
-    r_values: list[float]
-    energies: list[float]
-    bounded: bool
-
-
-def theta_energy(
-    space: DiscreteMMSpace,
-    kernel: KernelOperator,
-    local: Optional[LocalPart],
-    x0: int,
-    r_grid: Sequence[float],
-) -> ThetaEnergyReport:
-    """Energies of the recurrence test functions theta_R over a grid of R.
-
-    Bounded (non-growing) energies with theta_R -> 1 certify recurrence;
-    the flag compares top- and bottom-half medians of the sequence.
-    """
-    r_grid = sorted(float(r) for r in r_grid)
-    energies = [form_energy(space, kernel, local, theta_test_function(space, x0, r)) for r in r_grid]
-    half = max(len(energies) // 2, 1)
-    bounded = bool(np.median(energies[-half:]) <= np.median(energies[:half]) * 1.1 + 1e-30)
-    return ThetaEnergyReport(list(r_grid), energies, bounded)
-
-
-def cutoff_gn(space: DiscreteMMSpace, x0: int, n: int, a: float) -> np.ndarray:
-    """Davies cut-off g_n = ((n - d(., x0)/a) ^ 1)_+."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if a <= 0:
-        raise ValueError("a must be positive")
-    d = space.distances_from(x0)
-    return np.clip(n - d / a, 0.0, 1.0)
-
-
-def doubling_report(space: DiscreteMMSpace, x0: int, radii: Sequence[float], ratio_bound: float = 16.0) -> CriterionReport:
-    """Volume doubling ratios V(x0, 2r) / V(x0, r) with a power-law fit."""
-    radii = _radius_grid(radii)
-    if radii.size == 0 or radii[0] <= 0:
-        raise ValueError("radii must be positive")
-    if 2 * radii.max() > space.truncation_radius:
-        raise ValueError(
-            f"2 * max radius exceeds the truncation radius {space.truncation_radius:.6g}"
-        )
-    vols = np.array([metric_ball(space, x0, r)[1] for r in radii])
-    vols2 = np.array([metric_ball(space, x0, 2 * r)[1] for r in radii])
-    ratios = vols2 / vols
-    doubling = bool(ratios.max() <= ratio_bound)
-    extras: dict = {"doubling": doubling, "ratio_bound": ratio_bound}
-    if doubling and len(radii) > 1 and np.all(vols > 0):
-        slope = np.polyfit(np.log(radii), np.log(vols), 1)[0]
-        kappa = float(slope)
-        c_fit = float(np.max(vols / radii**kappa))
-        extras.update({"kappa_fit": kappa, "volume_constant": c_fit})
-    return CriterionReport(
-        statistic_name="doubling ratio V(2r)/V(r)",
-        radii=radii.tolist(),
-        values=ratios.tolist(),
-        liminf_estimate=_top_window_min(ratios),
-        verdict="satisfied" if doubling else "inconclusive",
-        threshold=ratio_bound,
-        truncation_radius=space.truncation_radius,
-        extras=extras,
-    )
-
-
-def quadratic_shell_report(space: DiscreteMMSpace, x0: int, n_grid: Sequence[int]) -> CriterionReport:
-    """Shell-growth fit m(S_rho(x0, n)) / n^2; quadratic growth is the sharp rate.
-
-    Verdict "satisfied" when the fitted constant is finite and the top
-    window of ratios does not exceed the bottom window (stable fit); then
-    conservativeness follows for counting vertex measure.
-    """
-    if not space.has_graph_distance:
-        raise UnsupportedOperation("quadratic shell test needs the graph distance rho")
-    n_grid = sorted(int(n) for n in n_grid)
-    if not n_grid or n_grid[0] < 1:
-        raise ValueError("shell indices must be positive integers")
-    ratios = np.asarray([shell_volume(space, x0, n) / n**2 for n in n_grid])
-    c_fit = float(ratios.max())
-    half = max(len(ratios) // 2, 1)
-    stable = bool(np.max(ratios[-half:]) <= np.max(ratios[:half]) * 1.05 + 1e-30)
-    return CriterionReport(
-        statistic_name="shell mass over n^2",
-        radii=[float(n) for n in n_grid],
-        values=ratios.tolist(),
-        liminf_estimate=_top_window_min(ratios),
-        verdict="satisfied" if (stable and np.isfinite(c_fit)) else "inconclusive",
-        threshold=float("inf"),
-        truncation_radius=space.truncation_radius,
-        extras={"C_fit": c_fit, "stable": stable},
-    )
-
-
-@dataclass
-class LogDistanceReport:
-    """Largest delta with d(x0, x) >= delta * log rho(x0, x) on the truncation."""
-
-    delta: float
-    argmin_point: Optional[int]
-    vacuous: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def log_distance_check(space: DiscreteMMSpace, x0: int) -> LogDistanceReport:
-    """Adapted-vs-graph distance comparison over all points with rho >= 2."""
-    if not space.has_graph_distance:
-        raise UnsupportedOperation("log-distance check needs the graph distance rho")
-    rho = space.rho_from(x0)
-    d = space.distances_from(x0)
-    eligible = np.flatnonzero(rho >= 2)
-    if len(eligible) == 0:
-        return LogDistanceReport(float("inf"), None, True)
-    quotients = d[eligible] / np.log(rho[eligible])
-    k = int(np.argmin(quotients))
-    return LogDistanceReport(float(quotients[k]), int(eligible[k]), False)

@@ -57,9 +57,9 @@ class KernelOperator:
       past which g(min(d, r)) stops changing in r; inf where none is kept;
     - jump_support() is X^(j), the points with a positive kernel entry;
     - jump_energy(u, v) is the jump form E^(j)(u, v);
-    - csr() is the kernel as a CSR `JumpKernel`, which only the rate table,
-      range truncation and the assembled form matrix ask for; a kernel that
-      is not stored as a CSR gathers it afresh on each call and keeps none.
+    - csr() is the kernel as a CSR `JumpKernel`, which only the rate table
+      and the assembled form matrix ask for; a kernel that is not stored as
+      a CSR gathers it afresh on each call and keeps none.
     """
 
     space: DiscreteMMSpace
@@ -492,21 +492,6 @@ def energy(
     if local is not None:
         total += local.energy(space.measure, u, v)
     return total + kernel.jump_energy(u, v)
-
-
-def truncate_kernel(kernel: KernelOperator, a: float) -> JumpKernel:
-    """Jump range cut at a: density zeroed where d(x, y) > a."""
-    if a <= 0:
-        raise ValueError("truncation range a must be positive")
-    csr = kernel.csr()
-    m = csr.matrix
-    dist = csr.pair_distances()
-    keep = dist <= a
-    data = np.where(keep, m.data, 0.0)
-    out = sp.csr_matrix((data, m.indices.copy(), m.indptr.copy()), shape=m.shape)
-    # graph-metric distances can differ by an ulp across orientations; zero
-    # both entries whenever either side crossed the cut
-    return JumpKernel(kernel.space, out.minimum(out.T))
 
 
 @dataclass

@@ -270,7 +270,7 @@ def stack_space(
 
 def weighted_line(lam: float = 1.0, spacing: float = 0.1, truncation_radius: float = 20.0) -> BuiltInstance:
     """Weighted Euclidean line: m = h e^{2 lam |x|}, j = e^{-lam(|x|+|y|)} 1_{|x-y|<=1}."""
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lambda must be positive")
     if not 0 < spacing < 1:
         raise ValueError("spacing must lie in (0, 1)")
@@ -348,7 +348,7 @@ def model_manifold(
     k_max = int(math.floor(truncation_radius / spacing + 1e-9))
     radii = spacing * np.arange(1, k_max + 1)
     sig = np.asarray(sigma(radii), dtype=float)
-    if np.any(sig <= 0):
+    if not np.all(sig > 0):
         raise ValueError("sigma must be positive on the radial grid")
     w = sphere_volume(dim)
     measure = w * sig**dim * spacing
@@ -381,9 +381,9 @@ def mixed_graph(
     """Graph with vertex jump kernel omega/(mu mu) plus edge-interior diffusion.
 
     Each edge is isometric to a unit interval carrying measure phi dx and is
-    discretized by `subdivisions` interior points; the adapted distance and
-    rho are interpolated linearly along edges. With subdivisions = 0 the
-    result is the pure physical Laplacian (no local part).
+    discretized by `subdivisions` interior points; the adapted distance is
+    interpolated linearly along edges. With subdivisions = 0 the result is
+    the pure physical Laplacian (no local part).
     """
     k = _check_int("subdivisions", subdivisions, 0)
     sigma = graph.adapted_lengths()
@@ -401,8 +401,6 @@ def mixed_graph(
     d_len = np.repeat(sigma * h, k + 1)
     metric_graph = sp.csr_matrix((d_len, (d_rows, d_cols)), shape=(n_total, n_total))
     metric_graph = metric_graph + metric_graph.T
-    rho_graph = sp.csr_matrix((np.full(len(d_rows), h), (d_rows, d_cols)), shape=(n_total, n_total))
-    rho_graph = rho_graph + rho_graph.T
     if connected_components(metric_graph, directed=False)[0] > 1:
         raise ValueError("graph is disconnected: some points are unreachable from the origin")
     if np.isscalar(phi):
@@ -411,7 +409,7 @@ def mixed_graph(
         phi_e = np.asarray(phi, dtype=float).reshape(-1)
         if len(phi_e) != n_e:
             raise ValueError("phi must give one value per edge")
-    if np.any(phi_e <= 0):
+    if not np.all(phi_e > 0):
         raise ValueError("edge density phi must be positive")
     measure = np.empty(n_total)
     measure[:nv] = graph.vertex_measure
@@ -424,7 +422,6 @@ def mixed_graph(
         measure,
         metric_kind="graph",
         metric_graph=metric_graph,
-        rho_graph=rho_graph,
         origin=origin,
         truncation_radius=truncation_radius,
     )
@@ -443,7 +440,7 @@ def mixed_graph(
 def build_graph_space(g: GraphData, origin: int = 0, truncation_radius: float = float("inf")) -> DiscreteMMSpace:
     """Adapted-distance space of a weighted graph: the mixed graph with no edge interior.
 
-    Edge length sigma (`GraphData.adapted_lengths`); rho uses unit edge lengths.
+    Edge length sigma (`GraphData.adapted_lengths`).
     """
     return mixed_graph(g, subdivisions=0, origin=origin, truncation_radius=truncation_radius).space
 
@@ -493,11 +490,11 @@ def mixed_graph_from_params(
     if phi_kind == "constant":
         phi = float(phi_constant)
     elif phi_kind == "shell_power":
-        # phi(edge) = c * max(1, mean endpoint rho)^-p, the quadratic-shell regime; rho counts edges
+        # phi(edge) = c * max(1, mean hop count of its ends from the origin)^-p, the quadratic-shell regime
         i, j = g.edges.T
-        hops = sp.csr_matrix((np.ones(len(i)), (i, j)), shape=(g.n_vertices,) * 2)
-        rho = dijkstra(hops, directed=False, indices=origin)
-        phi = phi_constant * np.maximum(1.0, 0.5 * (rho[i] + rho[j])) ** (-phi_power)
+        adjacency = sp.csr_matrix((np.ones(len(i)), (i, j)), shape=(g.n_vertices,) * 2)
+        hops = dijkstra(adjacency, directed=False, indices=origin)
+        phi = phi_constant * np.maximum(1.0, 0.5 * (hops[i] + hops[j])) ** (-phi_power)
     else:
         raise ValueError(f"unknown phi kind {phi_kind!r}")
     return mixed_graph(g, phi=phi, subdivisions=subdivisions, origin=origin, truncation_radius=truncation_radius)

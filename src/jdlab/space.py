@@ -1,10 +1,9 @@
 """Discrete metric measure spaces.
 
 A space here is a finite truncation of an intended infinite state space: a
-point set with a strictly positive measure, a metric (either induced by
-point coordinates or by shortest paths on a weighted graph), and, where it
-makes sense, an auxiliary graph distance rho. Weighted graphs get the
-standard adapted distance with edge length
+point set with a strictly positive measure and a metric, either induced by
+point coordinates or by shortest paths on a weighted graph. Weighted graphs
+get the standard adapted distance with edge length
 
     sigma(x, y) = min(deg(x)^{-1/2}, deg(y)^{-1/2}, 1),
     deg(x) = (1/mu(x)) * sum_{y ~ x} omega(x, y).
@@ -12,7 +11,6 @@ standard adapted distance with edge length
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Optional
@@ -29,10 +27,6 @@ _COORD_METRICS = ("euclidean", "l1", "stack")
 ROW_CACHE_LIMIT = 64  # cached single-source distance rows per space
 _SEARCH_CHUNK = 256  # rows per multi-source Dijkstra call: 64 rows took 1.1x the time on the 12,801-point mixed graph
 _MIN_GROUPS = 16  # groups per pass at least: one group holding most rows owns every column that is a row itself
-
-
-class UnsupportedOperation(RuntimeError):
-    """Requested quantity is not defined on this space (e.g. no rho)."""
 
 
 @dataclass
@@ -52,28 +46,18 @@ class GraphData:
             raise ValueError("edges and weights length mismatch")
         if len(self.vertex_measure) != self.n_vertices:
             raise ValueError("vertex_measure length mismatch")
-        if np.any(self.weights < 0):
-            raise ValueError("edge weights must be nonnegative")
-        if np.any(self.vertex_measure <= 0):
-            raise ValueError("vertex measure must be strictly positive")
+        if not np.all(np.isfinite(self.weights) & (self.weights >= 0)):
+            raise ValueError("edge weights must be finite and nonnegative")
+        if not np.all(np.isfinite(self.vertex_measure) & (self.vertex_measure > 0)):
+            raise ValueError("vertex measure must be finite and strictly positive")
         if np.any(self.edges[:, 0] == self.edges[:, 1]):
             raise ValueError("self loops are not allowed (omega(x,x)=0)")
-        # the CSR metric and rho graphs would sum a repeated edge's lengths into one edge
+        # the CSR metric graph would sum a repeated edge's lengths into one edge
         pairs = np.sort(self.edges, axis=1)
         pairs = pairs[np.lexsort(pairs.T[::-1])]
         repeat = pairs[1:][(pairs[1:] == pairs[:-1]).all(axis=1)]
         if len(repeat):
             raise ValueError(f"edge {tuple(repeat[0].tolist())} is listed more than once (in either orientation)")
-
-    @classmethod
-    def from_weight_matrix(cls, w, vertex_measure) -> "GraphData":
-        """Build from a (possibly sparse) symmetric weight matrix."""
-        w = sp.csr_matrix(w)
-        if (abs(w - w.T)).nnz != 0:
-            raise ValueError("edge weight matrix must be symmetric")
-        coo = sp.triu(w, k=1).tocoo()
-        edges = np.column_stack([coo.row, coo.col])
-        return cls(w.shape[0], edges, coo.data, np.asarray(vertex_measure, dtype=float))
 
     def degree(self) -> np.ndarray:
         """deg(x) = (1/mu) sum of incident omega."""
@@ -122,10 +106,8 @@ class DiscreteMMSpace:
 
     The metric is either coordinate-induced (`metric_kind` in
     {"euclidean", "l1", "stack"}) or shortest-path over positive edge
-    lengths (`metric_kind == "graph"`). rho, when present, is an auxiliary
-    graph distance (integer on vertices, interpolated on subdivision points).
-    Metric and rho graphs are canonical CSR matrices (sorted indices, no
-    duplicates) and must be exactly symmetric.
+    lengths (`metric_kind == "graph"`). The metric graph is a canonical CSR
+    matrix (sorted indices, no duplicates) and must be exactly symmetric.
     """
 
     def __init__(
@@ -136,7 +118,6 @@ class DiscreteMMSpace:
         metric_kind: str = "euclidean",
         metric_graph: Optional[sp.csr_matrix] = None,
         steps=None,
-        rho_graph: Optional[sp.csr_matrix] = None,
         origin: int = 0,
         truncation_radius: float = float("inf"),
     ):
@@ -152,20 +133,20 @@ class DiscreteMMSpace:
         self.coords = None if coords is None else _per_point("coords", np.array(coords, dtype=float), self.n_points)
         if self.coords is not None:
             self.coords.flags.writeable = False
+            bad = np.flatnonzero(~np.isfinite(self.coords).all(axis=1))
+            if bad.size:
+                raise ValueError(f"coordinates must be finite: point {bad[0]} is at {self.coords[bad[0]].tolist()}")
         self.metric_kind = metric_kind
         self.metric_graph = metric_graph
         self.steps = None if steps is None else _per_point("steps", np.asarray(steps), self.n_points)
-        self.rho_graph = rho_graph
         self.origin = int(origin)
         if not 0 <= self.origin < self.n_points:
             raise ValueError(f"origin {self.origin} is not a point id in [0, {self.n_points})")
         self.truncation_radius = float(truncation_radius)
         self._row_cache: dict[int, np.ndarray] = {}
-        self._rho_cache: dict[int, np.ndarray] = {}
-        for name, graph in (("metric", metric_graph), ("rho", rho_graph)):
-            # the searches pass directed=True, which is exact only on a symmetric graph
-            if graph is not None and not exactly_symmetric(graph):
-                raise ValueError(f"{name} graph must be exactly symmetric")
+        # the searches pass directed=True, which is exact only on a symmetric graph
+        if metric_graph is not None and not exactly_symmetric(metric_graph):
+            raise ValueError("metric graph must be exactly symmetric")
         if metric_kind == "graph":
             if metric_graph is None:
                 raise ValueError("graph metric requires an edge-length matrix")
@@ -289,20 +270,16 @@ class DiscreteMMSpace:
                 size, retry = (size // 2 if 2 * left <= len(todo) else 1), True
         return out
 
-    def _cached(self, cache: dict, x0: int, row_of) -> np.ndarray:
-        """Row x0 of a bounded cache, read-only, computed by row_of(x0) on a miss."""
-        x0 = int(x0)
-        row = cache.get(x0)
-        if row is None:
-            row = row_of(x0)
-            row.flags.writeable = False  # shared with the cache
-            if len(cache) < ROW_CACHE_LIMIT:
-                cache[x0] = row
-        return row
-
     def distances_from(self, x0: int) -> np.ndarray:
         """All distances d(x0, .) as a read-only vector: row x0 of `distance_rows`, cached."""
-        return self._cached(self._row_cache, x0, lambda x: self.distance_rows([x])[0])
+        x0 = int(x0)
+        row = self._row_cache.get(x0)
+        if row is None:
+            row = self.distance_rows([x0])[0]
+            row.flags.writeable = False  # shared with the cache
+            if len(self._row_cache) < ROW_CACHE_LIMIT:
+                self._row_cache[x0] = row
+        return row
 
     def distance_rows(self, idx: np.ndarray) -> np.ndarray:
         """The dense rows d(idx[i], .), without polluting the row cache."""
@@ -320,22 +297,6 @@ class DiscreteMMSpace:
 
     def d(self, x: int, y: int) -> float:
         return float(self.distances_from(x)[y])
-
-    # -- graph distance rho ----------------------------------------------
-
-    @property
-    def has_graph_distance(self) -> bool:
-        """rho is the rho graph's, or the L1 distance of steps that fill their bounding box: its grid's graph distance."""
-        full_box = self.steps is not None and self.n_points == math.prod(int(n) + 1 for n in np.ptp(self.steps, axis=0))
-        return self.rho_graph is not None or full_box
-
-    def rho_from(self, x0: int) -> np.ndarray:
-        """All rho(x0, .) as a read-only vector, cached like `distances_from`."""
-        if not self.has_graph_distance:
-            raise UnsupportedOperation("space carries no graph distance rho")
-        if self.rho_graph is not None:
-            return self._cached(self._rho_cache, x0, lambda x: dijkstra(self.rho_graph, directed=True, indices=x))
-        return self._cached(self._rho_cache, x0, lambda x: np.abs(self.steps - self.steps[x]).sum(axis=1).astype(float))
 
     # -- volume queries ---------------------------------------------------
 
@@ -375,15 +336,6 @@ def metric_ball(space: DiscreteMMSpace, x0: int, r: float) -> tuple[np.ndarray, 
 def open_ball_mask(space: DiscreteMMSpace, x0: int, r: float) -> np.ndarray:
     """Boolean mask of the open ball {y : d(x0,y) < r}."""
     return space.distances_from(x0) < r
-
-
-def shell_volume(space: DiscreteMMSpace, x0: int, n: int) -> float:
-    """m(S_rho(x0, n)) with S = B_rho(x0,n) \\ B_rho(x0,n-1), closed balls."""
-    if n < 1:
-        raise ValueError("shell index must be a positive integer")
-    row = space.rho_from(x0)
-    mask = (row > n - 1) & (row <= n)
-    return float(space.measure[mask].sum())
 
 
 def support_sets(kernel, local) -> tuple[np.ndarray, np.ndarray]:

@@ -239,11 +239,32 @@ def test_non_finite_kernel_entries_exit_2_naming_them(tmp_path, capsys, kind, pa
         ("lattice", {"dim": 1, "kernel": {"family": "stable_ii", "tempering": float("nan")}},
          "kernel family 'stable_ii': tempering constant must be positive"),
         ("stack", {"dim": 1, "psi": float("nan")}, "spec type 'stack': Psi must be strictly positive"),
+        ("weighted_line", {"lam": float("nan")}, "spec type 'weighted_line': lambda must be positive"),
+        ("model_manifold", {"profile": "constant", "profile_constant": float("nan")},
+         "spec type 'model_manifold': sigma must be positive on the radial grid"),
+        ("graph", {"graph_kind": "lattice2d", "extent": 4, "phi_constant": float("nan")},
+         "spec type 'graph': edge density phi must be positive"),
+        ("graph", {"graph_kind": "lattice2d", "extent": 4, "phi_kind": "shell_power", "phi_power": float("nan")},
+         "spec type 'graph': edge density phi must be positive"),
+        ("graph", {"graph_kind": "explicit", "n_vertices": 3, "edges": [[0, 1], [1, 2]], "weights": [1.0, float("nan")]},
+         "spec type 'graph': edge weights must be finite and nonnegative"),
+        ("graph", {"graph_kind": "explicit", "n_vertices": 3, "edges": [[0, 1], [1, 2]], "weights": [1.0, float("inf")]},
+         "spec type 'graph': edge weights must be finite and nonnegative"),
+        ("graph", {"graph_kind": "explicit", "n_vertices": 3, "edges": [[0, 1], [1, 2]], "vertex_measure": [1.0, float("nan"), 1.0]},
+         "spec type 'graph': vertex measure must be finite and strictly positive"),
+        ("lattice", {"kernel": {"family": "explicit", "n_points": 3, "coords": [[0], [float("nan")], [2]]}},
+         "kernel family 'explicit': coordinates must be finite: point 1 is at [nan]"),
+        ("lattice", {"kernel": {"family": "explicit", "n_points": 3, "coords": [[0], [float("inf")], [2]]}},
+         "kernel family 'explicit': coordinates must be finite: point 1 is at [inf]"),
     ],
-    ids=["stable_i-beta", "stable_ii-tempering", "stack-psi"],
+    ids=[
+        "stable_i-beta", "stable_ii-tempering", "stack-psi", "weighted_line-lam", "model_manifold-profile_constant",
+        "graph-phi_constant", "graph-phi_power", "graph-weight-nan", "graph-weight-inf", "graph-vertex_measure-nan",
+        "explicit-coords-nan", "explicit-coords-inf",
+    ],
 )
 def test_nan_parameters_exit_2_naming_the_field(tmp_path, capsys, kind, params, message):
-    # each exited 2 with a finiteness message about kernel entries or the measure
+    # each exited 2 with a message about kernel entries, the measure, symmetry or connectivity, or exited 0
     bad = write_spec(tmp_path / "bad.json", {"type": kind, "truncation_radius": 4, "params": params})
     assert cli.main(["criteria", "--spec", bad, "--radii", "1.5", "--out-dir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -8,18 +8,11 @@ from scipy.sparse import csr_matrix
 
 from jdlab import (
     DiscreteMMSpace,
-    GraphData,
-    build_graph_space,
-    cutoff_gn,
     davies_constant,
-    doubling_report,
     energy,
     lattice_nn,
-    log_distance_check,
     omega,
-    quadratic_shell_report,
     recurrence_report,
-    theta_energy,
     theta_test_function,
     volume_growth_report,
     weighted_line,
@@ -252,9 +245,8 @@ def test_a_radius_that_is_not_finite_is_named(z3_cube, radii):
     # a nan radius ended in "math domain error" (the log of an empty ball's volume)
     sp = z3_cube.space
     bad = next(r for r in radii if not math.isfinite(r))
-    for report in (volume_growth_report, doubling_report):
-        with pytest.raises(ValueError, match=f"radius {bad} is not a finite number"):
-            report(sp, sp.origin, radii)
+    with pytest.raises(ValueError, match=f"radius {bad} is not a finite number"):
+        volume_growth_report(sp, sp.origin, radii)
     with pytest.raises(ValueError, match=f"radius {bad} is not a finite number"):
         recurrence_report(sp, z3_cube.kernel, None, sp.origin, radii)
 
@@ -295,128 +287,18 @@ def test_theta_bounds_and_lipschitz():
         assert np.all(np.abs(th - th[x]) <= dx / (big_r - 1) + 1e-12)
 
 
+def _theta_energies(built, x0, r_grid):
+    return [energy(built.space, built.kernel, built.local, theta_test_function(built.space, x0, r)) for r in r_grid]
+
+
 def test_theta_energy_z_and_z3(z_line, z3_cube):
-    rep = theta_energy(z_line.space, z_line.kernel, None, z_line.space.origin, [5.0, 9.0, 17.0, 33.0])
-    assert rep.energies == pytest.approx([4.0 / (r - 1) for r in (5.0, 9.0, 17.0, 33.0)], rel=1e-12)
-    assert rep.bounded
-    rep3 = theta_energy(z3_cube.space, z3_cube.kernel, None, z3_cube.space.origin, [3.0, 5.0, 7.0, 9.0])
-    assert not rep3.bounded
-    assert rep3.energies[-1] > rep3.energies[0]
+    # on Z they decay like 4 / (R - 1); on Z^3 the surface of the ball makes them grow
+    energies = _theta_energies(z_line, z_line.space.origin, [5.0, 9.0, 17.0, 33.0])
+    assert energies == pytest.approx([4.0 / (r - 1) for r in (5.0, 9.0, 17.0, 33.0)], rel=1e-12)
+    energies3 = _theta_energies(z3_cube, z3_cube.space.origin, [3.0, 5.0, 7.0, 9.0])
+    assert all(a < b for a, b in zip(energies3, energies3[1:]))
 
 
 def test_theta_energy_zero_kernel():
     b = explicit_kernel(40, [], coords=np.arange(40.0)[:, None])
-    rep = theta_energy(b.space, b.kernel, None, 0, [3.0, 5.0])
-    assert rep.energies == [0.0, 0.0]
-    assert rep.bounded
-
-
-# -- davies cut-off ------------------------------------------------------------
-
-def test_cutoff_gn_values():
-    b = lattice_nn(dim=1, spacing=1 / 9, truncation_radius=2.0)
-    sp = b.space
-    g = cutoff_gn(sp, sp.origin, 3, 1 / 9)
-    assert g[sp.origin] == 1.0
-    three_steps = sp.origin + 3  # d = 3/9 exactly
-    assert g[three_steps] == 0.0
-    two_steps = sp.origin + 2  # d = (n-1) a exactly: plateau boundary
-    assert g[two_steps] == 1.0
-
-
-def test_cutoff_gn_rejects_bad_params(z_line):
-    with pytest.raises(ValueError):
-        cutoff_gn(z_line.space, z_line.space.origin, 0, 1.0)
-    with pytest.raises(ValueError):
-        cutoff_gn(z_line.space, z_line.space.origin, 3, 0.0)
-
-
-# -- doubling ------------------------------------------------------------------
-
-def test_doubling_z(z_line):
-    radii = np.arange(2.0, 41.0, 2.0)
-    rep = doubling_report(z_line.space, z_line.space.origin, radii)
-    expected = [(4 * r + 1) / (2 * r + 1) for r in radii]
-    assert rep.values == pytest.approx(expected)
-    assert rep.verdict == "satisfied"
-    assert rep.extras["kappa_fit"] == pytest.approx(1.0, abs=0.1)
-
-
-def test_doubling_fails_on_exponential_measure():
-    b = weighted_line(lam=1.0, spacing=0.1, truncation_radius=12)
-    rep = doubling_report(b.space, b.space.origin, [1.0, 2.0, 3.0, 4.0, 5.0])
-    assert rep.verdict == "inconclusive"
-
-
-def test_doubling_single_point_space():
-    sp = DiscreteMMSpace([1.0], coords=[[0.0]])
-    rep = doubling_report(sp, 0, [1.0])
-    assert rep.values == [1.0]
-    assert rep.verdict == "satisfied"
-
-
-# -- quadratic shells ------------------------------------------------------------
-
-def test_shell_report_z2():
-    b = lattice_nn(dim=2, truncation_radius=25)
-    rep = quadratic_shell_report(b.space, b.space.origin, range(1, 21))
-    assert rep.extras["C_fit"] <= 4.0 + 1e-12
-    assert rep.verdict == "satisfied"
-
-
-def _binary_tree(depth):
-    edges = []
-    for parent in range(2**depth - 1):
-        for child in (2 * parent + 1, 2 * parent + 2):
-            edges.append([parent, child])
-    n = 2 ** (depth + 1) - 1
-    return build_graph_space(GraphData(n, edges, np.ones(len(edges)), np.ones(n)))
-
-
-def test_shell_report_binary_tree_inconclusive():
-    sp = _binary_tree(9)
-    rep = quadratic_shell_report(sp, 0, range(1, 10))
-    assert rep.verdict == "inconclusive"
-    assert rep.values[-1] > rep.values[0]
-
-
-def test_shell_report_path_graph():
-    n = 30
-    g = GraphData(n, [[k, k + 1] for k in range(n - 1)], np.ones(n - 1), np.ones(n))
-    sp = build_graph_space(g)
-    rep = quadratic_shell_report(sp, 0, range(1, 11))
-    assert rep.extras["C_fit"] <= 2.0
-    assert rep.verdict == "satisfied"
-
-
-# -- log distance ------------------------------------------------------------------
-
-def test_log_distance_on_adapted_z_graph():
-    # unit mu and omega on a path: d = rho / sqrt(2); min over rho >= 2 of
-    # rho/ln rho sits at rho = 3 by enumeration
-    n = 41
-    g = GraphData(n, [[k, k + 1] for k in range(n - 1)], np.ones(n - 1), np.ones(n))
-    sp = build_graph_space(g, origin=n // 2)
-    rep = log_distance_check(sp, sp.origin)
-    rho = sp.rho_from(sp.origin)
-    d = sp.distances_from(sp.origin)
-    oracle = min(d[k] / math.log(rho[k]) for k in range(n) if rho[k] >= 2)
-    assert rep.delta == pytest.approx(oracle, rel=1e-12)
-    assert rep.delta == pytest.approx(3.0 / (math.sqrt(2) * math.log(3.0)), rel=1e-12)
-    assert np.all(d[rho >= 2] >= rep.delta * np.log(rho[rho >= 2]) - 1e-12)
-
-
-def test_log_distance_identity_metric(z_line):
-    # d == rho on the unit lattice; enumeration oracle gives 3/ln 3
-    rep = log_distance_check(z_line.space, z_line.space.origin)
-    oracle = min(r / math.log(r) for r in range(2, 121))
-    assert rep.delta == pytest.approx(oracle, rel=1e-12)
-    assert rep.delta == pytest.approx(3.0 / math.log(3.0), rel=1e-12)
-
-
-def test_log_distance_vacuous_single_edge():
-    g = GraphData(2, [[0, 1]], [1.0], np.ones(2))
-    sp = build_graph_space(g)
-    rep = log_distance_check(sp, 0)
-    assert rep.vacuous
-    assert rep.delta == float("inf")
+    assert _theta_energies(b, 0, [3.0, 5.0]) == [0.0, 0.0]

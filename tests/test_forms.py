@@ -10,7 +10,6 @@ from jdlab import (
     lattice_nn,
     local_chain,
     m_constants,
-    truncate_kernel,
 )
 import scipy.sparse as sp
 
@@ -94,28 +93,6 @@ def test_energy_of_theta_closed_form(z_line):
         assert energy(sp, z_line.kernel, None, th) == pytest.approx(4.0 / (big_r - 1), rel=1e-12)
 
 
-def test_truncate_noop_beyond_diameter(z_line):
-    kernel = z_line.kernel
-    trimmed = truncate_kernel(kernel, 2 * z_line.space.truncation_radius + 1)
-    assert (trimmed.matrix != kernel.matrix).nnz == 0
-
-
-def test_truncate_below_min_distance_empties(z_line):
-    trimmed = truncate_kernel(z_line.kernel, 0.5)
-    assert trimmed.matrix.nnz == 0
-
-
-def test_truncate_layered_kernel_drops_tail():
-    b = stable_like(case="i", alpha=0.5, beta=3.0, dim=1, truncation_radius=30)
-    trimmed = truncate_kernel(b.kernel, 1.0)
-    d = trimmed.pair_distances()
-    assert trimmed.matrix.nnz > 0
-    assert np.all(d <= 1.0)
-    # short-range part intact
-    o = b.space.origin
-    assert trimmed.density(o, o + 1) == b.kernel.csr().density(o, o + 1)
-
-
 def test_m_constants_z_nn(z_line):
     mc = m_constants(z_line.space, z_line.kernel, None)
     assert mc.m_j == pytest.approx(2.0)
@@ -187,18 +164,6 @@ def test_energy_symmetric_and_nonnegative(seed):
     evu = energy(built.space, built.kernel, None, v, u)
     assert euv == pytest.approx(evu, rel=1e-12, abs=1e-12)
     assert energy(built.space, built.kernel, None, u) >= -1e-12
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_truncation_monotone_in_energy(seed):
-    rng = np.random.default_rng(seed)
-    built = random_symmetric_kernel(rng, 25)
-    u = rng.normal(size=25)
-    full = energy(built.space, built.kernel, None, u)
-    for a in (0.5, 2.0, 5.0):
-        trimmed = truncate_kernel(built.kernel, a)
-        assert energy(built.space, trimmed, None, u) <= full + 1e-12
 
 
 @settings(max_examples=20, deadline=None)

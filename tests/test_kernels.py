@@ -14,8 +14,6 @@ from jdlab import (
     m_constants,
     metric_ball,
     model_manifold,
-    quadratic_shell_report,
-    shell_volume,
     stable_like,
     stack_space,
     support_sets,
@@ -26,7 +24,6 @@ from jdlab.kernels import (
     KAPPA_GASKET,
     lattice2d_graph,
     mixed_graph,
-    mixed_graph_from_params,
     sphere_volume,
 )
 
@@ -227,29 +224,10 @@ def test_mixed_graph_quantum_energy_discretization():
     g = GraphData(2, [[0, 1]], [1.0], np.ones(2))
     b = mixed_graph(g, phi=1.0, subdivisions=9)
     sp = b.space
-    rho = sp.rho_from(0)
-    u = 3.0 * rho  # linear along the edge, slope 3 in the edge parameter
+    # slope 3 in the edge parameter, which is 0 and 1 at the vertices and 0.1, ..., 0.9 at the interior points
+    u = 3.0 * np.array([0.0, 1.0, *np.arange(1, 10) / 10])
     got = energy(sp, JumpKernel.from_entries(sp, [], [], []), b.local, u)
     assert got == pytest.approx(0.5 * 9.0, rel=1e-12)
-
-
-def test_mixed_graph_shell_mass_quadratic():
-    # counting mu, |S_rho(n)| <= 4n and phi <= rho^-2 keep total shell mass quadratic
-    b = mixed_graph_from_params(
-        graph_kind="lattice2d", extent=12, subdivisions=2,
-        phi_kind="shell_power", phi_constant=1.0, phi_power=2.0,
-    )
-    sp = b.space
-    for n in range(2, 11):
-        assert shell_volume(sp, sp.origin, n) <= 4.0 * n**2
-
-
-def test_mixed_graph_rejects_asymmetric_weight_matrix():
-    import scipy.sparse as sp_
-
-    w = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    with pytest.raises(ValueError, match="symmetric"):
-        GraphData.from_weight_matrix(sp_.csr_matrix(w), np.ones(3))
 
 
 # -- spec dispatch ---------------------------------------------------------------

@@ -19,6 +19,7 @@ within 1e-12 relative.
 import json
 import math
 import warnings
+from collections import deque
 
 import jdlab.kernels as kmod
 
@@ -42,7 +43,6 @@ from jdlab import (
     recurrence_report,
     stable_like,
     stack_space,
-    truncate_kernel,
     weighted_line,
 )
 from jdlab.capacity import _dead_components, _solve_spd
@@ -197,7 +197,7 @@ def oracle_band_entries(n, band):
 
 
 def oracle_graph_space_parts(g):
-    """sigma and the metric and rho graphs of the adapted-distance space, as `build_graph_space` built them on its own."""
+    """sigma and the metric graph of the adapted-distance space, as `build_graph_space` built them on its own."""
     deg = g.degree()
     with np.errstate(divide="ignore"):
         inv_sqrt = 1.0 / np.sqrt(deg)
@@ -205,18 +205,17 @@ def oracle_graph_space_parts(g):
     sigma = np.minimum(np.minimum(inv_sqrt[i], inv_sqrt[j]), 1.0)
     n = g.n_vertices
     metric_graph = sp.csr_matrix((sigma, (i, j)), shape=(n, n))
-    rho_graph = sp.csr_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
-    return sigma, metric_graph + metric_graph.T, rho_graph + rho_graph.T
+    return sigma, metric_graph + metric_graph.T
 
 
 def oracle_mixed_graph_parts(graph, phi, k):
-    """measure, metric and rho graphs, local edges, conductances and support of `mixed_graph` from its per-edge loop."""
+    """measure, metric graph, local edges, conductances and support of `mixed_graph` from its per-edge loop."""
     sigma = oracle_graph_space_parts(graph)[0]
     edges, nv, h = graph.edges, graph.n_vertices, 1.0 / (k + 1)
     phi_e = np.full(len(edges), float(phi)) if np.isscalar(phi) else np.asarray(phi, dtype=float)
     measure = np.empty(nv + k * len(edges))
     measure[:nv] = graph.vertex_measure
-    d_rows, d_cols, d_len, r_len, local_edges, interior = [], [], [], [], [], []
+    d_rows, d_cols, d_len, local_edges, interior = [], [], [], [], []
     for e, (u, v) in enumerate(edges):
         chain = [u] + [nv + e * k + t for t in range(k)] + [v]
         interior.extend(chain[1:-1])
@@ -226,17 +225,14 @@ def oracle_mixed_graph_parts(graph, phi, k):
             d_rows.append(a)
             d_cols.append(b)
             d_len.append(sigma[e] * h)
-            r_len.append(h)
             local_edges.append((a, b))
     local_cond = [phi_e[s // (k + 1)] / (h * (measure[a] + measure[b])) for s, (a, b) in enumerate(local_edges)]
     n = len(measure)
     ij = (np.array(d_rows, dtype=np.int64), np.array(d_cols, dtype=np.int64))
     metric_graph = sp.csr_matrix((np.array(d_len), ij), shape=(n, n))
-    rho_graph = sp.csr_matrix((np.array(r_len), ij), shape=(n, n))
     return (
         measure,
         metric_graph + metric_graph.T,
-        rho_graph + rho_graph.T,
         np.array(local_edges, dtype=np.int64).reshape(-1, 2),
         np.array(local_cond),
         np.array(sorted(set(interior)), dtype=np.int64),
@@ -341,10 +337,26 @@ def oracle_build_from_spec(raw):
     return kmod.model_manifold(truncation_radius=radius, **params)
 
 
-def oracle_shell_power_phi(g, origin, c, p):
-    """phi of a shell_power graph from the rho row of a whole adapted-distance space."""
-    rho = build_graph_space(g, origin=origin).rho_from(origin)
-    return c * np.maximum(1.0, 0.5 * (rho[g.edges[:, 0]] + rho[g.edges[:, 1]])) ** (-p)
+def oracle_bfs_hops(g, origin):
+    """The graph distance rho from origin, hop counts over every edge of g, by a breadth-first search."""
+    neighbours = [[] for _ in range(g.n_vertices)]
+    for u, v in g.edges.tolist():
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    hops, queue = [math.inf] * g.n_vertices, deque([origin])
+    hops[origin] = 0
+    while queue:
+        u = queue.popleft()
+        for v in neighbours[u]:
+            if hops[v] == math.inf:
+                hops[v] = hops[u] + 1
+                queue.append(v)
+    return np.array(hops, dtype=float)
+
+
+def oracle_shell_power_phi(g, hops, c, p):
+    """phi of a shell_power graph from the row of hop counts of all its vertices from the origin."""
+    return c * np.maximum(1.0, 0.5 * (hops[g.edges[:, 0]] + hops[g.edges[:, 1]])) ** (-p)
 
 
 def oracle_form_matrix(space, kernel, local):
@@ -919,10 +931,9 @@ def test_mixed_graph_matches_chain_loop(k, which):
     graph = _irregular_graph(rng, 12) if which == "irregular" else lattice2d_graph(3)
     phi = rng.uniform(0.2, 2.0, size=len(graph.edges)) if which != "lattice" else 0.7
     built = mixed_graph(graph, phi=phi, subdivisions=k)
-    measure, metric_graph, rho_graph, local_edges, cond, support = oracle_mixed_graph_parts(graph, phi, k)
+    measure, metric_graph, local_edges, cond, support = oracle_mixed_graph_parts(graph, phi, k)
     assert measure.tobytes() == built.space.measure.tobytes()
     assert_bit_identical(built.space.metric_graph, metric_graph)
-    assert_bit_identical(built.space.rho_graph, rho_graph)
     if k == 0:
         assert built.local is None
         return
@@ -940,10 +951,9 @@ def test_build_graph_space_matches_its_own_build(which):
         edges = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]])
         g, origin = GraphData(5, edges, np.array([1.0, 2.5, 0.0, 0.7, 3.0]), np.array([1.0, 2.0, 0.5, 1.5, 1.0])), 3
     space = build_graph_space(g, origin=origin, truncation_radius=4.0)
-    _, metric_graph, rho_graph = oracle_graph_space_parts(g)
+    _, metric_graph = oracle_graph_space_parts(g)
     assert space.measure.tobytes() == g.vertex_measure.tobytes()
     assert_bit_identical(space.metric_graph, metric_graph)
-    assert_bit_identical(space.rho_graph, rho_graph)
     assert (space.origin, space.truncation_radius) == (origin, 4.0)
     full = dijkstra(metric_graph, directed=False)
     for x in range(g.n_vertices):
@@ -1129,8 +1139,7 @@ def test_green_growth_matches_earlier_solve_where_it_returned(seed):
 def test_criteria_use_the_supports_of_the_kernel_they_are_given():
     built = lattice_nn(dim=1, truncation_radius=50)
     space = built.space
-    empty = truncate_kernel(built.kernel, 0.5)
-    assert empty.matrix.nnz == 0
+    empty = JumpKernel(space, sp.csr_matrix((space.n_points,) * 2))
     mc = m_constants(space, empty, None)
     assert (mc.m_j, mc.argmax_j) == (0.0, None)
     rep = recurrence_report(space, empty, None, space.origin, [2.0, 4.0, 8.0])
@@ -1207,11 +1216,10 @@ def assert_same_instance(a, b):
         assert _array_equal(getattr(a.space, name), getattr(b.space, name)), name
     for name in ("origin", "truncation_radius", "metric_kind"):
         assert getattr(a.space, name) == getattr(b.space, name), name
-    for name in ("metric_graph", "rho_graph"):
-        x, y = getattr(a.space, name), getattr(b.space, name)
-        assert (x is None) == (y is None), name
-        if x is not None:
-            assert_bit_identical(x, y)
+    x, y = a.space.metric_graph, b.space.metric_graph
+    assert (x is None) == (y is None)
+    if x is not None:
+        assert_bit_identical(x, y)
     assert_bit_identical(a.kernel.csr().matrix, b.kernel.csr().matrix)
     assert (a.local is None) == (b.local is None)
     if a.local is not None:
@@ -1305,7 +1313,8 @@ def test_shell_power_phi_matches_the_rho_row_of_a_whole_space(which):
     if which == "lattice":
         g, origin = lattice2d_graph(25), 1300
         built = kmod.mixed_graph_from_params(graph_kind="lattice2d", extent=25, subdivisions=1, phi_kind="shell_power")
-        phi = oracle_shell_power_phi(g, origin, 1.0, 2.0)
+        a, b = np.divmod(np.arange(g.n_vertices), 51)
+        phi = oracle_shell_power_phi(g, np.abs(a - 25) + np.abs(b - 25), 1.0, 2.0)  # |a| + |b| hops to (a, b)
     else:
         w, mu = [1.0, 2.5, 0.0, 0.7, 3.0, 1.0], [1.0, 2.0, 0.5, 1.5, 1.0]
         g, origin = GraphData(5, _EDGES, w, mu), 0
@@ -1313,6 +1322,6 @@ def test_shell_power_phi_matches_the_rho_row_of_a_whole_space(which):
             graph_kind="explicit", n_vertices=5, edges=_EDGES, weights=w, vertex_measure=mu,
             subdivisions=1, phi_kind="shell_power", phi_constant=0.5, phi_power=1.5,
         )
-        phi = oracle_shell_power_phi(g, origin, 0.5, 1.5)
+        phi = oracle_shell_power_phi(g, oracle_bfs_hops(g, origin), 0.5, 1.5)
     want = mixed_graph(g, phi=phi, subdivisions=1, origin=origin, truncation_radius=built.space.truncation_radius)
     assert_same_instance(built, want)

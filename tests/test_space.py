@@ -8,11 +8,9 @@ from jdlab import (
     DiscreteMMSpace,
     GraphData,
     JumpKernel,
-    UnsupportedOperation,
     build_graph_space,
     lattice_nn,
     metric_ball,
-    shell_volume,
     support_sets,
 )
 from jdlab.kernels import mixed_graph, lattice2d_graph
@@ -40,19 +38,37 @@ def test_star_graph_distances():
     assert sp.d(1, 2) == pytest.approx(1.0)
 
 
-def test_asymmetric_weight_matrix_rejected():
-    import scipy.sparse as sp_
-
-    w = sp_.csr_matrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
-    with pytest.raises(ValueError, match="symmetric"):
-        GraphData.from_weight_matrix(w, np.ones(2))
-
-
 @pytest.mark.parametrize("edges", [[[0, 1], [0, 1], [1, 2]], [[0, 1], [1, 2], [1, 0]], [[2, 1], [0, 1], [1, 2]]])
 def test_repeated_edge_rejected(edges):
-    # the CSR graphs would sum the copies: rho(0, 1) = 2 and d(0, 1) = 2 sigma
+    # the CSR metric graph would sum the copies: d(0, 1) = 2 sigma
     with pytest.raises(ValueError, match=r"edge \([01], [12]\) is listed more than once"):
         GraphData(3, edges, np.ones(3), np.ones(3))
+
+
+@pytest.mark.parametrize(
+    "weights, measure, message",
+    [
+        ([1.0, np.nan], [1.0, 1.0, 1.0], "edge weights must be finite and nonnegative"),
+        ([1.0, np.inf], [1.0, 1.0, 1.0], "edge weights must be finite and nonnegative"),
+        ([1.0, -1.0], [1.0, 1.0, 1.0], "edge weights must be finite and nonnegative"),
+        ([1.0, 1.0], [1.0, np.nan, 1.0], "vertex measure must be finite and strictly positive"),
+        ([1.0, 1.0], [1.0, np.inf, 1.0], "vertex measure must be finite and strictly positive"),
+        ([1.0, 1.0], [1.0, 0.0, 1.0], "vertex measure must be finite and strictly positive"),
+    ],
+)
+def test_bad_weights_and_measure_are_named(weights, measure, message):
+    # a nan weight was reported as an asymmetric metric graph, an infinite one as a disconnected graph,
+    # and a nan measure as a non-finite space measure
+    with pytest.raises(ValueError, match=message):
+        GraphData(3, [[0, 1], [1, 2]], weights, measure)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_coordinate_is_named(bad):
+    # nan coordinates wrote nan distances into the reports, and an infinite one gave a satisfied volume verdict
+    coords = [[0.0, 0.0], [1.0, 0.0], [2.0, bad], [np.nan, 3.0]]
+    with pytest.raises(ValueError, match=re.escape(f"coordinates must be finite: point 2 is at [2.0, {bad}]")):
+        DiscreteMMSpace(np.ones(4), coords=coords)
 
 
 def test_isolated_vertex_rejected():
@@ -110,8 +126,6 @@ def test_one_sided_graph_rejected():
         DiscreteMMSpace(np.ones(3), metric_kind="graph", metric_graph=one_sided)
     path = sp_.csr_matrix(([1.0, 1.0], ([0, 1], [1, 2])), shape=(3, 3))
     path = path + path.T
-    with pytest.raises(ValueError, match="rho graph must be exactly symmetric"):
-        DiscreteMMSpace(np.ones(3), metric_kind="graph", metric_graph=path, rho_graph=path + one_sided)
     uneven = path.copy()
     uneven.data[0] = np.nextafter(1.0, 2.0)  # (0, 1) one ulp longer than (1, 0)
     with pytest.raises(ValueError, match="symmetric"):
@@ -144,33 +158,6 @@ def test_ball_monotone_and_additive(z_line):
         prev = vol
 
 
-def test_shell_volume_z(z_line):
-    assert shell_volume(z_line.space, z_line.space.origin, 5) == 2.0
-
-
-def test_shell_volume_z2():
-    b = lattice_nn(dim=2, truncation_radius=8)
-    assert shell_volume(b.space, b.space.origin, 3) == 12.0
-
-
-def test_shell_empty_beyond_truncation(z_line):
-    assert shell_volume(z_line.space, z_line.space.origin, 5000) == 0.0
-
-
-def test_shell_partial_sums_match_ball(z_line):
-    sp = z_line.space
-    rho0_mass = float(sp.measure[sp.rho_from(sp.origin) <= 0].sum())
-    total = rho0_mass + sum(shell_volume(sp, sp.origin, k) for k in range(1, 11))
-    ball_mass = float(sp.measure[sp.rho_from(sp.origin) <= 10].sum())
-    assert total == pytest.approx(ball_mass)
-
-
-def test_shell_requires_rho():
-    sp = DiscreteMMSpace([1.0, 1.0], coords=[[0.0], [1.0]])
-    with pytest.raises(UnsupportedOperation):
-        shell_volume(sp, 0, 1)
-
-
 @pytest.mark.parametrize("builder", ["lattice", "graph"])
 def test_metric_axioms_random_triples(builder, z_line, path_graph_space):
     sp = z_line.space if builder == "lattice" else path_graph_space
@@ -190,21 +177,25 @@ def test_cached_rows_are_read_only(graph):
         sp = mixed_graph(lattice2d_graph(2), phi=1.0, subdivisions=1, origin=12).space
     else:
         sp = lattice_nn(dim=2, truncation_radius=3).space
-    d, rho = sp.distances_from(sp.origin), sp.rho_from(sp.origin)
-    want_d, want_rho = d.copy(), rho.copy()
-    for row in (d, rho):
-        with pytest.raises(ValueError, match="read-only"):
-            row[0] = 7.0
+    d = sp.distances_from(sp.origin)
+    want_d = d.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        d[0] = 7.0
     assert np.array_equal(sp.distances_from(sp.origin), want_d)
-    assert np.array_equal(sp.rho_from(sp.origin), want_rho)
 
 
 def test_adapted_distance_below_graph_distance():
-    b = mixed_graph(lattice2d_graph(4), phi=1.0, subdivisions=1, origin=40, truncation_radius=4.0)
+    g = lattice2d_graph(4)
+    b = mixed_graph(g, phi=1.0, subdivisions=1, origin=40, truncation_radius=4.0)
     sp = b.space
     d = sp.distances_from(sp.origin)
-    rho = sp.rho_from(sp.origin)
-    assert np.all(d <= rho + 1e-12)
+    # hops from the origin: |a| + |b| at vertex (a, b), which changes by 1 along every edge, so an edge's
+    # midpoint sits at the mean of its ends
+    a, c = np.divmod(np.arange(g.n_vertices), 9)
+    hops = np.abs(a - 4) + np.abs(c - 4)
+    hops = np.concatenate([hops, 0.5 * (hops[g.edges[:, 0]] + hops[g.edges[:, 1]])])
+    assert len(hops) == sp.n_points
+    assert np.all(d <= hops + 1e-12)
 
 
 def test_support_sets_pure_jump(z_line):
@@ -239,7 +230,7 @@ def _disconnected_graph_space():
 
     half = sp_.csr_matrix(([1.0, 2.0, 0.5, 1.5], ([0, 1, 3, 4], [1, 2, 4, 5])), shape=(6, 6))
     graph = (half + half.T).tocsr()
-    return DiscreteMMSpace(np.ones(6), metric_kind="graph", metric_graph=graph, rho_graph=graph)
+    return DiscreteMMSpace(np.ones(6), metric_kind="graph", metric_graph=graph)
 
 
 def _row_formula(sp, x):
@@ -282,7 +273,7 @@ def test_rows_equal_the_metric_formulas_bit_for_bit(kind):
         assert sp.distances_from(x) is row  # served from the cache
     assert sp.distance_rows(np.array(xs)).tobytes() == np.stack([_row_formula(sp, x) for x in xs]).tobytes()
     if kind == "disconnected graph":
-        assert np.isinf(sp.distances_from(0)[3:]).all() and np.isinf(sp.rho_from(5)[:3]).all()
+        assert np.isinf(sp.distances_from(0)[3:]).all() and np.isinf(sp.distances_from(5)[:3]).all()
 
 
 @pytest.mark.parametrize("graph", [False, True])
@@ -292,12 +283,11 @@ def test_row_caches_hold_at_most_the_limit(graph):
     sp = mixed_graph(lattice2d_graph(5), phi=1.0, subdivisions=1).space if graph else lattice_nn(dim=2, truncation_radius=6).space
     assert sp.n_points > ROW_CACHE_LIMIT + 10
     for x in range(ROW_CACHE_LIMIT + 10):
-        d, rho = sp.distances_from(x), sp.rho_from(x)
+        d = sp.distances_from(x)
         assert d.tobytes() == _row_formula(sp, x).tobytes()
-        for row in (d, rho):
-            with pytest.raises(ValueError, match="read-only"):
-                row[0] = 7.0
-    assert len(sp._row_cache) == len(sp._rho_cache) == ROW_CACHE_LIMIT
+        with pytest.raises(ValueError, match="read-only"):
+            d[0] = 7.0
+    assert len(sp._row_cache) == ROW_CACHE_LIMIT
     assert sp.distances_from(ROW_CACHE_LIMIT + 5) is not sp.distances_from(ROW_CACHE_LIMIT + 5)  # past the limit
 
 

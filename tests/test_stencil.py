@@ -39,11 +39,8 @@ from jdlab import (
     energy,
     equilibrium_potential,
     green_growth,
-    UnsupportedOperation,
     jump_rates,
-    log_distance_check,
     m_constants,
-    quadratic_shell_report,
     recurrence_report,
     stable_like,
     support_sets,
@@ -51,7 +48,7 @@ from jdlab import (
 )
 from jdlab.capacity import _form, _potential
 from jdlab.criteria import theta_test_function
-from jdlab.forms import _FreeOperator, form_matrix, local_chain, truncate_kernel
+from jdlab.forms import _FreeOperator, form_matrix, local_chain
 from jdlab.kernels import KAPPA_GASKET, _pairwise_kernel
 
 REL = 1e-12
@@ -466,7 +463,6 @@ def test_the_stencil_keeps_no_gathered_csr():
     gathered = kernel.csr()
     assert kernel.csr() is not gathered  # each call gathers afresh
     jump_rates(kernel)
-    truncate_kernel(kernel, 50.0)
     form_matrix(space, kernel, local_chain(np.arange(space.n_points), 1.0))  # stable_like's default spacing
     held = vars(kernel)
     assert held.keys() == before.keys() and all(held[k] is before[k] for k in held)
@@ -732,16 +728,3 @@ def test_gasket_circulant_eigenvalues_are_positive_on_masked_free_sets():
     for r in (2.0, 8.0, 16.0, 31.0, 100.0):
         free_idx = np.setdiff1d(np.flatnonzero(dist < r), [space.origin])
         assert _FreeOperator(stencil, free_idx).eigenvalues.min() > 0, r
-
-
-def test_the_gasket_has_no_graph_distance():
-    # its steps leave most of their box out, so their L1 distance is no graph distance on the gasket
-    space = stable_like(support="gasket", gasket_level=4).space
-    assert space.steps is not None and not space.has_graph_distance
-    with pytest.raises(UnsupportedOperation):
-        quadratic_shell_report(space, space.origin, [1, 2, 4])
-    with pytest.raises(UnsupportedOperation):
-        log_distance_check(space, space.origin)
-    with pytest.raises(UnsupportedOperation):
-        space.rho_from(space.origin)
-    assert stable_like(dim=2, truncation_radius=4).space.has_graph_distance  # a full box keeps its rho

@@ -64,14 +64,17 @@ def _lattice_space(dim, truncation_radius, spacing, measure_per_point) -> Discre
     steps = _lattice_points(dim, truncation_radius, spacing)
     coords = steps * spacing
     origin = int(np.flatnonzero((steps == 0).all(axis=1))[0])
-    return DiscreteMMSpace(
-        np.full(len(steps), measure_per_point),
-        coords=coords,
-        metric_kind="euclidean",
-        steps=steps,
-        origin=origin,
-        truncation_radius=truncation_radius,
-    )
+    try:
+        return DiscreteMMSpace(
+            np.full(len(steps), measure_per_point),
+            coords=coords,
+            metric_kind="euclidean",
+            steps=steps,
+            origin=origin,
+            truncation_radius=truncation_radius,
+        )
+    except ValueError as err:  # the spacing sets both coordinates and measure, so it is the field to name
+        raise ValueError(f"lattice spacing h = {spacing:g}: {err}") from None
 
 
 def _neighbor_entries(dim: int, side: int) -> tuple[np.ndarray, np.ndarray]:
@@ -276,7 +279,13 @@ def weighted_line(lam: float = 1.0, spacing: float = 0.1, truncation_radius: flo
         raise ValueError("spacing must lie in (0, 1)")
     steps = _lattice_points(1, truncation_radius, spacing)
     xs = steps[:, 0] * spacing
-    measure = spacing * np.exp(2 * lam * np.abs(xs))
+    exponent, cap = 2 * lam * np.abs(xs), math.log(np.finfo(float).max)
+    if exponent.max() > cap:
+        raise ValueError(
+            f"lam {lam:g} overflows the measure h e^(2 lam |x|) on truncation radius {truncation_radius:g}: "
+            f"it is finite only while 2 lam |x| <= {cap:.1f}"
+        )
+    measure = spacing * np.exp(exponent)
     origin = int(np.flatnonzero(steps[:, 0] == 0)[0])
     space = DiscreteMMSpace(
         measure,

@@ -154,6 +154,11 @@ class DiscreteMMSpace:
             raise ValueError(f"unknown metric kind {metric_kind!r}")
         elif self.coords is None or self.coords.shape[1] == 0:
             raise ValueError("coordinate metric requires coords with at least one column")
+        else:  # the norm of the per-axis spans bounds every pair distance
+            with np.errstate(over="ignore"):  # per contiguous column: max(axis=0) on (n, 3) coords is 20x slower
+                spans = np.array([c.max() - c.min() for c in self._columns])
+                if not np.isfinite(self.norm(spans)):
+                    raise ValueError(f"coordinate spans {spans.tolist()} per axis overflow the {metric_kind} metric")
 
     # -- metric ---------------------------------------------------------
 
@@ -194,28 +199,37 @@ class DiscreteMMSpace:
         """d(rows[k], cols[k]) for each k.
 
         Coordinate metrics evaluate the norm per pair, in O(len(rows)). Graph
-        metrics search from the distinct rows with a limit on a ladder that
-        starts at the longest edge and doubles; a row that misses one of its
-        columns moves up a rung. The origin's row gives every pair the
-        landmark lower bound |d(o,x) - d(o,y)| <= d(x,y), and each row starts
-        at the first rung at or above its largest bound, so rows whose pairs
-        lie far apart skip the searches they would miss. Rows whose bound, or
-        whose misses, climb past twice the origin's reach get one unbounded
-        round (inf across components).
+        metrics search from the distinct rows, each with a limit that doubles
+        when the row misses one of its columns. The origin's row gives every
+        pair the landmark lower bound |d(o,x) - d(o,y)| <= d(x,y). A row
+        starts at j * l + s: l is the longest edge, j >= 1 the least whole
+        number with j * l at or above the row's largest bound less s, and the
+        slack s = 2 n eps reach covers the rounding of float sums along paths
+        shorter than reach, twice the origin's farthest distance. A j-edge
+        path is at most j * l long, so on subdivided graphs the first limit
+        holds every column. The slack decides only the work, never a
+        distance: a limit below d misses and climbs, and every limit at or
+        above d gives the same sum. Limits stop at reach, which bounds every
+        distance on the origin's component; a row that misses there, or has
+        a pair across components, gets one unbounded round (inf across
+        components).
 
-        Each search is one multi-source Dijkstra from a group of rows dealt
-        round-robin, so a group is spread over the id range. It labels every
-        point y it reaches with its owner, the nearest row of the group, and
-        a pair (x, y) settles when x owns y. y's predecessor chain then runs
-        back to x, so dist[y] is the left-to-right float sum along an x-path:
-        at least x's own search result, which the multi-source minimum cannot
-        exceed, as float addition is monotone. The distances therefore equal
-        `distances_from` bit for bit, whatever the limit, once it is at or
-        above d. A pair whose column another row owns is retried at the same
-        rung in smaller groups, dealt at random: half the size while a pass
-        leaves at most half of its pairs over, single rows otherwise, and a
-        single row owns every point it reaches. Each search writes three
-        n-vectors, whatever the size of its group.
+        Rung k holds the rows whose limit is above 2^(k-1) l and at most
+        2^k l (plus s), so a miss climbs one rung. Each search is one
+        multi-source Dijkstra from a group of rows of one rung, dealt
+        round-robin, so a group is spread over the id range, to the largest
+        limit among them: at most twice what any of its rows needs. It
+        labels every point y it reaches with its owner, the nearest row of
+        the group, and a pair (x, y) settles when x owns y. y's predecessor
+        chain then runs back to x, so dist[y] is the left-to-right float sum
+        along an x-path: at least x's own search result, which the
+        multi-source minimum cannot exceed, as float addition is monotone.
+        The distances therefore equal `distances_from` bit for bit, whatever
+        the limit, once it is at or above d. A pair whose column another row
+        owns is retried at the same rung in smaller groups, dealt at random:
+        half the size while a pass leaves at most half of its pairs over,
+        single rows otherwise, and a single row owns every point it reaches.
+        Each search writes three n-vectors, whatever the size of its group.
         """
         rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)  # once, not in every take
         if self.metric_kind != "graph":
@@ -223,23 +237,25 @@ class DiscreteMMSpace:
             return self.axis_norm(lambda a: columns[a].take(rows) - columns[a].take(cols), len(columns))
         sources, slot = np.unique(rows, return_inverse=True)
         reach = 2.0 * self.max_distance_from(self.origin)
-        ladder = []
-        limit = float(self.metric_graph.data.max(initial=0.0))
-        while 0.0 < limit <= reach:
-            ladder.append(limit)
-            limit *= 2.0
         from_origin = self.distances_from(self.origin)
         with np.errstate(invalid="ignore"):
             bound = np.abs(from_origin[rows] - from_origin[cols])
         bound[np.isnan(bound)] = 0.0  # both points off the origin's component
         top = np.zeros(len(sources))
         np.maximum.at(top, slot, bound)
-        rung = np.searchsorted(ladder, top)
+        longest = float(self.metric_graph.data.max(initial=0.0))
+        slack = 2.0 * self.n_points * np.finfo(float).eps * reach
+        with np.errstate(divide="ignore", invalid="ignore"):  # no edge: longest is 0, every limit NaN, then inf
+            edges = np.maximum(np.ceil((top - slack) / longest), 1.0)
+            limit = np.minimum(longest * edges + slack, reach)
+            limit[~(limit > 0.0) | (top > reach)] = np.inf  # NaN, the origin alone, or a pair across components
+            rung = np.where(limit < np.inf, np.ceil(np.log2(edges)), np.inf)  # inf: the unbounded round, last
         out = np.full(len(rows), np.inf)
         pending = np.ones(len(rows), dtype=bool)
         group = np.empty(len(sources), dtype=np.int64)
         deal = np.random.default_rng(0)
-        for k, limit in enumerate(ladder + [np.inf]):
+        while pending.any():
+            k = rung[slot[pending]].min()
             size, retry = _SEARCH_CHUNK, False
             while (todo := np.flatnonzero(pending & (rung[slot] == k))).size:
                 active = np.unique(slot[todo])
@@ -250,22 +266,24 @@ class DiscreteMMSpace:
                 todo = todo[np.argsort(group[slot[todo]], kind="stable")]
                 ends = np.cumsum(np.bincount(group[slot[todo]], minlength=stride))
                 for g, part in enumerate(np.split(todo, ends[:-1])):
+                    members = active[g::stride]
                     dist, _, owner = dijkstra(
                         self.metric_graph,
                         directed=True,
-                        indices=sources[active[g::stride]],
-                        limit=limit,
+                        indices=sources[members],
+                        limit=limit[members].max(),
                         min_only=True,
                         return_predecessors=True,
                     )
-                    d, owned = dist[cols[part]], owner[cols[part]] == rows[part]
-                    out[part[owned]] = d[owned]
-                    missed = np.isinf(d)  # no row of the group reaches the column within the limit
-                    if limit < np.inf:
-                        rung[slot[part[missed]]] = k + 1
-                    else:
-                        owned |= missed  # inf from every row of the group
+                    out[part] = dist[cols[part]]  # final once owned; inf where no row of the group reaches
+                    owned = owner[cols[part]] == rows[part]
+                    if k == np.inf:
+                        owned |= np.isinf(out[part])  # inf from every row of the group
                     pending[part[owned]] = False
+                if k < np.inf:  # a miss climbs; a miss at reach crosses components
+                    climb = slot[todo[pending[todo] & np.isinf(out[todo])]]
+                    limit[climb] = np.where(limit[climb] < reach, np.minimum(2.0 * limit[climb], reach), np.inf)
+                    rung[climb] = np.where(limit[climb] < np.inf, k + 1, np.inf)
                 left = np.count_nonzero(pending[todo] & (rung[slot[todo]] == k))
                 size, retry = (size // 2 if 2 * left <= len(todo) else 1), True
         return out

@@ -256,11 +256,16 @@ def test_non_finite_kernel_entries_exit_2_naming_them(tmp_path, capsys, kind, pa
          "kernel family 'explicit': coordinates must be finite: point 1 is at [nan]"),
         ("lattice", {"kernel": {"family": "explicit", "n_points": 3, "coords": [[0], [float("inf")], [2]]}},
          "kernel family 'explicit': coordinates must be finite: point 1 is at [inf]"),
+        ("weighted_line", {"lam": 1000},
+         "spec type 'weighted_line': lam 1000 overflows the measure h e^(2 lam |x|) on truncation radius 4: "
+         "it is finite only while 2 lam |x| <= 709.8"),
+        ("lattice", {"kernel": {"family": "explicit", "n_points": 3, "coords": [[0], [1e308], [-1e308]]}},
+         "kernel family 'explicit': coordinate spans [inf] per axis overflow the euclidean metric"),
     ],
     ids=[
         "stable_i-beta", "stable_ii-tempering", "stack-psi", "weighted_line-lam", "model_manifold-profile_constant",
         "graph-phi_constant", "graph-phi_power", "graph-weight-nan", "graph-weight-inf", "graph-vertex_measure-nan",
-        "explicit-coords-nan", "explicit-coords-inf",
+        "explicit-coords-nan", "explicit-coords-inf", "weighted_line-lam-overflow", "explicit-coords-span-overflow",
     ],
 )
 def test_nan_parameters_exit_2_naming_the_field(tmp_path, capsys, kind, params, message):

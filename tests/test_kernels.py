@@ -162,6 +162,13 @@ def test_weighted_line_rejects_bad_params():
         weighted_line(lam=1.0, spacing=1.5)
 
 
+def test_weighted_line_names_a_lam_that_overflows_the_measure():
+    # m = h e^{2 lam |x|} overflowed and was rejected as "measure must be finite at every point"
+    with pytest.raises(ValueError, match=r"lam 1000 overflows the measure .* on truncation radius 4: it is finite only while"):
+        weighted_line(lam=1000.0, spacing=0.5, truncation_radius=4)
+    assert np.isfinite(weighted_line(lam=88.0, spacing=0.5, truncation_radius=4).space.measure).all()  # 2 lam R = 704
+
+
 def test_weighted_line_mj_below_analytic_bound():
     lam = 1.0
     b = weighted_line(lam=lam, spacing=0.05, truncation_radius=15)

@@ -602,19 +602,55 @@ def test_bounded_search_matches_full_rows_over_doubling_rounds(seed):
     assert np.array_equal(kernel.pair_distances(), oracle_pair_distances(kernel))
 
 
+def _first_limits(space, kernel):
+    """Each kernel row's first search limit: the first whole multiple of the longest edge at or above the row's
+    landmark bound, padded by the rounding slack and clipped at twice the origin's reach; inf for a row with a
+    pair across components."""
+    longest, reach = space.metric_graph.data.max(), 2 * space.max_distance_from(space.origin)
+    slack = 2 * space.n_points * np.finfo(float).eps * reach
+    from_origin = space.distances_from(space.origin)
+    tops = {}
+    coo = kernel.matrix.tocoo()
+    for x, y in zip(coo.row.tolist(), coo.col.tolist()):
+        off = math.isinf(from_origin[x]) and math.isinf(from_origin[y])  # both off the origin's component
+        tops[x] = max(tops.get(x, 0.0), 0.0 if off else abs(from_origin[x] - from_origin[y]))
+    first = {}
+    for x, top in tops.items():
+        first[x] = min(longest * max(math.ceil((top - slack) / longest), 1) + slack, reach) if top < np.inf else np.inf
+    return first
+
+
+def _limits_by_row(searches):
+    """Each row's search limits in call order, from single-row searches."""
+    limits = {}
+    for sources, limit, _, _ in searches:
+        (x,) = sources.tolist()
+        limits.setdefault(x, []).append(limit)
+    return limits
+
+
 def test_bounded_search_runs_several_rounds_on_a_long_path(monkeypatch):
+    """Each row starts at a whole multiple of the longest edge; a row whose bound is loose climbs several rounds."""
     rng = np.random.default_rng(5)
     n = 40
     space = _graph_space(n, [(k, k + 1) for k in range(n - 1)], rng.uniform(0.5, 1.0, size=n - 1), rng, origin=n // 2)
     kernel = JumpKernel.from_entries(space, [0, 3, 10, 20], [1, 9, 30, 39], [1.0, 2.0, 0.5, 1.5])
     want = oracle_pair_distances(kernel)
     space.max_distance_from(space.origin)  # the origin row is a full search of its own
-    limits = _recording_dijkstra(monkeypatch)
+    searches = []
+    _recording_dijkstra(monkeypatch, searches)
     assert np.array_equal(kernel.pair_distances(), want)
-    longest = space.metric_graph.data.max()
-    bounded = sorted(set(limits) - {np.inf})
-    assert bounded[:3] == [longest, 2 * longest, 4 * longest]
-    assert np.inf not in limits  # all pairs lie within twice the origin's reach
+    first = _first_limits(space, kernel)
+    limits = _limits_by_row(searches)  # 8 rows, fewer than _MIN_GROUPS: each searches alone
+    assert limits.keys() == first.keys()
+    reach = 2 * space.max_distance_from(n // 2)
+    for x, seen in limits.items():  # a row that misses doubles from its own start, up to twice the origin's reach
+        assert seen == [min(first[x] * 2**k, reach) for k in range(len(seen))]
+    # 3 - 9 lies on one side of the origin, so its bound is tight and one search settles it;
+    # 10 - 30 straddles the origin, so its bound is below one edge and it climbs from one edge length
+    assert len(limits[3]) == 1 and len(limits[10]) >= 3
+    assert first[10] == space.metric_graph.data.max() + 2 * n * np.finfo(float).eps * 2 * space.max_distance_from(n // 2)
+    assert all(lim < np.inf for seen in limits.values() for lim in seen)  # all pairs lie within twice the reach
 
 
 def test_bounded_search_is_exact_across_components(monkeypatch):
@@ -624,7 +660,7 @@ def test_bounded_search_is_exact_across_components(monkeypatch):
     large = [(k, k + 1) for k in range(3, 29)]
     space = _graph_space(30, small + large, np.ones(len(small) + len(large)), rng, origin=0)
     assert space.max_distance_from(0) == 2.0
-    rows, cols = [0, 3, 3, 1, 0, 2], [1, 4, 29, 10, 29, 3]  # 3 - 29 is 26 apart, beyond 2 x reach
+    rows, cols = [0, 3, 3, 1, 0, 2, 4], [1, 4, 29, 10, 29, 3, 28]  # 3 - 29 is 26 apart, beyond 2 x reach
     kernel = JumpKernel.from_entries(space, rows, cols, rng.uniform(0.5, 2.0, size=len(rows)))
     want = oracle_pair_distances(kernel)
     searches = []
@@ -633,10 +669,80 @@ def test_bounded_search_is_exact_across_components(monkeypatch):
     assert np.array_equal(got, want)
     assert np.isinf(got).sum() == 2 * 3  # three cross pairs, both orientations
     assert all(min_only and predecessors for _, _, min_only, predecessors in searches)
-    # the unbounded round comes last, after bounded rounds within twice the origin's reach
-    first = limits.index(np.inf)
-    assert all(lim <= 4.0 for lim in limits[:first]) and all(lim == np.inf for lim in limits[first:])
+    # a row with a pair across the origin's component has an infinite bound and starts unbounded; rows 4
+    # and 28 lie off that component (bound 0), so they start at one edge length, 1 + slack, and double up
+    # to twice the origin's reach of 2, where a miss sends them to the unbounded round
+    start = 1.0 + 2 * 30 * np.finfo(float).eps * 4.0
+    first = {0: np.inf, 1: np.inf, 2: np.inf, 3: np.inf, 4: start, 10: np.inf, 28: start, 29: np.inf}
+    assert _first_limits(space, kernel) == first
+    assert _limits_by_row(searches)[4] == _limits_by_row(searches)[28] == [start, 2 * start, 4.0, np.inf]
+    # the unbounded round comes last, after the bounded ones
+    bounded = [start, start, 2 * start, 2 * start, 4.0, 4.0]
+    assert limits[:6] == bounded and all(lim == np.inf for lim in limits[6:])
     assert space.pair_distances([3, 29, 3], [29, 3, 3]).tolist() == [26.0, 26.0, 0.0]
+
+
+@pytest.mark.parametrize("subdivisions", [0, 1, 2, 3])
+def test_mixed_graph_pairs_settle_on_the_first_rung(monkeypatch, subdivisions):
+    """Kernel pairs on lattice2d mixed graphs lie 1/2 or 1/sqrt(3) apart, and 1/sqrt(3) is a whole number of
+    longest edges: every row's first limit holds all its pairs, and none climbs."""
+    import jdlab.space
+
+    for extent, ties in ((6, False), (7, True)):  # 7: row width 15, so the stride 16 leaves tied columns
+        built = kmod.mixed_graph_from_params(
+            graph_kind="lattice2d", extent=extent, subdivisions=subdivisions, phi_kind="shell_power"
+        )
+        space, kernel = built.space, built.kernel
+        want = oracle_pair_distances(kernel)
+        space.max_distance_from(space.origin)
+        sources = np.flatnonzero(np.diff(kernel.matrix.indptr))
+        searches = []
+        with pytest.MonkeyPatch.context() as patch:
+            _recording_dijkstra(patch, searches)
+            assert np.array_equal(kernel.pair_distances(), want)
+        limits = {lim for _, lim, _, _ in searches}
+        assert len(limits) == 1 and limits.pop() < 0.58  # one rung, just above 1/sqrt(3), for every search
+        if not ties:  # one bounded pass: the sources dealt round-robin, one search per group, nothing retried
+            stride = jdlab.space._MIN_GROUPS
+            assert [group.tolist() for group, _, _, _ in searches] == [sources[g::stride].tolist() for g in range(stride)]
+
+
+def test_a_group_searches_its_rung_to_the_largest_limit_among_its_rows(monkeypatch):
+    """Unit path 0 - ... - 15, origin 0: pairs 1, 2, 3 and 4 edges apart, each on one side of the origin, start at
+    1, 2, 3 and 4 edges; rung k holds 2^(k-1) < j <= 2^k edges, so 3 and 4 share the last one."""
+    import jdlab.space
+
+    space = _graph_space(16, [(k, k + 1) for k in range(15)], np.ones(15), np.random.default_rng(0))
+    space.max_distance_from(0)
+    monkeypatch.setattr(jdlab.space, "_MIN_GROUPS", 1)  # one group per rung
+    searches = []
+    _recording_dijkstra(monkeypatch, searches)
+    assert space.pair_distances([1, 12, 5, 6], [0, 14, 2, 10]).tolist() == [1.0, 2.0, 3.0, 4.0]
+    slack = 2 * 16 * np.finfo(float).eps * 30.0
+    want = [([1], 1 + slack), ([12], 2 + slack), ([5, 6], 4 + slack)]
+    assert [(group.tolist(), lim) for group, lim, _, _ in searches] == want
+
+
+def test_equal_edges_of_an_inexact_length_settle_in_one_pass(monkeypatch):
+    """A path of 0.7-long edges: a pair m edges apart has a float path sum that can exceed the float m x 0.7
+    its landmark bound rounds to; the rounding slack keeps such rows on their first rung."""
+    n = 20
+    space = _graph_space(n, [(k, k + 1) for k in range(n - 1)], np.full(n - 1, 0.7), np.random.default_rng(3))
+    rows = np.concatenate([np.arange(n - m) for m in (1, 2, 3, 4, 5, 7)])
+    cols = np.concatenate([np.arange(m, n) for m in (1, 2, 3, 4, 5, 7)])
+    kernel = JumpKernel.from_entries(space, rows, cols, np.ones(len(rows)))
+    want = oracle_pair_distances(kernel)
+    space.max_distance_from(space.origin)
+    # the premise: some path sums exceed the unpadded rung 0.7 x ceil(bound / 0.7)
+    sums = np.array([space.distances_from(x)[y] for x, y in zip(rows, cols)])
+    bounds = space.distances_from(0)[cols] - space.distances_from(0)[rows]
+    assert np.any(sums > 0.7 * np.maximum(np.ceil(bounds / 0.7), 1))
+    searches = []
+    _recording_dijkstra(monkeypatch, searches)
+    assert np.array_equal(kernel.pair_distances(), want)
+    searched = np.concatenate([group for group, _, _, _ in searches])
+    assert np.array_equal(np.sort(searched), np.arange(n))  # each row searched once: no miss, no retry
+    assert all(lim < np.inf for _, lim, _, _ in searches)
 
 
 def _components_instance(rng):

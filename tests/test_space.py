@@ -71,6 +71,22 @@ def test_a_non_finite_coordinate_is_named(bad):
         DiscreteMMSpace(np.ones(4), coords=coords)
 
 
+@pytest.mark.parametrize(
+    "metric_kind, coords, spans",
+    [
+        ("euclidean", [[0.0], [1e308], [-1e308]], "[inf]"),  # the span itself overflows
+        ("euclidean", [[0.0, 0.0], [1e200, 1.0]], "[1e+200, 1.0]"),  # finite spans whose squares overflow
+        ("stack", [[0.0, 0.0, 0.0], [1e200, 1.0, 2.0]], "[1e+200, 1.0, 2.0]"),
+        ("l1", [[0.0, 1e308], [1e308, 0.0]], "[1e+308, 1e+308]"),  # finite per axis, not summed
+    ],
+)
+def test_coordinates_whose_distances_overflow_are_named(metric_kind, coords, spans):
+    # [[0], [1e308], [-1e308]] gave infinite distances and exited 2 with "radius grid exceeds the truncation"
+    with pytest.raises(ValueError, match=re.escape(f"coordinate spans {spans} per axis overflow the {metric_kind}")):
+        DiscreteMMSpace(np.ones(len(coords)), coords=coords, metric_kind=metric_kind)
+    assert DiscreteMMSpace(np.ones(2), coords=[[0.0], [1e200]], metric_kind="l1").d(0, 1) == 1e200
+
+
 def test_isolated_vertex_rejected():
     g = GraphData(3, [[0, 1]], [1.0], np.ones(3))
     with pytest.raises(ValueError, match="no incident edge"):

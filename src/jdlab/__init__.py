@@ -21,7 +21,6 @@ from .forms import (
     MConstants,
     RateTable,
     StencilKernel,
-    derivation_residual,
     energy,
     gamma_jump,
     jump_rates,
@@ -31,14 +30,11 @@ from .forms import (
 from .criteria import (
     CriterionReport,
     davies_constant,
-    omega,
     recurrence_report,
-    theta_test_function,
     volume_growth_report,
 )
 from .kernels import (
     BuiltInstance,
-    build_graph_space,
     lattice_nn,
     mixed_graph,
     model_manifold,
@@ -46,11 +42,9 @@ from .kernels import (
     stack_space,
     weighted_line,
 )
-from .capacity import PotentialSolve, SolverFailure, capacity_scan, equilibrium_potential, green_growth
+from .capacity import PotentialSolve, SolverFailure, capacity_scan, equilibrium_potential
 from .simulate import (
     SimConfig,
-    Trajectory,
     explosion_diagnostic,
-    gillespie_path,
     sample_estimates,
 )

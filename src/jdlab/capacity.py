@@ -1,4 +1,4 @@
-"""Equilibrium potentials, capacities, and truncated Green functions.
+"""Equilibrium potentials and capacities.
 
 cap(K, B) is the minimum of the energy form over functions that are 1 on K
 and 0 outside the open ball B; its decay along an exhausting sequence of
@@ -11,11 +11,10 @@ solve is CG on its `free_operator`, the jump form on the free points,
 which brings its own FFT matvecs and circulant preconditioner; this
 module knows nothing of the stencil's layout.
 
-Both the potentials and the Green functions go through the one free-set
-solver that `_form` picks. The state space may be disconnected, so part of
-a ball can have no coupling (jump or local edge) to the clamped points:
-such a dead component gets potential 0 in a capacity, and Green potential
-inf where f has mass on it and 0 elsewhere.
+Every potential goes through the one free-set solver that `_form` picks.
+The state space may be disconnected, so part of a ball can have no
+coupling (jump or local edge) to the clamped points: such a dead component
+gets potential 0, with a warning.
 """
 
 from __future__ import annotations
@@ -138,8 +137,9 @@ class _AssembledForm:
     """Free-set solves on the assembled form matrix G: CSR kernels and local parts.
 
     A dead component (free points with no coupling to a clamped point) has
-    a singular block, since nothing drains it: x is 0 there, or +inf where
-    b carries positive mass on it.
+    a singular block, since nothing drains it: x is 0 there. A potential's
+    data -G[free, K] 1 is 0 there too, since its rows hold no nonzero entry
+    in a clamped column.
     """
 
     def __init__(self, g: sp.csr_matrix):
@@ -162,8 +162,6 @@ class _AssembledForm:
             a_ff = a_ff[live][:, live].tocsr()
         x = np.zeros(free_idx.size)
         x[live], res, iterations = _solve_spd(a_ff, b[live])
-        mass = np.bincount(labels[dead], weights=b[dead], minlength=dead_comp.size)
-        x[dead & (mass[labels] > 0)] = np.inf
         return x, res, int(dead.sum()), iterations
 
 
@@ -171,8 +169,7 @@ class _StencilForm:
     """Free-set solves on the jump form 2 (diag(m row_mass) - m W) of a stencil kernel with no local part.
 
     A stencil kernel's points are connected through its positive unit-offset
-    entries, so the free set has a dead component only when no point is
-    clamped, and then it is every point.
+    entries, so a free set beside a nonempty clamped set has no dead component.
     """
 
     def __init__(self, kernel: StencilKernel):
@@ -185,11 +182,7 @@ class _StencilForm:
         return 2.0 * self.kernel.space.measure[free_idx] * self.kernel.matvec(u)[free_idx]
 
     def solve(self, free: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, int, int]:
-        """As `_AssembledForm.solve`, through the kernel's `free_operator`."""
-        if free.all():
-            return np.full(b.size, np.inf if (b > 0).any() else 0.0), 0.0, b.size, 0
-        if not free.any():  # a ball of radius 0: no bounding box to build the operator on
-            return np.zeros(0), 0.0, 0, 0
+        """As `_AssembledForm.solve`, through the kernel's `free_operator`; some point is clamped and some is free."""
         x, res, iterations = _solve_spd(self.kernel.free_operator(np.flatnonzero(free)), b)
         return x, res, 0, iterations
 
@@ -318,34 +311,3 @@ def capacity_scan(
         [s.residual for s in solves], [s.unknowns for s in solves], [s.iterations for s in solves], warnings,
     )
 
-
-def green_growth(
-    space: DiscreteMMSpace,
-    kernel: KernelOperator,
-    local: Optional[LocalPart],
-    f: np.ndarray,
-    x0: int,
-    radii: Sequence[float],
-    center: Optional[int] = None,
-) -> np.ndarray:
-    """Truncated Green potentials u_R(x0) with L u = -f on B(center, R), u = 0 outside.
-
-    Divergence of the sequence is evidence of recurrence, boundedness of
-    transience. u_R(x0) is inf when x0 lies in a dead component of the ball
-    (no jump or local edge leads from it to the outside) on which f > 0
-    somewhere, since the process then never leaves the ball.
-    """
-    f = np.asarray(f, dtype=float)
-    if np.any(f < 0) or not np.any(f > 0):
-        raise ValueError("f must be nonnegative and not identically zero")
-    if center is None:
-        center = int(x0)
-    form = _form(space, kernel, local)
-    rhs = f * space.measure
-    out = []
-    for r in sorted(float(r) for r in radii):
-        free = open_ball_mask(space, center, r)
-        u = np.zeros(space.n_points)
-        u[free] = form.solve(free, rhs[free])[0]
-        out.append(float(u[x0]))
-    return np.asarray(out)

@@ -124,13 +124,6 @@ def _omega_values(
     return np.array(values)[slot]
 
 
-def omega(space: DiscreteMMSpace, kernel: KernelOperator, r: float) -> float:
-    """Truncated second jump moment, sup over the jump support."""
-    if r <= 0:
-        raise ValueError("r must be positive")
-    return float(_omega_values(space, kernel, np.array([float(r)]))[0])
-
-
 def recurrence_report(
     space: DiscreteMMSpace,
     kernel: KernelOperator,
@@ -173,11 +166,3 @@ def recurrence_report(
         notes=notes,
         extras={"omega": om.tolist()},
     )
-
-
-def theta_test_function(space: DiscreteMMSpace, x0: int, big_r: float) -> np.ndarray:
-    """theta_R(x) = clamp((R - d(x, x0)) / (R - 1)) to [0, 1]; requires R > 2."""
-    if big_r <= 2:
-        raise ValueError("R must exceed 2")
-    d = space.distances_from(x0)
-    return np.clip((big_r - d) / (big_r - 1.0), 0.0, 1.0)

@@ -182,9 +182,6 @@ class JumpKernel(KernelOperator):
         """max d(x, y) over the stored entries (0 for the empty kernel; inf across components)."""
         return float(self.pair_distances().max(initial=0.0))
 
-    def density(self, x: int, y: int) -> float:
-        return float(self.matrix[x, y])
-
     def weighted_row_sums(self, g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """sum_y j(x, y) g(d(x, y)) m(y) per x, as segment sums over runs of whole rows (0 off X^(j))."""
         dist, w = self.pair_distances(), self.weighted  # distances first: their temporaries peak before W exists
@@ -422,13 +419,12 @@ class LocalPart:
         if np.any(self.conductance < 0):
             raise ValueError("conductances must be nonnegative")
 
-    def gamma(self, u: np.ndarray, n_points: int, v: Optional[np.ndarray] = None) -> np.ndarray:
-        """Pointwise Gamma_c(u, v) over all n_points points (zero off local edges)."""
-        if v is None:
-            v = u
+    def gamma(self, u: np.ndarray, n_points: int) -> np.ndarray:
+        """Pointwise Gamma_c(u, u) over all n_points points (zero off local edges)."""
         out = np.zeros(n_points)
         i, j = self.edges[:, 0], self.edges[:, 1]
-        term = self.conductance * (u[i] - u[j]) * (v[i] - v[j])
+        du = u[i] - u[j]
+        term = self.conductance * du * du
         np.add.at(out, i, term)
         np.add.at(out, j, term)
         return out
@@ -527,20 +523,6 @@ def m_constants(space: DiscreteMMSpace, kernel: KernelOperator, local: Optional[
         k = int(np.argmax(sums))
         m_j, arg_j = max(float(sums[k]), 0.0), int(x_j[k])
     return MConstants(m_c, m_j, arg_c, arg_j)
-
-
-def derivation_residual(space: DiscreteMMSpace, kernel: KernelOperator, u: np.ndarray, phi: np.ndarray) -> float:
-    """E^(j)(u, u phi) - int u Gamma_j(u, phi) dm - int phi Gamma_j[u] dm.
-
-    Identically zero for every symmetric kernel: this is the exact discrete
-    integral-derivation identity in the factor-consistent normalization.
-    """
-    u = np.asarray(u, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    lhs = energy(space, kernel, None, u, u * phi)
-    mixed = float(np.dot(u * gamma_jump(kernel, u, phi), space.measure))
-    square = float(np.dot(phi * gamma_jump(kernel, u), space.measure))
-    return lhs - mixed - square
 
 
 @dataclass

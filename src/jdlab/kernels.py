@@ -48,14 +48,22 @@ def _check_int(name: str, value, minimum: int = 1):
     return int(a) if a.ndim == 0 else a.astype(np.int64)
 
 
+def _check_addressable(count: float, spacing: float, truncation_radius: float) -> None:
+    """Reject a grid of `count` points before it is built if an array of one float per point cannot be addressed."""
+    if count * 8 > np.iinfo(np.intp).max:
+        raise ValueError(f"spacing {spacing:g} on truncation radius {truncation_radius:g} gives {count:.3g} points: too many to address")
+
+
 def _lattice_points(dim: int, truncation_radius: float, spacing: float) -> np.ndarray:
     dim = _check_int("dim", dim)
     if not spacing > 0:
         raise ValueError("spacing must be positive")
-    extent = int(math.floor(truncation_radius / spacing + 1e-9))
+    extent = np.floor(truncation_radius / spacing + 1e-9)  # a float: inf where the ratio overflows
     if extent < 1:
         raise ValueError("truncation radius too small for the lattice spacing")
-    axis = np.arange(-extent, extent + 1)
+    with np.errstate(over="ignore"):
+        _check_addressable((2 * extent + 1) ** dim, spacing, truncation_radius)
+    axis = np.arange(-int(extent), int(extent) + 1)
     grids = np.meshgrid(*([axis] * dim), indexing="ij")
     return np.stack([g.reshape(-1) for g in grids], axis=1)
 
@@ -354,9 +362,17 @@ def model_manifold(
         sigma = profile
     if not spacing > 0:
         raise ValueError("spacing must be positive")
-    k_max = int(math.floor(truncation_radius / spacing + 1e-9))
+    k_max = np.floor(truncation_radius / spacing + 1e-9)
+    _check_addressable(k_max, spacing, truncation_radius)
+    k_max = int(k_max)
     radii = spacing * np.arange(1, k_max + 1)
-    sig = np.asarray(sigma(radii), dtype=float)
+    with np.errstate(over="ignore"):
+        sig = np.asarray(sigma(radii), dtype=float)
+    if np.isinf(sig).any():
+        raise ValueError(
+            f"profile {profile!r} overflows on truncation radius {truncation_radius:g}: "
+            f"sigma is infinite from r = {radii[np.isinf(sig)][0]:g}"
+        )
     if not np.all(sig > 0):
         raise ValueError("sigma must be positive on the radial grid")
     w = sphere_volume(dim)
@@ -444,14 +460,6 @@ def mixed_graph(
     if k > 0:
         local = LocalPart(np.column_stack([d_rows, d_cols]), local_cond, np.arange(nv, n_total, dtype=np.int64))
     return BuiltInstance(space, kernel, local)
-
-
-def build_graph_space(g: GraphData, origin: int = 0, truncation_radius: float = float("inf")) -> DiscreteMMSpace:
-    """Adapted-distance space of a weighted graph: the mixed graph with no edge interior.
-
-    Edge length sigma (`GraphData.adapted_lengths`).
-    """
-    return mixed_graph(g, subdivisions=0, origin=origin, truncation_radius=truncation_radius).space
 
 
 def lattice2d_graph(extent: int) -> GraphData:

@@ -2,14 +2,14 @@
 
 `sample_estimates` samples the batches and estimates: survival to the
 horizon (the conservativeness proxy) and, given a target set, return to it
-before leaving a ball about it (the recurrence proxy). `gillespie_path`
-samples the path of one of its trials. Trials advance in lockstep, one
-draw block at a time. Within a block only the jump chain is sequential:
-one numpy step moves every live trial by one jump, with a row search whose
-first binary-lifting level is a lookup in per-state tables. The holding
-times, elapsed times and stop tests of the whole block are then computed
-from the visited states at once, and trials that stopped are recorded and
-compacted out of the live set. A reflecting outer set is part of the jump
+before leaving a ball about it (the recurrence proxy), from one sampler
+core. Trials advance in lockstep, one draw block at a time. Within a block
+only the jump chain is sequential: one numpy step moves every live trial
+by one jump, with a row search whose first binary-lifting level is a
+lookup in per-state tables. The holding times, elapsed times and stop
+tests of the whole block are then computed from the visited states at
+once, and trials that stopped are recorded and compacted out of the live
+set. A reflecting outer set is part of the jump
 table: a jump onto it points back to its own row. Stop rules never change
 a jump, so estimates whose walkers reflect off the same set (the survival
 and return estimates under absorb) share one sampling pass, each rule
@@ -36,10 +36,6 @@ import numpy as np
 from .forms import RateTable, row_blocks
 from .space import DiscreteMMSpace, open_ball_mask
 
-STATUS_ALIVE = "alive-at-T"
-STATUS_ABSORBED = "absorbed-at-boundary"
-STATUS_CAPPED = "jump-cap-hit"
-_STATUS_BY_CODE = (STATUS_ALIVE, STATUS_ABSORBED, STATUS_CAPPED)
 RNG_CONTRACT = "philox4x32-10/1"  # bump whenever (seed, trial, jump) -> draws changes
 # Philox blocks per refill (count x width) and trials per chunk, so that a chunk's
 # first, one-jump block fits too. A call costs ~90 us plus ~35 ns per block up to
@@ -57,7 +53,7 @@ _GO, _HIT, _ABSORB = 0, 1, 2
 
 @dataclass
 class SimConfig:
-    """Batch configuration; trials are independent given (seed, trial_index)."""
+    """Batch configuration; trials are independent given (seed, trial)."""
 
     horizon: float
     trials: int = 1000
@@ -78,22 +74,6 @@ class SimConfig:
         # the Philox key holds two 32-bit words: any other seed would sample the trials of another
         if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
-
-
-@dataclass
-class Trajectory:
-    """Sampled path: visited states with holding times and the exit status.
-
-    holding_times[i] is the time spent at states[i]. Paths alive at the
-    horizon carry one hold per state (the last one truncated at T); absorbed
-    and jump-capped paths occupy their terminal state for zero time, so the
-    holding list is one entry shorter than the state list.
-    """
-
-    states: np.ndarray
-    holding_times: np.ndarray
-    status: str
-    elapsed: float
 
 
 class Work(NamedTuple):
@@ -267,9 +247,8 @@ def _lockstep(
     config: SimConfig,
     rules: Sequence[tuple[np.ndarray, BatchResult]],
     slots: np.ndarray,
-    offset: int = 0,
 ) -> int:
-    """Run trials slots + offset until every rule has stopped them; batch row slots[i] is trial slots[i] + offset.
+    """Run trials `slots` until every rule has stopped them; batch row slots[i] is trial slots[i].
 
     The rules are (stop codes, batch) pairs that share one jump chain.
     Trials advance in draw blocks of `count` >= 1 jumps, with count x width
@@ -302,7 +281,7 @@ def _lockstep(
             width = len(slots)
             # blocks grow with the trials' age, so short trials do not step long blocks
             count = min(max(1, _DRAW_BUDGET // width), max_jumps - step, max(1, step))
-            u1, u2 = uniform_pairs(config.seed, slots + offset, step, count)
+            u1, u2 = uniform_pairs(config.seed, slots, step, count)
             draws += u1.size
             chain = np.empty((count + 1, width), dtype=np.intp)
             chain[0] = state
@@ -350,45 +329,17 @@ def _lockstep(
     return draws
 
 
-def gillespie_path(rates: RateTable, x0: int, config: SimConfig, trial_index: int = 0) -> Trajectory:
-    """Sample one path: trial `trial_index` (an integer in [0, 2^63)) of sample_estimates' survival batch.
-
-    The trial runs as in the batch, for its status, elapsed time and jump
-    count n; its jumps 0..n-1 are then redrawn and walked again.
-    """
-    _check_points("x0", [x0], len(rates.lam))
-    _check_points("trial_index", [trial_index], 2**63, "trial")
-    trial = int(trial_index)
-    outside = _outside_mask(rates.space, x0, config)
-    out = _empty_batch(1, config.horizon)
-    stop = _stop_codes(len(rates.lam), outside, None, config.policy == "reflect")
-    search = _jumps(rates, _walls(outside, config))
-    _lockstep(search, x0, config, [(stop, out)], np.zeros(1, dtype=np.int64), trial)
-    n = int(out.n_jumps[0])
-    states = np.full(n + 1, x0, dtype=np.intp)
-    holds = np.empty(n)
-    for first in range(0, n, _DRAW_BUDGET):
-        block = slice(first, min(first + _DRAW_BUDGET, n))
-        u1, u2 = uniform_pairs(config.seed, [trial], first, block.stop - first)
-        for k, u in enumerate(u2, first):
-            search(states[k : k + 1], u, states[k + 1 : k + 2])
-        holds[block] = -np.log1p(-u1[:, 0]) / rates.lam[states[block]]
-    if out.status[0] == 0:  # alive at T: the last state is held until then; times are summed in jump order
-        holds = np.append(holds, config.horizon - (np.cumsum(holds)[-1] if n else 0.0))
-    return Trajectory(states, holds, _STATUS_BY_CODE[out.status[0]], float(out.elapsed[0]))
-
-
-def _check_points(name: str, ids, n: int, noun: str = "point id") -> None:
+def _check_points(name: str, ids, n: int) -> None:
     """A ValueError naming the first of `ids` that is not an integer in [0, n)."""
     ids = np.asarray(ids)
     # Python ints past 64 bits are held as objects; as floats they stay far outside any range
     values = ids.astype(np.float64) if ids.dtype == object else ids
     fractional = ids[values != np.round(values)]  # a cast to int would truncate them
     if len(fractional):
-        raise ValueError(f"{name}: {noun} {fractional[0]} is not an integer")
+        raise ValueError(f"{name}: point id {fractional[0]} is not an integer")
     bad = ids[(values < 0) | (values >= n)]
     if len(bad):
-        raise ValueError(f"{name}: {noun} {bad[0]} is not in [0, {n})")
+        raise ValueError(f"{name}: point id {bad[0]} is not in [0, {n})")
 
 
 def _outside_mask(space: DiscreteMMSpace, x0: int, config: SimConfig) -> Optional[np.ndarray]:
@@ -567,10 +518,3 @@ def explosion_diagnostic(batch: BatchResult) -> ExplosionSummary:
         truncation,
     )
 
-
-def occupation_measure(traj: Trajectory, n_points: int) -> np.ndarray:
-    """Time-weighted empirical occupation distribution of one path."""
-    occ = np.zeros(n_points)
-    np.add.at(occ, traj.states[: len(traj.holding_times)], traj.holding_times)
-    total = occ.sum()
-    return occ / total if total > 0 else occ

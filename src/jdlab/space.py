@@ -313,9 +313,6 @@ class DiscreteMMSpace:
             idx = indices[lo : lo + chunk]
             yield idx, self.distance_rows(idx)
 
-    def d(self, x: int, y: int) -> float:
-        return float(self.distances_from(x)[y])
-
     # -- volume queries ---------------------------------------------------
 
     def max_distance_from(self, x0: int) -> float:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jdlab import GraphData, build_graph_space, lattice_nn
+from jdlab import GraphData, energy, gamma_jump, lattice_nn, mixed_graph
 
 
 @pytest.fixture(scope="session")
@@ -20,7 +20,7 @@ def z3_cube():
 def path_graph_space():
     """Path a-b-c with unit weights and measure."""
     g = GraphData(3, [[0, 1], [1, 2]], [1.0, 1.0], np.ones(3))
-    return build_graph_space(g)
+    return mixed_graph(g, subdivisions=0).space
 
 
 def random_symmetric_kernel(rng, n, density=0.3):
@@ -56,3 +56,25 @@ def stable_like_density(case="i", alpha=1.0, beta=1.0, tempering=1.0, kappa=1.0)
         return near + far
 
     return density
+
+
+def derivation_residual(space, kernel, u, phi):
+    """E^(j)(u, u phi) - int u Gamma_j(u, phi) dm - int phi Gamma_j[u] dm.
+
+    Identically zero for every symmetric kernel: this is the exact discrete
+    integral-derivation identity in the factor-consistent normalization.
+    """
+    u = np.asarray(u, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    lhs = energy(space, kernel, None, u, u * phi)
+    mixed = float(np.dot(u * gamma_jump(kernel, u, phi), space.measure))
+    square = float(np.dot(phi * gamma_jump(kernel, u), space.measure))
+    return lhs - mixed - square
+
+
+def theta_test_function(space, x0, big_r):
+    """theta_R(x) = clamp((R - d(x, x0)) / (R - 1)) to [0, 1]; requires R > 2."""
+    if big_r <= 2:
+        raise ValueError("R must exceed 2")
+    d = space.distances_from(x0)
+    return np.clip((big_r - d) / (big_r - 1.0), 0.0, 1.0)

@@ -17,23 +17,21 @@ from jdlab import (
     SimConfig,
     capacity_scan,
     davies_constant,
-    derivation_residual,
     energy,
     equilibrium_potential,
     lattice_nn,
     metric_ball,
-    omega,
     recurrence_report,
     sample_estimates,
     stable_like,
-    theta_test_function,
     volume_growth_report,
 )
+from jdlab.criteria import _omega_values
 from jdlab.forms import jump_rates
 from jdlab.kernels import explicit_kernel, mixed_graph_from_params, model_manifold
 from jdlab.simulate import explosion_diagnostic
 from jdlab.space import open_ball_mask
-from conftest import random_symmetric_kernel
+from conftest import derivation_residual, random_symmetric_kernel, theta_test_function
 
 
 def _report(number: int, message: str, started: float, limit: float) -> None:
@@ -129,8 +127,7 @@ def test_criterion_05_capacity_closed_form():
 def test_criterion_06_omega_and_statistic_closed_forms():
     started = time.perf_counter()
     z1 = lattice_nn(dim=1, truncation_radius=120)
-    for r in (1.0, 2.0, 5.0, 50.0):
-        assert abs(omega(z1.space, z1.kernel, r) - 2.0) <= 1e-12
+    assert np.max(np.abs(_omega_values(z1.space, z1.kernel, np.array([1.0, 2.0, 5.0, 50.0])) - 2.0)) <= 1e-12
     radii = np.arange(5.0, 56.0, 5.0)
     rep = recurrence_report(z1.space, z1.kernel, None, z1.space.origin, radii)
     expected = [2.0 * (2 * r + 1) / r**2 for r in radii]

@@ -84,7 +84,7 @@ def test_coords_are_read_only_and_a_private_copy():
     with pytest.raises(ValueError, match="read-only"):
         space.coords[0, 0] = 5.0
     given_coords[0, 0] = 5.0  # the caller's array stays its own
-    assert space.coords[0, 0] == 0.0 and space.d(0, 1) == np.sqrt(8.0)
+    assert space.coords[0, 0] == 0.0 and space.distances_from(0)[1] == np.sqrt(8.0)
 
 
 def test_a_coordinate_metric_needs_a_column():

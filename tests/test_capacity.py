@@ -12,17 +12,15 @@ from jdlab import (
     capacity_scan,
     energy,
     equilibrium_potential,
-    green_growth,
     lattice_nn,
     model_manifold,
-    theta_test_function,
     volume_growth_report,
 )
 from jdlab.forms import form_matrix
 from jdlab.kernels import explicit_kernel
 from jdlab.space import boundary_notes, open_ball_mask
 from jdlab.specio import round_floats
-from conftest import random_symmetric_kernel
+from conftest import random_symmetric_kernel, theta_test_function
 
 
 def test_cap_z_closed_form(z_line):
@@ -262,47 +260,3 @@ def test_direct_route_on_full_band_systems_matches_cg(seed, extra):
         x_cg, _, cg_iterations = jdlab.capacity._solve_spd(operator, b)
     assert cg_iterations > 0
     assert np.linalg.norm(x - x_cg) <= 1e-10 * np.linalg.norm(x)
-
-
-def test_green_growth_z_matches_tridiagonal_oracle(z_line):
-    sp = z_line.space
-    f = np.zeros(sp.n_points)
-    f[sp.origin] = 1.0
-    radii = [5.0, 10.0, 20.0, 40.0]
-    got = green_growth(sp, z_line.kernel, None, f, sp.origin, radii)
-    for r, u0 in zip(radii, got):
-        # independent oracle: tridiagonal system with literal entries 4 / -2
-        n_free = 2 * int(r) - 1
-        a = 4.0 * np.eye(n_free) - 2.0 * (np.eye(n_free, k=1) + np.eye(n_free, k=-1))
-        rhs = np.zeros(n_free)
-        rhs[n_free // 2] = 1.0
-        oracle = np.linalg.solve(a, rhs)[n_free // 2]
-        assert u0 == pytest.approx(oracle, rel=1e-9)
-    # unbounded growth along R: recurrence evidence
-    diffs = np.diff(got)
-    assert np.all(diffs > 0)
-    assert got[-1] == pytest.approx(40.0 / 4.0, rel=1e-6)
-
-
-def test_green_growth_z3_converges(z3_cube):
-    sp = z3_cube.space
-    f = np.zeros(sp.n_points)
-    f[sp.origin] = 1.0
-    got = green_growth(sp, z3_cube.kernel, None, f, sp.origin, [3.0, 5.0, 7.0, 9.0])
-    diffs = np.diff(got)
-    assert np.all(diffs > 0)  # monotone in R
-    assert diffs[-1] < diffs[0] / 3  # increments collapse: transience evidence
-
-
-def test_green_rejects_bad_f(z_line):
-    sp = z_line.space
-    with pytest.raises(ValueError):
-        green_growth(sp, z_line.kernel, None, np.zeros(sp.n_points), sp.origin, [5.0])
-
-
-def test_green_f_outside_ball_gives_zero(z_line):
-    sp = z_line.space
-    f = np.zeros(sp.n_points)
-    f[sp.origin + 30] = 1.0
-    got = green_growth(sp, z_line.kernel, None, f, sp.origin, [5.0], center=sp.origin)
-    assert got[0] == 0.0

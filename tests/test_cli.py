@@ -2,6 +2,7 @@ import json
 import pickle
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +200,39 @@ def test_a_gasket_level_too_deep_to_address_exits_2(tmp_path, capsys):
     assert cli.main(["criteria", "--spec", bad, "--radii", "2", "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "gasket_level 2000 is too deep" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("*.manifest.json"))
+
+
+def test_a_model_manifold_whose_profile_overflows_exits_2_naming_it(tmp_path, capsys):
+    # r^r overflows past r = 143: two RuntimeWarnings, then "measure must be finite", naming no profile or radius
+    spec = {"type": "model_manifold", "truncation_radius": 200, "params": {"dim": 1, "spacing": 1.0}}
+    bad = write_spec(tmp_path / "mm.json", spec)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["criteria", "--spec", bad, "--radii", "2", "--out-dir", str(tmp_path)]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "profile 'sandwich' overflows on truncation radius 200: sigma is infinite from r = 143" in err
+    assert not list(tmp_path.glob("*.manifest.json"))
+
+
+@pytest.mark.parametrize(
+    "spec, label",
+    [
+        ({"type": "lattice", "params": {"dim": 1, "spacing": 1e-200}}, "kernel family 'nn'"),
+        ({"type": "stack", "params": {"dim": 1, "spacing": 1e-200}}, "spec type 'stack'"),
+        ({"type": "lattice", "params": {"kernel": {"family": "explicit", "spacing": 1e-200}}}, "kernel family 'explicit'"),
+        ({"type": "model_manifold", "params": {"dim": 1, "spacing": 1e-200}}, "spec type 'model_manifold'"),
+    ],
+    ids=["lattice", "stack", "explicit", "model_manifold"],
+)
+def test_a_grid_too_large_to_address_exits_2_naming_the_spacing(tmp_path, capsys, spec, label):
+    # each exited 2 with numpy's "Maximum allowed size exceeded", naming neither the spacing nor the radius
+    bad = write_spec(tmp_path / "fine.json", {**spec, "truncation_radius": 3})
+    assert cli.main(["criteria", "--spec", bad, "--radii", "2", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    count = "3e+200" if spec["type"] == "model_manifold" else "6e+200"  # k_max radii, or 2 extent + 1 per axis
+    assert f"{label}: spacing 1e-200 on truncation radius 3 gives {count} points" in err
     assert not list(tmp_path.glob("*.manifest.json"))
 
 

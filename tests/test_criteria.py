@@ -11,9 +11,7 @@ from jdlab import (
     davies_constant,
     energy,
     lattice_nn,
-    omega,
     recurrence_report,
-    theta_test_function,
     volume_growth_report,
     weighted_line,
 )
@@ -21,7 +19,7 @@ from jdlab.criteria import _omega_values
 from jdlab.forms import JumpKernel, StencilKernel
 from jdlab.kernels import explicit_kernel, stable_like
 from jdlab.specio import build_from_spec
-from conftest import random_symmetric_kernel
+from conftest import random_symmetric_kernel, theta_test_function
 from test_segments import _SPECS, _spec
 
 
@@ -89,15 +87,12 @@ def test_davies_constant_range(x):
 # -- omega -------------------------------------------------------------------
 
 def test_omega_z_nn_closed_form(z_line):
-    sp = z_line.space
-    assert omega(sp, z_line.kernel, 0.5) == pytest.approx(0.5)
-    assert omega(sp, z_line.kernel, 1.0) == pytest.approx(2.0)
-    assert omega(sp, z_line.kernel, 7.3) == pytest.approx(2.0)
+    assert _omega_values(z_line.space, z_line.kernel, np.array([0.5, 1.0, 7.3])) == pytest.approx([0.5, 2.0, 2.0])
 
 
 def test_omega_zero_kernel():
     b = explicit_kernel(5, [])
-    assert omega(b.space, b.kernel, 3.0) == 0.0
+    assert _omega_values(b.space, b.kernel, np.array([3.0])).tolist() == [0.0]
 
 
 def test_omega_layered_kernel_against_brute_sum():
@@ -105,7 +100,7 @@ def test_omega_layered_kernel_against_brute_sum():
     b = stable_like(case="i", alpha=0.5, beta=3.0, dim=1, truncation_radius=200)
     extent = 200
     oracle = 2.0 * (1.0 + sum(z ** -4.0 for z in range(2, extent + 1)))
-    got = omega(b.space, b.kernel, 1.0)
+    [got] = _omega_values(b.space, b.kernel, np.array([1.0]))
     assert got == pytest.approx(oracle, rel=1e-12)
     assert got < 2.3
 
@@ -113,7 +108,7 @@ def test_omega_layered_kernel_against_brute_sum():
 def test_omega_monotone_and_bounded():
     rng = np.random.default_rng(5)
     built = random_symmetric_kernel(rng, 30)
-    values = [omega(built.space, built.kernel, r) for r in (0.5, 1.0, 2.0, 4.0, 8.0)]
+    values = _omega_values(built.space, built.kernel, np.array([0.5, 1.0, 2.0, 4.0, 8.0]))
     assert all(a <= b + 1e-14 for a, b in zip(values, values[1:]))
     cap = built.kernel.row_mass.max()
     for r, v in zip((0.5, 1.0, 2.0, 4.0, 8.0), values):

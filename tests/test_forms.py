@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from jdlab import (
     energy,
-    derivation_residual,
     gamma_jump,
     jump_rates,
     lattice_nn,
@@ -13,10 +12,9 @@ from jdlab import (
 )
 import scipy.sparse as sp
 
-from jdlab.criteria import theta_test_function
 from jdlab.forms import JumpKernel, RateTable
 from jdlab.kernels import explicit_kernel, stable_like
-from conftest import random_symmetric_kernel
+from conftest import derivation_residual, random_symmetric_kernel, theta_test_function
 
 
 def two_point(c=1.0):

@@ -39,17 +39,17 @@ def assert_symmetric(kernel):
 def test_stable_case_i_values():
     b = stable_like(case="i", alpha=0.5, beta=1.0, dim=1, truncation_radius=20)
     o = b.space.origin
-    assert b.kernel.csr().density(o, o + 1) == pytest.approx(1.0)
-    assert b.kernel.csr().density(o, o + 2) == pytest.approx(0.25)
+    assert b.kernel.csr().matrix[o, o + 1] == pytest.approx(1.0)
+    assert b.kernel.csr().matrix[o, o + 2] == pytest.approx(0.25)
     assert_symmetric(b.kernel)
 
 
 def test_stable_case_ii_values():
     b = stable_like(case="ii", alpha=0.7, tempering=1.0, dim=1, truncation_radius=20)
     o = b.space.origin
-    assert b.kernel.csr().density(o, o + 2) == pytest.approx(math.exp(-2.0) * 2 ** (-1.7))
+    assert b.kernel.csr().matrix[o, o + 2] == pytest.approx(math.exp(-2.0) * 2 ** (-1.7))
     # short range unaffected by tempering
-    assert b.kernel.csr().density(o, o + 1) == pytest.approx(1.0)
+    assert b.kernel.csr().matrix[o, o + 1] == pytest.approx(1.0)
 
 
 def test_stable_alpha_range_rejected():
@@ -96,7 +96,7 @@ def test_stack_distance_combines_projections():
     sp = b.space
     x = np.flatnonzero((sp.coords[:, 0] == 0.0) & (sp.coords[:, 1] == 0.0))[0]
     y = np.flatnonzero((sp.coords[:, 0] == 1.0) & (sp.coords[:, 1] == 2.0))[0]
-    assert sp.d(x, y) == pytest.approx(3.0)
+    assert sp.distances_from(x)[y] == pytest.approx(3.0)
 
 
 def test_stack_kernel_value_and_measure():
@@ -106,7 +106,7 @@ def test_stack_kernel_value_and_measure():
     assert np.all(sp.measure == 0.5)  # Psi == 1, m = h per cell
     x = np.flatnonzero((sp.coords[:, 0] == 0.0) & (sp.coords[:, 1] == sp.coords[:, 1].min()))[0]
     y = np.flatnonzero((sp.coords[:, 0] == 0.5) & (sp.coords[:, 1] == sp.coords[:, 1].min()))[0]
-    assert b.kernel.density(x, y) == pytest.approx(0.5 ** (-(1 + alpha)) / 2.0)
+    assert b.kernel.matrix[x, y] == pytest.approx(0.5 ** (-(1 + alpha)) / 2.0)
     assert_symmetric(b.kernel)
 
 
@@ -147,9 +147,9 @@ def test_weighted_line_values():
     sp = b.space
     o = sp.origin
     y = o + 5  # x = 0.5
-    assert b.kernel.density(o, y) == pytest.approx(math.exp(-0.5))
+    assert b.kernel.matrix[o, y] == pytest.approx(math.exp(-0.5))
     far = o + 11  # |x - y| = 1.1 > 1
-    assert b.kernel.density(o, far) == 0.0
+    assert b.kernel.matrix[o, far] == 0.0
     at_one = o + 10
     assert sp.measure[at_one] == pytest.approx(0.1 * math.e**2)
     assert_symmetric(b.kernel)
@@ -183,9 +183,9 @@ def test_model_manifold_constant_profile():
     b = model_manifold(dim=1, spacing=0.25, profile="constant", truncation_radius=5)
     assert np.allclose(b.space.measure, sphere_volume(1) * 0.25)
     o = 0
-    assert b.kernel.density(o, o + 1) == pytest.approx(1.0)
+    assert b.kernel.matrix[o, o + 1] == pytest.approx(1.0)
     # d >= 1 excluded
-    assert b.kernel.density(o, o + 4) == 0.0
+    assert b.kernel.matrix[o, o + 4] == 0.0
 
 
 def test_model_manifold_linear_profile_value():
@@ -193,7 +193,7 @@ def test_model_manifold_linear_profile_value():
     # r grid: 0.5, 1.0, 1.5, ...; j(1.0, 1.5) = 1/(1*1.5)
     i = np.flatnonzero(np.isclose(b.space.coords[:, 0], 1.0))[0]
     j = np.flatnonzero(np.isclose(b.space.coords[:, 0], 1.5))[0]
-    assert b.kernel.density(i, j) == pytest.approx(1.0 / 1.5)
+    assert b.kernel.matrix[i, j] == pytest.approx(1.0 / 1.5)
 
 
 def test_model_manifold_local_part_mc():
@@ -213,7 +213,7 @@ def test_mixed_graph_pure_jump_two_vertices():
     g = GraphData(2, [[0, 1]], [1.0], np.ones(2))
     b = mixed_graph(g, phi=1.0, subdivisions=0)
     assert b.local is None
-    assert b.kernel.density(0, 1) == pytest.approx(1.0)
+    assert b.kernel.matrix[0, 1] == pytest.approx(1.0)
     rates = jump_rates(b.kernel)
     assert rates.q[0, 1] == pytest.approx(2.0)
 

@@ -1,9 +1,9 @@
-"""The lockstep simulator against the two-site loop it replaced, kept verbatim as an oracle.
+"""The lockstep simulator against the two-site loop it replaced, kept as an oracle.
 
 The oracle checks its stop codes (target, absorbing outside, zero rate),
 then the horizon, then the jump cap, with a record-and-compact block for
 each. It steps its chain with the binary-lifting row search the simulator
-used before its first level was tabulated, also kept verbatim. The
+used before its first level was tabulated, kept verbatim. The
 simulator applies one stop rule per step; every output must match the
 oracle's bit for bit.
 """
@@ -27,7 +27,6 @@ from jdlab.simulate import (
     SimConfig,
     _record,
     _RowSearch,
-    gillespie_path,
     sample_estimates,
     uniform_pairs,
 )
@@ -67,16 +66,13 @@ def _lockstep(
     outside: Optional[np.ndarray],
     out: BatchResult,
     slots: np.ndarray,
-    offset: int = 0,
-    path: Optional[tuple[list, list]] = None,
 ) -> None:
-    """Run trials slots + offset to their stopping events; row slots[i] of `out` gets trial slots[i] + offset.
+    """Run trials `slots` to their stopping events; row slots[i] of `out` gets trial slots[i].
 
     Every live trial sits at jump index `step`, and each numpy step checks,
     in order: stop code (target hit, absorbing outside, zero rate), horizon,
     jump, jump cap. Status codes: 0 alive-at-T (also on a target hit),
-    1 absorbed-at-boundary, 2 jump-cap-hit. With `path` (one trial only)
-    the visited states and holding times are appended to (states, holds).
+    1 absorbed-at-boundary, 2 jump-cap-hit.
     """
     lam, indices, indptr = rates.lam, rates.q.indices, rates.q.indptr
     cum = rates.cumulative_rows()
@@ -95,8 +91,6 @@ def _lockstep(
         if code.any():
             done = code != _GO
             c = code[done]
-            if path is not None and c[0] == _DEAD:
-                path[1].append(horizon - t[0])
             _record(out, slots[done], state[done], step, np.where(c == _ABSORB, 1, 0),
                     np.where(c == _DEAD, horizon, t[done]), c == _HIT)
             keep = ~done
@@ -106,7 +100,7 @@ def _lockstep(
             exp_draws, unit_draws, j = exp_draws[j:, keep], unit_draws[j:, keep], 0
         if j == len(exp_draws):
             count = min(max(1, _DRAW_BUDGET // len(slots)), max_jumps - step)
-            u1, unit_draws = uniform_pairs(config.seed, slots + offset, step, count)
+            u1, unit_draws = uniform_pairs(config.seed, slots, step, count)
             exp_draws, j = -np.log1p(-u1), 0
         rate = lam[state]
         hold = exp_draws[j] / rate
@@ -115,8 +109,6 @@ def _lockstep(
         t_next = t + hold
         over = t_next >= horizon
         if over.any():
-            if path is not None:
-                path[1].append(horizon - t[0])
             _record(out, slots[over], state[over], step, 0, horizon)
             keep = ~over
             if not keep.any():
@@ -126,9 +118,6 @@ def _lockstep(
         nxt = indices[_row_search(cum, starts[state], lasts[state], u * rate, steps)]
         if reflect is not None:
             nxt = np.where(reflect[nxt], state, nxt)  # censored jump: the walker stays put
-        if path is not None:
-            path[0].append(int(nxt[0]))
-            path[1].append(float(hold[0]))
         state, t = nxt, t_next
         step += 1
         if step >= max_jumps:
@@ -150,15 +139,6 @@ def oracle_batch(rates, x0, config, target=None, outside=None):
     for first in range(0, n, simulate._DRAW_BUDGET):
         _lockstep(rates, x0, config, stop, outside, out, np.arange(first, min(first + simulate._DRAW_BUDGET, n)))
     return out
-
-
-def oracle_path(rates, x0, config, trial_index):
-    outside = simulate._outside_mask(rates.space, x0, config)
-    stop = _stop_codes(rates.lam, outside, None, config.policy == "reflect")
-    out = simulate._empty_batch(1, config.horizon)
-    states, holds = [int(x0)], []
-    _lockstep(rates, x0, config, stop, outside, out, np.zeros(1, dtype=np.int64), trial_index, (states, holds))
-    return np.asarray(states), np.asarray(holds, dtype=float), simulate._STATUS_BY_CODE[out.status[0]], float(out.elapsed[0])
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -203,11 +183,6 @@ def test_lockstep_matches_the_two_site_oracle(
     for name in ("status", "elapsed", "n_jumps", "final_state", "hit"):
         assert same_bits(getattr(got, name), getattr(want, name)), name
     assert got.horizon == want.horizon
-    for trial in sorted({0, trials - 1, trials // 2, 7}):
-        path = gillespie_path(rates, x0, config, trial_index=trial)
-        states, holds, status, elapsed = oracle_path(rates, x0, config, trial)
-        assert same_bits(path.states, states) and same_bits(path.holding_times, holds)
-        assert path.status == status and path.elapsed == elapsed
 
 
 def test_the_oracle_covers_every_stop_rule():

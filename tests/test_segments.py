@@ -5,8 +5,8 @@ dense distance rows per point, per-row Python reductions, tuple-dict
 lattice neighbours, the dense n x n kernel builders, the per-offset band
 loops, the per-edge chain loop of the mixed graph, the stand-alone
 adapted-distance graph space, the m - m.T symmetry check, the form matrix
-built from the raw kernel, the capacity and Green-function solves before
-they shared one free-set solve, the spec dispatch with its own copy of the
+built from the raw kernel, the capacity solve before it shared one
+free-set solve, the spec dispatch with its own copy of the
 builders' parameters, the entry check it made, the max(m, m.T)
 symmetrization of kernel entries and the setdiag clearing of the
 diagonal. Pair
@@ -18,7 +18,6 @@ within 1e-12 relative.
 
 import json
 import math
-import warnings
 from collections import deque
 
 import jdlab.kernels as kmod
@@ -32,10 +31,8 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 from jdlab import (
     DiscreteMMSpace,
     GraphData,
-    build_graph_space,
     capacity_scan,
     equilibrium_potential,
-    green_growth,
     lattice_nn,
     local_chain,
     m_constants,
@@ -197,7 +194,7 @@ def oracle_band_entries(n, band):
 
 
 def oracle_graph_space_parts(g):
-    """sigma and the metric graph of the adapted-distance space, as `build_graph_space` built them on its own."""
+    """sigma and the metric graph of the adapted-distance space, as the bare mixed graph built them on its own."""
     deg = g.degree()
     with np.errstate(divide="ignore"):
         inv_sqrt = 1.0 / np.sqrt(deg)
@@ -423,32 +420,6 @@ def oracle_capacities(space, kernel, local, inner, radii):
     return caps, residuals, warns
 
 
-def oracle_green_growth(space, kernel, local, f, x0, radii, center=None):
-    """green_growth with its own solve, which only set aside all-zero rows."""
-    center = int(x0) if center is None else center
-    g = oracle_form_matrix(space, kernel, local)
-    dist = space.distances_from(center)
-    rhs_full = f * space.measure
-    out = []
-    for r in sorted(float(r) for r in radii):
-        free_idx = np.flatnonzero(dist < r)
-        if free_idx.size == 0:
-            out.append(0.0)
-            continue
-        a_ff = g[free_idx][:, free_idx].tocsr()
-        zero_rows = np.asarray(abs(a_ff).sum(axis=1)).reshape(-1) == 0
-        u = np.zeros(space.n_points)
-        if zero_rows.any():
-            live = ~zero_rows
-            x, _, _ = _solve_spd(a_ff[live][:, live].tocsr(), rhs_full[free_idx][live])
-            vals = np.zeros(free_idx.size)
-            vals[live] = x
-        else:
-            vals, _, _ = _solve_spd(a_ff, rhs_full[free_idx])
-        u[free_idx] = vals
-        out.append(float(u[x0]))
-    return np.asarray(out)
-
 # -- random instances on every metric kind --------------------------------------
 
 
@@ -475,7 +446,7 @@ def _graph_instance(rng):
             edges.append((i, j))
     edges = np.unique(np.sort(np.array(edges), axis=1), axis=0)
     g = GraphData(n, edges, rng.uniform(0.1, 3.0, size=len(edges)), rng.uniform(0.5, 2.0, size=n))
-    space = build_graph_space(g)
+    space = mixed_graph(g, subdivisions=0).space
     base = random_symmetric_kernel(rng, n, density=float(rng.uniform(0.05, 0.9)))
     return space, JumpKernel(space, base.kernel.matrix)
 
@@ -1051,12 +1022,13 @@ def test_mixed_graph_matches_chain_loop(k, which):
 
 @pytest.mark.parametrize("which", ["lattice", "weighted-cycle"])
 def test_build_graph_space_matches_its_own_build(which):
+    # the graph space is the bare mixed graph: no edge interior, so no local part
     if which == "lattice":
         g, origin = lattice2d_graph(6), 84
     else:  # a zero-weight edge: both its ends still have positive degree
         edges = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]])
         g, origin = GraphData(5, edges, np.array([1.0, 2.5, 0.0, 0.7, 3.0]), np.array([1.0, 2.0, 0.5, 1.5, 1.0])), 3
-    space = build_graph_space(g, origin=origin, truncation_radius=4.0)
+    space = mixed_graph(g, subdivisions=0, origin=origin, truncation_radius=4.0).space
     _, metric_graph = oracle_graph_space_parts(g)
     assert space.measure.tobytes() == g.vertex_measure.tobytes()
     assert_bit_identical(space.metric_graph, metric_graph)
@@ -1175,69 +1147,6 @@ def test_an_empty_kernel_gives_what_no_kernel_gave(build):
     assert scan.capacities == caps and scan.residuals == residuals
     assert scan.warnings == warns + boundary_notes(space.max_distance_from(origin), radii[-1])
 
-
-# -- Green potentials on a disconnected ball ---------------------------------------
-
-
-def _island_chain():
-    """0 - 1 - 7 reaches past R = 5 from 0; 2 - 3 is an island and 4, 5, 6 are isolated inside."""
-    return explicit_kernel(8, [(0, 1, 1.0), (1, 7, 1.0), (2, 3, 1.0)])
-
-
-def test_green_growth_returns_on_an_island():
-    built = _island_chain()
-    f = np.zeros(8)
-    f[0] = 1.0
-    got = green_growth(built.space, built.kernel, None, f, 0, [1.5, 5.0])
-    # the island's entries do not reach rows 0 and 1: without it the earlier solve returned
-    bare = explicit_kernel(8, [(0, 1, 1.0), (1, 7, 1.0)])
-    want = oracle_green_growth(bare.space, bare.kernel, None, f, 0, [1.5, 5.0])
-    assert got.tobytes() == want.tobytes()
-    assert np.all(np.isfinite(got)) and got[1] > 0
-
-
-def test_green_growth_is_infinite_on_a_charged_island():
-    built = _island_chain()
-    f = np.zeros(8)
-    f[3] = 1.0  # x0 = 2 shares the island with the mass of f
-    got = green_growth(built.space, built.kernel, None, f, 2, [1.5, 5.0], center=0)
-    assert got[0] == 0.0  # x0 outside B(0, 1.5)
-    assert got[1] == np.inf
-    f = np.zeros(8)
-    f[0] = 1.0  # f has no mass on the island: nothing accumulates there
-    assert list(green_growth(built.space, built.kernel, None, f, 2, [5.0], center=0)) == [0.0]
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_green_growth_matches_earlier_solve_where_it_returned(seed):
-    rng, space, kernel, local = _island_instance(seed)
-    f = np.where(rng.random(space.n_points) < 0.5, rng.uniform(0.0, 2.0, size=space.n_points), 0.0)
-    f[int(rng.integers(space.n_points))] = 1.0
-    x0 = int(rng.integers(space.n_points))
-    radii = sorted(float(r) for r in rng.uniform(0.5, space.n_points, size=3))
-    got = green_growth(space, kernel, local, f, x0, radii)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            want = oracle_green_growth(space, kernel, local, f, x0, radii)
-    except np.linalg.LinAlgError:
-        return
-    g = form_matrix(space, kernel, local)
-    dist = space.distances_from(x0)
-    for k, r in enumerate(radii):
-        free_idx = np.flatnonzero(dist < r)
-        g_rows = g[free_idx].tocsr()
-        a_ff = g_rows[:, free_idx].tocsr()
-        labels, dead = _dead_components(a_ff, g_rows, dist >= r)
-        dead = dead[labels]
-        if dead[free_idx == x0].any() or not np.isfinite(want[k]):
-            continue
-        if np.array_equal(dead, np.asarray(abs(a_ff).sum(axis=1)).reshape(-1) == 0):
-            assert got[k] == want[k]  # the earlier solve set aside exactly the dead points
-        else:
-            # it factored a singular island block along with x0's; only rounding differs
-            assert got[k] == pytest.approx(want[k], rel=1e-12, abs=0.0)
 
 # -- stale supports regression ----------------------------------------------------
 
@@ -1359,7 +1268,7 @@ def test_repeated_equal_entries_collapse_where_the_old_build_doubled(monkeypatch
     repeated["params"]["kernel"]["entries"] += [[0, 1, 2.0], [1, 0, 2.0], [1, 2, 0.5]]
     assert_same_instance(build_from_spec(repeated), _oracle_build(monkeypatch, once))
     # each orientation summed its copies first: (0, 1) twice gave 4, then max(m, m.T)
-    assert _oracle_build(monkeypatch, repeated).kernel.density(0, 1) == 4.0
+    assert _oracle_build(monkeypatch, repeated).kernel.matrix[0, 1] == 4.0
 
 
 @settings(max_examples=200, deadline=None)

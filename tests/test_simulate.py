@@ -9,14 +9,13 @@ from jdlab import (
     SimConfig,
     equilibrium_potential,
     explosion_diagnostic,
-    gillespie_path,
     lattice_nn,
     sample_estimates,
 )
 from jdlab import cli, simulate
 from jdlab.forms import jump_rates
 from jdlab.kernels import explicit_kernel
-from jdlab.simulate import occupation_measure, wilson_interval
+from jdlab.simulate import wilson_interval
 from jdlab.space import metric_ball, open_ball_mask
 from conftest import random_symmetric_kernel
 from test_lockstep import one_batch, oracle_batch, same_bits
@@ -35,20 +34,19 @@ def z_rates(z_line):
 def test_isolated_state_stays_alive():
     silent = explicit_kernel(1, [])
     r0 = jump_rates(silent.kernel)
-    traj = gillespie_path(r0, 0, SimConfig(horizon=2.0, trials=1, seed=0))
-    assert traj.status == "alive-at-T"
-    assert list(traj.states) == [0]
-    assert traj.elapsed == 2.0
+    [(est, batch)], _ = sample_estimates(r0, 0, SimConfig(horizon=2.0, trials=1, seed=0))
+    assert est.value == 1.0
+    assert (batch.status[0], batch.n_jumps[0], batch.final_state[0], batch.elapsed[0]) == (0, 0, 0, 2.0)
 
 
 def test_two_state_mean_holding_time():
     # q = 2 both ways: holds are Exp(2) with mean 1/2 (exponential-law oracle)
     b = explicit_kernel(2, [[0, 1, 1.0]])
     rates = jump_rates(b.kernel)
-    traj = gillespie_path(rates, 0, SimConfig(horizon=1e18, trials=1, seed=123, max_jumps=100_000))
-    holds = traj.holding_times
-    assert len(holds) == 100_000
-    assert np.mean(holds) == pytest.approx(0.5, abs=0.01)
+    [(_, batch)], _ = sample_estimates(rates, 0, SimConfig(horizon=1e18, trials=1, seed=123, max_jumps=100_000))
+    # the trial is capped: its elapsed time is the sum of its 100,000 holds
+    assert batch.status[0] == 2 and batch.n_jumps[0] == 100_000
+    assert batch.elapsed[0] / batch.n_jumps[0] == pytest.approx(0.5, abs=0.01)
 
 
 def test_absorption_matches_matrix_exponential_oracle(z_rates, z_line):
@@ -123,9 +121,6 @@ def test_sampler_rejects_point_ids_outside_the_space(x0, target, name, bad):
     config = SimConfig(horizon=1.0, trials=5, seed=1)
     with pytest.raises(ValueError, match=rf"^{name}: point id {bad} is not in \[0, 3\)$"):
         sample_estimates(rates, x0, config, target)
-    if target is None:
-        with pytest.raises(ValueError, match=rf"^x0: point id {bad} is not in \[0, 3\)$"):
-            gillespie_path(rates, x0, config)
 
 
 def test_sampler_rejects_an_empty_target():
@@ -142,33 +137,6 @@ def test_sampler_rejects_point_ids_that_are_not_integers(x0, target, name, bad):
     with pytest.raises(ValueError, match=rf"^{name}: point id {bad} is not an integer$"):
         sample_estimates(rates, x0, SimConfig(horizon=1.0, trials=5, seed=1), target)
     assert sample_estimates(rates, 5, SimConfig(horizon=1.0, trials=5, seed=1), [6.0])[0][1][0].n_trials == 5  # an integral float is an id
-
-
-def test_path_rejects_a_negative_trial_index():
-    # trial -1 was sampled as trial 2^64 - 1
-    rates = jump_rates(explicit_kernel(2, [[0, 1, 1.0]]).kernel)
-    with pytest.raises(ValueError, match=r"^trial_index: trial -1 is not in \[0, 9223372036854775808\)$"):
-        gillespie_path(rates, 0, SimConfig(horizon=1.0, trials=1, seed=1), trial_index=-1)
-
-
-@pytest.mark.parametrize(
-    "trial, message",
-    [
-        (2.5, "is not an integer"),
-        (float("nan"), "is not an integer"),
-        (2**64 + 3, r"is not in \[0, 9223372036854775808\)"),
-        (2**63, r"is not in \[0, 9223372036854775808\)"),
-    ],
-)
-def test_path_rejects_a_trial_index_that_is_not_an_integer_below_2_63(z_rates, z_line, trial, message):
-    # 2.5 returned trial 2's path, and 2^64 + 3 raised OverflowError
-    config = SimConfig(horizon=2.0, trials=1, seed=1)
-    with pytest.raises(ValueError, match=rf"^trial_index: trial {trial} {message}$"):
-        gillespie_path(z_rates, z_line.space.origin, config, trial_index=trial)
-    # an integral float is a trial index, and 2^63 - 1 is the last one
-    path = gillespie_path(z_rates, z_line.space.origin, config, trial_index=2.0)
-    assert same_bits(path.states, gillespie_path(z_rates, z_line.space.origin, config, trial_index=2).states)
-    assert gillespie_path(z_rates, z_line.space.origin, config, trial_index=2**63 - 1).elapsed > 0
 
 
 def test_explosive_birth_chain_flag():
@@ -263,20 +231,6 @@ def test_batch_splitting_invariance(z_rates, z_line, monkeypatch):
     assert b1.hit.any() and (b1.status == 1).any() and (b1.elapsed == 2.0).any()
 
 
-@pytest.mark.parametrize("policy", ["absorb", "reflect"])
-def test_path_is_the_batch_trial(z_rates, z_line, policy):
-    o = z_line.space.origin
-    cfg = SimConfig(horizon=3.0, trials=40, seed=8, outer_radius=4.0, max_jumps=12, policy=policy)
-    [(_, batch)], _ = sample_estimates(z_rates, o, cfg)
-    assert set(batch.status) >= ({0, 2} if policy == "reflect" else {0, 1, 2})
-    for i in range(cfg.trials):
-        traj = gillespie_path(z_rates, o, cfg, trial_index=i)
-        assert traj.elapsed == batch.elapsed[i]
-        assert traj.states[-1] == batch.final_state[i]
-        assert len(traj.states) - 1 == batch.n_jumps[i]
-        assert traj.status == simulate._STATUS_BY_CODE[batch.status[i]]
-
-
 @pytest.mark.parametrize(
     "key, ctr, expected",
     [
@@ -354,19 +308,20 @@ def test_ball_target_exit_mask_matches_stacked_rows(z3_cube):
 
 
 def test_occupation_converges_to_symmetrizing_measure():
+    # q(x, y) = 2 j(x, y) m(y) is reversible with respect to m, so the law at a horizon far past
+    # the mixing time is m / m(X); Pearson's statistic over the 5 states is chi^2 with 4 degrees
+    # of freedom, and 18.47 is its 0.1% upper quantile
     rng = np.random.default_rng(0)
     entries = [[i, j, float(rng.uniform(0.2, 2.0))] for i in range(5) for j in range(i + 1, 5)]
     built = explicit_kernel(5, entries, measure=rng.uniform(0.5, 2.0, 5))
     rates = jump_rates(built.kernel)
     pi = built.space.measure / built.space.measure.sum()
-    traj = gillespie_path(rates, 0, SimConfig(horizon=1e18, trials=1, seed=2, max_jumps=30_000))
-    short = np.zeros(5)
-    np.add.at(short, traj.states[:300], traj.holding_times[:300])
-    short /= short.sum()
-    full = occupation_measure(traj, 5)
-    chi2 = lambda p: float(np.sum((p - pi) ** 2 / pi))
-    assert chi2(full) < chi2(short)
-    assert chi2(full) < 0.01
+    cfg = SimConfig(horizon=50.0, trials=20_000, seed=2)
+    [(_, batch)], _ = sample_estimates(rates, 0, cfg)
+    assert np.all(batch.status == 0)
+    counts = np.bincount(batch.final_state, minlength=5)
+    expected = cfg.trials * pi
+    assert float(np.sum((counts - expected) ** 2 / expected)) < 18.47
 
 
 def test_survival_monotone_in_horizon():
@@ -384,20 +339,16 @@ def test_survival_monotone_in_horizon():
 
 def test_trajectory_invariants(z_rates, z_line):
     o = z_line.space.origin
-    cfg = SimConfig(horizon=4.0, trials=1, seed=13, outer_radius=6.0)
-    for trial in range(25):
-        traj = gillespie_path(z_rates, o, cfg, trial_index=trial)
-        assert np.all(traj.holding_times > 0)
-        if traj.status == "alive-at-T":
-            assert len(traj.holding_times) == len(traj.states)
-            assert traj.elapsed == 4.0
-            assert np.sum(traj.holding_times) == pytest.approx(4.0)
-        else:
-            assert len(traj.holding_times) == len(traj.states) - 1
-            assert traj.elapsed <= 4.0
-            assert np.sum(traj.holding_times) == pytest.approx(traj.elapsed)
-        for a, b in zip(traj.states[:-1], traj.states[1:]):
-            assert z_rates.q[a, b] > 0
+    cfg = SimConfig(horizon=4.0, trials=25, seed=13, outer_radius=6.0)
+    [(_, batch)], _ = sample_estimates(z_rates, o, cfg)
+    alive, absorbed = batch.status == 0, batch.status == 1
+    assert np.all(alive | absorbed) and alive.any() and absorbed.any()
+    assert np.all(batch.elapsed[alive] == 4.0)
+    assert np.all((batch.elapsed[absorbed] > 0) & (batch.elapsed[absorbed] < 4.0))
+    # unit steps on Z: a trial ends at most n_jumps from o, at the same parity, and is absorbed at distance 6
+    steps = np.abs(batch.final_state - o)
+    assert np.all(steps <= batch.n_jumps) and np.all((batch.n_jumps - steps) % 2 == 0)
+    assert np.all(steps[absorbed] == 6) and np.all(steps[alive] < 6)
 
 
 def test_reflect_policy_keeps_paths_inside(z_rates, z_line):
@@ -420,18 +371,13 @@ def test_draw_block_invariance(z_rates, z_line, monkeypatch):
         (SimConfig(horizon=2.0, trials=200, seed=99, outer_radius=5.0, max_jumps=9), target),
         (SimConfig(horizon=6.0, trials=120, seed=5, outer_radius=4.0, max_jumps=40, policy="reflect"), None),
     ]
-    want = [(one_batch(z_rates, o, cfg, t), [gillespie_path(z_rates, o, cfg, i) for i in (0, 1, 17)])
-            for cfg, t in cases]
-    statuses = {(cfg.policy, int(s), bool(h)) for (cfg, _), (b, _) in zip(cases, want) for s, h in zip(b.status, b.hit)}
+    want = [one_batch(z_rates, o, cfg, t) for cfg, t in cases]
+    statuses = {(cfg.policy, int(s), bool(h)) for (cfg, _), b in zip(cases, want) for s, h in zip(b.status, b.hit)}
     assert {("absorb", 0, True), ("absorb", 1, False), ("absorb", 2, False), ("reflect", 0, False)} <= statuses
     for blocks in (1, 3, 64):
         monkeypatch.setattr(simulate, "_DRAW_BUDGET", blocks)
-        for (cfg, t), (batch, paths) in zip(cases, want):
+        for (cfg, t), batch in zip(cases, want):
             assert_same_batch(one_batch(z_rates, o, cfg, t), batch)
-            for i, path in zip((0, 1, 17), paths):
-                got = gillespie_path(z_rates, o, cfg, i)
-                assert same_bits(got.states, path.states) and same_bits(got.holding_times, path.holding_times)
-                assert (got.status, got.elapsed) == (path.status, path.elapsed)
 
 
 @pytest.mark.parametrize(
@@ -494,8 +440,6 @@ def test_a_trial_stopped_on_an_empty_row_steps_its_chain_safely(n, entries, x0, 
         [(_, batch)], _ = sample_estimates(rates, x0, cfg)
         assert_same_batch(batch, oracle_batch(rates, x0, cfg))
         assert np.all(batch.status == 0) and np.all(batch.elapsed == 2.0) and np.all(batch.n_jumps == 0)
-    path = gillespie_path(rates, x0, SimConfig(horizon=2.0, trials=1, max_jumps=max_jumps, seed=11))
-    assert list(path.states) == [x0] and list(path.holding_times) == [2.0]
 
 
 def test_trials_stopped_mid_block_match_the_oracle():

@@ -8,7 +8,6 @@ from jdlab import (
     DiscreteMMSpace,
     GraphData,
     JumpKernel,
-    build_graph_space,
     lattice_nn,
     metric_ball,
     support_sets,
@@ -18,24 +17,24 @@ from jdlab.kernels import mixed_graph, lattice2d_graph
 
 def test_single_edge_sigma_one():
     g = GraphData(2, [[0, 1]], [1.0], np.ones(2))
-    sp = build_graph_space(g)
-    assert sp.d(0, 1) == 1.0
+    sp = mixed_graph(g, subdivisions=0).space
+    assert sp.distances_from(0)[1] == 1.0
 
 
 def test_path_graph_distances(path_graph_space):
     sp = path_graph_space
     # deg(b) = 2 so sigma(a,b) = 1/sqrt(2); d(a,c) = 2/sqrt(2)
-    assert sp.d(0, 1) == pytest.approx(1 / math.sqrt(2), abs=1e-15)
-    assert sp.d(0, 2) == pytest.approx(math.sqrt(2), abs=1e-15)
+    assert sp.distances_from(0)[1] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+    assert sp.distances_from(0)[2] == pytest.approx(math.sqrt(2), abs=1e-15)
 
 
 def test_star_graph_distances():
     # K_{1,4}: center degree 4, leaves degree 1
     edges = [[0, k] for k in range(1, 5)]
     g = GraphData(5, edges, np.ones(4), np.ones(5))
-    sp = build_graph_space(g)
-    assert sp.d(0, 1) == pytest.approx(0.5)
-    assert sp.d(1, 2) == pytest.approx(1.0)
+    sp = mixed_graph(g, subdivisions=0).space
+    assert sp.distances_from(0)[1] == pytest.approx(0.5)
+    assert sp.distances_from(1)[2] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("edges", [[[0, 1], [0, 1], [1, 2]], [[0, 1], [1, 2], [1, 0]], [[2, 1], [0, 1], [1, 2]]])
@@ -84,30 +83,30 @@ def test_coordinates_whose_distances_overflow_are_named(metric_kind, coords, spa
     # [[0], [1e308], [-1e308]] gave infinite distances and exited 2 with "radius grid exceeds the truncation"
     with pytest.raises(ValueError, match=re.escape(f"coordinate spans {spans} per axis overflow the {metric_kind}")):
         DiscreteMMSpace(np.ones(len(coords)), coords=coords, metric_kind=metric_kind)
-    assert DiscreteMMSpace(np.ones(2), coords=[[0.0], [1e200]], metric_kind="l1").d(0, 1) == 1e200
+    assert DiscreteMMSpace(np.ones(2), coords=[[0.0], [1e200]], metric_kind="l1").distances_from(0)[1] == 1e200
 
 
 def test_isolated_vertex_rejected():
     g = GraphData(3, [[0, 1]], [1.0], np.ones(3))
     with pytest.raises(ValueError, match="no incident edge"):
-        build_graph_space(g)
+        mixed_graph(g, subdivisions=0)
 
 
 def test_disconnected_and_empty_graphs_rejected():
     g = GraphData(4, [[0, 1], [2, 3]], [1.0, 1.0], np.ones(4))
     with pytest.raises(ValueError, match="disconnected"):
-        build_graph_space(g)
+        mixed_graph(g, subdivisions=0)
     with pytest.raises(ValueError, match="disconnected"):
         mixed_graph(g, subdivisions=2)
     with pytest.raises(ValueError, match="empty graph"):
-        build_graph_space(GraphData(0, np.zeros((0, 2)), [], []))
+        mixed_graph(GraphData(0, np.zeros((0, 2)), [], []), subdivisions=0)
 
 
 def test_zero_weight_edges_get_unit_sigma():
     # deg == 0 on both endpoints: the cap at 1 defines sigma = 1
     g = GraphData(2, [[0, 1]], [0.0], np.ones(2))
-    sp = build_graph_space(g)
-    assert sp.d(0, 1) == 1.0
+    sp = mixed_graph(g, subdivisions=0).space
+    assert sp.distances_from(0)[1] == 1.0
 
 
 def test_nonpositive_measure_rejected():
@@ -181,10 +180,10 @@ def test_metric_axioms_random_triples(builder, z_line, path_graph_space):
     n = sp.n_points
     for _ in range(1000):
         x, y, z = rng.integers(0, n, size=3)
-        dxy, dyx = sp.d(x, y), sp.d(y, x)
+        dxy, dyx = sp.distances_from(x)[y], sp.distances_from(y)[x]
         assert dxy == dyx
         assert (dxy == 0.0) == (x == y)
-        assert dxy <= sp.d(x, z) + sp.d(z, y) + 1e-12
+        assert dxy <= sp.distances_from(x)[z] + sp.distances_from(z)[y] + 1e-12
 
 
 @pytest.mark.parametrize("graph", [False, True])

@@ -78,8 +78,8 @@ def test_explicit_kernel_spec_roundtrip():
                                         "entries": [[0, 1, 2.0], [2, 1, 0.5]]}},
     }
     built = build_from_spec(payload)
-    assert built.kernel.density(1, 0) == 2.0
-    assert built.kernel.density(1, 2) == 0.5
+    assert built.kernel.matrix[1, 0] == 2.0
+    assert built.kernel.matrix[1, 2] == 0.5
 
 
 def test_explicit_entries_conflicting_symmetry_rejected():
@@ -293,7 +293,7 @@ def test_integral_float_dim_builds_that_lattice():
 
 def test_repeated_equal_entries_give_one_entry():
     built = build_from_spec(_explicit([[0, 1, 2.0], [0, 1, 2.0], [1, 0, 2.0]]))
-    assert built.kernel.density(0, 1) == built.kernel.density(1, 0) == 2.0
+    assert built.kernel.matrix[0, 1] == built.kernel.matrix[1, 0] == 2.0
     assert built.kernel.matrix.nnz == 2
 
 

@@ -1,6 +1,6 @@
 """Stencil kernels (FFT matvecs and row sums, CSR gathered from the stencil) against the code paths they replace.
 
-`capacity_scan`, `green_growth` and `energy` run once on the stencil
+`capacity_scan`, `equilibrium_potential` and `energy` run once on the stencil
 kernel (circulant-preconditioned CG on ball-sized FFT matvecs) and once
 on its CSR twin with the assembled form matrix G, which is full-band and
 so solved directly. They also run against `JacobiFullBox`, the stencil
@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from conftest import stable_like_density
+from conftest import derivation_residual, stable_like_density, theta_test_function
 
 import jdlab.capacity
 import jdlab.forms
@@ -35,10 +35,8 @@ from jdlab import (
     JumpKernel,
     StencilKernel,
     capacity_scan,
-    derivation_residual,
     energy,
     equilibrium_potential,
-    green_growth,
     jump_rates,
     m_constants,
     recurrence_report,
@@ -47,7 +45,6 @@ from jdlab import (
     weighted_line,
 )
 from jdlab.capacity import _form, _potential
-from jdlab.criteria import theta_test_function
 from jdlab.forms import _FreeOperator, form_matrix, local_chain
 from jdlab.kernels import KAPPA_GASKET, _pairwise_kernel
 
@@ -157,7 +154,7 @@ def _case(name):
 
 
 def _scan_both(name):
-    """The stencil kernel's capacity scan, and the CSR twin's potentials from one assembled G."""
+    """The stencil kernel's capacity scan, its CSR twin, and the twin's potentials from one assembled G."""
     space, stencil, inner, radii, center = _case(name)
     with no_gather():  # the stencil path never gathers the CSR
         got = capacity_scan(space, stencil, None, inner, radii, center=center)
@@ -165,13 +162,12 @@ def _scan_both(name):
     form = _form(space, csr, None)
     dist = space.distances_from(center)
     want = [_potential(space, csr, None, form, inner, dist < r, radius=r) for r in radii]
-    return space, stencil, got, want
+    return space, stencil, csr, got, want
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stencil_capacities_match_the_csr_path(name):
-    space, stencil, got, want = _scan_both(name)
-    csr = stencil.csr()
+    space, stencil, csr, got, want = _scan_both(name)
     assert got.unknowns == [w.unknowns for w in want]
     assert all(it > 0 for it in got.iterations)  # every stencil solve is CG, whatever its size
     solve_warnings = [w for solve in want for w in solve.warnings]
@@ -227,7 +223,7 @@ def test_csr_jump_energy_is_the_per_entry_sum_to_rounding(tempering):
 def test_cg_on_fft_matvecs_matches_the_csr_path(monkeypatch, name):
     # the stencil side is CG at any size; above DIRECT_LIMIT = 40 the dense CSR twin is full-band, so still direct
     monkeypatch.setattr(jdlab.capacity, "DIRECT_LIMIT", 40)
-    space, stencil, got, want = _scan_both(name)
+    space, stencil, _, got, want = _scan_both(name)
     assert all(it > 0 for it in got.iterations) and all(solve.iterations == 0 for solve in want)
     assert any(solve.unknowns >= 40 for solve in want)
     assert max(got.residuals) <= 1e-8
@@ -256,32 +252,28 @@ class JacobiFullBox(spla.LinearOperator):
 def test_circulant_cg_matches_jacobi_cg_on_the_whole_box(monkeypatch, name):
     space, stencil, inner, radii, center = _case(name)
     dist = space.distances_from(center)
-    f = np.zeros(space.n_points)
-    f[inner[0]] = 1.0
 
     def solves():
-        """The capacity scan at the shipped CG_TOL; potentials and Green growth at 1e-13, to compare them to 1e-12."""
+        """The capacity scan at the shipped CG_TOL; potentials at 1e-13, to compare them to 1e-12."""
         scan = capacity_scan(space, stencil, None, inner, radii, center=center)
         with monkeypatch.context() as tight:
             tight.setattr(jdlab.capacity, "CG_TOL", 1e-13)
             form = _form(space, stencil, None)
             potentials = [_potential(space, stencil, None, form, inner, dist < r).u for r in radii]
-            green = green_growth(space, stencil, None, f, inner[0], radii, center=center)
-        return scan, potentials, green
+        return scan, potentials
 
     with no_gather():
-        got, got_u, got_green = solves()
+        got, got_u = solves()
         with monkeypatch.context() as oracle:
             oracle.setattr(jdlab.forms, "_FreeOperator", JacobiFullBox)
-            want, want_u, want_green = solves()
+            want, want_u = solves()
     assert got.unknowns == want.unknowns and got.warnings == want.warnings
     assert all(it > 0 for it in got.iterations) and max(got.residuals) <= 1e-8
     for r, cap, expected, u in zip(radii, got.capacities, want.capacities, want_u):
         assert abs(cap - expected) <= energy_tol(name, space, stencil, u, expected), r
-    for r, u, expected, green, expected_green in zip(radii, got_u, want_u, got_green, want_green):
+    for r, u, expected in zip(radii, got_u, want_u):
         ball = np.flatnonzero(dist < r)
         assert np.abs(u - expected).max() <= solve_tol(name, stencil, np.setdiff1d(ball, inner)), r  # max u = 1
-        assert abs(green - expected_green) <= solve_tol(name, stencil, ball) * abs(expected_green), r
 
 
 def _box_edge_and_point_sets(space, inner, center):
@@ -338,28 +330,6 @@ def test_stable_1d_scan_takes_at_most_15_iterations_per_radius():
     assert capacity_scan(space, stencil, None, inner, radii).iterations == first.iterations
 
 
-@pytest.mark.parametrize(
-    "kwargs,radii",
-    [
-        (dict(alpha=1.0, beta=1.0, dim=1, truncation_radius=300), [0.0, 10.0, 100.0, 250.0]),
-        (dict(alpha=1.2, beta=0.7, dim=2, spacing=0.5, truncation_radius=8), [0.0, 2.0, 5.0, 7.5]),
-    ],
-)
-@pytest.mark.parametrize("direct_limit", [2000, 40])
-def test_green_growth_matches_the_csr_path(monkeypatch, kwargs, radii, direct_limit):
-    # the stencil side is CG either way; the dense CSR twin is full-band, so direct at either limit;
-    # radius 0 gives an empty ball, so u_R(x0) = 0
-    monkeypatch.setattr(jdlab.capacity, "DIRECT_LIMIT", direct_limit)
-    built = stable_like(**kwargs)
-    space, stencil = built.space, built.kernel
-    f = np.zeros(space.n_points)
-    f[space.origin] = 1.0
-    with no_gather():
-        got = green_growth(space, stencil, None, f, space.origin, radii)
-    want = green_growth(space, stencil.csr(), None, f, space.origin, radii)
-    np.testing.assert_allclose(got, want, rtol=REL, atol=0)
-
-
 def test_potentials_match_the_csr_path(monkeypatch):
     # energies are stationary at the potential, so they miss a right-hand side off by a factor; the
     # CSR side is a direct solve, and CG on the stencil runs to 1e-13 to hold both to 1e-12 absolute
@@ -372,18 +342,6 @@ def test_potentials_match_the_csr_path(monkeypatch):
         want = equilibrium_potential(space, stencil.csr(), None, [space.origin], dist < r)
         assert got.iterations > 0 and want.iterations == 0
         np.testing.assert_allclose(got.u, want.u, rtol=0, atol=1e-12)
-
-
-def test_green_growth_on_a_ball_covering_the_box_is_one_dead_component():
-    built = stable_like(alpha=1.0, dim=1, truncation_radius=30)
-    space, stencil = built.space, built.kernel
-    f = np.zeros(space.n_points)
-    f[space.origin + 3] = 1.0
-    radii = [10.0, 100.0]
-    got = green_growth(space, stencil, None, f, space.origin, radii)
-    want = green_growth(space, stencil.csr(), None, f, space.origin, radii)
-    assert np.isinf(got[1]) and np.isinf(want[1])
-    assert got[0] == pytest.approx(want[0], rel=REL)
 
 
 @pytest.mark.parametrize("kwargs", [dict(dim=1, truncation_radius=200), dict(dim=2, spacing=0.5, truncation_radius=6)])

@@ -9,7 +9,10 @@ under such constants).
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -32,55 +35,134 @@ class BuiltInstance:
     local: Optional[LocalPart] = None
 
 
+# -- field table and size gate ------------------------------------------------
+
+
+def _positive(x: float) -> bool:
+    return x > 0
+
+
+# The domain of each builder field by parameter name: an int k is an integer in [k, 2^63), names are the choices,
+# and (domain, message) is a real number. Values reached only through arithmetic (phi, sigma, Psi, the measure, the
+# kernel) are checked where computed. lattice_nn's measure names are not here: explicit_kernel's measure shares it.
+_FIELDS = {
+    "dim": 1,
+    "layers": 2,
+    **dict.fromkeys(["gasket_level", "extent", "subdivisions", "n_vertices", "n_points"], 0),
+    "case": ("i", "ii"),
+    "support": ("lattice", "gasket"),
+    "profile": ("sandwich", "constant", "linear"),
+    "graph_kind": ("lattice2d", "explicit"),
+    "phi_kind": ("constant", "shell_power"),
+    "spacing": (_positive, "spacing must be positive"),
+    "truncation_radius": (_positive, "truncation_radius must be positive"),
+    "alpha": (lambda x: 0 < x < 2, "alpha must lie in (0, 2)"),
+    "beta": (_positive, "beta must be positive"),
+    "tempering": (_positive, "tempering constant must be positive"),
+    "lam": (_positive, "lambda must be positive"),
+    "range_cutoff": (_positive, "range_cutoff must be positive"),
+    "phi_constant": (_positive, "edge density phi must be positive"),
+    **dict.fromkeys(["density", "phi_power", "profile_constant", "psi"], (lambda x: True, "")),
+}
+_ABSENT_OK, _CALLABLE_OK = ("truncation_radius", "range_cutoff"), ("psi", "profile")
+
+
+def _check_field(name: str, value, rule=None):
+    """value by the rule of _FIELDS[name] (or `rule`), as an int or float where a number (a bool or a string is not)."""
+    rule = _FIELDS[name] if rule is None else rule
+    if value is None and name in _ABSENT_OK or callable(value) and name in _CALLABLE_OK:
+        return value
+    if isinstance(rule, tuple) and isinstance(rule[0], str):
+        if isinstance(value, str) and value in rule:
+            return value
+        raise ValueError(f"unknown {name.replace('_', ' ')} {value!r}")
+    value = value.item() if isinstance(value, (np.generic, np.ndarray)) and np.ndim(value) == 0 else value
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if isinstance(rule, int):
+        whole = real and (isinstance(value, int) or float(value).is_integer())
+        if whole and rule <= value < 2**63:
+            return int(value)
+        what = "a positive integer" if rule == 1 else f"an integer >= {rule}"
+        raise ValueError(f"{name} must be {what}{' below 2^63' if whole and value >= 2**63 else ''}, got {value!r}")
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an int that no float holds
+        x = math.inf if value > 0 else -math.inf
+    if not (real and rule[0](x)):
+        raise ValueError(rule[1] or f"{name} must be a real number, got {value!r}")
+    return x
+
+
+def _checked(builder):
+    """The builder, with each argument it is given that _FIELDS names replaced by its checked value before it runs."""
+    sig = inspect.signature(builder)
+
+    @functools.wraps(builder)
+    def checked(*args, **kwargs):
+        bound = sig.bind(*args, **kwargs)
+        for name, value in bound.arguments.items():
+            if name in _FIELDS:
+                bound.arguments[name] = _check_field(name, value)
+        return builder(*bound.args, **bound.kwargs)
+
+    return checked
+
+
+def _point_ids(name: str, values) -> np.ndarray:
+    """values as an int64 array, each an integer in [0, 2^63) by the integer rule, which names the first that is not."""
+    a = np.asarray(values)
+    ok = np.zeros(a.shape, bool)  # a bool, a string or an int past int64 is checked one element at a time
+    if a.dtype.kind in "iuf":
+        ok = np.isfinite(a) & (a >= 0) & (a == np.floor(a)) & (a < 2.0**63)
+    for value in a[~ok].tolist():
+        _check_field(name, value, 0)
+    return a.astype(np.int64)
+
+
+_ITEM_BYTES = 64  # per point, stored kernel entry or stencil offset, a build's temporaries included (measured: 28-58)
+_SIZE_BUDGET = 4 << 30  # bytes: the most one build may take by that estimate
+
+
+def _check_size(fields: str, items: float) -> None:
+    """Reject a build before it allocates if its items (points, stored entries, stencil offsets) exceed the budget."""
+    nbytes = items * _ITEM_BYTES
+    if not nbytes <= _SIZE_BUDGET:
+        raise ValueError(f"{fields}: about {nbytes:.3g} bytes, over the {_SIZE_BUDGET:.3g}-byte budget of one build")
+
+
+def _power(base: float, exponent: int) -> float:
+    """base ** exponent as a float, inf where it overflows (a count that no float holds is over any budget)."""
+    with np.errstate(over="ignore"):
+        return float(np.float64(base) ** exponent)
+
+
 # -- lattice scaffolding ---------------------------------------------------
 
 
-def _check_int(name: str, value, minimum: int = 1):
-    """value as an int, or an array of them as int64; anything but integers >= minimum is rejected, naming the field.
-
-    An integral float passes; a bool, a string, nan and inf do not.
-    """
-    a = np.asarray(value)
-    ok = np.isfinite(a) & (a >= minimum) & (a == np.floor(a)) if a.dtype.kind in "iuf" else np.zeros(a.shape, bool)
-    if not ok.all():
-        what = "a positive integer" if minimum == 1 else f"an integer >= {minimum}"
-        raise ValueError(f"{name} must be {what}, got {value if a.ndim == 0 else a[~ok][0].item()!r}")
-    return int(a) if a.ndim == 0 else a.astype(np.int64)
-
-
-def _check_addressable(count: float, spacing: float, truncation_radius: float) -> None:
-    """Reject a grid of `count` points before it is built if an array of one float per point cannot be addressed."""
-    if count * 8 > np.iinfo(np.intp).max:
-        raise ValueError(f"spacing {spacing:g} on truncation radius {truncation_radius:g} gives {count:.3g} points: too many to address")
+def _grid_size(spacing: float, truncation_radius: float, dim: int = 1) -> tuple[float, float, str]:
+    """floor(R / h) and the box's (2 floor(R / h) + 1)^dim points as floats (inf past any float), and a phrase naming them."""
+    extent = float(np.floor(truncation_radius / spacing + 1e-9))
+    if not extent >= 1:
+        raise ValueError("truncation radius too small for the lattice spacing")
+    n = _power(2 * extent + 1, dim)
+    fields = f"spacing {spacing:g} on truncation radius {truncation_radius:g} gives {n:.3g} points"
+    return extent, n, fields + (f" in dim {dim}" if dim > 1 else "")
 
 
 def _lattice_points(dim: int, truncation_radius: float, spacing: float) -> np.ndarray:
-    dim = _check_int("dim", dim)
-    if not spacing > 0:
-        raise ValueError("spacing must be positive")
-    extent = np.floor(truncation_radius / spacing + 1e-9)  # a float: inf where the ratio overflows
-    if extent < 1:
-        raise ValueError("truncation radius too small for the lattice spacing")
-    with np.errstate(over="ignore"):
-        _check_addressable((2 * extent + 1) ** dim, spacing, truncation_radius)
-    axis = np.arange(-int(extent), int(extent) + 1)
+    extent = int(np.floor(truncation_radius / spacing + 1e-9))
+    axis = np.arange(-extent, extent + 1)
     grids = np.meshgrid(*([axis] * dim), indexing="ij")
     return np.stack([g.reshape(-1) for g in grids], axis=1)
 
 
-def _lattice_space(dim, truncation_radius, spacing, measure_per_point) -> DiscreteMMSpace:
+def _lattice_space(dim, truncation_radius, spacing, measure) -> DiscreteMMSpace:
+    """The lattice box of hZ^dim within the truncation, each point of `measure` (one value, or one per point)."""
     steps = _lattice_points(dim, truncation_radius, spacing)
-    coords = steps * spacing
     origin = int(np.flatnonzero((steps == 0).all(axis=1))[0])
     try:
-        return DiscreteMMSpace(
-            np.full(len(steps), measure_per_point),
-            coords=coords,
-            metric_kind="euclidean",
-            steps=steps,
-            origin=origin,
-            truncation_radius=truncation_radius,
-        )
+        measure = np.full(len(steps), measure)
+        return DiscreteMMSpace(measure, coords=steps * spacing, steps=steps, origin=origin, truncation_radius=truncation_radius)
     except ValueError as err:  # the spacing sets both coordinates and measure, so it is the field to name
         raise ValueError(f"lattice spacing h = {spacing:g}: {err}") from None
 
@@ -102,6 +184,7 @@ def _band_entries(n: int, band: int) -> tuple[np.ndarray, np.ndarray]:
     return np.broadcast_to(i, cols.shape)[inside], cols[inside]
 
 
+@_checked
 def lattice_nn(
     dim: int = 1,
     spacing: float = 1.0,
@@ -110,10 +193,11 @@ def lattice_nn(
     truncation_radius: float = 100.0,
 ) -> BuiltInstance:
     """Nearest-neighbor lattice kernel j = density * 1_{|x-y| = spacing} on hZ^n."""
-    dim, spacing = _check_int("dim", dim), float(spacing)
-    if measure not in ("counting", "cell"):
+    if not (isinstance(measure, str) and measure in ("counting", "cell")):
         raise ValueError(f"unknown measure {measure!r} (use 'counting' or 'cell')")
-    per_point = 1.0 if measure == "counting" else spacing**dim
+    _, n, grid = _grid_size(spacing, truncation_radius, dim)
+    _check_size(f"{grid}, and {2 * dim * n:.3g} kernel entries", n * (1 + 2 * dim))
+    per_point = 1.0 if measure == "counting" else _power(spacing, dim)
     space = _lattice_space(dim, truncation_radius, spacing, per_point)
     rows, cols = _neighbor_entries(dim, 2 * int(space.steps.max()) + 1)
     kernel = JumpKernel.from_entries(space, rows, cols, np.full(len(rows), float(density)))
@@ -140,6 +224,7 @@ def _pairwise_kernel(space: DiscreteMMSpace, value) -> JumpKernel:
     return JumpKernel.from_dense_rows(space, lambda idx: value(idx, space.distance_rows(idx)))
 
 
+@_checked
 def stable_like(
     case: str = "i",
     alpha: float = 1.0,
@@ -159,36 +244,25 @@ def stable_like(
     j = d^-(kappa+alpha) for d <= 1, d^-(kappa+beta) beyond; case (ii)
     replaces the long tail with exp(-c d) d^-(kappa+alpha). The lattice's
     truncation radius defaults to 100; the gasket's is 2^L, and it takes
-    no dim, spacing or truncation radius but its own. A level whose offset
-    box of (2^(L+1) + 1)^2 floats exceeds np.iinfo(np.intp).max bytes (L > 28
-    on a 64-bit build) cannot be addressed and is rejected unbuilt.
+    no dim, spacing or truncation radius but its own. The size gate counts
+    the points and the stencil's offset box of (2 side - 1)^dim entries.
     """
-    dim, spacing, gasket_level = _check_int("dim", dim), float(spacing), _check_int("gasket_level", gasket_level, 0)
-    if not 0 < alpha < 2:
-        raise ValueError("alpha must lie in (0, 2)")
-    if case == "i" and not beta > 0:
-        raise ValueError("beta must be positive")
-    if case == "ii" and not tempering > 0:
-        raise ValueError("tempering constant must be positive")
-    if support not in ("lattice", "gasket"):
-        raise ValueError(f"unknown support {support!r}")
     kappa = float(dim) if support == "lattice" else KAPPA_GASKET
     short_exp = kappa + alpha
 
     def f(d: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", over="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # an infinite tempering times d = 0
             short = np.where((d > 0) & (d <= 1), d ** (-short_exp), 0.0)
             if case == "i":
                 tail = np.where(d > 1, d ** (-(kappa + beta)), 0.0)
-            elif case == "ii":
-                tail = np.where(d > 1, np.exp(-tempering * d) * d ** (-short_exp), 0.0)
             else:
-                raise ValueError(f"unknown case {case!r}")
+                tail = np.where(d > 1, np.exp(-tempering * d) * d ** (-short_exp), 0.0)
         return short + tail
 
     if support == "gasket":
-        if (2 ** min(gasket_level + 1, 64) + 1) ** 2 * 8 > np.iinfo(np.intp).max:  # capped: 2^64 floats never fit
-            raise ValueError(f"gasket_level {gasket_level} is too deep: its offset box of (2^(L+1) + 1)^2 floats cannot be addressed")
+        points, offsets = (_power(3, gasket_level + 1) + 3) / 2, _power(_power(2, gasket_level + 1) + 1, 2)
+        fields = f"gasket_level {gasket_level} is too deep: {points:.3g} points and {offsets:.3g} stencil offsets"
+        _check_size(fields, points + offsets)
         reach = float(2**gasket_level)
         for name, value, own in (("dim", dim, 1), ("spacing", spacing, 1.0), ("truncation_radius", truncation_radius, reach)):
             if value not in (None, own):
@@ -202,7 +276,10 @@ def stable_like(
         )
     else:
         radius = 100.0 if truncation_radius is None else truncation_radius
-        space = _lattice_space(dim, radius, spacing, spacing**dim)
+        extent, n, grid = _grid_size(spacing, radius, dim)
+        offsets = _power(4 * extent + 1, dim)  # 2 side - 1 per axis
+        _check_size(f"{grid}, and {offsets:.3g} stencil offsets", n + offsets)
+        space = _lattice_space(dim, radius, spacing, _power(spacing, dim))
     # f is non-increasing and h is the shortest distance between points: where f(h) underflows every entry
     # is 0, and where it overflows the kernel is infinite between neighbours
     nearest = float(f(np.array(spacing)))
@@ -216,6 +293,7 @@ def stable_like(
 # -- Example family: disconnected stack of lattice sheets --------------------
 
 
+@_checked
 def stack_space(
     dim: int = 1,
     spacing: float = 0.5,
@@ -233,45 +311,34 @@ def stack_space(
     beta > 0. `range_cutoff` > 0 optionally removes jumps longer than c0 (the
     compact-range recurrence variant).
     """
-    dim, layers = _check_int("dim", dim), _check_int("layers", layers, 2)
-    if not 0 < alpha < 2:
-        raise ValueError("alpha must lie in (0, 2)")
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    if range_cutoff is not None and not range_cutoff > 0:
-        raise ValueError("range_cutoff must be positive")
-    psi_fn = (lambda p, c=float(psi): np.full(p.shape[0], c)) if np.isscalar(psi) else psi
+    _, n_sheet, grid = _grid_size(spacing, truncation_radius, dim)
+    n = n_sheet * layers
+    _check_size(f"{grid} per sheet, {n:.3g} on layers {layers}, and {n * n:.3g} pair entries", n + n * n)
     sheet_steps = _lattice_points(dim, truncation_radius, spacing)
-    sheet_coords = sheet_steps * spacing
-    psi_vals = np.asarray(psi_fn(sheet_coords), dtype=float)
+    sheet_coords, n_sheet = sheet_steps * spacing, len(sheet_steps)
+    psi_vals = np.asarray(psi(sheet_coords) if callable(psi) else np.full(n_sheet, psi), dtype=float)
     if not np.all(psi_vals > 0):
         raise ValueError("Psi must be strictly positive")
-    half = layers // 2
-    layer_ids = np.arange(layers) - half
-    n_sheet = len(sheet_coords)
+    layer_ids = np.arange(layers) - layers // 2
     coords = np.concatenate(
         [np.column_stack([sheet_coords, np.full(n_sheet, float(q))]) for q in layer_ids]
     )
-    measure = np.tile(psi_vals * spacing**dim, layers)
-    origin_sheet = int(np.flatnonzero((sheet_steps == 0).all(axis=1))[0])
-    origin = int(np.flatnonzero(layer_ids == 0)[0]) * n_sheet + origin_sheet
-    space = DiscreteMMSpace(
-        measure,
-        coords=coords,
-        metric_kind="stack",
-        origin=origin,
-        truncation_radius=truncation_radius,
-    )
-
+    with np.errstate(over="ignore"):  # the space names an infinite measure
+        measure = np.tile(psi_vals * _power(spacing, dim), layers)
+    origin = int(np.flatnonzero(layer_ids == 0)[0]) * n_sheet + int(np.flatnonzero((sheet_steps == 0).all(axis=1))[0])
+    try:
+        space = DiscreteMMSpace(measure, coords=coords, metric_kind="stack", origin=origin, truncation_radius=truncation_radius)
+    except ValueError as err:  # the spacing sets the coordinates, and with Psi the measure
+        raise ValueError(f"spacing h = {spacing:g} and Psi: {err}") from None
     psi_all = np.tile(psi_vals, layers)
 
     def f_rows(idx: np.ndarray, d: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):  # the kernel names an infinite entry
             num = np.where((d > 0) & (d < 1), d ** (-(dim + alpha)), 0.0)
             num += np.where(d >= 1, d ** (-(dim + beta + 1)), 0.0)
-        if range_cutoff is not None:
-            num = np.where(d <= range_cutoff, num, 0.0)
-        return num / (psi_all[idx][:, None] + psi_all[None, :])
+            if range_cutoff is not None:
+                num = np.where(d <= range_cutoff, num, 0.0)
+            return num / (psi_all[idx][:, None] + psi_all[None, :])
 
     return BuiltInstance(space, _pairwise_kernel(space, f_rows))
 
@@ -279,31 +346,23 @@ def stack_space(
 # -- Example family: weighted line ------------------------------------------
 
 
+@_checked
 def weighted_line(lam: float = 1.0, spacing: float = 0.1, truncation_radius: float = 20.0) -> BuiltInstance:
     """Weighted Euclidean line: m = h e^{2 lam |x|}, j = e^{-lam(|x|+|y|)} 1_{|x-y|<=1}."""
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
-    if not 0 < spacing < 1:
+    if not spacing < 1:
         raise ValueError("spacing must lie in (0, 1)")
-    steps = _lattice_points(1, truncation_radius, spacing)
-    xs = steps[:, 0] * spacing
-    exponent, cap = 2 * lam * np.abs(xs), math.log(np.finfo(float).max)
-    if exponent.max() > cap:
+    _, n, grid = _grid_size(spacing, truncation_radius)
+    band = float(np.floor(1.0 / spacing + 1e-9))  # inf where 1 / h overflows
+    _check_size(f"{grid}, and {2 * n * band:.3g} band entries", n * (1 + 2 * band))
+    xs = _lattice_points(1, truncation_radius, spacing)[:, 0] * spacing
+    cap = math.log(np.finfo(float).max)
+    if not 2 * lam * xs.max() <= cap:  # at the largest |x|, never 0: an infinite lam times 0 is nan
         raise ValueError(
             f"lam {lam:g} overflows the measure h e^(2 lam |x|) on truncation radius {truncation_radius:g}: "
             f"it is finite only while 2 lam |x| <= {cap:.1f}"
         )
-    measure = spacing * np.exp(exponent)
-    origin = int(np.flatnonzero(steps[:, 0] == 0)[0])
-    space = DiscreteMMSpace(
-        measure,
-        coords=xs[:, None],
-        metric_kind="euclidean",
-        steps=steps,
-        origin=origin,
-        truncation_radius=truncation_radius,
-    )
-    rows, cols = _band_entries(len(xs), int(math.floor(1.0 / spacing + 1e-9)))
+    space = _lattice_space(1, truncation_radius, spacing, spacing * np.exp(2 * lam * np.abs(xs)))
+    rows, cols = _band_entries(len(xs), int(band))
     kernel = JumpKernel.from_entries(space, rows, cols, np.exp(-lam * (np.abs(xs[rows]) + np.abs(xs[cols]))))
     return BuiltInstance(space, kernel)
 
@@ -312,8 +371,11 @@ def weighted_line(lam: float = 1.0, spacing: float = 0.1, truncation_radius: flo
 
 
 def sphere_volume(n: int) -> float:
-    """Riemannian volume of the unit n-sphere."""
-    return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
+    """Riemannian volume of the unit n-sphere (0 where Gamma((n + 1) / 2) overflows: it is below the smallest float)."""
+    try:
+        return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
+    except OverflowError:
+        return 0.0
 
 
 def sandwich_profile(n: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -333,6 +395,7 @@ def sandwich_profile(n: int) -> Callable[[np.ndarray], np.ndarray]:
     return sigma
 
 
+@_checked
 def model_manifold(
     dim: int = 1,
     spacing: float = 0.05,
@@ -348,26 +411,25 @@ def model_manifold(
     radial test functions; the grid starts at r = h so sigma(0) = 0 never
     enters.
     """
-    dim = _check_int("dim", dim)
-    if isinstance(profile, str):
-        if profile == "sandwich":
-            sigma = sandwich_profile(dim)
-        elif profile == "constant":
-            sigma = lambda r: np.full_like(np.asarray(r, dtype=float), profile_constant)
-        elif profile == "linear":
-            sigma = lambda r: profile_constant * np.asarray(r, dtype=float)
-        else:
-            raise ValueError(f"unknown profile {profile!r}")
-    else:
-        sigma = profile
-    if not spacing > 0:
-        raise ValueError("spacing must be positive")
-    k_max = np.floor(truncation_radius / spacing + 1e-9)
-    _check_addressable(k_max, spacing, truncation_radius)
-    k_max = int(k_max)
+    sigma = profile if callable(profile) else {
+        "sandwich": sandwich_profile(dim),
+        "constant": lambda r: np.full_like(np.asarray(r, dtype=float), profile_constant),
+        "linear": lambda r: profile_constant * np.asarray(r, dtype=float),
+    }[profile]
+    k_max = _grid_size(spacing, truncation_radius)[0]  # the radii k h, 1 <= k <= k_max
+    band = float(np.ceil(1.0 / spacing)) - 1  # the largest k with k h < 1 (|r_x - r_y| < 1 strictly): k < fl(1/h) forces fl(k h) < 1
+    fields = f"spacing {spacing:g} on truncation radius {truncation_radius:g} gives {k_max:.3g} points"
+    _check_size(f"{fields}, and {2 * k_max * band:.3g} band entries", k_max * (1 + 2 * band))
+    k_max, w = int(k_max), sphere_volume(dim)
+    if not w > 0:
+        raise ValueError(f"dim {dim} is too large: the volume of the unit {dim}-sphere underflows")
     radii = spacing * np.arange(1, k_max + 1)
-    with np.errstate(over="ignore"):
+    rows, cols = _band_entries(k_max, int(band))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # each overflow is named below
         sig = np.asarray(sigma(radii), dtype=float)
+        sig_n = sig**dim
+        measure = w * sig_n * spacing
+        values = 1.0 / (sig_n[rows] * sig_n[cols])  # a product past the largest float is a kernel entry of 0
     if np.isinf(sig).any():
         raise ValueError(
             f"profile {profile!r} overflows on truncation radius {truncation_radius:g}: "
@@ -375,8 +437,8 @@ def model_manifold(
         )
     if not np.all(sig > 0):
         raise ValueError("sigma must be positive on the radial grid")
-    w = sphere_volume(dim)
-    measure = w * sig**dim * spacing
+    if not np.all((measure > 0) & (measure < np.inf)) or np.isinf(values).any():
+        raise ValueError(f"profile {profile!r} in dim {dim} at spacing {spacing:g} leaves the float range in its measure or kernel")
     space = DiscreteMMSpace(
         measure,
         coords=radii[:, None],
@@ -385,10 +447,7 @@ def model_manifold(
         origin=0,
         truncation_radius=truncation_radius,
     )
-    # the largest k with k h < 1 (|r_x - r_y| < 1 strictly): k < fl(1/h) forces fl(k h) < 1
-    rows, cols = _band_entries(k_max, int(math.ceil(1.0 / spacing)) - 1)
-    sig_n = sig**dim
-    kernel = JumpKernel.from_entries(space, rows, cols, 1.0 / (sig_n[rows] * sig_n[cols]))
+    kernel = JumpKernel.from_entries(space, rows, cols, values)
     local = local_chain(np.arange(k_max), spacing)
     return BuiltInstance(space, kernel, local)
 
@@ -396,6 +455,7 @@ def model_manifold(
 # -- Example family: mixed physical + quantum Laplacian on a graph -----------
 
 
+@_checked
 def mixed_graph(
     graph: GraphData,
     phi=1.0,
@@ -410,14 +470,14 @@ def mixed_graph(
     interpolated linearly along edges. With subdivisions = 0 the result is
     the pure physical Laplacian (no local part).
     """
-    k = _check_int("subdivisions", subdivisions, 0)
-    sigma = graph.adapted_lengths()
-    edges = graph.edges
-    nv = graph.n_vertices
-    h = 1.0 / (k + 1)
-
+    k, edges, nv = subdivisions, graph.edges, graph.n_vertices
     n_e = len(edges)
     n_total = nv + k * n_e
+    entries = 2 * (k + 2) * n_e  # the metric graph's 2 (k + 1) per edge and the kernel's 2
+    _check_size(f"subdivisions {k} on {n_e} edges give {n_total:.3g} points and {entries:.3g} entries", n_total + entries)
+    sigma = graph.adapted_lengths()
+    h = 1.0 / (k + 1)
+
     # edge e is the chain u, nv + e k, ..., nv + e k + k - 1, v of k + 1 segments
     chains = np.empty((n_e, k + 2), dtype=np.int64)
     chains[:, 0], chains[:, -1] = edges[:, 0], edges[:, 1]
@@ -436,6 +496,8 @@ def mixed_graph(
             raise ValueError("phi must give one value per edge")
     if not np.all(phi_e > 0):
         raise ValueError("edge density phi must be positive")
+    if np.isinf(phi_e).any():
+        raise ValueError("edge density phi must be finite")
     measure = np.empty(n_total)
     measure[:nv] = graph.vertex_measure
     measure[nv:] = np.repeat(phi_e * h, k)
@@ -462,15 +524,17 @@ def mixed_graph(
     return BuiltInstance(space, kernel, local)
 
 
+@_checked
 def lattice2d_graph(extent: int) -> GraphData:
     """Z^2 box |k|_inf <= extent with unit edge weights and counting measure."""
-    if extent < 0:
-        raise ValueError("extent must be nonnegative")
     side = 2 * extent + 1
+    n_edges = 2 * side * (side - 1)
+    _check_size(f"extent {extent} gives {side**2:.3g} vertices and {n_edges:.3g} edges", side**2 + n_edges)
     edges = np.column_stack(_neighbor_entries(2, side))
     return GraphData(side**2, edges, np.ones(len(edges)), np.ones(side**2))
 
 
+@_checked
 def mixed_graph_from_params(
     graph_kind: str = "lattice2d",
     extent: int = 20,
@@ -486,7 +550,6 @@ def mixed_graph_from_params(
 ) -> BuiltInstance:
     """JSON-facing wrapper assembling GraphData and per-edge phi values."""
     if graph_kind == "lattice2d":
-        extent = _check_int("extent", extent, 0)
         g = lattice2d_graph(extent)
         origin = (2 * extent + 1) * extent + extent  # row-major index of (0, 0)
         if math.isfinite(truncation_radius) and truncation_radius != extent:
@@ -495,38 +558,49 @@ def mixed_graph_from_params(
     elif graph_kind == "explicit":
         if edges is None or n_vertices is None:
             raise ValueError("explicit graphs need n_vertices and edges")
-        n_vertices = _check_int("n_vertices", n_vertices, 0)
-        edges = np.reshape(_check_int("each point id of edges", edges, 0), (-1, 2))
+        edges = np.reshape(_point_ids("each point id of edges", edges), (-1, 2))
+        _check_size(f"n_vertices {n_vertices} gives {n_vertices:.3g} vertices", n_vertices + len(edges))
         w = np.ones(len(edges)) if weights is None else np.asarray(weights, dtype=float)
         mu = np.ones(n_vertices) if vertex_measure is None else np.asarray(vertex_measure, dtype=float)
         g = GraphData(n_vertices, edges, w, mu)
         origin = 0
-    else:
-        raise ValueError(f"unknown graph kind {graph_kind!r}")
 
     if phi_kind == "constant":
-        phi = float(phi_constant)
+        phi = phi_constant
     elif phi_kind == "shell_power":
         # phi(edge) = c * max(1, mean hop count of its ends from the origin)^-p, the quadratic-shell regime
         i, j = g.edges.T
         adjacency = sp.csr_matrix((np.ones(len(i)), (i, j)), shape=(g.n_vertices,) * 2)
         hops = dijkstra(adjacency, directed=False, indices=origin)
-        phi = phi_constant * np.maximum(1.0, 0.5 * (hops[i] + hops[j])) ** (-phi_power)
-    else:
-        raise ValueError(f"unknown phi kind {phi_kind!r}")
+        with np.errstate(over="ignore", invalid="ignore"):  # mixed_graph names an infinite or nan phi
+            phi = phi_constant * np.maximum(1.0, 0.5 * (hops[i] + hops[j])) ** (-phi_power)
     return mixed_graph(g, phi=phi, subdivisions=subdivisions, origin=origin, truncation_radius=truncation_radius)
 
 
+@_checked
 def explicit_kernel(
-    n_points: int,
+    n_points: Optional[int] = None,
     entries=(),
     measure=None,
     coords=None,
     metric_kind: str = "euclidean",
     truncation_radius: float = float("inf"),
+    dim: int = 1,
+    spacing: float = 1.0,
 ) -> BuiltInstance:
-    """Space + kernel from (i, j, value) entries, each unordered pair once or repeated with an equal value."""
-    n = _check_int("n_points", n_points, 0)
+    """Space + kernel from (i, j, value) entries, each unordered pair once or repeated with an equal value.
+
+    Without n_points, the points are those of the lattice box of dim, spacing
+    and the truncation radius, which set nothing else.
+    """
+    if n_points is None:
+        n, fields = _grid_size(spacing, truncation_radius, dim)[1:]
+    else:
+        n, fields = n_points, f"n_points {n_points} gives {n_points:.3g} points"
+    if n == 0:
+        raise ValueError("n_points 0: a space needs at least one point")
+    _check_size(fields, n)
+    n = int(n)
     m = np.ones(n) if measure is None else np.asarray(measure, dtype=float)
     c = np.arange(n, dtype=float)[:, None] if coords is None else np.asarray(coords, dtype=float)
     space = DiscreteMMSpace(
@@ -540,5 +614,5 @@ def explicit_kernel(
     if entries.size and entries.shape[1:] != (3,):
         raise ValueError("kernel entries must be [i, j, value] triples")
     rows, cols, vals = entries.reshape(-1, 3).T
-    kernel = JumpKernel.from_entries(space, *_check_int("each point id of entries", [rows, cols], 0), vals)
+    kernel = JumpKernel.from_entries(space, *_point_ids("each point id of entries", [rows, cols]), vals)
     return BuiltInstance(space, kernel)

@@ -50,6 +50,9 @@ class GraphData:
             raise ValueError("edge weights must be finite and nonnegative")
         if not np.all(np.isfinite(self.vertex_measure) & (self.vertex_measure > 0)):
             raise ValueError("vertex measure must be finite and strictly positive")
+        outside = np.flatnonzero(((self.edges < 0) | (self.edges >= self.n_vertices)).any(axis=1))
+        if outside.size:
+            raise ValueError(f"edge {tuple(self.edges[outside[0]].tolist())} ends outside the n_vertices = {self.n_vertices} vertices")
         if np.any(self.edges[:, 0] == self.edges[:, 1]):
             raise ValueError("self loops are not allowed (omega(x,x)=0)")
         # the CSR metric graph would sum a repeated edge's lengths into one edge

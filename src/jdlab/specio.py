@@ -151,11 +151,6 @@ def build_from_spec(raw: dict) -> BuiltInstance:
             raise SpecError(f"parameter {both[0]!r} is given both in params and in the kernel")
         params.update((k, v) for k, v in kspec.items() if k != "family")
     label = f"spec type {kind!r}" if family is None else f"kernel family {family!r}"
-    if family == "explicit":
-        # dim and spacing only size the default point set, the lattice box of the truncation
-        box = {"dim": params.pop("dim", 1), "spacing": float(params.pop("spacing", 1.0))}
-        if "n_points" not in params:
-            params["n_points"] = len(_call(label, kmod._lattice_points, box, {"truncation_radius": radius}))
     if kind == "stack" and isinstance(params.get("psi"), dict):
         psi = dict(params["psi"])
         psi_kind = psi.pop("kind", None)

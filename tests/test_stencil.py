@@ -674,9 +674,16 @@ def test_a_gasket_level_whose_offset_box_cannot_be_addressed_is_rejected_unbuilt
         stable_like(support="gasket", gasket_level=level)
 
 
-def test_the_deepest_addressable_gasket_level_goes_on_to_build_its_points():
-    with pytest.raises(AssertionError, match="gasket points of level 28 were built"), no_allocation():
-        stable_like(support="gasket", gasket_level=28)
+@pytest.mark.parametrize("level", [12, 13, 20, 28])
+def test_a_gasket_level_over_the_size_budget_is_rejected_before_its_points_are_built(level):
+    # levels 13-28 could be addressed, so they went on to build (3^(L+1) + 3) / 2 points and their offset box
+    with no_allocation(), pytest.raises(ValueError, match=f"gasket_level {level} is too deep: .* bytes, over the"):
+        stable_like(support="gasket", gasket_level=level)
+
+
+def test_the_deepest_gasket_level_under_the_size_budget_goes_on_to_build_its_points():
+    with pytest.raises(AssertionError, match="gasket points of level 11 were built"), no_allocation():
+        stable_like(support="gasket", gasket_level=11)
 
 
 def test_gasket_circulant_eigenvalues_are_positive_on_masked_free_sets():

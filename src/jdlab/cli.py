@@ -50,10 +50,8 @@ def _parse_radii(text: str) -> list[float]:
 
 
 def _point(x: int, built, flag: str) -> int:
-    """x, checked to be a point id of the built space; a SpecError names the flag that gave it."""
-    n = built.space.n_points
-    if not 0 <= x < n:
-        raise SpecError(f"{flag}: point id {x} is not in [0, {n})")
+    """x, checked to be a point id of the built space; the ValueError names the flag that gave it."""
+    built.space.point_ids(flag, [x])
     return x
 
 
@@ -133,7 +131,7 @@ def cmd_criteria(args, started: float) -> int:
     radii = _parse_radii(args.radii) if args.radii else _default_radii(built, x0)
     vol = volume_growth_report(built.space, x0, radii, threshold=args.tau)
     vol.extras["davies_a"] = davies_constant(max(vol.liminf_estimate, 0.0))
-    rec = recurrence_report(built.space, built.kernel, built.local, x0, radii, threshold=args.tau)
+    rec = recurrence_report(built.kernel, built.local, x0, radii, threshold=args.tau)
     stem = _stem(args)
     reports = (("conservativeness", vol), ("recurrence", rec))
     outputs = []
@@ -201,15 +199,8 @@ def cmd_capacity(args, started: float) -> int:
     built = load_spec_or_built(args.spec)
     inner = _parse_target(args.K, built, "--K")
     radii = _parse_radii(args.radii)
-    report = capacity_scan(
-        built.space,
-        built.kernel,
-        built.local,
-        inner,
-        radii,
-        center=None if args.center is None else _point(args.center, built, "--center"),
-        decay_ratio=args.decay_ratio,
-    )
+    center = None if args.center is None else _point(args.center, built, "--center")
+    report = capacity_scan(built.kernel, built.local, inner, radii, center=center, decay_ratio=args.decay_ratio)
     stem = _stem(args)
     _write_run(args, started, stem, [(f"{stem}.json", report.to_dict())])
     print(f"capacities {['%.6g' % c for c in report.capacities]} certificate={report.certificate}")
@@ -274,13 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte-Carlo survival / return probabilities")
     _add_common(p)
-    p.add_argument("--seed", type=int, default=0, help="keys the (seed, trial, jump) Philox streams")
+    p.add_argument("--seed", type=int, default=SimConfig.seed, help="keys the (seed, trial, jump) Philox streams")
     p.add_argument("--x0", type=int, default=None)
     p.add_argument("--horizon", type=float, required=True)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--max-jumps", type=int, default=1_000_000)
-    p.add_argument("--outer", type=float, default=float("inf"), help="outer radius")
-    p.add_argument("--policy", choices=("absorb", "reflect"), default="absorb")
+    p.add_argument("--trials", type=int, default=SimConfig.trials)
+    p.add_argument("--max-jumps", type=int, default=SimConfig.max_jumps)
+    p.add_argument("--outer", type=float, default=SimConfig.outer_radius, help="outer radius")
+    p.add_argument("--policy", choices=("absorb", "reflect"), default=SimConfig.policy)
     p.add_argument("--target", default=None, help="return target: ball:x0:r or ids:..")
     p.add_argument("--trajectories", default=None, help="also write per-trial CSV")
     p.set_defaults(func=cmd_simulate)

@@ -41,8 +41,8 @@ class CriterionReport:
         return asdict(self)
 
 
-def _top_window_min(values: np.ndarray, fraction: float = TOP_WINDOW_FRACTION) -> float:
-    start = int(math.floor(len(values) * (1.0 - fraction)))
+def _top_window_min(values: np.ndarray) -> float:
+    start = int(math.floor(len(values) * (1.0 - TOP_WINDOW_FRACTION)))
     start = min(start, len(values) - 1)
     return float(np.min(values[start:]))
 
@@ -62,6 +62,8 @@ def _check_threshold(threshold: float) -> None:
 
 
 def _check_radii(space: DiscreteMMSpace, x0: int, radii: np.ndarray) -> list[str]:
+    """The boundary notes of the radius grid about x0; a ValueError names an x0 that is not a point id, or the reach."""
+    space.point_ids("x0", [x0])
     reach = space.max_distance_from(x0)
     if np.any(radii > reach):
         raise ValueError(
@@ -107,9 +109,7 @@ def davies_constant(liminf_estimate: float) -> float:
     return 1.0 / (8.0 * liminf_estimate + 9.0)
 
 
-def _omega_values(
-    space: DiscreteMMSpace, kernel: KernelOperator, radii: np.ndarray
-) -> np.ndarray:
+def _omega_values(kernel: KernelOperator, radii: np.ndarray) -> np.ndarray:
     """omega(r) = max over X^(j) of sum_y (d(x,y) ^ r)^2 j(x,y) m(y), per r.
 
     One pass per distinct min(r, longest pair distance): past it, d ^ r = d
@@ -125,14 +125,14 @@ def _omega_values(
 
 
 def recurrence_report(
-    space: DiscreteMMSpace,
     kernel: KernelOperator,
     local: Optional[LocalPart],
     x0: int,
     radii: Sequence[float],
     threshold: float = DEFAULT_THRESHOLD,
 ) -> CriterionReport:
-    """Recurrence test statistic t(r) = [V_c(x0,r) + V_j(x0,r) omega(r)] / r^2."""
+    """Recurrence test statistic t(r) = [V_c(x0,r) + V_j(x0,r) omega(r)] / r^2 on the kernel's space."""
+    space = kernel.space
     radii = _radius_grid(radii)
     if radii.size == 0 or radii[0] <= 0:
         raise ValueError("radii must be positive and increasing")
@@ -142,7 +142,7 @@ def recurrence_report(
     if len(x_j) == 0:
         notes.append("jump support is empty: omega is identically 0")
     dist = space.distances_from(x0)
-    om = _omega_values(space, kernel, radii)
+    om = _omega_values(kernel, radii)
     c_mask = np.zeros(space.n_points, dtype=bool)
     c_mask[x_c] = True
     j_mask = np.zeros(space.n_points, dtype=bool)

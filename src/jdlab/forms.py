@@ -26,6 +26,15 @@ from .space import DiscreteMMSpace, exactly_symmetric, support_sets
 
 _BLOCK_NNZ = 1 << 18  # stored entries per run of whole rows (bounds temporaries)
 _GATHER_ROWS = 512  # dense rows per block of a gathered CSR kernel (bounds the dense block)
+_ITEM_BYTES = 64  # per point, stored kernel entry or stencil offset, a build's temporaries included (measured: 28-58)
+_SIZE_BUDGET = 4 << 30  # bytes: the most one build may take by that estimate
+
+
+def _check_size(fields: str, items: float) -> None:
+    """Reject a build or a CSR gather before it allocates if its items (points, stored entries, stencil offsets) exceed the budget."""
+    nbytes = items * _ITEM_BYTES
+    if not nbytes <= _SIZE_BUDGET:
+        raise ValueError(f"{fields}: about {nbytes:.3g} bytes, over the {_SIZE_BUDGET:.3g}-byte budget of one build")
 
 
 def row_blocks(indptr: np.ndarray) -> Iterator[tuple[np.ndarray, int, int]]:
@@ -264,7 +273,8 @@ class StencilKernel(KernelOperator):
     `_Convolution` by m j, and weighted_row_sums(g) the convolution of the
     points' indicator by m j g(|k @ B|).
     The kernel holds only its space, its stencil and its FFT state: `csr()`
-    gathers an O(n^2) CSR kernel afresh on each call, and nothing keeps it.
+    gathers an O(n^2) CSR kernel afresh on each call, and nothing keeps it;
+    its n (n - 1) entries are charged to the size gate first.
     """
 
     def __init__(self, space: DiscreteMMSpace, f: Callable[[np.ndarray], np.ndarray]):
@@ -348,6 +358,8 @@ class StencilKernel(KernelOperator):
 
     def csr(self) -> JumpKernel:
         """The same kernel as a CSR JumpKernel, gathered afresh from the stencil on each call."""
+        n = self.space.n_points
+        _check_size(f"the CSR of a stencil kernel on {n} points holds {n * (n - 1):.3g} entries", n * (n - 1))
         steps, centre = self.space.steps, np.subtract(self._box, 1)
 
         def rows(x: np.ndarray) -> np.ndarray:  # j(x, y) = stencil[s(x) - s(y) + L - 1] for every y
@@ -474,19 +486,13 @@ def gamma_jump(kernel: KernelOperator, u: np.ndarray, v: Optional[np.ndarray] = 
     return u * v * kernel.row_mass - u * wv - v * wu + w(u * v)
 
 
-def energy(
-    space: DiscreteMMSpace,
-    kernel: KernelOperator,
-    local: Optional[LocalPart],
-    u: np.ndarray,
-    v: Optional[np.ndarray] = None,
-) -> float:
-    """E(u, v) = 1/2 int Gamma_c dm + full ordered jump double sum."""
+def energy(kernel: KernelOperator, local: Optional[LocalPart], u: np.ndarray, v: Optional[np.ndarray] = None) -> float:
+    """E(u, v) = 1/2 int Gamma_c dm + full ordered jump double sum, over the kernel's space."""
     u = np.asarray(u, dtype=float)
     v = u if v is None else np.asarray(v, dtype=float)
     total = 0.0
     if local is not None:
-        total += local.energy(space.measure, u, v)
+        total += local.energy(kernel.space.measure, u, v)
     return total + kernel.jump_energy(u, v)
 
 
@@ -500,8 +506,8 @@ class MConstants:
     argmax_j: Optional[int]
 
 
-def m_constants(space: DiscreteMMSpace, kernel: KernelOperator, local: Optional[LocalPart]) -> MConstants:
-    """M_c = max Gamma_c(d,d) over X^(c); M_j = max int (1 ^ d^2) j over X^(j).
+def m_constants(kernel: KernelOperator, local: Optional[LocalPart]) -> MConstants:
+    """M_c = max Gamma_c(d,d) over X^(c); M_j = max int (1 ^ d^2) j over X^(j), over the kernel's space.
 
     The distance function is d(., origin); away from the origin its local
     increments are what Gamma_c sees, so the base point only perturbs the
@@ -510,6 +516,7 @@ def m_constants(space: DiscreteMMSpace, kernel: KernelOperator, local: Optional[
     larger. Each arg-max is the first maximising point (np.argmax): under
     ties its position says nothing about where the maximum sits.
     """
+    space = kernel.space
     x_c, x_j = support_sets(kernel, local)
     m_c, arg_c = 0.0, None
     if local is not None and len(x_c):
@@ -557,10 +564,9 @@ def jump_rates(kernel: KernelOperator) -> RateTable:
     return RateTable(kernel.space, q, lam)
 
 
-def form_matrix(
-    space: DiscreteMMSpace, kernel: KernelOperator, local: Optional[LocalPart]
-) -> sp.csr_matrix:
-    """Sparse symmetric G with u^T G v = energy(space, kernel, local, u, v)."""
+def form_matrix(kernel: KernelOperator, local: Optional[LocalPart]) -> sp.csr_matrix:
+    """Sparse symmetric G with u^T G v = energy(kernel, local, u, v), over the kernel's space."""
+    space = kernel.space
     k = kernel.csr().weighted.multiply(space.measure[:, None]).tocsr()
     g = sp.diags(np.asarray(k.sum(axis=1)).reshape(-1)) - k
     g.data *= 2.0  # in place: 2.0 * g would copy G

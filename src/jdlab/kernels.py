@@ -1,7 +1,7 @@
 """Builders for the example space/kernel families.
 
-Every builder returns a BuiltInstance (space, kernel, optional local part)
-over a finite truncation whose radius is recorded on the space. Kernels
+Every builder returns a BuiltInstance (kernel, optional local part) over a
+finite truncation whose radius is recorded on the kernel's space. Kernels
 stated in the literature only up to two-sided comparison are implemented
 with comparison constant 1 (the criteria evaluated downstream are invariant
 under such constants).
@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .forms import JumpKernel, KernelOperator, LocalPart, StencilKernel, local_chain
+from .forms import JumpKernel, KernelOperator, LocalPart, StencilKernel, _check_size, local_chain
 from .space import DiscreteMMSpace, GraphData
 
 KAPPA_GASKET = math.log(3) / math.log(2)
@@ -28,11 +28,15 @@ KAPPA_GASKET = math.log(3) / math.log(2)
 
 @dataclass
 class BuiltInstance:
-    """A constructed example: space, jump kernel, and optional local part."""
+    """A constructed example: a jump kernel, its space, and an optional local part."""
 
-    space: DiscreteMMSpace
     kernel: KernelOperator
     local: Optional[LocalPart] = None
+
+    @property
+    def space(self) -> DiscreteMMSpace:
+        """The kernel's space: an instance holds no other."""
+        return self.kernel.space
 
 
 # -- field table and size gate ------------------------------------------------
@@ -119,17 +123,6 @@ def _point_ids(name: str, values) -> np.ndarray:
     return a.astype(np.int64)
 
 
-_ITEM_BYTES = 64  # per point, stored kernel entry or stencil offset, a build's temporaries included (measured: 28-58)
-_SIZE_BUDGET = 4 << 30  # bytes: the most one build may take by that estimate
-
-
-def _check_size(fields: str, items: float) -> None:
-    """Reject a build before it allocates if its items (points, stored entries, stencil offsets) exceed the budget."""
-    nbytes = items * _ITEM_BYTES
-    if not nbytes <= _SIZE_BUDGET:
-        raise ValueError(f"{fields}: about {nbytes:.3g} bytes, over the {_SIZE_BUDGET:.3g}-byte budget of one build")
-
-
 def _power(base: float, exponent: int) -> float:
     """base ** exponent as a float, inf where it overflows (a count that no float holds is over any budget)."""
     with np.errstate(over="ignore"):
@@ -201,7 +194,7 @@ def lattice_nn(
     space = _lattice_space(dim, truncation_radius, spacing, per_point)
     rows, cols = _neighbor_entries(dim, 2 * int(space.steps.max()) + 1)
     kernel = JumpKernel.from_entries(space, rows, cols, np.full(len(rows), float(density)))
-    return BuiltInstance(space, kernel)
+    return BuiltInstance(kernel)
 
 
 # -- Example family: stable-like kernels on kappa-sets ----------------------
@@ -284,10 +277,10 @@ def stable_like(
     # is 0, and where it overflows the kernel is infinite between neighbours
     nearest = float(f(np.array(spacing)))
     if nearest == 0.0:
-        return BuiltInstance(space, JumpKernel(space, sp.csr_matrix((space.n_points,) * 2)))
+        return BuiltInstance(JumpKernel(space, sp.csr_matrix((space.n_points,) * 2)))
     if not math.isfinite(nearest):
         raise ValueError(f"the kernel overflows at d = h = {spacing:g}, the lattice spacing")
-    return BuiltInstance(space, StencilKernel(space, f))
+    return BuiltInstance(StencilKernel(space, f))
 
 
 # -- Example family: disconnected stack of lattice sheets --------------------
@@ -340,7 +333,7 @@ def stack_space(
                 num = np.where(d <= range_cutoff, num, 0.0)
             return num / (psi_all[idx][:, None] + psi_all[None, :])
 
-    return BuiltInstance(space, _pairwise_kernel(space, f_rows))
+    return BuiltInstance(_pairwise_kernel(space, f_rows))
 
 
 # -- Example family: weighted line ------------------------------------------
@@ -364,7 +357,7 @@ def weighted_line(lam: float = 1.0, spacing: float = 0.1, truncation_radius: flo
     space = _lattice_space(1, truncation_radius, spacing, spacing * np.exp(2 * lam * np.abs(xs)))
     rows, cols = _band_entries(len(xs), int(band))
     kernel = JumpKernel.from_entries(space, rows, cols, np.exp(-lam * (np.abs(xs[rows]) + np.abs(xs[cols]))))
-    return BuiltInstance(space, kernel)
+    return BuiltInstance(kernel)
 
 
 # -- Example family: model manifolds ----------------------------------------
@@ -449,7 +442,7 @@ def model_manifold(
     )
     kernel = JumpKernel.from_entries(space, rows, cols, values)
     local = local_chain(np.arange(k_max), spacing)
-    return BuiltInstance(space, kernel, local)
+    return BuiltInstance(kernel, local)
 
 
 # -- Example family: mixed physical + quantum Laplacian on a graph -----------
@@ -521,7 +514,7 @@ def mixed_graph(
     local = None
     if k > 0:
         local = LocalPart(np.column_stack([d_rows, d_cols]), local_cond, np.arange(nv, n_total, dtype=np.int64))
-    return BuiltInstance(space, kernel, local)
+    return BuiltInstance(kernel, local)
 
 
 @_checked
@@ -614,5 +607,6 @@ def explicit_kernel(
     if entries.size and entries.shape[1:] != (3,):
         raise ValueError("kernel entries must be [i, j, value] triples")
     rows, cols, vals = entries.reshape(-1, 3).T
-    kernel = JumpKernel.from_entries(space, *_point_ids("each point id of entries", [rows, cols]), vals)
-    return BuiltInstance(space, kernel)
+    ids = space.point_ids("each point id of entries", _point_ids("each point id of entries", [rows, cols]))
+    kernel = JumpKernel.from_entries(space, *ids, vals)
+    return BuiltInstance(kernel)

@@ -329,19 +329,6 @@ def _lockstep(
     return draws
 
 
-def _check_points(name: str, ids, n: int) -> None:
-    """A ValueError naming the first of `ids` that is not an integer in [0, n)."""
-    ids = np.asarray(ids)
-    # Python ints past 64 bits are held as objects; as floats they stay far outside any range
-    values = ids.astype(np.float64) if ids.dtype == object else ids
-    fractional = ids[values != np.round(values)]  # a cast to int would truncate them
-    if len(fractional):
-        raise ValueError(f"{name}: point id {fractional[0]} is not an integer")
-    bad = ids[(values < 0) | (values >= n)]
-    if len(bad):
-        raise ValueError(f"{name}: point id {bad[0]} is not in [0, {n})")
-
-
 def _outside_mask(space: DiscreteMMSpace, x0: int, config: SimConfig) -> Optional[np.ndarray]:
     if not np.isfinite(config.outer_radius):
         return None
@@ -424,8 +411,7 @@ def _return_sets(
     space = rates.space
     if len(target) == 0:
         raise ValueError("target set K is empty")
-    _check_points("target", target, space.n_points)
-    target = np.asarray(target, dtype=np.int64)
+    target = space.point_ids("target", target)
     if np.isin(x0, target):
         raise ValueError("x0 must lie outside the target set")
     target_mask = np.zeros(space.n_points, dtype=bool)
@@ -465,7 +451,7 @@ def sample_estimates(
     K are integer point ids in [0, n), K is not empty, and x0 lies outside
     K; anything else is a ValueError.
     """
-    _check_points("x0", [x0], len(rates.lam))
+    rates.space.point_ids("x0", [x0])
     sets = [(None, _outside_mask(rates.space, x0, config))]
     if target is not None:
         sets.append(_return_sets(rates, x0, target, config.outer_radius))

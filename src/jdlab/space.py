@@ -124,7 +124,9 @@ class DiscreteMMSpace:
         origin: int = 0,
         truncation_radius: float = float("inf"),
     ):
-        self.measure = np.asarray(measure, dtype=float).reshape(-1)
+        # private, read-only copies, so that what is derived from them (a kernel's weights, the per-axis columns) cannot go stale
+        self.measure = np.array(measure, dtype=float).reshape(-1)
+        self.measure.flags.writeable = False
         if np.any(self.measure <= 0):
             raise ValueError("measure must be strictly positive at every point")
         if not np.isfinite(self.measure).all():
@@ -132,7 +134,6 @@ class DiscreteMMSpace:
         self.n_points = len(self.measure)
         if self.n_points < 1:
             raise ValueError("a space needs at least one point")
-        # a private, read-only copy: the per-axis columns derived from it cannot go stale
         self.coords = None if coords is None else _per_point("coords", np.array(coords, dtype=float), self.n_points)
         if self.coords is not None:
             self.coords.flags.writeable = False
@@ -162,6 +163,19 @@ class DiscreteMMSpace:
                 spans = np.array([c.max() - c.min() for c in self._columns])
                 if not np.isfinite(self.norm(spans)):
                     raise ValueError(f"coordinate spans {spans.tolist()} per axis overflow the {metric_kind} metric")
+
+    def point_ids(self, name: str, ids) -> np.ndarray:
+        """ids as an int64 array; a ValueError, headed by name, gives the first that is not an integer in [0, n_points)."""
+        ids = np.asarray(ids)
+        # Python ints past 64 bits are held as objects; as floats they stay far outside any range
+        values = ids.astype(np.float64) if ids.dtype == object else ids
+        fractional = ids[values != np.round(values)]  # a cast to int would truncate them
+        if len(fractional):
+            raise ValueError(f"{name}: point id {fractional[0]} is not an integer")
+        bad = ids[(values < 0) | (values >= self.n_points)]
+        if len(bad):
+            raise ValueError(f"{name}: point id {bad[0]} is not in [0, {self.n_points})")
+        return ids.astype(np.int64)
 
     # -- metric ---------------------------------------------------------
 

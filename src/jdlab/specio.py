@@ -133,7 +133,7 @@ PSI_KINDS = {
 
 
 def build_from_spec(raw: dict) -> BuiltInstance:
-    """Construct the described space/kernel/local triple."""
+    """Construct the described instance: a kernel over its space, and a local part where there is one."""
     validate_spec(raw)
     kind = raw["type"]
     radius = raw["truncation_radius"]

@@ -66,7 +66,7 @@ def derivation_residual(space, kernel, u, phi):
     """
     u = np.asarray(u, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    lhs = energy(space, kernel, None, u, u * phi)
+    lhs = energy(kernel, None, u, u * phi)
     mixed = float(np.dot(u * gamma_jump(kernel, u, phi), space.measure))
     square = float(np.dot(phi * gamma_jump(kernel, u), space.measure))
     return lhs - mixed - square

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import jdlab.cli as cli
+import jdlab.forms as fmod
 from jdlab import simulate
 from jdlab.capacity import SolverFailure
-from jdlab.forms import StencilKernel, jump_rates
+from jdlab.forms import JumpKernel, StencilKernel, jump_rates
 from jdlab.simulate import SimConfig, sample_estimates
 from jdlab.specio import load_spec_or_built
 from test_segments import _SPECS, _spec
@@ -445,6 +446,23 @@ def test_point_ids_outside_the_space_exit_2_naming_the_flag(tmp_path, capsys, ar
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}: point id ") and "not in [0, 21)" in err
     assert not list(tmp_path.glob("*.manifest.json"))
+
+
+def test_simulate_charges_the_stencil_csr_to_the_size_budget_before_it_gathers(tmp_path, capsys, monkeypatch):
+    # the 40,401 points of a 2-D stable-like lattice at T = 100 died gathering the n^2 entries of the rate table:
+    # an _ArrayMemoryError traceback, exit 1; here the budget is cut to the 21 points' 420 entries
+    kernel = {"family": "stable_i"}
+    spec = write_spec(tmp_path / "s.json", {"type": "lattice", "truncation_radius": 10, "params": {"dim": 1, "kernel": kernel}})
+    argv = ["simulate", "--spec", spec, "--horizon", "1", "--trials", "5", "--out-dir", str(tmp_path)]
+    monkeypatch.setattr(fmod, "_SIZE_BUDGET", 420 * fmod._ITEM_BYTES)
+    assert cli.main(argv) == 0
+    monkeypatch.setattr(fmod, "_SIZE_BUDGET", 420 * fmod._ITEM_BYTES - 1)
+    gathers = []
+    monkeypatch.setattr(JumpKernel, "from_dense_rows", lambda *args: gathers.append(args))
+    assert cli.main(argv + ["--prefix", "over"]) == 2
+    err = capsys.readouterr().err
+    assert "the CSR of a stencil kernel on 21 points holds 420 entries: about 2.69e+04 bytes, over the" in err
+    assert not gathers and not list(tmp_path.glob("over.*"))
 
 
 @pytest.mark.parametrize(

@@ -59,7 +59,7 @@ def test_verdict_stable_under_truncation_growth():
     reports = []
     for trunc in (60, 120):
         b = lattice_nn(dim=1, truncation_radius=trunc)
-        reports.append(recurrence_report(b.space, b.kernel, None, b.space.origin, radii))
+        reports.append(recurrence_report(b.kernel, None, b.space.origin, radii))
     assert reports[0].values == pytest.approx(reports[1].values, rel=1e-14)
     assert reports[0].verdict == reports[1].verdict
 
@@ -87,12 +87,12 @@ def test_davies_constant_range(x):
 # -- omega -------------------------------------------------------------------
 
 def test_omega_z_nn_closed_form(z_line):
-    assert _omega_values(z_line.space, z_line.kernel, np.array([0.5, 1.0, 7.3])) == pytest.approx([0.5, 2.0, 2.0])
+    assert _omega_values(z_line.kernel, np.array([0.5, 1.0, 7.3])) == pytest.approx([0.5, 2.0, 2.0])
 
 
 def test_omega_zero_kernel():
     b = explicit_kernel(5, [])
-    assert _omega_values(b.space, b.kernel, np.array([3.0])).tolist() == [0.0]
+    assert _omega_values(b.kernel, np.array([3.0])).tolist() == [0.0]
 
 
 def test_omega_layered_kernel_against_brute_sum():
@@ -100,7 +100,7 @@ def test_omega_layered_kernel_against_brute_sum():
     b = stable_like(case="i", alpha=0.5, beta=3.0, dim=1, truncation_radius=200)
     extent = 200
     oracle = 2.0 * (1.0 + sum(z ** -4.0 for z in range(2, extent + 1)))
-    [got] = _omega_values(b.space, b.kernel, np.array([1.0]))
+    [got] = _omega_values(b.kernel, np.array([1.0]))
     assert got == pytest.approx(oracle, rel=1e-12)
     assert got < 2.3
 
@@ -108,7 +108,7 @@ def test_omega_layered_kernel_against_brute_sum():
 def test_omega_monotone_and_bounded():
     rng = np.random.default_rng(5)
     built = random_symmetric_kernel(rng, 30)
-    values = _omega_values(built.space, built.kernel, np.array([0.5, 1.0, 2.0, 4.0, 8.0]))
+    values = _omega_values(built.kernel, np.array([0.5, 1.0, 2.0, 4.0, 8.0]))
     assert all(a <= b + 1e-14 for a, b in zip(values, values[1:]))
     cap = built.kernel.row_mass.max()
     for r, v in zip((0.5, 1.0, 2.0, 4.0, 8.0), values):
@@ -138,18 +138,17 @@ def _two_component_kernel():
 @pytest.mark.parametrize("name", [*sorted(_SPECS), "two-components"])
 def test_omega_values_equal_the_per_radius_loop(name):
     if name == "two-components":
-        space, kernel = _two_component_kernel()
+        _, kernel = _two_component_kernel()
     else:
-        built = build_from_spec(_spec(name, floats=False))
-        space, kernel = built.space, built.kernel
+        kernel = build_from_spec(_spec(name, floats=False)).kernel
     if len(kernel.jump_support()) == 0:
-        assert np.array_equal(_omega_values(space, kernel, np.array([1.0, 2.0])), np.zeros(2))
+        assert np.array_equal(_omega_values(kernel, np.array([1.0, 2.0])), np.zeros(2))
         return
     longest = kernel.longest_pair_distance()
     if isinstance(kernel, StencilKernel) or name == "two-components":
         assert longest == math.inf  # no bound: one pass per radius
     radii = _radii_about(longest)
-    assert np.array_equal(_omega_values(space, kernel, radii), _omega_loop(kernel, radii))
+    assert np.array_equal(_omega_values(kernel, radii), _omega_loop(kernel, radii))
 
 
 def _count_passes(monkeypatch, cls):
@@ -170,7 +169,7 @@ def test_omega_makes_one_pass_per_radius_clipped_to_the_longest_pair(monkeypatch
     assert kernel.longest_pair_distance() == 1.0
     want = _omega_loop(kernel, radii)
     calls = _count_passes(monkeypatch, JumpKernel)
-    got = _omega_values(z3_cube.space, kernel, np.array(radii, dtype=float))
+    got = _omega_values(kernel, np.array(radii, dtype=float))
     assert len(calls) == n_passes
     assert np.array_equal(got, want)
 
@@ -179,7 +178,7 @@ def test_stencil_omega_makes_one_pass_per_radius(monkeypatch):
     built = stable_like(dim=1, truncation_radius=30)
     assert built.kernel.longest_pair_distance() == math.inf
     calls = _count_passes(monkeypatch, StencilKernel)
-    _omega_values(built.space, built.kernel, np.array([0.5, 1.0, 2.0, 8.0, 29.0]))
+    _omega_values(built.kernel, np.array([0.5, 1.0, 2.0, 8.0, 29.0]))
     assert len(calls) == 5
 
 
@@ -206,10 +205,33 @@ def test_scaled_w_equals_the_broadcast_multiply(name):
 
 # -- recurrence statistic ------------------------------------------------------
 
+def test_an_instance_reads_its_one_space_from_its_kernel():
+    # the space came as a second argument beside the kernel: the cell measure's space with the counting kernel
+    # on the 41-point spacing-0.5 line silently gave [0.5625, 0.265625]
+    counting = lattice_nn(dim=1, spacing=0.5, measure="counting", truncation_radius=10)
+    cell = lattice_nn(dim=1, spacing=0.5, measure="cell", truncation_radius=10)
+    assert counting.space is counting.kernel.space
+    with pytest.raises(AttributeError):
+        counting.space = cell.space
+    assert recurrence_report(counting.kernel, None, counting.space.origin, [2, 4]).values == [1.125, 0.53125]
+    assert recurrence_report(cell.kernel, None, cell.space.origin, [2, 4]).values == [0.28125, 0.1328125]
+
+
+@pytest.mark.parametrize("x0", [50, -1])
+def test_an_x0_outside_the_space_raises_naming_it_and_the_range(x0):
+    # on the 21-point Z, x0 = 50 ended in an IndexError and -1 wrapped around to the last point
+    b = lattice_nn(dim=1, truncation_radius=10)
+    message = re.escape(f"x0: point id {x0} is not in [0, 21)")
+    with pytest.raises(ValueError, match=message):
+        recurrence_report(b.kernel, None, x0, [2.0, 4.0])
+    with pytest.raises(ValueError, match=message):
+        volume_growth_report(b.space, x0, [2.0, 4.0])
+
+
 def test_recurrence_z_closed_form(z_line):
     sp = z_line.space
     radii = np.arange(5.0, 51.0, 5.0)
-    rep = recurrence_report(sp, z_line.kernel, None, sp.origin, radii)
+    rep = recurrence_report(z_line.kernel, None, sp.origin, radii)
     expected = [2 * (2 * r + 1) / r**2 for r in radii]
     assert rep.values == pytest.approx(expected, abs=1e-12)
     assert rep.verdict == "satisfied"
@@ -218,7 +240,7 @@ def test_recurrence_z_closed_form(z_line):
 def test_recurrence_z3_inconclusive(z3_cube):
     sp = z3_cube.space
     radii = np.arange(2.0, 9.0)
-    rep = recurrence_report(sp, z3_cube.kernel, None, sp.origin, radii)
+    rep = recurrence_report(z3_cube.kernel, None, sp.origin, radii)
     assert rep.verdict == "inconclusive"
     # t(r) grows roughly linearly
     assert rep.values[-1] > rep.values[0]
@@ -232,7 +254,7 @@ def test_a_threshold_that_is_not_positive_and_finite_is_rejected(z3_cube, tau):
     with pytest.raises(ValueError, match=message):
         volume_growth_report(sp, sp.origin, [2.0, 4.0, 8.0], threshold=tau)
     with pytest.raises(ValueError, match=message):
-        recurrence_report(sp, z3_cube.kernel, None, sp.origin, [2.0, 4.0, 8.0], threshold=tau)
+        recurrence_report(z3_cube.kernel, None, sp.origin, [2.0, 4.0, 8.0], threshold=tau)
 
 
 @pytest.mark.parametrize("radii", [[float("nan")], [2.0, float("nan"), 8.0], [2.0, float("inf")]])
@@ -243,12 +265,12 @@ def test_a_radius_that_is_not_finite_is_named(z3_cube, radii):
     with pytest.raises(ValueError, match=f"radius {bad} is not a finite number"):
         volume_growth_report(sp, sp.origin, radii)
     with pytest.raises(ValueError, match=f"radius {bad} is not a finite number"):
-        recurrence_report(sp, z3_cube.kernel, None, sp.origin, radii)
+        recurrence_report(z3_cube.kernel, None, sp.origin, radii)
 
 
 def test_statistic_times_r2_nondecreasing(z_line):
     radii = np.arange(3.0, 40.0, 4.0)
-    rep = recurrence_report(z_line.space, z_line.kernel, None, z_line.space.origin, radii)
+    rep = recurrence_report(z_line.kernel, None, z_line.space.origin, radii)
     seq = [v * r**2 for v, r in zip(rep.values, radii)]
     assert all(a <= b + 1e-12 for a, b in zip(seq, seq[1:]))
 
@@ -283,7 +305,7 @@ def test_theta_bounds_and_lipschitz():
 
 
 def _theta_energies(built, x0, r_grid):
-    return [energy(built.space, built.kernel, built.local, theta_test_function(built.space, x0, r)) for r in r_grid]
+    return [energy(built.kernel, built.local, theta_test_function(built.space, x0, r)) for r in r_grid]
 
 
 def test_theta_energy_z_and_z3(z_line, z3_cube):

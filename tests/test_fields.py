@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import jdlab
 import jdlab.cli as cli
+import jdlab.forms as fmod
 import jdlab.kernels as kmod
 from jdlab.kernels import lattice_nn, stable_like, stack_space
 from jdlab.specio import SpecError, build_from_spec
@@ -88,9 +89,9 @@ def test_a_field_is_checked_wherever_it_is_given(builder, kwargs, message):
 
 def test_the_size_gate_counts_items_at_a_fixed_rate_against_one_budget(monkeypatch):
     lattice_nn(dim=1, truncation_radius=100)  # 201 points and 402 entries
-    monkeypatch.setattr(kmod, "_SIZE_BUDGET", 603 * kmod._ITEM_BYTES)
+    monkeypatch.setattr(fmod, "_SIZE_BUDGET", 603 * fmod._ITEM_BYTES)
     lattice_nn(dim=1, truncation_radius=100)
-    monkeypatch.setattr(kmod, "_SIZE_BUDGET", 603 * kmod._ITEM_BYTES - 1)
+    monkeypatch.setattr(fmod, "_SIZE_BUDGET", 603 * fmod._ITEM_BYTES - 1)
     with pytest.raises(ValueError, match=r"^spacing 1 on truncation radius 100 gives 201 points, and 402 kernel entries: about 3.86e\+04 bytes"):
         lattice_nn(dim=1, truncation_radius=100)
 
@@ -153,7 +154,7 @@ def test_a_spec_of_extreme_values_builds_or_is_rejected_naming_a_field(case):
     name, spec = case
     with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
         warnings.simplefilter("error", RuntimeWarning)
-        patch.setattr(kmod, "_SIZE_BUDGET", 1 << 20)
+        patch.setattr(fmod, "_SIZE_BUDGET", 1 << 20)
         out, peak = peak_allocation(lambda: build_from_spec(spec))
     if isinstance(out, kmod.BuiltInstance):
         return

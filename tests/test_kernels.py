@@ -172,7 +172,7 @@ def test_weighted_line_names_a_lam_that_overflows_the_measure():
 def test_weighted_line_mj_below_analytic_bound():
     lam = 1.0
     b = weighted_line(lam=lam, spacing=0.05, truncation_radius=15)
-    mc = m_constants(b.space, b.kernel, None)
+    mc = m_constants(b.kernel, None)
     bound, _ = quad(lambda z: z**2 * math.exp(lam * abs(z)), -1, 1)
     assert mc.m_j <= bound * 1.1
 
@@ -198,7 +198,7 @@ def test_model_manifold_linear_profile_value():
 
 def test_model_manifold_local_part_mc():
     b = model_manifold(dim=1, spacing=0.02, profile="constant", truncation_radius=3)
-    mc = m_constants(b.space, b.kernel, b.local)
+    mc = m_constants(b.kernel, b.local)
     assert mc.m_c == pytest.approx(1.0, abs=0.1)
 
 
@@ -233,7 +233,7 @@ def test_mixed_graph_quantum_energy_discretization():
     sp = b.space
     # slope 3 in the edge parameter, which is 0 and 1 at the vertices and 0.1, ..., 0.9 at the interior points
     u = 3.0 * np.array([0.0, 1.0, *np.arange(1, 10) / 10])
-    got = energy(sp, JumpKernel.from_entries(sp, [], [], []), b.local, u)
+    got = energy(JumpKernel.from_entries(sp, [], [], []), b.local, u)
     assert got == pytest.approx(0.5 * 9.0, rel=1e-12)
 
 

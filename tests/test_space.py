@@ -15,6 +15,27 @@ from jdlab import (
 from jdlab.kernels import mixed_graph, lattice2d_graph
 
 
+def test_the_measure_is_read_only_and_a_private_copy():
+    given_measure = np.ones(3)
+    space = DiscreteMMSpace(given_measure, coords=np.arange(3.0))
+    with pytest.raises(ValueError, match="read-only"):
+        space.measure[0] = 5.0
+    given_measure[0] = 5.0  # the caller's array stays its own
+    assert space.measure.tolist() == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "ids, message",
+    [([-1], "point id -1 is not in [0, 3)"), ([0, 3], "point id 3 is not in [0, 3)"), ([1.5], "point id 1.5 is not an integer"),
+     ([2**70], "point id 1180591620717411303424 is not in [0, 3)")],
+)
+def test_point_ids_name_the_first_that_is_not_a_point_of_the_space(ids, message):
+    space = DiscreteMMSpace(np.ones(3), coords=np.arange(3.0))
+    with pytest.raises(ValueError, match=re.escape(f"K: {message}")):
+        space.point_ids("K", ids)
+    assert space.point_ids("K", [0, 2.0]).tolist() == [0, 2]
+
+
 def test_single_edge_sigma_one():
     g = GraphData(2, [[0, 1]], [1.0], np.ones(2))
     sp = mixed_graph(g, subdivisions=0).space

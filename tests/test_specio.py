@@ -227,6 +227,8 @@ BAD_SPECS = {
     ),
     "non-integer-n_points-on-explicit": (_explicit([], n_points=2.5), "n_points must be an integer >= 0, got 2.5"),
     "non-integer-entry-on-explicit": (_explicit([[0, 1.5, 1.0]]), "each point id of entries must be an integer >= 0, got 1.5"),
+    # scipy's "axis 0 index 5 exceeds matrix dimension 3" named neither the field nor the range
+    "entry-past-n_points-on-explicit": (_explicit([[0, 1, 1.0], [1, 5, 1.0]]), "each point id of entries: point id 5 is not in [0, 3)"),
     # the gasket built its own truncation 2^L, spacing 1 and plane whatever the spec said
     "truncation-differs-from-gasket": (
         _lattice({"support": "gasket", "gasket_level": 3, "kernel": {"family": "stable_i"}}),

@@ -22,7 +22,7 @@ def main() -> None:
     radii = [float(r) for r in args.radii.split(",")]
     for alpha in (float(a) for a in args.alphas.split(",")):
         built = stable_like(case="i", alpha=alpha, beta=alpha, dim=1, truncation_radius=args.truncation)
-        rep = capacity_scan(built.kernel, None, [built.space.origin], radii, decay_ratio=args.decay_ratio)
+        rep = capacity_scan(built, [built.space.origin], radii, decay_ratio=args.decay_ratio)
         caps = " ".join(f"{c:.5g}" for c in rep.capacities)
         print(
             f"alpha={alpha}: caps [{caps}]  last/first={rep.capacities[-1]/rep.capacities[0]:.3f}  "

@@ -30,7 +30,7 @@ def main() -> None:
                 tempering=1.0, dim=1, truncation_radius=args.truncation,
             )
             vol = volume_growth_report(built.space, built.space.origin, radii, threshold=args.tau)
-            rec = recurrence_report(built.kernel, None, built.space.origin, radii, threshold=args.tau)
+            rec = recurrence_report(built, built.space.origin, radii, threshold=args.tau)
             print(
                 f"{alpha:>6} {case:>5} {beta if beta is not None else '-':>5} "
                 f"{vol.verdict:>13} {rec.verdict:>13} {rec.liminf_estimate:>10.4g}"

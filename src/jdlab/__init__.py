@@ -12,9 +12,9 @@ from .space import (
     DiscreteMMSpace,
     GraphData,
     metric_ball,
-    support_sets,
 )
 from .forms import (
+    BuiltInstance,
     JumpKernel,
     KernelOperator,
     LocalPart,
@@ -26,6 +26,7 @@ from .forms import (
     jump_rates,
     local_chain,
     m_constants,
+    support_sets,
 )
 from .criteria import (
     CriterionReport,
@@ -34,7 +35,6 @@ from .criteria import (
     volume_growth_report,
 )
 from .kernels import (
-    BuiltInstance,
     lattice_nn,
     mixed_graph,
     model_manifold,

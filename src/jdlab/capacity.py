@@ -27,7 +27,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .forms import KernelOperator, LocalPart, StencilKernel, energy as form_energy, form_matrix
+from .forms import BuiltInstance, StencilKernel, energy as form_energy, form_matrix
 from .space import boundary_notes, open_ball_mask
 
 DIRECT_LIMIT = 2000
@@ -187,31 +187,29 @@ class _StencilForm:
         return x, res, 0, iterations
 
 
-def _form(kernel: KernelOperator, local: Optional[LocalPart]):
+def _form(built: BuiltInstance):
     """The free-set solver: FFT matvecs for a stencil kernel alone, else the assembled form matrix G."""
-    if isinstance(kernel, StencilKernel) and local is None:
-        return _StencilForm(kernel)
-    return _AssembledForm(form_matrix(kernel, local))
+    if isinstance(built.kernel, StencilKernel) and built.local is None:
+        return _StencilForm(built.kernel)
+    return _AssembledForm(form_matrix(built))
 
 
-def equilibrium_potential(
-    kernel: KernelOperator,
-    local: Optional[LocalPart],
-    inner: Sequence[int],
-    ball_mask: np.ndarray,
-) -> PotentialSolve:
-    """Minimize E[v] over {v : v = 1 on K, v = 0 outside the open ball B} on the kernel's space.
+def equilibrium_potential(built: BuiltInstance, inner: Sequence[int], ball_mask: np.ndarray) -> PotentialSolve:
+    """Minimize E[v] over {v : v = 1 on K, v = 0 outside the open ball B} on the instance's space.
 
     Equivalent to the discrete Dirichlet problem on B \\ K; the minimum is
     cap(K, B), evaluated independently through the energy form.
     """
-    return _potential(kernel, local, _form(kernel, local), inner, ball_mask)
+    return _potential(built, _form(built), inner, ball_mask)
 
 
-def _potential(kernel, local, form, inner, ball_mask, radius: Optional[float] = None) -> PotentialSolve:
+def _potential(built, form, inner, ball_mask, radius: Optional[float] = None) -> PotentialSolve:
     """`equilibrium_potential` with its `_form` already built; radius names the ball in warnings."""
-    inner = kernel.space.point_ids("K", inner)
+    n = built.space.n_points
+    inner = built.space.point_ids("K", inner)
     ball_mask = np.asarray(ball_mask, dtype=bool)
+    if ball_mask.shape != (n,):
+        raise ValueError(f"ball_mask must hold one entry per point: shape {ball_mask.shape} for {n} points")
     if inner.size == 0:
         raise ValueError("inner set K must be nonempty")
     if not ball_mask[inner].all():
@@ -219,12 +217,12 @@ def _potential(kernel, local, form, inner, ball_mask, radius: Optional[float] = 
     free = ball_mask.copy()
     free[inner] = False
     warnings: list[str] = []
-    u = np.zeros(kernel.space.n_points)
+    u = np.zeros(n)
     u[inner] = 1.0
     free_idx = np.flatnonzero(free)
     if free_idx.size == 0:
         warnings.append("B \\ K is empty: potential is the indicator of K")
-        e = form_energy(kernel, local, u)
+        e = form_energy(built, u)
         return PotentialSolve(inner, ball_mask, u, e, 0.0, warnings)
 
     x, res, n_dead, iterations = form.solve(free, form.rhs(inner, free_idx))
@@ -234,7 +232,7 @@ def _potential(kernel, local, form, inner, ball_mask, radius: Optional[float] = 
             "ball boundary; their potential is set to 0"
         )
     u[free_idx] = x
-    e = form_energy(kernel, local, u)
+    e = form_energy(built, u)
     if not (np.isfinite(e) and np.isfinite(res)):
         ball = "the ball" if radius is None else f"the ball of radius {radius:.6g}"
         warnings.append(
@@ -262,14 +260,13 @@ class CapacityReport:
 
 
 def capacity_scan(
-    kernel: KernelOperator,
-    local: Optional[LocalPart],
+    built: BuiltInstance,
     inner: Sequence[int],
     radii: Sequence[float],
     center: Optional[int] = None,
     decay_ratio: float = DEFAULT_DECAY_RATIO,
 ) -> CapacityReport:
-    """cap(K, B(center, R)) on the kernel's space over increasing R; raises the recurrence
+    """cap(K, B(center, R)) on the instance's space over increasing R; raises the recurrence
     certificate when the tail has decayed below ``decay_ratio`` times the
     first value and is still decreasing; ``decay_ratio`` lies in (0, 1).
 
@@ -281,7 +278,7 @@ def capacity_scan(
     """
     if not 0 < decay_ratio < 1:  # a ratio >= 1 certifies any decreasing scan; nan fails too
         raise ValueError(f"decay_ratio must lie in (0, 1), got {decay_ratio}")
-    space = kernel.space
+    space = built.space
     inner = space.point_ids("K", inner)
     radii = sorted(float(r) for r in radii)
     if np.isnan(radii).any():  # an infinite radius is allowed: its ball holds every point
@@ -293,8 +290,8 @@ def capacity_scan(
     center = int(inner[0]) if center is None else int(space.point_ids("center", [center])[0])
     if not open_ball_mask(space, center, radii[0])[inner].all():  # then K lies inside every ball
         raise ValueError(f"K is not inside the open ball of radius {radii[0]}")
-    form = _form(kernel, local)
-    solves = [_potential(kernel, local, form, inner, open_ball_mask(space, center, r), radius=r) for r in radii]
+    form = _form(built)
+    solves = [_potential(built, form, inner, open_ball_mask(space, center, r), radius=r) for r in radii]
     caps = [s.energy for s in solves]
     warnings = [w for s in solves for w in s.warnings]
     warnings.extend(boundary_notes(space.max_distance_from(center), radii[-1]))

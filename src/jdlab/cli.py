@@ -131,7 +131,7 @@ def cmd_criteria(args, started: float) -> int:
     radii = _parse_radii(args.radii) if args.radii else _default_radii(built, x0)
     vol = volume_growth_report(built.space, x0, radii, threshold=args.tau)
     vol.extras["davies_a"] = davies_constant(max(vol.liminf_estimate, 0.0))
-    rec = recurrence_report(built.kernel, built.local, x0, radii, threshold=args.tau)
+    rec = recurrence_report(built, x0, radii, threshold=args.tau)
     stem = _stem(args)
     reports = (("conservativeness", vol), ("recurrence", rec))
     outputs = []
@@ -200,7 +200,7 @@ def cmd_capacity(args, started: float) -> int:
     inner = _parse_target(args.K, built, "--K")
     radii = _parse_radii(args.radii)
     center = None if args.center is None else _point(args.center, built, "--center")
-    report = capacity_scan(built.kernel, built.local, inner, radii, center=center, decay_ratio=args.decay_ratio)
+    report = capacity_scan(built, inner, radii, center=center, decay_ratio=args.decay_ratio)
     stem = _stem(args)
     _write_run(args, started, stem, [(f"{stem}.json", report.to_dict())])
     print(f"capacities {['%.6g' % c for c in report.capacities]} certificate={report.certificate}")

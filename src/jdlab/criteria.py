@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .forms import KernelOperator, LocalPart
-from .space import DiscreteMMSpace, boundary_notes, metric_ball, support_sets
+from .forms import BuiltInstance, KernelOperator, support_sets
+from .space import DiscreteMMSpace, boundary_notes, metric_ball
 
 DEFAULT_THRESHOLD = 10.0
 TOP_WINDOW_FRACTION = 0.5
@@ -125,24 +125,23 @@ def _omega_values(kernel: KernelOperator, radii: np.ndarray) -> np.ndarray:
 
 
 def recurrence_report(
-    kernel: KernelOperator,
-    local: Optional[LocalPart],
+    built: BuiltInstance,
     x0: int,
     radii: Sequence[float],
     threshold: float = DEFAULT_THRESHOLD,
 ) -> CriterionReport:
-    """Recurrence test statistic t(r) = [V_c(x0,r) + V_j(x0,r) omega(r)] / r^2 on the kernel's space."""
-    space = kernel.space
+    """Recurrence test statistic t(r) = [V_c(x0,r) + V_j(x0,r) omega(r)] / r^2 on the instance's space."""
+    space = built.space
     radii = _radius_grid(radii)
     if radii.size == 0 or radii[0] <= 0:
         raise ValueError("radii must be positive and increasing")
     _check_threshold(threshold)
     notes = _check_radii(space, x0, radii)
-    x_c, x_j = support_sets(kernel, local)
+    x_c, x_j = support_sets(built)
     if len(x_j) == 0:
         notes.append("jump support is empty: omega is identically 0")
     dist = space.distances_from(x0)
-    om = _omega_values(kernel, radii)
+    om = _omega_values(built.kernel, radii)
     c_mask = np.zeros(space.n_points, dtype=bool)
     c_mask[x_c] = True
     j_mask = np.zeros(space.n_points, dtype=bool)

@@ -15,6 +15,7 @@ q(x, y) = 2 j(x,y) m(y); only the rate table applies the factor 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -22,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .space import DiscreteMMSpace, exactly_symmetric, support_sets
+from .space import DiscreteMMSpace, exactly_symmetric
 
 _BLOCK_NNZ = 1 << 18  # stored entries per run of whole rows (bounds temporaries)
 _GATHER_ROWS = 512  # dense rows per block of a gathered CSR kernel (bounds the dense block)
@@ -413,27 +414,35 @@ class _FreeOperator(spla.LinearOperator):
 class LocalPart:
     """Discretized gradient form on grid / subdivided-edge spaces.
 
-    Symmetric conductances c(x, y) on declared local edges; the pointwise
-    density is Gamma_c(u,v)(x) = sum_y c(x,y)(u(x)-u(y))(v(x)-v(y)) and the
-    form contribution is (1/2) sum_x Gamma_c(u,v)(x) m(x). Grid builders
+    Symmetric conductances c(x, y) on declared local edges of its space; the
+    pointwise density is Gamma_c(u,v)(x) = sum_y c(x,y)(u(x)-u(y))(v(x)-v(y))
+    and the form contribution is (1/2) sum_x Gamma_c(u,v)(x) m(x), which is
+    sum over edges of c (m_x + m_y)/2 (u(x)-u(y))(v(x)-v(y)). Grid builders
     normalize c = 1/(h^2 * deg_local) so Gamma_c(d, d) -> 1 as h -> 0 on a
     line; an O(h) approximation of the continuum object, never exact.
     """
 
+    space: DiscreteMMSpace
     edges: np.ndarray  # (m, 2) endpoint indices
     conductance: np.ndarray  # (m,) symmetric c values
     support: np.ndarray  # declared X^(c) point indices
 
     def __post_init__(self) -> None:
-        self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        self.edges = self.space.point_ids("each point id of the local edges", self.edges).reshape(-1, 2)
         self.conductance = np.asarray(self.conductance, dtype=float).reshape(-1)
-        self.support = np.asarray(self.support, dtype=np.int64)
+        self.support = self.space.point_ids("each point id of the local support", self.support)
         if np.any(self.conductance < 0):
             raise ValueError("conductances must be nonnegative")
 
-    def gamma(self, u: np.ndarray, n_points: int) -> np.ndarray:
-        """Pointwise Gamma_c(u, u) over all n_points points (zero off local edges)."""
-        out = np.zeros(n_points)
+    @cached_property
+    def weight(self) -> np.ndarray:
+        """c (m_x + m_y)/2 per edge, computed on first use: what `energy` and `form_matrix` weigh each edge by."""
+        m = self.space.measure
+        return self.conductance * 0.5 * (m[self.edges[:, 0]] + m[self.edges[:, 1]])
+
+    def gamma(self, u: np.ndarray) -> np.ndarray:
+        """Pointwise Gamma_c(u, u) over every point of the space (zero off local edges)."""
+        out = np.zeros(self.space.n_points)
         i, j = self.edges[:, 0], self.edges[:, 1]
         du = u[i] - u[j]
         term = self.conductance * du * du
@@ -441,39 +450,68 @@ class LocalPart:
         np.add.at(out, j, term)
         return out
 
-    def energy(self, measure: np.ndarray, u: np.ndarray, v: Optional[np.ndarray] = None) -> float:
+    def energy(self, u: np.ndarray, v: Optional[np.ndarray] = None) -> float:
         """(1/2) sum_x Gamma_c(u,v)(x) m(x), assembled edge-wise."""
         if v is None:
             v = u
         i, j = self.edges[:, 0], self.edges[:, 1]
-        w = self.conductance * 0.5 * (measure[i] + measure[j])
-        return float(np.sum(w * (u[i] - u[j]) * (v[i] - v[j])))
+        return float(np.sum(self.weight * (u[i] - u[j]) * (v[i] - v[j])))
 
-    def form_matrix(self, measure: np.ndarray, n: int) -> sp.csr_matrix:
+    def form_matrix(self) -> sp.csr_matrix:
         """Sparse G_c with u^T G_c v = local energy."""
-        i, j = self.edges[:, 0], self.edges[:, 1]
-        w = self.conductance * 0.5 * (measure[i] + measure[j])
+        i, j, w = self.edges[:, 0], self.edges[:, 1], self.weight
         rows = np.concatenate([i, j, i, j])
         cols = np.concatenate([j, i, i, j])
         vals = np.concatenate([-w, -w, w, w])
-        return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        return sp.csr_matrix((vals, (rows, cols)), shape=(self.space.n_points,) * 2)
 
 
-def local_chain(points: np.ndarray, spacing: float) -> LocalPart:
-    """Finite-difference local part along an ordered 1-D chain of point indices.
+def local_chain(space: DiscreteMMSpace, points: np.ndarray, spacing: float) -> LocalPart:
+    """Finite-difference local part along an ordered 1-D chain of point indices of space.
 
-    Conductance c = 1/(h^2 * max(deg_i, deg_j)) per consecutive pair, which
-    is 1/(2 h^2) away from the chain ends.
+    Conductance c = 1/(h^2 * max(deg_i, deg_j)) per consecutive pair: every
+    edge has an end of degree 2, so c = 1/(2 h^2), except on a chain of two
+    points, where c = 1/h^2.
     """
     points = np.asarray(points, dtype=np.int64)
-    if len(points) < 2:
-        return LocalPart(np.empty((0, 2), dtype=np.int64), np.empty(0), points)
     edges = np.column_stack([points[:-1], points[1:]])
-    deg = np.full(len(points), 2.0)
-    deg[0] = deg[-1] = 1.0
-    cap = np.maximum(deg[:-1], deg[1:])
-    cond = 1.0 / (spacing**2 * cap)
-    return LocalPart(edges, cond, points)
+    if len(points) < 2:  # no edge; and h^2 may overflow where one point fills the truncation
+        return LocalPart(space, edges, np.empty(0), points)
+    cap = 1.0 if len(points) == 2 else 2.0
+    return LocalPart(space, edges, np.full(len(edges), 1.0 / (spacing**2 * cap)), points)
+
+
+@dataclass(frozen=True)
+class BuiltInstance:
+    """One form on one space: a jump kernel, and a local part on the kernel's space where there is one."""
+
+    kernel: KernelOperator
+    local: Optional[LocalPart] = None
+
+    def __post_init__(self) -> None:
+        if self.local is not None and self.local.space is not self.kernel.space:
+            raise ValueError(
+                f"the local part's space ({self.local.space.n_points} points) "
+                f"is not the kernel's space ({self.kernel.space.n_points} points)"
+            )
+
+    @property
+    def space(self) -> DiscreteMMSpace:
+        """The kernel's space, which the local part shares: an instance holds no other."""
+        return self.kernel.space
+
+
+def support_sets(built: BuiltInstance) -> tuple[np.ndarray, np.ndarray]:
+    """X^(c) (local support) and X^(j) (jump support) of the instance.
+
+    X^(j) is every point with at least one positive kernel entry; X^(c) is
+    the local part's declared support (grid spaces: all points on a
+    positive-conductance local edge; subdivided metric graphs: edge
+    interiors only, since vertex atoms carry no absolutely continuous local
+    energy density).
+    """
+    x_c = np.array([], dtype=np.int64) if built.local is None else built.local.support
+    return x_c, built.kernel.jump_support()
 
 
 def gamma_jump(kernel: KernelOperator, u: np.ndarray, v: Optional[np.ndarray] = None) -> np.ndarray:
@@ -486,14 +524,12 @@ def gamma_jump(kernel: KernelOperator, u: np.ndarray, v: Optional[np.ndarray] = 
     return u * v * kernel.row_mass - u * wv - v * wu + w(u * v)
 
 
-def energy(kernel: KernelOperator, local: Optional[LocalPart], u: np.ndarray, v: Optional[np.ndarray] = None) -> float:
-    """E(u, v) = 1/2 int Gamma_c dm + full ordered jump double sum, over the kernel's space."""
+def energy(built: BuiltInstance, u: np.ndarray, v: Optional[np.ndarray] = None) -> float:
+    """E(u, v) = 1/2 int Gamma_c dm + full ordered jump double sum, over the instance's space."""
     u = np.asarray(u, dtype=float)
     v = u if v is None else np.asarray(v, dtype=float)
-    total = 0.0
-    if local is not None:
-        total += local.energy(kernel.space.measure, u, v)
-    return total + kernel.jump_energy(u, v)
+    e_local = 0.0 if built.local is None else built.local.energy(u, v)
+    return e_local + built.kernel.jump_energy(u, v)
 
 
 @dataclass
@@ -506,8 +542,8 @@ class MConstants:
     argmax_j: Optional[int]
 
 
-def m_constants(kernel: KernelOperator, local: Optional[LocalPart]) -> MConstants:
-    """M_c = max Gamma_c(d,d) over X^(c); M_j = max int (1 ^ d^2) j over X^(j), over the kernel's space.
+def m_constants(built: BuiltInstance) -> MConstants:
+    """M_c = max Gamma_c(d,d) over X^(c); M_j = max int (1 ^ d^2) j over X^(j), over the instance's space.
 
     The distance function is d(., origin); away from the origin its local
     increments are what Gamma_c sees, so the base point only perturbs the
@@ -516,17 +552,16 @@ def m_constants(kernel: KernelOperator, local: Optional[LocalPart]) -> MConstant
     larger. Each arg-max is the first maximising point (np.argmax): under
     ties its position says nothing about where the maximum sits.
     """
-    space = kernel.space
-    x_c, x_j = support_sets(kernel, local)
+    space = built.space
+    x_c, x_j = support_sets(built)
     m_c, arg_c = 0.0, None
-    if local is not None and len(x_c):
-        d_row = space.distances_from(space.origin)
-        g = local.gamma(d_row, space.n_points)
+    if len(x_c):
+        g = built.local.gamma(space.distances_from(space.origin))
         k = int(np.argmax(g[x_c]))
         m_c, arg_c = float(g[x_c][k]), int(x_c[k])
     m_j, arg_j = 0.0, None
     if len(x_j):
-        sums = kernel.weighted_row_sums(lambda d: np.minimum(1.0, d**2))[x_j]
+        sums = built.kernel.weighted_row_sums(lambda d: np.minimum(1.0, d**2))[x_j]
         k = int(np.argmax(sums))
         m_j, arg_j = max(float(sums[k]), 0.0), int(x_j[k])
     return MConstants(m_c, m_j, arg_c, arg_j)
@@ -564,12 +599,11 @@ def jump_rates(kernel: KernelOperator) -> RateTable:
     return RateTable(kernel.space, q, lam)
 
 
-def form_matrix(kernel: KernelOperator, local: Optional[LocalPart]) -> sp.csr_matrix:
-    """Sparse symmetric G with u^T G v = energy(kernel, local, u, v), over the kernel's space."""
-    space = kernel.space
-    k = kernel.csr().weighted.multiply(space.measure[:, None]).tocsr()
+def form_matrix(built: BuiltInstance) -> sp.csr_matrix:
+    """Sparse symmetric G with u^T G v = energy(built, u, v), over the instance's space."""
+    k = built.kernel.csr().weighted.multiply(built.space.measure[:, None]).tocsr()
     g = sp.diags(np.asarray(k.sum(axis=1)).reshape(-1)) - k
     g.data *= 2.0  # in place: 2.0 * g would copy G
-    if local is not None:
-        g = g + local.form_matrix(space.measure, space.n_points)
+    if built.local is not None:
+        g = g + built.local.form_matrix()
     return g.tocsr()

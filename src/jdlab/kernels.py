@@ -1,10 +1,10 @@
 """Builders for the example space/kernel families.
 
 Every builder returns a BuiltInstance (kernel, optional local part) over a
-finite truncation whose radius is recorded on the kernel's space. Kernels
-stated in the literature only up to two-sided comparison are implemented
-with comparison constant 1 (the criteria evaluated downstream are invariant
-under such constants).
+finite truncation whose radius is recorded on the kernel's space, which
+the local part shares. Kernels stated in the literature only up to
+two-sided comparison are implemented with comparison constant 1 (the
+criteria evaluated downstream are invariant under such constants).
 """
 
 from __future__ import annotations
@@ -13,30 +13,16 @@ import functools
 import inspect
 import math
 import numbers
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .forms import JumpKernel, KernelOperator, LocalPart, StencilKernel, _check_size, local_chain
+from .forms import BuiltInstance, JumpKernel, LocalPart, StencilKernel, _check_size, local_chain
 from .space import DiscreteMMSpace, GraphData
 
 KAPPA_GASKET = math.log(3) / math.log(2)
-
-
-@dataclass
-class BuiltInstance:
-    """A constructed example: a jump kernel, its space, and an optional local part."""
-
-    kernel: KernelOperator
-    local: Optional[LocalPart] = None
-
-    @property
-    def space(self) -> DiscreteMMSpace:
-        """The kernel's space: an instance holds no other."""
-        return self.kernel.space
 
 
 # -- field table and size gate ------------------------------------------------
@@ -71,9 +57,9 @@ _FIELDS = {
 _ABSENT_OK, _CALLABLE_OK = ("truncation_radius", "range_cutoff"), ("psi", "profile")
 
 
-def _check_field(name: str, value, rule=None):
-    """value by the rule of _FIELDS[name] (or `rule`), as an int or float where a number (a bool or a string is not)."""
-    rule = _FIELDS[name] if rule is None else rule
+def _check_field(name: str, value):
+    """value by the rule of _FIELDS[name], as an int or float where a number (a bool or a string is not)."""
+    rule = _FIELDS[name]
     if value is None and name in _ABSENT_OK or callable(value) and name in _CALLABLE_OK:
         return value
     if isinstance(rule, tuple) and isinstance(rule[0], str):
@@ -110,17 +96,6 @@ def _checked(builder):
         return builder(*bound.args, **bound.kwargs)
 
     return checked
-
-
-def _point_ids(name: str, values) -> np.ndarray:
-    """values as an int64 array, each an integer in [0, 2^63) by the integer rule, which names the first that is not."""
-    a = np.asarray(values)
-    ok = np.zeros(a.shape, bool)  # a bool, a string or an int past int64 is checked one element at a time
-    if a.dtype.kind in "iuf":
-        ok = np.isfinite(a) & (a >= 0) & (a == np.floor(a)) & (a < 2.0**63)
-    for value in a[~ok].tolist():
-        _check_field(name, value, 0)
-    return a.astype(np.int64)
 
 
 def _power(base: float, exponent: int) -> float:
@@ -441,7 +416,7 @@ def model_manifold(
         truncation_radius=truncation_radius,
     )
     kernel = JumpKernel.from_entries(space, rows, cols, values)
-    local = local_chain(np.arange(k_max), spacing)
+    local = local_chain(space, np.arange(k_max), spacing)
     return BuiltInstance(kernel, local)
 
 
@@ -511,10 +486,9 @@ def mixed_graph(
     jvals = graph.weights[pos] / (graph.vertex_measure[i] * graph.vertex_measure[j])
     kernel = JumpKernel.from_entries(space, i, j, jvals)
 
-    local = None
-    if k > 0:
-        local = LocalPart(np.column_stack([d_rows, d_cols]), local_cond, np.arange(nv, n_total, dtype=np.int64))
-    return BuiltInstance(kernel, local)
+    if k == 0:
+        return BuiltInstance(kernel)
+    return BuiltInstance(kernel, LocalPart(space, np.column_stack([d_rows, d_cols]), local_cond, np.arange(nv, n_total)))
 
 
 @_checked
@@ -551,9 +525,9 @@ def mixed_graph_from_params(
     elif graph_kind == "explicit":
         if edges is None or n_vertices is None:
             raise ValueError("explicit graphs need n_vertices and edges")
-        edges = np.reshape(_point_ids("each point id of edges", edges), (-1, 2))
-        _check_size(f"n_vertices {n_vertices} gives {n_vertices:.3g} vertices", n_vertices + len(edges))
-        w = np.ones(len(edges)) if weights is None else np.asarray(weights, dtype=float)
+        n_edges = np.size(edges) // 2  # GraphData checks the ids and reads them as pairs
+        _check_size(f"n_vertices {n_vertices} gives {n_vertices:.3g} vertices", n_vertices + n_edges)
+        w = np.ones(n_edges) if weights is None else np.asarray(weights, dtype=float)
         mu = np.ones(n_vertices) if vertex_measure is None else np.asarray(vertex_measure, dtype=float)
         g = GraphData(n_vertices, edges, w, mu)
         origin = 0
@@ -603,10 +577,10 @@ def explicit_kernel(
         origin=0,
         truncation_radius=truncation_radius,
     )
-    entries = np.asarray(entries, dtype=float)
+    entries = entries if isinstance(entries, np.ndarray) else np.array(entries, dtype=object)  # ids judged as given
     if entries.size and entries.shape[1:] != (3,):
         raise ValueError("kernel entries must be [i, j, value] triples")
-    rows, cols, vals = entries.reshape(-1, 3).T
-    ids = space.point_ids("each point id of entries", _point_ids("each point id of entries", [rows, cols]))
-    kernel = JumpKernel.from_entries(space, *ids, vals)
+    entries = entries.reshape(-1, 3)
+    rows, cols = space.point_ids("each point id of entries", entries[:, :2].T)
+    kernel = JumpKernel.from_entries(space, rows, cols, entries[:, 2].astype(float))
     return BuiltInstance(kernel)

@@ -11,6 +11,7 @@ get the standard adapted distance with edge length
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Optional
@@ -29,6 +30,30 @@ _SEARCH_CHUNK = 256  # rows per multi-source Dijkstra call: 64 rows took 1.1x th
 _MIN_GROUPS = 16  # groups per pass at least: one group holding most rows owns every column that is a row itself
 
 
+def point_ids(name: str, ids, n_points: int) -> np.ndarray:
+    """ids as an int64 array of their shape; a ValueError, headed by name, gives the first that is not an integer in [0, n_points).
+
+    A list is judged value by value before numpy coerces it, so a bool or a
+    string is named rather than read as 1 or as text.
+    """
+    ids = ids if isinstance(ids, np.ndarray) else np.array(ids, dtype=object)
+    values = ids
+    if ids.dtype.kind not in "iuf":
+        given = ids.ravel().tolist()
+        odd = {t for t in set(map(type, given)) if issubclass(t, bool) or not issubclass(t, numbers.Real)}
+        if odd:
+            raise ValueError(f"{name}: point id {next(v for v in given if type(v) in odd)!r} is not an integer")
+        values = ids.astype(np.float64)  # Python ints past 64 bits stay far outside any range as floats
+    if values.dtype.kind == "f":
+        fractional = ids[values != np.round(values)]  # a cast to int would truncate them
+        if len(fractional):
+            raise ValueError(f"{name}: point id {fractional[0]} is not an integer")
+    if values.size and not 0 <= values.min() <= values.max() < n_points:  # two reductions; no mask unless one is out
+        bad = ids[(values < 0) | (values >= n_points)]
+        raise ValueError(f"{name}: point id {bad[0]} is not in [0, {n_points})")
+    return values.astype(np.int64, copy=False)  # exact: each value is a whole number below n_points
+
+
 @dataclass
 class GraphData:
     """Locally finite weighted graph: symmetric edge weights and a vertex measure."""
@@ -39,7 +64,7 @@ class GraphData:
     vertex_measure: np.ndarray  # (n,) positive mu
 
     def __post_init__(self) -> None:
-        self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        self.edges = point_ids(f"each point id of edges (n_vertices {self.n_vertices})", self.edges, self.n_vertices).reshape(-1, 2)
         self.weights = np.asarray(self.weights, dtype=float).reshape(-1)
         self.vertex_measure = np.asarray(self.vertex_measure, dtype=float).reshape(-1)
         if len(self.weights) != len(self.edges):
@@ -50,9 +75,6 @@ class GraphData:
             raise ValueError("edge weights must be finite and nonnegative")
         if not np.all(np.isfinite(self.vertex_measure) & (self.vertex_measure > 0)):
             raise ValueError("vertex measure must be finite and strictly positive")
-        outside = np.flatnonzero(((self.edges < 0) | (self.edges >= self.n_vertices)).any(axis=1))
-        if outside.size:
-            raise ValueError(f"edge {tuple(self.edges[outside[0]].tolist())} ends outside the n_vertices = {self.n_vertices} vertices")
         if np.any(self.edges[:, 0] == self.edges[:, 1]):
             raise ValueError("self loops are not allowed (omega(x,x)=0)")
         # the CSR metric graph would sum a repeated edge's lengths into one edge
@@ -124,7 +146,7 @@ class DiscreteMMSpace:
         origin: int = 0,
         truncation_radius: float = float("inf"),
     ):
-        # private, read-only copies, so that what is derived from them (a kernel's weights, the per-axis columns) cannot go stale
+        # private, read-only copies, so that what is derived from them (weights on the measure, the per-axis columns) cannot go stale
         self.measure = np.array(measure, dtype=float).reshape(-1)
         self.measure.flags.writeable = False
         if np.any(self.measure <= 0):
@@ -143,9 +165,7 @@ class DiscreteMMSpace:
         self.metric_kind = metric_kind
         self.metric_graph = metric_graph
         self.steps = None if steps is None else _per_point("steps", np.asarray(steps), self.n_points)
-        self.origin = int(origin)
-        if not 0 <= self.origin < self.n_points:
-            raise ValueError(f"origin {self.origin} is not a point id in [0, {self.n_points})")
+        self.origin = int(point_ids("origin", [origin], self.n_points)[0])
         self.truncation_radius = float(truncation_radius)
         self._row_cache: dict[int, np.ndarray] = {}
         # the searches pass directed=True, which is exact only on a symmetric graph
@@ -165,17 +185,8 @@ class DiscreteMMSpace:
                     raise ValueError(f"coordinate spans {spans.tolist()} per axis overflow the {metric_kind} metric")
 
     def point_ids(self, name: str, ids) -> np.ndarray:
-        """ids as an int64 array; a ValueError, headed by name, gives the first that is not an integer in [0, n_points)."""
-        ids = np.asarray(ids)
-        # Python ints past 64 bits are held as objects; as floats they stay far outside any range
-        values = ids.astype(np.float64) if ids.dtype == object else ids
-        fractional = ids[values != np.round(values)]  # a cast to int would truncate them
-        if len(fractional):
-            raise ValueError(f"{name}: point id {fractional[0]} is not an integer")
-        bad = ids[(values < 0) | (values >= self.n_points)]
-        if len(bad):
-            raise ValueError(f"{name}: point id {bad[0]} is not in [0, {self.n_points})")
-        return ids.astype(np.int64)
+        """ids as an int64 array by `point_ids`, checked against this space's points."""
+        return point_ids(name, ids, self.n_points)
 
     # -- metric ---------------------------------------------------------
 
@@ -190,7 +201,7 @@ class DiscreteMMSpace:
         The one formula for coordinate distances: squares (euclidean) or
         absolute values (l1) summed in axis order; the stack sums the squares
         of all but the last axis, takes the root and adds the absolute layer
-        gap. Rows, pairs and a stencil kernel's offset distances all evaluate
+        gap. Rows, pairs and lattice offset distances all evaluate
         it, so they agree bit for bit. No (..., n_axes) array is formed.
         """
         if n_axes < 1:
@@ -368,19 +379,3 @@ def metric_ball(space: DiscreteMMSpace, x0: int, r: float) -> tuple[np.ndarray, 
 def open_ball_mask(space: DiscreteMMSpace, x0: int, r: float) -> np.ndarray:
     """Boolean mask of the open ball {y : d(x0,y) < r}."""
     return space.distances_from(x0) < r
-
-
-def support_sets(kernel, local) -> tuple[np.ndarray, np.ndarray]:
-    """X^(c) (local support) and X^(j) (jump support) of the given parts.
-
-    X^(j) is every point with at least one positive kernel entry; X^(c) is
-    the local part's declared support (grid spaces: all points on a
-    positive-conductance local edge; subdivided metric graphs: edge
-    interiors only, since vertex atoms carry no absolutely continuous local
-    energy density).
-    """
-    if local is None:
-        x_c = np.array([], dtype=np.int64)
-    else:
-        x_c = np.asarray(local.support, dtype=np.int64)
-    return x_c, kernel.jump_support()

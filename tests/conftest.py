@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jdlab import GraphData, energy, gamma_jump, lattice_nn, mixed_graph
+from jdlab import BuiltInstance, GraphData, energy, gamma_jump, lattice_nn, mixed_graph
 
 
 @pytest.fixture(scope="session")
@@ -66,7 +66,7 @@ def derivation_residual(space, kernel, u, phi):
     """
     u = np.asarray(u, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    lhs = energy(kernel, None, u, u * phi)
+    lhs = energy(BuiltInstance(kernel), u, u * phi)
     mixed = float(np.dot(u * gamma_jump(kernel, u, phi), space.measure))
     square = float(np.dot(phi * gamma_jump(kernel, u), space.measure))
     return lhs - mixed - square

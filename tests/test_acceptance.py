@@ -50,7 +50,7 @@ def test_criterion_01_derivation_identity():
         u = rng.normal(size=n)
         phi = rng.normal(size=n)
         res = derivation_residual(built.space, built.kernel, u, phi)
-        scale = abs(energy(built.kernel, None, u, u * phi)) + 1.0
+        scale = abs(energy(built, u, u * phi)) + 1.0
         worst = max(worst, abs(res) / scale)
         assert abs(res) <= 1e-10 * scale
     _report(1, f"derivation identity, worst relative residual {worst:.2e}", started, 10.0)
@@ -67,7 +67,7 @@ def test_criterion_02_example_verdict_matrix():
                 tempering=1.0, dim=1, truncation_radius=400,
             )
             vol = volume_growth_report(built.space, built.space.origin, radii)
-            rec = recurrence_report(built.kernel, None, built.space.origin, radii)
+            rec = recurrence_report(built, built.space.origin, radii)
             assert vol.verdict == "satisfied"
             kappa = 1.0
             if case == "i":
@@ -87,7 +87,7 @@ def test_criterion_03_capacity_certificate_stable_recurrence():
     fired = {}
     for alpha in (0.5, 1.0, 1.5):
         built = stable_like(case="i", alpha=alpha, beta=alpha, dim=1, truncation_radius=2000)
-        rep = capacity_scan(built.kernel, None, [built.space.origin], radii, decay_ratio=ratio_threshold)
+        rep = capacity_scan(built, [built.space.origin], radii, decay_ratio=ratio_threshold)
         fired[alpha] = rep.certificate
         del built, rep
     assert fired == {0.5: False, 1.0: True, 1.5: True}
@@ -112,10 +112,10 @@ def test_criterion_05_capacity_closed_form():
     sp = built.space
     for big_r in (4.0, 10.0, 40.0, 100.0):
         mask = open_ball_mask(sp, sp.origin, big_r)
-        solve = equilibrium_potential(built.kernel, None, [sp.origin], mask)
+        solve = equilibrium_potential(built, [sp.origin], mask)
         assert solve.energy == pytest.approx(4.0 / big_r, abs=1e-6)
         theta = theta_test_function(sp, sp.origin, big_r) if big_r > 2 else None
-        e_theta = energy(built.kernel, None, theta)
+        e_theta = energy(built, theta)
         assert e_theta == pytest.approx(4.0 / (big_r - 1.0), rel=1e-12)
         assert solve.energy <= e_theta + 1e-12
     _report(5, "cap({0}, B(0,R)) = 4/R and cap <= E[theta_R] = 4/(R-1)", started, 10.0)
@@ -126,14 +126,14 @@ def test_criterion_06_omega_and_statistic_closed_forms():
     z1 = lattice_nn(dim=1, truncation_radius=120)
     assert np.max(np.abs(_omega_values(z1.kernel, np.array([1.0, 2.0, 5.0, 50.0])) - 2.0)) <= 1e-12
     radii = np.arange(5.0, 56.0, 5.0)
-    rep = recurrence_report(z1.kernel, None, z1.space.origin, radii)
+    rep = recurrence_report(z1, z1.space.origin, radii)
     expected = [2.0 * (2 * r + 1) / r**2 for r in radii]
     assert np.max(np.abs(np.asarray(rep.values) - expected)) <= 1e-12
     assert rep.verdict == "satisfied"
 
     z3 = lattice_nn(dim=3, truncation_radius=10)
     radii3 = np.arange(2.0, 9.0)
-    rep3 = recurrence_report(z3.kernel, None, z3.space.origin, radii3)
+    rep3 = recurrence_report(z3, z3.space.origin, radii3)
     assert rep3.verdict == "inconclusive"
     growth = rep3.values[-1] / rep3.values[len(radii3) // 2 - 1]
     ratio_r = radii3[-1] / radii3[len(radii3) // 2 - 1]

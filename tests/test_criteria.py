@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
 
 from jdlab import (
+    BuiltInstance,
     DiscreteMMSpace,
     davies_constant,
     energy,
     lattice_nn,
+    model_manifold,
     recurrence_report,
     volume_growth_report,
     weighted_line,
@@ -59,7 +61,7 @@ def test_verdict_stable_under_truncation_growth():
     reports = []
     for trunc in (60, 120):
         b = lattice_nn(dim=1, truncation_radius=trunc)
-        reports.append(recurrence_report(b.kernel, None, b.space.origin, radii))
+        reports.append(recurrence_report(b, b.space.origin, radii))
     assert reports[0].values == pytest.approx(reports[1].values, rel=1e-14)
     assert reports[0].verdict == reports[1].verdict
 
@@ -213,8 +215,22 @@ def test_an_instance_reads_its_one_space_from_its_kernel():
     assert counting.space is counting.kernel.space
     with pytest.raises(AttributeError):
         counting.space = cell.space
-    assert recurrence_report(counting.kernel, None, counting.space.origin, [2, 4]).values == [1.125, 0.53125]
-    assert recurrence_report(cell.kernel, None, cell.space.origin, [2, 4]).values == [0.28125, 0.1328125]
+    assert recurrence_report(counting, counting.space.origin, [2, 4]).values == [1.125, 0.53125]
+    assert recurrence_report(cell, cell.space.origin, [2, 4]).values == [0.28125, 0.1328125]
+
+
+def test_an_instance_rejects_a_local_part_of_another_space():
+    # the 10-point manifold's local part beside the 21-point Z's kernel silently reported [3.0, 1.375] for
+    # [2.5, 1.125] in recurrence_report, and at spacing 0.05 ended in an IndexError
+    z = lattice_nn(dim=1, truncation_radius=10)
+    for spacing in (0.5, 0.05):
+        mm = model_manifold(dim=1, spacing=spacing, truncation_radius=5)
+        n = mm.space.n_points
+        with pytest.raises(ValueError, match=re.escape(f"the local part's space ({n} points) is not the kernel's space (21 points)")):
+            BuiltInstance(z.kernel, mm.local)
+    one, two = (model_manifold(dim=1, spacing=0.5, truncation_radius=5) for _ in range(2))  # equal points, two spaces
+    with pytest.raises(ValueError, match=re.escape("the local part's space (10 points) is not the kernel's space (10 points)")):
+        BuiltInstance(one.kernel, two.local)
 
 
 @pytest.mark.parametrize("x0", [50, -1])
@@ -223,7 +239,7 @@ def test_an_x0_outside_the_space_raises_naming_it_and_the_range(x0):
     b = lattice_nn(dim=1, truncation_radius=10)
     message = re.escape(f"x0: point id {x0} is not in [0, 21)")
     with pytest.raises(ValueError, match=message):
-        recurrence_report(b.kernel, None, x0, [2.0, 4.0])
+        recurrence_report(b, x0, [2.0, 4.0])
     with pytest.raises(ValueError, match=message):
         volume_growth_report(b.space, x0, [2.0, 4.0])
 
@@ -231,7 +247,7 @@ def test_an_x0_outside_the_space_raises_naming_it_and_the_range(x0):
 def test_recurrence_z_closed_form(z_line):
     sp = z_line.space
     radii = np.arange(5.0, 51.0, 5.0)
-    rep = recurrence_report(z_line.kernel, None, sp.origin, radii)
+    rep = recurrence_report(z_line, sp.origin, radii)
     expected = [2 * (2 * r + 1) / r**2 for r in radii]
     assert rep.values == pytest.approx(expected, abs=1e-12)
     assert rep.verdict == "satisfied"
@@ -240,7 +256,7 @@ def test_recurrence_z_closed_form(z_line):
 def test_recurrence_z3_inconclusive(z3_cube):
     sp = z3_cube.space
     radii = np.arange(2.0, 9.0)
-    rep = recurrence_report(z3_cube.kernel, None, sp.origin, radii)
+    rep = recurrence_report(z3_cube, sp.origin, radii)
     assert rep.verdict == "inconclusive"
     # t(r) grows roughly linearly
     assert rep.values[-1] > rep.values[0]
@@ -254,7 +270,7 @@ def test_a_threshold_that_is_not_positive_and_finite_is_rejected(z3_cube, tau):
     with pytest.raises(ValueError, match=message):
         volume_growth_report(sp, sp.origin, [2.0, 4.0, 8.0], threshold=tau)
     with pytest.raises(ValueError, match=message):
-        recurrence_report(z3_cube.kernel, None, sp.origin, [2.0, 4.0, 8.0], threshold=tau)
+        recurrence_report(z3_cube, sp.origin, [2.0, 4.0, 8.0], threshold=tau)
 
 
 @pytest.mark.parametrize("radii", [[float("nan")], [2.0, float("nan"), 8.0], [2.0, float("inf")]])
@@ -265,12 +281,12 @@ def test_a_radius_that_is_not_finite_is_named(z3_cube, radii):
     with pytest.raises(ValueError, match=f"radius {bad} is not a finite number"):
         volume_growth_report(sp, sp.origin, radii)
     with pytest.raises(ValueError, match=f"radius {bad} is not a finite number"):
-        recurrence_report(z3_cube.kernel, None, sp.origin, radii)
+        recurrence_report(z3_cube, sp.origin, radii)
 
 
 def test_statistic_times_r2_nondecreasing(z_line):
     radii = np.arange(3.0, 40.0, 4.0)
-    rep = recurrence_report(z_line.kernel, None, z_line.space.origin, radii)
+    rep = recurrence_report(z_line, z_line.space.origin, radii)
     seq = [v * r**2 for v, r in zip(rep.values, radii)]
     assert all(a <= b + 1e-12 for a, b in zip(seq, seq[1:]))
 
@@ -305,7 +321,7 @@ def test_theta_bounds_and_lipschitz():
 
 
 def _theta_energies(built, x0, r_grid):
-    return [energy(built.kernel, built.local, theta_test_function(built.space, x0, r)) for r in r_grid]
+    return [energy(built, theta_test_function(built.space, x0, r)) for r in r_grid]
 
 
 def test_theta_energy_z_and_z3(z_line, z3_cube):

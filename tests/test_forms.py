@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,10 +11,11 @@ from jdlab import (
     lattice_nn,
     local_chain,
     m_constants,
+    model_manifold,
 )
 import scipy.sparse as sp
 
-from jdlab.forms import JumpKernel, RateTable
+from jdlab.forms import BuiltInstance, JumpKernel, LocalPart, RateTable
 from jdlab.kernels import explicit_kernel, stable_like
 from conftest import derivation_residual, random_symmetric_kernel, theta_test_function
 
@@ -75,12 +78,12 @@ def test_gamma_jump_applies_w_to_u_once_when_v_is_u():
 
 def test_energy_constant_zero(z_line):
     u = np.ones(z_line.space.n_points)
-    assert energy(z_line.kernel, None, u) == 0.0
+    assert energy(z_line, u) == 0.0
 
 
 def test_energy_two_point_ordered_double_sum():
     b = two_point(c=0.5)
-    assert energy(b.kernel, None, np.array([0.0, 1.0])) == pytest.approx(1.0)
+    assert energy(b, np.array([0.0, 1.0])) == pytest.approx(1.0)
 
 
 def test_energy_of_theta_closed_form(z_line):
@@ -88,18 +91,18 @@ def test_energy_of_theta_closed_form(z_line):
     sp = z_line.space
     for big_r in (5.0, 11.0, 41.0):
         th = theta_test_function(sp, sp.origin, big_r)
-        assert energy(z_line.kernel, None, th) == pytest.approx(4.0 / (big_r - 1), rel=1e-12)
+        assert energy(z_line, th) == pytest.approx(4.0 / (big_r - 1), rel=1e-12)
 
 
 def test_m_constants_z_nn(z_line):
-    mc = m_constants(z_line.kernel, None)
+    mc = m_constants(z_line)
     assert mc.m_j == pytest.approx(2.0)
     assert mc.m_c == 0.0
 
 
 def test_m_constants_zero_kernel():
     b = explicit_kernel(4, [])
-    mc = m_constants(b.kernel, None)
+    mc = m_constants(b)
     assert mc.m_j == 0.0
 
 
@@ -109,16 +112,30 @@ def test_m_constants_grid_local_part():
     h = 0.01
     n = 401
     sp = DiscreteMMSpace(np.full(n, h), coords=(np.arange(n) - n // 2)[:, None] * h, origin=n // 2)
-    local = local_chain(np.arange(n), h)
-    mc = m_constants(JumpKernel.from_entries(sp, [], [], []), local)
+    local = local_chain(sp, np.arange(n), h)
+    mc = m_constants(BuiltInstance(JumpKernel.from_entries(sp, [], [], []), local))
     assert mc.m_c == pytest.approx(1.0, abs=5 * h)
+
+
+@pytest.mark.parametrize(
+    "edges, support, message",
+    [
+        ([[0, 1], [3, 10]], [0, 1], "each point id of the local edges: point id 10 is not in [0, 10)"),
+        ([[0, 1], [3, -1]], [0, 1], "each point id of the local edges: point id -1 is not in [0, 10)"),
+        ([[0, 1], [3, 4]], [0, 12], "each point id of the local support: point id 12 is not in [0, 10)"),
+    ],
+)
+def test_a_local_part_checks_its_ids_against_its_space(edges, support, message):
+    space = model_manifold(dim=1, spacing=0.5, truncation_radius=5).space
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LocalPart(space, edges, [1.0, 1.0], support)
 
 
 def test_derivation_residual_phi_one(z_line):
     rng = np.random.default_rng(3)
     u = rng.normal(size=z_line.space.n_points)
     res = derivation_residual(z_line.space, z_line.kernel, u, np.ones_like(u))
-    scale = abs(energy(z_line.kernel, None, u, u)) + 1.0
+    scale = abs(energy(z_line, u, u)) + 1.0
     assert abs(res) <= 1e-10 * scale
 
 
@@ -158,10 +175,10 @@ def test_energy_symmetric_and_nonnegative(seed):
     built = random_symmetric_kernel(rng, n)
     u = rng.normal(size=n)
     v = rng.normal(size=n)
-    euv = energy(built.kernel, None, u, v)
-    evu = energy(built.kernel, None, v, u)
+    euv = energy(built, u, v)
+    evu = energy(built, v, u)
     assert euv == pytest.approx(evu, rel=1e-12, abs=1e-12)
-    assert energy(built.kernel, None, u) >= -1e-12
+    assert energy(built, u) >= -1e-12
 
 
 @settings(max_examples=20, deadline=None)
@@ -177,7 +194,7 @@ def test_generator_consistent_with_form(seed):
     v = rng.normal(size=n)
     lu = rates.q @ u - rates.lam * u
     pairing = float(np.dot(-lu * built.space.measure, v))
-    e = energy(built.kernel, None, u, v)
+    e = energy(built, u, v)
     assert pairing == pytest.approx(e, rel=1e-10, abs=1e-10)
 
 
@@ -189,7 +206,7 @@ def test_derivation_residual_random_graphs():
         u = rng.normal(size=n)
         phi = rng.normal(size=n)
         res = derivation_residual(built.space, built.kernel, u, phi)
-        scale = abs(energy(built.kernel, None, u, u * phi)) + 1.0
+        scale = abs(energy(built, u, u * phi)) + 1.0
         assert abs(res) <= 1e-10 * scale
 
 

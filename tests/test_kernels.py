@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from jdlab import (
+    BuiltInstance,
     GraphData,
     JumpKernel,
     energy,
@@ -172,7 +173,7 @@ def test_weighted_line_names_a_lam_that_overflows_the_measure():
 def test_weighted_line_mj_below_analytic_bound():
     lam = 1.0
     b = weighted_line(lam=lam, spacing=0.05, truncation_radius=15)
-    mc = m_constants(b.kernel, None)
+    mc = m_constants(b)
     bound, _ = quad(lambda z: z**2 * math.exp(lam * abs(z)), -1, 1)
     assert mc.m_j <= bound * 1.1
 
@@ -198,7 +199,7 @@ def test_model_manifold_linear_profile_value():
 
 def test_model_manifold_local_part_mc():
     b = model_manifold(dim=1, spacing=0.02, profile="constant", truncation_radius=3)
-    mc = m_constants(b.kernel, b.local)
+    mc = m_constants(b)
     assert mc.m_c == pytest.approx(1.0, abs=0.1)
 
 
@@ -221,7 +222,7 @@ def test_mixed_graph_pure_jump_two_vertices():
 def test_mixed_graph_zero_weights_pure_quantum():
     g = GraphData(3, [[0, 1], [1, 2]], [0.0, 0.0], np.ones(3))
     b = mixed_graph(g, phi=1.0, subdivisions=2)
-    x_c, x_j = support_sets(b.kernel, b.local)
+    x_c, x_j = support_sets(b)
     assert len(x_j) == 0
     assert len(x_c) == 4
 
@@ -233,7 +234,7 @@ def test_mixed_graph_quantum_energy_discretization():
     sp = b.space
     # slope 3 in the edge parameter, which is 0 and 1 at the vertices and 0.1, ..., 0.9 at the interior points
     u = 3.0 * np.array([0.0, 1.0, *np.arange(1, 10) / 10])
-    got = energy(JumpKernel.from_entries(sp, [], [], []), b.local, u)
+    got = energy(BuiltInstance(JumpKernel.from_entries(sp, [], [], []), b.local), u)
     assert got == pytest.approx(0.5 * 9.0, rel=1e-12)
 
 

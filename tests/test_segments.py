@@ -44,7 +44,7 @@ from jdlab import (
 )
 from jdlab.capacity import _dead_components, _solve_spd
 from jdlab.criteria import _omega_values
-from jdlab.forms import JumpKernel, LocalPart, form_matrix, row_blocks
+from jdlab.forms import BuiltInstance, JumpKernel, LocalPart, form_matrix, row_blocks, support_sets
 from jdlab.forms import energy as form_energy
 from jdlab.kernels import (
     _band_entries,
@@ -55,7 +55,7 @@ from jdlab.kernels import (
     mixed_graph,
     sandwich_profile,
 )
-from jdlab.space import boundary_notes, support_sets
+from jdlab.space import boundary_notes
 from jdlab.specio import SpecError, build_from_spec
 from conftest import random_symmetric_kernel, stable_like_density
 
@@ -363,8 +363,11 @@ def oracle_form_matrix(space, kernel, local):
         k = kernel.matrix.multiply(space.measure[None, :]).multiply(space.measure[:, None]).tocsr()
         d = sp.diags(np.asarray(k.sum(axis=1)).reshape(-1))
         parts.append(2.0 * (d - k))
-    if local is not None:
-        parts.append(local.form_matrix(space.measure, n))
+    if local is not None:  # the edge weights c (m_x + m_y)/2 from the measure, not the part's own
+        (i, j), c = local.edges.T, local.conductance
+        w = c * 0.5 * (space.measure[i] + space.measure[j])
+        rows, cols = np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j])
+        parts.append(sp.csr_matrix((np.concatenate([-w, -w, w, w]), (rows, cols)), shape=(n, n)))
     if not parts:
         return sp.csr_matrix((n, n))
     total = parts[0]
@@ -377,7 +380,8 @@ def oracle_energy(space, kernel, local, u):
     """E[u] summed as `energy` summed it before every builder returned a kernel: kernel None is no jump part."""
     total = 0.0
     if local is not None:
-        total += local.energy(space.measure, u)
+        (i, j), du = local.edges.T, u[local.edges[:, 0]] - u[local.edges[:, 1]]
+        total += float(np.sum(local.conductance * 0.5 * (space.measure[i] + space.measure[j]) * du * du))
     if kernel is not None:
         total += kernel.jump_energy(u, u)
     return total
@@ -478,7 +482,7 @@ def test_omega_and_m_j_match_row_loops(seed, metric_kind):
     for k, r in enumerate(radii):
         want, _, _ = oracle_row_sums(kernel, lambda d: np.minimum(d, r) ** 2)
         assert got[k] == pytest.approx(want, rel=REL, abs=0.0)
-    mc = m_constants(kernel, None)
+    mc = m_constants(BuiltInstance(kernel))
     want, arg, values = oracle_row_sums(kernel, lambda d: np.minimum(1.0, d**2))
     assert mc.m_j == pytest.approx(want, rel=REL, abs=0.0)
     # equal up to ties: the reported row attains the maximum as well
@@ -505,13 +509,13 @@ def test_small_blocks_give_the_same_results(monkeypatch, metric_kind):
     space, kernel = _instance(3, metric_kind)
     want_d = kernel.pair_distances().copy()
     want_om = _omega_values(kernel, np.array([0.5, 3.0]))
-    want_mc = m_constants(kernel, None)
+    want_mc = m_constants(BuiltInstance(kernel))
     monkeypatch.setattr(jdlab.forms, "_BLOCK_NNZ", 3)
     monkeypatch.setattr(jdlab.space, "_SEARCH_CHUNK", 2)
     fresh = JumpKernel(space, kernel.matrix)
     assert np.array_equal(fresh.pair_distances(), want_d)
     assert np.array_equal(_omega_values(fresh, np.array([0.5, 3.0])), want_om)
-    mc = m_constants(fresh, None)
+    mc = m_constants(BuiltInstance(fresh))
     assert (mc.m_j, mc.argmax_j) == (want_mc.m_j, want_mc.argmax_j)
 
 
@@ -842,7 +846,7 @@ def test_bounded_search_on_an_empty_kernel():
 def test_dead_components_match_loops(seed):
     rng = np.random.default_rng(seed)
     built = random_symmetric_kernel(rng, int(rng.integers(2, 30)), density=float(rng.uniform(0.02, 0.3)))
-    g = form_matrix(built.kernel, None)
+    g = form_matrix(built)
     free = rng.random(built.space.n_points) < 0.6
     g_rows = g[np.flatnonzero(free)].tocsr()
     a_ff = g_rows[:, np.flatnonzero(free)].tocsr()
@@ -865,11 +869,11 @@ def test_capacity_scan_matches_per_radius_potentials(seed):
     built = random_symmetric_kernel(rng, int(rng.integers(4, 40)), density=float(rng.uniform(0.02, 0.5)))
     space, kernel = built.space, built.kernel
     radii = sorted(float(r) for r in rng.uniform(1.5, space.n_points, size=3))
-    scan = capacity_scan(kernel, None, [0], radii)
+    scan = capacity_scan(BuiltInstance(kernel), [0], radii)
     dist = space.distances_from(0)
     caps, residuals, warnings = [], [], []
     for r in radii:
-        solve = equilibrium_potential(kernel, None, [0], dist < r)
+        solve = equilibrium_potential(BuiltInstance(kernel), [0], dist < r)
         caps.append(solve.energy)
         residuals.append(solve.residual)
         warnings.extend(solve.warnings)
@@ -1017,7 +1021,7 @@ def test_mixed_graph_matches_chain_loop(k, which):
     assert np.array_equal(built.local.edges, local_edges)
     assert cond.tobytes() == built.local.conductance.tobytes()
     assert np.array_equal(built.local.support, support) and built.local.support.dtype == np.int64
-    assert np.array_equal(support_sets(built.kernel, built.local)[0], support)
+    assert np.array_equal(support_sets(built)[0], support)
 
 
 @pytest.mark.parametrize("which", ["lattice", "weighted-cycle"])
@@ -1079,7 +1083,7 @@ def _island_instance(seed):
     space, local = built.space, None
     if rng.random() < 0.5:
         points = rng.choice(space.n_points, size=int(rng.integers(2, space.n_points // 2 + 2)), replace=False)
-        local = local_chain(points, float(rng.uniform(0.5, 2.0)))
+        local = local_chain(space, points, float(rng.uniform(0.5, 2.0)))
     return rng, space, built.kernel, local
 
 
@@ -1087,7 +1091,7 @@ def _island_instance(seed):
 @given(st.integers(min_value=0, max_value=10_000))
 def test_islands_form_matrix_dead_masks_and_scan_match_oracles(seed):
     rng, space, kernel, local = _island_instance(seed)
-    g = form_matrix(kernel, local)
+    g = form_matrix(BuiltInstance(kernel, local))
     want = oracle_form_matrix(space, kernel, local)
     assert_bit_identical(g, want)
     free = rng.random(space.n_points) < 0.6
@@ -1096,7 +1100,7 @@ def test_islands_form_matrix_dead_masks_and_scan_match_oracles(seed):
     labels, dead = _dead_components(a_ff, g_rows, ~free)
     assert np.array_equal(dead[labels], oracle_dead_components(a_ff, g_rows, ~free))
     radii = sorted(float(r) for r in rng.uniform(0.5, space.n_points, size=3))
-    scan = capacity_scan(kernel, local, [0], radii)
+    scan = capacity_scan(BuiltInstance(kernel, local), [0], radii)
     caps, residuals, warns = oracle_capacities(space, kernel, local, np.array([0]), radii)
     assert scan.capacities == caps
     assert scan.residuals == residuals
@@ -1106,10 +1110,10 @@ def test_islands_form_matrix_dead_masks_and_scan_match_oracles(seed):
 def test_zero_conductance_edge_does_not_join_components():
     """A local edge of conductance 0 is stored as explicit zeros in G_c; it must not couple 2 to 1."""
     space = DiscreteMMSpace(np.ones(6), coords=np.arange(6.0)[:, None])
-    local = LocalPart(np.array([[0, 1], [1, 2], [2, 3]]), np.array([1.0, 0.0, 1.0]), np.arange(4))
-    assert np.any(local.form_matrix(space.measure, space.n_points).data == 0.0)
+    local = LocalPart(space, np.array([[0, 1], [1, 2], [2, 3]]), np.array([1.0, 0.0, 1.0]), np.arange(4))
+    assert np.any(local.form_matrix().data == 0.0)
     empty = JumpKernel.from_entries(space, [], [], [])
-    solve = equilibrium_potential(empty, local, [0], space.distances_from(0) < 3.5)
+    solve = equilibrium_potential(BuiltInstance(empty, local), [0], space.distances_from(0) < 3.5)
     assert solve.warnings == [
         "2 free points lie in components touching neither K nor the ball boundary; their potential is set to 0"
     ]
@@ -1131,18 +1135,18 @@ def test_an_empty_kernel_gives_what_no_kernel_gave(build):
     empty = JumpKernel.from_entries(space, [], [], [])
     rng = np.random.default_rng(1)
     u, v = rng.normal(size=space.n_points), rng.normal(size=space.n_points)
-    assert form_energy(empty, local, u, v) == 0.0 + local.energy(space.measure, u, v)
-    assert_bit_identical(form_matrix(empty, local), oracle_form_matrix(space, None, local))
-    x_c, x_j = support_sets(empty, local)
+    assert form_energy(BuiltInstance(empty, local), u, v) == 0.0 + local.energy(u, v)
+    assert_bit_identical(form_matrix(BuiltInstance(empty, local)), oracle_form_matrix(space, None, local))
+    x_c, x_j = support_sets(BuiltInstance(empty, local))
     assert np.array_equal(x_c, local.support) and x_j.size == 0
     radii = [space.max_distance_from(origin) * f for f in (0.2, 0.4, 0.7, 0.95)]
-    rep = recurrence_report(empty, local, origin, radii)
+    rep = recurrence_report(BuiltInstance(empty, local), origin, radii)
     in_c = np.isin(np.arange(space.n_points), local.support)
     dist = space.distances_from(origin)
     assert rep.values == [float(space.measure[(dist <= r) & in_c].sum()) / r**2 for r in radii]
     assert rep.extras["omega"] == [0.0] * len(radii)
     assert "jump support is empty: omega is identically 0" in rep.notes
-    scan = capacity_scan(empty, local, [origin], radii)
+    scan = capacity_scan(BuiltInstance(empty, local), [origin], radii)
     caps, residuals, warns = oracle_capacities(space, None, local, np.array([origin]), radii)
     assert scan.capacities == caps and scan.residuals == residuals
     assert scan.warnings == warns + boundary_notes(space.max_distance_from(origin), radii[-1])
@@ -1155,9 +1159,9 @@ def test_criteria_use_the_supports_of_the_kernel_they_are_given():
     built = lattice_nn(dim=1, truncation_radius=50)
     space = built.space
     empty = JumpKernel(space, sp.csr_matrix((space.n_points,) * 2))
-    mc = m_constants(empty, None)
+    mc = m_constants(BuiltInstance(empty))
     assert (mc.m_j, mc.argmax_j) == (0.0, None)
-    rep = recurrence_report(empty, None, space.origin, [2.0, 4.0, 8.0])
+    rep = recurrence_report(BuiltInstance(empty), space.origin, [2.0, 4.0, 8.0])
     assert "jump support is empty: omega is identically 0" in rep.notes
     assert rep.values == [0.0, 0.0, 0.0]
 

@@ -198,7 +198,7 @@ def test_z3_return_plateaus_below_one(z3_cube):
     values = {}
     for r in (4.0, 8.0):
         mask = open_ball_mask(sp, o, r)
-        solve = equilibrium_potential(z3_cube.kernel, None, [o], mask)
+        solve = equilibrium_potential(z3_cube, [o], mask)
         oracle = solve.u[start]
         cfg = SimConfig(horizon=1e12, trials=1500, seed=17, max_jumps=10**6, outer_radius=r)
         _, (est, _) = sample_estimates(rates, start, cfg, [o])[0]

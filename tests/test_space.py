@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from jdlab import (
+    BuiltInstance,
     DiscreteMMSpace,
     GraphData,
     JumpKernel,
@@ -149,9 +150,16 @@ def test_empty_space_rejected():
 @pytest.mark.parametrize("origin", [-1, 3, 4])
 def test_origin_outside_the_points_rejected(origin):
     # origin -1 was accepted, and the space then read the last point's row as the origin's
-    with pytest.raises(ValueError, match=rf"origin {origin} is not a point id in \[0, 3\)"):
+    with pytest.raises(ValueError, match=rf"origin: point id {origin} is not in \[0, 3\)"):
         DiscreteMMSpace(np.ones(3), coords=np.arange(3.0)[:, None], origin=origin)
     assert DiscreteMMSpace(np.ones(3), coords=np.arange(3.0)[:, None], origin=2).origin == 2
+
+
+@pytest.mark.parametrize("origin", [1.5, True])
+def test_an_origin_that_is_not_an_integer_is_named(origin):
+    # int() read both as point 1
+    with pytest.raises(ValueError, match=re.escape(f"origin: point id {origin!r} is not an integer")):
+        DiscreteMMSpace(np.ones(3), coords=np.arange(3.0)[:, None], origin=origin)
 
 
 def test_one_sided_graph_rejected():
@@ -235,7 +243,7 @@ def test_adapted_distance_below_graph_distance():
 
 
 def test_support_sets_pure_jump(z_line):
-    x_c, x_j = support_sets(z_line.kernel, None)
+    x_c, x_j = support_sets(z_line)
     assert len(x_c) == 0
     assert len(x_j) == z_line.space.n_points  # every lattice point has a neighbor
 
@@ -244,8 +252,8 @@ def test_support_sets_pure_local():
     from jdlab import local_chain
 
     sp = DiscreteMMSpace(np.full(5, 0.1), coords=np.arange(5)[:, None] * 0.1)
-    local = local_chain(np.arange(5), 0.1)
-    x_c, x_j = support_sets(JumpKernel.from_entries(sp, [], [], []), local)
+    local = local_chain(sp, np.arange(5), 0.1)
+    x_c, x_j = support_sets(BuiltInstance(JumpKernel.from_entries(sp, [], [], []), local))
     assert len(x_j) == 0
     assert list(x_c) == list(range(5))
 
@@ -253,7 +261,7 @@ def test_support_sets_pure_local():
 def test_support_sets_mixed_graph():
     g = lattice2d_graph(2)
     b = mixed_graph(g, phi=1.0, subdivisions=2, origin=12, truncation_radius=2.0)
-    x_c, x_j = support_sets(b.kernel, b.local)
+    x_c, x_j = support_sets(b)
     nv = g.n_vertices
     assert set(x_j) == set(range(nv))  # vertices carry the jumps
     assert np.all(x_c >= nv)  # edge interiors carry the local part

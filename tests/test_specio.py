@@ -219,14 +219,23 @@ BAD_SPECS = {
     ),
     "non-integer-edge-on-graph": (
         {"type": "graph", "truncation_radius": 2, "params": {"graph_kind": "explicit", "n_vertices": 3, "edges": [[0, 1.5]]}},
-        "each point id of edges must be an integer >= 0, got 1.5",
+        "each point id of edges (n_vertices 3): point id 1.5 is not an integer",
+    ),
+    # numpy read the bool as vertex 1, and the string list named its first id '0', a valid one
+    "bool-edge-on-graph": (
+        {"type": "graph", "truncation_radius": 2, "params": {"graph_kind": "explicit", "n_vertices": 3, "edges": [[0, True]]}},
+        "each point id of edges (n_vertices 3): point id True is not an integer",
+    ),
+    "string-edge-on-graph": (
+        {"type": "graph", "truncation_radius": 2, "params": {"graph_kind": "explicit", "n_vertices": 3, "edges": [[0, "a"]]}},
+        "each point id of edges (n_vertices 3): point id 'a' is not an integer",
     ),
     "non-integer-gasket_level": (
         _lattice({"support": "gasket", "gasket_level": 2.5, "kernel": {"family": "stable_i"}}, radius=4),
         "kernel family 'stable_i': gasket_level must be an integer >= 0, got 2.5",
     ),
     "non-integer-n_points-on-explicit": (_explicit([], n_points=2.5), "n_points must be an integer >= 0, got 2.5"),
-    "non-integer-entry-on-explicit": (_explicit([[0, 1.5, 1.0]]), "each point id of entries must be an integer >= 0, got 1.5"),
+    "non-integer-entry-on-explicit": (_explicit([[0, 1.5, 1.0]]), "each point id of entries: point id 1.5 is not an integer"),
     # scipy's "axis 0 index 5 exceeds matrix dimension 3" named neither the field nor the range
     "entry-past-n_points-on-explicit": (_explicit([[0, 1, 1.0], [1, 5, 1.0]]), "each point id of entries: point id 5 is not in [0, 3)"),
     # the gasket built its own truncation 2^L, spacing 1 and plane whatever the spec said

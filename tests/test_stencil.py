@@ -45,7 +45,7 @@ from jdlab import (
     weighted_line,
 )
 from jdlab.capacity import _form, _potential
-from jdlab.forms import _FreeOperator, form_matrix, local_chain
+from jdlab.forms import BuiltInstance, _FreeOperator, form_matrix, local_chain
 from jdlab.kernels import KAPPA_GASKET, _pairwise_kernel
 
 REL = 1e-12
@@ -157,11 +157,11 @@ def _scan_both(name):
     """The stencil kernel's capacity scan, its CSR twin, and the twin's potentials from one assembled G."""
     space, stencil, inner, radii, center = _case(name)
     with no_gather():  # the stencil path never gathers the CSR
-        got = capacity_scan(stencil, None, inner, radii, center=center)
+        got = capacity_scan(BuiltInstance(stencil), inner, radii, center=center)
     csr = stencil.csr()
-    form = _form(csr, None)
+    form = _form(BuiltInstance(csr))
     dist = space.distances_from(center)
-    want = [_potential(csr, None, form, inner, dist < r, radius=r) for r in radii]
+    want = [_potential(BuiltInstance(csr), form, inner, dist < r, radius=r) for r in radii]
     return space, stencil, csr, got, want
 
 
@@ -176,7 +176,7 @@ def test_stencil_capacities_match_the_csr_path(name):
     for r, cap, solve in zip(got.radii, got.capacities, want):
         assert abs(cap - solve.energy) <= energy_tol(name, space, csr, solve.u, solve.energy), r
         # one function's energy through the FFT and through the CSR
-        e_fft = energy(stencil, None, solve.u)
+        e_fft = energy(BuiltInstance(stencil), solve.u)
         assert abs(e_fft - solve.energy) <= energy_tol(name, space, csr, solve.u, solve.energy), r
     if name == "stable-1d":  # the last ball is above DIRECT_LIMIT, but the dense CSR twin is full-band
         assert got.unknowns == [18, 78, 318, 1278, 2198]
@@ -188,15 +188,15 @@ def test_stencil_capacities_match_the_csr_path(name):
 def test_row_sums_omega_and_m_j_match_the_gathered_csr(name):
     _, stencil, _, radii, center = _case(name)
     with no_gather():  # criteria read the operator, never the CSR
-        got_report = recurrence_report(stencil, None, center, radii)
-        got_mc = m_constants(stencil, None)
+        got_report = recurrence_report(BuiltInstance(stencil), center, radii)
+        got_mc = m_constants(BuiltInstance(stencil))
     csr = stencil.csr()
     assert np.array_equal(stencil.jump_support(), csr.jump_support())
     truncated = [lambda d, r=r: np.minimum(d, r) ** 2 for r in radii]
     for g in truncated + [lambda d: np.minimum(1.0, d**2)]:
         np.testing.assert_allclose(stencil.weighted_row_sums(g), csr.weighted_row_sums(g), rtol=REL, atol=0)
-    assert_reports_match(got_report, recurrence_report(csr, None, center, radii))
-    want_mc = m_constants(csr, None)
+    assert_reports_match(got_report, recurrence_report(BuiltInstance(csr), center, radii))
+    want_mc = m_constants(BuiltInstance(csr))
     assert got_mc.m_j == pytest.approx(want_mc.m_j, rel=REL, abs=0)
     # equal up to ties: case ii's rows tie at rounding level, so the stencil may pick another row attaining the maximum
     sums = csr.weighted_row_sums(lambda d: np.minimum(1.0, d**2))
@@ -213,10 +213,10 @@ def test_csr_jump_energy_is_the_per_entry_sum_to_rounding(tempering):
     mass = space.measure.astype(np.longdouble)
     dist = space.distances_from(space.origin)
     for r in (200.0, 230.0, 260.0, 290.0):
-        u = equilibrium_potential(csr, None, [space.origin], dist < r).u
+        u = equilibrium_potential(BuiltInstance(csr), [space.origin], dist < r).u
         du = u.astype(np.longdouble)[x] - u.astype(np.longdouble)[y]
         want = float(np.sum(m.data.astype(np.longdouble) * mass[x] * mass[y] * du * du))
-        assert abs(energy(csr, None, u) - want) <= 1e-14 * want, r
+        assert abs(energy(BuiltInstance(csr), u) - want) <= 1e-14 * want, r
 
 
 @pytest.mark.parametrize("name", ["dim-2-spacing-0.5", "dim-3", "spacing-0.1", "dim-2-spacing-0.1-several-K-off-centre"])
@@ -255,11 +255,11 @@ def test_circulant_cg_matches_jacobi_cg_on_the_whole_box(monkeypatch, name):
 
     def solves():
         """The capacity scan at the shipped CG_TOL; potentials at 1e-13, to compare them to 1e-12."""
-        scan = capacity_scan(stencil, None, inner, radii, center=center)
+        scan = capacity_scan(BuiltInstance(stencil), inner, radii, center=center)
         with monkeypatch.context() as tight:
             tight.setattr(jdlab.capacity, "CG_TOL", 1e-13)
-            form = _form(stencil, None)
-            potentials = [_potential(stencil, None, form, inner, dist < r).u for r in radii]
+            form = _form(BuiltInstance(stencil))
+            potentials = [_potential(BuiltInstance(stencil), form, inner, dist < r).u for r in radii]
         return scan, potentials
 
     with no_gather():
@@ -325,9 +325,9 @@ def test_circulant_eigenvalues_are_rayleigh_quotients_of_the_extended_matrix(nam
 
 def test_stable_1d_scan_takes_at_most_15_iterations_per_radius():
     _, stencil, inner, radii, _ = _case("stable-1d")
-    first = capacity_scan(stencil, None, inner, radii)
+    first = capacity_scan(BuiltInstance(stencil), inner, radii)
     assert max(first.iterations) <= 15
-    assert capacity_scan(stencil, None, inner, radii).iterations == first.iterations
+    assert capacity_scan(BuiltInstance(stencil), inner, radii).iterations == first.iterations
 
 
 def test_potentials_match_the_csr_path(monkeypatch):
@@ -338,8 +338,8 @@ def test_potentials_match_the_csr_path(monkeypatch):
     space, stencil = built.space, built.kernel
     dist = space.distances_from(space.origin)
     for r in (50.0, 250.0):
-        got = equilibrium_potential(stencil, None, [space.origin], dist < r)
-        want = equilibrium_potential(stencil.csr(), None, [space.origin], dist < r)
+        got = equilibrium_potential(BuiltInstance(stencil), [space.origin], dist < r)
+        want = equilibrium_potential(BuiltInstance(stencil.csr()), [space.origin], dist < r)
         assert got.iterations > 0 and want.iterations == 0
         np.testing.assert_allclose(got.u, want.u, rtol=0, atol=1e-12)
 
@@ -353,7 +353,7 @@ def test_derivation_residual_vanishes_on_stencil_kernels(kwargs):
         phi = rng.normal(size=built.space.n_points)
         with no_gather():
             res = derivation_residual(built.space, built.kernel, u, phi)
-            scale = abs(energy(built.kernel, None, u, u * phi)) + 1.0
+            scale = abs(energy(built, u, u * phi)) + 1.0
         assert abs(res) <= 1e-10 * scale
 
 
@@ -405,12 +405,12 @@ def test_scans_potentials_and_energies_leave_the_csr_unbuilt():
     built = stable_like(alpha=1.0, dim=1, truncation_radius=200)
     space, kernel = built.space, built.kernel
     with no_gather():
-        capacity_scan(kernel, None, [space.origin], [10.0, 150.0])
-        equilibrium_potential(kernel, None, [space.origin], space.distances_from(space.origin) < 50)
-        energy(kernel, None, theta_test_function(space, space.origin, 50.0))
-        recurrence_report(kernel, None, space.origin, [10.0, 150.0])
-        m_constants(kernel, None)
-        support_sets(kernel, None)
+        capacity_scan(BuiltInstance(kernel), [space.origin], [10.0, 150.0])
+        equilibrium_potential(BuiltInstance(kernel), [space.origin], space.distances_from(space.origin) < 50)
+        energy(BuiltInstance(kernel), theta_test_function(space, space.origin, 50.0))
+        recurrence_report(BuiltInstance(kernel), space.origin, [10.0, 150.0])
+        m_constants(BuiltInstance(kernel))
+        support_sets(BuiltInstance(kernel))
     assert kernel.csr().matrix.nnz == space.n_points * (space.n_points - 1)
 
 
@@ -421,7 +421,7 @@ def test_the_stencil_keeps_no_gathered_csr():
     gathered = kernel.csr()
     assert kernel.csr() is not gathered  # each call gathers afresh
     jump_rates(kernel)
-    form_matrix(kernel, local_chain(np.arange(space.n_points), 1.0))  # stable_like's default spacing
+    form_matrix(BuiltInstance(kernel, local_chain(space, np.arange(space.n_points), 1.0)))  # stable_like's default spacing
     held = vars(kernel)
     assert held.keys() == before.keys() and all(held[k] is before[k] for k in held)
     assert not any(sp.issparse(v) or isinstance(v, JumpKernel) for v in held.values())
@@ -434,8 +434,8 @@ def test_reports_and_rates_see_the_pairwise_csr():
     assert_bit_identical(stencil.csr().matrix, fresh.matrix)
     radii = [2.0, 10.0, 50.0, 100.0]
     assert_reports_match(
-        recurrence_report(stencil, None, space.origin, radii),
-        recurrence_report(fresh, None, space.origin, radii),
+        recurrence_report(BuiltInstance(stencil), space.origin, radii),
+        recurrence_report(BuiltInstance(fresh), space.origin, radii),
     )
     got_q, want_q = jump_rates(stencil).q, jump_rates(fresh).q
     assert got_q.data.tobytes() == want_q.data.tobytes() and got_q.indices.tobytes() == want_q.indices.tobytes()
@@ -635,12 +635,12 @@ def test_gasket_stencil_matches_the_pairwise_csr(case, level):
     for g in [lambda d, r=r: np.minimum(d, r) ** 2 for r in radii] + [lambda d: np.minimum(1.0, d**2)]:
         np.testing.assert_allclose(stencil.weighted_row_sums(g), csr.weighted_row_sums(g), rtol=REL, atol=0)
     with no_gather():
-        got_report = recurrence_report(stencil, None, space.origin, radii)
-        got_mc = m_constants(stencil, None)
-        got = capacity_scan(stencil, None, [space.origin], radii)
-    assert_reports_match(got_report, recurrence_report(csr, None, space.origin, radii))
-    assert got_mc.m_j == pytest.approx(m_constants(csr, None).m_j, rel=REL, abs=0)
-    want = capacity_scan(csr, None, [space.origin], radii)
+        got_report = recurrence_report(BuiltInstance(stencil), space.origin, radii)
+        got_mc = m_constants(BuiltInstance(stencil))
+        got = capacity_scan(BuiltInstance(stencil), [space.origin], radii)
+    assert_reports_match(got_report, recurrence_report(BuiltInstance(csr), space.origin, radii))
+    assert got_mc.m_j == pytest.approx(m_constants(BuiltInstance(csr)).m_j, rel=REL, abs=0)
+    want = capacity_scan(BuiltInstance(csr), [space.origin], radii)
     assert got.unknowns == want.unknowns and got.warnings == want.warnings
     assert all(it > 0 for it in got.iterations) and max(got.residuals) <= 1e-8
     np.testing.assert_allclose(got.capacities, want.capacities, rtol=REL, atol=0)

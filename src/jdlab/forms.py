@@ -431,6 +431,8 @@ class LocalPart:
         self.edges = self.space.point_ids("each point id of the local edges", self.edges).reshape(-1, 2)
         self.conductance = np.asarray(self.conductance, dtype=float).reshape(-1)
         self.support = self.space.point_ids("each point id of the local support", self.support)
+        if len(self.conductance) != len(self.edges):
+            raise ValueError(f"conductance gives {len(self.conductance)} values for {len(self.edges)} local edges: one per edge")
         if np.any(self.conductance < 0):
             raise ValueError("conductances must be nonnegative")
 

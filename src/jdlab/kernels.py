@@ -135,13 +135,17 @@ def _lattice_space(dim, truncation_radius, spacing, measure) -> DiscreteMMSpace:
         raise ValueError(f"lattice spacing h = {spacing:g}: {err}") from None
 
 
-def _neighbor_entries(dim: int, side: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (i, j), i<j, one step apart in the row-major box of side^dim points; by i, then axis."""
-    k = np.arange(side**dim, dtype=np.int64)
-    strides = side ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-    has_next = (k[:, None] // strides) % side < side - 1
-    rows = np.broadcast_to(k[:, None], has_next.shape)[has_next]
-    return rows, (k[:, None] + strides)[has_next]
+def _neighbors(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbour ids of each point of the row-major box of lattice `steps`, and which of them lie inside it.
+
+    Row x holds x + o for the 2 dim offsets o = -s_0 < ... < -s_{dim-1} < s_{dim-1} < ... < s_0, where s_a is the
+    stride of axis a, so the ids inside the box are a CSR row's sorted column indices.
+    """
+    n, dim = steps.shape
+    extent = int(steps.max())
+    strides = (2 * extent + 1) ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    ids = np.arange(n, dtype=np.int64)[:, None] + np.concatenate([-strides, strides[::-1]])
+    return ids, np.concatenate([steps > -extent, steps[:, ::-1] < extent], axis=1)
 
 
 def _band_entries(n: int, band: int) -> tuple[np.ndarray, np.ndarray]:
@@ -167,9 +171,9 @@ def lattice_nn(
     _check_size(f"{grid}, and {2 * dim * n:.3g} kernel entries", n * (1 + 2 * dim))
     per_point = 1.0 if measure == "counting" else _power(spacing, dim)
     space = _lattice_space(dim, truncation_radius, spacing, per_point)
-    rows, cols = _neighbor_entries(dim, 2 * int(space.steps.max()) + 1)
-    kernel = JumpKernel.from_entries(space, rows, cols, np.full(len(rows), float(density)))
-    return BuiltInstance(kernel)
+    ids, inside = _neighbors(space.steps)
+    indptr, indices = np.concatenate([[0], np.cumsum(np.count_nonzero(inside, axis=1))]), ids[inside]
+    return BuiltInstance(JumpKernel(space, sp.csr_matrix((np.full(len(indices), float(density)), indices, indptr))))
 
 
 # -- Example family: stable-like kernels on kappa-sets ----------------------
@@ -497,7 +501,9 @@ def lattice2d_graph(extent: int) -> GraphData:
     side = 2 * extent + 1
     n_edges = 2 * side * (side - 1)
     _check_size(f"extent {extent} gives {side**2:.3g} vertices and {n_edges:.3g} edges", side**2 + n_edges)
-    edges = np.column_stack(_neighbor_entries(2, side))
+    ids, inside = _neighbors(_lattice_points(2, extent, 1.0))
+    points, axes = np.nonzero(inside[:, :1:-1])  # the +s_0 and +s_1 neighbours inside the box, by point, then axis
+    edges = np.column_stack([points, ids[:, :1:-1][points, axes]])
     return GraphData(side**2, edges, np.ones(len(edges)), np.ones(side**2))
 
 

@@ -267,6 +267,20 @@ def test_non_finite_kernel_entries_exit_2_naming_them(tmp_path, capsys, kind, pa
 
 
 @pytest.mark.parametrize(
+    "density, message",
+    [(float("nan"), "jump density must be finite: j(0, 1) = nan"), (float("inf"), "jump density must be finite: j(0, 1) = inf"),
+     (-1.0, "jump density must be nonnegative")],
+    ids=["nan", "infinity", "negative"],
+)
+def test_nn_density_outside_the_kernel_range_exits_2_naming_it(tmp_path, capsys, density, message):
+    params = {"dim": 2, "kernel": {"family": "nn", "density": density}}
+    bad = write_spec(tmp_path / "bad.json", {"type": "lattice", "truncation_radius": 3, "params": params})
+    assert cli.main(["criteria", "--spec", bad, "--radii", "2", "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: kernel family 'nn': {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "kind, params, message",
     [
         ("lattice", {"dim": 1, "kernel": {"family": "stable_i", "beta": float("nan")}},

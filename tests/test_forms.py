@@ -131,6 +131,15 @@ def test_a_local_part_checks_its_ids_against_its_space(edges, support, message):
         LocalPart(space, edges, [1.0, 1.0], support)
 
 
+@pytest.mark.parametrize("conductance", [[2.0], [1.0, 1.0, 1.0]], ids=["one", "three"])
+def test_a_local_part_takes_one_conductance_per_edge(conductance):
+    # one value was broadcast to both edges, and three died in numpy's bare "operands could not be broadcast together"
+    space = model_manifold(dim=1, spacing=0.5, truncation_radius=1.5).space  # the radii 0.5, 1 and 1.5
+    message = f"conductance gives {len(conductance)} values for 2 local edges: one per edge"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LocalPart(space, [[0, 1], [1, 2]], conductance, [0, 1, 2])
+
+
 def test_derivation_residual_phi_one(z_line):
     rng = np.random.default_rng(3)
     u = rng.normal(size=z_line.space.n_points)

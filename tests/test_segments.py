@@ -49,7 +49,7 @@ from jdlab.forms import energy as form_energy
 from jdlab.kernels import (
     _band_entries,
     _lattice_points,
-    _neighbor_entries,
+    _neighbors,
     explicit_kernel,
     lattice2d_graph,
     mixed_graph,
@@ -886,9 +886,16 @@ def test_capacity_scan_matches_per_radius_potentials(seed):
 def test_neighbor_entries_match_tuple_dict(dim, radius):
     steps = _lattice_points(dim, radius, 1.0)
     want_rows, want_cols = oracle_neighbor_entries(steps)
-    rows, cols = _neighbor_entries(dim, 2 * radius + 1)
-    assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
-    assert rows.dtype == cols.dtype == np.int64
+    ids, inside = _neighbors(steps)
+    assert ids.dtype == np.int64 and ids.shape == inside.shape == (len(steps), 2 * dim)
+    assert (np.diff(ids, axis=1) > 0).all()  # each row's offsets in increasing order
+    points = np.broadcast_to(np.arange(len(steps))[:, None], ids.shape)
+    up, down = slice(None, dim - 1, -1), slice(None, dim)  # +s_0 ... +s_{dim-1}, and the -s half
+    assert np.array_equal(points[:, up][inside[:, up]], want_rows)
+    assert np.array_equal(ids[:, up][inside[:, up]], want_cols)
+    # the -s half holds the same pairs, seen from their larger end
+    below = sorted(zip(ids[:, down][inside[:, down]].tolist(), points[:, down][inside[:, down]].tolist()))
+    assert below == sorted(zip(want_rows.tolist(), want_cols.tolist()))
 
 
 @pytest.mark.parametrize("extent", [0, 1, 2, 7, 25])
@@ -912,6 +919,20 @@ def _both_builds(monkeypatch, build):
     new = build()
     monkeypatch.setattr(jdlab.kernels, "_pairwise_kernel", oracle_dense_kernel)
     return new, build()
+
+
+@pytest.mark.parametrize("measure", ["counting", "cell"])
+@pytest.mark.parametrize("density", [0.0, 1.0, 2.5])
+@pytest.mark.parametrize("spacing", [1.0, 0.5])
+@pytest.mark.parametrize("dim,radius", [(1, 1), (1, 5), (2, 1), (2, 4), (3, 1), (3, 3), (4, 1), (4, 2)])
+def test_lattice_nn_matches_from_entries_over_tuple_dict(dim, radius, spacing, density, measure):
+    # lattice_nn writes its CSR from the box's sorted offsets; the oracle pairs neighbours by a tuple dict and
+    # symmetrizes them through max(m, m.T)
+    built = lattice_nn(dim=dim, spacing=spacing, density=density, measure=measure, truncation_radius=radius)
+    rows, cols = oracle_neighbor_entries(built.space.steps)
+    want = oracle_from_entries(JumpKernel, built.space, rows, cols, np.full(len(rows), density))
+    assert_bit_identical(built.kernel.matrix, want.matrix)
+    assert built.kernel.matrix.nnz == (0 if density == 0 else 2 * len(rows))
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 from .space import (
     DiscreteMMSpace,
     GraphData,
+    ball_volumes,
     metric_ball,
 )
 from .forms import (

@@ -28,7 +28,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .forms import BuiltInstance, StencilKernel, energy as form_energy, form_matrix
-from .space import boundary_notes, open_ball_mask
+from .space import boundary_notes, check_distinct_radii, open_ball_mask
 
 DIRECT_LIMIT = 2000
 CG_TOL = 1e-10
@@ -285,6 +285,7 @@ def capacity_scan(
         raise ValueError("radius nan is not a number")
     if not radii:  # an empty scan would read as a certificate that failed
         raise ValueError("a capacity scan needs at least one radius")
+    check_distinct_radii(np.array(radii))  # a repeated last ball would fail the still-decreasing test
     if inner.size == 0:
         raise ValueError("inner set K must be nonempty")
     center = int(inner[0]) if center is None else int(space.point_ids("center", [center])[0])

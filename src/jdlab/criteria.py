@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .forms import BuiltInstance, KernelOperator, support_sets
-from .space import DiscreteMMSpace, boundary_notes, metric_ball
+from .space import DiscreteMMSpace, ball_volumes, boundary_notes, check_distinct_radii
 
 DEFAULT_THRESHOLD = 10.0
 TOP_WINDOW_FRACTION = 0.5
@@ -41,35 +41,45 @@ class CriterionReport:
         return asdict(self)
 
 
-def _top_window_min(values: np.ndarray) -> float:
-    start = int(math.floor(len(values) * (1.0 - TOP_WINDOW_FRACTION)))
-    start = min(start, len(values) - 1)
-    return float(np.min(values[start:]))
+def _grid(space: DiscreteMMSpace, x0: int, radii, threshold: float, low: float, rule: str) -> tuple[np.ndarray, list[str]]:
+    """The radii, sorted, and their boundary notes about x0.
 
-
-def _radius_grid(radii: Sequence[float]) -> np.ndarray:
-    """The radii, sorted; a ValueError names the first that is not a finite number."""
+    A ValueError names the first radius that is not a finite number, or the
+    first repeated; a grid that is empty or not above low (by rule); a
+    threshold outside (0, inf); an x0 that is not a point id; or the reach.
+    """
     radii = np.asarray(radii, dtype=float)
     bad = radii[~np.isfinite(radii)]
     if len(bad):
         raise ValueError(f"radius {bad[0]} is not a finite number")
-    return np.sort(radii)
-
-
-def _check_threshold(threshold: float) -> None:
+    radii = np.sort(radii)
+    check_distinct_radii(radii)
+    if radii.size == 0 or radii[0] <= low:
+        raise ValueError(rule)
     if not 0 < threshold < math.inf:  # an infinite threshold satisfies every criterion; nan fails here
         raise ValueError(f"threshold must be positive and finite, got {threshold}")
-
-
-def _check_radii(space: DiscreteMMSpace, x0: int, radii: np.ndarray) -> list[str]:
-    """The boundary notes of the radius grid about x0; a ValueError names an x0 that is not a point id, or the reach."""
     space.point_ids("x0", [x0])
     reach = space.max_distance_from(x0)
     if np.any(radii > reach):
-        raise ValueError(
-            f"radius grid exceeds the truncation: max usable radius from point {x0} is {reach:.6g}"
-        )
-    return boundary_notes(reach, radii.max())
+        raise ValueError(f"radius grid exceeds the truncation: max usable radius from point {x0} is {reach:.6g}")
+    return radii, boundary_notes(reach, radii.max())
+
+
+def _report(name: str, space: DiscreteMMSpace, radii: np.ndarray, values: list, threshold: float, notes, **extras):
+    """The statistic's report; its liminf is estimated by the minimum over the top window of the grid."""
+    start = min(int(math.floor(len(values) * (1.0 - TOP_WINDOW_FRACTION))), len(values) - 1)
+    liminf = float(np.min(values[start:]))
+    return CriterionReport(
+        statistic_name=name,
+        radii=radii.tolist(),
+        values=np.asarray(values).tolist(),
+        liminf_estimate=liminf,
+        verdict="satisfied" if liminf <= threshold else "inconclusive",
+        threshold=threshold,
+        truncation_radius=space.truncation_radius,
+        notes=notes,
+        extras=extras,
+    )
 
 
 def volume_growth_report(
@@ -83,23 +93,9 @@ def volume_growth_report(
     A finite liminf is sufficient for conservativeness; the verdict is
     "satisfied" when the top-window minimum stays below the threshold.
     """
-    radii = _radius_grid(radii)
-    if radii.size == 0 or radii[0] <= 1.0:
-        raise ValueError("radii must be an increasing grid inside (1, truncation]")
-    _check_threshold(threshold)
-    notes = _check_radii(space, x0, radii)
-    values = np.asarray([math.log(metric_ball(space, x0, r)[1]) / (r * math.log(r)) for r in radii])
-    liminf = _top_window_min(values)
-    return CriterionReport(
-        statistic_name="log-volume over r log r",
-        radii=radii.tolist(),
-        values=values.tolist(),
-        liminf_estimate=liminf,
-        verdict="satisfied" if liminf <= threshold else "inconclusive",
-        threshold=threshold,
-        truncation_radius=space.truncation_radius,
-        notes=notes,
-    )
+    radii, notes = _grid(space, x0, radii, threshold, 1.0, "radii must be an increasing grid inside (1, truncation]")
+    values = [math.log(v) / (r * math.log(r)) for r, v in zip(radii, ball_volumes(space, x0, radii).tolist())]
+    return _report("log-volume over r log r", space, radii, values, threshold, notes)
 
 
 def davies_constant(liminf_estimate: float) -> float:
@@ -132,36 +128,13 @@ def recurrence_report(
 ) -> CriterionReport:
     """Recurrence test statistic t(r) = [V_c(x0,r) + V_j(x0,r) omega(r)] / r^2 on the instance's space."""
     space = built.space
-    radii = _radius_grid(radii)
-    if radii.size == 0 or radii[0] <= 0:
-        raise ValueError("radii must be positive and increasing")
-    _check_threshold(threshold)
-    notes = _check_radii(space, x0, radii)
+    radii, notes = _grid(space, x0, radii, threshold, 0.0, "radii must be positive and increasing")
     x_c, x_j = support_sets(built)
     if len(x_j) == 0:
         notes.append("jump support is empty: omega is identically 0")
-    dist = space.distances_from(x0)
     om = _omega_values(built.kernel, radii)
-    c_mask = np.zeros(space.n_points, dtype=bool)
-    c_mask[x_c] = True
-    j_mask = np.zeros(space.n_points, dtype=bool)
-    j_mask[x_j] = True
-    values = []
-    for k, r in enumerate(radii):
-        ball = dist <= r
-        v_c = float(space.measure[ball & c_mask].sum())
-        v_j = float(space.measure[ball & j_mask].sum())
-        values.append((v_c + v_j * om[k]) / r**2)
-    values = np.asarray(values)
-    liminf = _top_window_min(values)
-    return CriterionReport(
-        statistic_name="(V_c + V_j omega) over r^2",
-        radii=radii.tolist(),
-        values=values.tolist(),
-        liminf_estimate=liminf,
-        verdict="satisfied" if liminf <= threshold else "inconclusive",
-        threshold=threshold,
-        truncation_radius=space.truncation_radius,
-        notes=notes,
-        extras={"omega": om.tolist()},
-    )
+    # V_c and V_j weigh the ball by m 1_S on S = X^(c) and X^(j); a point that S repeats counts once
+    on = [space.measure * (np.bincount(s, minlength=space.n_points) > 0) for s in (x_c, x_j)]
+    v_c, v_j = (ball_volumes(space, x0, radii, weights).tolist() for weights in on)
+    values = [(c + j * omega) / r**2 for r, c, j, omega in zip(radii, v_c, v_j, om)]
+    return _report("(V_c + V_j omega) over r^2", space, radii, values, threshold, notes, omega=om.tolist())

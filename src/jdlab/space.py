@@ -367,13 +367,34 @@ def boundary_notes(reach: float, r_max: float) -> list[str]:
     ]
 
 
+def ball_volumes(space: DiscreteMMSpace, x0: int, radii, weights=None) -> np.ndarray:
+    """V(x0, r) = sum of weights (default: the measure) over the closed ball {y : d(x0,y) <= r}, per r of the sorted radii.
+
+    One pass over the row: each point is binned at the first radius at or
+    above its distance, and the bins are summed up the grid. A point at
+    infinite distance counts only in a ball of infinite radius; a nan
+    radius, which sorts last, holds no point.
+    """
+    radii = np.asarray(radii, dtype=float)
+    slot = np.searchsorted(radii, space.distances_from(x0), "left")
+    volumes = np.cumsum(np.bincount(slot, space.measure if weights is None else weights, len(radii) + 1))[:-1]
+    volumes[np.isnan(radii)] = 0.0
+    return volumes
+
+
+def check_distinct_radii(radii: np.ndarray) -> None:
+    """A ValueError names the first radius that the sorted grid radii repeats."""
+    repeated = radii[1:][radii[1:] == radii[:-1]]
+    if len(repeated):
+        raise ValueError(f"radius {repeated[0]} is repeated: a radius grid lists each radius once")
+
+
 def metric_ball(space: DiscreteMMSpace, x0: int, r: float) -> tuple[np.ndarray, float]:
-    """Closed metric ball {y : d(x0,y) <= r} and its volume V(x0, r)."""
+    """Closed metric ball {y : d(x0,y) <= r}, its members in id order, and its volume V(x0, r)."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    row = space.distances_from(x0)
-    members = np.flatnonzero(row <= r)
-    return members, float(space.measure[members].sum())
+    members = np.flatnonzero(space.distances_from(x0) <= r)
+    return members, float(ball_volumes(space, x0, [r])[0])
 
 
 def open_ball_mask(space: DiscreteMMSpace, x0: int, r: float) -> np.ndarray:

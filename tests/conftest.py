@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from jdlab import BuiltInstance, GraphData, energy, gamma_jump, lattice_nn, mixed_graph
+from jdlab import BuiltInstance, GraphData, energy, gamma_jump, lattice_nn, mixed_graph, support_sets
+from jdlab.criteria import _omega_values
 
 
 @pytest.fixture(scope="session")
@@ -78,3 +81,25 @@ def theta_test_function(space, x0, big_r):
         raise ValueError("R must exceed 2")
     d = space.distances_from(x0)
     return np.clip((big_r - d) / (big_r - 1.0), 0.0, 1.0)
+
+
+def oracle_ball_volume(space, x0, r, support=None):
+    """V(x0, r), or its part on the points of support, as one masked sum over the row: a rescan per radius."""
+    ball = space.distances_from(x0) <= r
+    if support is not None:
+        ball &= np.isin(np.arange(space.n_points), support)
+    return float(space.measure[ball].sum())
+
+
+def oracle_volume_growth_values(space, x0, radii):
+    """ln V(x0, r) / (r ln r) per radius of the sorted grid, each V by `oracle_ball_volume`."""
+    return [math.log(oracle_ball_volume(space, x0, r)) / (r * math.log(r)) for r in np.sort(np.asarray(radii, dtype=float))]
+
+
+def oracle_recurrence_values(built, x0, radii):
+    """[V_c + V_j omega] / r^2 per radius of the sorted grid, V_c and V_j by `oracle_ball_volume` on X^(c) and X^(j)."""
+    radii = np.sort(np.asarray(radii, dtype=float))
+    x_c, x_j = support_sets(built)
+    om = _omega_values(built.kernel, radii)
+    volumes = [(oracle_ball_volume(built.space, x0, r, x_c), oracle_ball_volume(built.space, x0, r, x_j)) for r in radii]
+    return [(v_c + v_j * om[k]) / r**2 for k, (r, (v_c, v_j)) in enumerate(zip(radii, volumes))]

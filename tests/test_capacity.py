@@ -221,6 +221,16 @@ def test_an_empty_radius_list_raises(z_line):
         capacity_scan(z_line, [sp.origin], [])
 
 
+@pytest.mark.parametrize("radii, repeated", [([2.0, 4.0, 8.0, 8.0], 8.0), ([4.0, 2.0, 4.0], 4.0), ([np.inf, 2.0, np.inf], np.inf)])
+def test_a_repeated_radius_is_named(radii, repeated):
+    # on Z at T = 10 a repeated last radius solved its ball twice, and equal capacities fail the
+    # still-decreasing test: --radii 2,4,8 certified at --decay-ratio 0.6, 2,4,8,8 did not
+    built = lattice_nn(dim=1, truncation_radius=10)
+    with pytest.raises(ValueError, match=f"radius {repeated} is repeated"):
+        capacity_scan(built, [10], radii, decay_ratio=0.6)
+    assert capacity_scan(built, [10], sorted(set(radii)), decay_ratio=0.6).radii == sorted(set(radii))
+
+
 def test_k_checked_once_against_the_smallest_radius(z_line, monkeypatch):
     import jdlab.capacity
 

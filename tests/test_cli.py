@@ -553,6 +553,26 @@ def test_thresholds_and_radii_that_answer_wrongly_exit_2(tmp_path, capsys, argv,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "dim, argv, repeated, verdict",
+    [
+        (3, ["criteria", "--radii", "2,2,2,8", "--tau", "100"], "2.0", "recurrence: criterion inconclusive"),
+        (1, ["capacity", "--K", "ids:10", "--radii", "2,4,8,8", "--decay-ratio", "0.6"], "8.0", "certificate=True"),
+    ],
+)
+def test_a_repeated_radius_exits_2_naming_it(tmp_path, capsys, dim, argv, repeated, verdict):
+    # repeats changed verdicts: on Z^3 2,2,2,8 read "recurrence: criterion satisfied" where 2,8 is inconclusive,
+    # and on Z 2,4,8,8 gave no certificate where 2,4,8 gives one
+    spec = write_spec(tmp_path / "z.json", {"type": "lattice", "truncation_radius": 10, "params": {"dim": dim}})
+    assert cli.main(argv + ["--spec", spec, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: radius {repeated} is repeated: a radius grid lists each radius once\n"
+    assert not (tmp_path / "out").exists()
+    at = argv.index("--radii") + 1
+    distinct = [*argv[:at], ",".join(dict.fromkeys(argv[at].split(","))), *argv[at + 1 :]]
+    assert cli.main(distinct + ["--spec", spec, "--out-dir", str(tmp_path / "out")]) == 0
+    assert verdict in capsys.readouterr().out
+
+
 def test_a_csv_report_into_a_directory_exits_2(tmp_path, z_spec, capsys):
     # write_csv on the directory ended in an IsADirectoryError traceback, exit 1
     assert cli.main(["criteria", "--spec", z_spec, "--radii", "5,10,20", "--out-dir", str(tmp_path), "--prefix", "r"]) == 0

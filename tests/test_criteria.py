@@ -18,11 +18,12 @@ from jdlab import (
     weighted_line,
 )
 from jdlab.criteria import _omega_values
-from jdlab.forms import JumpKernel, StencilKernel
+from jdlab.forms import JumpKernel, LocalPart, StencilKernel
 from jdlab.kernels import explicit_kernel, stable_like
 from jdlab.specio import build_from_spec
-from conftest import random_symmetric_kernel, theta_test_function
+from conftest import oracle_recurrence_values, oracle_volume_growth_values, random_symmetric_kernel, theta_test_function
 from test_segments import _SPECS, _spec
+from test_space import _VOLUME_CASES
 
 
 # -- volume growth -----------------------------------------------------------
@@ -282,6 +283,43 @@ def test_a_radius_that_is_not_finite_is_named(z3_cube, radii):
         volume_growth_report(sp, sp.origin, radii)
     with pytest.raises(ValueError, match=f"radius {bad} is not a finite number"):
         recurrence_report(z3_cube, sp.origin, radii)
+
+
+@pytest.mark.parametrize("name", sorted(_VOLUME_CASES))
+def test_both_statistics_equal_the_per_radius_rescan_over_every_shell(name):
+    mode, build = _VOLUME_CASES[name]
+    built = build()
+    space, x0 = built.space, built.space.origin
+    shells = np.unique(space.distances_from(x0))
+    cases = (
+        (volume_growth_report(space, x0, shells[shells > 1]).values, oracle_volume_growth_values(space, x0, shells[shells > 1])),
+        (recurrence_report(built, x0, shells[shells > 0]).values, oracle_recurrence_values(built, x0, shells[shells > 0])),
+    )
+    for got, want in cases:
+        if mode == "exact":
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_a_point_that_the_local_support_repeats_counts_once_in_v_c():
+    built = model_manifold(dim=1, truncation_radius=4)
+    local, origin = built.local, built.space.origin
+    twice = LocalPart(local.space, local.edges, local.conductance, np.concatenate([local.support, local.support[:5]]))
+    radii = [0.5, 1.5, 3.0]
+    assert recurrence_report(BuiltInstance(built.kernel, twice), origin, radii).values == recurrence_report(built, origin, radii).values
+
+
+@pytest.mark.parametrize("radii", [[2.0, 2.0, 2.0, 8.0], [8.0, 2.0, 4.0, 2.0], [2.0, 8.0, 8.0]])
+def test_a_repeated_radius_is_named(z3_cube, radii):
+    # repeats filled the top window: on Z^3 --radii 2,2,2,8 --tau 100 read "recurrence: criterion satisfied"
+    # by r = 2's value 49.5, where 2,8 reads "inconclusive" by 197.7
+    sp = z3_cube.space
+    repeated = min(r for r in radii if radii.count(r) > 1)
+    with pytest.raises(ValueError, match=f"radius {repeated} is repeated"):
+        volume_growth_report(sp, sp.origin, radii, threshold=100.0)
+    with pytest.raises(ValueError, match=f"radius {repeated} is repeated"):
+        recurrence_report(z3_cube, sp.origin, radii, threshold=100.0)
 
 
 def test_statistic_times_r2_nondecreasing(z_line):

@@ -55,7 +55,7 @@ from jdlab.kernels import (
     mixed_graph,
     sandwich_profile,
 )
-from jdlab.space import boundary_notes
+from jdlab.space import ball_volumes, boundary_notes
 from jdlab.specio import SpecError, build_from_spec
 from conftest import random_symmetric_kernel, stable_like_density
 
@@ -1162,9 +1162,8 @@ def test_an_empty_kernel_gives_what_no_kernel_gave(build):
     assert np.array_equal(x_c, local.support) and x_j.size == 0
     radii = [space.max_distance_from(origin) * f for f in (0.2, 0.4, 0.7, 0.95)]
     rep = recurrence_report(BuiltInstance(empty, local), origin, radii)
-    in_c = np.isin(np.arange(space.n_points), local.support)
-    dist = space.distances_from(origin)
-    assert rep.values == [float(space.measure[(dist <= r) & in_c].sum()) / r**2 for r in radii]
+    on_c = space.measure * np.isin(np.arange(space.n_points), local.support)  # m on X^(c)
+    assert rep.values == [v_c / r**2 for r, v_c in zip(radii, ball_volumes(space, origin, radii, on_c).tolist())]
     assert rep.extras["omega"] == [0.0] * len(radii)
     assert "jump support is empty: omega is identically 0" in rep.notes
     scan = capacity_scan(BuiltInstance(empty, local), [origin], radii)

@@ -3,17 +3,23 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp_
 
 from jdlab import (
     BuiltInstance,
     DiscreteMMSpace,
     GraphData,
     JumpKernel,
+    ball_volumes,
     lattice_nn,
     metric_ball,
+    model_manifold,
+    stack_space,
     support_sets,
+    weighted_line,
 )
-from jdlab.kernels import mixed_graph, lattice2d_graph
+from jdlab.kernels import mixed_graph, mixed_graph_from_params, lattice2d_graph
+from conftest import oracle_ball_volume
 
 
 def test_the_measure_is_read_only_and_a_private_copy():
@@ -190,6 +196,72 @@ def test_metric_ball_on_path_graph(path_graph_space):
     members, vol = metric_ball(path_graph_space, 0, 1 / math.sqrt(2))
     assert set(members) == {0, 1}
     assert vol == 2.0
+
+
+# -- ball volumes: one binned pass against the per-radius rescan --------------------------
+
+# exact: every partial sum of counting or dyadic cell measure is a float; rel: any other measure
+_VOLUME_CASES = {
+    "Z": ("exact", lambda: lattice_nn(dim=1, truncation_radius=30)),
+    "Z3": ("exact", lambda: lattice_nn(dim=3, truncation_radius=5)),
+    "Z2-half-cell": ("exact", lambda: lattice_nn(dim=2, spacing=0.5, measure="cell", truncation_radius=4)),
+    "mixed-graph": ("rel", lambda: mixed_graph_from_params(extent=4, subdivisions=2, phi_kind="shell_power")),
+    "model-manifold": ("rel", lambda: model_manifold(dim=1, truncation_radius=6)),
+    "weighted-line": ("rel", lambda: weighted_line(lam=1.0, truncation_radius=5)),
+    "stack-2d": ("rel", lambda: stack_space(dim=2, layers=3, truncation_radius=3)),
+}
+
+
+def _assert_volumes(got, want, mode):
+    assert len(got) == len(want)
+    if mode == "exact":
+        assert got.tolist() == want
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(_VOLUME_CASES))
+def test_ball_volumes_equal_the_per_radius_rescan(name):
+    mode, build = _VOLUME_CASES[name]
+    built = build()
+    space = built.space
+    x_c, x_j = support_sets(built)
+    for x0 in (space.origin, space.n_points // 3):
+        row = space.distances_from(x0)
+        shells = np.unique(row)  # every radius at a shell distance: the closed ball holds d = r
+        between = (shells[1:] + shells[:-1]) / 2
+        radii = np.sort(np.concatenate([shells, between, [shells[-1] * 1.5, np.inf]]))  # and past the reach
+        _assert_volumes(ball_volumes(space, x0, radii), [oracle_ball_volume(space, x0, r) for r in radii], mode)
+        for support in (x_c, x_j):
+            on = space.measure * np.isin(np.arange(space.n_points), support)
+            want = [oracle_ball_volume(space, x0, r, support) for r in radii]
+            _assert_volumes(ball_volumes(space, x0, radii, on), want, mode)
+        for r in (shells[len(shells) // 2], between[0], shells[-1] + 1.0):  # one-radius grids
+            _assert_volumes(ball_volumes(space, x0, [r]), [oracle_ball_volume(space, x0, r)], mode)
+            members, volume = metric_ball(space, x0, r)
+            assert members.tolist() == np.flatnonzero(row <= r).tolist()  # id order
+            assert volume == ball_volumes(space, x0, [r])[0]
+
+
+def test_points_at_infinite_distance_count_only_in_a_ball_of_infinite_radius():
+    # two components, {0, 1} and {2, 3}: from 0, points 2 and 3 lie at distance inf
+    edges = sp_.csr_matrix(([1.0, 1.0], ([0, 2], [1, 3])), shape=(4, 4))
+    space = DiscreteMMSpace([1.0, 2.0, 3.0, 4.0], metric_kind="graph", metric_graph=edges + edges.T)
+    radii = [0.0, 1.0, 1e300, np.inf]
+    assert ball_volumes(space, 0, radii).tolist() == [1.0, 3.0, 3.0, 10.0]
+    assert ball_volumes(space, 0, radii).tolist() == [oracle_ball_volume(space, 0, r) for r in radii]
+    members, volume = metric_ball(space, 0, np.inf)
+    assert members.tolist() == [0, 1, 2, 3] and volume == 10.0
+    members, volume = metric_ball(space, 0, 1e300)
+    assert members.tolist() == [0, 1] and volume == 3.0
+
+
+def test_a_nan_radius_holds_no_point(z_line):
+    # searchsorted orders nan last, so a bare binning would put every point in a ball of radius nan
+    space = z_line.space
+    members, volume = metric_ball(space, space.origin, float("nan"))
+    assert members.size == 0 and volume == 0.0
+    assert ball_volumes(space, space.origin, [2.0, float("nan")]).tolist() == [5.0, 0.0]
 
 
 def test_ball_monotone_and_additive(z_line):

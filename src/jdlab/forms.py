@@ -14,6 +14,7 @@ q(x, y) = 2 j(x,y) m(y); only the rate table applies the factor 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, Optional
@@ -223,6 +224,35 @@ class JumpKernel(KernelOperator):
         return self
 
 
+def _fast_len(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n, scipy.fft.next_fast_len(n, real=True)."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # times the least power of two that reaches n
+            best, p35 = min(best, p35 << (-(-n // p35) - 1).bit_length()), p35 * 3
+        p5 *= 5
+    return best
+
+
+def _rfftn(x: np.ndarray, shape: Optional[tuple] = None) -> np.ndarray:
+    """scipy.fft.rfftn(x, s=shape) bit for bit: the last axis, then the others in increasing order (np.fft.rfftn reverses them)."""
+    shape = shape or x.shape
+    y = np.fft.rfft(x, n=shape[-1], axis=-1)
+    for axis in range(len(shape) - 1):
+        y = np.fft.fft(y, n=shape[axis], axis=axis)
+    return y
+
+
+def _irfftn(y: np.ndarray, shape: tuple) -> np.ndarray:
+    """scipy.fft.irfftn(y, s=shape) bit for bit: unscaled, the other axes in increasing order, then the last; then 1/N once."""
+    for axis in range(len(shape) - 1):
+        y = np.fft.ifft(y, n=shape[axis], axis=axis, norm="forward")
+    x = np.fft.irfft(y, n=shape[-1], axis=-1, norm="forward")
+    x *= float(1 / np.longdouble(math.prod(shape)))  # 1/N rounded from long double, as scipy's pocketfft takes it
+    return x
+
+
 class _Convolution:
     """x -> sum_y w(s(x) - s(y)) x(y) over points with integer steps s, for a centred stencil w (offset k at index c + k).
 
@@ -233,18 +263,16 @@ class _Convolution:
     """
 
     def __init__(self, weights: np.ndarray, steps: np.ndarray):
-        from scipy import fft as sp_fft  # here, not at module level: the import adds ~5 MB to every run
-
         corner = steps.min(axis=0)
         self.at = tuple((steps - corner).T)  # the points' places in their bounding box
         self.box = tuple(int(n) + 1 for n in steps.max(axis=0) - corner)
-        self.fft_shape = tuple(sp_fft.next_fast_len(2 * n - 1, real=True) for n in self.box)
+        self.fft_shape = tuple(_fast_len(2 * n - 1) for n in self.box)
         cut = weights[tuple(slice(c // 2 - n + 1, c // 2 + n) for c, n in zip(weights.shape, self.box))]
         padded = np.zeros(self.fft_shape)
         padded[tuple(slice(0, c) for c in cut.shape)] = cut
         # offset k sits at index k mod fft_shape, so the centre (offset 0) moves to index 0
         self.embedded = np.roll(padded, [1 - n for n in self.box], axis=tuple(range(len(self.box))))
-        self.hat = sp_fft.rfftn(self.embedded)
+        self.hat = _rfftn(self.embedded)
 
     def scatter(self, x: np.ndarray) -> np.ndarray:
         """x on the points, 0 elsewhere in the bounding box."""
@@ -253,9 +281,7 @@ class _Convolution:
         return grid
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        from scipy import fft as sp_fft
-
-        return sp_fft.irfftn(sp_fft.rfftn(self.scatter(x), s=self.fft_shape) * self.hat, s=self.fft_shape)[self.at]
+        return _irfftn(_rfftn(self.scatter(x), self.fft_shape) * self.hat, self.fft_shape)[self.at]
 
 
 class StencilKernel(KernelOperator):
@@ -348,8 +374,11 @@ class StencilKernel(KernelOperator):
         return self._row_mass
 
     def weighted_row_sums(self, g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        conv = _Convolution(self.stencil * g(self._offset_distances()) * self._mass, self.space.steps)
-        return conv(np.ones(self.space.n_points))
+        """g is evaluated only where the stencil is nonzero, the entries the CSR twin stores (so not at d = 0)."""
+        stored = self.stencil != 0
+        weights = np.zeros_like(self.stencil)
+        weights[stored] = self.stencil[stored] * g(self._offset_distances()[stored]) * self._mass
+        return _Convolution(weights, self.space.steps)(np.ones(self.space.n_points))
 
     def jump_support(self) -> np.ndarray:
         return np.arange(self.space.n_points, dtype=np.int64)
@@ -384,30 +413,26 @@ class _FreeOperator(spla.LinearOperator):
     """
 
     def __init__(self, kernel: StencilKernel, free_idx: np.ndarray):
-        from scipy import fft as sp_fft
-
         super().__init__(float, (free_idx.size, free_idx.size))
         self._scale = 2.0 * kernel._mass
         self._diag = kernel.diag()[free_idx]
         self._conv = conv = _Convolution(kernel.stencil * kernel._mass, kernel.space.steps[free_idx])
-        mask = sp_fft.rfftn(conv.scatter(np.ones(free_idx.size)), s=conv.fft_shape)
-        autocorrelation = np.rint(sp_fft.irfftn(mask * mask.conj(), s=conv.fft_shape))
+        mask = _rfftn(conv.scatter(np.ones(free_idx.size)), conv.fft_shape)
+        autocorrelation = np.rint(_irfftn(mask * mask.conj(), conv.fft_shape))
         folded = conv.embedded * autocorrelation
         for axis, n in enumerate(conv.box):  # offset k sits at index k mod fft_shape; sum it into k mod L
             folded = np.moveaxis(folded, axis, 0)
             head = folded[:n].copy()
             head[1:] += folded[folded.shape[0] - n + 1 :]
             folded = np.moveaxis(head, 0, axis)
-        self.eigenvalues = self._diag.mean() - self._scale / folded.size * sp_fft.rfftn(folded).real
+        self.eigenvalues = self._diag.mean() - self._scale / folded.size * _rfftn(folded).real
         self.precond = spla.LinearOperator(self.shape, matvec=self._precond_solve, dtype=float)
 
     def _matvec(self, x: np.ndarray) -> np.ndarray:
         return self._diag * np.reshape(x, -1) - self._scale * self._conv(x)
 
     def _precond_solve(self, r: np.ndarray) -> np.ndarray:
-        from scipy import fft as sp_fft
-
-        return sp_fft.irfftn(sp_fft.rfftn(self._conv.scatter(r)) / self.eigenvalues, s=self._conv.box)[self._conv.at]
+        return _irfftn(_rfftn(self._conv.scatter(r)) / self.eigenvalues, self._conv.box)[self._conv.at]
 
 
 @dataclass

@@ -11,7 +11,6 @@ import warnings
 from pathlib import Path
 
 import pytest
-import scipy.fft  # noqa: F401  imported here, so that no traced build pays for the import
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

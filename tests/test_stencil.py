@@ -203,6 +203,40 @@ def test_row_sums_omega_and_m_j_match_the_gathered_csr(name):
     assert got_mc.argmax_j == want_mc.argmax_j or sums[got_mc.argmax_j] == pytest.approx(want_mc.m_j, rel=REL, abs=0)
 
 
+ROW_SUM_KERNELS = pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(dim=1, truncation_radius=20),
+        dict(case="ii", tempering=0.8, dim=1, truncation_radius=20),
+        dict(dim=2, spacing=0.5, truncation_radius=4),
+        dict(dim=3, truncation_radius=3),
+        dict(support="gasket", gasket_level=4),
+    ],
+    ids=["1d", "case-ii", "2d", "3d", "gasket"],
+)
+
+
+@ROW_SUM_KERNELS
+def test_row_sums_of_a_g_infinite_at_0_match_the_gathered_csr(kwargs):
+    # g was evaluated at the unstored centre d = 0 too, and 0 * inf = nan spread to every row (41 of 41 on 1-D T = 20)
+    stencil = stable_like(alpha=1.0, **kwargs).kernel
+    g = lambda d: 1 / d
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # g never sees d = 0
+        got = stencil.weighted_row_sums(g)
+    np.testing.assert_allclose(got, stencil.csr().weighted_row_sums(g), rtol=REL, atol=0)
+
+
+@ROW_SUM_KERNELS
+def test_row_sums_of_a_finite_g_are_the_whole_stencil_convolution_bit_for_bit(kwargs):
+    # weighting only the stored offsets leaves every finite g's sums as they were when g weighted the whole stencil
+    stencil = stable_like(alpha=1.0, **kwargs).kernel
+    n = stencil.space.n_points
+    for g in (lambda d: np.minimum(d, 2.0) ** 2, lambda d: np.minimum(1.0, d**2), np.sqrt):
+        whole = jdlab.forms._Convolution(stencil.stencil * g(stencil._offset_distances()) * stencil._mass, stencil.space.steps)
+        assert stencil.weighted_row_sums(g).tobytes() == whole(np.ones(n)).tobytes()
+
+
 @pytest.mark.parametrize("tempering", [0.3, 0.8])
 def test_csr_jump_energy_is_the_per_entry_sum_to_rounding(tempering):
     # the potentials of case ii near the truncation, where the Gamma formula cancels ~1e4-fold

@@ -4,7 +4,9 @@
 Evaluates the volume (conservativeness) and omega (recurrence) sufficient
 tests for each (alpha, tail) cell, and prints one row per cell: alpha, the
 tail case and its beta, both verdicts and the recurrence test's liminf
-estimate.
+estimate. The lattice is hZ with h = SPACING: at h = 1 the short-range law
+d^-(1+alpha) is only evaluated at d = 1, where it is 1 for every alpha, so
+the rows would not depend on alpha.
 """
 
 import argparse
@@ -12,6 +14,8 @@ import argparse
 import numpy as np
 
 from jdlab import recurrence_report, stable_like, volume_growth_report
+
+SPACING = 0.25  # below 1, so that the short-range law sees distances other than 1
 
 
 def main() -> None:
@@ -27,7 +31,7 @@ def main() -> None:
         for case, beta in (("i", 0.5), ("i", 1.0), ("i", 1.5), ("i", 3.0), ("ii", None)):
             built = stable_like(
                 case=case, alpha=alpha, beta=beta if beta is not None else 1.0,
-                tempering=1.0, dim=1, truncation_radius=args.truncation,
+                tempering=1.0, dim=1, spacing=SPACING, truncation_radius=args.truncation,
             )
             vol = volume_growth_report(built.space, built.space.origin, radii, threshold=args.tau)
             rec = recurrence_report(built, built.space.origin, radii, threshold=args.tau)

@@ -55,9 +55,11 @@ def _point(x: int, built, flag: str) -> int:
     return x
 
 
-def _parse_target(text: str, built, flag: str) -> list[int]:
+def _parse_target(text: str, built, flag: str) -> tuple[list[int], int]:
+    """The points of a target set, and its centre: the ball's x0, or the first listed id."""
     if text.startswith("ids:"):
         ids = [_point(int(p), built, flag) for p in text[4:].split(",") if p]
+        x0 = ids[0] if ids else None
     elif text.startswith("ball:"):
         try:
             _, x0, r = text.split(":")
@@ -70,7 +72,7 @@ def _parse_target(text: str, built, flag: str) -> list[int]:
         raise SpecError("targets are written ball:x0:radius or ids:1,2,3")
     if not ids:  # a ball of nan radius holds no point
         raise SpecError(f"{flag}: target set K is empty")
-    return ids
+    return ids, x0
 
 
 def _default_radii(built, x0: int) -> list[float]:
@@ -149,7 +151,7 @@ def cmd_simulate(args, started: float) -> int:
     if len(built.kernel.jump_support()) == 0:
         raise SpecError("simulation needs a nonzero jump kernel")
     x0 = built.space.origin if args.x0 is None else _point(args.x0, built, "--x0")
-    targets = _parse_target(args.target, built, "--target") if args.target else None
+    targets = _parse_target(args.target, built, "--target")[0] if args.target else None
     rates = jump_rates(built.kernel)
     config = SimConfig(
         horizon=args.horizon,
@@ -197,9 +199,9 @@ def cmd_simulate(args, started: float) -> int:
 
 def cmd_capacity(args, started: float) -> int:
     built = load_spec_or_built(args.spec)
-    inner = _parse_target(args.K, built, "--K")
+    inner, center = _parse_target(args.K, built, "--K")
     radii = _parse_radii(args.radii)
-    center = None if args.center is None else _point(args.center, built, "--center")
+    center = center if args.center is None else _point(args.center, built, "--center")
     report = capacity_scan(built, inner, radii, center=center, decay_ratio=args.decay_ratio)
     stem = _stem(args)
     _write_run(args, started, stem, [(f"{stem}.json", report.to_dict())])
@@ -280,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--K", required=True, help="inner set: ball:x0:r or ids:..")
     p.add_argument("--radii", required=True, help="comma list or start:stop:step")
-    p.add_argument("--center", type=int, default=None, help="ball center (default: first K point)")
+    p.add_argument("--center", type=int, default=None, help="ball center (default: x0 of a ball:x0:r K, the first listed point of an ids: K)")
     p.add_argument("--decay-ratio", type=float, default=DEFAULT_DECAY_RATIO)
     p.set_defaults(func=cmd_capacity)
 

@@ -15,19 +15,17 @@ q(x, y) = 2 j(x,y) m(y); only the rate table applies the factor 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .space import DiscreteMMSpace, exactly_symmetric
+from .space import DiscreteMMSpace, block_rows, exactly_symmetric, row_blocks
 
-_BLOCK_NNZ = 1 << 18  # stored entries per run of whole rows (bounds temporaries)
-_GATHER_ROWS = 512  # dense rows per block of a gathered CSR kernel (bounds the dense block)
 _ITEM_BYTES = 64  # per point, stored kernel entry or stencil offset, a build's temporaries included (measured: 28-58)
 _SIZE_BUDGET = 4 << 30  # bytes: the most one build may take by that estimate
 
@@ -37,22 +35,6 @@ def _check_size(fields: str, items: float) -> None:
     nbytes = items * _ITEM_BYTES
     if not nbytes <= _SIZE_BUDGET:
         raise ValueError(f"{fields}: about {nbytes:.3g} bytes, over the {_SIZE_BUDGET:.3g}-byte budget of one build")
-
-
-def row_blocks(indptr: np.ndarray) -> Iterator[tuple[np.ndarray, int, int]]:
-    """Runs of whole non-empty CSR rows with at most _BLOCK_NNZ entries (or one longer row).
-
-    Yields (rows, lo, hi): the run's ascending row ids and its entry range
-    [lo, hi), contiguous because the rows skipped between them are empty.
-    """
-    rows = np.flatnonzero(np.diff(indptr))
-    ends = indptr[rows + 1]
-    k = 0
-    while k < len(rows):
-        lo = int(indptr[rows[k]])
-        stop = max(int(np.searchsorted(ends, lo + _BLOCK_NNZ, side="right")), k + 1)
-        yield rows[k:stop], lo, int(ends[stop - 1])
-        k = stop
 
 
 class KernelOperator:
@@ -105,19 +87,25 @@ class KernelOperator:
 class JumpKernel(KernelOperator):
     """Symmetric off-diagonal jump density j(x, y) w.r.t. m (x) m.
 
-    Stored as a sparse matrix over the truncation. `pair_distances` (same
-    sparsity pattern as the density) is computed lazily from the space
-    metric when an operation needs d(x, y) on the kernel support.
+    Stored as a sparse matrix over the truncation, which the kernel owns:
+    a matrix it is given is copied before it is changed. W, the row mass and
+    `pair_distances` (same sparsity pattern as the density, from the space
+    metric) are computed on first use and kept.
     """
 
     def __init__(self, space: DiscreteMMSpace, matrix):
         self.space = space
         n = space.n_points
         m = sp.csr_matrix(matrix, dtype=float, shape=(n, n))
-        m.sum_duplicates()  # canonical, so m == m.T exactly when their arrays match
-        # clear the stored diagonal in place; setdiag would first insert the missing ones
-        m.data[m.indices == np.repeat(np.arange(n, dtype=m.indices.dtype), np.diff(m.indptr))] = 0.0
-        m.eliminate_zeros()
+        shared = sp.issparse(matrix) and matrix.format == "csr"  # then m keeps its arrays: copy them before a change
+        if not m.has_canonical_format:
+            m, shared = m.copy() if shared else m, False
+            m.sum_duplicates()  # canonical, so m == m.T exactly when their arrays match
+        on_diagonal = m.indices == np.repeat(np.arange(n, dtype=m.indices.dtype), np.diff(m.indptr))
+        if on_diagonal.any() or not m.data.all():
+            m = m.copy() if shared else m
+            m.data[on_diagonal] = 0.0  # in place; setdiag would first insert the missing ones
+            m.eliminate_zeros()
         bad = np.flatnonzero(~np.isfinite(m.data))
         if bad.size:
             x = int(np.searchsorted(m.indptr, bad[0], side="right")) - 1
@@ -127,9 +115,6 @@ class JumpKernel(KernelOperator):
         if m.nnz and m.data.min() < 0:
             raise ValueError("jump density must be nonnegative")
         self.matrix = m
-        self._pair_d: Optional[np.ndarray] = None  # d(x, y) aligned with matrix.data
-        self._weighted: Optional[sp.csr_matrix] = None  # W = j(x,y) m(y)
-        self._row_mass: Optional[np.ndarray] = None  # sum_y j(x,y) m(y)
 
     @classmethod
     def from_entries(cls, space: DiscreteMMSpace, rows, cols, values) -> "JumpKernel":
@@ -153,41 +138,40 @@ class JumpKernel(KernelOperator):
 
     @classmethod
     def from_dense_rows(cls, space: DiscreteMMSpace, rows: Callable[[np.ndarray], np.ndarray]) -> "JumpKernel":
-        """Kernel whose rows idx are the dense block rows(idx) = j(idx, every y), asked for _GATHER_ROWS rows at a time.
+        """Kernel whose rows idx are the dense block rows(idx) = j(idx, every y), asked for `block_rows` rows at a time.
 
         The constructor clears the diagonal, so rows need not zero it.
         """
-        idx = np.arange(space.n_points)
-        blocks = range(0, space.n_points, _GATHER_ROWS)
+        n = space.n_points
+        idx, step = np.arange(n), block_rows(n)
         # the block list dies with the vstack call, before the kernel's own checks allocate
-        return cls(space, sp.vstack([sp.csr_matrix(rows(idx[lo : lo + _GATHER_ROWS])) for lo in blocks], format="csr"))
+        return cls(space, sp.vstack([sp.csr_matrix(rows(idx[lo : lo + step])) for lo in range(0, n, step)], format="csr"))
 
-    @property
+    @cached_property
     def weighted(self) -> sp.csr_matrix:
-        if self._weighted is None:
-            m = self.matrix  # W shares the kernel's indptr and indices, so W.data stays aligned with pair_distances
-            self._weighted = sp.csr_matrix((m.data * self.space.measure[m.indices], m.indices, m.indptr), shape=m.shape)
-        return self._weighted
+        """W = j(x, y) m(y), sharing the kernel's indptr and indices, so W.data stays aligned with pair_distances."""
+        m = self.matrix
+        return sp.csr_matrix((m.data * self.space.measure[m.indices], m.indices, m.indptr), shape=m.shape)
 
-    @property
+    @cached_property
     def row_mass(self) -> np.ndarray:
-        if self._row_mass is None:
-            self._row_mass = np.asarray(self.weighted.sum(axis=1)).reshape(-1)
-        return self._row_mass
+        return np.asarray(self.weighted.sum(axis=1)).reshape(-1)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.weighted @ v
 
     def pair_distances(self) -> np.ndarray:
         """d(x, y) aligned with self.matrix.data (CSR order)."""
-        if self._pair_d is None:
-            m = self.matrix
-            counts = np.diff(m.indptr)
-            out = np.empty(m.nnz)
-            for rows, lo, hi in row_blocks(m.indptr):
-                out[lo:hi] = self.space.pair_distances(np.repeat(rows, counts[rows]), m.indices[lo:hi])
-            self._pair_d = out
-        return self._pair_d
+        return self._pair_distances
+
+    @cached_property
+    def _pair_distances(self) -> np.ndarray:
+        m = self.matrix
+        counts = np.diff(m.indptr)
+        out = np.empty(m.nnz)
+        for rows, lo, hi in row_blocks(m.indptr):
+            out[lo:hi] = self.space.pair_distances(np.repeat(rows, counts[rows]), m.indices[lo:hi])
+        return out
 
     def longest_pair_distance(self) -> float:
         """max d(x, y) over the stored entries (0 for the empty kernel; inf across components)."""
@@ -299,7 +283,8 @@ class StencilKernel(KernelOperator):
     a full box is connected, a proper mask runs connected_components. W v is one
     `_Convolution` by m j, and weighted_row_sums(g) the convolution of the
     points' indicator by m j g(|k @ B|).
-    The kernel holds only its space, its stencil and its FFT state: `csr()`
+    The kernel holds only its space, its stencil, its offset distances
+    (computed once), its row mass and its FFT state, all O(box): `csr()`
     gathers an O(n^2) CSR kernel afresh on each call, and nothing keeps it;
     its n (n - 1) entries are charged to the size gate first.
     """
@@ -324,7 +309,7 @@ class StencilKernel(KernelOperator):
         if not np.all(space.measure == space.measure[0]):
             raise ValueError("a stencil kernel needs a uniform measure")
         self.space, self._basis = space, basis
-        d = self._offset_distances()
+        d = self._offset_distances
         at_units = tuple((np.subtract(self._box, 1) + units).T)
         # the unit steps' lengths from B scaled by powers of two, which (k B)^2 cannot under- or overflow
         scale = 2.0 ** np.frexp(np.abs(basis).max(axis=1))[1]
@@ -344,8 +329,8 @@ class StencilKernel(KernelOperator):
                 raise ValueError("a stencil kernel's points must be connected through unit steps")
         self._mass = float(space.measure[0])
         self._conv = _Convolution(self.stencil * self._mass, steps)
-        self._row_mass: Optional[np.ndarray] = None
 
+    @cached_property
     def _offset_distances(self) -> np.ndarray:
         """|k B| over the offsets |k_a| < L_a: the space's per-axis norm of the components of k B.
 
@@ -367,17 +352,15 @@ class StencilKernel(KernelOperator):
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self._conv(v)
 
-    @property
+    @cached_property
     def row_mass(self) -> np.ndarray:
-        if self._row_mass is None:
-            self._row_mass = self.matvec(np.ones(self.space.n_points))
-        return self._row_mass
+        return self.matvec(np.ones(self.space.n_points))
 
     def weighted_row_sums(self, g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """g is evaluated only where the stencil is nonzero, the entries the CSR twin stores (so not at d = 0)."""
         stored = self.stencil != 0
         weights = np.zeros_like(self.stencil)
-        weights[stored] = self.stencil[stored] * g(self._offset_distances()[stored]) * self._mass
+        weights[stored] = self.stencil[stored] * g(self._offset_distances[stored]) * self._mass
         return _Convolution(weights, self.space.steps)(np.ones(self.space.n_points))
 
     def jump_support(self) -> np.ndarray:
@@ -601,22 +584,23 @@ class RateTable:
     space: DiscreteMMSpace
     q: sp.csr_matrix
     lam: np.ndarray
-    _cum: Optional[np.ndarray] = field(default=None, repr=False)
 
     def cumulative_rows(self) -> np.ndarray:
         """Per-row cumulative sums of q, aligned with q.data (for sampling)."""
-        if self._cum is None:
-            cum = self.q.data.copy()
-            indptr = self.q.indptr
-            lens = np.diff(indptr)
-            # one in-place cumsum per run of consecutive rows of equal length, on a view of cum
-            bounds = np.concatenate(([0], np.flatnonzero(np.diff(lens)) + 1, [len(lens)]))
-            for a, b in zip(bounds[:-1], bounds[1:]):
-                if b > a and lens[a] > 1:
-                    block = cum[indptr[a] : indptr[b]].reshape(b - a, lens[a])
-                    np.cumsum(block, axis=1, out=block)
-            self._cum = cum
-        return self._cum
+        return self._cumulative_rows
+
+    @cached_property
+    def _cumulative_rows(self) -> np.ndarray:
+        cum = self.q.data.copy()
+        indptr = self.q.indptr
+        lens = np.diff(indptr)
+        # one in-place cumsum per run of consecutive rows of equal length, on a view of cum
+        bounds = np.concatenate(([0], np.flatnonzero(np.diff(lens)) + 1, [len(lens)]))
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            if b > a and lens[a] > 1:
+                block = cum[indptr[a] : indptr[b]].reshape(b - a, lens[a])
+                np.cumsum(block, axis=1, out=block)
+        return cum
 
 
 def jump_rates(kernel: KernelOperator) -> RateTable:

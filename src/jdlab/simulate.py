@@ -33,8 +33,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .forms import RateTable, row_blocks
-from .space import DiscreteMMSpace, open_ball_mask
+from .forms import RateTable
+from .space import DiscreteMMSpace, open_ball_mask, row_blocks
 
 RNG_CONTRACT = "philox4x32-10/1"  # bump whenever (seed, trial, jump) -> draws changes
 # Philox blocks per refill (count x width) and trials per chunk, so that a chunk's
@@ -417,7 +417,7 @@ def _return_sets(
     target_mask = np.zeros(space.n_points, dtype=bool)
     target_mask[target] = True
     dist_to_k = np.full(space.n_points, np.inf)
-    for _, rows in space.distances_chunked(target, chunk=16):
+    for _, rows in space.distances_chunked(target):
         np.minimum(dist_to_k, rows.min(axis=0), out=dist_to_k)
     return target_mask, dist_to_k >= outer_radius
 

@@ -26,6 +26,7 @@ from scipy.sparse.csgraph import dijkstra
 _COORD_METRICS = ("euclidean", "l1", "stack")
 
 ROW_CACHE_LIMIT = 64  # cached single-source distance rows per space
+_BLOCK_NNZ = 1 << 18  # entries per block of every row walk: runs of CSR rows, gathered kernel rows, distance rows
 _SEARCH_CHUNK = 256  # rows per multi-source Dijkstra call: 64 rows took 1.1x the time on the 12,801-point mixed graph
 _MIN_GROUPS = 16  # groups per pass at least: one group holding most rows owns every column that is a row itself
 
@@ -116,6 +117,27 @@ class GraphData:
         return np.minimum(np.minimum(inv_sqrt[i], inv_sqrt[j]), 1.0)
 
 
+def block_rows(n_columns: int) -> int:
+    """Dense rows of n_columns entries per block of a row walk: as many as _BLOCK_NNZ entries hold, and at least one."""
+    return max(1, _BLOCK_NNZ // n_columns)
+
+
+def row_blocks(indptr: np.ndarray) -> Iterator[tuple[np.ndarray, int, int]]:
+    """Runs of whole non-empty CSR rows with at most _BLOCK_NNZ entries (or one longer row).
+
+    Yields (rows, lo, hi): the run's ascending row ids and its entry range
+    [lo, hi), contiguous because the rows skipped between them are empty.
+    """
+    rows = np.flatnonzero(np.diff(indptr))
+    ends = indptr[rows + 1]
+    k = 0
+    while k < len(rows):
+        lo = int(indptr[rows[k]])
+        stop = max(int(np.searchsorted(ends, lo + _BLOCK_NNZ, side="right")), k + 1)
+        yield rows[k:stop], lo, int(ends[stop - 1])
+        k = stop
+
+
 def exactly_symmetric(m: sp.csr_matrix) -> bool:
     """m equals its transpose entry for entry; m must be canonical (sorted indices, no duplicates)."""
     mt = m.T.tocsr()
@@ -146,7 +168,8 @@ class DiscreteMMSpace:
         origin: int = 0,
         truncation_radius: float = float("inf"),
     ):
-        # private, read-only copies, so that what is derived from them (weights on the measure, the per-axis columns) cannot go stale
+        # private, read-only copies, so that what is derived from them (weights on the measure, the per-axis columns,
+        # the cached distance rows) cannot go stale
         self.measure = np.array(measure, dtype=float).reshape(-1)
         self.measure.flags.writeable = False
         if np.any(self.measure <= 0):
@@ -163,6 +186,10 @@ class DiscreteMMSpace:
             if bad.size:
                 raise ValueError(f"coordinates must be finite: point {bad[0]} is at {self.coords[bad[0]].tolist()}")
         self.metric_kind = metric_kind
+        if metric_graph is not None:
+            metric_graph = sp.csr_matrix(metric_graph, copy=True)
+            for a in (metric_graph.data, metric_graph.indices, metric_graph.indptr):
+                a.flags.writeable = False
         self.metric_graph = metric_graph
         self.steps = None if steps is None else _per_point("steps", np.asarray(steps), self.n_points)
         self.origin = int(point_ids("origin", [origin], self.n_points)[0])
@@ -334,9 +361,9 @@ class DiscreteMMSpace:
         columns, idx = self._columns, np.asarray(idx, dtype=np.int64)
         return self.axis_norm(lambda a: columns[a].take(idx)[:, None] - columns[a], len(columns))
 
-    def distances_chunked(self, indices, chunk: int = 128) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield (index chunk, distance rows) without polluting the row cache."""
-        indices = np.asarray(indices, dtype=np.int64)
+    def distances_chunked(self, indices) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield (index chunk, distance rows), `block_rows` rows at a time, without polluting the row cache."""
+        indices, chunk = np.asarray(indices, dtype=np.int64), block_rows(self.n_points)
         for lo in range(0, len(indices), chunk):
             idx = indices[lo : lo + chunk]
             yield idx, self.distance_rows(idx)

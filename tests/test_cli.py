@@ -419,6 +419,23 @@ def test_capacity_closed_form_and_infeasible_k(tmp_path, z_spec, capsys):
     assert "radius" in capsys.readouterr().err
 
 
+def test_capacity_centres_a_ball_k_on_its_x0(tmp_path, z_spec):
+    # the balls were centred on K's lowest point id, 55: radius 10 about it does not hold K, and 11 gave
+    # [2.18182, 0.3, 0.116667]; an ids: K keeps its first listed point
+    reports = {}
+    for name, argv in (
+        ("ball", ["--K", "ball:60:5"]),
+        ("center", ["--K", "ball:60:5", "--center", "60"]),
+        ("ids", ["--K", "ids:62,58,60"]),
+        ("ids-center", ["--K", "ids:62,58,60", "--center", "62"]),
+    ):
+        assert cli.main(["capacity", "--spec", z_spec, *argv, "--radii", "10,20,40", "--out-dir", str(tmp_path / name), "--prefix", "cap"]) == 0
+        reports[name] = json.loads((tmp_path / name / "cap.json").read_text())
+    assert reports["ball"] == reports["center"]
+    assert [round(c, 6) for c in reports["ball"]["capacities"]] == [0.8, 0.266667, 0.114286]
+    assert reports["ids"] == reports["ids-center"]
+
+
 def test_stencil_capacity_repeats_and_criteria_read_the_same_csr_from_spec_and_built_file(tmp_path):
     spec = tmp_path / "s.json"
     spec.write_text(json.dumps(

@@ -40,6 +40,35 @@ def test_asymmetric_kernel_rejected(entries, message):
         JumpKernel(space, sp.csr_matrix((vals, (rows, cols)), shape=(3, 3)))
 
 
+@pytest.mark.parametrize(
+    "given",
+    [
+        sp.csr_matrix(np.array([[5.0, 1, 0], [1, 5, 2], [0, 2, 5]])),  # a stored diagonal
+        sp.csr_matrix(np.array([[0.0, 1, 0], [1, 0, 2], [0, 2, 0]]), dtype=np.float32),  # shares only its indices
+        sp.csr_matrix(([1.0, 0.0, 0.5, 0.5, 2.0, 2.0, 3.0], [1, 2, 0, 0, 2, 1, 2], [0, 2, 5, 7]), shape=(3, 3)),  # a repeat, a 0
+    ],
+    ids=["diagonal", "float32", "duplicate"],
+)
+def test_a_kernel_leaves_the_matrix_it_is_given_unchanged(given):
+    # the constructor cleared the diagonal of the caller's float CSR in place: it read [[0,1,0],[1,0,2],[0,2,0]], nnz 4
+    space = explicit_kernel(3, []).space
+    before = [a.copy() for a in (given.data, given.indices, given.indptr)]
+    got = JumpKernel(space, given).matrix
+    for a, b in zip((given.data, given.indices, given.indptr), before):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    want = JumpKernel(space, given.toarray()).matrix  # a dense matrix is never shared
+    for name in ("data", "indices", "indptr"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert want.toarray().tolist() == [[0, 1, 0], [1, 0, 2], [0, 2, 0]]
+
+
+def test_a_kernel_keeps_a_matrix_that_needs_no_change_without_a_copy():
+    space = explicit_kernel(3, []).space
+    given = sp.csr_matrix(np.array([[0.0, 1, 0], [1, 0, 2], [0, 2, 0]]))
+    got = JumpKernel(space, given).matrix
+    assert all(np.shares_memory(getattr(got, name), getattr(given, name)) for name in ("data", "indices", "indptr"))
+
+
 def test_gamma_jump_constant_is_zero(z_line):
     u = np.full(z_line.space.n_points, 3.7)
     assert np.allclose(gamma_jump(z_line.kernel, u), 0.0)

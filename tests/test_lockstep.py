@@ -15,7 +15,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from jdlab import forms, simulate
+from jdlab import simulate, space
 from jdlab.forms import RateTable, jump_rates
 from jdlab.kernels import explicit_kernel
 from jdlab.simulate import (
@@ -251,7 +251,7 @@ def test_tabulated_row_search_matches_the_lifting_oracle(lengths, zero_fraction,
     empty_fraction=st.sampled_from([0.0, 0.3]),
     zero_fraction=st.sampled_from([0.0, 0.3, 1.0]),
     wall_fraction=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
-    block=st.sampled_from([7, forms._BLOCK_NNZ]),
+    block=st.sampled_from([7, space._BLOCK_NNZ]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_the_censored_table_is_the_plain_search_then_a_reflection(
@@ -269,7 +269,7 @@ def test_the_censored_table_is_the_plain_search_then_a_reflection(
     walls = rng.random(n) < wall_fraction
     plain = simulate._jumps(rates)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(forms, "_BLOCK_NNZ", block)
+        mp.setattr(space, "_BLOCK_NNZ", block)
         censored = simulate._jumps(rates, walls)
     cum = rates.cumulative_rows()
     rows, u = [], []

@@ -25,6 +25,14 @@ def test_verdict_matrix(monkeypatch, capsys):
     assert rows[0].split() == ["alpha", "case", "beta", "conservative", "recurrent", "t-liminf"]
     assert len(rows) == 1 + 3 * 5
     assert all(row.split()[3] == "satisfied" for row in rows[1:])
+    # at spacing 1 every case-i row repeated across alpha: the short-range law was only evaluated at d = 1
+    liminf = {}
+    for row in rows[1:]:
+        alpha, case, beta, *_, value = row.split()
+        if case == "i":
+            liminf.setdefault(beta, []).append(float(value))
+    assert len(liminf) == 4 and all(len(set(values)) == 3 for values in liminf.values())
+    assert liminf["1.0"] == pytest.approx([5.9815, 6.0125, 6.065], abs=1e-3)  # printed to 4 digits
 
 
 def test_capacity_scan(monkeypatch, capsys):

@@ -21,6 +21,7 @@ import math
 from collections import deque
 
 import jdlab.kernels as kmod
+import jdlab.space
 
 import numpy as np
 import pytest
@@ -65,11 +66,20 @@ REL = 1e-12
 # -- oracles -------------------------------------------------------------------
 
 
+def distance_row_blocks(space, indices, rows_per_block):
+    """space.distances_chunked(indices) with the entry budget set to rows_per_block rows of the space."""
+    import jdlab.space
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jdlab.space, "_BLOCK_NNZ", rows_per_block * space.n_points)
+        yield from space.distances_chunked(indices)
+
+
 def oracle_pair_distances(kernel):
     m = kernel.matrix
     out = np.empty(m.nnz)
     rows_with = np.flatnonzero(np.diff(m.indptr) > 0)
-    for idx, dist_rows in kernel.space.distances_chunked(rows_with, chunk=7):
+    for idx, dist_rows in distance_row_blocks(kernel.space, rows_with, 7):
         for k, x in enumerate(idx):
             lo, hi = m.indptr[x], m.indptr[x + 1]
             out[lo:hi] = dist_rows[k][m.indices[lo:hi]]
@@ -144,10 +154,17 @@ def oracle_dense_kernel(space, value):
     """The dense n x n build `stable_like` and `stack_space` used before the CSR row chunks."""
     n = space.n_points
     dense = np.zeros((n, n))
-    for idx, rows in space.distances_chunked(np.arange(n), chunk=512):
+    for idx, rows in distance_row_blocks(space, np.arange(n), 512):
         dense[idx, :] = value(idx, rows)
     np.fill_diagonal(dense, 0.0)
     return JumpKernel(space, sp.csr_matrix(dense))
+
+
+def oracle_gather_512(space, rows):
+    """`JumpKernel.from_dense_rows` when it asked for 512 dense rows per block, whatever the number of points."""
+    idx = np.arange(space.n_points)
+    blocks = [sp.csr_matrix(rows(idx[lo : lo + 512])) for lo in range(0, space.n_points, 512)]
+    return JumpKernel(space, sp.vstack(blocks, format="csr"))
 
 
 def oracle_weighted_line_kernel(space, lam, spacing):
@@ -490,9 +507,9 @@ def test_omega_and_m_j_match_row_loops(seed, metric_kind):
 
 
 def test_row_blocks_cover_nonempty_rows_in_bounded_runs(monkeypatch):
-    import jdlab.forms
+    import jdlab.space
 
-    monkeypatch.setattr(jdlab.forms, "_BLOCK_NNZ", 5)
+    monkeypatch.setattr(jdlab.space, "_BLOCK_NNZ", 5)
     counts = np.array([0, 3, 0, 0, 2, 7, 1, 0, 4, 4, 0])
     indptr = np.concatenate([[0], np.cumsum(counts)])
     runs = list(row_blocks(indptr))
@@ -503,14 +520,13 @@ def test_row_blocks_cover_nonempty_rows_in_bounded_runs(monkeypatch):
 
 @pytest.mark.parametrize("metric_kind", ["euclidean", "graph"])
 def test_small_blocks_give_the_same_results(monkeypatch, metric_kind):
-    import jdlab.forms
     import jdlab.space
 
     space, kernel = _instance(3, metric_kind)
     want_d = kernel.pair_distances().copy()
     want_om = _omega_values(kernel, np.array([0.5, 3.0]))
     want_mc = m_constants(BuiltInstance(kernel))
-    monkeypatch.setattr(jdlab.forms, "_BLOCK_NNZ", 3)
+    monkeypatch.setattr(jdlab.space, "_BLOCK_NNZ", 3)
     monkeypatch.setattr(jdlab.space, "_SEARCH_CHUNK", 2)
     fresh = JumpKernel(space, kernel.matrix)
     assert np.array_equal(fresh.pair_distances(), want_d)
@@ -976,6 +992,30 @@ def test_gasket_kernel_matches_dense_build(case):
 def test_stack_kernel_and_flags_match_dense_build(monkeypatch, kwargs):
     new, old = _both_builds(monkeypatch, lambda: stack_space(spacing=0.5, alpha=0.9, beta=1.3, **kwargs))
     assert_bit_identical(new.kernel.matrix, old.kernel.matrix)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: stack_space(dim=2, layers=2, spacing=0.5, truncation_radius=10.0).kernel,  # 3,362 points
+        lambda: stable_like(dim=1, spacing=0.5, truncation_radius=300.0).kernel.csr(),  # a stencil's CSR, 1,201 points
+    ],
+    ids=["stack-2d", "stencil-csr"],
+)
+def test_row_gathers_under_the_entry_budget_match_512_row_blocks(monkeypatch, build):
+    # from_dense_rows asks for block_rows(n) rows per block, under _BLOCK_NNZ entries, where it asked for 512
+    gathers = []
+    gather = JumpKernel.from_dense_rows.__func__
+
+    def recorded(cls, space, rows):
+        gathers.append((space, rows))
+        return gather(cls, space, rows)
+
+    monkeypatch.setattr(JumpKernel, "from_dense_rows", classmethod(recorded))
+    got = build()
+    (space, rows), = gathers
+    assert 512 < space.n_points and jdlab.space.block_rows(space.n_points) < 512
+    assert_bit_identical(got.matrix, oracle_gather_512(space, rows).matrix)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in exp")

@@ -31,6 +31,19 @@ def test_the_measure_is_read_only_and_a_private_copy():
     assert space.measure.tolist() == [1.0, 1.0, 1.0]
 
 
+def test_the_metric_graph_is_read_only_and_a_private_copy():
+    # the space held the caller's graph: after g.data[:] = 10 the cached row read [0, 1, 3] and a fresh one [0, 10, 20]
+    g = sp_.csr_matrix(([1.0, 1.0, 2.0, 2.0], ([0, 1, 1, 2], [1, 0, 2, 1])), shape=(3, 3))
+    space = DiscreteMMSpace(np.ones(3), metric_kind="graph", metric_graph=g)
+    assert space.distances_from(0).tolist() == [0.0, 1.0, 3.0]
+    for name in ("data", "indices", "indptr"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(space.metric_graph, name)[0] = 1
+    g.data[:] = 10.0
+    assert space.distance_rows([0])[0].tolist() == [0.0, 1.0, 3.0]
+    assert space.pair_distances([2, 0], [0, 1]).tolist() == [3.0, 1.0]
+
+
 @pytest.mark.parametrize(
     "ids, message",
     [([-1], "point id -1 is not in [0, 3)"), ([0, 3], "point id 3 is not in [0, 3)"), ([1.5], "point id 1.5 is not an integer"),

@@ -233,8 +233,20 @@ def test_row_sums_of_a_finite_g_are_the_whole_stencil_convolution_bit_for_bit(kw
     stencil = stable_like(alpha=1.0, **kwargs).kernel
     n = stencil.space.n_points
     for g in (lambda d: np.minimum(d, 2.0) ** 2, lambda d: np.minimum(1.0, d**2), np.sqrt):
-        whole = jdlab.forms._Convolution(stencil.stencil * g(stencil._offset_distances()) * stencil._mass, stencil.space.steps)
+        whole = jdlab.forms._Convolution(stencil.stencil * g(stencil._offset_distances) * stencil._mass, stencil.space.steps)
         assert stencil.weighted_row_sums(g).tobytes() == whole(np.ones(n)).tobytes()
+
+
+@ROW_SUM_KERNELS
+def test_offset_distances_are_computed_once_per_kernel(monkeypatch, kwargs):
+    # weighted_row_sums recomputed |k B| on every call, once per radius of omega(r)
+    stencil = stable_like(alpha=1.0, **kwargs).kernel
+    calls = []
+    norm = stencil.space.axis_norm
+    monkeypatch.setattr(stencil.space, "axis_norm", lambda *args: calls.append(args) or norm(*args))
+    g = lambda d: np.minimum(1.0, d**2)
+    first = stencil.weighted_row_sums(g)
+    assert stencil.weighted_row_sums(g).tobytes() == first.tobytes() and calls == []
 
 
 @pytest.mark.parametrize("tempering", [0.3, 0.8])
@@ -528,7 +540,7 @@ def test_offset_distances_are_the_space_norm_of_k_h(dim, spacing):
     reach = kernel._box[0] - 1
     axes = np.meshgrid(*[np.arange(-reach, reach + 1)] * dim, indexing="ij")
     want = np.sqrt(sum((a * spacing) ** 2 for a in axes))
-    got = kernel._offset_distances()
+    got = kernel._offset_distances
     assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -546,7 +558,7 @@ def test_offset_distances_per_axis_are_the_norm_of_the_offset_tensor(kwargs):
     offsets = np.moveaxis(np.indices(2 * reach + 1), 0, -1) - reach
     want = np.sqrt((np.dot(offsets, kernel._basis) ** 2).sum(axis=-1))
     assert want.tobytes() == kernel.space.norm(np.dot(offsets, kernel._basis)).tobytes()
-    got = kernel._offset_distances()
+    got = kernel._offset_distances
     assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 

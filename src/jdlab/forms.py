@@ -386,13 +386,16 @@ class _FreeOperator(spla.LinearOperator):
 
     A matvec is one `_Convolution` by the weighted stencil w over the free
     points, in their bounding box of side L_a per axis. `precond` applies
-    the inverse of T. Chan's optimal circulant C on the box for
-    A_ext = A (+) mean(diag) I, which extends A by its mean diagonal to the
-    box's other points. C's eigenvalue at each Fourier vector f of the box
-    is f* A_ext f, positive since A_ext is positive definite; over the box's
-    N points they are mean(diag) - (2m / N) FFT(fold_L(w a)), where a(k)
-    counts the free pairs at offset k (the mask's autocorrelation) and
-    fold_L sums offsets mod L.
+    the inverse of T. Chan's optimal circulant C for A_ext = A (+) 0 on
+    `box`, the bounding box padded per axis to the fast length P_a >= L_a
+    with the free points at its corner, so its FFTs are never Bluestein
+    plans. C's eigenvalue at each Fourier vector f of `box` is f* A_ext f:
+    for the n free points of its N, n / N times a Rayleigh quotient of A,
+    so positive. (A mean-diagonal filler added (1 - n / N) mean(diag) to
+    each, which lifted the lowest far above A's where the free points fill
+    little of the box.) They are sum(diag) / N - (2m / N) FFT(fold_P(w a)),
+    where a(k) counts the free pairs at offset k (the mask's
+    autocorrelation) and fold_P sums offsets mod P.
     """
 
     def __init__(self, kernel: StencilKernel, free_idx: np.ndarray):
@@ -403,19 +406,22 @@ class _FreeOperator(spla.LinearOperator):
         mask = _rfftn(conv.scatter(np.ones(free_idx.size)), conv.fft_shape)
         autocorrelation = np.rint(_irfftn(mask * mask.conj(), conv.fft_shape))
         folded = conv.embedded * autocorrelation
-        for axis, n in enumerate(conv.box):  # offset k sits at index k mod fft_shape; sum it into k mod L
+        self.box = tuple(_fast_len(n) for n in conv.box)
+        # offset k sits at index k mod fft_shape; sum it into k mod P
+        for axis, (n, p) in enumerate(zip(conv.box, self.box)):
             folded = np.moveaxis(folded, axis, 0)
-            head = folded[:n].copy()
-            head[1:] += folded[folded.shape[0] - n + 1 :]
+            head = np.zeros((p,) + folded.shape[1:])
+            head[:n] = folded[:n]
+            head[p - n + 1 :] += folded[folded.shape[0] - n + 1 :]
             folded = np.moveaxis(head, 0, axis)
-        self.eigenvalues = self._diag.mean() - self._scale / folded.size * _rfftn(folded).real
+        self.eigenvalues = self._diag.sum() / folded.size - self._scale / folded.size * _rfftn(folded).real
         self.precond = spla.LinearOperator(self.shape, matvec=self._precond_solve, dtype=float)
 
     def _matvec(self, x: np.ndarray) -> np.ndarray:
         return self._diag * np.reshape(x, -1) - self._scale * self._conv(x)
 
     def _precond_solve(self, r: np.ndarray) -> np.ndarray:
-        return _irfftn(_rfftn(self._conv.scatter(r)) / self.eigenvalues, self._conv.box)[self._conv.at]
+        return _irfftn(_rfftn(self._conv.scatter(r), self.box) / self.eigenvalues, self.box)[self._conv.at]
 
 
 @dataclass

@@ -172,8 +172,10 @@ def lattice_nn(
     per_point = 1.0 if measure == "counting" else _power(spacing, dim)
     space = _lattice_space(dim, truncation_radius, spacing, per_point)
     ids, inside = _neighbors(space.steps)
+    inside &= float(density) != 0  # density 0 stores no entry, so the kernel has no zero to eliminate
     indptr, indices = np.concatenate([[0], np.cumsum(np.count_nonzero(inside, axis=1))]), ids[inside]
-    return BuiltInstance(JumpKernel(space, sp.csr_matrix((np.full(len(indices), float(density)), indices, indptr))))
+    entries = (np.full(len(indices), float(density)), indices, indptr)
+    return BuiltInstance(JumpKernel(space, sp.csr_matrix(entries, shape=(space.n_points,) * 2)))
 
 
 # -- Example family: stable-like kernels on kappa-sets ----------------------

@@ -93,6 +93,19 @@ def test_stencil_results_are_byte_identical_to_the_scipy_fft_path(monkeypatch, n
     assert all(it > 0 for it in got[1])  # every solve ran the preconditioned CG, so the preconditioner FFTs ran
 
 
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_every_fft_of_a_capacity_scan_has_5_smooth_lengths(monkeypatch, name):
+    # the preconditioner transformed at the free set's unpadded box: at a prime length, a Bluestein plan on every call
+    kwargs, radii = INSTANCES[name]
+    built = stable_like(**kwargs)
+    shapes = []
+    rfftn, irfftn = jdlab.forms._rfftn, jdlab.forms._irfftn
+    monkeypatch.setattr(jdlab.forms, "_rfftn", lambda x, shape=None: shapes.append(shape or x.shape) or rfftn(x, shape))
+    monkeypatch.setattr(jdlab.forms, "_irfftn", lambda y, shape: shapes.append(shape) or irfftn(y, shape))
+    assert all(it > 0 for it in capacity_scan(built, [built.space.origin], radii).iterations)
+    assert shapes and all(_fast_len(n) == n for shape in shapes for n in shape)
+
+
 def test_no_command_imports_scipy_fft(tmp_path):
     # a fresh interpreter: this one imports scipy.fft as the oracle above
     spec = tmp_path / "stable.json"

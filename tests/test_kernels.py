@@ -35,6 +35,16 @@ def assert_symmetric(kernel):
     assert np.all(matrix.diagonal() == 0.0)
 
 
+def test_lattice_nn_at_density_0_builds_the_empty_csr_without_a_copy(monkeypatch):
+    # it wrote 2 dim explicit zeros per point, which the kernel constructor copied and then eliminated
+    given = []
+    init = JumpKernel.__init__
+    monkeypatch.setattr(JumpKernel, "__init__", lambda self, space, m: given.append(m) or init(self, space, m))
+    kernel = lattice_nn(dim=2, density=0.0, truncation_radius=4).kernel
+    assert [m.nnz for m in given] == [0] and kernel.matrix.nnz == 0
+    assert np.shares_memory(kernel.matrix.indptr, given[0].indptr)  # data and indices are empty
+
+
 # -- stable-like -------------------------------------------------------------
 
 def test_stable_case_i_values():
